@@ -23,6 +23,11 @@
 // with JavaSource (the GPS-style generated code), StateMachine (the
 // executable program listing), and TransformationTable (which rules
 // fired).
+//
+// The engine runs every superstep on one path — push messaging, chunked
+// work-stealing vertex compute, routing counted as chunks retire — so
+// Config carries resources, limits, fault injection and the chunk size
+// and partitioner, but no execution-mode switches.
 package gmpregel
 
 import (
@@ -53,7 +58,7 @@ type Bindings = machine.Bindings
 type Result = machine.Result
 
 // Config controls an engine run (worker count, superstep limit, seed,
-// and scheduling: ChunkSize, NoSteal, Partitioner).
+// and scheduling: ChunkSize, Partitioner).
 type Config = pregel.Config
 
 // PartitionKind selects how vertices map to workers (Config.Partitioner).
@@ -69,23 +74,6 @@ const (
 // Stats summarizes a run: supersteps, messages, network/control bytes,
 // and checkpoint/recovery accounting.
 type Stats = pregel.Stats
-
-// Direction selects push, pull, or per-superstep direction-optimized
-// execution (Config.Direction). Results and Stats are bit-identical
-// across directions by construction; only wall time changes.
-type Direction = pregel.Direction
-
-// Directions: legacy push, forced pull (on gather-eligible supersteps),
-// and the Beamer-style per-superstep density heuristic.
-const (
-	DirPush = pregel.DirPush
-	DirPull = pregel.DirPull
-	DirAuto = pregel.DirAuto
-)
-
-// DirectionTrace records the per-superstep push/pull choices of a
-// direction-optimized run (Config.DirTrace).
-type DirectionTrace = pregel.DirectionTrace
 
 // Checkpointable is implemented by jobs whose state the engine snapshots
 // at checkpoint barriers and restores on rollback; compiled programs
@@ -162,7 +150,6 @@ const (
 	PhaseSpill         = obs.PhaseSpill
 	PhaseWatchdog      = obs.PhaseWatchdog
 	PhaseRun           = obs.PhaseRun
-	PhasePull          = obs.PhasePull
 )
 
 // TraceRing is a bounded in-memory span buffer observer.

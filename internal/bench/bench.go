@@ -28,27 +28,19 @@ var observer obs.Observer
 // (or none).
 func SetObserver(o obs.Observer) { observer = o }
 
-// tuning carries the scheduling knobs (-sched/-chunk/-part) into every
-// engine run the harness performs. Zero values are the engine defaults:
-// automatic chunk size, stealing on, mod partitioning.
+// tuning carries the scheduling knobs (-chunk/-part) into every engine
+// run the harness performs. Zero values are the engine defaults:
+// automatic chunk size, mod partitioning.
 var tuning struct {
 	chunkSize int
-	noSteal   bool
 	part      pregel.PartitionKind
-	direction pregel.Direction
 }
 
 // SetSchedTuning applies scheduling knobs to every subsequent engine run
-// the harness performs. The scheduling A/B mode overrides these per
-// config; every other mode inherits them.
-func SetSchedTuning(chunkSize int, noSteal bool, part pregel.PartitionKind) {
-	tuning.chunkSize, tuning.noSteal, tuning.part = chunkSize, noSteal, part
+// the harness performs.
+func SetSchedTuning(chunkSize int, part pregel.PartitionKind) {
+	tuning.chunkSize, tuning.part = chunkSize, part
 }
-
-// SetDirection applies the push/pull/auto execution direction (-direction)
-// to every subsequent engine run the harness performs. The direction
-// sweep overrides it per arm; every other mode inherits it.
-func SetDirection(d pregel.Direction) { tuning.direction = d }
 
 // engineConfig is the single place harness code builds a pregel.Config,
 // so the observer and scheduling knobs reach every run.
@@ -58,9 +50,7 @@ func engineConfig(workers int, seed int64) pregel.Config {
 		Seed:        seed,
 		Observer:    observer,
 		ChunkSize:   tuning.chunkSize,
-		NoSteal:     tuning.noSteal,
 		Partitioner: tuning.part,
-		Direction:   tuning.direction,
 	}
 }
 

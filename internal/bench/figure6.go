@@ -160,12 +160,6 @@ func RunManual(name string, g *graph.Directed, in *Inputs, p Params, cfg pregel.
 		newJob = func() pregel.Job {
 			return &manual.Bipartite{IsBoy: in.IsBoy, Match: make([]graph.NodeID, n)}
 		}
-	case "bfs":
-		// Not a paper algorithm — the direction sweep's headline
-		// workload (frontier swells then collapses).
-		newJob = func() pregel.Job {
-			return &manual.BFS{Root: in.Root, Level: make([]int64, n)}
-		}
 	default:
 		return Outcome{}, fmt.Errorf("bench: no manual implementation of %q (the paper has none either)", name)
 	}

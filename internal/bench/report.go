@@ -14,33 +14,30 @@ import (
 // parallelism, NumCPU the hardware's) so archived reports from
 // different runners stay comparable.
 type Meta struct {
-	Scale      int    `json:"scale"`
-	Workers    int    `json:"workers"`
-	Trials     int    `json:"trials"`
-	Seed       int64  `json:"seed"`
-	Direction  string `json:"direction,omitempty"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
+	Scale      int   `json:"scale"`
+	Workers    int   `json:"workers"`
+	Trials     int   `json:"trials"`
+	Seed       int64 `json:"seed"`
+	GoMaxProcs int   `json:"gomaxprocs"`
+	NumCPU     int   `json:"numcpu"`
 }
 
 // Report is the machine-readable form of a gmbench invocation: one
 // optional section per table/figure mode, plus the trace-derived skew
 // report when the run was traced. It is what `gmbench -json` emits.
 type Report struct {
-	Meta      Meta             `json:"meta"`
-	Table1    []Table1Row      `json:"table1,omitempty"`
-	Table2    []Table2Row      `json:"table2,omitempty"`
-	Table3    *Table3Summary   `json:"table3,omitempty"`
-	Figure6   []Fig6Row        `json:"figure6,omitempty"`
-	BC        *BCReport        `json:"bc,omitempty"`
-	Ablation  []AblationRow    `json:"ablation,omitempty"`
-	Activity  *ActivityProfile `json:"activity,omitempty"`
-	Recovery  []RecoveryRow    `json:"recovery,omitempty"`
-	Scaling   *ScalingReport   `json:"scaling,omitempty"`
-	SchedAB   []SchedABRow     `json:"schedab,omitempty"`
-	Direction *DirectionReport `json:"direction,omitempty"`
-	Skew      *obs.SkewReport  `json:"skew,omitempty"`
-	Chaos     *chaos.Report    `json:"chaos,omitempty"`
+	Meta     Meta             `json:"meta"`
+	Table1   []Table1Row      `json:"table1,omitempty"`
+	Table2   []Table2Row      `json:"table2,omitempty"`
+	Table3   *Table3Summary   `json:"table3,omitempty"`
+	Figure6  []Fig6Row        `json:"figure6,omitempty"`
+	BC       *BCReport        `json:"bc,omitempty"`
+	Ablation []AblationRow    `json:"ablation,omitempty"`
+	Activity *ActivityProfile `json:"activity,omitempty"`
+	Recovery []RecoveryRow    `json:"recovery,omitempty"`
+	Scaling  *ScalingReport   `json:"scaling,omitempty"`
+	Skew     *obs.SkewReport  `json:"skew,omitempty"`
+	Chaos    *chaos.Report    `json:"chaos,omitempty"`
 }
 
 // WriteJSON renders the report as indented JSON.

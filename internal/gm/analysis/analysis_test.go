@@ -248,28 +248,3 @@ func TestDiagnosticsAreSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestGatherConvertibleNote(t *testing.T) {
-	// A PageRank-style in-neighbor reduction: the exchanged value is a
-	// pure function of sender state, so the direction optimizer may run
-	// the superstep as a pull.
-	l := Diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>) {
-		Foreach (n: G.Nodes) {
-			n.r = Sum(w: n.InNbrs)(w.r / w.Degree());
-		}
-	}`)
-	d := find(l, CodeGatherable)
-	if d == nil || d.Severity != SevInfo {
-		t.Fatalf("want GM5010 info, got %v", l)
-	}
-
-	// A PickRandom payload would resample at gather time: no note.
-	l = Diagnose(`Procedure f(G: Graph, p: Node_Prop<Node>, c: Node_Prop<Int>) {
-		Foreach (n: G.Nodes) {
-			n.c = Count(w: n.InNbrs)(w.p == G.PickRandom());
-		}
-	}`)
-	if has(l, CodeGatherable) {
-		t.Fatalf("PickRandom reduction must not be marked gather-convertible: %v", l)
-	}
-}

@@ -38,7 +38,6 @@ var CodeTable = []CodeInfo{
 	{CodeCondPull, SevInfo, "message-pulling loop under a condition"},
 	{CodeEdgePull, SevInfo, "edge property used in a message-pulling loop"},
 	{CodeDeepNest, SevInfo, "neighbor iteration nested deeper than one level"},
-	{CodeGatherable, SevInfo, "neighborhood reduction is gather-convertible (direction optimizer may pull)"},
 }
 
 // LookupCode returns the registry entry for a code.

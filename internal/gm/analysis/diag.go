@@ -64,7 +64,6 @@ const (
 	CodeCondPull     = "GM5007" // message-pulling loop under a condition
 	CodeEdgePull     = "GM5008" // edge property used in a message-pulling loop
 	CodeDeepNest     = "GM5009" // neighbor iteration nested deeper than one level
-	CodeGatherable   = "GM5010" // neighborhood reduction is gather-convertible (direction optimizer may pull)
 )
 
 // Diagnostic is one analyzer finding: a stable code, a severity, the

@@ -209,10 +209,6 @@ func (a *analyzer) reduceSite(red *ast.Reduce, r *regionCtx) {
 			a.add(CodeIncomingComm, SevInfo, red.P,
 				"communication along incoming edges: the compiler flips the edge direction or builds incoming-neighbor lists (Flipping Edges / Incoming Neighbors rules)")
 		}
-		if !usesPickRandom(red.Body) && !usesPickRandom(red.Filter) {
-			a.add(CodeGatherable, SevInfo, red.P,
-				"the message this reduction exchanges is a pure function of sender state; the runtime's direction optimizer may execute the superstep as a reverse-CSR pull (final per-state eligibility is decided by the backend)")
-		}
 		a.payloadOfReduce(red, r)
 	}
 	if red.Filter != nil {
@@ -301,23 +297,6 @@ func (a *analyzer) isPull(f *ast.Foreach, r *regionCtx) bool {
 		return !pull
 	})
 	return pull
-}
-
-// usesPickRandom reports whether the expression draws a random node —
-// a gather re-evaluation would draw a fresh sample, so such payloads
-// are never direction-convertible.
-func usesPickRandom(e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		if c, ok := x.(*ast.Call); ok && c.Name == "PickRandom" {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // edgeDeclIn reports whether the loop body binds an Edge variable.

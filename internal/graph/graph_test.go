@@ -308,10 +308,25 @@ func TestReadEdgeListNoHeader(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, bad := range []string{"0\n", "a b\n", "0 x\n", "# nodes 2 edges 1\n0 5\n"} {
+	// Hostile input must come back as an error: no range panic in
+	// FromEdges, no allocation sized by what the header claims.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, bad := range []string{
+		"0\n", "a b\n", "0 x\n", "# nodes 2 edges 1\n0 5\n",
+		"-1 3\n", "# nodes 3 edges -1\n", "# nodes 3 edges 4000000000000000000\n",
+		"0 1\n2 -7\n", "# nodes -3 edges 0\n", "# nodes 9000000000 edges 0\n",
+		"# nodes 3 edges 2\n0 1\n",
+	} {
 		if _, err := ReadEdgeList(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("input %q: want error, got nil", bad)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	// Each call owns a 1 MiB scanner buffer; the header's edge count must
+	// add at most the capped hint on top.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("rejecting 11 small inputs allocated %d bytes", grew)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -26,15 +27,21 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 	return bw.Flush()
 }
 
+// maxEdgeHint caps how many edges ReadEdgeList preallocates on the word
+// of a header (512 KiB of Edge values): the declared count is a hint
+// from outside the program, not a promise.
+const maxEdgeHint = 1 << 16
+
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines
 // beginning with '#' other than the header are ignored, as are blank
 // lines. If no header is present, the vertex count is inferred as
-// 1 + max endpoint.
+// 1 + max endpoint. Negative endpoints, negative header counts and a
+// header edge count the file does not deliver are errors.
 func ReadEdgeList(r io.Reader) (*Directed, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
-	n := -1
+	n, declared := -1, -1
 	maxID := NodeID(-1)
 	lineNo := 0
 	for sc.Scan() {
@@ -46,8 +53,11 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 		if strings.HasPrefix(line, "#") {
 			var hn, hm int
 			if _, err := fmt.Sscanf(line, "# nodes %d edges %d", &hn, &hm); err == nil {
-				n = hn
-				edges = make([]Edge, 0, hm)
+				if hn < 0 || hn > math.MaxInt32 || hm < 0 {
+					return nil, fmt.Errorf("graph: line %d: header counts out of range: nodes %d edges %d", lineNo, hn, hm)
+				}
+				n, declared = hn, hm
+				edges = make([]Edge, 0, min(hm, maxEdgeHint))
 			}
 			continue
 		}
@@ -63,6 +73,9 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad dst %q: %v", lineNo, fields[1], err)
 		}
+		if s < 0 || d < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative endpoint in %q", lineNo, line)
+		}
 		e := Edge{NodeID(s), NodeID(d)}
 		if e.Src > maxID {
 			maxID = e.Src
@@ -74,6 +87,9 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if declared >= 0 && declared != len(edges) {
+		return nil, fmt.Errorf("graph: header declares %d edges, file has %d", declared, len(edges))
 	}
 	if n < 0 {
 		n = int(maxID) + 1

@@ -217,11 +217,6 @@ func (ex *exec) compileSendToNbrs(s ir.SendToNbrs) stmtFn {
 	perEdge := exprsUseEdgeProps(append(append([]ir.Expr(nil), s.Payload...), s.EdgeCond))
 	if !perEdge {
 		return func(env *vertexEnv) {
-			// On a pull superstep the engine drops sends; skip building
-			// the message (the gather phase re-derives it per in-edge).
-			if env.vc.PullStep() {
-				return
-			}
 			if cond != nil && !cond(env).AsBool() {
 				return
 			}
@@ -234,9 +229,6 @@ func (ex *exec) compileSendToNbrs(s ir.SendToNbrs) stmtFn {
 		}
 	}
 	return func(env *vertexEnv) {
-		if env.vc.PullStep() {
-			return
-		}
 		lo, hi := env.vc.OutEdgeRange()
 		nbrs := env.vc.OutNbrs()
 		for e := lo; e < hi; e++ {

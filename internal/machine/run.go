@@ -170,12 +170,10 @@ func run(ctx context.Context, p *Program, g *graph.Directed, b Bindings, cfg pre
 	// Closure-compile every vertex state once; allocate one reusable
 	// environment per worker.
 	ex.compiled = make([][]stmtFn, len(p.Nodes))
-	ex.gather = make([]gatherInfo, len(p.Nodes))
 	maxLocals := 0
 	for i, n := range p.Nodes {
 		if n.Vertex != nil {
 			ex.compiled[i] = ex.compileState(n.Vertex)
-			ex.gather[i] = ex.analyzeGatherState(n.Vertex)
 			if len(n.Vertex.Locals) > maxLocals {
 				maxLocals = len(n.Vertex.Locals)
 			}
@@ -211,12 +209,10 @@ type exec struct {
 	// compiled holds the closure-compiled body of each vertex state
 	// (indexed by CFG node); envs holds one reusable vertex environment
 	// per worker and menv the reusable master environment — neither is
-	// reallocated per superstep. gather holds each state's
-	// pull-orientation compilation (see gather.go).
+	// reallocated per superstep.
 	compiled [][]stmtFn
 	envs     []*vertexEnv
 	menv     masterEnv
-	gather   []gatherInfo
 }
 
 // Schema declares the communication shape derived from the program.
@@ -414,7 +410,6 @@ func (ex *exec) VertexCompute(vc *pregel.VertexContext) {
 	env.vs = vs
 	env.curEdge = -1
 	env.curMsg = nil
-	env.gc = nil
 	for i, k := range vs.Locals {
 		env.locals[i] = ir.Zero(k)
 	}
@@ -603,13 +598,6 @@ type vertexEnv struct {
 	locals  []ir.Value
 	curMsg  *pregel.Msg
 	curEdge int64
-
-	// Gather orientation: while gc is non-nil the env is evaluating
-	// gather-compiled closures for source vertex gnode during a pull
-	// phase (no VertexContext exists — vc is stale and must not be
-	// touched by those closures).
-	gnode graph.NodeID
-	gc    *pregel.GatherContext
 }
 
 func (e *vertexEnv) Scalar(slot int) ir.Value {

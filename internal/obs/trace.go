@@ -32,11 +32,6 @@ const (
 	// goroutine that ran the count.
 	PhaseRouteEager
 	PhaseRun
-	// PhasePull covers the pull-direction gather replacing routing for a
-	// direction-optimized superstep: every worker rebuilds its inbox from
-	// in-neighbors over the reverse CSR. Dir on the enclosing master span
-	// records the per-superstep push/pull choice.
-	PhasePull
 )
 
 var phaseNames = [...]string{
@@ -51,7 +46,6 @@ var phaseNames = [...]string{
 	PhaseWatchdog:      "watchdog",
 	PhaseRouteEager:    "route-eager",
 	PhaseRun:           "run",
-	PhasePull:          "pull",
 }
 
 func (p Phase) String() string {
@@ -108,10 +102,6 @@ type Span struct {
 	VertexCalls int64  `json:"vertex_calls,omitempty"`
 	Executor    int    `json:"executor,omitempty"`
 	Stolen      bool   `json:"stolen,omitempty"`
-	// Dir records the direction-optimizer's per-superstep choice ("push"
-	// or "pull") on master and pull-phase spans of pull-capable runs;
-	// empty everywhere else.
-	Dir string `json:"dir,omitempty"`
 }
 
 // Observer receives trace spans. The engine calls ObserveSpan from a

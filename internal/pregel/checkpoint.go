@@ -190,10 +190,9 @@ func (e *engine) restoreCheckpoint() (err error) {
 //	[version:u8][payloadLen:u64 LE][payload][fnv64a(payload):u64 LE]
 //
 // — so a torn or bit-flipped snapshot is detected instead of decoded;
-// v4 appends the direction-optimizer history (one byte per decided
-// superstep) so rollback-and-replay re-executes the identical push/pull
-// schedule.
-const checkpointVersion = 4
+// v4 appended a per-superstep direction history, which v5 drops along
+// with the pull direction.
+const checkpointVersion = 5
 
 // frameHeaderBytes is the version byte plus the payload-length word;
 // frameTrailerBytes the checksum word.
@@ -212,8 +211,8 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// verifyFrame reports whether data is a structurally intact v3
-// checkpoint: version, exact length, and payload checksum all match.
+// verifyFrame reports whether data is a structurally intact checkpoint
+// frame: current version, exact length, and payload checksum all match.
 func verifyFrame(data []byte) bool {
 	if len(data) < frameHeaderBytes+frameTrailerBytes || data[0] != checkpointVersion {
 		return false
@@ -298,8 +297,6 @@ func (e *engine) encodeState() []byte {
 		w.i64(s.LocalBytes)
 		w.i64(s.ControlBytes)
 	}
-	w.u32(uint32(len(e.dirHistory)))
-	w.b = append(w.b, e.dirHistory...)
 	w.u32(uint32(len(e.workers)))
 	for _, wk := range e.workers {
 		// Layout compatibility: v2 reserved a per-worker RNG draw count
@@ -401,16 +398,6 @@ func (e *engine) decodeState(data []byte) error {
 			}
 		}
 	}
-	// Direction history is monotone (like the recovery counters): the
-	// live history is always at least as long as the snapshot's, and its
-	// prefix is identical — chooseDirection replays recorded entries, so
-	// a longer live history only extends the snapshot. Keep whichever is
-	// longer so a restored run re-executes the identical schedule.
-	if n := int(r.u32()); n > len(e.dirHistory) {
-		e.dirHistory = append(e.dirHistory[:0], r.take(n)...)
-	} else {
-		r.take(n)
-	}
 	if n := int(r.u32()); n != len(e.workers) {
 		return fmt.Errorf("worker count mismatch: %d vs %d", n, len(e.workers))
 	}
@@ -456,15 +443,12 @@ func (e *engine) decodeState(data []byte) error {
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			na := int32(0)
-			fe := int64(0)
 			for li := ck.lo; li < ck.hi; li++ {
 				if wk.active[li] {
 					na++
-					fe += int64(e.g.OutDegree(wk.ids[li]))
 				}
 			}
 			ck.numActive = na
-			ck.frontEdges = fe
 			for d := range ck.boxes {
 				ck.boxes[d] = ck.boxes[d][:0]
 			}
@@ -488,12 +472,11 @@ func (e *engine) decodeState(data []byte) error {
 		wk.foldFault = false
 		wk.routeFaultOn = false
 		wk.phaseErr = nil
+		wk.routeErr = nil
 		wk.stallNS = 0
 		wk.spilled = false
-		wk.pull = false
 		wk.inDepth.Store(int64(wk.inTotal))
 	}
-	e.pullStep = false
 	for _, x := range e.executors {
 		x.err = nil
 		x.rngStep = -1

@@ -2,17 +2,11 @@ package pregel
 
 import (
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 
 	"gmpregel/internal/graph/gen"
 )
-
-// workerCounts is the NumWorkers grid the determinism satellite sweeps.
-func workerCounts() []int {
-	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
-}
 
 // aggDetJob contributes to an AggAny, AggMin, and AggMax slot each
 // superstep and records the merged values the master observes.
@@ -147,61 +141,51 @@ func TestVertexOutputsInvariantAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The tentpole determinism criterion: for a fixed worker count, Stats
-// and outputs are bit-identical across chunk sizes {1, 16, 64} and
-// stealing on/off — chunked execution and work stealing are pure
-// scheduling changes. (The jobs here use int and float-min/max
-// aggregators; float AggSum is the one reduction whose bits may vary
-// with chunk geometry, documented in docs/ENGINE.md.)
+// The scheduling determinism criterion: inside every (worker count,
+// partitioner) group of the schedule lattice, Stats, merged aggregator
+// sequences and outputs are bit-identical to the one-chunk-per-worker
+// reference across every chunk size — chunked execution and work
+// stealing are pure scheduling changes. Outputs also agree across
+// groups. (The jobs here use int and float-min/max aggregators; float
+// AggSum is the one reduction whose bits may vary with chunk geometry,
+// documented in docs/ENGINE.md.)
 func TestSchedulingDeterminism(t *testing.T) {
 	const n, steps = 53, 6
 	g := gen.TwitterLike(n, 5, 13)
-	type sched struct {
-		chunk   int
-		noSteal bool
-	}
-	grid := []sched{
-		{0, false}, {0, true},
-		{1, false}, {1, true},
-		{16, false}, {16, true},
-		{64, false}, {64, true},
-	}
-	var labelRef []int64 // across worker counts too
-	for _, w := range workerCounts() {
-		var refStats *Stats
+	var labelRef []int64 // across groups too
+	for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
+		var refStats, refLabelStats Stats
 		var refObs [][3]int64
 		var refLabels []int64
-		for _, s := range grid {
-			cfg := Config{NumWorkers: w, Seed: 21, TraceSteps: true,
-				ChunkSize: s.chunk, NoSteal: s.noSteal}
+		for i, cfg := range group {
 			j := &aggDetJob{steps: steps}
 			st, err := Run(g, j, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			labels, lst := runMinLabel(t, g, n, cfg)
-			if refStats == nil {
-				refStats, refObs, refLabels = &st, j.Observed, labels
-				_ = lst
+			if i == 0 {
+				refStats, refObs, refLabels, refLabelStats = st, j.Observed, labels, lst
 				continue
 			}
-			if !reflect.DeepEqual(st, *refStats) {
-				t.Errorf("W=%d chunk=%d nosteal=%v: Stats differ from default schedule:\n%+v\n%+v",
-					w, s.chunk, s.noSteal, st, *refStats)
+			name := scheduleName(cfg)
+			if !reflect.DeepEqual(st, refStats) {
+				t.Errorf("%s: Stats differ from the one-chunk reference:\n%+v\n%+v", name, st, refStats)
 			}
 			if !reflect.DeepEqual(j.Observed, refObs) {
-				t.Errorf("W=%d chunk=%d nosteal=%v: aggregator sequences differ from default schedule",
-					w, s.chunk, s.noSteal)
+				t.Errorf("%s: aggregator sequences differ from the one-chunk reference", name)
 			}
 			if !reflect.DeepEqual(labels, refLabels) {
-				t.Errorf("W=%d chunk=%d nosteal=%v: min-label outputs differ from default schedule",
-					w, s.chunk, s.noSteal)
+				t.Errorf("%s: min-label outputs differ from the one-chunk reference", name)
+			}
+			if !reflect.DeepEqual(lst, refLabelStats) {
+				t.Errorf("%s: min-label Stats differ from the one-chunk reference:\n%+v\n%+v", name, lst, refLabelStats)
 			}
 		}
 		if labelRef == nil {
 			labelRef = refLabels
 		} else if !reflect.DeepEqual(labelRef, refLabels) {
-			t.Errorf("W=%d: min-label outputs differ across worker counts", w)
+			t.Errorf("%s: min-label outputs differ across lattice groups", scheduleName(group[0]))
 		}
 	}
 }

@@ -18,18 +18,20 @@ type FaultPhase uint8
 //     scheduling chunk, leaving earlier chunks fully executed.
 //   - FaultSteal crashes the worker the moment one of its chunks is
 //     executed by a stealing executor (falling back to a phase-end crash
-//     when nothing was stolen, e.g. under NoSteal or NumWorkers 1).
+//     when nothing was stolen, e.g. under NumWorkers 1).
 //   - FaultFold crashes the worker midway through its combiner fold
 //     replay, with outboxes partially folded (phase-end crash for jobs
 //     that never fold).
 //   - FaultRouteCount / FaultRoutePrefix / FaultRoutePlace fail the
-//     worker inside the corresponding segmented-routing sub-phase; the
-//     sub-phase completes its work (fail-stop semantics: a dead worker's
-//     partial writes are discarded wholesale by rollback, never acted
-//     on), and the failure is collected at the routing barrier.
+//     worker inside the corresponding segmented-routing sub-phase (the
+//     count runs inside the vertex phase, as the first source shard's
+//     outboxes are counted into the worker's staging row); the sub-phase
+//     completes its work (fail-stop semantics: a dead worker's partial
+//     writes are discarded wholesale by rollback, never acted on), and
+//     the failure is collected at the routing barrier.
 //   - FaultCheckpoint tears the snapshot written at that superstep's
 //     checkpoint barrier (a crash mid-write); the corruption is caught
-//     by the codec v3 integrity frame on the next rollback, which falls
+//     by the codec's integrity frame on the next rollback, which falls
 //     back to the previous checkpoint.
 //   - FaultWatchdog is not armable from a plan: it is the phase the
 //     superstep watchdog reports when it converts a detected stall into
@@ -103,9 +105,10 @@ func (f *InjectedFault) Error() string {
 		f.Worker, f.Superstep, f.Phase)
 }
 
-// armVertexFault consumes the first unfired vertex-phase-family fault
-// (vertex compute, chunk exec, steal, fold) planned for step and arms
-// the target worker.
+// armVertexFault consumes the first unfired fault planned for step
+// that fires inside the vertex phase (vertex compute, chunk exec, steal,
+// fold, and the outbox count overlapped with it) and arms the target
+// worker.
 func (e *engine) armVertexFault(step int) {
 	for i := range e.faults {
 		f := &e.faults[i]
@@ -131,14 +134,20 @@ func (e *engine) armVertexFault(step int) {
 			wk.foldFault = true
 			wk.faultStep = step
 			return
+		case FaultRouteCount:
+			f.fired = true
+			wk.routeFaultOn = true
+			wk.routeFault = FaultRouteCount
+			wk.faultStep = step
+			return
 		}
 	}
 }
 
-// armRoutingFault consumes the first unfired routing-family fault
+// armRoutingFault consumes the first unfired post-barrier routing fault
 // planned for step. A FaultRouting fires immediately (returned for the
-// caller to raise); the segmented sub-phase faults arm the target worker
-// and are collected at the routing barrier.
+// caller to raise); the prefix and place sub-phase faults arm the target
+// worker and are collected at the routing barrier.
 func (e *engine) armRoutingFault(step int) *InjectedFault {
 	for i := range e.faults {
 		f := &e.faults[i]
@@ -150,7 +159,7 @@ func (e *engine) armRoutingFault(step int) *InjectedFault {
 		case FaultRouting:
 			f.fired = true
 			return &InjectedFault{Superstep: step, Worker: w, Phase: FaultRouting}
-		case FaultRouteCount, FaultRoutePrefix, FaultRoutePlace:
+		case FaultRoutePrefix, FaultRoutePlace:
 			f.fired = true
 			wk := e.workers[w]
 			wk.routeFaultOn = true

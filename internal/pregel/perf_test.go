@@ -171,53 +171,45 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // Satellite: a warm superstep — chunked vertex phase plus segmented
-// message routing on the persistent pool — must allocate nothing, under
-// every scheduling configuration: default chunking, explicit small
-// chunks with and without stealing, and degree-aware partitioning. This
-// also proves no per-superstep goroutine creation: a spawned goroutine
-// costs at least one allocation, and this test demands zero.
+// message routing on the persistent pool — must allocate nothing at
+// every point of the schedule lattice. This also proves no
+// per-superstep goroutine creation: a spawned goroutine costs at least
+// one allocation, and this test demands zero.
 func TestWarmRoutingZeroAlloc(t *testing.T) {
 	const n = 256
 	g := gen.TwitterLike(n, 4, 3)
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"default", Config{NumWorkers: 4, Seed: 1}},
-		{"chunk16-steal", Config{NumWorkers: 4, Seed: 1, ChunkSize: 16}},
-		{"chunk16-nosteal", Config{NumWorkers: 4, Seed: 1, ChunkSize: 16, NoSteal: true}},
-		{"degree", Config{NumWorkers: 4, Seed: 1, Partitioner: PartitionDegree}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			j := newPerfRankJob(n, 1<<20)
-			e := newEngine(g, j, tc.cfg.withDefaults())
-			defer e.stop()
-			step := 0
-			cycle := func() {
-				e.runVertexPhase(step)
-				e.routeMessages()
-				step++
-			}
-			for i := 0; i < 3; i++ {
-				cycle() // reach high-water inbox/outbox capacity
-			}
-			if a := testing.AllocsPerRun(10, cycle); a != 0 {
-				t.Fatalf("warm superstep allocates %v per run, want 0", a)
-			}
-			for _, x := range e.executors {
-				if x.err != nil {
-					t.Fatalf("executor %d failed: %v", x.id, x.err)
+	for _, group := range scheduleGroups(Config{Seed: 1}) {
+		for _, cfg := range group {
+			t.Run(scheduleName(cfg), func(t *testing.T) {
+				j := newPerfRankJob(n, 1<<20)
+				e := newEngine(g, j, cfg.withDefaults())
+				defer e.stop()
+				step := 0
+				cycle := func() {
+					e.runVertexPhase(step)
+					e.routeMessages()
+					step++
 				}
-			}
-			for _, wk := range e.workers {
-				for ci := range wk.chunks {
-					if err := wk.chunks[ci].err; err != nil {
-						t.Fatalf("worker %d chunk %d failed: %v", wk.index, ci, err)
+				for i := 0; i < 3; i++ {
+					cycle() // reach high-water inbox/outbox capacity
+				}
+				if a := testing.AllocsPerRun(10, cycle); a != 0 {
+					t.Fatalf("warm superstep allocates %v per run, want 0", a)
+				}
+				for _, x := range e.executors {
+					if x.err != nil {
+						t.Fatalf("executor %d failed: %v", x.id, x.err)
 					}
 				}
-			}
-		})
+				for _, wk := range e.workers {
+					for ci := range wk.chunks {
+						if err := wk.chunks[ci].err; err != nil {
+							t.Fatalf("worker %d chunk %d failed: %v", wk.index, ci, err)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -366,8 +358,9 @@ func BenchmarkSuperstepPageRank(b *testing.B) {
 	}
 }
 
-// BenchmarkRouting measures the routing phase alone: outboxes are
-// refilled outside the timer each iteration.
+// BenchmarkRouting measures routing alone — the shard counts a vertex
+// phase would have overlapped with compute, then prefix and place:
+// outboxes are refilled outside the timer each iteration.
 func BenchmarkRouting(b *testing.B) {
 	const n = 4096
 	g := gen.TwitterLike(n, 8, 3)
@@ -386,15 +379,23 @@ func BenchmarkRouting(b *testing.B) {
 			}
 		}
 	}
+	route := func() {
+		for sh := 0; sh < e.shards; sh++ {
+			for _, dst := range e.workers {
+				e.countShard(dst, sh)
+			}
+		}
+		e.routeMessages()
+	}
 	fill()
-	e.routeMessages()
+	route()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fill()
 		b.StartTimer()
-		e.routeMessages()
+		route()
 	}
 }
 

@@ -177,23 +177,6 @@ type Job interface {
 	Schema() Schema
 }
 
-// RoutingMode selects when outbox messages are counted into the
-// destination-sharded staging that routing's placement consumes.
-type RoutingMode uint8
-
-const (
-	// RouteEager (the default) counts each source shard's outboxes as
-	// soon as the shard's last chunk retires, overlapping routing work
-	// with the remainder of the vertex phase. The placement that follows
-	// the barrier then needs only the prefix and place passes.
-	RouteEager RoutingMode = iota
-	// RouteBarrier defers all counting to a dedicated pool phase after
-	// the barrier, reproducing the pre-pipelined schedule. Both modes
-	// build bit-identical inboxes and Stats: the staging layout and the
-	// canonical (source worker, chunk, emission) order are shared.
-	RouteBarrier
-)
-
 // Config controls an engine run.
 type Config struct {
 	// NumWorkers is the number of simulated workers; 0 means GOMAXPROCS.
@@ -212,14 +195,6 @@ type Config struct {
 	// deterministic per configuration but not bit-portable across chunk
 	// geometries.
 	ChunkSize int
-	// NoSteal pins every chunk to its owning worker's executor,
-	// reproducing the one-static-slab-per-worker schedule of earlier
-	// releases. Results are identical either way; only wall time changes.
-	NoSteal bool
-	// Routing selects eager (overlapped with compute) or barrier-time
-	// outbox counting. Results and Stats are bit-identical across modes;
-	// only wall time changes.
-	Routing RoutingMode
 	// Partitioner selects vertex placement (default PartitionMod).
 	Partitioner PartitionKind
 	// CheckpointEvery takes a recovery checkpoint at the barrier entering
@@ -273,21 +248,6 @@ type Config struct {
 	// the target worker's first chunk of the given superstep sleeps for
 	// the configured duration. Each stall fires at most once.
 	Stalls []Stall
-	// Direction selects push, pull, or per-superstep direction-optimized
-	// execution (see the Direction type). Non-push directions require the
-	// job to implement GatherSender; otherwise the engine silently runs
-	// pure push. Results and Stats are bit-identical across directions by
-	// construction.
-	Direction Direction
-	// PullDensity tunes DirAuto: pull when the active frontier's out-edge
-	// mass is at least this fraction of all edges. 0 means the default
-	// (1/16).
-	PullDensity float64
-	// DirTrace, when non-nil, receives the per-superstep direction trace
-	// after the run. It lives outside Stats deliberately: Stats stay
-	// bit-identical between forced-push and forced-pull runs, while the
-	// trace differs by design.
-	DirTrace *DirectionTrace
 }
 
 func (c Config) withDefaults() Config {
@@ -452,11 +412,9 @@ func (f fastDiv) mod(x uint32) uint32 { return x - f.div(x)*f.d }
 type phaseKind uint8
 
 const (
-	phaseVertex      phaseKind = iota // chunked vertex compute (incl. fold + eager routing hooks)
-	phaseRouteCount                   // routing: per-(dest, source-shard) counts (barrier mode)
+	phaseVertex      phaseKind = iota // chunked vertex compute (incl. fold + eager outbox count)
 	phaseRoutePrefix                  // routing: offsets, inbox resize, reactivation
 	phaseRoutePlace                   // routing: stable placement into the CSR inbox
-	phasePull                         // pull direction: per-worker inbox gather over the reverse CSR
 )
 
 // poolCmd is one barrier release: the phase to run and its superstep.
@@ -516,34 +474,16 @@ type engine struct {
 	pblocks []int32
 	pshift  uint32
 
-	noSteal    bool
 	combActive bool // the job registers at least one combiner
-	eager      bool // RouteEager: count outboxes as source shards retire
-
-	// Direction optimization. pullOn is set when the config asks for a
-	// pull-capable direction AND the job implements GatherSender; gplans
-	// are the per-worker pull schedules prebuilt at construction;
-	// dirHistory records the direction byte of every superstep decided so
-	// far (monotone — rollback never truncates it, so replayed supersteps
-	// reuse their recorded direction); pullStep is the current superstep's
-	// choice.
-	pullOn     bool
-	pullStep   bool
-	gatherJob  GatherSender
-	gplans     []gatherPlan
-	dirHistory []uint8
 
 	// Source-shard geometry for routing: workers are grouped into shards
 	// contiguous shard ranges (shardStart[s]..shardStart[s+1]).
-	// shardPending counts each shard's workers still computing (eager
-	// mode); eagerCounted marks that the vertex phase already produced
-	// this superstep's counts. shardObs records eager count timings for
-	// PhaseRouteEager spans.
+	// shardPending counts each shard's workers still computing; shardObs
+	// records eager count timings for PhaseRouteEager spans.
 	shards       int
 	shardStart   []int32
 	workerShard  []int32
 	shardPending []atomic.Int32
-	eagerCounted bool
 	shardObs     []eagerSpan
 
 	workers   []*worker
@@ -624,11 +564,6 @@ type chunk struct {
 	// incrementally by chunk execution, VoteToHalt, and routing
 	// reactivation.
 	numActive int32
-	// frontEdges is the out-edge mass of the active vertices in [lo, hi):
-	// the frontier-density numerator DirAuto reads. Maintained O(1) per
-	// activation event at the same three sites as numActive.
-	frontEdges int64
-
 	// per-step counters, merged into the owning worker (and cleared) by
 	// the worker epilogue when the worker's last chunk retires
 	msgs, netMsgs, netBytes, localBytes, calls int64
@@ -665,21 +600,13 @@ type worker struct {
 	inOff     []int32 // CSR offsets into inFlat, len = len(ids)+1
 	inTotal   int     // messages routed into inFlat by the last routing phase
 
-	// Direction-optimization state (pull-capable runs only). pull mirrors
-	// engine.pullStep for the hot send path (Send/SendToAllNbrs suppress
-	// pushes during pull supersteps — the gather re-derives them); ran[li]
-	// records whether vertex li's VertexCompute ran this superstep, read
-	// cross-worker by the gather after the vertex-phase barrier.
-	pull bool
-	ran  []bool
-
 	chunks []chunk
 	// cursor is the next unclaimed chunk index (vertex phase).
 	cursor atomic.Int32
 	// pendingChunks counts this worker's chunks not yet retired this
 	// vertex phase; the executor that retires the last one runs the
-	// worker epilogue (fold, counter/aggregator merge, and in eager mode
-	// the shard-retirement bookkeeping).
+	// worker epilogue (fold, counter/aggregator merge, and the
+	// shard-retirement bookkeeping).
 	pendingChunks atomic.Int32
 	// crashed marks an injected fault: the worker's remaining chunks are
 	// skipped, emulating the machine death rollback will repair.
@@ -731,7 +658,8 @@ type worker struct {
 	// on a foreign executor; foldFault crashes it mid-fold; routeFaultOn/
 	// routeFault fail it inside the armed routing sub-phase. faultStep
 	// records the arming superstep for phases that raise the failure from
-	// executor goroutines; phaseErr carries it to the barrier.
+	// executor goroutines; phaseErr carries a fold failure to the vertex
+	// barrier, routeErr a routing sub-phase failure to the routing barrier.
 	chunkFaultAt int
 	stealFault   atomic.Bool
 	foldFault    bool
@@ -739,6 +667,7 @@ type worker struct {
 	routeFault   FaultPhase
 	faultStep    int
 	phaseErr     error
+	routeErr     *InjectedFault
 
 	// stallNS is an armed injected stall: whoever executes chunk 0 of
 	// this worker sleeps that long first. Written by the barrier
@@ -786,12 +715,6 @@ type executor struct {
 	id   int
 	cmds chan poolCmd
 	vc   VertexContext
-	// gc is the reused gather context for pull supersteps; gslot is the
-	// per-message-type combiner slot scratch the gather resets per
-	// (destination, source-worker) group (nil unless the run is
-	// pull-capable and the job registers combiners).
-	gc    GatherContext
-	gslot []int32
 
 	// Per-vertex RNG: a splitmix64 source lazily reseeded on the first
 	// Rand() call of each (vertex, superstep), making the stream
@@ -868,9 +791,6 @@ func RunContext(ctx context.Context, g *graph.Directed, job Job, cfg Config) (St
 	e := newEngine(g, job, cfg)
 	defer e.stop()
 	err := e.loop(ctx)
-	if cfg.DirTrace != nil {
-		*cfg.DirTrace = *e.directionTrace()
-	}
 	// Partial results: report the master's recorded return value even
 	// when the run aborted.
 	e.stats.ReturnedIsSet = e.retSet
@@ -917,8 +837,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		}
 	}
 	e.combActive = combiners != nil
-	e.noSteal = cfg.NoSteal
-	e.eager = cfg.Routing == RouteEager
 	e.shards = e.numWorkers
 	if e.shards > maxRouteShards {
 		e.shards = maxRouteShards
@@ -1023,9 +941,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 				ck.hi = int32(nw)
 			}
 			ck.numActive = ck.hi - ck.lo
-			for li := ck.lo; li < ck.hi; li++ {
-				ck.frontEdges += int64(g.OutDegree(wk.ids[li]))
-			}
 			ck.agg = make([]aggCell, len(e.schema.Aggregators))
 			if combiners == nil {
 				ck.boxes = make([][]Msg, e.numWorkers)
@@ -1042,17 +957,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		e.workers[w] = wk
 	}
 
-	// Direction optimization arms only when the job can gather; the
-	// reverse CSR and per-worker gather plans are prebuilt here so pull
-	// supersteps never allocate or sort.
-	if cfg.Direction != DirPush {
-		if gs, ok := job.(GatherSender); ok {
-			e.pullOn = true
-			e.gatherJob = gs
-			e.buildGatherPlans()
-		}
-	}
-
 	// The persistent pool: one executor goroutine per worker for the
 	// whole run, parked on its command channel between phases.
 	// engine.stop (deferred by RunContext) shuts them down on every exit
@@ -1062,10 +966,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		x := &executor{e: e, id: i, rngStep: -1, seedBase: mix64(uint64(cfg.Seed) ^ 0x5bf03635aca1fd6b)}
 		x.rng = rand.New(&x.rngSrc) //gm:nondeterministic-ok wraps the per-vertex reseeded source (seedBase ^ step ^ id); schedule-independent by construction
 		x.vc = VertexContext{ex: x}
-		x.gc = GatherContext{e: e, ex: x}
-		if e.pullOn && e.combActive {
-			x.gslot = make([]int32, len(e.msgSize))
-		}
 		x.cmds = make(chan poolCmd, 1)
 		x.curPhase.Store(-1)
 		e.executors[i] = x
@@ -1113,9 +1013,9 @@ func (e *engine) runPhase(kind phaseKind, step int) {
 
 // runVertexPhase runs one chunked vertex-compute phase: the superstep's
 // compute work, plus — riding the same dispatch — the combiner fold,
-// the per-worker counter/aggregator merge, and (in eager mode) the
-// source-shard outbox counting, each triggered as the relevant chunks
-// retire instead of waiting behind extra pool barriers.
+// the per-worker counter/aggregator merge, and the source-shard outbox
+// counting, each triggered as the relevant chunks retire instead of
+// waiting behind extra pool barriers.
 func (e *engine) runVertexPhase(step int) {
 	for s := range e.shardPending {
 		e.shardPending[s].Store(e.shardStart[s+1] - e.shardStart[s])
@@ -1133,9 +1033,6 @@ func (e *engine) runVertexPhase(step int) {
 		}
 	}
 	e.runPhase(phaseVertex, step)
-	if e.eager {
-		e.eagerCounted = true
-	}
 }
 
 // poolRun is an executor's persistent goroutine: park, run the commanded
@@ -1162,14 +1059,10 @@ func (x *executor) runCmd(cmd poolCmd) {
 	switch cmd.kind {
 	case phaseVertex:
 		x.vertexPhase(cmd.step)
-	case phaseRouteCount:
-		x.routePhase(phaseRouteCount)
 	case phaseRoutePrefix:
 		x.prefixPhase()
 	case phaseRoutePlace:
-		x.routePhase(phaseRoutePlace)
-	case phasePull:
-		x.gatherPhase(cmd.step)
+		x.placePhase()
 	}
 }
 
@@ -1177,21 +1070,17 @@ func (k phaseKind) String() string {
 	switch k {
 	case phaseVertex:
 		return "vertex"
-	case phaseRouteCount:
-		return "route-count"
 	case phaseRoutePrefix:
 		return "route-prefix"
 	case phaseRoutePlace:
 		return "route-place"
-	case phasePull:
-		return "pull"
 	}
 	return "unknown"
 }
 
-// vertexPhase drains the executor's own worker's chunk queue, then (with
-// stealing enabled) repeatedly claims a chunk from the worker with the
-// most unclaimed chunks (ties broken by lowest worker index). Which
+// vertexPhase drains the executor's own worker's chunk queue, then
+// repeatedly claims a chunk from the worker with the most unclaimed
+// chunks (ties broken by lowest worker index). Which
 // executor runs a chunk never affects results — only the chunk's span
 // attribution.
 //
@@ -1206,9 +1095,6 @@ func (x *executor) vertexPhase(step int) {
 		}
 		x.runChunk(own, ci, step)
 		x.retireChunk(own)
-	}
-	if e.noSteal {
-		return
 	}
 	for {
 		victim := -1
@@ -1333,18 +1219,11 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		}
 		hasMsgs := wk.inOff[li+1] > wk.inOff[li]
 		if !wk.active[li] && !hasMsgs {
-			if wk.pull {
-				wk.ran[li] = false
-			}
 			continue
 		}
 		if !wk.active[li] {
 			wk.active[li] = true
 			ck.numActive++
-			ck.frontEdges += int64(e.g.OutDegree(wk.ids[li]))
-		}
-		if wk.pull {
-			wk.ran[li] = true
 		}
 		vc.id = wk.ids[li]
 		vc.local = li
@@ -1357,9 +1236,9 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 // workerEpilogue runs when wk's last chunk of the vertex phase retires:
 // it folds the worker's raw combiner logs (multi-chunk combiner workers),
 // merges the chunk counters and aggregator cells into the worker-level
-// partials in canonical chunk order, and — in eager mode — retires the
-// worker from its source shard, counting the whole shard's outboxes once
-// its last worker retires. Everything here reads state owned by wk (made
+// partials in canonical chunk order, and retires the worker from its
+// source shard, counting the whole shard's outboxes once its last worker
+// retires. Everything here reads state owned by wk (made
 // visible by the retirement decrement chain) or writes routing staging
 // no vertex-phase code touches, so it is safe to run while other
 // workers' chunks are still computing. executor is -1 when called from
@@ -1383,13 +1262,6 @@ func (e *engine) workerEpilogue(wk *worker, executor int) {
 			wk.aggPartial[s].merge(e.schema.Aggregators[s], ck.agg[s])
 			ck.agg[s] = aggCell{}
 		}
-	}
-	// Pull supersteps emit no pushes: outboxes are empty, so the eager
-	// shard count would only write zeros. Skip it — the gather rebuilds
-	// the inbox directly and the next push superstep recounts from
-	// scratch.
-	if !e.eager || e.pullStep {
-		return
 	}
 	sh := e.workerShard[wk.index]
 	if e.shardPending[sh].Add(-1) != 0 {
@@ -1563,310 +1435,221 @@ func (e *engine) run(ctx context.Context) error {
 		if step >= e.cfg.MaxSupersteps {
 			return fmt.Errorf("pregel: exceeded %d supersteps", e.cfg.MaxSupersteps)
 		}
-		if e.checkpointDue(step) {
-			var t0, before int64
-			if e.obsOn {
-				t0 = e.nowNS()
-				before = e.stats.CheckpointBytes
-			}
-			if err := e.takeCheckpoint(step); err != nil {
-				return err
-			}
-			if e.obsOn {
-				e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseCheckpoint,
-					StartNS: t0, DurNS: e.nowNS() - t0, Bytes: e.stats.CheckpointBytes - before})
-			}
-		}
-		// Govern point 1: the retained checkpoints and last superstep's
-		// routed buffers coexist here.
-		if e.gov != nil {
-			if err := e.govern(step); err != nil {
-				return err
-			}
-		}
-		if e.wd != nil {
-			e.wd.beginStep(step)
-		}
-		// Master phase: sees aggregator values contributed last superstep.
-		var masterT0 int64
-		if e.obsOn {
-			masterT0 = e.nowNS()
-		}
-		halted, err := e.masterPhase(step)
+		halted, fault, err := e.superstep(step)
 		if err != nil {
 			return err
-		}
-		// Direction choice: after the master phase (the machine executor's
-		// master picks the superstep's state there, which GatherEligible
-		// consults), before compute. Replayed supersteps reuse the
-		// recorded direction (dirHistory is monotone, like the recovery
-		// counters).
-		pull := false
-		if !halted {
-			pull = e.chooseDirection(step)
-		}
-		// The state label is queried after the master phase because the
-		// machine executor's master picks the superstep's state there.
-		var stateLabel string
-		if e.obsOn {
-			if pl, ok := e.job.(PhaseLabeler); ok {
-				stateLabel = pl.PhaseLabel()
-			}
-			var dirLabel string
-			if e.pullOn && !halted {
-				if pull {
-					dirLabel = "pull"
-				} else {
-					dirLabel = "push"
-				}
-			}
-			e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseMaster,
-				State: stateLabel, Dir: dirLabel, StartNS: masterT0, DurNS: e.nowNS() - masterT0})
 		}
 		if halted {
 			return nil
 		}
-		e.pullStep = pull
-		if e.pullOn {
-			for _, wk := range e.workers {
-				wk.pull = pull
-			}
-		}
-		// Vertex phase: release the parked pool into the chunk queues.
-		e.armVertexFault(step)
-		e.armStall(step)
-		e.runVertexPhase(step)
-		if e.obsOn {
-			e.emitVertexSpans(step, stateLabel)
-		}
-		crashed, err := e.collectPhaseErrors(step)
-		if err != nil {
-			return err
-		}
-		if crashed != nil {
-			// Disarm before rolling back so the restore never trips the
-			// watchdog; an overlapping trip is subsumed by this recovery.
-			if e.wd != nil {
-				e.wd.endStep()
-			}
-			resume, err := e.recoverFrom(crashed, step)
-			if err != nil {
-				return err
-			}
-			step = resume
-			continue
-		}
-		// Pull gather: rebuild every worker's inbox from in-neighbors
-		// before the barrier merge, so the gather's message counters land
-		// in this superstep's partials exactly where push's send-time
-		// counters do. An armed routing-family fault fires inside the
-		// gather instead (the routing pass it targets does not run).
-		if pull {
-			if f := e.armRoutingFault(step); f != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(f, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
-			var pullT0 int64
-			if e.obsOn {
-				pullT0 = e.nowNS()
-			}
-			e.gatherMessages(step)
-			if e.obsOn {
-				e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhasePull,
-					Dir: "pull", StartNS: pullT0, DurNS: e.nowNS() - pullT0})
-			}
-			for _, x := range e.executors {
-				if x.err != nil {
-					return x.err
-				}
-			}
-			pullCrashed, err := e.collectRoutingFaults()
-			if err != nil {
-				return err
-			}
-			if pullCrashed != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(pullCrashed, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
-		}
-		var barrierT0 int64
-		if e.obsOn {
-			barrierT0 = e.nowNS()
-		}
-		e.stats.Supersteps++
-		// Batched barrier merge: the worker epilogues already folded each
-		// worker's chunk counters and aggregator cells into per-worker
-		// partials in canonical chunk order (overlapped with compute);
-		// the barrier folds the W partials in worker order — a two-level
-		// tree whose merge order is fixed by (worker, chunk) coordinates,
-		// so stealing cannot perturb results. Aggregators are
-		// per-superstep (Pregel semantics): the master sees only the
-		// contributions of the superstep that just ran.
-		for s := range e.aggValues {
-			e.aggValues[s] = aggCell{}
-		}
-		var stepMsgs, stepNet, stepCalls, stepNetMsgs, stepLocal int64
-		for _, wk := range e.workers {
-			stepMsgs += wk.msgs
-			stepNet += wk.netBytes
-			stepNetMsgs += wk.netMsgs
-			stepLocal += wk.localBytes
-			stepCalls += wk.calls
-			wk.msgs, wk.netMsgs, wk.netBytes, wk.localBytes, wk.calls = 0, 0, 0, 0, 0
-			for s := range wk.aggPartial {
-				e.aggValues[s].merge(e.schema.Aggregators[s], wk.aggPartial[s])
-				wk.aggPartial[s] = aggCell{}
-			}
-		}
-		e.stats.MessagesSent += stepMsgs
-		e.stats.NetworkMsgs += stepNetMsgs
-		e.stats.NetworkBytes += stepNet
-		e.stats.LocalBytes += stepLocal
-		e.stats.VertexCalls += stepCalls
-		// Aggregator control traffic: one value per set aggregator per
-		// non-master worker.
-		var stepCtl int64
-		for s := range e.aggValues {
-			if e.aggValues[s].set {
-				stepCtl += int64(8 * (e.numWorkers - 1))
-			}
-		}
-		stepCtl += e.globalBytes
-		e.stats.ControlBytes += stepCtl
-		e.globalBytes = 0
-		if e.cfg.TraceSteps {
-			e.stats.Steps = append(e.stats.Steps, StepStats{
-				Messages:     stepMsgs,
-				NetworkBytes: stepNet,
-				VertexCalls:  stepCalls,
-				NetworkMsgs:  stepNetMsgs,
-				LocalBytes:   stepLocal,
-				ControlBytes: stepCtl,
-			})
-		}
-		if e.obsOn {
-			e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseBarrier,
-				StartNS: barrierT0, DurNS: e.nowNS() - barrierT0})
-		}
-
-		var anyMsgs bool
-		if pull {
-			// The gather already routed (by construction); the inbox totals
-			// it published are the push-path anyMsgs.
-			for _, wk := range e.workers {
-				if wk.inTotal > 0 {
-					anyMsgs = true
-					break
-				}
-			}
-		} else {
-			if f := e.armRoutingFault(step); f != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(f, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
-			var routeT0 int64
-			if e.obsOn {
-				routeT0 = e.nowNS()
-			}
-			anyMsgs = e.routeMessages()
-			if e.obsOn {
-				e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseRouting,
-					StartNS: routeT0, DurNS: e.nowNS() - routeT0})
-			}
-			for _, x := range e.executors {
-				if x.err != nil {
-					return x.err
-				}
-			}
-			// Faults raised inside the routing sub-phases (fail-stop: the
-			// sub-phase finished its work, the failure surfaces at the
-			// barrier).
-			routeCrashed, err := e.collectRoutingFaults()
-			if err != nil {
-				return err
-			}
-			if routeCrashed != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(routeCrashed, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
-		}
-		// The superstep's work is done: disarm the watchdog, then govern
+		// The superstep's work is done, or a worker died in it: disarm the
+		// watchdog first so a restore never trips it (a trip overlapping an
+		// injected fault is subsumed by that fault's recovery), then govern
 		// point 2 (outboxes and the freshly routed inboxes coexist), then
-		// convert a detected stall into supervised recovery with
-		// deterministic capped-exponential backoff.
-		tripped := false
-		if e.wd != nil {
-			tripped = e.wd.endStep()
-		}
-		if e.gov != nil {
-			if err := e.govern(step); err != nil {
-				return err
+		// convert a detected stall into a fault of its own.
+		tripped := e.wd != nil && e.wd.endStep()
+		if fault == nil {
+			if e.gov != nil {
+				if err := e.govern(step); err != nil {
+					return err
+				}
+			}
+			if tripped {
+				fault = e.watchdogFault(step)
 			}
 		}
-		if tripped {
-			e.stats.WatchdogStalls++
-			diag, suspect := e.wd.diagnosis()
-			if e.obsOn {
-				dur := e.wdNowNS() - e.wd.startNS.Load()
-				e.emit(obs.Span{Superstep: step, Worker: suspect, Phase: obs.PhaseWatchdog,
-					StartNS: e.nowNS() - dur, DurNS: dur, State: diag})
-			}
-			f := &InjectedFault{Superstep: step, Worker: suspect, Phase: FaultWatchdog}
-			resume, err := e.recoverFrom(f, step)
+		// The one recovery site: every fault source — vertex phase, routing
+		// arm, routing sub-phases, watchdog trip — ends here. A stall is
+		// retried under deterministic capped-exponential backoff.
+		if fault != nil {
+			resume, err := e.recoverFrom(fault, step)
 			if err != nil {
 				return err
 			}
-			time.Sleep(backoffFor(e.cfg.Seed, e.stats.Recoveries-1, e.cfg.BackoffBase, e.cfg.BackoffCap))
+			if fault.Phase == FaultWatchdog {
+				time.Sleep(backoffFor(e.cfg.Seed, e.stats.Recoveries-1, e.cfg.BackoffBase, e.cfg.BackoffCap))
+			}
 			step = resume
 			continue
 		}
 		// Termination check: refresh the per-worker active counters from
 		// the chunk counters maintained by runChunk/VoteToHalt/routing —
 		// O(total chunks), no vertex scan.
-		anyActive := false
+		pending := false
 		for _, wk := range e.workers {
 			na := 0
 			for ci := range wk.chunks {
 				na += int(wk.chunks[ci].numActive)
 			}
 			wk.numActive = na
-			if na > 0 {
-				anyActive = true
+			if na > 0 || wk.inTotal > 0 {
+				pending = true
 			}
 		}
-		if !anyMsgs && !anyActive {
+		if !pending {
 			return nil
 		}
 		step++
 	}
+}
+
+// superstep runs one superstep's phases in order: checkpoint → govern →
+// master → vertex phase (combiner fold, counter merge and outbox count
+// ride the chunk retirements) → barrier merge → route prefix/place. It
+// reports whether the master halted the run. A worker failure in any
+// phase is returned as an *InjectedFault for run to recover from; any
+// other error aborts the run.
+func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err error) {
+	if e.checkpointDue(step) {
+		var t0, before int64
+		if e.obsOn {
+			t0 = e.nowNS()
+			before = e.stats.CheckpointBytes
+		}
+		if err := e.takeCheckpoint(step); err != nil {
+			return false, nil, err
+		}
+		if e.obsOn {
+			e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseCheckpoint,
+				StartNS: t0, DurNS: e.nowNS() - t0, Bytes: e.stats.CheckpointBytes - before})
+		}
+	}
+	// Govern point 1: the retained checkpoints and last superstep's
+	// routed buffers coexist here.
+	if e.gov != nil {
+		if err := e.govern(step); err != nil {
+			return false, nil, err
+		}
+	}
+	if e.wd != nil {
+		e.wd.beginStep(step)
+	}
+	// Master phase: sees aggregator values contributed last superstep.
+	var masterT0 int64
+	if e.obsOn {
+		masterT0 = e.nowNS()
+	}
+	halted, err = e.masterPhase(step)
+	if err != nil {
+		return false, nil, err
+	}
+	// The state label is queried after the master phase because the
+	// machine executor's master picks the superstep's state there.
+	var stateLabel string
+	if e.obsOn {
+		if pl, ok := e.job.(PhaseLabeler); ok {
+			stateLabel = pl.PhaseLabel()
+		}
+		e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseMaster,
+			State: stateLabel, StartNS: masterT0, DurNS: e.nowNS() - masterT0})
+	}
+	if halted {
+		return true, nil, nil
+	}
+	// Vertex phase: release the parked pool into the chunk queues.
+	e.armVertexFault(step)
+	e.armStall(step)
+	e.runVertexPhase(step)
+	if e.obsOn {
+		e.emitVertexSpans(step, stateLabel)
+	}
+	if fault, err = e.collectPhaseErrors(step); fault != nil || err != nil {
+		return false, fault, err
+	}
+	var barrierT0 int64
+	if e.obsOn {
+		barrierT0 = e.nowNS()
+	}
+	e.stats.Supersteps++
+	// Batched barrier merge: the worker epilogues already folded each
+	// worker's chunk counters and aggregator cells into per-worker
+	// partials in canonical chunk order (overlapped with compute);
+	// the barrier folds the W partials in worker order — a two-level
+	// tree whose merge order is fixed by (worker, chunk) coordinates,
+	// so stealing cannot perturb results. Aggregators are
+	// per-superstep (Pregel semantics): the master sees only the
+	// contributions of the superstep that just ran.
+	for s := range e.aggValues {
+		e.aggValues[s] = aggCell{}
+	}
+	var stepMsgs, stepNet, stepCalls, stepNetMsgs, stepLocal int64
+	for _, wk := range e.workers {
+		stepMsgs += wk.msgs
+		stepNet += wk.netBytes
+		stepNetMsgs += wk.netMsgs
+		stepLocal += wk.localBytes
+		stepCalls += wk.calls
+		wk.msgs, wk.netMsgs, wk.netBytes, wk.localBytes, wk.calls = 0, 0, 0, 0, 0
+		for s := range wk.aggPartial {
+			e.aggValues[s].merge(e.schema.Aggregators[s], wk.aggPartial[s])
+			wk.aggPartial[s] = aggCell{}
+		}
+	}
+	e.stats.MessagesSent += stepMsgs
+	e.stats.NetworkMsgs += stepNetMsgs
+	e.stats.NetworkBytes += stepNet
+	e.stats.LocalBytes += stepLocal
+	e.stats.VertexCalls += stepCalls
+	// Aggregator control traffic: one value per set aggregator per
+	// non-master worker.
+	var stepCtl int64
+	for s := range e.aggValues {
+		if e.aggValues[s].set {
+			stepCtl += int64(8 * (e.numWorkers - 1))
+		}
+	}
+	stepCtl += e.globalBytes
+	e.stats.ControlBytes += stepCtl
+	e.globalBytes = 0
+	if e.cfg.TraceSteps {
+		e.stats.Steps = append(e.stats.Steps, StepStats{
+			Messages:     stepMsgs,
+			NetworkBytes: stepNet,
+			VertexCalls:  stepCalls,
+			NetworkMsgs:  stepNetMsgs,
+			LocalBytes:   stepLocal,
+			ControlBytes: stepCtl,
+		})
+	}
+	if e.obsOn {
+		e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseBarrier,
+			StartNS: barrierT0, DurNS: e.nowNS() - barrierT0})
+	}
+
+	if fault = e.armRoutingFault(step); fault != nil {
+		return false, fault, nil
+	}
+	var routeT0 int64
+	if e.obsOn {
+		routeT0 = e.nowNS()
+	}
+	e.routeMessages()
+	if e.obsOn {
+		e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseRouting,
+			StartNS: routeT0, DurNS: e.nowNS() - routeT0})
+	}
+	for _, x := range e.executors {
+		if x.err != nil {
+			return false, nil, x.err
+		}
+	}
+	// Faults raised inside the routing sub-phases (fail-stop: the
+	// sub-phase finished its work, the failure surfaces here).
+	return false, e.collectRoutingFault(), nil
+}
+
+// watchdogFault consumes a watchdog trip: it bills the stall, emits the
+// poller's diagnosis as a watchdog span, and synthesizes the fault that
+// sends the stalled superstep through supervised rollback-and-replay.
+func (e *engine) watchdogFault(step int) *InjectedFault {
+	e.stats.WatchdogStalls++
+	diag, suspect := e.wd.diagnosis()
+	if e.obsOn {
+		dur := e.wdNowNS() - e.wd.startNS.Load()
+		e.emit(obs.Span{Superstep: step, Worker: suspect, Phase: obs.PhaseWatchdog,
+			StartNS: e.nowNS() - dur, DurNS: dur, State: diag})
+	}
+	return &InjectedFault{Superstep: step, Worker: suspect, Phase: FaultWatchdog}
 }
 
 // emitVertexSpans emits the superstep's chunk spans (executor- and
@@ -1932,8 +1715,8 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 		// A fault armed on a worker owning too few vertices (faultAt
 		// beyond its range) crashes at phase end, like the pre-chunk
 		// engine. The same fallback covers a chunk-exec fault on a
-		// chunkless worker, a steal fault when nothing was stolen (NoSteal,
-		// single worker), and a fold fault on a worker that never folds.
+		// chunkless worker, a steal fault when nothing was stolen (single
+		// worker), and a fold fault on a worker that never folds.
 		if wk.faultAt >= len(wk.ids) && wk.faultAt >= 0 {
 			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultVertexCompute}
 		}
@@ -1979,26 +1762,17 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 	return crashed, nil
 }
 
-// collectRoutingFaults scans workers after the routing barrier for
-// failures raised inside the count/prefix/place sub-phases. Injected
-// faults are returned for recovery; anything else aborts the run.
-func (e *engine) collectRoutingFaults() (*InjectedFault, error) {
+// collectRoutingFault scans workers after the routing barrier for a
+// failure raised inside the count, prefix or place sub-phase.
+func (e *engine) collectRoutingFault() *InjectedFault {
 	var crashed *InjectedFault
 	for _, wk := range e.workers {
 		wk.routeFaultOn = false
-		if wk.phaseErr == nil {
-			continue
+		if wk.routeErr != nil {
+			crashed, wk.routeErr = wk.routeErr, nil
 		}
-		perr := wk.phaseErr
-		wk.phaseErr = nil
-		var inj *InjectedFault
-		if errors.As(perr, &inj) {
-			crashed = inj
-			continue
-		}
-		return nil, perr
 	}
-	return crashed, nil
+	return crashed
 }
 
 // recoverFrom wraps rollback with trace emission: a recovery span
@@ -2039,52 +1813,52 @@ func (e *engine) masterPhase(step int) (halted bool, err error) {
 // no cross-shard cache contention. The placement is a sharded stable
 // counting sort: row offsets depend only on the box geometry, never on
 // which executor runs a task, so the inbox is bit-identical to a
-// single-threaded sort, and identical between eager and barrier modes
-// (both count the same boxes into the same rows).
+// single-threaded sort.
 //
-// In eager mode the count pass already ran, overlapped with the vertex
-// phase (workerEpilogue → countShard, as each shard's last chunk
-// retired), leaving only the prefix and place dispatches here. In
-// barrier mode a dedicated count dispatch reproduces the trailing
-// schedule for A/B comparison.
+// The count pass runs inside the vertex phase (workerEpilogue →
+// countShard, as each shard's last chunk retires), overlapped with
+// compute still running on other shards; only the prefix and place
+// dispatches remain after the barrier.
 
-// routeMessages runs the routing sub-phases still outstanding for this
-// superstep and reports whether any message is in flight. Boxes are
+// routeMessages runs the prefix and place sub-phases. Boxes are
 // read-only during the phase and truncated by chunk execution (or fold)
 // at the start of the next vertex phase; once inbox/scratch capacity
 // has reached its high-water mark, routing allocates nothing.
-func (e *engine) routeMessages() bool {
+func (e *engine) routeMessages() {
 	// Routing rebuilds the inbox in RAM; any spill segment from the
 	// previous superstep is dead from here on.
 	for _, wk := range e.workers {
 		wk.spilled = false
 	}
-	if !e.eagerCounted {
-		e.runPhase(phaseRouteCount, 0)
-	}
-	e.eagerCounted = false
 	e.runPhase(phaseRoutePrefix, 0)
 	e.runPhase(phaseRoutePlace, 0)
-	any := false
-	for _, wk := range e.workers {
-		if wk.inTotal > 0 {
-			any = true
-			break
-		}
+}
+
+// fireRouteFault raises wk's armed routing fault if it targets phase p.
+// Fail-stop: the sub-phase goes on to complete its work, and the failure
+// is collected at the routing barrier.
+//
+//gm:noalloc
+func (wk *worker) fireRouteFault(p FaultPhase) {
+	if wk.routeFaultOn && wk.routeFault == p {
+		wk.routeFaultOn = false
+		wk.routeErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: p} //gm:alloc-ok fault-injection testing path; never armed in production runs
 	}
-	return any
 }
 
 // countShard counts source shard sh's messages destined for dst into
 // dst's srcCounts row for the shard, walking the shard's workers (and
 // their chunks) in canonical order. A shard that sent nothing to dst
 // skips the walk and leaves the row stale — srcMsgs records the total
-// so prefix and place skip it too. Called from the worker epilogue in
-// eager mode (overlapped with compute) and from the count dispatch in
-// barrier mode; either way exactly one goroutine writes each row.
+// so prefix and place skip it too. Called from the worker epilogue that
+// retires the shard (overlapped with compute), so exactly one goroutine
+// writes each row.
 //
 //gm:noalloc
 func (e *engine) countShard(dst *worker, sh int) {
+	if sh == 0 {
+		dst.fireRouteFault(FaultRouteCount)
+	}
 	lo, hi := e.shardStart[sh], e.shardStart[sh+1]
 	d := dst.index
 	var total int32
@@ -2126,20 +1900,11 @@ func (e *engine) countShard(dst *worker, sh int) {
 	}
 }
 
-// routePhase drains (destination, source-shard) tasks for the count or
-// place sub-phase. With stealing disabled each executor handles only
-// its own worker's rows, reproducing per-worker routing.
+// placePhase drains (destination, source-shard) placement tasks.
 //
 //gm:noalloc
-func (x *executor) routePhase(kind phaseKind) {
+func (x *executor) placePhase() {
 	e := x.e
-	if e.noSteal {
-		wk := e.workers[x.id]
-		for s := 0; s < e.shards; s++ {
-			wk.runShard(kind, s)
-		}
-		return
-	}
 	grid := int64(e.shards)
 	limit := int64(len(e.workers)) * grid
 	for {
@@ -2147,23 +1912,7 @@ func (x *executor) routePhase(kind phaseKind) {
 		if t >= limit {
 			return
 		}
-		e.workers[t/grid].runShard(kind, int(t%grid))
-	}
-}
-
-// runShard dispatches one (destination, source-shard) routing task to
-// the count or place sub-phase.
-//
-//gm:noalloc
-func (wk *worker) runShard(kind phaseKind, s int) {
-	if kind == phaseRouteCount {
-		if s == 0 && wk.routeFaultOn && wk.routeFault == FaultRouteCount {
-			wk.routeFaultOn = false
-			wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: FaultRouteCount} //gm:alloc-ok fault-injection testing path; never armed in production runs
-		}
-		wk.e.countShard(wk, s)
-	} else {
-		wk.placeShard(s)
+		e.workers[t/grid].placeShard(int(t % grid))
 	}
 }
 
@@ -2172,10 +1921,6 @@ func (wk *worker) runShard(kind phaseKind, s int) {
 //gm:noalloc
 func (x *executor) prefixPhase() {
 	e := x.e
-	if e.noSteal {
-		e.workers[x.id].routePrefix()
-		return
-	}
 	for {
 		t := int(e.taskCursor.Add(1)) - 1
 		if t >= len(e.workers) {
@@ -2188,18 +1933,11 @@ func (x *executor) prefixPhase() {
 // routePrefix turns the per-shard counts into placement offsets and the
 // CSR inbox offsets, sizes the inbox, and reactivates message
 // recipients (maintaining the chunk active counters). Offsets derive
-// only from counts, so placement is execution-order independent. In
-// eager mode an armed route-count fault fires here instead — the count
-// pass it targets was absorbed into the vertex phase, and fail-stop
-// semantics make the two observationally equivalent (the failure
-// surfaces at the routing barrier either way).
+// only from counts, so placement is execution-order independent.
 //
 //gm:noalloc
 func (wk *worker) routePrefix() {
-	if wk.routeFaultOn && (wk.routeFault == FaultRoutePrefix || wk.routeFault == FaultRouteCount) {
-		wk.routeFaultOn = false
-		wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: wk.routeFault} //gm:alloc-ok fault-injection testing path; never armed in production runs
-	}
+	wk.fireRouteFault(FaultRoutePrefix)
 	shards := len(wk.srcMsgs)
 	total := 0
 	for s := 0; s < shards; s++ {
@@ -2238,7 +1976,6 @@ func (wk *worker) routePrefix() {
 			if wk.inOff[li+1] > wk.inOff[li] && !wk.active[li] {
 				wk.active[li] = true
 				ck.numActive++
-				ck.frontEdges += int64(wk.e.g.OutDegree(wk.ids[li]))
 			}
 		}
 	}
@@ -2250,9 +1987,8 @@ func (wk *worker) routePrefix() {
 //
 //gm:noalloc
 func (wk *worker) placeShard(s int) {
-	if s == 0 && wk.routeFaultOn && wk.routeFault == FaultRoutePlace {
-		wk.routeFaultOn = false
-		wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: FaultRoutePlace} //gm:alloc-ok fault-injection testing path; never armed in production runs
+	if s == 0 {
+		wk.fireRouteFault(FaultRoutePlace)
 	}
 	if wk.srcMsgs[s] == 0 {
 		return

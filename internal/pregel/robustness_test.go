@@ -239,39 +239,43 @@ func TestWatchdogBackoffDeterministic(t *testing.T) {
 
 // ---- Extended fault-phase matrix ----
 
-// Every armable fault phase is injectable and recovers bit-identically:
-// chunk execution, steal hand-off, combiner fold replay, and each
-// segmented-routing sub-phase, alongside the two original phases.
+// Every armable fault phase is injectable and recovers bit-identically
+// at every point of the schedule lattice: chunk execution, steal
+// hand-off, combiner fold replay, and each segmented-routing sub-phase,
+// alongside the two original phases. The oracle for a whole (worker
+// count, partitioner) group is its fault-free one-chunk reference run.
 func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 	const n = 48
 	g := gen.Ring(n)
-	base := Config{NumWorkers: 4, Seed: 3, ChunkSize: 4}
-	labels, st := runMinLabel(t, g, n, base)
-
 	phases := []FaultPhase{
 		FaultVertexCompute, FaultRouting, FaultChunkExec, FaultSteal,
 		FaultFold, FaultRouteCount, FaultRoutePrefix, FaultRoutePlace,
 	}
-	for _, p := range phases {
-		t.Run(p.String(), func(t *testing.T) {
-			faulty := base
-			faulty.CheckpointEvery = 2
-			faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
-			fLabels, fst := runMinLabel(t, g, n, faulty)
-			if !reflect.DeepEqual(labels, fLabels) {
-				t.Errorf("phase %v: labels differ from fault-free run", p)
+	for _, group := range scheduleGroups(Config{Seed: 3}) {
+		labels, st := runMinLabel(t, g, n, group[0])
+		for _, cfg := range group {
+			for _, p := range phases {
+				t.Run(scheduleName(cfg)+"/"+p.String(), func(t *testing.T) {
+					faulty := cfg
+					faulty.CheckpointEvery = 2
+					faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
+					fLabels, fst := runMinLabel(t, g, n, faulty)
+					if !reflect.DeepEqual(labels, fLabels) {
+						t.Errorf("labels differ from the fault-free reference")
+					}
+					if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+						t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
+					}
+					if fst.Recoveries != 1 {
+						t.Errorf("Recoveries = %d, want 1", fst.Recoveries)
+					}
+					// Checkpoint at 2, crash at 3: supersteps 2..3 re-executed.
+					if fst.RecoveredSupersteps != 2 {
+						t.Errorf("RecoveredSupersteps = %d, want 2", fst.RecoveredSupersteps)
+					}
+				})
 			}
-			if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
-				t.Errorf("phase %v: stats differ:\nfault-free: %+v\nfaulty:     %+v", p, a, b)
-			}
-			if fst.Recoveries != 1 {
-				t.Errorf("phase %v: Recoveries = %d, want 1", p, fst.Recoveries)
-			}
-			// Checkpoint at 2, crash at 3: supersteps 2..3 re-executed.
-			if fst.RecoveredSupersteps != 2 {
-				t.Errorf("phase %v: RecoveredSupersteps = %d, want 2", p, fst.RecoveredSupersteps)
-			}
-		})
+		}
 	}
 }
 
