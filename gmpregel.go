@@ -329,7 +329,13 @@ func (p *Compiled) TransformationTable() string {
 // NumVertexStates reports the number of vertex-centric kernels.
 func (p *Compiled) NumVertexStates() int { return p.c.Program.NumVertexStates() }
 
-// NumMessageTypes reports the number of generated message types.
+// NumMessageTypes reports the number of generated message types. Each
+// type's field list is also the engine schema a run declares
+// (pregel.Schema: wire bytes per type in MessagePayloadBytes, one
+// payload slot per field in MessageSlots), and the widest type fixes the
+// size of the record the engine stores and moves every message of the
+// run in: 8 bytes of header plus 8 per field — 16 bytes for PageRank's
+// or SSSP's one-field messages, not the 40 of a full Msg.
 func (p *Compiled) NumMessageTypes() int { return len(p.c.Program.Msgs) }
 
 func astPrint(c *core.Compiled) string {

@@ -22,7 +22,7 @@ type rankJob struct {
 }
 
 func (j *rankJob) Schema() pregel.Schema {
-	return pregel.Schema{MessagePayloadBytes: []int{8}}
+	return pregel.Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
 }
 
 func (j *rankJob) MasterCompute(mc *pregel.MasterContext) {

@@ -215,13 +215,22 @@ type exec struct {
 	menv     masterEnv
 }
 
-// Schema declares the communication shape derived from the program.
-func (ex *exec) Schema() pregel.Schema {
+// Schema implements pregel.Job.
+func (ex *exec) Schema() pregel.Schema { return ex.p.Schema(ex.opts) }
+
+// Schema declares the communication shape the engine runs p with: the
+// compiler's per-type message layouts (wire bytes, and one payload slot
+// per field, which fixes the engine's record width), the aggregators,
+// the broadcast globals and, under opts.UseCombiners, the inferred
+// combiners.
+func (p *Program) Schema(opts RunOptions) pregel.Schema {
 	var s pregel.Schema
-	for _, m := range ex.p.Msgs {
+	for _, m := range p.Msgs {
 		s.MessagePayloadBytes = append(s.MessagePayloadBytes, m.PayloadBytes())
+		// One payload slot per field: setField writes field i to slot i.
+		s.MessageSlots = append(s.MessageSlots, len(m.Fields))
 	}
-	for _, a := range ex.p.Aggs {
+	for _, a := range p.Aggs {
 		spec := pregel.AggSpec{Name: a.Name}
 		switch a.Kind {
 		case ir.KFloat:
@@ -247,19 +256,19 @@ func (ex *exec) Schema() pregel.Schema {
 		}
 		s.Aggregators = append(s.Aggregators, spec)
 	}
-	if ex.opts.UseCombiners {
-		ops := combinableOps(ex.p)
-		s.Combiners = make([]pregel.Combiner, len(ex.p.Msgs))
+	if opts.UseCombiners {
+		ops := combinableOps(p)
+		s.Combiners = make([]pregel.Combiner, len(p.Msgs))
 		for i, op := range ops {
 			if op >= 0 {
-				s.Combiners[i] = combinerFor(ex.p.Msgs[i].Fields[0], op)
+				s.Combiners[i] = combinerFor(p.Msgs[i].Fields[0], op)
 			}
 		}
 	}
 	// Global slot 0 broadcasts the state number; slots 1+i broadcast
 	// scalar i when a state reads it.
 	s.Globals = append(s.Globals, pregel.GlobalSpec{Name: "_state", Size: 4})
-	for _, sc := range ex.p.Scalars {
+	for _, sc := range p.Scalars {
 		s.Globals = append(s.Globals, pregel.GlobalSpec{Name: sc.Name, Size: sc.Kind.WireSize()})
 	}
 	return s

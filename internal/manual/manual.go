@@ -36,6 +36,7 @@ type AvgTeen struct {
 func (j *AvgTeen) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{0},
+		MessageSlots:        []int{0},
 		Aggregators: []pregel.AggSpec{
 			{Name: "S", Kind: pregel.AggKindInt, Op: pregel.AggSum},
 			{Name: "C", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -92,6 +93,7 @@ type PageRank struct {
 func (j *PageRank) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{8},
+		MessageSlots:        []int{1},
 		Aggregators: []pregel.AggSpec{
 			{Name: "diff", Kind: pregel.AggKindFloat, Op: pregel.AggSum},
 		},
@@ -158,6 +160,7 @@ type Conductance struct {
 func (j *Conductance) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{4, 0},
+		MessageSlots:        []int{1, 0},
 		Aggregators: []pregel.AggSpec{
 			{Name: "Din", Kind: pregel.AggKindInt, Op: pregel.AggSum},
 			{Name: "Dout", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -246,7 +249,7 @@ type SSSP struct {
 
 // Schema declares the single 8-byte candidate-distance message.
 func (j *SSSP) Schema() pregel.Schema {
-	return pregel.Schema{MessagePayloadBytes: []int{8}}
+	return pregel.Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
 }
 
 // MasterCompute is empty: termination is by quiescence (all vertices
@@ -307,6 +310,7 @@ type Bipartite struct {
 func (j *Bipartite) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{4, 4, 4},
+		MessageSlots:        []int{1, 1, 1},
 		Aggregators: []pregel.AggSpec{
 			{Name: "progress", Kind: pregel.AggKindBool, Op: pregel.AggOr},
 			{Name: "count", Kind: pregel.AggKindInt, Op: pregel.AggSum},

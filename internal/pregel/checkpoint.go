@@ -195,10 +195,12 @@ func (e *engine) restoreCheckpoint() (err error) {
 const checkpointVersion = 5
 
 // frameHeaderBytes is the version byte plus the payload-length word;
-// frameTrailerBytes the checksum word.
+// frameTrailerBytes the checksum word; ckptMsgBytes one serialized inbox
+// message (destination, type, MaxPayloadSlots payload words).
 const (
 	frameHeaderBytes  = 1 + 8
 	frameTrailerBytes = 8
+	ckptMsgBytes      = 4 + 1 + 8*MaxPayloadSlots
 )
 
 // fnv64a is the FNV-1a hash of b (the checkpoint integrity checksum).
@@ -308,13 +310,19 @@ func (e *engine) encodeState() []byte {
 		for _, a := range wk.active {
 			w.bool(a)
 		}
-		w.u32(uint32(len(wk.inFlat)))
-		for i := range wk.inFlat {
-			m := &wk.inFlat[i]
-			w.u32(uint32(m.Dst))
-			w.u8(m.Type)
-			for _, v := range m.V {
+		// Messages keep the v5 layout — dst, type, MaxPayloadSlots words —
+		// whatever the run's record width: the slots a record does not
+		// carry are written as the zeros they stand for.
+		w.u32(uint32(wk.inTotal))
+		for i := 0; i < len(wk.inFlat); i += e.stride {
+			rec := wk.inFlat[i : i+e.stride]
+			w.u32(uint32(rec[0]))
+			w.u8(headerType(rec[0]))
+			for _, v := range rec[1:] {
 				w.u64(v)
+			}
+			for s := e.slots; s < MaxPayloadSlots; s++ {
+				w.u64(0)
 			}
 		}
 		w.u32(uint32(len(wk.inOff)))
@@ -413,23 +421,33 @@ func (e *engine) decodeState(data []byte) error {
 				wk.numActive++
 			}
 		}
+		wk.inTotal = int(r.u32())
+		if wk.inTotal > (len(r.b)-r.off)/ckptMsgBytes {
+			return fmt.Errorf("worker %d inbox of %d messages overruns the checkpoint", wk.index, wk.inTotal)
+		}
 		wk.inFlat = wk.inFlat[:0]
-		for i, n := 0, int(r.u32()); i < n; i++ {
-			var m Msg
-			m.Dst = nodeFromU32(r.u32())
-			m.Type = r.u8()
-			for s := range m.V {
-				m.V[s] = r.u64()
+		for i := 0; i < wk.inTotal; i++ {
+			wk.inFlat = append(wk.inFlat, packHeader(nodeFromU32(r.u32()), r.u8()))
+			for s := 0; s < MaxPayloadSlots; s++ {
+				v := r.u64()
+				if s < e.slots {
+					wk.inFlat = append(wk.inFlat, v)
+				} else if v != 0 {
+					return fmt.Errorf("worker %d inbox message %d carries payload slot %d, the run's records hold %d",
+						wk.index, i, s, e.slots)
+				}
 			}
-			wk.inFlat = append(wk.inFlat, m)
 		}
 		if n := int(r.u32()); n != len(wk.inOff) {
 			return fmt.Errorf("worker %d inbox-offset count mismatch", wk.index)
 		}
+		wk.inMax = 0
 		for i := range wk.inOff {
 			wk.inOff[i] = int32(r.u32())
+			if i > 0 {
+				wk.inMax = max(wk.inMax, int(wk.inOff[i]-wk.inOff[i-1]))
+			}
 		}
-		wk.inTotal = len(wk.inFlat)
 		// Transients a crashed superstep may have dirtied. Outbox, raw-log
 		// and box slices keep their capacity: replay reuses them. Chunk
 		// active counters are recomputed from the restored flags so the

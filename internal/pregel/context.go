@@ -137,33 +137,38 @@ func (vc *VertexContext) OutNbrs() []graph.NodeID { return vc.wk.e.g.OutNbrs(vc.
 func (vc *VertexContext) OutEdgeRange() (lo, hi int64) { return vc.wk.e.g.OutEdgeRange(vc.id) }
 
 // Messages returns the messages sent to this vertex in the previous
-// superstep, grouped deterministically (source-worker order).
+// superstep, grouped deterministically (source-worker order). The slice
+// is executor scratch the engine unpacks the vertex's inbox records
+// into: it is valid until VertexCompute returns, and payload slots
+// beyond the widest type the Schema declares read as zero.
 func (vc *VertexContext) Messages() []Msg { return vc.msgs }
 
-// deliver records one outgoing message on the current chunk. Plain jobs
-// box it by destination worker immediately; combiner jobs log the raw
-// emission for the worker-scoped fold pass (or, when the worker is a
-// single chunk and therefore exclusively executed, fold it in place).
-// Either way the message's eventual position depends only on its
-// (worker, chunk, emission-index) coordinates, not on the executor.
+// deliver records one outgoing message on the current chunk, packed
+// into a record. Plain jobs box it by destination worker immediately;
+// combiner jobs log the raw emission for the worker-scoped fold pass (or,
+// when the worker is a single chunk and therefore exclusively executed,
+// fold it in place). Either way the message's eventual position depends
+// only on its (worker, chunk, emission-index) coordinates, not on the
+// executor.
 func (vc *VertexContext) deliver(m Msg) {
 	wk := vc.wk
+	if !wk.conforms(&m) {
+		vc.reject(&m)
+		return
+	}
 	if wk.combiners != nil {
 		if wk.single {
 			wk.foldSend(m)
 		} else {
-			vc.ck.raw = append(vc.ck.raw, m)
+			vc.ck.raw = appendRec(vc.ck.raw, packHeader(m.Dst, m.Type), &m.V, wk.slots)
 		}
 		return
 	}
 	ck := vc.ck
 	dw := wk.ownerOf(m.Dst)
-	ck.boxes[dw] = append(ck.boxes[dw], m)
+	ck.boxes[dw] = appendRec(ck.boxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
 	ck.msgs++
-	size := wk.baseSize
-	if int(m.Type) < len(wk.msgSize) {
-		size = wk.msgSize[m.Type]
-	}
+	size := wk.msgSize[m.Type]
 	if dw != wk.index {
 		ck.netMsgs++
 		ck.netBytes += size
@@ -172,7 +177,18 @@ func (vc *VertexContext) deliver(m Msg) {
 	}
 }
 
-// Send sends m to dst, delivered next superstep.
+// reject drops a message that does not fit the schema and records the
+// violation on the chunk, where a VertexCompute panic would be: the
+// barrier surfaces the first one in canonical (worker, chunk) order and
+// aborts the run.
+func (vc *VertexContext) reject(m *Msg) {
+	if vc.ck.err == nil {
+		vc.ck.err = vc.wk.schemaError(vc.id, m)
+	}
+}
+
+// Send sends m to dst, delivered next superstep. m must fit the job's
+// Schema: a declared Type, and zeros beyond the type's MessageSlots.
 func (vc *VertexContext) Send(dst graph.NodeID, m Msg) {
 	m.Dst = dst
 	vc.deliver(m)
@@ -182,6 +198,12 @@ func (vc *VertexContext) Send(dst graph.NodeID, m Msg) {
 func (vc *VertexContext) SendToAllNbrs(m Msg) {
 	nbrs := vc.wk.e.g.OutNbrs(vc.id)
 	wk := vc.wk
+	if !wk.conforms(&m) {
+		vc.reject(&m)
+		return
+	}
+	slots := wk.slots
+	tag := packHeader(0, m.Type)
 	if wk.combiners != nil {
 		if wk.single {
 			for _, d := range nbrs {
@@ -189,27 +211,24 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 				wk.foldSend(m)
 			}
 		} else {
+			raw := vc.ck.raw
 			for _, d := range nbrs {
-				m.Dst = d
-				vc.ck.raw = append(vc.ck.raw, m)
+				raw = appendRec(raw, tag|uint64(uint32(d)), &m.V, slots)
 			}
+			vc.ck.raw = raw
 		}
 		return
 	}
-	// Plain bulk path: hoist the per-message size and branch on the
-	// partitioner once.
+	// Plain bulk path: hoist the per-message size and header tag, and
+	// branch on the partitioner once.
 	ck := vc.ck
-	size := wk.baseSize
-	if int(m.Type) < len(wk.msgSize) {
-		size = wk.msgSize[m.Type]
-	}
+	size := wk.msgSize[m.Type]
 	self := wk.index
 	if wk.pblocks == nil {
 		div := wk.div
 		for _, d := range nbrs {
-			m.Dst = d
 			dw := int(div.mod(uint32(d)))
-			ck.boxes[dw] = append(ck.boxes[dw], m)
+			ck.boxes[dw] = appendRec(ck.boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
 			if dw != self {
 				ck.netMsgs++
 				ck.netBytes += size
@@ -220,9 +239,8 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 	} else {
 		pb, sh := wk.pblocks, wk.pshift
 		for _, d := range nbrs {
-			m.Dst = d
 			dw := int(pb[uint32(d)>>sh])
-			ck.boxes[dw] = append(ck.boxes[dw], m)
+			ck.boxes[dw] = appendRec(ck.boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
 			if dw != self {
 				ck.netMsgs++
 				ck.netBytes += size

@@ -258,7 +258,9 @@ type orderAllJob struct {
 	order [][]int64
 }
 
-func (j *orderAllJob) Schema() Schema { return Schema{MessagePayloadBytes: []int{8}} }
+func (j *orderAllJob) Schema() Schema {
+	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+}
 func (j *orderAllJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() == 3 {
 		mc.Halt()

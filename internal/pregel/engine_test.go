@@ -96,7 +96,9 @@ type orderJob struct {
 	order [][]int64
 }
 
-func (j *orderJob) Schema() Schema { return Schema{MessagePayloadBytes: []int{8}} }
+func (j *orderJob) Schema() Schema {
+	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+}
 func (j *orderJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() == 2 {
 		mc.Halt()
@@ -148,6 +150,7 @@ type combinerEngineJob struct{ sum []int64 }
 func (j *combinerEngineJob) Schema() Schema {
 	return Schema{
 		MessagePayloadBytes: []int{8},
+		MessageSlots:        []int{1},
 		Combiners: []Combiner{func(into *Msg, m Msg) {
 			into.SetInt(0, into.Int(0)+m.Int(0))
 		}},

@@ -22,7 +22,14 @@ func statsModuloRecovery(st Stats) Stats {
 
 func runMinLabel(t *testing.T, g *graph.Directed, n int, cfg Config) ([]int64, Stats) {
 	t.Helper()
-	j := &minLabelJob{label: make([]int64, n)}
+	return runMinLabelWidth(t, g, n, cfg, slotsExact)
+}
+
+// runMinLabelWidth is runMinLabel with the job's MessageSlots declared
+// as width says: the same run at a different record width.
+func runMinLabelWidth(t *testing.T, g *graph.Directed, n int, cfg Config, width slotDecl) ([]int64, Stats) {
+	t.Helper()
+	j := &minLabelJob{label: make([]int64, n), width: width}
 	st, err := Run(g, j, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,13 +13,14 @@ import (
 // memory. Test with errors.Is.
 var ErrBudgetExceeded = errors.New("pregel: memory budget exceeded")
 
-// msgMemBytes is the accounted in-memory footprint of one buffered Msg:
-// 4-byte destination, 1-byte type plus padding, and four 8-byte payload
-// slots. Accounting multiplies buffer lengths (not capacities) by this
-// constant, so accounted usage is a pure function of the configuration
-// and seed — identical across chunk sizes, stealing, and executor
-// schedules — which keeps governor decisions deterministic.
-const msgMemBytes = 40
+// Message buffers are accounted at their real width: a buffered message
+// is one record of the run's stride (record.go), 8*(1+slots) bytes —
+// 16 for a one-slot schema, 40 for an undeclared one — in RAM and in a
+// spill segment alike. Accounting multiplies buffer lengths (not
+// capacities) by recWordBytes, and the stride is fixed by the Schema, so
+// accounted usage is a pure function of schema, configuration and seed —
+// identical across chunk sizes, stealing, and executor schedules — which
+// keeps governor decisions deterministic.
 
 // governor enforces Config.MemoryBudget with staged graceful
 // degradation, checked on the barrier goroutine at the two accounted
@@ -64,18 +65,18 @@ func (e *engine) ckptHeldBytes() int64 {
 func (e *engine) accountedUsage() int64 {
 	var u int64
 	for _, wk := range e.workers {
-		u += int64(len(wk.inFlat)) * msgMemBytes
-		u += int64(len(wk.inOff)) * 4
+		words := len(wk.inFlat)
 		for d := range wk.outboxes {
-			u += int64(len(wk.outboxes[d])) * msgMemBytes
+			words += len(wk.outboxes[d])
 		}
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			u += int64(len(ck.raw)) * msgMemBytes
+			words += len(ck.raw)
 			for d := range ck.boxes {
-				u += int64(len(ck.boxes[d])) * msgMemBytes
+				words += len(ck.boxes[d])
 			}
 		}
+		u += int64(words)*recWordBytes + int64(len(wk.inOff))*4
 	}
 	return u + e.ckptHeldBytes()
 }
@@ -86,23 +87,23 @@ func (e *engine) accountedUsage() int64 {
 // and send paths re-grow the buffers on demand (the zero-allocation
 // steady state resumes once capacity recovers its high-water mark).
 func (e *engine) releaseOutboxes() int64 {
-	var freed int64
+	words := 0
 	for _, wk := range e.workers {
 		for d := range wk.outboxes {
-			freed += int64(len(wk.outboxes[d])) * msgMemBytes
+			words += len(wk.outboxes[d])
 			wk.outboxes[d] = nil
 		}
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			freed += int64(len(ck.raw)) * msgMemBytes
+			words += len(ck.raw)
 			ck.raw = nil
 			for d := range ck.boxes {
-				freed += int64(len(ck.boxes[d])) * msgMemBytes
+				words += len(ck.boxes[d])
 				ck.boxes[d] = nil
 			}
 		}
 	}
-	return freed
+	return int64(words) * recWordBytes
 }
 
 // spillInbox writes wk's routed inbox to the segment store and drops the
@@ -110,7 +111,7 @@ func (e *engine) releaseOutboxes() int64 {
 // at a time. Returns the accounted bytes freed.
 func (e *engine) spillInbox(wk *worker, step int) (int64, error) {
 	g := e.gov
-	n := len(wk.inFlat)
+	bytes := int64(len(wk.inFlat)) * recWordBytes
 	var t0 int64
 	if e.obsOn {
 		t0 = e.nowNS()
@@ -123,14 +124,13 @@ func (e *engine) spillInbox(wk *worker, step int) (int64, error) {
 	wk.spillOff = off
 	wk.spilled = true
 	wk.inFlat = nil
-	disk := int64(n) * spillRecBytes
 	e.stats.Spills++
-	e.stats.SpillBytes += disk
+	e.stats.SpillBytes += bytes
 	if e.obsOn {
 		e.emit(obs.Span{Superstep: step, Worker: wk.index, Phase: obs.PhaseSpill,
-			StartNS: t0, DurNS: e.nowNS() - t0, Messages: int64(n), Bytes: disk})
+			StartNS: t0, DurNS: e.nowNS() - t0, Messages: int64(wk.inTotal), Bytes: bytes})
 	}
-	return int64(n) * msgMemBytes, nil
+	return bytes, nil
 }
 
 // govern runs the staged degradation at one accounted peak. It returns
@@ -172,20 +172,21 @@ func (e *engine) govern(step int) error {
 // readSpillWindow streams the chunk's slice of wk's spilled inbox into
 // this executor's retained scratch. The window is contiguous on disk
 // because chunk local-index ranges are contiguous in the CSR inbox.
-func (x *executor) readSpillWindow(wk *worker, ck *chunk) ([]Msg, error) {
+func (x *executor) readSpillWindow(wk *worker, ck *chunk) ([]uint64, error) {
+	stride := x.e.stride
 	first := int(wk.inOff[ck.lo])
 	count := int(wk.inOff[ck.hi]) - first
-	msgs, raw, err := x.e.gov.spill.readWindow(x.spillMsgs, x.spillRaw, wk.spillOff, first, count)
-	x.spillMsgs, x.spillRaw = msgs, raw
-	return msgs, err
+	recs, raw, err := x.e.gov.spill.readWindow(x.spillRecs, x.spillRaw, wk.spillOff, first*stride, count*stride)
+	x.spillRecs, x.spillRaw = recs, raw
+	return recs, err
 }
 
 // readSpilledInbox reads back a worker's whole spilled inbox (the
 // checkpoint encoder needs the full contents; chunk execution uses the
 // windowed path instead).
-func (e *engine) readSpilledInbox(wk *worker) ([]Msg, error) {
-	msgs, _, err := e.gov.spill.readWindow(nil, nil, wk.spillOff, 0, wk.inTotal)
-	return msgs, err
+func (e *engine) readSpilledInbox(wk *worker) ([]uint64, error) {
+	recs, _, err := e.gov.spill.readWindow(nil, nil, wk.spillOff, 0, wk.inTotal*e.stride)
+	return recs, err
 }
 
 // unspillAll restores every spilled inbox to RAM, bit-identical to its
@@ -196,11 +197,11 @@ func (e *engine) unspillAll() error {
 		if !wk.spilled {
 			continue
 		}
-		msgs, err := e.readSpilledInbox(wk)
+		recs, err := e.readSpilledInbox(wk)
 		if err != nil {
 			return err
 		}
-		wk.inFlat = msgs
+		wk.inFlat = recs
 		wk.spilled = false
 	}
 	return nil

@@ -26,6 +26,7 @@ import (
 type perfRankJob struct {
 	rank  []float64
 	steps int
+	width slotDecl // zero value: exact, 16-byte records
 }
 
 func newPerfRankJob(n, steps int) *perfRankJob {
@@ -33,7 +34,7 @@ func newPerfRankJob(n, steps int) *perfRankJob {
 }
 
 func (j *perfRankJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}}
+	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: j.width.declare(1)}
 }
 
 func (j *perfRankJob) MasterCompute(mc *MasterContext) {
@@ -65,6 +66,7 @@ type perfCombJob struct {
 func (j *perfCombJob) Schema() Schema {
 	return Schema{
 		MessagePayloadBytes: []int{8},
+		MessageSlots:        []int{1},
 		Combiners: []Combiner{func(into *Msg, m Msg) {
 			into.SetFloat(0, into.Float(0)+m.Float(0))
 		}},
@@ -356,6 +358,14 @@ func BenchmarkSuperstepPageRank(b *testing.B) {
 		e.routeMessages()
 		step++
 	}
+	reportRecordBytes(b, e)
+}
+
+// reportRecordBytes prints the width of the record this run moves each
+// message in, so the CI microbenchmark step shows on every push that the
+// PageRank-shaped job has not fallen back to the 40-byte default.
+func reportRecordBytes(b *testing.B, e *engine) {
+	b.ReportMetric(float64(e.stride*recWordBytes), "B/msg")
 }
 
 // BenchmarkRouting measures routing alone — the shard counts a vertex
@@ -397,6 +407,7 @@ func BenchmarkRouting(b *testing.B) {
 		b.StartTimer()
 		route()
 	}
+	reportRecordBytes(b, e)
 }
 
 // BenchmarkSendCombined measures the combiner send path: one combinable

@@ -49,9 +49,11 @@ import (
 // complex, Betweenness Centrality's reverse sweep, needs two).
 const MaxPayloadSlots = 4
 
-// Msg is a message between vertices. Payload slots hold int64, float64
-// (bit-cast), bool, or node IDs; the schema of each Type determines how
-// many slots are live and what their wire size is.
+// Msg is a message between vertices, as jobs see it. Payload slots hold
+// int64, float64 (bit-cast), bool, or node IDs; the schema of each Type
+// determines how many slots are live and what their wire size is. The
+// engine does not store Msg values: Send packs one into a schema-width
+// record (see record.go) and Messages() unpacks records back.
 type Msg struct {
 	Dst  graph.NodeID
 	Type uint8
@@ -155,8 +157,18 @@ type Schema struct {
 	// type, indexed by Msg.Type. A nil/empty slice means the job sends no
 	// messages.
 	MessagePayloadBytes []int
-	Aggregators         []AggSpec
-	Globals             []GlobalSpec
+	// MessageSlots gives, per message type, how many of a Msg's payload
+	// slots the type uses (slots 0..n-1; one slot per field, whatever the
+	// field's wire size — two Node fields are 8 payload bytes but two
+	// slots). The largest entry fixes the width of the engine's internal
+	// message record for the run, 8*(1+max) bytes, so declaring it is what
+	// makes a one-field message cost 16 bytes to move instead of 40. A
+	// message with a non-zero value in a slot its type does not declare
+	// aborts the run with a *SchemaError. Nil means every type may use all
+	// MaxPayloadSlots; otherwise it must have one entry per type.
+	MessageSlots []int
+	Aggregators  []AggSpec
+	Globals      []GlobalSpec
 	// Combiners optionally provides a combiner per message type (nil
 	// entries disable combining for that type). Combined messages are
 	// merged sender-side, reducing both message count and network bytes;
@@ -464,10 +476,16 @@ type engine struct {
 	schema Schema
 
 	numWorkers int
-	msgTag     int // 1 if >1 message type, else 0
 	div        fastDiv
-	baseSize   int64   // wire bytes independent of payload: 4-byte dst + optional tag
 	msgSize    []int64 // full wire size per declared message type
+	// Record geometry (record.go): typeSlots is the declared slot count
+	// per message type, slots their maximum, stride = 1+slots the words
+	// per record in every message buffer. schemaErr is a malformed
+	// Schema.MessageSlots, reported by loop before any superstep runs.
+	typeSlots []uint8
+	slots     int
+	stride    int
+	schemaErr error
 
 	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
 	// pblocks means mod partitioning.
@@ -556,9 +574,9 @@ type chunk struct {
 
 	// boxes are the per-destination-worker outboxes (plain jobs); raw is
 	// the emission log (combiner jobs, multi-chunk workers) replayed by
-	// the fold phase.
-	boxes [][]Msg
-	raw   []Msg
+	// the fold phase. Both hold records.
+	boxes [][]uint64
+	raw   []uint64
 	agg   []aggCell
 	// numActive counts active vertices in [lo, hi), maintained
 	// incrementally by chunk execution, VoteToHalt, and routing
@@ -596,9 +614,10 @@ type worker struct {
 	// numActive mirrors the sum of chunk numActive counters; refreshed at
 	// the termination check and by checkpoint decode.
 	numActive int
-	inFlat    []Msg
-	inOff     []int32 // CSR offsets into inFlat, len = len(ids)+1
-	inTotal   int     // messages routed into inFlat by the last routing phase
+	inFlat    []uint64 // routed inbox: inTotal records grouped by destination vertex
+	inOff     []int32  // CSR offsets into inFlat in records, len = len(ids)+1
+	inTotal   int      // messages routed into inFlat by the last routing phase
+	inMax     int      // the most messages any one vertex received in it
 
 	chunks []chunk
 	// cursor is the next unclaimed chunk index (vertex phase).
@@ -614,10 +633,14 @@ type worker struct {
 
 	// Combiner-path state: chunks log raw emissions and the fold phase
 	// replays them here in emission order (single-chunk workers write
-	// directly). combineIdx maps (dst, type) to the pending outbox slot;
-	// cleared (not reallocated) each superstep.
-	outboxes   [][]Msg // per destination worker; combiner jobs only
+	// directly). combineIdx maps (dst, type) to the pending outbox record;
+	// cleared (not reallocated) each superstep. combTmp is the Msg a
+	// pending record is unpacked into for the job's combiner to fold into
+	// (a worker field, not a local: a pointer passed to a func value
+	// escapes).
+	outboxes   [][]uint64 // records per destination worker; combiner jobs only
 	combineIdx map[uint64]combineSlot
+	combTmp    Msg
 
 	// Hot-path caches copied from the engine at construction so send
 	// touches one cache line instead of chasing e.schema.
@@ -626,7 +649,8 @@ type worker struct {
 	pshift    uint32
 	combiners []Combiner // nil when the job registers none
 	msgSize   []int64
-	baseSize  int64
+	typeSlots []uint8
+	slots     int
 
 	// Per-superstep counter accumulators. The combiner fold/direct path
 	// feeds them during compute; the worker epilogue folds the chunk
@@ -729,8 +753,13 @@ type executor struct {
 	// parked), for the watchdog's stall diagnosis.
 	curPhase atomic.Int32
 
+	// msgs is the retained scratch a vertex's inbox window is unpacked
+	// into for Messages(); sizeUnpackScratch grows it, before each vertex
+	// phase, to the widest window of the superstep.
+	msgs []Msg
+
 	// Retained scratch for reading spilled inbox windows.
-	spillMsgs []Msg
+	spillRecs []uint64
 	spillRaw  []byte
 
 	err error
@@ -819,15 +848,19 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	if n := g.NumNodes(); e.numWorkers > n && n > 0 {
 		e.numWorkers = n
 	}
-	if len(e.schema.MessagePayloadBytes) > 1 {
-		e.msgTag = 1
-	}
 	e.div = newFastDiv(uint32(e.numWorkers))
-	e.baseSize = int64(4 + e.msgTag)
+	// Wire size: 4-byte destination, a 1-byte type tag when the job
+	// declares more than one message type, then the schema payload.
+	baseSize := int64(4)
+	if len(e.schema.MessagePayloadBytes) > 1 {
+		baseSize++
+	}
 	e.msgSize = make([]int64, len(e.schema.MessagePayloadBytes))
 	for t, p := range e.schema.MessagePayloadBytes {
-		e.msgSize[t] = e.baseSize + int64(p)
+		e.msgSize[t] = baseSize + int64(p)
 	}
+	e.typeSlots, e.slots, e.schemaErr = messageSlots(e.schema)
+	e.stride = 1 + e.slots
 	e.mc = MasterContext{e: e}
 	var combiners []Combiner
 	for _, c := range e.schema.Combiners {
@@ -914,7 +947,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		wk.numActive = len(wk.ids)
 		wk.inOff = make([]int32, len(wk.ids)+1)
 		if combiners != nil {
-			wk.outboxes = make([][]Msg, e.numWorkers)
+			wk.outboxes = make([][]uint64, e.numWorkers)
 			wk.combineIdx = make(map[uint64]combineSlot)
 		}
 		wk.div = e.div
@@ -922,7 +955,8 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		wk.pshift = e.pshift
 		wk.combiners = combiners
 		wk.msgSize = e.msgSize
-		wk.baseSize = e.baseSize
+		wk.typeSlots = e.typeSlots
+		wk.slots = e.slots
 
 		// Chunk geometry: fixed for the run, derived only from the
 		// partition size and ChunkSize, never from execution.
@@ -943,7 +977,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			ck.numActive = ck.hi - ck.lo
 			ck.agg = make([]aggCell, len(e.schema.Aggregators))
 			if combiners == nil {
-				ck.boxes = make([][]Msg, e.numWorkers)
+				ck.boxes = make([][]uint64, e.numWorkers)
 			}
 		}
 		wk.single = numChunks == 1
@@ -1032,7 +1066,27 @@ func (e *engine) runVertexPhase(step int) {
 			e.workerEpilogue(wk, -1)
 		}
 	}
+	e.sizeUnpackScratch()
 	e.runPhase(phaseVertex, step)
+}
+
+// sizeUnpackScratch grows every executor's Messages() scratch to the
+// widest inbox window any vertex has this superstep. Sizing all of them
+// here, from the routed offsets, rather than on demand in runChunk keeps
+// the allocation a function of the inbox alone: which executor happens
+// to steal the chunk with the hub vertex cannot move it into a warm
+// superstep. The slots a run's records do not carry stay zero from this
+// make — unpackRecs never writes them.
+func (e *engine) sizeUnpackScratch() {
+	need := 0
+	for _, wk := range e.workers {
+		need = max(need, wk.inMax)
+	}
+	for _, x := range e.executors {
+		if cap(x.msgs) < need {
+			x.msgs = make([]Msg, need+need/4)
+		}
+	}
 }
 
 // poolRun is an executor's persistent goroutine: park, run the commanded
@@ -1208,6 +1262,7 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	vc.wk = wk
 	vc.ck = ck
 	vc.superstep = step
+	stride := e.stride
 	fault := wk.faultAt
 	for li := int(ck.lo); li < int(ck.hi); li++ {
 		if fault >= 0 && li == fault {
@@ -1227,7 +1282,14 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		}
 		vc.id = wk.ids[li]
 		vc.local = li
-		vc.msgs = flat[wk.inOff[li]-base : wk.inOff[li+1]-base]
+		// Unpack the vertex's window of records into the executor's
+		// cache-resident scratch; Messages() is valid until the next vertex.
+		vc.msgs = x.msgs[:wk.inOff[li+1]-wk.inOff[li]]
+		at := int(wk.inOff[li]-base) * stride
+		for k := range vc.msgs {
+			unpackRec(&vc.msgs[k], flat[at:at+stride])
+			at += stride
+		}
 		ck.calls++
 		e.job.VertexCompute(vc) //gm:alloc-ok job contract: VertexCompute must be allocation-free; perf_test gates the full cycle at AllocsPerRun==0
 	}
@@ -1299,24 +1361,27 @@ func (wk *worker) fold() {
 	// Injected fold fault: die midway through the replay, with outboxes
 	// partially folded. Aborting here is safe — fold faults are collected
 	// before the barrier, so the partial outboxes are never routed.
+	stride := wk.slots + 1
 	limit := -1
 	if wk.foldFault {
 		total := 0
 		for ci := range wk.chunks {
-			total += len(wk.chunks[ci].raw)
+			total += len(wk.chunks[ci].raw) / stride
 		}
 		limit = total / 2
 	}
 	replayed := 0
+	var m Msg
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
-		for i := range ck.raw {
+		for i := 0; i < len(ck.raw); i += stride {
 			if replayed == limit {
 				wk.foldFault = false
 				wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: FaultFold} //gm:alloc-ok fault-injection testing path; never armed in production runs
 				return
 			}
-			wk.foldSend(ck.raw[i])
+			unpackRec(&m, ck.raw[i:i+stride])
+			wk.foldSend(m)
 			replayed++
 		}
 		ck.raw = ck.raw[:0]
@@ -1326,6 +1391,7 @@ func (wk *worker) fold() {
 	}
 }
 
+// combineSlot locates a pending record: outboxes[dw][idx:idx+stride].
 type combineSlot struct {
 	dw  int
 	idx int
@@ -1341,20 +1407,29 @@ type combineSlot struct {
 //gm:noalloc
 func (wk *worker) foldSend(m Msg) {
 	dw := wk.ownerOf(m.Dst)
-	if cs := wk.combiners; cs != nil && int(m.Type) < len(cs) && cs[m.Type] != nil {
+	if cs := wk.combiners; int(m.Type) < len(cs) && cs[m.Type] != nil {
 		key := uint64(uint32(m.Dst))<<8 | uint64(m.Type)
 		if slot, ok := wk.combineIdx[key]; ok {
-			cs[m.Type](&wk.outboxes[slot.dw][slot.idx], m) //gm:alloc-ok job-registered combiner funcs fold in place into the existing slot; covered by the runtime alloc gate
+			// Unpack the pending record, let the job fold into it, write
+			// the payload back. The combiner's result must fit the type's
+			// declared slots like any sent message.
+			rec := wk.outboxes[slot.dw][slot.idx : slot.idx+1+wk.slots]
+			into := &wk.combTmp
+			unpackRec(into, rec)
+			cs[m.Type](into, m) //gm:alloc-ok job-registered combiner funcs fold in place into the retained temporary; covered by the runtime alloc gate
+			if !wk.conforms(into) && wk.phaseErr == nil {
+				serr := wk.schemaError(m.Dst, into) //gm:alloc-ok abort path: the run ends at this barrier
+				serr.Combined = true
+				wk.phaseErr = serr
+			}
+			copy(rec[1:], into.V[:wk.slots])
 			return
 		}
 		wk.combineIdx[key] = combineSlot{dw: dw, idx: len(wk.outboxes[dw])} //gm:alloc-ok insert after clear() reuses retained buckets; grows only until the high-water mark
 	}
-	wk.outboxes[dw] = append(wk.outboxes[dw], m) //gm:alloc-ok outbox capacity is retained across supersteps; grows only until the high-water mark
+	wk.outboxes[dw] = appendRec(wk.outboxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
 	wk.msgs++
-	size := wk.baseSize
-	if int(m.Type) < len(wk.msgSize) {
-		size = wk.msgSize[m.Type]
-	}
+	size := wk.msgSize[m.Type]
 	if dw != wk.index {
 		wk.netMsgs++
 		wk.netBytes += size
@@ -1415,6 +1490,9 @@ func (e *engine) restoreCommitted() {
 // counters are rewound to the last completed barrier, so partial Stats
 // are always barrier-consistent.
 func (e *engine) loop(ctx context.Context) error {
+	if e.schemaErr != nil {
+		return e.schemaErr
+	}
 	e.markCommitted()
 	err := e.run(ctx)
 	if err != nil {
@@ -1861,21 +1939,21 @@ func (e *engine) countShard(dst *worker, sh int) {
 	}
 	lo, hi := e.shardStart[sh], e.shardStart[sh+1]
 	d := dst.index
-	var total int32
+	words := 0
 	if e.combActive {
 		for s := lo; s < hi; s++ {
-			total += int32(len(e.workers[s].outboxes[d]))
+			words += len(e.workers[s].outboxes[d])
 		}
 	} else {
 		for s := lo; s < hi; s++ {
 			src := e.workers[s]
 			for ci := range src.chunks {
-				total += int32(len(src.chunks[ci].boxes[d]))
+				words += len(src.chunks[ci].boxes[d])
 			}
 		}
 	}
-	dst.srcMsgs[sh] = total
-	if total == 0 {
+	dst.srcMsgs[sh] = int32(words / e.stride)
+	if words == 0 {
 		return
 	}
 	cnt := dst.srcCounts[sh]
@@ -1884,19 +1962,25 @@ func (e *engine) countShard(dst *worker, sh int) {
 	}
 	if e.combActive {
 		for s := lo; s < hi; s++ {
-			for _, m := range e.workers[s].outboxes[d] {
-				cnt[dst.localOf(m.Dst)]++
-			}
+			dst.countRecs(cnt, e.workers[s].outboxes[d])
 		}
 		return
 	}
 	for s := lo; s < hi; s++ {
 		src := e.workers[s]
 		for ci := range src.chunks {
-			for _, m := range src.chunks[ci].boxes[d] {
-				cnt[dst.localOf(m.Dst)]++
-			}
+			dst.countRecs(cnt, src.chunks[ci].boxes[d])
 		}
+	}
+}
+
+// countRecs adds one to cnt[local destination] for every record of box:
+// a read of the header words only.
+//
+//gm:noalloc
+func (wk *worker) countRecs(cnt []int32, box []uint64) {
+	for i, stride := 0, wk.slots+1; i < len(box); i += stride {
+		cnt[wk.localOf(headerDst(box[i]))]++
 	}
 }
 
@@ -1944,11 +2028,15 @@ func (wk *worker) routePrefix() {
 		total += int(wk.srcMsgs[s])
 	}
 	wk.inTotal = total
+	wk.inMax = 0
 	wk.inDepth.Store(int64(total))
-	if cap(wk.inFlat) < total {
-		wk.inFlat = make([]Msg, total) //gm:alloc-ok inbox grows to its high-water mark, then capacity is reused; steady state allocation-free
+	if words := total * (wk.slots + 1); cap(wk.inFlat) < words {
+		// Grow geometrically, like the append-grown boxes: a frontier that
+		// widens a little every superstep must not reallocate (and
+		// re-zero) the whole inbox each time.
+		wk.inFlat = make([]uint64, words, words+words/4) //gm:alloc-ok inbox grows to its high-water mark, then capacity is reused; steady state allocation-free
 	} else {
-		wk.inFlat = wk.inFlat[:total]
+		wk.inFlat = wk.inFlat[:words]
 	}
 	n := len(wk.ids)
 	if total == 0 {
@@ -1957,7 +2045,7 @@ func (wk *worker) routePrefix() {
 		}
 		return
 	}
-	var run int32
+	var run, widest int32
 	for li := 0; li < n; li++ {
 		wk.inOff[li] = run
 		for s := 0; s < shards; s++ {
@@ -1968,8 +2056,10 @@ func (wk *worker) routePrefix() {
 			wk.srcCounts[s][li] = run
 			run += c
 		}
+		widest = max(widest, run-wk.inOff[li])
 	}
 	wk.inOff[n] = run
+	wk.inMax = int(widest)
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
 		for li := ck.lo; li < ck.hi; li++ {
@@ -1999,24 +2089,32 @@ func (wk *worker) placeShard(s int) {
 	pos := wk.srcCounts[s]
 	if e.combActive {
 		for src := lo; src < hi; src++ {
-			for _, m := range e.workers[src].outboxes[d] {
-				li := wk.localOf(m.Dst)
-				p := pos[li]
-				pos[li] = p + 1
-				wk.inFlat[p] = m
-			}
+			wk.placeRecs(pos, e.workers[src].outboxes[d])
 		}
 		return
 	}
 	for src := lo; src < hi; src++ {
 		sw := e.workers[src]
 		for ci := range sw.chunks {
-			for _, m := range sw.chunks[ci].boxes[d] {
-				li := wk.localOf(m.Dst)
-				p := pos[li]
-				pos[li] = p + 1
-				wk.inFlat[p] = m
-			}
+			wk.placeRecs(pos, sw.chunks[ci].boxes[d])
+		}
+	}
+}
+
+// placeRecs copies every record of box to the inbox position pos holds
+// for its destination vertex, advancing that position.
+//
+//gm:noalloc
+func (wk *worker) placeRecs(pos []int32, box []uint64) {
+	stride := wk.slots + 1
+	in := wk.inFlat
+	for i := 0; i+stride <= len(box); i += stride {
+		li := wk.localOf(headerDst(box[i]))
+		p := int(pos[li])
+		pos[li]++
+		to, from := in[p*stride:p*stride+stride], box[i:i+stride]
+		for k := range to {
+			to[k] = from[k]
 		}
 	}
 }

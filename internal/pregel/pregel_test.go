@@ -17,11 +17,12 @@ import (
 // flooding with voteToHalt — a classic single-kernel Pregel program.
 type minLabelJob struct {
 	label []int64
+	width slotDecl   // how MessageSlots is declared; the zero value is exact (16-byte records)
 	mu    sync.Mutex // labels are per-vertex partitioned; no lock needed, kept for -race confidence on test-only reads
 }
 
 func (j *minLabelJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}}
+	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: j.width.declare(1)}
 }
 
 func (j *minLabelJob) MasterCompute(mc *MasterContext) {}
@@ -115,7 +116,9 @@ type delayJob struct {
 	haltStep int
 }
 
-func (j *delayJob) Schema() Schema { return Schema{MessagePayloadBytes: []int{8}} }
+func (j *delayJob) Schema() Schema {
+	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+}
 func (j *delayJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() >= j.haltStep {
 		mc.Halt()
@@ -213,6 +216,9 @@ func TestAggregatorsAndGlobals(t *testing.T) {
 // network byte accounting is exactly computable.
 type byteJob struct{ n int }
 
+// byteJob leaves MessageSlots undeclared on purpose: its 12-byte payload
+// is not a whole number of slots, and one job should keep exercising the
+// nil default (every type may use all MaxPayloadSlots) end to end.
 func (j *byteJob) Schema() Schema { return Schema{MessagePayloadBytes: []int{12}} }
 func (j *byteJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() == 2 {

@@ -9,6 +9,7 @@ package pregel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,10 +26,20 @@ import (
 // segment store instead of aborting (acceptance criterion: graceful
 // degradation before ErrBudgetExceeded).
 func TestGovernorSpillCompletesBitIdentical(t *testing.T) {
+	// Once at stride 2 (slots declared) and once at stride 5 (undeclared):
+	// the budgets are fractions of each width's own accounted peak, and
+	// the spilled windows come back through the same unpack either way.
+	for _, width := range []slotDecl{slotsExact, slotsNil} {
+		t.Run("slots="+width.String(), func(t *testing.T) { testGovernorSpill(t, width) })
+	}
+}
+
+func testGovernorSpill(t *testing.T, width slotDecl) {
 	const n = 256
 	g := gen.TwitterLike(n, 4, 3)
 	run := func(budget int64) (*perfRankJob, Stats, error) {
 		j := newPerfRankJob(n, 6)
+		j.width = width
 		st, err := Run(g, j, Config{NumWorkers: 4, Seed: 2, MemoryBudget: budget})
 		return j, st, err
 	}
@@ -97,60 +108,65 @@ func TestGovernorBudgetExhaustedAbortsCleanly(t *testing.T) {
 	}
 }
 
-// The spill segment store round-trips messages bit-identically, both
-// whole segments and chunk-aligned sub-windows, across multiple
-// appended segments.
+// The spill segment store round-trips records bit-identically at every
+// record width, both whole segments and chunk-aligned sub-windows,
+// across multiple appended segments. A segment costs exactly the
+// records' in-memory footprint: stride words of recWordBytes each.
 func TestSpillStoreRoundTrip(t *testing.T) {
-	var s spillStore
-	defer s.close()
-	mk := func(k, salt int) []Msg {
-		msgs := make([]Msg, k)
-		for i := range msgs {
-			msgs[i].Dst = graph.NodeID(i*3 + salt)
-			msgs[i].Type = uint8((i + salt) % 3)
-			for sl := 0; sl < MaxPayloadSlots; sl++ {
-				msgs[i].V[sl] = uint64(i+salt)<<32 | uint64(sl) | 0x8000000000000000
+	for stride := 1; stride <= 1+MaxPayloadSlots; stride++ {
+		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
+			var s spillStore
+			defer s.close()
+			mk := func(k, salt int) []uint64 {
+				var recs []uint64
+				for i := 0; i < k; i++ {
+					var m Msg
+					for sl := 0; sl < stride-1; sl++ {
+						m.V[sl] = uint64(i+salt)<<32 | uint64(sl) | 0x8000000000000000
+					}
+					recs = appendRec(recs, packHeader(graph.NodeID(i*3+salt), uint8((i+salt)%3)), &m.V, stride-1)
+				}
+				return recs
 			}
-		}
-		return msgs
-	}
-	a := mk(17, 0)
-	offA, scratch, err := s.writeSegment(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := mk(5, 1000)
-	offB, _, err := s.writeSegment(b, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offB != int64(len(a))*spillRecBytes {
-		t.Errorf("second segment offset = %d, want %d", offB, int64(len(a))*spillRecBytes)
-	}
-	got, _, err := s.readWindow(nil, nil, offA, 0, len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, got) {
-		t.Errorf("segment A round-trip differs")
-	}
-	win, _, err := s.readWindow(nil, nil, offA, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a[4:13], win) {
-		t.Errorf("sub-window [4:13) round-trip differs")
-	}
-	got, _, err = s.readWindow(got, nil, offB, 0, len(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b, got) {
-		t.Errorf("segment B round-trip differs")
-	}
-	empty, _, err := s.readWindow(nil, nil, offA, 3, 0)
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty window: msgs=%v err=%v", empty, err)
+			a := mk(17, 0)
+			offA, scratch, err := s.writeSegment(a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := mk(5, 1000)
+			offB, _, err := s.writeSegment(b, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(17 * stride * recWordBytes); offB != want {
+				t.Errorf("second segment offset = %d, want %d", offB, want)
+			}
+			got, _, err := s.readWindow(nil, nil, offA, 0, len(a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, got) {
+				t.Errorf("segment A round-trip differs")
+			}
+			win, _, err := s.readWindow(nil, nil, offA, 4*stride, 9*stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a[4*stride:13*stride], win) {
+				t.Errorf("sub-window of records [4:13) round-trip differs")
+			}
+			got, _, err = s.readWindow(got, nil, offB, 0, len(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(b, got) {
+				t.Errorf("segment B round-trip differs")
+			}
+			empty, _, err := s.readWindow(nil, nil, offA, 3*stride, 0)
+			if err != nil || len(empty) != 0 {
+				t.Errorf("empty window: recs=%v err=%v", empty, err)
+			}
+		})
 	}
 }
 
@@ -251,29 +267,34 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 		FaultVertexCompute, FaultRouting, FaultChunkExec, FaultSteal,
 		FaultFold, FaultRouteCount, FaultRoutePrefix, FaultRoutePlace,
 	}
+	// The whole matrix runs at stride 2 (slots declared) and at stride 5
+	// (undeclared); the reference is the narrow fault-free run, so the
+	// wide faulty runs are also checked against the other width.
 	for _, group := range scheduleGroups(Config{Seed: 3}) {
 		labels, st := runMinLabel(t, g, n, group[0])
 		for _, cfg := range group {
 			for _, p := range phases {
-				t.Run(scheduleName(cfg)+"/"+p.String(), func(t *testing.T) {
-					faulty := cfg
-					faulty.CheckpointEvery = 2
-					faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
-					fLabels, fst := runMinLabel(t, g, n, faulty)
-					if !reflect.DeepEqual(labels, fLabels) {
-						t.Errorf("labels differ from the fault-free reference")
-					}
-					if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
-						t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
-					}
-					if fst.Recoveries != 1 {
-						t.Errorf("Recoveries = %d, want 1", fst.Recoveries)
-					}
-					// Checkpoint at 2, crash at 3: supersteps 2..3 re-executed.
-					if fst.RecoveredSupersteps != 2 {
-						t.Errorf("RecoveredSupersteps = %d, want 2", fst.RecoveredSupersteps)
-					}
-				})
+				for _, width := range []slotDecl{slotsExact, slotsNil} {
+					t.Run(scheduleName(cfg)+"/"+p.String()+"/slots="+width.String(), func(t *testing.T) {
+						faulty := cfg
+						faulty.CheckpointEvery = 2
+						faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
+						fLabels, fst := runMinLabelWidth(t, g, n, faulty, width)
+						if !reflect.DeepEqual(labels, fLabels) {
+							t.Errorf("labels differ from the fault-free reference")
+						}
+						if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+							t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
+						}
+						if fst.Recoveries != 1 {
+							t.Errorf("Recoveries = %d, want 1", fst.Recoveries)
+						}
+						// Checkpoint at 2, crash at 3: supersteps 2..3 re-executed.
+						if fst.RecoveredSupersteps != 2 {
+							t.Errorf("RecoveredSupersteps = %d, want 2", fst.RecoveredSupersteps)
+						}
+					})
+				}
 			}
 		}
 	}

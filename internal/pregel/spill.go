@@ -4,22 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-
-	"gmpregel/internal/graph"
 )
-
-// spillRecBytes is the fixed on-disk size of one spilled message:
-// 4-byte destination id, 1-byte type tag, four 8-byte payload slots.
-// The encoding is position-independent, so a window of records can be
-// read back from any offset with a single ReadAt.
-const spillRecBytes = 4 + 1 + 8*MaxPayloadSlots
 
 // spillStore is the governor's temp-file segment store for inboxes that
 // no longer fit the memory budget. The file is created lazily, unlinked
 // immediately (the OS reclaims it when the run exits, even on a crash),
 // and written append-only: each spill event claims a contiguous segment
-// of records. Reads use ReadAt, which is safe for concurrent use by
-// stealing executors.
+// of records, stored as their words in little-endian order — the same
+// recWordBytes per word as in RAM, so a window of records can be read
+// back from any word offset with a single ReadAt. Reads use ReadAt, which
+// is safe for concurrent use by stealing executors.
 type spillStore struct {
 	f    *os.File
 	size int64 // bytes written so far (next segment offset)
@@ -49,20 +43,20 @@ func (s *spillStore) close() {
 	s.size = 0
 }
 
-// writeSegment appends msgs as one contiguous segment and returns its
-// byte offset. The encoding round-trips bit-identically: every payload
-// slot is stored raw.
-func (s *spillStore) writeSegment(msgs []Msg, scratch []byte) (off int64, buf []byte, err error) {
+// writeSegment appends words as one contiguous segment and returns its
+// byte offset. The encoding round-trips bit-identically: every word is
+// stored raw.
+func (s *spillStore) writeSegment(words []uint64, scratch []byte) (off int64, buf []byte, err error) {
 	if err := s.open(); err != nil {
 		return 0, scratch, err
 	}
-	need := len(msgs) * spillRecBytes
+	need := len(words) * recWordBytes
 	if cap(scratch) < need {
 		scratch = make([]byte, need)
 	}
 	buf = scratch[:need]
-	for i := range msgs {
-		encodeSpillRec(buf[i*spillRecBytes:(i+1)*spillRecBytes], &msgs[i])
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(buf[i*recWordBytes:], w)
 	}
 	off = s.size
 	if _, err := s.f.WriteAt(buf, off); err != nil {
@@ -72,42 +66,26 @@ func (s *spillStore) writeSegment(msgs []Msg, scratch []byte) (off int64, buf []
 	return off, buf, nil
 }
 
-// readWindow reads count records starting at record index first of the
-// segment at off into dst (grown as needed) and decodes them.
-func (s *spillStore) readWindow(dst []Msg, raw []byte, off int64, first, count int) ([]Msg, []byte, error) {
-	need := count * spillRecBytes
+// readWindow reads count words starting at word index first of the
+// segment at off into dst (grown as needed).
+func (s *spillStore) readWindow(dst []uint64, raw []byte, off int64, first, count int) ([]uint64, []byte, error) {
+	need := count * recWordBytes
 	if cap(raw) < need {
 		raw = make([]byte, need)
 	}
 	raw = raw[:need]
 	if cap(dst) < count {
-		dst = make([]Msg, count)
+		dst = make([]uint64, count)
 	}
 	dst = dst[:count]
 	if count == 0 {
 		return dst, raw, nil
 	}
-	if _, err := s.f.ReadAt(raw, off+int64(first)*spillRecBytes); err != nil {
+	if _, err := s.f.ReadAt(raw, off+int64(first)*recWordBytes); err != nil {
 		return dst, raw, fmt.Errorf("pregel: spill read failed: %w", err)
 	}
 	for i := range dst {
-		decodeSpillRec(raw[i*spillRecBytes:(i+1)*spillRecBytes], &dst[i])
+		dst[i] = binary.LittleEndian.Uint64(raw[i*recWordBytes:])
 	}
 	return dst, raw, nil
-}
-
-func encodeSpillRec(b []byte, m *Msg) {
-	binary.LittleEndian.PutUint32(b[0:4], uint32(m.Dst))
-	b[4] = m.Type
-	for s := 0; s < MaxPayloadSlots; s++ {
-		binary.LittleEndian.PutUint64(b[5+8*s:], m.V[s])
-	}
-}
-
-func decodeSpillRec(b []byte, m *Msg) {
-	m.Dst = graph.NodeID(int32(binary.LittleEndian.Uint32(b[0:4])))
-	m.Type = b[4]
-	for s := 0; s < MaxPayloadSlots; s++ {
-		m.V[s] = binary.LittleEndian.Uint64(b[5+8*s:])
-	}
 }
