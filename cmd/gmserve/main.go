@@ -4,7 +4,7 @@
 // algorithms against them over an HTTP/JSON API, with per-tenant
 // admission control, result caching, and live introspection.
 //
-// Server mode:
+// Usage:
 //
 //	gmserve -addr :8090 -graph bench=twitter:1
 //
@@ -21,43 +21,29 @@
 //	GET  /serverz       everything above in one snapshot
 //	/metrics, /metrics.json, /healthz, /debug/pprof/*  (obs handler)
 //
-// Load-test mode (-loadtest) starts an in-process server on a loopback
-// port, replays a seeded mixed-tenant workload against it (cache
-// warm-up, a concurrent storm, a guaranteed cache-hit probe, and a
-// guaranteed 429 probe), and writes a machine-readable
-// throughput/latency report (-report, default BENCH_PR8.json).
-// See docs/SERVING.md.
+// See docs/SERVING.md. Closed-loop throughput and latency are measured
+// by the benchmark spine's serve-mix workload (go run ./benchmark).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"gmpregel/internal/serve"
 )
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8090", "listen address (server mode)")
+		addr     = flag.String("addr", ":8090", "listen address")
 		workers  = flag.Int("workers", 4, "engine workers per job")
 		seed     = flag.Int64("seed", 1, "engine seed for every run (fixed per server: cache soundness)")
 		capacity = flag.Int("capacity", 8, "globally concurrent engine runs")
 		cacheMB  = flag.Int64("cache-mb", 64, "result-cache budget in MiB")
 		graph    = flag.String("graph", "", "preload a snapshot, name=builder:scale (e.g. bench=twitter:1)")
-
-		loadtest = flag.Bool("loadtest", false, "run the deterministic load test against an in-process server and exit")
-		clients  = flag.Int("clients", 32, "loadtest: concurrent clients")
-		requests = flag.Int("requests", 4, "loadtest: requests per client")
-		scale    = flag.Int("scale", 1, "loadtest: graph scale")
-		builder  = flag.String("builder", "twitter", "loadtest: graph builder")
-		report   = flag.String("report", "BENCH_PR8.json", "loadtest: machine-readable report path")
 	)
 	flag.Parse()
 
@@ -82,11 +68,6 @@ func main() {
 			snap.ID(), snap.Graph.NumNodes(), snap.Graph.NumEdges())
 	}
 
-	if *loadtest {
-		runLoadtest(srv, *seed, *clients, *requests, *scale, *builder, *report)
-		return
-	}
-
 	fmt.Fprintf(os.Stderr, "gmserve: serving on %s\n", *addr)
 	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
 		fatalf("%v", err)
@@ -109,64 +90,6 @@ func parseGraphFlag(s string, seed int64) (serve.GraphSpec, error) {
 		scale = n
 	}
 	return serve.GraphSpec{Name: name, Builder: builder, Scale: scale, InputsSeed: seed + 7}, nil
-}
-
-// runLoadtest serves srv on a loopback port and fires the seeded
-// workload at it. Exits nonzero when the deterministic probes (cache
-// hit, 429) did not land or any request failed outright.
-func runLoadtest(srv *serve.Server, seed int64, clients, requests, scale int, builder, reportPath string) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("loadtest listen: %v", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-
-	start := time.Now()
-	rep, err := serve.RunLoad(serve.LoadOptions{
-		BaseURL: "http://" + ln.Addr().String(),
-		Seed:    seed,
-		Builder: builder,
-		Scale:   scale,
-		Clients: clients, RequestsPerClient: requests,
-	})
-	if err != nil {
-		fatalf("loadtest: %v", err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatalf("loadtest: encoding report: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(reportPath, data, 0o644); err != nil {
-		fatalf("loadtest: writing %s: %v", reportPath, err)
-	}
-
-	fmt.Printf("loadtest: %d storm requests (%d clients × %d), wall %s\n",
-		rep.Requests, rep.Clients, rep.RequestsPerClient, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  ok %d  429 %d  failed %d  cache hits %d  compile jobs %d\n",
-		rep.OK, rep.Rejected429, rep.Failed, rep.CacheHits, rep.CompileJobs)
-	fmt.Printf("  throughput %.1f req/s  p50 %s  p95 %s  p99 %s\n",
-		rep.ThroughputRPS,
-		time.Duration(rep.LatencyP50NS).Round(time.Microsecond),
-		time.Duration(rep.LatencyP95NS).Round(time.Microsecond),
-		time.Duration(rep.LatencyP99NS).Round(time.Microsecond))
-	fmt.Printf("  probes: cache hit %v, quota 429 %v\n", rep.ProbeCacheHit, rep.ProbeRejected)
-	fmt.Printf("  report: %s\n", reportPath)
-
-	if rep.Failed > 0 {
-		fatalf("loadtest: %d requests failed", rep.Failed)
-	}
-	if !rep.ProbeCacheHit {
-		fatalf("loadtest: cache-hit probe did not observe a hit")
-	}
-	if !rep.ProbeRejected {
-		fatalf("loadtest: saturation probe did not observe a 429")
-	}
-	if rep.CacheHits == 0 {
-		fatalf("loadtest: storm observed no cache hits")
-	}
 }
 
 func fatalf(format string, args ...any) {

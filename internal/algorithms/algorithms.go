@@ -2,7 +2,10 @@
 // algorithms evaluated in the paper (Fig. 2, Fig. 4, and Appendix B):
 // Average Teenage Followers, PageRank, Conductance, Single-Source
 // Shortest Paths, Random Bipartite Matching, and Approximate Betweenness
-// Centrality.
+// Centrality. It also owns the evaluation's input convention (the
+// Table 1 graph stand-ins, the derived input columns, the default
+// parameters, and their binding to each program), shared by gmbench,
+// gmpc -run and the job server.
 package algorithms
 
 // AvgTeen computes, for every user, the number of teenage followers, and

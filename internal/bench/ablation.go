@@ -30,14 +30,14 @@ type AblationRow struct {
 //
 // It returns the rows and writes a table.
 func Ablation(w io.Writer, scale, workers, trials int, seed int64) ([]AblationRow, error) {
-	spec, err := GraphByName("twitter")
+	spec, err := algorithms.GraphByName("twitter")
 	if err != nil {
 		return nil, err
 	}
 	g := spec.Build(scale)
-	in := MakeInputs(g, g.NumNodes()/2, seed+7)
-	p := DefaultParams()
-	cfg := engineConfig(workers, seed)
+	in := algorithms.MakeInputs(g, g.NumNodes()/2, seed+7)
+	p := algorithms.DefaultParams()
+	cfg := pregel.Config{NumWorkers: workers, Seed: seed}
 
 	modes := []struct {
 		name     string
@@ -61,7 +61,7 @@ func Ablation(w io.Writer, scale, workers, trials int, seed int64) ([]AblationRo
 			if err != nil {
 				return nil, err
 			}
-			b := bindingsFor(algo, in, p)
+			b := algorithms.Bindings(algo, in, p)
 			var stats pregel.Stats
 			d, err := timeRun(trials, func() error {
 				res, err := machine.RunWithOptions(c.Program, g, b, cfg, machine.RunOptions{UseCombiners: mode.combiner})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"gmpregel/internal/algorithms"
 	"gmpregel/internal/manual"
 	"gmpregel/internal/pregel"
 )
@@ -27,13 +28,13 @@ type ActivityProfile struct {
 // manual SSSP (with voteToHalt) against the generated program's
 // every-vertex-every-superstep schedule.
 func SSSPActivity(w io.Writer, scale, workers int, seed int64) (*ActivityProfile, error) {
-	spec, err := GraphByName("twitter")
+	spec, err := algorithms.GraphByName("twitter")
 	if err != nil {
 		return nil, err
 	}
 	g := spec.Build(scale)
-	in := MakeInputs(g, 0, seed+7)
-	cfg := engineConfig(workers, seed)
+	in := algorithms.MakeInputs(g, 0, seed+7)
+	cfg := pregel.Config{NumWorkers: workers, Seed: seed}
 	cfg.TraceSteps = true
 
 	job := &manual.SSSP{Root: in.Root, Len: in.EdgeLen, Dist: make([]int64, g.NumNodes())}
@@ -49,7 +50,7 @@ func SSSPActivity(w io.Writer, scale, workers int, seed int64) (*ActivityProfile
 		prof.TailActiveFraction = float64(prof.Supersteps[n-1]) / float64(g.NumNodes())
 	}
 
-	gen, err := RunGenerated("sssp", g, in, DefaultParams(), cfg, 1)
+	gen, err := RunGenerated("sssp", g, in, algorithms.DefaultParams(), cfg, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -13,61 +13,23 @@ import (
 	"gmpregel/internal/pregel"
 )
 
-// Params are the algorithm parameters used throughout the evaluation.
-type Params struct {
-	AvgTeenK   int64
-	PRBeps     float64
-	PRDamping  float64
-	PRMaxIter  int
-	ConductNum int64
-	BCSamples  int64
-}
-
-// DefaultParams mirror the paper's setups (ε and damping from the
-// PageRank literature; K and num arbitrary but fixed).
-func DefaultParams() Params {
-	return Params{
-		AvgTeenK:   40,
-		PRBeps:     1e-4,
-		PRDamping:  0.85,
-		PRMaxIter:  20,
-		ConductNum: 1,
-		BCSamples:  4,
-	}
-}
-
-// Outcome is one measured run. NsPerSuperstep divides the best trial's
-// wall time by the superstep count; AllocsPerSuperstep divides the best
-// trial's heap-allocation count the same way (per-run setup included,
-// so it bounds — and in steady state approaches — the engine's
-// per-superstep allocation bill, which PR 4 drove to zero).
+// Outcome is one measured run: the best trial's wall time and the
+// run's Stats.
 type Outcome struct {
-	Elapsed            time.Duration
-	Stats              pregel.Stats
-	NsPerSuperstep     int64   `json:"ns_per_superstep"`
-	AllocsPerSuperstep float64 `json:"allocs_per_superstep"`
-}
-
-// newOutcome derives the per-superstep rates from one measured run.
-func newOutcome(d time.Duration, allocs uint64, st pregel.Stats) Outcome {
-	o := Outcome{Elapsed: d, Stats: st}
-	if st.Supersteps > 0 {
-		o.NsPerSuperstep = d.Nanoseconds() / int64(st.Supersteps)
-		o.AllocsPerSuperstep = float64(allocs) / float64(st.Supersteps)
-	}
-	return o
+	Elapsed time.Duration
+	Stats   pregel.Stats
 }
 
 // RunGenerated compiles (or reuses) the named algorithm and executes the
 // generated Pregel program on g.
-func RunGenerated(name string, g *graph.Directed, in *Inputs, p Params, cfg pregel.Config, trials int) (Outcome, error) {
+func RunGenerated(name string, g *graph.Directed, in *algorithms.Inputs, p algorithms.Params, cfg pregel.Config, trials int) (Outcome, error) {
 	c, err := CompiledProgram(name)
 	if err != nil {
 		return Outcome{}, err
 	}
-	b := bindingsFor(name, in, p)
+	b := algorithms.Bindings(name, in, p)
 	var last *machine.Result
-	d, allocs, err := timeAndAllocRun(trials, func() error {
+	d, err := timeRun(trials, func() error {
 		res, err := machine.Run(c.Program, g, b, cfg)
 		if err != nil {
 			return err
@@ -78,7 +40,7 @@ func RunGenerated(name string, g *graph.Directed, in *Inputs, p Params, cfg preg
 	if err != nil {
 		return Outcome{}, err
 	}
-	return newOutcome(d, allocs, last.Stats), nil
+	return Outcome{Elapsed: d, Stats: last.Stats}, nil
 }
 
 var compiledCache = map[string]*core.Compiled{}
@@ -100,43 +62,9 @@ func CompiledProgram(name string) (*core.Compiled, error) {
 	return c, nil
 }
 
-func bindingsFor(name string, in *Inputs, p Params) machine.Bindings {
-	switch name {
-	case "avgteen":
-		return machine.Bindings{
-			Int:         map[string]int64{"K": p.AvgTeenK},
-			NodePropInt: map[string][]int64{"age": in.Age},
-		}
-	case "pagerank":
-		return machine.Bindings{
-			Float: map[string]float64{"e": p.PRBeps, "d": p.PRDamping},
-			Int:   map[string]int64{"max_iter": int64(p.PRMaxIter)},
-		}
-	case "conductance":
-		return machine.Bindings{
-			Int:         map[string]int64{"num": p.ConductNum},
-			NodePropInt: map[string][]int64{"member": in.Member},
-		}
-	case "sssp":
-		return machine.Bindings{
-			Node:        map[string]graph.NodeID{"root": in.Root},
-			EdgePropInt: map[string][]int64{"len": in.EdgeLen},
-		}
-	case "bipartite":
-		return machine.Bindings{
-			NodePropBool: map[string][]bool{"is_boy": in.IsBoy},
-		}
-	case "bc":
-		return machine.Bindings{
-			Int: map[string]int64{"K": p.BCSamples},
-		}
-	}
-	return machine.Bindings{}
-}
-
 // RunManual executes the hand-written Pregel baseline for the named
 // algorithm.
-func RunManual(name string, g *graph.Directed, in *Inputs, p Params, cfg pregel.Config, trials int) (Outcome, error) {
+func RunManual(name string, g *graph.Directed, in *algorithms.Inputs, p algorithms.Params, cfg pregel.Config, trials int) (Outcome, error) {
 	n := g.NumNodes()
 	var newJob func() pregel.Job
 	switch name {
@@ -164,7 +92,7 @@ func RunManual(name string, g *graph.Directed, in *Inputs, p Params, cfg pregel.
 		return Outcome{}, fmt.Errorf("bench: no manual implementation of %q (the paper has none either)", name)
 	}
 	var last pregel.Stats
-	d, allocs, err := timeAndAllocRun(trials, func() error {
+	d, err := timeRun(trials, func() error {
 		st, err := pregel.Run(g, newJob(), cfg)
 		if err != nil {
 			return err
@@ -175,7 +103,7 @@ func RunManual(name string, g *graph.Directed, in *Inputs, p Params, cfg pregel.
 	if err != nil {
 		return Outcome{}, err
 	}
-	return newOutcome(d, allocs, last), nil
+	return Outcome{Elapsed: d, Stats: last}, nil
 }
 
 // Fig6Row is one bar of Figure 6 plus the §5.2 timestep / network-I/O
@@ -203,19 +131,19 @@ func Fig6Pairs() [][2]string {
 
 // Figure6 runs every pair and writes the figure's data table.
 func Figure6(w io.Writer, scale, workers, trials int, seed int64) ([]Fig6Row, error) {
-	p := DefaultParams()
-	cfg := engineConfig(workers, seed)
+	p := algorithms.DefaultParams()
+	cfg := pregel.Config{NumWorkers: workers, Seed: seed}
 	var rows []Fig6Row
 	graphs := map[string]*graph.Directed{}
-	inputs := map[string]*Inputs{}
-	for _, spec := range Graphs() {
+	inputs := map[string]*algorithms.Inputs{}
+	for _, spec := range algorithms.Graphs() {
 		g := spec.Build(scale)
 		graphs[spec.Name] = g
 		boys := 0
 		if spec.BipartiteBoys != nil {
 			boys = spec.BipartiteBoys(scale)
 		}
-		inputs[spec.Name] = MakeInputs(g, boys, seed+7)
+		inputs[spec.Name] = algorithms.MakeInputs(g, boys, seed+7)
 	}
 	fmt.Fprintf(w, "Figure 6: runtime of compiler-generated Pregel programs, normalized to manual implementations\n")
 	fmt.Fprintf(w, "%-12s %-10s %12s %12s %6s | %9s %9s | %14s %14s\n",
@@ -243,10 +171,4 @@ func Figure6(w io.Writer, scale, workers, trials int, seed int64) ([]Fig6Row, er
 			man.Stats.NetworkBytes, genOut.Stats.NetworkBytes)
 	}
 	return rows, nil
-}
-
-// runOnce executes a compiled program once and returns the full result
-// (used by tests that inspect output properties).
-func runOnce(c *core.Compiled, g *graph.Directed, in *Inputs, p Params, cfg pregel.Config) (*machine.Result, error) {
-	return machine.Run(c.Program, g, bindingsFor(c.Program.Name, in, p), cfg)
 }

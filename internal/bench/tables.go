@@ -9,6 +9,7 @@ import (
 	"gmpregel/internal/core"
 	"gmpregel/internal/graph"
 	"gmpregel/internal/machine"
+	"gmpregel/internal/pregel"
 	"gmpregel/internal/seq"
 )
 
@@ -24,7 +25,7 @@ func Table1(w io.Writer, scale int) ([]Table1Row, error) {
 	fmt.Fprintf(w, "Table 1: input graphs (scaled stand-ins; paper originals in parentheses)\n")
 	fmt.Fprintf(w, "%-10s %10s %12s %8s %10s  %s\n", "name", "nodes", "edges", "maxdeg", "avgdeg", "description")
 	var out []Table1Row
-	for _, spec := range Graphs() {
+	for _, spec := range algorithms.Graphs() {
 		g := spec.Build(scale)
 		st := graph.ComputeStats(g)
 		out = append(out, Table1Row{Name: spec.Name, Stats: st})
@@ -156,14 +157,14 @@ func BCExperiment(w io.Writer, scale, workers int, seed int64) (*BCReport, error
 	if err != nil {
 		return nil, err
 	}
-	spec, err := GraphByName("sk2005")
+	spec, err := algorithms.GraphByName("sk2005")
 	if err != nil {
 		return nil, err
 	}
 	g := spec.Build(scale)
-	p := DefaultParams()
-	cfg := engineConfig(workers, seed)
-	res, err := machine.Run(c.Program, g, bindingsFor("bc", nil, p), cfg)
+	p := algorithms.DefaultParams()
+	cfg := pregel.Config{NumWorkers: workers, Seed: seed}
+	res, err := machine.Run(c.Program, g, algorithms.Bindings("bc", nil, p), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -191,7 +191,8 @@ func (r *Ring) Dropped() int64 {
 }
 
 // JSONL streams spans as JSON Lines (one span object per line), the
-// on-disk trace format gmbench -trace persists.
+// on-disk trace format ReadJSONL parses back (exposed publicly as
+// gmpregel.NewTraceWriter).
 type JSONL struct {
 	mu  sync.Mutex
 	enc *json.Encoder

@@ -101,8 +101,8 @@ func (j *job) status() JobStatus {
 
 // buildBindings maps a program's declared parameters onto the request
 // params and the snapshot's deterministic input columns, mirroring
-// gmbench's conventions (age/member/is_boy/len columns, root node) so
-// a served run is bit-identical to the CLI run.
+// algorithms.Bindings (age/member/is_boy/len columns, root node) so a
+// served run is bit-identical to the CLI run.
 func buildBindings(p *machine.Program, snap *Snapshot, params map[string]any) (machine.Bindings, error) {
 	b := machine.Bindings{}
 	declared := map[string]bool{}
@@ -207,6 +207,12 @@ func asInt(name string, v any) (int64, error) {
 	}
 	if f != math.Trunc(f) {
 		return 0, fmt.Errorf("param %q: want integer, got %v", name, f)
+	}
+	// JSON numbers decode as float64, exact only up to 2^53; beyond that
+	// the int64 conversion is implementation-defined (1e300 becomes
+	// math.MinInt64 on amd64).
+	if math.Abs(f) > 1<<53 {
+		return 0, fmt.Errorf("param %q: integer out of range (|n| <= 2^53), got %v", name, f)
 	}
 	return int64(f), nil
 }

@@ -5,14 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"gmpregel/internal/bench"
+	"gmpregel/internal/algorithms"
+	"gmpregel/internal/core"
+	"gmpregel/internal/machine"
 	"gmpregel/internal/pregel"
 )
 
@@ -41,20 +45,25 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, hs
 }
 
+// postJSON posts body as JSON. A failure before a response arrives is
+// reported with t.Error, not t.Fatal, so the storm's goroutines can call
+// it too; the caller then sees status 0.
 func postJSON(t *testing.T, url string, body any) (int, http.Header, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, http.Header{}, nil
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, http.Header{}, nil
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	return resp.StatusCode, resp.Header, payload
 }
@@ -80,19 +89,20 @@ func getJSON(t *testing.T, url string, v any) int {
 
 // TestServedStatsBitIdenticalToBench is the acceptance gate: a job
 // through gmserve produces Stats bit-identical to the same
-// algorithm/params run through the gmbench harness on the same graph —
-// on the cache miss (fresh engine run) and again on the hit.
+// algorithm/params run directly on the engine under gmbench's input
+// convention on the same graph — on the cache miss (fresh engine run)
+// and again on the hit.
 func TestServedStatsBitIdenticalToBench(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 
-	// The reference: gmbench's own path on the identical graph/inputs.
-	spec, err := bench.GraphByName("twitter")
+	// The reference: a direct run on the identical graph/inputs.
+	spec, err := algorithms.GraphByName("twitter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := spec.Build(1)
-	in := bench.MakeInputs(g, 0, testSeed+7)
-	p := bench.DefaultParams()
+	in := algorithms.MakeInputs(g, 0, testSeed+7)
+	p := algorithms.DefaultParams()
 	cfg := pregel.Config{NumWorkers: testWorkers, Seed: testSeed}
 
 	cases := []struct {
@@ -105,9 +115,13 @@ func TestServedStatsBitIdenticalToBench(t *testing.T) {
 		{"sssp", map[string]any{}},
 	}
 	for _, tc := range cases {
-		want, err := bench.RunGenerated(tc.algo, g, in, p, cfg, 1)
+		c, err := core.Compile(algorithms.ByName[tc.algo], core.Options{})
 		if err != nil {
-			t.Fatalf("%s: bench reference: %v", tc.algo, err)
+			t.Fatal(err)
+		}
+		want, err := machine.Run(c.Program, g, algorithms.Bindings(tc.algo, in, p), cfg)
+		if err != nil {
+			t.Fatalf("%s: direct reference run: %v", tc.algo, err)
 		}
 		req := JobRequest{Tenant: "t1", Graph: "bench", Algorithm: tc.algo, Params: tc.params, Wait: true}
 
@@ -127,7 +141,7 @@ func TestServedStatsBitIdenticalToBench(t *testing.T) {
 			t.Fatalf("%s: job not done: %+v", tc.algo, st)
 		}
 		if !reflect.DeepEqual(st.Result.Stats, want.Stats) {
-			t.Errorf("%s: served Stats differ from gmbench (miss path)\n got %+v\nwant %+v", tc.algo, st.Result.Stats, want.Stats)
+			t.Errorf("%s: served Stats differ from the direct run (miss path)\n got %+v\nwant %+v", tc.algo, st.Result.Stats, want.Stats)
 		}
 
 		// Hit: the cached payload replays the identical Stats.
@@ -143,7 +157,7 @@ func TestServedStatsBitIdenticalToBench(t *testing.T) {
 			t.Fatalf("%s: hit not marked cached: %+v", tc.algo, st2)
 		}
 		if !reflect.DeepEqual(st2.Result.Stats, want.Stats) {
-			t.Errorf("%s: cached Stats differ from gmbench\n got %+v\nwant %+v", tc.algo, st2.Result.Stats, want.Stats)
+			t.Errorf("%s: cached Stats differ from the direct run\n got %+v\nwant %+v", tc.algo, st2.Result.Stats, want.Stats)
 		}
 	}
 }
@@ -417,33 +431,168 @@ func TestJobTraceStreamsProgress(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the API's structured rejections.
+// TestBadRequests covers the API's structured rejections, including
+// bodies that would otherwise hang or exhaust the server.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	cases := []struct {
 		name string
-		req  JobRequest
+		path string
+		body any
 		want int
 	}{
-		{"no tenant", JobRequest{Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
-		{"no graph", JobRequest{Tenant: "x", Algorithm: "pagerank"}, http.StatusBadRequest},
-		{"unknown graph", JobRequest{Tenant: "x", Graph: "nope", Algorithm: "pagerank"}, http.StatusNotFound},
-		{"unknown algorithm", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "nope"}, http.StatusBadRequest},
-		{"both algorithm and source", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank", Source: "x"}, http.StatusBadRequest},
-		{"missing params", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
-		{"unknown param", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "sssp",
+		{"no tenant", "/jobs", JobRequest{Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
+		{"no graph", "/jobs", JobRequest{Tenant: "x", Algorithm: "pagerank"}, http.StatusBadRequest},
+		{"unknown graph", "/jobs", JobRequest{Tenant: "x", Graph: "nope", Algorithm: "pagerank"}, http.StatusNotFound},
+		{"unknown algorithm", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "nope"}, http.StatusBadRequest},
+		{"both algorithm and source", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank", Source: "x"}, http.StatusBadRequest},
+		{"missing params", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
+		{"unknown param", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "sssp",
 			Params: map[string]any{"bogus": 1.0}}, http.StatusBadRequest},
-		{"non-integer int param", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "avgteen",
+		{"non-integer int param", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "avgteen",
 			Params: map[string]any{"K": 1.5}}, http.StatusBadRequest},
+		// int64(1e300) is math.MinInt64 on amd64: the run would start
+		// with a nonsense iteration bound.
+		{"int param beyond 2^53", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank",
+			Params: map[string]any{"e": 1e-4, "d": 0.85, "max_iter": 1e300}, Wait: true}, http.StatusBadRequest},
+		// The RMAT size search never terminates at this scale.
+		{"sk2005 scale 1e15", "/graphs", GraphSpec{Name: "huge", Builder: "sk2005", Scale: 1e15}, http.StatusBadRequest},
+		// 5e9 vertices: the generator would take the server down.
+		{"twitter scale 1e6", "/graphs", GraphSpec{Name: "huge", Builder: "twitter", Scale: 1000000}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		code, _, payload := postJSON(t, hs.URL+"/jobs", tc.req)
+		code, _, payload := postJSON(t, hs.URL+tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: want %d, got %d: %s", tc.name, tc.want, code, payload)
 		}
 		var body map[string]any
 		if err := json.Unmarshal(payload, &body); err != nil || body["error"] == nil {
 			t.Errorf("%s: rejection body not structured JSON: %s", tc.name, payload)
+		}
+	}
+}
+
+// asInt accepts every integer a JSON number carries exactly and refuses
+// the rest, whose int64 conversion is implementation-defined.
+func TestAsIntRange(t *testing.T) {
+	for _, f := range []float64{0, -1, 1 << 53, -(1 << 53)} {
+		if n, err := asInt("n", f); err != nil || n != int64(f) {
+			t.Errorf("asInt(%v) = %d, %v; want %d", f, n, err, int64(f))
+		}
+	}
+	for _, f := range []float64{1<<53 + 2, -(1<<53 + 2), 1e300, math.Inf(1)} {
+		if _, err := asInt("n", f); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("asInt(%v): want an out-of-range error, got %v", f, err)
+		}
+	}
+}
+
+// buildGraph refuses a scale above maxGraphScale for every builder,
+// naming the bound, before any generator runs; an unset scale means 1.
+func TestBuildGraphScaleBound(t *testing.T) {
+	for _, b := range []string{"twitter", "bipartite", "sk2005", "ring", "random"} {
+		_, _, err := buildGraph(GraphSpec{Builder: b, Scale: maxGraphScale + 1})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxGraphScale)) {
+			t.Errorf("%s at scale %d: want an error naming the bound, got %v", b, maxGraphScale+1, err)
+		}
+	}
+	g, _, err := buildGraph(GraphSpec{Builder: "ring"})
+	if err != nil || g.NumNodes() != 512 {
+		t.Fatalf("ring at default scale: %v", err)
+	}
+}
+
+// TestLoadStorm256Concurrent is the serving layer's concurrency gate:
+// 256 concurrent clients of three tenants, mixing cached and uncached
+// built-ins with compile-from-source jobs against one resident graph,
+// get only 200s and 429s, hit the warm cache, and leave per-tenant
+// admission decisions on /metrics. CI runs it under -race.
+func TestLoadStorm256Concurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm test skipped in -short mode")
+	}
+	s, hs := newTestServer(t, Options{Workers: 2, Capacity: 8})
+	// The ring keeps per-request engine work trivial so the storm
+	// exercises the serving layer, not the kernels.
+	if _, _, err := s.LoadGraph(GraphSpec{Name: "ring", Builder: "ring", Scale: 1, InputsSeed: testSeed + 7}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetQuota("alpha", Quota{MaxConcurrent: 4, MaxQueued: 1024, Weight: 4})
+	s.SetQuota("beta", Quota{MaxConcurrent: 2, MaxQueued: 1024, Weight: 1})
+	s.SetQuota("limited", Quota{MaxConcurrent: 1, MaxQueued: -1, Weight: 1})
+
+	queries := []JobRequest{
+		{Algorithm: "pagerank", Params: map[string]any{"e": 1e-4, "d": 0.85, "max_iter": 5}},
+		{Algorithm: "avgteen", Params: map[string]any{"K": 40}},
+		{Source: algorithms.DegreeStats},
+		{Algorithm: "pagerank", Params: map[string]any{"e": 1e-4, "d": 0.85, "max_iter": 3}, NoCache: true},
+	}
+	for _, q := range queries[:3] { // warm every cacheable query once
+		q.Tenant, q.Graph, q.Wait = "alpha", "ring", true
+		if code, _, payload := postJSON(t, hs.URL+"/jobs", q); code != http.StatusOK {
+			t.Fatalf("warm-up: HTTP %d: %s", code, payload)
+		}
+	}
+	// "limited" fills its one slot with a long PageRank (e=0 on the
+	// twitter graph; Close cancels it), so its uncached storm requests
+	// are rejected.
+	pin := JobRequest{Tenant: "limited", Graph: "bench", Algorithm: "pagerank",
+		Params: map[string]any{"e": 0.0, "d": 0.85, "max_iter": 1 << 20}, NoCache: true}
+	if code, _, payload := postJSON(t, hs.URL+"/jobs", pin); code != http.StatusAccepted {
+		t.Fatalf("pinning job: want 202, got %d: %s", code, payload)
+	}
+
+	var (
+		mu    sync.Mutex
+		codes = map[int]int{}
+		hits  int
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < 256; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := queries[i%len(queries)]
+			req.Tenant, req.Graph, req.Wait = [...]string{"alpha", "beta"}[i%2], "ring", true
+			if i%8 == 7 { // always the uncached query
+				req.Tenant = "limited"
+			}
+			code, hdr, _ := postJSON(t, hs.URL+"/jobs", req)
+			mu.Lock()
+			defer mu.Unlock()
+			codes[code]++
+			if hdr.Get("X-Cache") == "hit" {
+				hits++
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	t.Logf("storm: HTTP status counts %v, %d cache hits", codes, hits)
+	for code, n := range codes {
+		if code != http.StatusOK && code != http.StatusTooManyRequests {
+			t.Errorf("%d storm requests answered HTTP %d", n, code)
+		}
+	}
+	if hits == 0 {
+		t.Error("warm cache observed no hits during the storm")
+	}
+	if codes[http.StatusTooManyRequests] == 0 {
+		t.Error("saturated tenant was never rejected with 429")
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`serve_admission_total{decision="admit",tenant="alpha"}`,
+		`serve_admission_total{decision="admit",tenant="beta"}`,
+		`serve_admission_total{decision="reject",tenant="limited"}`,
+	} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("/metrics missing %s", want)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gmpregel/internal/bench"
+	"gmpregel/internal/algorithms"
 	"gmpregel/internal/graph"
 	"gmpregel/internal/graph/gen"
 )
@@ -28,12 +28,12 @@ type Snapshot struct {
 	Builder string
 	Scale   int
 	// InputsSeed seeds the deterministic per-algorithm input columns
-	// (ages, edge lengths, …) derived from the graph, mirroring
-	// gmbench's bench.MakeInputs convention so served runs are
-	// bit-identical to CLI runs.
+	// (ages, edge lengths, …) derived from the graph by
+	// algorithms.MakeInputs, the convention gmbench and gmpc -run use, so
+	// served runs are bit-identical to CLI runs.
 	InputsSeed int64
 	Graph      *graph.Directed
-	Inputs     *bench.Inputs
+	Inputs     *algorithms.Inputs
 
 	refs    atomic.Int64 // pins: registry's own ref + one per live job
 	retired atomic.Bool  // no longer the current version of its name
@@ -66,28 +66,39 @@ func (s *Snapshot) release() {
 }
 
 // GraphSpec describes how to materialize a snapshot. Builders are the
-// gmbench evaluation graphs plus two small synthetic shapes for tests
-// and load experiments.
+// paper's evaluation graphs (algorithms.Graphs) plus two small synthetic
+// shapes for tests.
 type GraphSpec struct {
 	Name    string `json:"name"`
 	Builder string `json:"builder"` // twitter | bipartite | sk2005 | ring | random
-	Scale   int    `json:"scale,omitempty"`
+	// Scale multiplies the builder's size, 1 (the default) to
+	// maxGraphScale.
+	Scale int `json:"scale,omitempty"`
 	// InputsSeed seeds the derived input columns; gmbench uses its
 	// -seed value plus 7.
 	InputsSeed int64 `json:"inputs_seed,omitempty"`
 }
 
+// maxGraphScale bounds GraphSpec.Scale. At 64 the largest builder,
+// sk2005, is 2^19 vertices and ~9 M edges; a request far beyond it would
+// exhaust the server's memory in the generator (or, for sk2005, never
+// leave its size search), so it is refused up front.
+const maxGraphScale = 64
+
 // buildGraph materializes the spec's graph and input columns.
-func buildGraph(spec GraphSpec) (*graph.Directed, *bench.Inputs, error) {
+func buildGraph(spec GraphSpec) (*graph.Directed, *algorithms.Inputs, error) {
 	scale := spec.Scale
 	if scale <= 0 {
 		scale = 1
+	}
+	if scale > maxGraphScale {
+		return nil, nil, fmt.Errorf("serve: graph scale %d exceeds the maximum of %d", spec.Scale, maxGraphScale)
 	}
 	var g *graph.Directed
 	boys := 0
 	switch spec.Builder {
 	case "twitter", "bipartite", "sk2005":
-		bs, err := bench.GraphByName(spec.Builder)
+		bs, err := algorithms.GraphByName(spec.Builder)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -102,7 +113,7 @@ func buildGraph(spec GraphSpec) (*graph.Directed, *bench.Inputs, error) {
 	default:
 		return nil, nil, fmt.Errorf("serve: unknown graph builder %q (want twitter, bipartite, sk2005, ring, or random)", spec.Builder)
 	}
-	return g, bench.MakeInputs(g, boys, spec.InputsSeed), nil
+	return g, algorithms.MakeInputs(g, boys, spec.InputsSeed), nil
 }
 
 // snapshotRegistry maps snapshot names to their current version and
