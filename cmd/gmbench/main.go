@@ -5,7 +5,7 @@
 //	gmbench -table 3       transformations applied per algorithm (Table 3)
 //	gmbench -figure6       generated-vs-manual runtime/steps/bytes (Figure 6)
 //	gmbench -bc            the §5.1 Betweenness Centrality experiment
-//	gmbench -ablation      optimization / combiner ablation table
+//	gmbench -ablation      compiler-optimization ablation table
 //	gmbench -activity      SSSP per-superstep active-vertex profile (§5.2)
 //	gmbench -all           every mode above
 //
@@ -37,7 +37,7 @@ func main() {
 		table    = flag.Int("table", 0, "regenerate table 1, 2, or 3")
 		figure6  = flag.Bool("figure6", false, "regenerate Figure 6")
 		bc       = flag.Bool("bc", false, "run the Betweenness Centrality compilation experiment")
-		ablation = flag.Bool("ablation", false, "measure optimization and combiner ablations")
+		ablation = flag.Bool("ablation", false, "measure the compiler-optimization ablation")
 		activity = flag.Bool("activity", false, "measure the SSSP per-superstep active-vertex profile (§5.2)")
 		all      = flag.Bool("all", false, "regenerate everything")
 		scale    = flag.Int("scale", 2, "graph scale multiplier")

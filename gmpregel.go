@@ -90,9 +90,8 @@ type FaultPlan = pregel.FaultPlan
 type FaultPhase = pregel.FaultPhase
 
 // Fault phases, covering every engine stage: a worker's vertex-compute
-// loop, the routing barrier, chunk execution, a stolen chunk, combiner
-// fold replay, the three segmented-routing sub-phases, and the
-// checkpoint write (a torn snapshot, detected by the codec's integrity
+// loop, the routing barrier, chunk execution, a stolen chunk, the three
+// segmented-routing sub-phases, and the checkpoint write (a torn snapshot, detected by the codec's integrity
 // frame). FaultWatchdog is reported — never armed — when the superstep
 // watchdog converts a stall into supervised recovery.
 const (
@@ -100,7 +99,6 @@ const (
 	FaultRouting       = pregel.FaultRouting
 	FaultChunkExec     = pregel.FaultChunkExec
 	FaultSteal         = pregel.FaultSteal
-	FaultFold          = pregel.FaultFold
 	FaultRouteCount    = pregel.FaultRouteCount
 	FaultRoutePrefix   = pregel.FaultRoutePrefix
 	FaultRoutePlace    = pregel.FaultRoutePlace

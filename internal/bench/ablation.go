@@ -21,14 +21,9 @@ type AblationRow struct {
 	NetBytes   int64
 }
 
-// Ablation measures the design choices DESIGN.md calls out, per
-// algorithm on the twitter-like graph:
-//
-//   - the two §4.2 compiler optimizations (none / state merging / both);
-//   - the engine's optional message combiners on top of full
-//     optimization.
-//
-// It returns the rows and writes a table.
+// Ablation measures the two §4.2 compiler optimizations DESIGN.md calls
+// out (none / state merging / both), per algorithm on the twitter-like
+// graph. It returns the rows and writes a table.
 func Ablation(w io.Writer, scale, workers, trials int, seed int64) ([]AblationRow, error) {
 	spec, err := algorithms.GraphByName("twitter")
 	if err != nil {
@@ -40,18 +35,16 @@ func Ablation(w io.Writer, scale, workers, trials int, seed int64) ([]AblationRo
 	cfg := pregel.Config{NumWorkers: workers, Seed: seed}
 
 	modes := []struct {
-		name     string
-		opts     core.Options
-		combiner bool
+		name string
+		opts core.Options
 	}{
-		{"no-opt", core.Options{DisableStateMerging: true, DisableIntraLoopMerge: true}, false},
-		{"state-merge", core.Options{DisableIntraLoopMerge: true}, false},
-		{"full", core.Options{}, false},
-		{"full+combiners", core.Options{}, true},
+		{"no-opt", core.Options{DisableStateMerging: true, DisableIntraLoopMerge: true}},
+		{"state-merge", core.Options{DisableIntraLoopMerge: true}},
+		{"full", core.Options{}},
 	}
 	algos := []string{"avgteen", "pagerank", "conductance", "sssp"}
 
-	fmt.Fprintf(w, "Ablation: compiler optimizations and engine combiners (graph: twitter scale %d, %d nodes / %d edges)\n",
+	fmt.Fprintf(w, "Ablation: compiler optimizations (graph: twitter scale %d, %d nodes / %d edges)\n",
 		scale, g.NumNodes(), g.NumEdges())
 	fmt.Fprintf(w, "%-12s %-15s %12s %8s %12s %14s\n", "algorithm", "config", "time", "steps", "messages", "net bytes")
 	var rows []AblationRow
@@ -64,7 +57,7 @@ func Ablation(w io.Writer, scale, workers, trials int, seed int64) ([]AblationRo
 			b := algorithms.Bindings(algo, in, p)
 			var stats pregel.Stats
 			d, err := timeRun(trials, func() error {
-				res, err := machine.RunWithOptions(c.Program, g, b, cfg, machine.RunOptions{UseCombiners: mode.combiner})
+				res, err := machine.Run(c.Program, g, b, cfg)
 				if err != nil {
 					return err
 				}

@@ -1,14 +1,15 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"gmpregel/internal/core"
-	"gmpregel/internal/machine"
 	"gmpregel/internal/manual"
 	"gmpregel/internal/pregel"
 )
@@ -21,7 +22,10 @@ import (
 // slot per message field, each hand-written job must declare the same
 // slot counts as the program compiled from its algorithm, and the three
 // engine workloads of BENCHMARK.json must come out at 16 bytes a
-// message in both arms.
+// message in both arms. The same walk pins which message types the
+// compiler folds at delivery, and requires each hand-written job to
+// declare the same folds, so the generated/manual comparison keeps both
+// arms on one delivery path.
 func TestNoJobFallsBackToWideRecords(t *testing.T) {
 	files, err := filepath.Glob("../../benchmark/corpus/*.gm")
 	if err != nil || len(files) != 9 {
@@ -35,6 +39,29 @@ func TestNoJobFallsBackToWideRecords(t *testing.T) {
 		"bipartite":   &manual.Bipartite{},
 	}
 	narrow := map[string]bool{"pagerank": true, "sssp": true, "bipartite": true}
+	wantFolds := map[string][]string{
+		"pagerank": {"t0 sum/float"},
+		"sssp":     {"t0 min/int"},
+		"hits":     {"t1 sum/float", "t2 sum/float"},
+		"wcc":      {"t1 min/int", "t2 min/int"},
+	}
+	// folds lists a schema's folds as "t<type> <op>/<kind>", or without
+	// the type when untyped (hand-written jobs number types as they
+	// please, so those compare as a sorted multiset).
+	folds := func(s pregel.Schema, typed bool) []string {
+		var out []string
+		for t, f := range s.Folds {
+			switch {
+			case f == nil:
+			case typed:
+				out = append(out, fmt.Sprintf("t%d %v/%v", t, f.Op, f.Kind))
+			default:
+				out = append(out, fmt.Sprintf("%v/%v", f.Op, f.Kind))
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
 	for _, file := range files {
 		name := strings.TrimSuffix(filepath.Base(file), ".gm")
 		src, err := os.ReadFile(file)
@@ -46,7 +73,10 @@ func TestNoJobFallsBackToWideRecords(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		prog := compiled.Program
-		schema := prog.Schema(machine.RunOptions{})
+		schema := prog.Schema()
+		if got := folds(schema, true); !reflect.DeepEqual(got, wantFolds[name]) {
+			t.Errorf("%s: folds %v, want %v", name, got, wantFolds[name])
+		}
 		if len(schema.MessageSlots) != len(prog.Msgs) {
 			t.Errorf("%s: %d message types, %d MessageSlots entries", name, len(prog.Msgs), len(schema.MessageSlots))
 			continue
@@ -69,6 +99,9 @@ func TestNoJobFallsBackToWideRecords(t *testing.T) {
 			continue
 		}
 		delete(manuals, name)
+		if got, want := folds(job.Schema(), false), folds(schema, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s (manual): declares folds %v, the compiled program folds %v", name, got, want)
+		}
 		// Hand-written jobs number their types as they please; the slot
 		// counts must match the compiler's as a multiset.
 		declared := append([]int(nil), job.Schema().MessageSlots...)

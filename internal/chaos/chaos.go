@@ -39,7 +39,6 @@ var armablePhases = []pregel.FaultPhase{
 	pregel.FaultRouting,
 	pregel.FaultChunkExec,
 	pregel.FaultSteal,
-	pregel.FaultFold,
 	pregel.FaultRouteCount,
 	pregel.FaultRoutePrefix,
 	pregel.FaultRoutePlace,
@@ -87,7 +86,7 @@ func (s Schedule) String() string {
 // upper bound for fault supersteps — pass the fault-free run's superstep
 // count so every fault lands inside the run. The primary fault phase
 // cycles through armablePhases (guaranteeing full phase coverage every
-// nine schedules); every fourth schedule adds a deadline-guarded worker
+// eight schedules); every fourth schedule adds a deadline-guarded worker
 // stall and every third adds memory-budget pressure, so the pressure
 // dimensions compose with every phase over a full matrix.
 func Generate(seed int64, count, horizon int) []Schedule {

@@ -59,7 +59,7 @@ func (j *rankJob) RestoreState(b []byte) {
 	}
 }
 
-// The generator is a pure function of its inputs, and any nine
+// The generator is a pure function of its inputs, and any eight
 // consecutive schedules cover every armable fault phase.
 func TestGenerateDeterministicAndPhaseComplete(t *testing.T) {
 	a := Generate(42, 18, 9)

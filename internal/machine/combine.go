@@ -11,12 +11,6 @@ import (
 
 // RunOptions control optional executor behavior.
 type RunOptions struct {
-	// UseCombiners installs Pregel message combiners for message types
-	// whose receive handlers are pure single-field reductions (min=, +=,
-	// …). Combining reduces message counts and network bytes — it is an
-	// engine-level optimization the paper's compiler does NOT apply, so
-	// it defaults to off; the ablation benchmarks measure its effect.
-	UseCombiners bool
 	// Interpret executes vertex states through the reference tree-walking
 	// interpreter instead of the closure-compiled bodies. Slower; used by
 	// the differential tests that check both executors agree.
@@ -28,11 +22,13 @@ func RunWithOptions(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config
 	return run(context.Background(), p, g, b, cfg, ro)
 }
 
-// combinableOp returns, for each message type, the reduction operator
-// that makes it combinable (opInvalid when not combinable). A type is
-// combinable when every handler that consumes it is exactly
-// `for msgs { this.prop op= msg.f0 }` with a commutative-associative op
-// and a single payload field.
+// combinableOps returns, for each message type, the reduction operator
+// the engine can fold the type's messages with at delivery (opInvalid
+// when it cannot). A type is combinable when every handler that consumes
+// it is exactly `for msgs { this.prop op= msg.f0 }` over a single-field
+// message, with the property of the field's kind and an op foldFor maps
+// to an engine fold — the handler then runs once on the folded payload
+// and computes what it would have computed message by message.
 func combinableOps(p *Program) []ast.AssignOp {
 	const opInvalid = ast.AssignOp(-1)
 	ops := make([]ast.AssignOp, len(p.Msgs))
@@ -43,12 +39,12 @@ func combinableOps(p *Program) []ast.AssignOp {
 			ops[i] = opInvalid
 		}
 	}
-	var scan func(ss []ir.Stmt, topLevel bool)
-	scan = func(ss []ir.Stmt, topLevel bool) {
+	var scan func(ss []ir.Stmt)
+	scan = func(ss []ir.Stmt) {
 		for _, s := range ss {
 			switch s := s.(type) {
 			case ir.ForMsgs:
-				op := handlerReduction(s)
+				op := handlerReduction(p, s)
 				if ops[s.MsgType] == opUnset {
 					ops[s.MsgType] = op
 				} else if ops[s.MsgType] != op {
@@ -57,19 +53,19 @@ func combinableOps(p *Program) []ast.AssignOp {
 			case ir.CollectInNbrs:
 				ops[s.MsgType] = opInvalid
 			case ir.If:
-				scan(s.Then, false)
-				scan(s.Else, false)
+				scan(s.Then)
+				scan(s.Else)
 			}
 		}
 	}
 	for _, n := range p.Nodes {
 		if n.Vertex != nil {
-			scan(n.Vertex.Body, true)
+			scan(n.Vertex.Body)
 		}
 	}
 	for i := range ops {
 		if ops[i] == opUnset {
-			ops[i] = opInvalid // never received: nothing to combine
+			ops[i] = opInvalid // never received: nothing to fold
 		}
 	}
 	return ops
@@ -79,9 +75,9 @@ const opUnset = ast.AssignOp(-2)
 
 // handlerReduction classifies one handler: the combinable op, or
 // invalid.
-func handlerReduction(f ir.ForMsgs) ast.AssignOp {
+func handlerReduction(p *Program, f ir.ForMsgs) ast.AssignOp {
 	const opInvalid = ast.AssignOp(-1)
-	if len(f.Body) != 1 {
+	if len(f.Body) != 1 || len(p.Msgs[f.MsgType].Fields) != 1 {
 		return opInvalid
 	}
 	sp, ok := f.Body[0].(ir.SetProp)
@@ -89,36 +85,43 @@ func handlerReduction(f ir.ForMsgs) ast.AssignOp {
 		return opInvalid
 	}
 	mf, ok := sp.RHS.(ir.MsgField)
-	if !ok || mf.Idx != 0 {
+	kind := p.Msgs[f.MsgType].Fields[0]
+	if !ok || mf.Idx != 0 || mf.K != kind || p.Props[sp.Slot].Kind != kind || foldFor(kind, sp.Op) == nil {
 		return opInvalid
 	}
-	switch sp.Op {
-	case ast.OpAdd, ast.OpMin, ast.OpMax, ast.OpAnd, ast.OpOr:
-		return sp.Op
-	}
-	return opInvalid
+	return sp.Op
 }
 
-// combinerFor builds the engine combiner for a field kind and op.
-func combinerFor(kind ir.Kind, op ast.AssignOp) pregel.Combiner {
-	return func(into *pregel.Msg, m pregel.Msg) {
-		var a, b ir.Value
-		switch kind {
-		case ir.KFloat:
-			a, b = ir.Float(into.Float(0)), ir.Float(m.Float(0))
-		case ir.KBool:
-			a, b = ir.Bool(into.Bool(0)), ir.Bool(m.Bool(0))
-		default:
-			a, b = ir.Int(into.Int(0)), ir.Int(m.Int(0))
-		}
-		r := ir.Reduce(op, a, b)
-		switch kind {
-		case ir.KFloat:
-			into.SetFloat(0, r.AsFloat())
-		case ir.KBool:
-			into.SetBool(0, r.AsBool())
-		default:
-			into.SetInt(0, r.AsInt())
-		}
+// foldFor maps a reduction over a field kind to the engine's delivery
+// fold, or nil when the engine has none for it.
+func foldFor(kind ir.Kind, op ast.AssignOp) *pregel.Fold {
+	var f pregel.Fold
+	switch op {
+	case ast.OpAdd:
+		f.Op = pregel.AggSum
+	case ast.OpMin:
+		f.Op = pregel.AggMin
+	case ast.OpMax:
+		f.Op = pregel.AggMax
+	case ast.OpOr:
+		f.Op = pregel.AggOr
+	case ast.OpAnd:
+		f.Op = pregel.AggAnd
+	default:
+		return nil
 	}
+	switch kind {
+	case ir.KFloat:
+		f.Kind = pregel.AggKindFloat
+	case ir.KBool:
+		f.Kind = pregel.AggKindBool
+	case ir.KNode:
+		f.Kind = pregel.AggKindNode
+	default:
+		f.Kind = pregel.AggKindInt
+	}
+	if !f.Valid() {
+		return nil
+	}
+	return &f
 }

@@ -90,6 +90,16 @@ func RunContext(ctx context.Context, p *Program, g *graph.Directed, b Bindings, 
 }
 
 func run(ctx context.Context, p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro RunOptions) (*Result, error) {
+	ex, err := newExec(p, g, b, cfg, ro)
+	if err != nil {
+		return nil, err
+	}
+	return ex.result(pregel.RunContext(ctx, g, ex, cfg))
+}
+
+// newExec binds p to g and b: property columns, scalar parameters, and
+// the closure-compiled vertex states with one environment per worker.
+func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro RunOptions) (*exec, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,14 +193,14 @@ func run(ctx context.Context, p *Program, g *graph.Directed, b Bindings, cfg pre
 	for w := range ex.envs {
 		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: make([]ir.Value, maxLocals)}
 	}
-	st, err := pregel.RunContext(ctx, g, ex, cfg)
-	res := &Result{Stats: st, prog: p, cols: ex.cols, Ret: ex.ret, HasRet: ex.retSet}
-	if err != nil {
-		// Partial result: Stats (and whatever the program computed so
-		// far) stay readable alongside the abort error.
-		return res, err
-	}
-	return res, nil
+	return ex, nil
+}
+
+// result wraps a finished run. On an abort error the Result is partial:
+// Stats (and whatever the program computed so far) stay readable
+// alongside the error.
+func (ex *exec) result(st pregel.Stats, err error) (*Result, error) {
+	return &Result{Stats: st, prog: ex.p, cols: ex.cols, Ret: ex.ret, HasRet: ex.retSet}, err
 }
 
 // exec is the interpreter; it implements pregel.Job.
@@ -216,19 +226,26 @@ type exec struct {
 }
 
 // Schema implements pregel.Job.
-func (ex *exec) Schema() pregel.Schema { return ex.p.Schema(ex.opts) }
+func (ex *exec) Schema() pregel.Schema { return ex.p.Schema() }
 
 // Schema declares the communication shape the engine runs p with: the
 // compiler's per-type message layouts (wire bytes, and one payload slot
-// per field, which fixes the engine's record width), the aggregators,
-// the broadcast globals and, under opts.UseCombiners, the inferred
-// combiners.
-func (p *Program) Schema(opts RunOptions) pregel.Schema {
+// per field, which fixes the engine's record width), a delivery fold for
+// every type whose handlers are pure reductions (combinableOps), the
+// aggregators and the broadcast globals.
+func (p *Program) Schema() pregel.Schema {
 	var s pregel.Schema
-	for _, m := range p.Msgs {
+	ops := combinableOps(p)
+	for i, m := range p.Msgs {
 		s.MessagePayloadBytes = append(s.MessagePayloadBytes, m.PayloadBytes())
 		// One payload slot per field: setField writes field i to slot i.
 		s.MessageSlots = append(s.MessageSlots, len(m.Fields))
+		if ops[i] >= 0 {
+			if s.Folds == nil {
+				s.Folds = make([]*pregel.Fold, len(p.Msgs))
+			}
+			s.Folds[i] = foldFor(m.Fields[0], ops[i])
+		}
 	}
 	for _, a := range p.Aggs {
 		spec := pregel.AggSpec{Name: a.Name}
@@ -255,15 +272,6 @@ func (p *Program) Schema(opts RunOptions) pregel.Schema {
 			spec.Op = pregel.AggAny
 		}
 		s.Aggregators = append(s.Aggregators, spec)
-	}
-	if opts.UseCombiners {
-		ops := combinableOps(p)
-		s.Combiners = make([]pregel.Combiner, len(p.Msgs))
-		for i, op := range ops {
-			if op >= 0 {
-				s.Combiners[i] = combinerFor(p.Msgs[i].Fields[0], op)
-			}
-		}
 	}
 	// Global slot 0 broadcasts the state number; slots 1+i broadcast
 	// scalar i when a state reads it.

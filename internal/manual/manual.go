@@ -88,12 +88,14 @@ type PageRank struct {
 	PR      []float64
 }
 
-// Schema declares the single 8-byte contribution message and the diff
-// aggregator.
+// Schema declares the single 8-byte contribution message, folded at
+// delivery into its sum (the receive loop below adds it from zero), and
+// the diff aggregator.
 func (j *PageRank) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{8},
 		MessageSlots:        []int{1},
+		Folds:               []*pregel.Fold{{Op: pregel.AggSum, Kind: pregel.AggKindFloat}},
 		Aggregators: []pregel.AggSpec{
 			{Name: "diff", Kind: pregel.AggKindFloat, Op: pregel.AggSum},
 		},
@@ -247,9 +249,14 @@ type SSSP struct {
 	Dist []int64
 }
 
-// Schema declares the single 8-byte candidate-distance message.
+// Schema declares the single 8-byte candidate-distance message, folded
+// at delivery into its minimum (the relax loop below keeps the least).
 func (j *SSSP) Schema() pregel.Schema {
-	return pregel.Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+	return pregel.Schema{
+		MessagePayloadBytes: []int{8},
+		MessageSlots:        []int{1},
+		Folds:               []*pregel.Fold{{Op: pregel.AggMin, Kind: pregel.AggKindInt}},
+	}
 }
 
 // MasterCompute is empty: termination is by quiescence (all vertices

@@ -101,7 +101,7 @@ type MetricsObserver struct {
 func NewMetricsObserver(reg *Registry) *MetricsObserver {
 	m := &MetricsObserver{
 		supersteps:  reg.Counter("pregel_supersteps_total", "completed supersteps"),
-		messages:    reg.Counter("pregel_messages_total", "messages sent (post-combine)"),
+		messages:    reg.Counter("pregel_messages_total", "messages sent"),
 		netBytes:    reg.Counter("pregel_network_bytes_total", "serialized bytes of cross-worker messages"),
 		vertexCalls: reg.Counter("pregel_vertex_calls_total", "vertex.compute invocations"),
 		checkpoints: reg.Counter("pregel_checkpoints_total", "recovery checkpoints taken"),

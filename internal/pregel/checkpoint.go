@@ -175,10 +175,10 @@ func (e *engine) restoreCheckpoint() (err error) {
 // The engine state at a barrier is serialized to a flat byte buffer:
 // master return/halt flags, the master RNG draw count, globals,
 // aggregator cells, the Stats counters a rollback must rewind, and per
-// worker the active flags, routed inbox (CSR), and RNG draw count.
-// Outboxes, combiner indexes, and per-step counters are never stored:
-// at a checkpoint barrier their contents are either already routed into
-// the serialized inboxes or per-step transients, so restore just
+// worker the active flags, routed inbox (CSR), fold slots and RNG draw
+// count. Outboxes and per-step counters are never stored: at a
+// checkpoint barrier their contents are either already routed into the
+// serialized inboxes or per-step transients, so restore just
 // truncates/clears them (capacity is retained for the replay).
 
 // checkpointVersion is bumped whenever the serialized layout changes;
@@ -191,16 +191,20 @@ func (e *engine) restoreCheckpoint() (err error) {
 //
 // — so a torn or bit-flipped snapshot is detected instead of decoded;
 // v4 appended a per-superstep direction history, which v5 drops along
-// with the pull direction.
-const checkpointVersion = 5
+// with the pull direction; v6 follows each worker's inbox with its
+// present fold slots when the job declares folds (a job without folds
+// writes the v5 payload byte for byte).
+const checkpointVersion = 6
 
 // frameHeaderBytes is the version byte plus the payload-length word;
 // frameTrailerBytes the checksum word; ckptMsgBytes one serialized inbox
-// message (destination, type, MaxPayloadSlots payload words).
+// message (destination, type, MaxPayloadSlots payload words);
+// ckptFoldBytes one fold slot (local index, type, payload word).
 const (
 	frameHeaderBytes  = 1 + 8
 	frameTrailerBytes = 8
 	ckptMsgBytes      = 4 + 1 + 8*MaxPayloadSlots
+	ckptFoldBytes     = 4 + 1 + 8
 )
 
 // fnv64a is the FNV-1a hash of b (the checkpoint integrity checksum).
@@ -329,6 +333,16 @@ func (e *engine) encodeState() []byte {
 		for _, o := range wk.inOff {
 			w.u32(uint32(o))
 		}
+		if nf := len(e.folds); nf > 0 {
+			w.u32(uint32(wk.foldTotal))
+			for at, s := range wk.folds {
+				if s.stamp == e.foldEpoch {
+					w.u32(uint32(at / nf))
+					w.u8(e.foldTypes[at%nf])
+					w.u64(s.val)
+				}
+			}
+		}
 	}
 	plen := len(w.b) - frameHeaderBytes
 	binary.LittleEndian.PutUint64(w.b[1:frameHeaderBytes], uint64(plen))
@@ -338,8 +352,8 @@ func (e *engine) encodeState() []byte {
 
 // decodeState restores the engine to the serialized barrier state,
 // clearing every transient a crashed superstep may have dirtied
-// (outboxes, combiner indexes, per-step counters, local aggregator
-// cells, worker errors). The monotone recovery-cost counters
+// (outboxes, fold slots, per-step counters, local aggregator cells,
+// worker errors). The monotone recovery-cost counters
 // (Recoveries, RecoveredSupersteps, Checkpoints, CheckpointBytes) are
 // preserved, not rewound.
 func (e *engine) decodeState(data []byte) error {
@@ -448,16 +462,13 @@ func (e *engine) decodeState(data []byte) error {
 				wk.inMax = max(wk.inMax, int(wk.inOff[i]-wk.inOff[i-1]))
 			}
 		}
-		// Transients a crashed superstep may have dirtied. Outbox, raw-log
-		// and box slices keep their capacity: replay reuses them. Chunk
-		// active counters are recomputed from the restored flags so the
-		// chunk/worker invariant holds before the next vertex phase.
-		for d := range wk.outboxes {
-			wk.outboxes[d] = wk.outboxes[d][:0]
+		if err := e.decodeFolds(r, wk); err != nil {
+			return err
 		}
-		if wk.combineIdx != nil {
-			clear(wk.combineIdx)
-		}
+		// Transients a crashed superstep may have dirtied. Box slices keep
+		// their capacity: replay reuses them. Chunk active counters are
+		// recomputed from the restored flags so the chunk/worker invariant
+		// holds before the next vertex phase.
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			na := int32(0)
@@ -469,8 +480,8 @@ func (e *engine) decodeState(data []byte) error {
 			ck.numActive = na
 			for d := range ck.boxes {
 				ck.boxes[d] = ck.boxes[d][:0]
+				ck.fboxes[d] = ck.fboxes[d][:0]
 			}
-			ck.raw = ck.raw[:0]
 			for s := range ck.agg {
 				ck.agg[s] = aggCell{}
 			}
@@ -487,13 +498,11 @@ func (e *engine) decodeState(data []byte) error {
 		wk.faultAt = -1
 		wk.chunkFaultAt = -1
 		wk.stealFault.Store(false)
-		wk.foldFault = false
 		wk.routeFaultOn = false
-		wk.phaseErr = nil
 		wk.routeErr = nil
 		wk.stallNS = 0
 		wk.spilled = false
-		wk.inDepth.Store(int64(wk.inTotal))
+		wk.inDepth.Store(int64(wk.inTotal + wk.foldTotal))
 	}
 	for _, x := range e.executors {
 		x.err = nil
@@ -501,6 +510,34 @@ func (e *engine) decodeState(data []byte) error {
 	}
 	if r.bad {
 		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
+	}
+	return nil
+}
+
+// decodeFolds restores wk's present fold slots and clears the rest,
+// failing closed on a count that overruns the checkpoint, a local index
+// out of range, a type the job does not fold, or a slot listed twice.
+func (e *engine) decodeFolds(r *stateDec, wk *worker) error {
+	nf := len(e.folds)
+	if nf == 0 {
+		return nil
+	}
+	e.foldEpoch = 1
+	clear(wk.folds)
+	if wk.foldTotal = int(r.u32()); wk.foldTotal > (len(r.b)-r.off)/ckptFoldBytes {
+		return fmt.Errorf("worker %d: %d fold slots overrun the checkpoint", wk.index, wk.foldTotal)
+	}
+	for i := 0; i < wk.foldTotal; i++ {
+		li, typ, v := int(r.u32()), r.u8(), r.u64()
+		switch {
+		case li >= len(wk.ids):
+			return fmt.Errorf("worker %d fold slot %d: local index %d out of range (%d vertices)", wk.index, i, li, len(wk.ids))
+		case int(typ) >= len(e.foldIdx) || e.foldIdx[typ] < 0:
+			return fmt.Errorf("worker %d fold slot %d: message type %d is not folded", wk.index, i, typ)
+		case wk.folds[li*nf+int(e.foldIdx[typ])].stamp == e.foldEpoch:
+			return fmt.Errorf("worker %d fold slot %d: vertex %d type %d listed twice", wk.index, i, li, typ)
+		}
+		wk.folds[li*nf+int(e.foldIdx[typ])] = foldSlot{val: v, stamp: e.foldEpoch}
 	}
 	return nil
 }

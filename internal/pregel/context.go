@@ -137,36 +137,40 @@ func (vc *VertexContext) OutNbrs() []graph.NodeID { return vc.wk.e.g.OutNbrs(vc.
 func (vc *VertexContext) OutEdgeRange() (lo, hi int64) { return vc.wk.e.g.OutEdgeRange(vc.id) }
 
 // Messages returns the messages sent to this vertex in the previous
-// superstep, grouped deterministically (source-worker order). The slice
-// is executor scratch the engine unpacks the vertex's inbox records
-// into: it is valid until VertexCompute returns, and payload slots
-// beyond the widest type the Schema declares read as zero.
+// superstep: first one message per folded type that any sender used (in
+// type order, each carrying the type's fold of every such message, see
+// Fold), then the unfolded messages grouped deterministically
+// (source-worker order). The slice is executor scratch the engine
+// unpacks the vertex's inbox into: it is valid until VertexCompute
+// returns, and payload slots beyond the widest type the Schema declares
+// read as zero.
 func (vc *VertexContext) Messages() []Msg { return vc.msgs }
 
+// outbox returns the boxes a message of type t goes into and the payload
+// slots its record carries: the fold boxes, one slot, for a folded type.
+//
+//gm:noalloc
+func (vc *VertexContext) outbox(t uint8) ([][]uint64, int) {
+	if vc.wk.foldIdx[t] >= 0 {
+		return vc.ck.fboxes, 1
+	}
+	return vc.ck.boxes, vc.wk.slots
+}
+
 // deliver records one outgoing message on the current chunk, packed
-// into a record. Plain jobs box it by destination worker immediately;
-// combiner jobs log the raw emission for the worker-scoped fold pass (or,
-// when the worker is a single chunk and therefore exclusively executed,
-// fold it in place). Either way the message's eventual position depends
-// only on its (worker, chunk, emission-index) coordinates, not on the
-// executor.
+// into a record in the box of its destination worker. The message's
+// eventual position (or fold order) depends only on its (worker, chunk,
+// emission-index) coordinates, not on the executor.
 func (vc *VertexContext) deliver(m Msg) {
 	wk := vc.wk
 	if !wk.conforms(&m) {
 		vc.reject(&m)
 		return
 	}
-	if wk.combiners != nil {
-		if wk.single {
-			wk.foldSend(m)
-		} else {
-			vc.ck.raw = appendRec(vc.ck.raw, packHeader(m.Dst, m.Type), &m.V, wk.slots)
-		}
-		return
-	}
 	ck := vc.ck
 	dw := wk.ownerOf(m.Dst)
-	ck.boxes[dw] = appendRec(ck.boxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
+	boxes, slots := vc.outbox(m.Type)
+	boxes[dw] = appendRec(boxes[dw], packHeader(m.Dst, m.Type), &m.V, slots)
 	ck.msgs++
 	size := wk.msgSize[m.Type]
 	if dw != wk.index {
@@ -202,25 +206,10 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 		vc.reject(&m)
 		return
 	}
-	slots := wk.slots
+	// Hoist the per-message size, box set and header tag, and branch on
+	// the partitioner once.
+	boxes, slots := vc.outbox(m.Type)
 	tag := packHeader(0, m.Type)
-	if wk.combiners != nil {
-		if wk.single {
-			for _, d := range nbrs {
-				m.Dst = d
-				wk.foldSend(m)
-			}
-		} else {
-			raw := vc.ck.raw
-			for _, d := range nbrs {
-				raw = appendRec(raw, tag|uint64(uint32(d)), &m.V, slots)
-			}
-			vc.ck.raw = raw
-		}
-		return
-	}
-	// Plain bulk path: hoist the per-message size and header tag, and
-	// branch on the partitioner once.
 	ck := vc.ck
 	size := wk.msgSize[m.Type]
 	self := wk.index
@@ -228,7 +217,7 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 		div := wk.div
 		for _, d := range nbrs {
 			dw := int(div.mod(uint32(d)))
-			ck.boxes[dw] = appendRec(ck.boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
+			boxes[dw] = appendRec(boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
 			if dw != self {
 				ck.netMsgs++
 				ck.netBytes += size
@@ -240,7 +229,7 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 		pb, sh := wk.pblocks, wk.pshift
 		for _, d := range nbrs {
 			dw := int(pb[uint32(d)>>sh])
-			ck.boxes[dw] = appendRec(ck.boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
+			boxes[dw] = appendRec(boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
 			if dw != self {
 				ck.netMsgs++
 				ck.netBytes += size

@@ -145,10 +145,11 @@ func TestVertexOutputsInvariantAcrossWorkerCounts(t *testing.T) {
 // partitioner) group of the schedule lattice, Stats, merged aggregator
 // sequences and outputs are bit-identical to the one-chunk-per-worker
 // reference across every chunk size — chunked execution and work
-// stealing are pure scheduling changes. Outputs also agree across
-// groups. (The jobs here use int and float-min/max aggregators; float
-// AggSum is the one reduction whose bits may vary with chunk geometry,
-// documented in docs/ENGINE.md.)
+// stealing are pure scheduling changes. The folded job's checkpoint
+// frames must match too: its fold slots are filled in canonical order.
+// Outputs also agree across groups. (The jobs here use int and
+// float-min/max aggregators; float AggSum is the one reduction whose
+// bits may vary with chunk geometry, documented in docs/ENGINE.md.)
 func TestSchedulingDeterminism(t *testing.T) {
 	const n, steps = 53, 6
 	g := gen.TwitterLike(n, 5, 13)
@@ -157,6 +158,7 @@ func TestSchedulingDeterminism(t *testing.T) {
 		var refStats, refLabelStats Stats
 		var refObs [][3]int64
 		var refLabels []int64
+		var refFold widthRun
 		for i, cfg := range group {
 			j := &aggDetJob{steps: steps}
 			st, err := Run(g, j, cfg)
@@ -164,11 +166,19 @@ func TestSchedulingDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			labels, lst := runMinLabel(t, g, n, cfg)
+			fcfg := cfg
+			fcfg.CheckpointEvery = 2
+			fj := newFoldJob(n, 8, true)
+			folded := runForWidth(t, g, fj, fj.outputs(), fcfg)
 			if i == 0 {
-				refStats, refObs, refLabels, refLabelStats = st, j.Observed, labels, lst
+				refStats, refObs, refLabels, refLabelStats, refFold = st, j.Observed, labels, lst, folded
 				continue
 			}
 			name := scheduleName(cfg)
+			if !reflect.DeepEqual(folded, refFold) {
+				t.Errorf("%s: folded job's Stats, outputs or checkpoint frames differ from the one-chunk reference:\n%+v\n%+v",
+					name, folded.stats, refFold.stats)
+			}
 			if !reflect.DeepEqual(st, refStats) {
 				t.Errorf("%s: Stats differ from the one-chunk reference:\n%+v\n%+v", name, st, refStats)
 			}

@@ -144,53 +144,6 @@ func TestInboxOrderDeterminism(t *testing.T) {
 	}
 }
 
-// combinerEngineJob tests the engine-level combiner directly.
-type combinerEngineJob struct{ sum []int64 }
-
-func (j *combinerEngineJob) Schema() Schema {
-	return Schema{
-		MessagePayloadBytes: []int{8},
-		MessageSlots:        []int{1},
-		Combiners: []Combiner{func(into *Msg, m Msg) {
-			into.SetInt(0, into.Int(0)+m.Int(0))
-		}},
-	}
-}
-func (j *combinerEngineJob) MasterCompute(mc *MasterContext) {
-	if mc.Superstep() == 2 {
-		mc.Halt()
-	}
-}
-func (j *combinerEngineJob) VertexCompute(vc *VertexContext) {
-	switch vc.Superstep() {
-	case 0:
-		var m Msg
-		m.SetInt(0, int64(vc.ID()))
-		vc.Send(0, m)
-	case 1:
-		for _, m := range vc.Messages() {
-			j.sum[vc.ID()] += m.Int(0)
-		}
-	}
-}
-
-func TestEngineCombiner(t *testing.T) {
-	const n, W = 12, 3
-	g := gen.Ring(n)
-	j := &combinerEngineJob{sum: make([]int64, n)}
-	st, err := Run(g, j, Config{NumWorkers: W})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(n * (n - 1) / 2); j.sum[0] != want {
-		t.Errorf("combined sum = %d, want %d", j.sum[0], want)
-	}
-	// One combined message per source worker.
-	if st.MessagesSent != W {
-		t.Errorf("messages = %d, want %d (one per worker)", st.MessagesSent, W)
-	}
-}
-
 func TestZeroAndTinyGraphs(t *testing.T) {
 	// Single vertex, no edges.
 	g := graph.FromEdges(1, nil)

@@ -19,9 +19,6 @@ type FaultPhase uint8
 //   - FaultSteal crashes the worker the moment one of its chunks is
 //     executed by a stealing executor (falling back to a phase-end crash
 //     when nothing was stolen, e.g. under NumWorkers 1).
-//   - FaultFold crashes the worker midway through its combiner fold
-//     replay, with outboxes partially folded (phase-end crash for jobs
-//     that never fold).
 //   - FaultRouteCount / FaultRoutePrefix / FaultRoutePlace fail the
 //     worker inside the corresponding segmented-routing sub-phase (the
 //     count runs inside the vertex phase, as the first source shard's
@@ -41,7 +38,6 @@ const (
 	FaultRouting
 	FaultChunkExec
 	FaultSteal
-	FaultFold
 	FaultRouteCount
 	FaultRoutePrefix
 	FaultRoutePlace
@@ -54,7 +50,6 @@ var faultPhaseNames = [...]string{
 	FaultRouting:       "routing",
 	FaultChunkExec:     "chunk-exec",
 	FaultSteal:         "steal",
-	FaultFold:          "fold",
 	FaultRouteCount:    "route-count",
 	FaultRoutePrefix:   "route-prefix",
 	FaultRoutePlace:    "route-place",
@@ -107,7 +102,7 @@ func (f *InjectedFault) Error() string {
 
 // armVertexFault consumes the first unfired fault planned for step
 // that fires inside the vertex phase (vertex compute, chunk exec, steal,
-// fold, and the outbox count overlapped with it) and arms the target
+// and the outbox count overlapped with it) and arms the target
 // worker.
 func (e *engine) armVertexFault(step int) {
 	for i := range e.faults {
@@ -128,11 +123,6 @@ func (e *engine) armVertexFault(step int) {
 		case FaultSteal:
 			f.fired = true
 			wk.stealFault.Store(true)
-			return
-		case FaultFold:
-			f.fired = true
-			wk.foldFault = true
-			wk.faultStep = step
 			return
 		case FaultRouteCount:
 			f.fired = true

@@ -56,50 +56,41 @@ func (e *engine) ckptHeldBytes() int64 {
 }
 
 // accountedUsage sums the engine's governed memory: buffered messages
-// (inboxes, outboxes, raw combiner logs), inbox offset tables, and
-// retained checkpoints. Spilled inboxes have zero resident length and
-// drop out of the sum automatically. Runs on the barrier goroutine; the
-// fast path is pure arithmetic over retained lengths.
+// (inboxes and chunk boxes), inbox offset tables, the fold slots (fixed
+// for the run and never spilled), and retained checkpoints. Spilled
+// inboxes have zero resident length and drop out of the sum
+// automatically. Runs on the barrier goroutine; the fast path is pure
+// arithmetic over retained lengths.
 //
 //gm:noalloc
 func (e *engine) accountedUsage() int64 {
 	var u int64
 	for _, wk := range e.workers {
 		words := len(wk.inFlat)
-		for d := range wk.outboxes {
-			words += len(wk.outboxes[d])
-		}
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			words += len(ck.raw)
 			for d := range ck.boxes {
-				words += len(ck.boxes[d])
+				words += len(ck.boxes[d]) + len(ck.fboxes[d])
 			}
 		}
-		u += int64(words)*recWordBytes + int64(len(wk.inOff))*4
+		u += int64(words)*recWordBytes + int64(len(wk.inOff))*4 + int64(len(wk.folds))*foldSlotBytes
 	}
 	return u + e.ckptHeldBytes()
 }
 
-// releaseOutboxes drops every outbox, chunk box, and raw log — contents
-// and retained capacity — and returns the accounted bytes freed. Safe at
+// releaseOutboxes drops every chunk box — contents and retained
+// capacity — and returns the accounted bytes freed. Safe at
 // a govern point: routing has already copied the contents into inboxes,
 // and send paths re-grow the buffers on demand (the zero-allocation
 // steady state resumes once capacity recovers its high-water mark).
 func (e *engine) releaseOutboxes() int64 {
 	words := 0
 	for _, wk := range e.workers {
-		for d := range wk.outboxes {
-			words += len(wk.outboxes[d])
-			wk.outboxes[d] = nil
-		}
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			words += len(ck.raw)
-			ck.raw = nil
 			for d := range ck.boxes {
-				words += len(ck.boxes[d])
-				ck.boxes[d] = nil
+				words += len(ck.boxes[d]) + len(ck.fboxes[d])
+				ck.boxes[d], ck.fboxes[d] = nil, nil
 			}
 		}
 	}

@@ -275,7 +275,7 @@ func TestCheckpointOldVersionRejected(t *testing.T) {
 	if data[0] != checkpointVersion {
 		t.Fatalf("version byte = %d, want %d", data[0], checkpointVersion)
 	}
-	for _, v := range []byte{1, 4, 0, 99} {
+	for _, v := range []byte{1, 4, 5, 0, 99} {
 		old := append([]byte(nil), data...)
 		old[0] = v
 		err := e.decodeState(old)

@@ -9,7 +9,7 @@ package pregel
 
 import (
 	"context"
-	"reflect"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -22,11 +22,13 @@ import (
 // cannot import internal/manual): every vertex sums its float messages
 // and re-broadcasts to all out-neighbors for a fixed number of
 // supersteps. Its compute functions allocate nothing, so any allocation
-// observed in a warm superstep belongs to the engine.
+// observed in a warm superstep belongs to the engine. With fold set it
+// declares its sum as a delivery fold, as manual.PageRank does.
 type perfRankJob struct {
 	rank  []float64
 	steps int
 	width slotDecl // zero value: exact, 16-byte records
+	fold  bool
 }
 
 func newPerfRankJob(n, steps int) *perfRankJob {
@@ -34,7 +36,11 @@ func newPerfRankJob(n, steps int) *perfRankJob {
 }
 
 func (j *perfRankJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: j.width.declare(1)}
+	s := Schema{MessagePayloadBytes: []int{8}, MessageSlots: j.width.declare(1)}
+	if j.fold {
+		s.Folds = []*Fold{{Op: AggSum, Kind: AggKindFloat}}
+	}
+	return s
 }
 
 func (j *perfRankJob) MasterCompute(mc *MasterContext) {
@@ -57,34 +63,6 @@ func (j *perfRankJob) VertexCompute(vc *VertexContext) {
 	}
 }
 
-// perfCombJob sends one combinable message per vertex to a single sink,
-// so post-combine MessagesSent is exactly numWorkers per superstep.
-type perfCombJob struct {
-	steps int
-}
-
-func (j *perfCombJob) Schema() Schema {
-	return Schema{
-		MessagePayloadBytes: []int{8},
-		MessageSlots:        []int{1},
-		Combiners: []Combiner{func(into *Msg, m Msg) {
-			into.SetFloat(0, into.Float(0)+m.Float(0))
-		}},
-	}
-}
-
-func (j *perfCombJob) MasterCompute(mc *MasterContext) {
-	if mc.Superstep() >= j.steps {
-		mc.Halt()
-	}
-}
-
-func (j *perfCombJob) VertexCompute(vc *VertexContext) {
-	var m Msg
-	m.SetFloat(0, 1)
-	vc.Send(0, m)
-}
-
 func TestFastDiv(t *testing.T) {
 	values := []uint32{0, 1, 2, 3, 6, 7, 8, 100, 1023, 1 << 16, 1<<31 - 1, 1 << 31, ^uint32(0)}
 	for d := uint32(1); d <= 64; d++ {
@@ -101,21 +79,14 @@ func TestFastDiv(t *testing.T) {
 }
 
 // resetOutbound mimics the start of a vertex phase: truncate the
-// worker's chunk boxes, raw logs, and combiner outboxes, clearing
-// (retaining) the combiner index.
+// worker's chunk boxes and fold boxes, retaining their capacity.
 func resetOutbound(wk *worker) {
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
 		for d := range ck.boxes {
 			ck.boxes[d] = ck.boxes[d][:0]
+			ck.fboxes[d] = ck.fboxes[d][:0]
 		}
-		ck.raw = ck.raw[:0]
-	}
-	for d := range wk.outboxes {
-		wk.outboxes[d] = wk.outboxes[d][:0]
-	}
-	if wk.combineIdx != nil {
-		clear(wk.combineIdx)
 	}
 }
 
@@ -130,128 +101,82 @@ func sendContext(e *engine, wk *worker, ci int) *VertexContext {
 	return vc
 }
 
-// Satellite: send must be allocation-free in steady state, on the plain
-// chunk-box path, the single-chunk direct combiner path, and the
-// multi-chunk raw-log + fold path.
+// Satellite: send must be allocation-free in steady state, into the
+// chunk boxes and into the fold boxes, by Send and by SendToAllNbrs.
 func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	const n = 64
 	g := gen.Ring(n)
-	run := func(t *testing.T, job Job, cfg Config, fold bool) {
-		e := newEngine(g, job, cfg.withDefaults())
-		defer e.stop()
-		wk := e.workers[0]
-		var m Msg
-		m.SetFloat(0, 1)
-		vc := sendContext(e, wk, 0)
-		cycle := func() {
-			resetOutbound(wk)
-			for i := 0; i < n; i++ {
-				vc.Send(graph.NodeID(i), m)
+	for _, fold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fold=%v", fold), func(t *testing.T) {
+			j := newPerfRankJob(n, 4)
+			j.fold = fold
+			e := newEngine(g, j, Config{NumWorkers: 4, Seed: 1, ChunkSize: 4}.withDefaults())
+			defer e.stop()
+			wk := e.workers[0]
+			var m Msg
+			m.SetFloat(0, 1)
+			vc := sendContext(e, wk, 0)
+			cycle := func() {
+				resetOutbound(wk)
+				for i := 0; i < n; i++ {
+					vc.Send(graph.NodeID(i), m)
+				}
+				vc.SendToAllNbrs(m)
 			}
-			if fold {
-				wk.fold()
+			cycle() // reach high-water box capacity
+			if a := testing.AllocsPerRun(20, cycle); a != 0 {
+				t.Fatalf("steady-state send allocates %v per superstep, want 0", a)
 			}
-		}
-		cycle() // reach high-water outbox and index capacity
-		if a := testing.AllocsPerRun(20, cycle); a != 0 {
-			t.Fatalf("steady-state send allocates %v per superstep, want 0", a)
-		}
+		})
 	}
-	t.Run("plain", func(t *testing.T) {
-		run(t, newPerfRankJob(n, 4), Config{NumWorkers: 4, Seed: 1}, false)
-	})
-	t.Run("combined-single-chunk", func(t *testing.T) {
-		// 16 vertices per worker, default chunking => one chunk: sends fold
-		// directly into the worker outboxes.
-		run(t, &perfCombJob{steps: 4}, Config{NumWorkers: 4, Seed: 1}, false)
-	})
-	t.Run("combined-raw-fold", func(t *testing.T) {
-		// ChunkSize 4 => multi-chunk worker: sends log raw emissions and
-		// the fold replay combines them.
-		run(t, &perfCombJob{steps: 4}, Config{NumWorkers: 4, Seed: 1, ChunkSize: 4}, true)
-	})
 }
 
 // Satellite: a warm superstep — chunked vertex phase plus segmented
 // message routing on the persistent pool — must allocate nothing at
-// every point of the schedule lattice. This also proves no
-// per-superstep goroutine creation: a spawned goroutine costs at least
-// one allocation, and this test demands zero.
+// every point of the schedule lattice, for the plain PageRank-shaped job
+// and for the folded job (folded and unfolded types together). This
+// also proves no per-superstep goroutine creation: a spawned goroutine
+// costs at least one allocation, and this test demands zero.
 func TestWarmRoutingZeroAlloc(t *testing.T) {
 	const n = 256
 	g := gen.TwitterLike(n, 4, 3)
 	for _, group := range scheduleGroups(Config{Seed: 1}) {
 		for _, cfg := range group {
-			t.Run(scheduleName(cfg), func(t *testing.T) {
-				j := newPerfRankJob(n, 1<<20)
-				e := newEngine(g, j, cfg.withDefaults())
-				defer e.stop()
-				step := 0
-				cycle := func() {
-					e.runVertexPhase(step)
-					e.routeMessages()
-					step++
-				}
-				for i := 0; i < 3; i++ {
-					cycle() // reach high-water inbox/outbox capacity
-				}
-				if a := testing.AllocsPerRun(10, cycle); a != 0 {
-					t.Fatalf("warm superstep allocates %v per run, want 0", a)
-				}
-				for _, x := range e.executors {
-					if x.err != nil {
-						t.Fatalf("executor %d failed: %v", x.id, x.err)
-					}
-				}
-				for _, wk := range e.workers {
-					for ci := range wk.chunks {
-						if err := wk.chunks[ci].err; err != nil {
-							t.Fatalf("worker %d chunk %d failed: %v", wk.index, ci, err)
-						}
-					}
-				}
+			t.Run(scheduleName(cfg)+"/rank", func(t *testing.T) {
+				testWarmRoutingZeroAlloc(t, g, newPerfRankJob(n, 1<<20), cfg)
+			})
+			t.Run(scheduleName(cfg)+"/folded", func(t *testing.T) {
+				testWarmRoutingZeroAlloc(t, g, newFoldJob(n, 1<<20, true), cfg)
 			})
 		}
 	}
 }
 
-// Satellite: the combiner index map is cleared and retained across
-// supersteps (not re-allocated), and a multi-superstep combined run
-// keeps the post-combine Stats contract: one message per worker per
-// sending superstep, reproducibly — and bit-identically whether sends
-// fold directly (single chunk) or through the raw-log replay (chunked),
-// because the fold replays the exact emission order.
-func TestCombinerIndexRetained(t *testing.T) {
-	const n, steps, workers = 40, 6, 4
-	g := gen.Ring(n)
-	runOnce := func(chunkSize int) (Stats, *engine) {
-		j := &perfCombJob{steps: steps}
-		cfg := Config{NumWorkers: workers, Seed: 3, ChunkSize: chunkSize}
-		e := newEngine(g, j, cfg.withDefaults())
-		defer e.stop()
-		if err := e.loop(context.Background()); err != nil {
-			t.Fatal(err)
+func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config) {
+	e := newEngine(g, j, cfg.withDefaults())
+	defer e.stop()
+	step := 0
+	cycle := func() {
+		e.runVertexPhase(step)
+		e.routeMessages()
+		step++
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // reach high-water inbox/outbox capacity
+	}
+	if a := testing.AllocsPerRun(10, cycle); a != 0 {
+		t.Fatalf("warm superstep allocates %v per run, want 0", a)
+	}
+	for _, x := range e.executors {
+		if x.err != nil {
+			t.Fatalf("executor %d failed: %v", x.id, x.err)
 		}
-		return e.stats, e
-	}
-	st1, e := runOnce(0)
-	st2, _ := runOnce(0)
-	if !reflect.DeepEqual(st1, st2) {
-		t.Fatalf("combined-run Stats not reproducible:\n%+v\n%+v", st1, st2)
-	}
-	// Chunked run (ChunkSize 3 => raw-log + fold path): identical Stats.
-	st3, _ := runOnce(3)
-	if !reflect.DeepEqual(st1, st3) {
-		t.Fatalf("chunked combined-run Stats differ from single-chunk:\n%+v\n%+v", st1, st3)
-	}
-	// steps sending supersteps, each combining n sends into one message
-	// per worker.
-	if want := int64(steps * workers); st1.MessagesSent != want {
-		t.Fatalf("MessagesSent = %d, want %d (post-combine)", st1.MessagesSent, want)
 	}
 	for _, wk := range e.workers {
-		if wk.combineIdx == nil {
-			t.Fatalf("worker %d combiner index was nilled instead of retained", wk.index)
+		for ci := range wk.chunks {
+			if err := wk.chunks[ci].err; err != nil {
+				t.Fatalf("worker %d chunk %d failed: %v", wk.index, ci, err)
+			}
 		}
 	}
 }
@@ -410,27 +335,32 @@ func BenchmarkRouting(b *testing.B) {
 	reportRecordBytes(b, e)
 }
 
-// BenchmarkSendCombined measures the combiner send path: one combinable
-// message per vertex funneled to a single sink.
-func BenchmarkSendCombined(b *testing.B) {
+// BenchmarkRoutingFolded measures one warm superstep of the
+// PageRank-shaped job with its sum declared as a delivery fold, so every
+// message takes the folded path: sent into the fold boxes, folded into
+// the destination's slots by the prefix tasks, delivered from the slots.
+// It reports the cost per message sent.
+func BenchmarkRoutingFolded(b *testing.B) {
 	const n = 4096
-	g := gen.Ring(n)
-	e := newEngine(g, &perfCombJob{steps: 1 << 30}, Config{NumWorkers: 4, Seed: 1}.withDefaults())
+	g := gen.TwitterLike(n, 8, 3)
+	j := newPerfRankJob(n, 1<<30)
+	j.fold = true
+	e := newEngine(g, j, Config{NumWorkers: 4, Seed: 1}.withDefaults())
 	defer e.stop()
-	wk := e.workers[0]
-	var m Msg
-	m.SetFloat(0, 1)
-	vc := sendContext(e, wk, 0)
-	cycle := func() {
-		resetOutbound(wk)
-		for i := 0; i < n; i++ {
-			vc.Send(graph.NodeID(i), m)
-		}
+	step := 0
+	for i := 0; i < 3; i++ {
+		e.runVertexPhase(step)
+		e.routeMessages()
+		step++
 	}
-	cycle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cycle()
+		e.runVertexPhase(step)
+		e.routeMessages()
+		step++
 	}
+	msgs := float64(b.N) * float64(g.NumEdges())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+	b.ReportMetric(foldStride*recWordBytes, "B/msg")
 }

@@ -18,7 +18,7 @@
 // chunks from the most-loaded worker (see docs/ENGINE.md, "Hot path and
 // scheduling"). Results and Stats are independent of which executor runs
 // a chunk: per-chunk output is merged at the barrier in canonical
-// (worker, chunk) order, combiner folding is worker-scoped, and
+// (worker, chunk) order, delivery folds run in that same order, and
 // vertex-level RNG streams are seeded per (vertex, superstep).
 //
 // Messages between vertices on different workers are accounted as
@@ -125,11 +125,14 @@ const (
 // AggKind is the value domain of an aggregator.
 type AggKind uint8
 
-// Aggregator value kinds; node IDs aggregate as AggKindInt.
+// Aggregator value kinds; node IDs aggregate as AggKindInt. AggKindNode
+// is a node id as Msg.SetNode stores it (the low 32 bits of the word):
+// only delivery folds tell it apart, an aggregator treats it as Int.
 const (
 	AggKindInt AggKind = iota
 	AggKindFloat
 	AggKindBool
+	AggKindNode
 )
 
 // AggSpec declares one aggregator slot.
@@ -145,11 +148,6 @@ type GlobalSpec struct {
 	Name string
 	Size int
 }
-
-// Combiner merges a newly sent message into a pending one with the same
-// destination and type before transmission (Pregel's message combiner).
-// It must be commutative and associative over the payload.
-type Combiner func(into *Msg, m Msg)
 
 // Schema declares a job's communication shape.
 type Schema struct {
@@ -169,14 +167,11 @@ type Schema struct {
 	MessageSlots []int
 	Aggregators  []AggSpec
 	Globals      []GlobalSpec
-	// Combiners optionally provides a combiner per message type (nil
-	// entries disable combining for that type). Combined messages are
-	// merged sender-side, reducing both message count and network bytes;
-	// MessagesSent reports post-combine counts. Combining is worker-scoped
-	// regardless of chunking: chunks log raw emissions and a fold pass
-	// replays them in emission order, so combined results are bit-identical
-	// across chunk sizes and stealing.
-	Combiners []Combiner
+	// Folds optionally declares a delivery fold per message type (see
+	// Fold; nil entries fold nothing). Nil means no type is folded;
+	// otherwise it must have one entry per type, and a folded type must
+	// declare exactly one MessageSlots slot.
+	Folds []*Fold
 }
 
 // Job is a Pregel program: the pair of compute functions plus the
@@ -424,8 +419,8 @@ func (f fastDiv) mod(x uint32) uint32 { return x - f.div(x)*f.d }
 type phaseKind uint8
 
 const (
-	phaseVertex      phaseKind = iota // chunked vertex compute (incl. fold + eager outbox count)
-	phaseRoutePrefix                  // routing: offsets, inbox resize, reactivation
+	phaseVertex      phaseKind = iota // chunked vertex compute (incl. eager outbox count)
+	phaseRoutePrefix                  // routing: offsets, inbox resize, reactivation, delivery folds
 	phaseRoutePlace                   // routing: stable placement into the CSR inbox
 )
 
@@ -486,13 +481,17 @@ type engine struct {
 	slots     int
 	stride    int
 	schemaErr error
+	// Delivery folds (fold.go): foldIdx maps a type to its index in
+	// folds/foldTypes (-1: none); foldEpoch stamps the slots routing fills.
+	foldIdx   []int8
+	folds     []Fold
+	foldTypes []uint8
+	foldEpoch uint32
 
 	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
 	// pblocks means mod partitioning.
 	pblocks []int32
 	pshift  uint32
-
-	combActive bool // the job registers at least one combiner
 
 	// Source-shard geometry for routing: workers are grouped into shards
 	// contiguous shard ranges (shardStart[s]..shardStart[s+1]).
@@ -510,7 +509,7 @@ type engine struct {
 	// the persistent executors into a phase.
 	phaseWG sync.WaitGroup
 	// taskCursor is the shared queue cursor for phases whose tasks are not
-	// chunk claims (fold, routing sub-phases); reset before each dispatch.
+	// chunk claims (the routing sub-phases); reset before each dispatch.
 	taskCursor atomic.Int64
 	stopped    bool
 
@@ -572,12 +571,11 @@ func (e *engine) emit(s obs.Span) { e.cfg.Observer.ObserveSpan(s) }
 type chunk struct {
 	lo, hi int32 // local-index range [lo, hi)
 
-	// boxes are the per-destination-worker outboxes (plain jobs); raw is
-	// the emission log (combiner jobs, multi-chunk workers) replayed by
-	// the fold phase. Both hold records.
-	boxes [][]uint64
-	raw   []uint64
-	agg   []aggCell
+	// boxes are the per-destination-worker outboxes, fboxes their
+	// counterparts for folded types (records of foldStride words).
+	boxes  [][]uint64
+	fboxes [][]uint64
+	agg    []aggCell
 	// numActive counts active vertices in [lo, hi), maintained
 	// incrementally by chunk execution, VoteToHalt, and routing
 	// reactivation.
@@ -608,7 +606,6 @@ type worker struct {
 	index   int
 	ids     []graph.NodeID // global IDs owned, ascending
 	startID graph.NodeID   // first owned id (range partitioning)
-	single  bool           // exactly one chunk: combiner sends skip the raw log
 
 	active []bool
 	// numActive mirrors the sum of chunk numActive counters; refreshed at
@@ -619,45 +616,38 @@ type worker struct {
 	inTotal   int      // messages routed into inFlat by the last routing phase
 	inMax     int      // the most messages any one vertex received in it
 
-	chunks []chunk
+	// Fold slots, one per (local vertex, folded type) at index
+	// local*len(folds)+fold (fold.go). foldTotal is the number present.
+	folds     []foldSlot
+	foldTotal int
+
+	chunks    []chunk
+	chunkSize int
 	// cursor is the next unclaimed chunk index (vertex phase).
 	cursor atomic.Int32
 	// pendingChunks counts this worker's chunks not yet retired this
 	// vertex phase; the executor that retires the last one runs the
-	// worker epilogue (fold, counter/aggregator merge, and the
-	// shard-retirement bookkeeping).
+	// worker epilogue (counter/aggregator merge and the shard-retirement
+	// bookkeeping).
 	pendingChunks atomic.Int32
 	// crashed marks an injected fault: the worker's remaining chunks are
 	// skipped, emulating the machine death rollback will repair.
 	crashed atomic.Bool
-
-	// Combiner-path state: chunks log raw emissions and the fold phase
-	// replays them here in emission order (single-chunk workers write
-	// directly). combineIdx maps (dst, type) to the pending outbox record;
-	// cleared (not reallocated) each superstep. combTmp is the Msg a
-	// pending record is unpacked into for the job's combiner to fold into
-	// (a worker field, not a local: a pointer passed to a func value
-	// escapes).
-	outboxes   [][]uint64 // records per destination worker; combiner jobs only
-	combineIdx map[uint64]combineSlot
-	combTmp    Msg
 
 	// Hot-path caches copied from the engine at construction so send
 	// touches one cache line instead of chasing e.schema.
 	div       fastDiv
 	pblocks   []int32 // non-nil under PartitionDegree
 	pshift    uint32
-	combiners []Combiner // nil when the job registers none
 	msgSize   []int64
 	typeSlots []uint8
+	foldIdx   []int8
 	slots     int
 
-	// Per-superstep counter accumulators. The combiner fold/direct path
-	// feeds them during compute; the worker epilogue folds the chunk
-	// counters in on top (in chunk order); the barrier then merges one
+	// Per-superstep counter accumulators: the worker epilogue folds the
+	// chunk counters in (in chunk order); the barrier then merges one
 	// partial per worker — O(W) instead of O(total chunks).
 	msgs, netMsgs, netBytes, localBytes, calls int64
-	foldStartNS, foldDurNS                     int64
 	// aggPartial is this worker's aggregator partial: chunk cells folded
 	// in chunk order by the epilogue, merged (and cleared) in worker
 	// order at the barrier.
@@ -679,18 +669,15 @@ type worker struct {
 	// Extended fault-injection arming (see fault.go). chunkFaultAt is the
 	// chunk index at which an armed chunk-exec fault fires (-1 when
 	// unarmed); stealFault crashes the worker when one of its chunks runs
-	// on a foreign executor; foldFault crashes it mid-fold; routeFaultOn/
-	// routeFault fail it inside the armed routing sub-phase. faultStep
-	// records the arming superstep for phases that raise the failure from
-	// executor goroutines; phaseErr carries a fold failure to the vertex
-	// barrier, routeErr a routing sub-phase failure to the routing barrier.
+	// on a foreign executor; routeFaultOn/routeFault fail it inside the
+	// armed routing sub-phase. faultStep records the arming superstep for
+	// phases that raise the failure from executor goroutines; routeErr
+	// carries a routing sub-phase failure to the routing barrier.
 	chunkFaultAt int
 	stealFault   atomic.Bool
-	foldFault    bool
 	routeFaultOn bool
 	routeFault   FaultPhase
 	faultStep    int
-	phaseErr     error
 	routeErr     *InjectedFault
 
 	// stallNS is an armed injected stall: whoever executes chunk 0 of
@@ -789,14 +776,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-//gm:noalloc
-func (e *engine) workerOf(v graph.NodeID) int {
-	if e.pblocks == nil {
-		return int(e.div.mod(uint32(v)))
-	}
-	return int(e.pblocks[uint32(v)>>e.pshift])
-}
-
 // Run executes the job on g to completion and returns run statistics.
 // It returns an error if the job exceeds MaxSupersteps, a compute
 // function panics, the deadline expires, or the recovery budget is
@@ -861,15 +840,11 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	}
 	e.typeSlots, e.slots, e.schemaErr = messageSlots(e.schema)
 	e.stride = 1 + e.slots
-	e.mc = MasterContext{e: e}
-	var combiners []Combiner
-	for _, c := range e.schema.Combiners {
-		if c != nil {
-			combiners = e.schema.Combiners
-			break
-		}
+	if e.schemaErr == nil {
+		e.foldIdx, e.folds, e.foldTypes, e.schemaErr = messageFolds(e.schema, e.typeSlots)
 	}
-	e.combActive = combiners != nil
+	e.foldEpoch = 1 // zeroed stamps are never present
+	e.mc = MasterContext{e: e}
 	e.shards = e.numWorkers
 	if e.shards > maxRouteShards {
 		e.shards = maxRouteShards
@@ -946,16 +921,13 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		}
 		wk.numActive = len(wk.ids)
 		wk.inOff = make([]int32, len(wk.ids)+1)
-		if combiners != nil {
-			wk.outboxes = make([][]uint64, e.numWorkers)
-			wk.combineIdx = make(map[uint64]combineSlot)
-		}
+		wk.folds = make([]foldSlot, len(wk.ids)*len(e.folds))
 		wk.div = e.div
 		wk.pblocks = e.pblocks
 		wk.pshift = e.pshift
-		wk.combiners = combiners
 		wk.msgSize = e.msgSize
 		wk.typeSlots = e.typeSlots
+		wk.foldIdx = e.foldIdx
 		wk.slots = e.slots
 
 		// Chunk geometry: fixed for the run, derived only from the
@@ -967,6 +939,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			numChunks = (nw + cs - 1) / cs
 		}
 		wk.chunks = make([]chunk, numChunks)
+		wk.chunkSize = cs
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			ck.lo = int32(ci * cs)
@@ -976,11 +949,9 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			}
 			ck.numActive = ck.hi - ck.lo
 			ck.agg = make([]aggCell, len(e.schema.Aggregators))
-			if combiners == nil {
-				ck.boxes = make([][]uint64, e.numWorkers)
-			}
+			ck.boxes = make([][]uint64, e.numWorkers)
+			ck.fboxes = make([][]uint64, e.numWorkers)
 		}
-		wk.single = numChunks == 1
 		wk.aggPartial = make([]aggCell, len(e.schema.Aggregators))
 
 		wk.srcCounts = make([][]int32, e.shards)
@@ -1046,10 +1017,10 @@ func (e *engine) runPhase(kind phaseKind, step int) {
 }
 
 // runVertexPhase runs one chunked vertex-compute phase: the superstep's
-// compute work, plus — riding the same dispatch — the combiner fold,
-// the per-worker counter/aggregator merge, and the source-shard outbox
-// counting, each triggered as the relevant chunks retire instead of
-// waiting behind extra pool barriers.
+// compute work, plus — riding the same dispatch — the per-worker
+// counter/aggregator merge and the source-shard outbox counting, each
+// triggered as the relevant chunks retire instead of waiting behind
+// extra pool barriers.
 func (e *engine) runVertexPhase(step int) {
 	for s := range e.shardPending {
 		e.shardPending[s].Store(e.shardStart[s+1] - e.shardStart[s])
@@ -1071,17 +1042,18 @@ func (e *engine) runVertexPhase(step int) {
 }
 
 // sizeUnpackScratch grows every executor's Messages() scratch to the
-// widest inbox window any vertex has this superstep. Sizing all of them
-// here, from the routed offsets, rather than on demand in runChunk keeps
-// the allocation a function of the inbox alone: which executor happens
-// to steal the chunk with the hub vertex cannot move it into a warm
-// superstep. The slots a run's records do not carry stay zero from this
-// make — unpackRecs never writes them.
+// widest inbox window any vertex has this superstep plus one message per
+// folded type. Sizing all of them here, from the routed offsets, rather
+// than on demand in runChunk keeps the allocation a function of the
+// inbox alone: which executor happens to steal the chunk with the hub
+// vertex cannot move it into a warm superstep. The slots a run's records
+// do not carry stay zero from this make — delivery never writes them.
 func (e *engine) sizeUnpackScratch() {
 	need := 0
 	for _, wk := range e.workers {
 		need = max(need, wk.inMax)
 	}
+	need += len(e.folds)
 	for _, x := range e.executors {
 		if cap(x.msgs) < need {
 			x.msgs = make([]Msg, need+need/4)
@@ -1209,18 +1181,10 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		}
 	}()
 	// Truncate the chunk's outbound state from the previous superstep
-	// (routing has long completed; capacity is retained). Single-chunk
-	// combiner workers write worker-level state directly, so reset it
-	// here; multi-chunk workers reset it in the fold phase.
+	// (routing has long completed; capacity is retained).
 	for d := range ck.boxes {
 		ck.boxes[d] = ck.boxes[d][:0]
-	}
-	ck.raw = ck.raw[:0]
-	if wk.single && wk.combineIdx != nil {
-		for d := range wk.outboxes {
-			wk.outboxes[d] = wk.outboxes[d][:0]
-		}
-		clear(wk.combineIdx)
+		ck.fboxes[d] = ck.fboxes[d][:0]
 	}
 	if wk.crashed.Load() {
 		return
@@ -1264,6 +1228,7 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	vc.superstep = step
 	stride := e.stride
 	fault := wk.faultAt
+	nf, epoch := len(e.folds), e.foldEpoch
 	for li := int(ck.lo); li < int(ck.hi); li++ {
 		if fault >= 0 && li == fault {
 			// Injected crash mid-phase: job state and outboxes stay
@@ -1272,21 +1237,29 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 			wk.crashed.Store(true)
 			return
 		}
-		hasMsgs := wk.inOff[li+1] > wk.inOff[li]
-		if !wk.active[li] && !hasMsgs {
+		// Build Messages() in the executor's cache-resident scratch: the
+		// vertex's folded messages in type order, then its window of
+		// inbox records. It is valid until the next vertex.
+		id, k := wk.ids[li], 0
+		for fi := 0; fi < nf; fi++ {
+			if s := wk.folds[li*nf+fi]; s.stamp == epoch {
+				x.msgs[k] = Msg{Dst: id, Type: e.foldTypes[fi], V: [MaxPayloadSlots]uint64{s.val}}
+				k++
+			}
+		}
+		n := int(wk.inOff[li+1] - wk.inOff[li])
+		if !wk.active[li] && k+n == 0 {
 			continue
 		}
 		if !wk.active[li] {
 			wk.active[li] = true
 			ck.numActive++
 		}
-		vc.id = wk.ids[li]
+		vc.id = id
 		vc.local = li
-		// Unpack the vertex's window of records into the executor's
-		// cache-resident scratch; Messages() is valid until the next vertex.
-		vc.msgs = x.msgs[:wk.inOff[li+1]-wk.inOff[li]]
+		vc.msgs = x.msgs[:k+n]
 		at := int(wk.inOff[li]-base) * stride
-		for k := range vc.msgs {
+		for ; k < len(vc.msgs); k++ {
 			unpackRec(&vc.msgs[k], flat[at:at+stride])
 			at += stride
 		}
@@ -1296,8 +1269,7 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 }
 
 // workerEpilogue runs when wk's last chunk of the vertex phase retires:
-// it folds the worker's raw combiner logs (multi-chunk combiner workers),
-// merges the chunk counters and aggregator cells into the worker-level
+// it merges the chunk counters and aggregator cells into the worker-level
 // partials in canonical chunk order, and retires the worker from its
 // source shard, counting the whole shard's outboxes once its last worker
 // retires. Everything here reads state owned by wk (made
@@ -1308,9 +1280,6 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 //
 //gm:noalloc
 func (e *engine) workerEpilogue(wk *worker, executor int) {
-	if wk.combiners != nil && !wk.single {
-		wk.fold()
-	}
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
 		wk.msgs += ck.msgs
@@ -1341,100 +1310,6 @@ func (e *engine) workerEpilogue(wk *worker, executor int) {
 	}
 	if e.obsOn {
 		e.shardObs[sh] = eagerSpan{startNS: t0, durNS: e.nowNS() - t0, executor: int32(executor)}
-	}
-}
-
-// fold replays this worker's chunk raw logs, in chunk order, through the
-// worker-scoped combining send. The replay sequence equals the worker's
-// vertex emission order, so combined payloads, post-combine message
-// counts, and byte accounting are bit-identical to an unchunked run.
-//
-//gm:noalloc
-func (wk *worker) fold() {
-	if wk.e.obsOn {
-		wk.foldStartNS = wk.e.nowNS()
-	}
-	for d := range wk.outboxes {
-		wk.outboxes[d] = wk.outboxes[d][:0]
-	}
-	clear(wk.combineIdx)
-	// Injected fold fault: die midway through the replay, with outboxes
-	// partially folded. Aborting here is safe — fold faults are collected
-	// before the barrier, so the partial outboxes are never routed.
-	stride := wk.slots + 1
-	limit := -1
-	if wk.foldFault {
-		total := 0
-		for ci := range wk.chunks {
-			total += len(wk.chunks[ci].raw) / stride
-		}
-		limit = total / 2
-	}
-	replayed := 0
-	var m Msg
-	for ci := range wk.chunks {
-		ck := &wk.chunks[ci]
-		for i := 0; i < len(ck.raw); i += stride {
-			if replayed == limit {
-				wk.foldFault = false
-				wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: FaultFold} //gm:alloc-ok fault-injection testing path; never armed in production runs
-				return
-			}
-			unpackRec(&m, ck.raw[i:i+stride])
-			wk.foldSend(m)
-			replayed++
-		}
-		ck.raw = ck.raw[:0]
-	}
-	if wk.e.obsOn {
-		wk.foldDurNS = wk.e.nowNS() - wk.foldStartNS
-	}
-}
-
-// combineSlot locates a pending record: outboxes[dw][idx:idx+stride].
-type combineSlot struct {
-	dw  int
-	idx int
-}
-
-// foldSend appends m to the outbox of m.Dst's owning worker, combining
-// with a pending message of the same (dst, type) when the job registers
-// a combiner for it. It is the worker-scoped half of the combiner path:
-// called directly by single-chunk workers during vertex compute, and by
-// fold when replaying chunk logs. Allocation-free once outbox/index
-// capacity has reached its high-water mark.
-//
-//gm:noalloc
-func (wk *worker) foldSend(m Msg) {
-	dw := wk.ownerOf(m.Dst)
-	if cs := wk.combiners; int(m.Type) < len(cs) && cs[m.Type] != nil {
-		key := uint64(uint32(m.Dst))<<8 | uint64(m.Type)
-		if slot, ok := wk.combineIdx[key]; ok {
-			// Unpack the pending record, let the job fold into it, write
-			// the payload back. The combiner's result must fit the type's
-			// declared slots like any sent message.
-			rec := wk.outboxes[slot.dw][slot.idx : slot.idx+1+wk.slots]
-			into := &wk.combTmp
-			unpackRec(into, rec)
-			cs[m.Type](into, m) //gm:alloc-ok job-registered combiner funcs fold in place into the retained temporary; covered by the runtime alloc gate
-			if !wk.conforms(into) && wk.phaseErr == nil {
-				serr := wk.schemaError(m.Dst, into) //gm:alloc-ok abort path: the run ends at this barrier
-				serr.Combined = true
-				wk.phaseErr = serr
-			}
-			copy(rec[1:], into.V[:wk.slots])
-			return
-		}
-		wk.combineIdx[key] = combineSlot{dw: dw, idx: len(wk.outboxes[dw])} //gm:alloc-ok insert after clear() reuses retained buckets; grows only until the high-water mark
-	}
-	wk.outboxes[dw] = appendRec(wk.outboxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
-	wk.msgs++
-	size := wk.msgSize[m.Type]
-	if dw != wk.index {
-		wk.netMsgs++
-		wk.netBytes += size
-	} else {
-		wk.localBytes += size
 	}
 }
 
@@ -1560,7 +1435,7 @@ func (e *engine) run(ctx context.Context) error {
 				na += int(wk.chunks[ci].numActive)
 			}
 			wk.numActive = na
-			if na > 0 || wk.inTotal > 0 {
+			if na > 0 || wk.inTotal > 0 || wk.foldTotal > 0 {
 				pending = true
 			}
 		}
@@ -1572,8 +1447,8 @@ func (e *engine) run(ctx context.Context) error {
 }
 
 // superstep runs one superstep's phases in order: checkpoint → govern →
-// master → vertex phase (combiner fold, counter merge and outbox count
-// ride the chunk retirements) → barrier merge → route prefix/place. It
+// master → vertex phase (counter merge and outbox count ride the chunk
+// retirements) → barrier merge → route prefix (with the folds)/place. It
 // reports whether the master halted the run. A worker failure in any
 // phase is returned as an *InjectedFault for run to recover from; any
 // other error aborts the run.
@@ -1751,11 +1626,8 @@ func (e *engine) emitVertexSpans(step int, stateLabel string) {
 				startNS = ck.startNS
 			}
 		}
-		// The epilogue already folded chunk counters (and the combiner
-		// fold path's worker-level counts) into the worker partials.
-		if !wk.single && wk.combiners != nil {
-			dur += wk.foldDurNS
-		}
+		// The epilogue already folded chunk counters into the worker
+		// partials.
 		if startNS < 0 {
 			startNS = 0
 		}
@@ -1793,8 +1665,8 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 		// A fault armed on a worker owning too few vertices (faultAt
 		// beyond its range) crashes at phase end, like the pre-chunk
 		// engine. The same fallback covers a chunk-exec fault on a
-		// chunkless worker, a steal fault when nothing was stolen (single
-		// worker), and a fold fault on a worker that never folds.
+		// chunkless worker and a steal fault when nothing was stolen
+		// (single worker).
 		if wk.faultAt >= len(wk.ids) && wk.faultAt >= 0 {
 			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultVertexCompute}
 		}
@@ -1803,20 +1675,6 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 		}
 		if wk.stealFault.CompareAndSwap(true, false) {
 			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultSteal}
-		}
-		if wk.foldFault {
-			wk.foldFault = false
-			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultFold}
-		}
-		if wk.phaseErr != nil {
-			perr := wk.phaseErr
-			wk.phaseErr = nil
-			var inj *InjectedFault
-			if errors.As(perr, &inj) {
-				crashed = inj
-			} else {
-				return nil, perr
-			}
 		}
 		wk.faultAt = -1
 		wk.chunkFaultAt = -1
@@ -1896,18 +1754,21 @@ func (e *engine) masterPhase(step int) (halted bool, err error) {
 // The count pass runs inside the vertex phase (workerEpilogue →
 // countShard, as each shard's last chunk retires), overlapped with
 // compute still running on other shards; only the prefix and place
-// dispatches remain after the barrier.
+// dispatches remain after the barrier. Folded types bypass all of it:
+// the prefix task of each destination folds them into its fold slots
+// (fold.go).
 
 // routeMessages runs the prefix and place sub-phases. Boxes are
-// read-only during the phase and truncated by chunk execution (or fold)
-// at the start of the next vertex phase; once inbox/scratch capacity
-// has reached its high-water mark, routing allocates nothing.
+// read-only during the phase and truncated by chunk execution at the
+// start of the next vertex phase; once inbox/scratch capacity has
+// reached its high-water mark, routing allocates nothing.
 func (e *engine) routeMessages() {
 	// Routing rebuilds the inbox in RAM; any spill segment from the
 	// previous superstep is dead from here on.
 	for _, wk := range e.workers {
 		wk.spilled = false
 	}
+	e.foldEpoch++
 	e.runPhase(phaseRoutePrefix, 0)
 	e.runPhase(phaseRoutePlace, 0)
 }
@@ -1940,16 +1801,10 @@ func (e *engine) countShard(dst *worker, sh int) {
 	lo, hi := e.shardStart[sh], e.shardStart[sh+1]
 	d := dst.index
 	words := 0
-	if e.combActive {
-		for s := lo; s < hi; s++ {
-			words += len(e.workers[s].outboxes[d])
-		}
-	} else {
-		for s := lo; s < hi; s++ {
-			src := e.workers[s]
-			for ci := range src.chunks {
-				words += len(src.chunks[ci].boxes[d])
-			}
+	for s := lo; s < hi; s++ {
+		src := e.workers[s]
+		for ci := range src.chunks {
+			words += len(src.chunks[ci].boxes[d])
 		}
 	}
 	dst.srcMsgs[sh] = int32(words / e.stride)
@@ -1959,12 +1814,6 @@ func (e *engine) countShard(dst *worker, sh int) {
 	cnt := dst.srcCounts[sh]
 	for i := range cnt {
 		cnt[i] = 0
-	}
-	if e.combActive {
-		for s := lo; s < hi; s++ {
-			dst.countRecs(cnt, e.workers[s].outboxes[d])
-		}
-		return
 	}
 	for s := lo; s < hi; s++ {
 		src := e.workers[s]
@@ -2011,6 +1860,7 @@ func (x *executor) prefixPhase() {
 			return
 		}
 		e.workers[t].routePrefix()
+		e.workers[t].foldInbox()
 	}
 }
 
@@ -2087,12 +1937,6 @@ func (wk *worker) placeShard(s int) {
 	lo, hi := e.shardStart[s], e.shardStart[s+1]
 	d := wk.index
 	pos := wk.srcCounts[s]
-	if e.combActive {
-		for src := lo; src < hi; src++ {
-			wk.placeRecs(pos, e.workers[src].outboxes[d])
-		}
-		return
-	}
 	for src := lo; src < hi; src++ {
 		sw := e.workers[src]
 		for ci := range sw.chunks {

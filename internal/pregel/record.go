@@ -7,9 +7,9 @@ import (
 )
 
 // The message record is the one representation every engine buffer
-// holds a message in — chunk boxes, combiner raw logs and outboxes,
-// the CSR inbox, spill segments and their read-back scratch. A record
-// is stride = 1+slots consecutive uint64 words:
+// holds a message in — chunk boxes, the CSR inbox, spill segments and
+// their read-back scratch. A record is stride = 1+slots consecutive
+// uint64 words (a chunk's fold boxes hold the same layout at one slot):
 //
 //	word 0      header: destination id in the low 32 bits, Msg.Type above
 //	word 1..    payload slots 0..slots-1, raw bits
@@ -19,7 +19,8 @@ import (
 // PageRank message is 16 bytes wherever the engine moves it and a
 // schema that declares nothing runs the same code at stride 5. Msg is
 // the job-facing view only: Send packs it into a record, runChunk
-// unpacks a vertex's inbox window into executor scratch for Messages().
+// unpacks a vertex's fold slots and inbox window into executor scratch
+// for Messages().
 
 // recWordBytes is the size of one record word; a buffer's footprint,
 // in memory and in a spill segment alike, is len(words)*recWordBytes.
@@ -55,7 +56,7 @@ func appendRec(b []uint64, hdr uint64, v *[MaxPayloadSlots]uint64, slots int) []
 // the record carries. The rest of m.V is left alone: every Msg the
 // engine unpacks into starts zeroed and is only ever written here, so
 // the slots a run's records do not carry read as the zeros they stand
-// for. (A combiner that dirties one aborts the run, see foldSend.)
+// for.
 //
 //gm:noalloc
 func unpackRec(m *Msg, rec []uint64) {
@@ -123,9 +124,13 @@ func messageSlots(s Schema) (perType []uint8, slots int, err error) {
 
 // RecordBytes returns the size of the record the engine stores and moves
 // each message of a job with schema s in: 8 bytes of header plus 8 per
-// payload slot of the widest declared type.
+// payload slot of the widest declared type. The error is the one a run
+// with s would be refused with.
 func RecordBytes(s Schema) (int, error) {
-	_, slots, err := messageSlots(s)
+	perType, slots, err := messageSlots(s)
+	if err == nil {
+		_, _, _, err = messageFolds(s, perType)
+	}
 	return (1 + slots) * recWordBytes, err
 }
 
@@ -134,14 +139,11 @@ func RecordBytes(s Schema) (int, error) {
 // payload slot beyond the type's declared MessageSlots. The engine
 // aborts the run rather than bill or truncate such a message.
 type SchemaError struct {
-	Vertex graph.NodeID // the sender (the destination, for a combiner's result)
+	Vertex graph.NodeID // the sender
 	Type   uint8
 	Slot   int // the offending payload slot; -1 when Type itself is out of range
 	Types  int // message types the schema declares
 	Slots  int // slots declared for Type (when Slot >= 0)
-	// Combined is set when the offending value was written by the type's
-	// combiner rather than passed to Send.
-	Combined bool
 }
 
 func (e *SchemaError) Error() string {
@@ -149,10 +151,6 @@ func (e *SchemaError) Error() string {
 		return fmt.Sprintf("pregel: vertex %d sent a message of type %d, but the schema declares %d message type(s)",
 			e.Vertex, e.Type, e.Types)
 	}
-	who := fmt.Sprintf("vertex %d sent", e.Vertex)
-	if e.Combined {
-		who = fmt.Sprintf("the combiner produced, for vertex %d,", e.Vertex)
-	}
-	return fmt.Sprintf("pregel: %s a type-%d message with a non-zero payload slot %d, but the schema declares %d slot(s) for that type",
-		who, e.Type, e.Slot, e.Slots)
+	return fmt.Sprintf("pregel: vertex %d sent a type-%d message with a non-zero payload slot %d, but the schema declares %d slot(s) for that type",
+		e.Vertex, e.Type, e.Slot, e.Slots)
 }

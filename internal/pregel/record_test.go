@@ -111,8 +111,8 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 	}
 	oneType := Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
 	twoTypes := Schema{MessagePayloadBytes: []int{12, 8}, MessageSlots: []int{2, 1}}
-	badCombiner := Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1},
-		Combiners: []Combiner{func(into *Msg, m Msg) { into.V[2] = 9 }}}
+	folded := Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1},
+		Folds: []*Fold{{Op: AggSum, Kind: AggKindFloat}}}
 	cases := []struct {
 		name   string
 		schema Schema
@@ -143,10 +143,9 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 		{name: "zero-slot type carrying a payload",
 			schema: Schema{MessagePayloadBytes: []int{0}, MessageSlots: []int{0}}, build: slot(0, 1),
 			want: &SchemaError{Type: 0, Slot: 0, Slots: 0}},
-		{name: "combiner writing an undeclared slot, direct fold", schema: badCombiner, build: slot(0, 1),
-			want: &SchemaError{Type: 0, Slot: 2, Slots: 1, Combined: true}, text: []string{"combiner", "slot 2"}},
-		{name: "combiner writing an undeclared slot, raw-log fold", schema: badCombiner, build: slot(0, 1), chunk: 2,
-			want: &SchemaError{Type: 0, Slot: 2, Slots: 1, Combined: true}},
+		{name: "folded type", schema: folded, build: slot(0, 7), toNbrs: true, chunk: 2},
+		{name: "non-zero slot beyond a folded type", schema: folded, build: slot(1, 1), chunk: 2,
+			want: &SchemaError{Type: 0, Slot: 1, Slots: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,8 +164,7 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 			// Violations surface in canonical (worker, chunk) order, so the
 			// reported vertex is the first sender: vertex 0, on worker 0.
 			want := *tc.want
-			if got.Vertex != want.Vertex || got.Type != want.Type || got.Slot != want.Slot ||
-				got.Types != want.Types || got.Slots != want.Slots || got.Combined != want.Combined {
+			if *got != want {
 				t.Errorf("error = %+v, want %+v", *got, want)
 			}
 			for _, frag := range tc.text {
@@ -181,24 +179,49 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 	}
 }
 
-// A malformed MessageSlots declaration is refused before any superstep.
+// A malformed MessageSlots or Folds declaration is refused before any
+// superstep, with a diagnostic that names the offending message type.
 func TestMalformedMessageSlotsRefused(t *testing.T) {
 	g := gen.Ring(4)
-	for name, schema := range map[string]Schema{
-		"fewer entries than types": {MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1}},
-		"entries without types":    {MessageSlots: []int{1}},
-		"more slots than a Msg":    {MessagePayloadBytes: []int{8}, MessageSlots: []int{MaxPayloadSlots + 1}},
-		"negative slots":           {MessagePayloadBytes: []int{8}, MessageSlots: []int{-1}},
+	one := []int{1}
+	fold := func(op AggOp, kind AggKind) []*Fold { return []*Fold{{Op: op, Kind: kind}} }
+	for _, tc := range []struct {
+		name   string
+		schema Schema
+		text   string // besides "schema declares"
+	}{
+		{"fewer entries than types", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: one}, ""},
+		{"entries without types", Schema{MessageSlots: one}, ""},
+		{"more slots than a Msg", Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{MaxPayloadSlots + 1}}, "type 0"},
+		{"negative slots", Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{-1}}, "type 0"},
+		{"fold on a two-slot type", Schema{MessagePayloadBytes: []int{8, 12}, MessageSlots: []int{1, 2},
+			Folds: []*Fold{nil, {Op: AggMin, Kind: AggKindInt}}}, "type 1"},
+		{"fold on an undeclared-width type", Schema{MessagePayloadBytes: []int{8},
+			Folds: fold(AggSum, AggKindInt)}, "type 0"},
+		{"fold on a zero-slot type", Schema{MessagePayloadBytes: []int{0}, MessageSlots: []int{0},
+			Folds: fold(AggSum, AggKindInt)}, "type 0"},
+		{"AggAny fold", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggAny, AggKindInt)}, "type 0"},
+		{"sum over bool", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggSum, AggKindBool)}, "type 0"},
+		{"min over bool", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggMin, AggKindBool)}, "type 0"},
+		{"max over bool", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggMax, AggKindBool)}, "type 0"},
+		{"or over float", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggOr, AggKindFloat)}, "type 0"},
+		{"and over float", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggAnd, AggKindFloat)}, "type 0"},
+		{"sum over node", Schema{MessagePayloadBytes: []int{4}, MessageSlots: one, Folds: fold(AggSum, AggKindNode)}, "type 0"},
+		{"unknown kind", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggMin, AggKindNode+1)}, "type 0"},
+		{"fewer fold entries than types", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1, 1},
+			Folds: fold(AggSum, AggKindInt)}, "Folds entries"},
+		{"more fold entries than types", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one,
+			Folds: []*Fold{nil, nil}}, "Folds entries"},
 	} {
-		st, err := Run(g, &sendJob{schema: schema, build: func(graph.NodeID) Msg { return Msg{} }}, Config{NumWorkers: 2})
-		if err == nil || !strings.Contains(err.Error(), "schema declares") {
-			t.Errorf("%s: err = %v, want a schema diagnostic", name, err)
+		st, err := Run(g, &sendJob{schema: tc.schema, build: func(graph.NodeID) Msg { return Msg{} }}, Config{NumWorkers: 2})
+		if err == nil || !strings.Contains(err.Error(), "schema declares") || !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("%s: err = %v, want a schema diagnostic mentioning %q", tc.name, err, tc.text)
 		}
 		if st.Supersteps != 0 {
-			t.Errorf("%s: ran %d supersteps", name, st.Supersteps)
+			t.Errorf("%s: ran %d supersteps", tc.name, st.Supersteps)
 		}
-		if _, err := RecordBytes(schema); err == nil {
-			t.Errorf("%s: RecordBytes accepted the schema", name)
+		if _, err := RecordBytes(tc.schema); err == nil {
+			t.Errorf("%s: RecordBytes accepted the schema", tc.name)
 		}
 	}
 }

@@ -257,23 +257,49 @@ func TestWatchdogBackoffDeterministic(t *testing.T) {
 
 // Every armable fault phase is injectable and recovers bit-identically
 // at every point of the schedule lattice: chunk execution, steal
-// hand-off, combiner fold replay, and each segmented-routing sub-phase,
-// alongside the two original phases. The oracle for a whole (worker
-// count, partitioner) group is its fault-free one-chunk reference run.
+// hand-off, and each segmented-routing sub-phase (the prefix one with
+// the delivery folds inside it), alongside the two original phases. The
+// oracle for a whole (worker count, partitioner) group is its fault-free
+// one-chunk reference run.
 func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 	const n = 48
 	g := gen.Ring(n)
 	phases := []FaultPhase{
 		FaultVertexCompute, FaultRouting, FaultChunkExec, FaultSteal,
-		FaultFold, FaultRouteCount, FaultRoutePrefix, FaultRoutePlace,
+		FaultRouteCount, FaultRoutePrefix, FaultRoutePlace,
+	}
+	runFolded := func(cfg Config) (any, Stats) {
+		j := newFoldJob(n, 8, true)
+		st, err := Run(g, j, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.outputs(), st
 	}
 	// The whole matrix runs at stride 2 (slots declared) and at stride 5
 	// (undeclared); the reference is the narrow fault-free run, so the
-	// wide faulty runs are also checked against the other width.
+	// wide faulty runs are also checked against the other width. The
+	// folded job runs it once more.
 	for _, group := range scheduleGroups(Config{Seed: 3}) {
 		labels, st := runMinLabel(t, g, n, group[0])
+		foldOut, foldSt := runFolded(group[0])
 		for _, cfg := range group {
 			for _, p := range phases {
+				t.Run(scheduleName(cfg)+"/"+p.String()+"/folded", func(t *testing.T) {
+					faulty := cfg
+					faulty.CheckpointEvery = 2
+					faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
+					out, fst := runFolded(faulty)
+					if !reflect.DeepEqual(foldOut, out) {
+						t.Errorf("outputs differ from the fault-free reference")
+					}
+					if a, b := statsModuloRecovery(foldSt), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+						t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
+					}
+					if fst.Recoveries != 1 || fst.RecoveredSupersteps != 2 {
+						t.Errorf("Recoveries/RecoveredSupersteps = %d/%d, want 1/2", fst.Recoveries, fst.RecoveredSupersteps)
+					}
+				})
 				for _, width := range []slotDecl{slotsExact, slotsNil} {
 					t.Run(scheduleName(cfg)+"/"+p.String()+"/slots="+width.String(), func(t *testing.T) {
 						faulty := cfg
@@ -297,37 +323,6 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The fold fault fires on the real mid-replay path (not just the
-// phase-end fallback) when the job combines through the raw-log fold,
-// and the replay reproduces the post-combine Stats contract exactly.
-func TestFaultFoldMidReplayRecovers(t *testing.T) {
-	const n, steps, workers = 40, 6, 4
-	g := gen.Ring(n)
-	// ChunkSize 4 forces the raw-log + fold combiner path.
-	base := Config{NumWorkers: workers, Seed: 3, ChunkSize: 4}
-	j := &perfCombJob{steps: steps}
-	st, err := Run(g, j, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty := base
-	faulty.CheckpointEvery = 2
-	faulty.Faults = FaultPlan{{Superstep: 3, Worker: 2, Phase: FaultFold}}
-	fst, err := Run(g, &perfCombJob{steps: steps}, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
-		t.Errorf("fold-faulted stats differ:\nclean:  %+v\nfaulty: %+v", a, b)
-	}
-	if fst.Recoveries != 1 {
-		t.Errorf("Recoveries = %d, want 1", fst.Recoveries)
-	}
-	if want := int64(steps * workers); fst.MessagesSent != want {
-		t.Errorf("MessagesSent = %d, want %d (post-combine, no replay double-count)", fst.MessagesSent, want)
 	}
 }
 
