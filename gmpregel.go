@@ -57,8 +57,10 @@ type Bindings = machine.Bindings
 // statistics.
 type Result = machine.Result
 
-// Config controls an engine run (worker count, superstep limit, seed,
-// and scheduling: ChunkSize, Partitioner).
+// Config controls an engine run: worker count, superstep limit, seed,
+// scheduling (ChunkSize, Partitioner), checkpoints and fault injection
+// (CheckpointEvery, Faults, MaxRecoveries), MemoryBudget, Deadline and
+// Observer. Config.Workers reports the worker count a run resolves to.
 type Config = pregel.Config
 
 // PartitionKind selects how vertices map to workers (Config.Partitioner).
@@ -72,7 +74,7 @@ const (
 )
 
 // Stats summarizes a run: supersteps, messages, network/control bytes,
-// and checkpoint/recovery accounting.
+// checkpoint/recovery accounting, and the memory governor's spills.
 type Stats = pregel.Stats
 
 // Checkpointable is implemented by jobs whose state the engine snapshots
@@ -91,9 +93,10 @@ type FaultPhase = pregel.FaultPhase
 
 // Fault phases, covering every engine stage: a worker's vertex-compute
 // loop, the routing barrier, chunk execution, a stolen chunk, the three
-// segmented-routing sub-phases, and the checkpoint write (a torn snapshot, detected by the codec's integrity
-// frame). FaultWatchdog is reported — never armed — when the superstep
-// watchdog converts a stall into supervised recovery.
+// segmented-routing sub-phases, and the checkpoint write (a torn
+// snapshot, detected by the codec's integrity frame). A plan entry with
+// any other phase, or a negative superstep or worker, fails the run
+// before superstep 0.
 const (
 	FaultVertexCompute = pregel.FaultVertexCompute
 	FaultRouting       = pregel.FaultRouting
@@ -103,13 +106,7 @@ const (
 	FaultRoutePrefix   = pregel.FaultRoutePrefix
 	FaultRoutePlace    = pregel.FaultRoutePlace
 	FaultCheckpoint    = pregel.FaultCheckpoint
-	FaultWatchdog      = pregel.FaultWatchdog
 )
-
-// Stall is one deterministic injected worker stall (Config.Stalls): the
-// target worker's first chunk of the given superstep sleeps for
-// Duration, exercising the superstep watchdog.
-type Stall = pregel.Stall
 
 // ErrBudgetExceeded is returned (wrapped; test with errors.Is) when a
 // run's accounted memory exceeds Config.MemoryBudget even after outbox
@@ -134,9 +131,8 @@ type Span = obs.Span
 type TracePhase = obs.Phase
 
 // Trace phases, in superstep order; PhaseSpill marks a governor inbox
-// spill, PhaseWatchdog a superstep-watchdog trip (State carries the
-// stall diagnosis), and PhaseRun is the final run-scoped span carrying
-// the authoritative totals.
+// spill, and PhaseRun is the final run-scoped span carrying the
+// authoritative totals.
 const (
 	PhaseMaster        = obs.PhaseMaster
 	PhaseVertexCompute = obs.PhaseVertexCompute
@@ -146,7 +142,6 @@ const (
 	PhaseRecovery      = obs.PhaseRecovery
 	PhaseChunk         = obs.PhaseChunk
 	PhaseSpill         = obs.PhaseSpill
-	PhaseWatchdog      = obs.PhaseWatchdog
 	PhaseRun           = obs.PhaseRun
 )
 

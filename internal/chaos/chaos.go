@@ -1,8 +1,8 @@
 // Package chaos is a deterministic chaos harness for the pregel engine:
 // a seeded generator of fault schedules spanning every injectable phase
-// of a superstep, composed with memory-budget pressure and injected
-// worker stalls, plus a runner that verifies every schedule recovers to
-// bit-identical results and semantic Stats against a fault-free run.
+// of a superstep, composed with memory-budget pressure, plus a runner
+// that verifies every schedule recovers to bit-identical results and
+// semantic Stats against a fault-free run.
 //
 // Everything is derived from a seed: the same (seed, count, horizon)
 // triple always yields the same schedules, and each schedule's run is as
@@ -14,22 +14,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"gmpregel/internal/pregel"
 )
 
-// Chaos-pressure tuning: the injected stall must comfortably exceed
-// the paired StepDeadline (so the watchdog provably trips) and the
-// deadline must comfortably exceed a healthy superstep (so it trips
-// only on the stall); raceScale stretches both for race-instrumented
-// binaries. Budget pressure starts between 35% and 65% of the
-// schedule's measured accounted peak.
-const (
-	stallDuration = 100 * time.Millisecond * raceScale
-	stallDeadline = 20 * time.Millisecond * raceScale
-	maxRecoveries = 32
-)
+// maxRecoveries is Config.MaxRecoveries for every chaos run.
+const maxRecoveries = 32
 
 // armablePhases is every fault phase a plan can arm, in enum order. The
 // generator cycles through it so any window of len(armablePhases)
@@ -45,18 +35,15 @@ var armablePhases = []pregel.FaultPhase{
 	pregel.FaultCheckpoint,
 }
 
-// Schedule is one deterministic chaos scenario: a fault plan, optional
-// worker stalls guarded by a superstep deadline, and optional memory
-// pressure expressed as a fraction of the run's unconstrained accounted
-// peak.
+// Schedule is one deterministic chaos scenario: a fault plan and
+// optional memory pressure expressed as a fraction of the run's
+// unconstrained accounted peak (between 35% and 65%).
 type Schedule struct {
 	ID   int   `json:"id"`
 	Seed int64 `json:"seed"`
 
 	CheckpointEvery int              `json:"checkpoint_every"`
 	Faults          pregel.FaultPlan `json:"faults"`
-	Stalls          []pregel.Stall   `json:"stalls,omitempty"`
-	StepDeadline    time.Duration    `json:"step_deadline,omitempty"`
 	BudgetFrac      float64          `json:"budget_frac,omitempty"`
 }
 
@@ -73,9 +60,6 @@ func (s Schedule) Phases() []string {
 func (s Schedule) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ckpt=%d faults=%s", s.CheckpointEvery, strings.Join(s.Phases(), ","))
-	if len(s.Stalls) > 0 {
-		fmt.Fprintf(&b, " stall@%d", s.Stalls[0].Superstep)
-	}
 	if s.BudgetFrac > 0 {
 		fmt.Fprintf(&b, " budget=%.0f%%", 100*s.BudgetFrac)
 	}
@@ -86,9 +70,8 @@ func (s Schedule) String() string {
 // upper bound for fault supersteps — pass the fault-free run's superstep
 // count so every fault lands inside the run. The primary fault phase
 // cycles through armablePhases (guaranteeing full phase coverage every
-// eight schedules); every fourth schedule adds a deadline-guarded worker
-// stall and every third adds memory-budget pressure, so the pressure
-// dimensions compose with every phase over a full matrix.
+// eight schedules); every third adds memory-budget pressure, so the
+// pressure dimension composes with every phase over a full matrix.
 func Generate(seed int64, count, horizon int) []Schedule {
 	if horizon < 3 {
 		horizon = 3
@@ -127,10 +110,6 @@ func Generate(seed int64, count, horizon int) []Schedule {
 				}
 				s.Faults = append(s.Faults, pregel.Fault{Superstep: at, Worker: rng.Intn(8), Phase: extra})
 			}
-		}
-		if i%4 == 1 {
-			s.Stalls = []pregel.Stall{{Superstep: 1 + rng.Intn(horizon-1), Worker: rng.Intn(8), Duration: stallDuration}}
-			s.StepDeadline = stallDeadline
 		}
 		if i%3 == 2 {
 			s.BudgetFrac = 0.35 + 0.3*rng.Float64()

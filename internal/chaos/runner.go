@@ -20,7 +20,7 @@ type Target func(cfg pregel.Config) (any, pregel.Stats, error)
 // chaotic run must reproduce bit-identically from a fault-free run.
 func SemanticStats(st pregel.Stats) pregel.Stats {
 	st.Checkpoints, st.CheckpointBytes, st.Recoveries, st.RecoveredSupersteps = 0, 0, 0, 0
-	st.Spills, st.SpillBytes, st.MemoryPeakBytes, st.WatchdogStalls = 0, 0, 0, 0
+	st.Spills, st.SpillBytes, st.MemoryPeakBytes = 0, 0, 0
 	return st
 }
 
@@ -34,11 +34,10 @@ type Result struct {
 	Survived  bool     `json:"survived"`          // run completed without error
 	Identical bool     `json:"identical"`         // vertex output and semantic Stats bit-identical
 
-	Recoveries     int   `json:"recoveries"`
-	WatchdogStalls int   `json:"watchdog_stalls"`
-	Spills         int   `json:"spills"`
-	SpillBytes     int64 `json:"spill_bytes"`
-	MTTRNS         int64 `json:"mttr_ns"` // mean recovery span duration (rollback + state restore)
+	Recoveries int   `json:"recoveries"`
+	Spills     int   `json:"spills"`
+	SpillBytes int64 `json:"spill_bytes"`
+	MTTRNS     int64 `json:"mttr_ns"` // mean recovery span duration (rollback + state restore)
 
 	Err string `json:"err,omitempty"`
 }
@@ -50,11 +49,10 @@ type Report struct {
 	Survived  int   `json:"survived"`
 	Identical int   `json:"identical"`
 
-	Recoveries     int   `json:"recoveries"`
-	WatchdogStalls int   `json:"watchdog_stalls"`
-	Spills         int   `json:"spills"`
-	SpillBytes     int64 `json:"spill_bytes"`
-	MeanMTTRNS     int64 `json:"mean_mttr_ns"`
+	Recoveries int   `json:"recoveries"`
+	Spills     int   `json:"spills"`
+	SpillBytes int64 `json:"spill_bytes"`
+	MeanMTTRNS int64 `json:"mean_mttr_ns"`
 
 	Results []Result `json:"results"`
 }
@@ -113,8 +111,6 @@ func (r *Runner) Run(seed int64, schedules []Schedule) (*Report, error) {
 		cfg := r.Base
 		cfg.CheckpointEvery = s.CheckpointEvery
 		cfg.Faults = s.Faults
-		cfg.Stalls = s.Stalls
-		cfg.StepDeadline = s.StepDeadline
 		cfg.MaxRecoveries = maxRecoveries
 		if s.BudgetFrac > 0 {
 			peak, perr := peakFor(s.CheckpointEvery)
@@ -166,7 +162,6 @@ func (r *Runner) Run(seed int64, schedules []Schedule) (*Report, error) {
 		}
 		res.Survived = true
 		res.Recoveries = st.Recoveries
-		res.WatchdogStalls = st.WatchdogStalls
 		res.Spills = st.Spills
 		res.SpillBytes = st.SpillBytes
 		res.Identical = reflect.DeepEqual(baseOut, out) &&
@@ -180,7 +175,6 @@ func (r *Runner) Run(seed int64, schedules []Schedule) (*Report, error) {
 			rep.Identical++
 		}
 		rep.Recoveries += res.Recoveries
-		rep.WatchdogStalls += res.WatchdogStalls
 		rep.Spills += res.Spills
 		rep.SpillBytes += res.SpillBytes
 		rep.Results = append(rep.Results, res)

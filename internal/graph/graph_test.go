@@ -2,10 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -307,17 +309,24 @@ func TestReadEdgeListNoHeader(t *testing.T) {
 	}
 }
 
+// badEdgeLists are inputs ReadEdgeList must reject; FuzzReadEdgeList
+// seeds its corpus from them.
+var badEdgeLists = []string{
+	"0\n", "a b\n", "0 x\n", "# nodes 2 edges 1\n0 5\n",
+	"-1 3\n", "# nodes 3 edges -1\n", "# nodes 3 edges 4000000000000000000\n",
+	"0 1\n2 -7\n", "# nodes -3 edges 0\n", "# nodes 9000000000 edges 0\n",
+	"# nodes 3 edges 2\n0 1\n",
+	// Node counts above MaxNodes, declared and implied: a node-sized
+	// allocation of either is a fatal out-of-memory, not a panic.
+	"# nodes 2147483647 edges 0\n", "0 2147483646\n",
+}
+
 func TestReadEdgeListErrors(t *testing.T) {
 	// Hostile input must come back as an error: no range panic in
 	// FromEdges, no allocation sized by what the header claims.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, bad := range []string{
-		"0\n", "a b\n", "0 x\n", "# nodes 2 edges 1\n0 5\n",
-		"-1 3\n", "# nodes 3 edges -1\n", "# nodes 3 edges 4000000000000000000\n",
-		"0 1\n2 -7\n", "# nodes -3 edges 0\n", "# nodes 9000000000 edges 0\n",
-		"# nodes 3 edges 2\n0 1\n",
-	} {
+	for _, bad := range badEdgeLists {
 		if _, err := ReadEdgeList(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("input %q: want error, got nil", bad)
 		}
@@ -326,7 +335,14 @@ func TestReadEdgeListErrors(t *testing.T) {
 	// Each call owns a 1 MiB scanner buffer; the header's edge count must
 	// add at most the capped hint on top.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
-		t.Errorf("rejecting 11 small inputs allocated %d bytes", grew)
+		t.Errorf("rejecting %d small inputs allocated %d bytes", len(badEdgeLists), grew)
+	}
+	// A refused node count names the line that claimed it.
+	for _, bad := range []string{"# nodes 2147483647 edges 0\n", "0 1\n0 2147483646\n"} {
+		want := fmt.Sprintf("line %d:", strings.Count(bad, "\n"))
+		if _, err := ReadEdgeList(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("input %q: error %v does not name %q", bad, err, want)
+		}
 	}
 }
 

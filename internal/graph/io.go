@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -32,11 +31,19 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 // from outside the program, not a promise.
 const maxEdgeHint = 1 << 16
 
+// MaxNodes bounds the vertex count ReadEdgeList accepts, declared by a
+// header or implied by an endpoint: 2^27 (about 134 M) vertices, above
+// the paper's largest graph (Bipartite, 75 M). The graph allocates per
+// vertex, so a larger count from outside the program is refused rather
+// than trusted.
+const MaxNodes = 1 << 27
+
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines
 // beginning with '#' other than the header are ignored, as are blank
 // lines. If no header is present, the vertex count is inferred as
-// 1 + max endpoint. Negative endpoints, negative header counts and a
-// header edge count the file does not deliver are errors.
+// 1 + max endpoint. Negative endpoints, negative header counts, a node
+// count above MaxNodes and a header edge count the file does not
+// deliver are errors.
 func ReadEdgeList(r io.Reader) (*Directed, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -53,7 +60,7 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 		if strings.HasPrefix(line, "#") {
 			var hn, hm int
 			if _, err := fmt.Sscanf(line, "# nodes %d edges %d", &hn, &hm); err == nil {
-				if hn < 0 || hn > math.MaxInt32 || hm < 0 {
+				if hn < 0 || hn > MaxNodes || hm < 0 {
 					return nil, fmt.Errorf("graph: line %d: header counts out of range: nodes %d edges %d", lineNo, hn, hm)
 				}
 				n, declared = hn, hm
@@ -75,6 +82,9 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 		}
 		if s < 0 || d < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative endpoint in %q", lineNo, line)
+		}
+		if s >= MaxNodes || d >= MaxNodes {
+			return nil, fmt.Errorf("graph: line %d: endpoint in %q implies more than %d nodes", lineNo, line, MaxNodes)
 		}
 		e := Edge{NodeID(s), NodeID(d)}
 		if e.Src > maxID {

@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/graph"
@@ -189,7 +188,7 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 			}
 		}
 	}
-	ex.envs = make([]*vertexEnv, resolvedWorkers(cfg, g.NumNodes()))
+	ex.envs = make([]*vertexEnv, cfg.Workers(g.NumNodes()))
 	for w := range ex.envs {
 		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: make([]ir.Value, maxLocals)}
 	}
@@ -435,18 +434,6 @@ func (ex *exec) VertexCompute(vc *pregel.VertexContext) {
 		return
 	}
 	runAll(ex.compiled[state], env)
-}
-
-// resolvedWorkers mirrors the engine's worker-count resolution.
-func resolvedWorkers(cfg pregel.Config, numNodes int) int {
-	w := cfg.NumWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > numNodes && numNodes > 0 {
-		w = numNodes
-	}
-	return w
 }
 
 func (ex *exec) execVertex(ss []ir.Stmt, env *vertexEnv) {

@@ -78,7 +78,6 @@ func (l *Live) Snapshot() RunSnapshot {
 //	pregel_recoveries_total           rollback-and-replay recoveries
 //	pregel_spills_total               governor inbox spills
 //	pregel_spill_bytes_total          bytes written to the spill store
-//	pregel_watchdog_trips_total       superstep watchdog trips
 //	pregel_runs_total                 completed runs
 type MetricsObserver struct {
 	phase       [PhaseRun + 1]*Histogram
@@ -91,7 +90,6 @@ type MetricsObserver struct {
 	recoveries  *Counter
 	spills      *Counter
 	spillBytes  *Counter
-	wdTrips     *Counter
 	runs        *Counter
 }
 
@@ -109,7 +107,6 @@ func NewMetricsObserver(reg *Registry) *MetricsObserver {
 		recoveries:  reg.Counter("pregel_recoveries_total", "rollback-and-replay recoveries"),
 		spills:      reg.Counter("pregel_spills_total", "governor inbox spills to the segment store"),
 		spillBytes:  reg.Counter("pregel_spill_bytes_total", "bytes written to the governor spill store"),
-		wdTrips:     reg.Counter("pregel_watchdog_trips_total", "superstep watchdog trips"),
 		runs:        reg.Counter("pregel_runs_total", "completed engine runs"),
 	}
 	for p := PhaseMaster; p <= PhaseRun; p++ {
@@ -139,8 +136,6 @@ func (m *MetricsObserver) ObserveSpan(s Span) {
 	case PhaseSpill:
 		m.spills.Inc()
 		m.spillBytes.Add(s.Bytes)
-	case PhaseWatchdog:
-		m.wdTrips.Inc()
 	case PhaseRun:
 		m.runs.Inc()
 	}

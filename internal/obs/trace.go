@@ -12,9 +12,7 @@ type Phase uint8
 
 // Engine phases. PhaseSpill covers one governor inbox spill to the
 // temp-file segment store (Messages = spilled messages, Bytes = on-disk
-// segment size); PhaseWatchdog is emitted when the superstep watchdog
-// trips, with State carrying the stall diagnosis and Worker the suspect.
-// PhaseRun is the whole-run summary span emitted once when a run
+// segment size). PhaseRun is the whole-run summary span emitted once when a run
 // finishes (successfully or not).
 const (
 	PhaseMaster Phase = iota
@@ -25,7 +23,6 @@ const (
 	PhaseRecovery
 	PhaseChunk
 	PhaseSpill
-	PhaseWatchdog
 	// PhaseRouteEager covers one source shard's eager outbox count,
 	// overlapped with the vertex phase (emitted at the barrier like all
 	// spans): Worker carries the source-shard index, Executor the pool
@@ -43,7 +40,6 @@ var phaseNames = [...]string{
 	PhaseRecovery:      "recovery",
 	PhaseChunk:         "chunk",
 	PhaseSpill:         "spill",
-	PhaseWatchdog:      "watchdog",
 	PhaseRouteEager:    "route-eager",
 	PhaseRun:           "run",
 }

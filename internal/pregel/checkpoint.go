@@ -395,7 +395,7 @@ func (e *engine) decodeState(data []byte) error {
 		e.aggValues[i] = aggCell{set: r.bool(), i: r.i64(), f: floatFromBits(r.u64())}
 	}
 	rec, recSteps, cks, ckb := e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes
-	sp, spb, mpk, wds := e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes, e.stats.WatchdogStalls
+	sp, spb, mpk := e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes
 	e.stats = Stats{
 		Supersteps:   int(r.i64()),
 		MessagesSent: r.i64(),
@@ -406,7 +406,7 @@ func (e *engine) decodeState(data []byte) error {
 		VertexCalls:  r.i64(),
 	}
 	e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes = rec, recSteps, cks, ckb
-	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes, e.stats.WatchdogStalls = sp, spb, mpk, wds
+	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes = sp, spb, mpk
 	if n := int(r.u32()); n > 0 {
 		e.stats.Steps = make([]StepStats, n)
 		for i := range e.stats.Steps {
@@ -500,9 +500,7 @@ func (e *engine) decodeState(data []byte) error {
 		wk.stealFault.Store(false)
 		wk.routeFaultOn = false
 		wk.routeErr = nil
-		wk.stallNS = 0
 		wk.spilled = false
-		wk.inDepth.Store(int64(wk.inTotal + wk.foldTotal))
 	}
 	for _, x := range e.executors {
 		x.err = nil

@@ -310,7 +310,8 @@ func (vc *VertexContext) WorkerIndex() int { return vc.wk.index }
 // ExecutorIndex returns the index of the executor goroutine running this
 // vertex. Under work stealing this may differ from WorkerIndex; scratch
 // state a job mutates during compute must be indexed by executor, not
-// worker, to stay race-free.
+// worker, to stay race-free. It lies in [0, Config.Workers(n)) for a
+// graph of n vertices.
 func (vc *VertexContext) ExecutorIndex() int { return vc.ex.id }
 
 // NumWorkers returns the number of workers in this run (also the number

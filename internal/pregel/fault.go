@@ -30,9 +30,6 @@ type FaultPhase uint8
 //     checkpoint barrier (a crash mid-write); the corruption is caught
 //     by the codec's integrity frame on the next rollback, which falls
 //     back to the previous checkpoint.
-//   - FaultWatchdog is not armable from a plan: it is the phase the
-//     superstep watchdog reports when it converts a detected stall into
-//     supervised recovery.
 const (
 	FaultVertexCompute FaultPhase = iota
 	FaultRouting
@@ -42,7 +39,6 @@ const (
 	FaultRoutePrefix
 	FaultRoutePlace
 	FaultCheckpoint
-	FaultWatchdog
 )
 
 var faultPhaseNames = [...]string{
@@ -54,7 +50,6 @@ var faultPhaseNames = [...]string{
 	FaultRoutePrefix:   "route-prefix",
 	FaultRoutePlace:    "route-place",
 	FaultCheckpoint:    "checkpoint",
-	FaultWatchdog:      "watchdog",
 }
 
 func (p FaultPhase) String() string {
@@ -64,9 +59,10 @@ func (p FaultPhase) String() string {
 	return fmt.Sprintf("fault-phase(%d)", uint8(p))
 }
 
-// Fault is one deterministically injected worker failure. Worker is
-// taken modulo the resolved worker count, so plans stay valid when the
-// engine shrinks NumWorkers for tiny graphs.
+// Fault is one deterministically injected worker failure. Superstep and
+// Worker must be non-negative and Phase one of the constants above;
+// Worker is taken modulo the resolved worker count, so plans stay valid
+// when the engine shrinks NumWorkers for tiny graphs.
 type Fault struct {
 	Superstep int
 	Worker    int
@@ -78,6 +74,24 @@ type Fault struct {
 // (superstep, worker) several times makes the worker crash again on each
 // replay until the plan (or the recovery budget) is exhausted.
 type FaultPlan []Fault
+
+// validate rejects a plan entry that could never fire as written: a
+// negative superstep or worker, or a phase outside the armable set.
+// Such an entry would otherwise be silently ignored or index a worker
+// out of range.
+func (p FaultPlan) validate() error {
+	for i, f := range p {
+		switch {
+		case f.Superstep < 0:
+			return fmt.Errorf("pregel: fault plan entry %d: negative superstep %d", i, f.Superstep)
+		case f.Worker < 0:
+			return fmt.Errorf("pregel: fault plan entry %d: negative worker %d", i, f.Worker)
+		case int(f.Phase) >= len(faultPhaseNames):
+			return fmt.Errorf("pregel: fault plan entry %d: unknown phase %v", i, f.Phase)
+		}
+	}
+	return nil
+}
 
 // faultState tracks whether a planned fault has fired.
 type faultState struct {

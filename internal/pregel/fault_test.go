@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gmpregel/internal/graph"
@@ -12,11 +13,11 @@ import (
 )
 
 // statsModuloRecovery clears the recovery-cost and resource-governance
-// fields so faulty, stalled, and budget-constrained runs can be compared
+// fields so faulty and budget-constrained runs can be compared
 // against clean runs for everything else.
 func statsModuloRecovery(st Stats) Stats {
 	st.Checkpoints, st.CheckpointBytes, st.Recoveries, st.RecoveredSupersteps = 0, 0, 0, 0
-	st.Spills, st.SpillBytes, st.MemoryPeakBytes, st.WatchdogStalls = 0, 0, 0, 0
+	st.Spills, st.SpillBytes, st.MemoryPeakBytes = 0, 0, 0
 	return st
 }
 
@@ -138,6 +139,40 @@ func TestRecoveryBudgetExhaustedFailsCleanly(t *testing.T) {
 	}
 	if st.Supersteps == 0 {
 		t.Errorf("partial stats lost: %+v", st)
+	}
+}
+
+// A plan entry that could never fire as written fails the run before
+// superstep 0 with an error naming the entry, instead of indexing a
+// worker out of range or being silently ignored.
+func TestMalformedFaultPlanRejected(t *testing.T) {
+	const n = 20
+	g := gen.Ring(n)
+	ok := Fault{Superstep: 1, Worker: 0, Phase: FaultVertexCompute}
+	for _, tc := range []struct {
+		name string
+		bad  Fault
+		want string
+	}{
+		{"negative-worker", Fault{Superstep: 2, Worker: -1, Phase: FaultVertexCompute}, "negative worker -1"},
+		{"negative-worker-routing", Fault{Superstep: 2, Worker: -3, Phase: FaultRoutePrefix}, "negative worker -3"},
+		{"unarmable-phase", Fault{Superstep: 2, Worker: 1, Phase: FaultCheckpoint + 1}, "unknown phase"},
+		{"unknown-phase", Fault{Superstep: 2, Worker: 1, Phase: FaultPhase(42)}, "unknown phase fault-phase(42)"},
+		{"negative-superstep", Fault{Superstep: -1, Worker: 1, Phase: FaultVertexCompute}, "negative superstep -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := &minLabelJob{label: make([]int64, n)}
+			st, err := Run(g, j, Config{NumWorkers: 2, Seed: 1, Faults: FaultPlan{ok, tc.bad}})
+			if err == nil {
+				t.Fatalf("malformed plan accepted (Recoveries = %d)", st.Recoveries)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "entry 1") || !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q does not name entry 1 and %q", msg, tc.want)
+			}
+			if st.Supersteps != 0 || st.Recoveries != 0 {
+				t.Errorf("run started before rejecting the plan: %+v", st)
+			}
+		})
 	}
 }
 

@@ -164,5 +164,4 @@ func (wk *worker) foldInbox() {
 		}
 	}
 	wk.foldTotal = total
-	wk.inDepth.Add(int64(total))
 }

@@ -26,8 +26,6 @@ var (
 		"MaxSupersteps": true, "Seed": true, "TraceSteps": true,
 		"CheckpointEvery": true, "Faults": true, "MaxRecoveries": true,
 		"Deadline": true, "Observer": true, "MemoryBudget": true,
-		"Watchdog": true, "StepDeadline": true, "BackoffBase": true,
-		"BackoffCap": true, "Stalls": true,
 	}
 )
 

@@ -210,7 +210,9 @@ type Config struct {
 	// taken so rollback is always possible.
 	CheckpointEvery int
 	// Faults deterministically injects worker failures; each failure is
-	// converted into rollback to the last checkpoint and replay.
+	// converted into rollback to the last checkpoint and replay. A plan
+	// entry that could never fire (see Fault) fails the run before
+	// superstep 0.
 	Faults FaultPlan
 	// MaxRecoveries bounds rollback-replay attempts, after which the run
 	// fails cleanly with partial Stats; 0 means 8.
@@ -236,31 +238,24 @@ type Config struct {
 	// a pure function of configuration and seed, so governed runs remain
 	// deterministic.
 	MemoryBudget int64
-	// Watchdog enables the superstep watchdog: a per-superstep deadline
-	// derived from a trailing EWMA of superstep wall time; a superstep
-	// exceeding it is diagnosed (per-worker phase, chunk cursor, inbox
-	// depth) and converted into supervised rollback-and-replay with
-	// capped exponential backoff, bounded by MaxRecoveries.
-	Watchdog bool
-	// StepDeadline overrides the watchdog's EWMA-derived deadline with a
-	// fixed per-superstep budget; setting it implies Watchdog.
-	StepDeadline time.Duration
-	// BackoffBase and BackoffCap shape the watchdog's supervised-recovery
-	// backoff: attempt n waits ~min(BackoffBase<<n, BackoffCap) with
-	// deterministic seed-derived jitter. Zero values default to
-	// 1ms / 250ms.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Stalls deterministically injects worker stalls (chaos testing):
-	// the target worker's first chunk of the given superstep sleeps for
-	// the configured duration. Each stall fires at most once.
-	Stalls []Stall
+}
+
+// Workers is the number of workers a run with c uses on a graph of
+// numNodes vertices: NumWorkers, or GOMAXPROCS when that is not
+// positive, capped at numNodes for a non-empty graph. Jobs that keep
+// per-executor state (VertexContext.ExecutorIndex) size it with this.
+func (c Config) Workers(numNodes int) int {
+	w := c.NumWorkers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > numNodes && numNodes > 0 {
+		w = numNodes
+	}
+	return w
 }
 
 func (c Config) withDefaults() Config {
-	if c.NumWorkers <= 0 {
-		c.NumWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = 1 << 20
 	}
@@ -324,16 +319,14 @@ type Stats struct {
 	Recoveries          int
 	RecoveredSupersteps int
 
-	// Governor and watchdog accounting, monotone like the four counters
-	// above (never rewound by rollback). All four stay zero unless
-	// MemoryBudget or the watchdog is enabled, so they never perturb
-	// bit-identical Stats comparisons of ungoverned runs.
-	// MemoryPeakBytes is the high-water accounted usage observed at
-	// govern points, before any degradation.
+	// Governor accounting, monotone like the four counters above (never
+	// rewound by rollback). All three stay zero unless MemoryBudget is
+	// set, so they never perturb bit-identical Stats comparisons of
+	// ungoverned runs. MemoryPeakBytes is the high-water accounted usage
+	// observed at govern points, before any degradation.
 	Spills          int
 	SpillBytes      int64
 	MemoryPeakBytes int64
-	WatchdogStalls  int
 }
 
 type aggCell struct {
@@ -533,15 +526,12 @@ type engine struct {
 	ckpt     *checkpoint
 	ckptPrev *checkpoint
 	faults   []faultState
-	stalls   []stallState
 
-	// Resource governance and supervision. mark is the last
-	// completed-barrier snapshot of the semantic counters; an aborting
-	// run reports it instead of a partially merged barrier state.
-	gov     *governor
-	wd      *watchdog
-	wdEpoch time.Time
-	mark    commitMark
+	// Resource governance. mark is the last completed-barrier snapshot
+	// of the semantic counters; an aborting run reports it instead of a
+	// partially merged barrier state.
+	gov  *governor
+	mark commitMark
 
 	// Observability. obsOn caches cfg.Observer != nil so the hot path
 	// tests a bool, not an interface; runStart anchors span timestamps.
@@ -680,20 +670,11 @@ type worker struct {
 	faultStep    int
 	routeErr     *InjectedFault
 
-	// stallNS is an armed injected stall: whoever executes chunk 0 of
-	// this worker sleeps that long first. Written by the barrier
-	// goroutine before dispatch, cleared when the phase is collected.
-	stallNS int64
-
 	// Governor spill state: when spilled, inFlat is empty and the routed
 	// inbox lives in the spill store segment at spillOff (inOff is
 	// retained, so chunk windows remain addressable).
 	spilled  bool
 	spillOff int64
-
-	// inDepth publishes the inbox depth routed into this worker, for the
-	// watchdog's cross-goroutine stall diagnosis.
-	inDepth atomic.Int64
 }
 
 // ownerOf returns the worker index owning vertex v.
@@ -735,10 +716,6 @@ type executor struct {
 	rngID    graph.NodeID
 	rngStep  int
 	seedBase uint64
-
-	// curPhase publishes the phaseKind this executor is running (-1 when
-	// parked), for the watchdog's stall diagnosis.
-	curPhase atomic.Int32
 
 	// msgs is the retained scratch a vertex's inbox window is unpacked
 	// into for Messages(); sizeUnpackScratch grows it, before each vertex
@@ -823,10 +800,7 @@ func RunContext(ctx context.Context, g *graph.Directed, job Job, cfg Config) (St
 
 func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	e := &engine{g: g, job: job, cfg: cfg, schema: job.Schema()}
-	e.numWorkers = cfg.NumWorkers
-	if n := g.NumNodes(); e.numWorkers > n && n > 0 {
-		e.numWorkers = n
-	}
+	e.numWorkers = cfg.Workers(g.NumNodes())
 	e.div = newFastDiv(uint32(e.numWorkers))
 	// Wire size: 4-byte destination, a 1-byte type tag when the job
 	// declares more than one message type, then the schema payload.
@@ -865,10 +839,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	e.aggValues = make([]aggCell, len(e.schema.Aggregators))
 	e.masterSrc = newCountingSource(cfg.Seed)
 	e.masterRand = rand.New(e.masterSrc) //gm:nondeterministic-ok wraps the seeded, draw-counted master source; replayable from checkpoints
-	// Watchdog trips and injected stalls are repaired by rollback, so
-	// either forces at least the superstep-0 checkpoint.
-	e.ckptOn = cfg.CheckpointEvery > 0 || len(cfg.Faults) > 0 ||
-		cfg.Watchdog || cfg.StepDeadline > 0 || len(cfg.Stalls) > 0
+	e.ckptOn = cfg.CheckpointEvery > 0 || len(cfg.Faults) > 0
 	e.obsOn = cfg.Observer != nil
 	if e.obsOn {
 		e.runStart = time.Now() //gm:nondeterministic-ok span timebase for observability output only; never feeds Stats
@@ -877,16 +848,8 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	for i, f := range cfg.Faults {
 		e.faults[i] = faultState{Fault: f}
 	}
-	e.stalls = make([]stallState, len(cfg.Stalls))
-	for i, s := range cfg.Stalls {
-		e.stalls[i] = stallState{Stall: s}
-	}
 	if cfg.MemoryBudget > 0 {
 		e.gov = &governor{budget: cfg.MemoryBudget}
-	}
-	if cfg.Watchdog || cfg.StepDeadline > 0 {
-		e.wdEpoch = time.Now() //gm:nondeterministic-ok watchdog timebase: feeds deadlines and diagnosis text only, never Stats semantics
-		e.wd = newWatchdog(e, cfg.StepDeadline)
 	}
 
 	// Partitioning: compute each worker's owned IDs.
@@ -972,14 +935,10 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		x.rng = rand.New(&x.rngSrc) //gm:nondeterministic-ok wraps the per-vertex reseeded source (seedBase ^ step ^ id); schedule-independent by construction
 		x.vc = VertexContext{ex: x}
 		x.cmds = make(chan poolCmd, 1)
-		x.curPhase.Store(-1)
 		e.executors[i] = x
 	}
 	for _, x := range e.executors {
 		go x.poolRun()
-	}
-	if e.wd != nil {
-		go e.wd.run()
 	}
 	return e
 }
@@ -993,10 +952,6 @@ func (e *engine) stop() {
 		return
 	}
 	e.stopped = true
-	if e.wd != nil {
-		close(e.wd.stopc)
-		<-e.wd.exited
-	}
 	if e.gov != nil {
 		e.gov.spill.close()
 	}
@@ -1075,9 +1030,7 @@ func (x *executor) poolRun() {
 // deadlock the master). Vertex-chunk panics are caught closer to the
 // work, in runChunk, so one chunk's panic does not abandon the phase.
 func (x *executor) runCmd(cmd poolCmd) {
-	x.curPhase.Store(int32(cmd.kind))
 	defer func() {
-		x.curPhase.Store(-1)
 		if r := recover(); r != nil && x.err == nil {
 			x.err = fmt.Errorf("pregel: executor %d panicked in %v phase: %v", x.id, cmd.kind, r)
 		}
@@ -1188,11 +1141,6 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	}
 	if wk.crashed.Load() {
 		return
-	}
-	// Injected stall (chaos testing): whoever executes the stalled
-	// worker's first chunk sleeps, overrunning the watchdog deadline.
-	if wk.stallNS > 0 && ci == 0 {
-		time.Sleep(time.Duration(wk.stallNS))
 	}
 	// Injected steal fault: the worker dies the moment one of its chunks
 	// runs on a foreign executor.
@@ -1368,6 +1316,9 @@ func (e *engine) loop(ctx context.Context) error {
 	if e.schemaErr != nil {
 		return e.schemaErr
 	}
+	if err := e.cfg.Faults.validate(); err != nil {
+		return err
+	}
 	e.markCommitted()
 	err := e.run(ctx)
 	if err != nil {
@@ -1395,32 +1346,19 @@ func (e *engine) run(ctx context.Context) error {
 		if halted {
 			return nil
 		}
-		// The superstep's work is done, or a worker died in it: disarm the
-		// watchdog first so a restore never trips it (a trip overlapping an
-		// injected fault is subsumed by that fault's recovery), then govern
-		// point 2 (outboxes and the freshly routed inboxes coexist), then
-		// convert a detected stall into a fault of its own.
-		tripped := e.wd != nil && e.wd.endStep()
-		if fault == nil {
-			if e.gov != nil {
-				if err := e.govern(step); err != nil {
-					return err
-				}
-			}
-			if tripped {
-				fault = e.watchdogFault(step)
+		// The superstep's work is done, or a worker died in it. Govern
+		// point 2: outboxes and the freshly routed inboxes coexist here.
+		if fault == nil && e.gov != nil {
+			if err := e.govern(step); err != nil {
+				return err
 			}
 		}
 		// The one recovery site: every fault source — vertex phase, routing
-		// arm, routing sub-phases, watchdog trip — ends here. A stall is
-		// retried under deterministic capped-exponential backoff.
+		// arm, routing sub-phases — ends here.
 		if fault != nil {
 			resume, err := e.recoverFrom(fault, step)
 			if err != nil {
 				return err
-			}
-			if fault.Phase == FaultWatchdog {
-				time.Sleep(backoffFor(e.cfg.Seed, e.stats.Recoveries-1, e.cfg.BackoffBase, e.cfg.BackoffCap))
 			}
 			step = resume
 			continue
@@ -1474,9 +1412,6 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 			return false, nil, err
 		}
 	}
-	if e.wd != nil {
-		e.wd.beginStep(step)
-	}
 	// Master phase: sees aggregator values contributed last superstep.
 	var masterT0 int64
 	if e.obsOn {
@@ -1501,7 +1436,6 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 	}
 	// Vertex phase: release the parked pool into the chunk queues.
 	e.armVertexFault(step)
-	e.armStall(step)
 	e.runVertexPhase(step)
 	if e.obsOn {
 		e.emitVertexSpans(step, stateLabel)
@@ -1591,20 +1525,6 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 	return false, e.collectRoutingFault(), nil
 }
 
-// watchdogFault consumes a watchdog trip: it bills the stall, emits the
-// poller's diagnosis as a watchdog span, and synthesizes the fault that
-// sends the stalled superstep through supervised rollback-and-replay.
-func (e *engine) watchdogFault(step int) *InjectedFault {
-	e.stats.WatchdogStalls++
-	diag, suspect := e.wd.diagnosis()
-	if e.obsOn {
-		dur := e.wdNowNS() - e.wd.startNS.Load()
-		e.emit(obs.Span{Superstep: step, Worker: suspect, Phase: obs.PhaseWatchdog,
-			StartNS: e.nowNS() - dur, DurNS: dur, State: diag})
-	}
-	return &InjectedFault{Superstep: step, Worker: suspect, Phase: FaultWatchdog}
-}
-
 // emitVertexSpans emits the superstep's chunk spans (executor- and
 // steal-attributed, from the snapshots the worker epilogue took before
 // clearing the live counters) followed by one aggregated vertex-compute
@@ -1661,7 +1581,6 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 		}
 	}
 	for _, wk := range e.workers {
-		wk.stallNS = 0
 		// A fault armed on a worker owning too few vertices (faultAt
 		// beyond its range) crashes at phase end, like the pre-chunk
 		// engine. The same fallback covers a chunk-exec fault on a
@@ -1879,7 +1798,6 @@ func (wk *worker) routePrefix() {
 	}
 	wk.inTotal = total
 	wk.inMax = 0
-	wk.inDepth.Store(int64(total))
 	if words := total * (wk.slots + 1); cap(wk.inFlat) < words {
 		// Grow geometrically, like the append-grown boxes: a frontier that
 		// widens a little every superstep must not reallocate (and

@@ -3,6 +3,7 @@ package pregel
 import (
 	"context"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,53 @@ func TestMinLabelPropagation(t *testing.T) {
 	if st.Supersteps == 0 || st.MessagesSent == 0 {
 		t.Errorf("stats look empty: %+v", st)
 	}
+}
+
+// Config.Workers is the one worker-count rule: the engine and every job
+// sizing per-executor state from it agree on how many executors exist.
+func TestConfigWorkers(t *testing.T) {
+	p := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, nodes, want int }{
+		{4, 100, 4},
+		{4, 3, 3},
+		{4, 0, 4},
+		{0, 1 << 20, p},
+		{-2, 1 << 20, p},
+		{0, 1, 1},
+	} {
+		if got := (Config{NumWorkers: tc.workers}).Workers(tc.nodes); got != tc.want {
+			t.Errorf("Workers(NumWorkers=%d, nodes=%d) = %d, want %d", tc.workers, tc.nodes, got, tc.want)
+		}
+	}
+	// Every executor index a vertex sees is below the resolved count.
+	for _, w := range []int{0, 3, 64} {
+		const n = 20
+		cfg := Config{NumWorkers: w, ChunkSize: 1}
+		j := &execIndexJob{seen: make([]int, n)}
+		if _, err := Run(gen.Ring(n), j, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for v, x := range j.seen {
+			if x < 0 || x >= cfg.Workers(n) {
+				t.Errorf("NumWorkers=%d: vertex %d ran on executor %d, Workers = %d", w, v, x, cfg.Workers(n))
+			}
+		}
+	}
+}
+
+// execIndexJob records, for one superstep, which executor ran each vertex.
+type execIndexJob struct{ seen []int }
+
+func (j *execIndexJob) Schema() Schema { return Schema{} }
+
+func (j *execIndexJob) MasterCompute(mc *MasterContext) {
+	if mc.Superstep() > 0 {
+		mc.Halt()
+	}
+}
+
+func (j *execIndexJob) VertexCompute(vc *VertexContext) {
+	j.seen[vc.ID()] = vc.ExecutorIndex()
 }
 
 func TestMinLabelTerminatesByHaltVotes(t *testing.T) {

@@ -1,8 +1,7 @@
 package pregel
 
 // Robustness-layer tests: the resource governor's staged degradation
-// (outbox release, inbox spill, clean budget abort), the superstep
-// watchdog's stall detection and supervised recovery, the extended
+// (outbox release, inbox spill, clean budget abort), the extended
 // fault-phase matrix, the codec v3 integrity frame, and the
 // barrier-consistency of partial Stats under aborts that race recovery.
 
@@ -167,89 +166,6 @@ func TestSpillStoreRoundTrip(t *testing.T) {
 				t.Errorf("empty window: recs=%v err=%v", empty, err)
 			}
 		})
-	}
-}
-
-// ---- Superstep watchdog ----
-
-// An injected worker stall overrunning StepDeadline trips the watchdog,
-// which converts it into supervised rollback-and-replay; the replay runs
-// unstalled and finishes bit-identical to a clean run.
-func TestWatchdogStallRecoveryBitIdentical(t *testing.T) {
-	const n = 60
-	g := gen.Ring(n)
-	base := Config{NumWorkers: 4, Seed: 3}
-	labels, st := runMinLabel(t, g, n, base)
-
-	stalled := base
-	stalled.StepDeadline = 50 * time.Millisecond
-	stalled.Stalls = []Stall{{Superstep: 3, Worker: 1, Duration: 500 * time.Millisecond}}
-	sLabels, sst := runMinLabel(t, g, n, stalled)
-
-	if !reflect.DeepEqual(labels, sLabels) {
-		t.Errorf("stalled-run labels differ from clean run")
-	}
-	if a, b := statsModuloRecovery(st), statsModuloRecovery(sst); !reflect.DeepEqual(a, b) {
-		t.Errorf("stalled-run stats differ:\nclean:   %+v\nstalled: %+v", a, b)
-	}
-	if sst.WatchdogStalls < 1 {
-		t.Errorf("WatchdogStalls = %d, want >= 1", sst.WatchdogStalls)
-	}
-	if sst.Recoveries < 1 {
-		t.Errorf("Recoveries = %d, want >= 1", sst.Recoveries)
-	}
-}
-
-// A healthy run with the watchdog enabled never trips and never
-// perturbs results: the EWMA-derived deadline is many multiples of the
-// trailing superstep time with a generous floor.
-func TestWatchdogHealthyRunNoTrips(t *testing.T) {
-	const n = 60
-	g := gen.Ring(n)
-	base := Config{NumWorkers: 4, Seed: 3}
-	labels, st := runMinLabel(t, g, n, base)
-
-	guarded := base
-	guarded.Watchdog = true
-	gLabels, gst := runMinLabel(t, g, n, guarded)
-
-	if !reflect.DeepEqual(labels, gLabels) {
-		t.Errorf("watchdog-guarded labels differ from clean run")
-	}
-	if a, b := statsModuloRecovery(st), statsModuloRecovery(gst); !reflect.DeepEqual(a, b) {
-		t.Errorf("watchdog-guarded stats differ:\nclean:   %+v\nguarded: %+v", a, b)
-	}
-	if gst.WatchdogStalls != 0 || gst.Recoveries != 0 {
-		t.Errorf("healthy run tripped: WatchdogStalls=%d Recoveries=%d", gst.WatchdogStalls, gst.Recoveries)
-	}
-}
-
-// backoffFor is a pure function of (seed, attempt, base, cap): capped
-// exponential with deterministic jitter in [d/2, d].
-func TestWatchdogBackoffDeterministic(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		for attempt := 0; attempt < 12; attempt++ {
-			d1 := backoffFor(seed, attempt, 0, 0)
-			d2 := backoffFor(seed, attempt, 0, 0)
-			if d1 != d2 {
-				t.Fatalf("seed %d attempt %d: %v != %v", seed, attempt, d1, d2)
-			}
-			// Expected undegraded duration for the default base/cap.
-			want := defaultBackoffBase
-			for i := 0; i < attempt && want < defaultBackoffCap; i++ {
-				want *= 2
-			}
-			if want > defaultBackoffCap {
-				want = defaultBackoffCap
-			}
-			if d1 < want/2 || d1 > want {
-				t.Fatalf("seed %d attempt %d: backoff %v outside [%v, %v]", seed, attempt, d1, want/2, want)
-			}
-		}
-		// Deep attempts saturate at the cap.
-		if d := backoffFor(seed, 60, time.Millisecond, 16*time.Millisecond); d < 8*time.Millisecond || d > 16*time.Millisecond {
-			t.Fatalf("capped backoff %v outside [8ms, 16ms]", d)
-		}
 	}
 }
 
@@ -486,26 +402,22 @@ func TestRecoveryRacingContextCancelKeepsStatsConsistent(t *testing.T) {
 
 // ---- Zero-allocation contract ----
 
-// A warm governed superstep — vertex phase, routing, watchdog
-// arm/disarm, and both govern points — must allocate nothing when the
-// budget fits: enabling the robustness layer does not perturb the
-// engine's steady-state allocation contract.
-func TestGovernedWatchdogSuperstepZeroAlloc(t *testing.T) {
+// A warm governed superstep — vertex phase, routing, and the govern
+// point — must allocate nothing when the budget fits: enabling the
+// governor does not perturb the engine's steady-state allocation
+// contract.
+func TestGovernedSuperstepZeroAlloc(t *testing.T) {
 	const n = 256
 	g := gen.TwitterLike(n, 4, 3)
 	j := newPerfRankJob(n, 1<<20)
-	cfg := Config{NumWorkers: 4, Seed: 1, MemoryBudget: 1 << 40, Watchdog: true}
+	cfg := Config{NumWorkers: 4, Seed: 1, MemoryBudget: 1 << 40}
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
 	step := 0
 	var governErr error
 	cycle := func() {
-		e.wd.beginStep(step)
 		e.runVertexPhase(step)
 		e.routeMessages()
-		if e.wd.endStep() {
-			governErr = errors.New("watchdog tripped on a healthy superstep")
-		}
 		if err := e.govern(step); err != nil {
 			governErr = err
 		}
