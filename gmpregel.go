@@ -26,8 +26,8 @@
 //
 // The engine runs every superstep on one path — push messaging, chunked
 // work-stealing vertex compute, routing counted as chunks retire — so
-// Config carries resources, limits, fault injection and the chunk size
-// and partitioner, but no execution-mode switches.
+// Config carries resources, limits, checkpoints and the chunk size and
+// partitioner, but no execution-mode switches.
 package gmpregel
 
 import (
@@ -58,9 +58,9 @@ type Bindings = machine.Bindings
 type Result = machine.Result
 
 // Config controls an engine run: worker count, superstep limit, seed,
-// scheduling (ChunkSize, Partitioner), checkpoints and fault injection
-// (CheckpointEvery, Faults, MaxRecoveries), MemoryBudget, Deadline and
-// Observer. Config.Workers reports the worker count a run resolves to.
+// scheduling (ChunkSize, Partitioner), periodic checkpoints
+// (CheckpointEvery), MemoryBudget, Deadline and Observer. Config.Workers
+// reports the worker count a run resolves to.
 type Config = pregel.Config
 
 // PartitionKind selects how vertices map to workers (Config.Partitioner).
@@ -81,32 +81,6 @@ type Stats = pregel.Stats
 // at checkpoint barriers and restores on rollback; compiled programs
 // implement it automatically.
 type Checkpointable = pregel.Checkpointable
-
-// Fault is one deterministic injected failure (see Config.Faults).
-type Fault = pregel.Fault
-
-// FaultPlan schedules deterministic fault injections for a run.
-type FaultPlan = pregel.FaultPlan
-
-// FaultPhase selects where in a superstep an injected fault fires.
-type FaultPhase = pregel.FaultPhase
-
-// Fault phases, covering every engine stage: a worker's vertex-compute
-// loop, the routing barrier, chunk execution, a stolen chunk, the three
-// segmented-routing sub-phases, and the checkpoint write (a torn
-// snapshot, detected by the codec's integrity frame). A plan entry with
-// any other phase, or a negative superstep or worker, fails the run
-// before superstep 0.
-const (
-	FaultVertexCompute = pregel.FaultVertexCompute
-	FaultRouting       = pregel.FaultRouting
-	FaultChunkExec     = pregel.FaultChunkExec
-	FaultSteal         = pregel.FaultSteal
-	FaultRouteCount    = pregel.FaultRouteCount
-	FaultRoutePrefix   = pregel.FaultRoutePrefix
-	FaultRoutePlace    = pregel.FaultRoutePlace
-	FaultCheckpoint    = pregel.FaultCheckpoint
-)
 
 // ErrBudgetExceeded is returned (wrapped; test with errors.Is) when a
 // run's accounted memory exceeds Config.MemoryBudget even after outbox

@@ -18,20 +18,13 @@ import (
 	"gmpregel/internal/pregel"
 )
 
-// maxRecoveries is Config.MaxRecoveries for every chaos run.
-const maxRecoveries = 32
-
 // armablePhases is every fault phase a plan can arm, in enum order. The
 // generator cycles through it so any window of len(armablePhases)
 // consecutive schedules covers every phase.
 var armablePhases = []pregel.FaultPhase{
 	pregel.FaultVertexCompute,
 	pregel.FaultRouting,
-	pregel.FaultChunkExec,
 	pregel.FaultSteal,
-	pregel.FaultRouteCount,
-	pregel.FaultRoutePrefix,
-	pregel.FaultRoutePlace,
 	pregel.FaultCheckpoint,
 }
 
@@ -70,7 +63,7 @@ func (s Schedule) String() string {
 // upper bound for fault supersteps — pass the fault-free run's superstep
 // count so every fault lands inside the run. The primary fault phase
 // cycles through armablePhases (guaranteeing full phase coverage every
-// eight schedules); every third adds memory-budget pressure, so the
+// four schedules); every third adds memory-budget pressure, so the
 // pressure dimension composes with every phase over a full matrix.
 func Generate(seed int64, count, horizon int) []Schedule {
 	if horizon < 3 {

@@ -111,7 +111,6 @@ func (r *Runner) Run(seed int64, schedules []Schedule) (*Report, error) {
 		cfg := r.Base
 		cfg.CheckpointEvery = s.CheckpointEvery
 		cfg.Faults = s.Faults
-		cfg.MaxRecoveries = maxRecoveries
 		if s.BudgetFrac > 0 {
 			peak, perr := peakFor(s.CheckpointEvery)
 			if perr != nil {

@@ -38,26 +38,39 @@ func TestCompiledPageRankFaultRecoveryBitIdentical(t *testing.T) {
 		t.Fatalf("run too short (%d supersteps) to crash mid-way", res.Stats.Supersteps)
 	}
 
-	faulty := base
-	faulty.CheckpointEvery = 4
-	faulty.Faults = pregel.FaultPlan{{Superstep: 5, Worker: 2}} // 5 % 4 != 0
-	fRes, fPR := run(faulty)
+	// A vertex-compute and a steal crash at a non-checkpoint superstep
+	// (5 % 4 != 0), and a torn checkpoint at 4 that the crash at 5 must
+	// fall back past.
+	for _, tc := range []struct {
+		fp        pregel.FaultPlan
+		recovered int // supersteps replayed from the checkpoint recovery used
+	}{
+		{pregel.FaultPlan{{Superstep: 5, Worker: 2}}, 2},
+		{pregel.FaultPlan{{Superstep: 5, Worker: 2, Phase: pregel.FaultSteal}}, 2},
+		{pregel.FaultPlan{{Superstep: 4, Worker: 0, Phase: pregel.FaultCheckpoint}, {Superstep: 5, Worker: 2}}, 6},
+	} {
+		fp := tc.fp
+		faulty := base
+		faulty.CheckpointEvery = 4
+		faulty.Faults = fp
+		fRes, fPR := run(faulty)
 
-	if !reflect.DeepEqual(pr, fPR) {
-		t.Error("compiled PageRank ranks differ after fault recovery")
-	}
-	if res.Stats.ReturnedIsSet != fRes.Stats.ReturnedIsSet ||
-		res.Stats.ReturnedInt != fRes.Stats.ReturnedInt ||
-		res.Stats.ReturnedFloat != fRes.Stats.ReturnedFloat {
-		t.Errorf("Returned* differ: %+v vs %+v", res.Stats, fRes.Stats)
-	}
-	x, y := res.Stats, fRes.Stats
-	y.Checkpoints, y.CheckpointBytes, y.Recoveries, y.RecoveredSupersteps = 0, 0, 0, 0
-	if !reflect.DeepEqual(x, y) {
-		t.Errorf("stats differ beyond recovery accounting:\nfault-free: %+v\nfaulty:     %+v", x, y)
-	}
-	if fRes.Stats.Recoveries != 1 || fRes.Stats.CheckpointBytes == 0 {
-		t.Errorf("recovery accounting: %+v", fRes.Stats)
+		if !reflect.DeepEqual(pr, fPR) {
+			t.Errorf("%v: compiled PageRank ranks differ after fault recovery", fp)
+		}
+		if res.Stats.ReturnedIsSet != fRes.Stats.ReturnedIsSet ||
+			res.Stats.ReturnedInt != fRes.Stats.ReturnedInt ||
+			res.Stats.ReturnedFloat != fRes.Stats.ReturnedFloat {
+			t.Errorf("%v: Returned* differ: %+v vs %+v", fp, res.Stats, fRes.Stats)
+		}
+		x, y := res.Stats, fRes.Stats
+		y.Checkpoints, y.CheckpointBytes, y.Recoveries, y.RecoveredSupersteps = 0, 0, 0, 0
+		if !reflect.DeepEqual(x, y) {
+			t.Errorf("%v: stats differ beyond recovery accounting:\nfault-free: %+v\nfaulty:     %+v", fp, x, y)
+		}
+		if fRes.Stats.Recoveries != 1 || fRes.Stats.RecoveredSupersteps != tc.recovered || fRes.Stats.CheckpointBytes == 0 {
+			t.Errorf("%v: recovery accounting: %+v", fp, fRes.Stats)
+		}
 	}
 }
 

@@ -50,7 +50,10 @@ func TestSSSPFaultRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// PageRank crash-and-recover, including a routing-phase crash.
+// PageRank crash-and-recover in every fault phase: a vertex-compute, a
+// routing and a steal crash, and a torn checkpoint paired with a later
+// crash that must fall back past it. The job folds its messages and
+// snapshots its ranks, so recovery restores both.
 func TestPageRankFaultRecoveryBitIdentical(t *testing.T) {
 	const n = 80
 	g := gen.TwitterLike(n, 5, 17)
@@ -65,10 +68,17 @@ func TestPageRankFaultRecoveryBitIdentical(t *testing.T) {
 	base := pregel.Config{NumWorkers: 4, Seed: 9}
 	pr, st := run(base)
 
-	for _, fp := range []pregel.FaultPlan{
-		{{Superstep: 6, Worker: 2}},
-		{{Superstep: 5, Worker: 3, Phase: pregel.FaultRouting}},
+	for _, tc := range []struct {
+		fp        pregel.FaultPlan
+		recovered int // supersteps replayed from the checkpoint recovery used
+	}{
+		{pregel.FaultPlan{{Superstep: 6, Worker: 2}}, 1},
+		{pregel.FaultPlan{{Superstep: 5, Worker: 3, Phase: pregel.FaultRouting}}, 3},
+		{pregel.FaultPlan{{Superstep: 4, Worker: 1, Phase: pregel.FaultSteal}}, 2},
+		// The snapshot at 3 is torn, so the crash at 4 replays from 0.
+		{pregel.FaultPlan{{Superstep: 3, Worker: 0, Phase: pregel.FaultCheckpoint}, {Superstep: 4, Worker: 2}}, 5},
 	} {
+		fp := tc.fp
 		faulty := base
 		faulty.CheckpointEvery = 3
 		faulty.Faults = fp
@@ -79,8 +89,9 @@ func TestPageRankFaultRecoveryBitIdentical(t *testing.T) {
 		if a, b := modRecovery(st), modRecovery(fst); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: stats differ:\n%+v\n%+v", fp, a, b)
 		}
-		if fst.Recoveries != 1 {
-			t.Errorf("%v: Recoveries = %d, want 1", fp, fst.Recoveries)
+		if fst.Recoveries != 1 || fst.RecoveredSupersteps != tc.recovered {
+			t.Errorf("%v: Recoveries/RecoveredSupersteps = %d/%d, want 1/%d",
+				fp, fst.Recoveries, fst.RecoveredSupersteps, tc.recovered)
 		}
 	}
 }

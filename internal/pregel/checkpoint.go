@@ -112,7 +112,7 @@ func (e *engine) takeCheckpoint(step int) error {
 	e.ckpt = ck
 	e.stats.Checkpoints++
 	e.stats.CheckpointBytes += int64(len(ck.data) + len(ck.job))
-	if e.armCheckpointFault(step) {
+	if _, ok := e.armFault(step, 1<<FaultCheckpoint); ok {
 		// Injected crash mid-write: flip a byte in the middle of the
 		// snapshot, as a torn write would. The corruption is detected by
 		// verifyFrame on the next rollback, which falls back to ckptPrev.
@@ -125,14 +125,11 @@ func (e *engine) takeCheckpoint(step int) error {
 // returns the superstep to resume from. A snapshot that fails its
 // integrity frame (torn write, bit rot) is discarded in favor of the
 // retained previous checkpoint. Rollback fails when no valid checkpoint
-// exists or the recovery budget is exhausted; the caller then surfaces
-// the error with whatever partial Stats accumulated.
+// exists; the caller then surfaces the error with whatever partial Stats
+// accumulated.
 func (e *engine) rollback(f *InjectedFault) (int, error) {
 	if e.ckpt == nil {
 		return 0, fmt.Errorf("%w (no checkpoint to recover from)", f)
-	}
-	if e.stats.Recoveries >= e.cfg.MaxRecoveries {
-		return 0, fmt.Errorf("%w (recovery budget of %d exhausted)", f, e.cfg.MaxRecoveries)
 	}
 	if !verifyFrame(e.ckpt.data) {
 		if e.ckptPrev == nil || !verifyFrame(e.ckptPrev.data) {
@@ -199,12 +196,14 @@ const checkpointVersion = 6
 // frameHeaderBytes is the version byte plus the payload-length word;
 // frameTrailerBytes the checksum word; ckptMsgBytes one serialized inbox
 // message (destination, type, MaxPayloadSlots payload words);
-// ckptFoldBytes one fold slot (local index, type, payload word).
+// ckptFoldBytes one fold slot (local index, type, payload word);
+// ckptStepBytes one StepStats record (six counters).
 const (
 	frameHeaderBytes  = 1 + 8
 	frameTrailerBytes = 8
 	ckptMsgBytes      = 4 + 1 + 8*MaxPayloadSlots
 	ckptFoldBytes     = 4 + 1 + 8
+	ckptStepBytes     = 6 * 8
 )
 
 // fnv64a is the FNV-1a hash of b (the checkpoint integrity checksum).
@@ -380,7 +379,13 @@ func (e *engine) decodeState(data []byte) error {
 	e.retIsInt = r.bool()
 	e.retInt = r.i64()
 	e.retFloat = floatFromBits(r.u64())
-	e.masterSrc.jump(r.i64())
+	// Draws only grow between a checkpoint and its rollback, so a count
+	// beyond the live stream's is corrupt (and would replay for as long).
+	draws := r.i64()
+	if draws < 0 || draws > e.masterSrc.draws {
+		return fmt.Errorf("master RNG draw count %d outside [0, %d]", draws, e.masterSrc.draws)
+	}
+	e.masterSrc.jump(draws)
 	if n := int(r.u32()); n != len(e.globals) {
 		return fmt.Errorf("global count mismatch: %d vs %d", n, len(e.globals))
 	}
@@ -407,7 +412,9 @@ func (e *engine) decodeState(data []byte) error {
 	}
 	e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes = rec, recSteps, cks, ckb
 	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes = sp, spb, mpk
-	if n := int(r.u32()); n > 0 {
+	if n := int(r.u32()); n > (len(r.b)-r.off)/ckptStepBytes {
+		return fmt.Errorf("%d step records overrun the checkpoint", n)
+	} else if n > 0 {
 		e.stats.Steps = make([]StepStats, n)
 		for i := range e.stats.Steps {
 			e.stats.Steps[i] = StepStats{
@@ -455,12 +462,21 @@ func (e *engine) decodeState(data []byte) error {
 		if n := int(r.u32()); n != len(wk.inOff) {
 			return fmt.Errorf("worker %d inbox-offset count mismatch", wk.index)
 		}
+		// The offsets index the restored inbox: they start at 0, never
+		// decrease, and end at its length.
 		wk.inMax = 0
 		for i := range wk.inOff {
-			wk.inOff[i] = int32(r.u32())
+			o := r.u32()
+			if i == 0 && o != 0 || i > 0 && o < uint32(wk.inOff[i-1]) || o > uint32(wk.inTotal) {
+				return fmt.Errorf("worker %d inbox offset %d = %d breaks the CSR over %d messages", wk.index, i, o, wk.inTotal)
+			}
+			wk.inOff[i] = int32(o)
 			if i > 0 {
 				wk.inMax = max(wk.inMax, int(wk.inOff[i]-wk.inOff[i-1]))
 			}
+		}
+		if last := int(wk.inOff[len(wk.inOff)-1]); last != wk.inTotal && !r.bad {
+			return fmt.Errorf("worker %d inbox offsets end at %d, the inbox holds %d messages", wk.index, last, wk.inTotal)
 		}
 		if err := e.decodeFolds(r, wk); err != nil {
 			return err
@@ -496,10 +512,7 @@ func (e *engine) decodeState(data []byte) error {
 		wk.pendingChunks.Store(0)
 		wk.crashed.Store(false)
 		wk.faultAt = -1
-		wk.chunkFaultAt = -1
 		wk.stealFault.Store(false)
-		wk.routeFaultOn = false
-		wk.routeErr = nil
 		wk.spilled = false
 	}
 	for _, x := range e.executors {

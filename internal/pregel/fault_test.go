@@ -116,26 +116,30 @@ func TestRoutingCrashRecovers(t *testing.T) {
 	}
 }
 
-func TestRecoveryBudgetExhaustedFailsCleanly(t *testing.T) {
+// Two recoveries succeed, then both retained checkpoints are torn before
+// a third crash: the run fails cleanly, keeping the recovery bill and the
+// partial Stats of what it committed.
+func TestRecoveryWithoutValidCheckpointFailsCleanly(t *testing.T) {
 	const n = 20
 	g := gen.Ring(n)
 	cfg := Config{
 		NumWorkers:      2,
 		Seed:            1,
 		CheckpointEvery: 2,
-		MaxRecoveries:   2,
 		Faults: FaultPlan{
-			{Superstep: 3, Worker: 0}, {Superstep: 3, Worker: 0},
-			{Superstep: 3, Worker: 0}, {Superstep: 3, Worker: 0},
+			{Superstep: 1, Worker: 0}, {Superstep: 1, Worker: 0},
+			{Superstep: 2, Worker: 0, Phase: FaultCheckpoint},
+			{Superstep: 4, Worker: 0, Phase: FaultCheckpoint},
+			{Superstep: 5, Worker: 0},
 		},
 	}
 	j := &minLabelJob{label: make([]int64, n)}
 	st, err := Run(g, j, cfg)
-	if err == nil {
-		t.Fatal("want budget-exhausted error, got nil")
+	if err == nil || !strings.Contains(err.Error(), "no valid fallback") {
+		t.Fatalf("err = %v, want the no-valid-checkpoint failure", err)
 	}
 	if st.Recoveries != 2 {
-		t.Errorf("Recoveries = %d, want 2 (the budget)", st.Recoveries)
+		t.Errorf("Recoveries = %d, want 2 (before the checkpoints were torn)", st.Recoveries)
 	}
 	if st.Supersteps == 0 {
 		t.Errorf("partial stats lost: %+v", st)
@@ -155,7 +159,7 @@ func TestMalformedFaultPlanRejected(t *testing.T) {
 		want string
 	}{
 		{"negative-worker", Fault{Superstep: 2, Worker: -1, Phase: FaultVertexCompute}, "negative worker -1"},
-		{"negative-worker-routing", Fault{Superstep: 2, Worker: -3, Phase: FaultRoutePrefix}, "negative worker -3"},
+		{"negative-worker-routing", Fault{Superstep: 2, Worker: -3, Phase: FaultRouting}, "negative worker -3"},
 		{"unarmable-phase", Fault{Superstep: 2, Worker: 1, Phase: FaultCheckpoint + 1}, "unknown phase"},
 		{"unknown-phase", Fault{Superstep: 2, Worker: 1, Phase: FaultPhase(42)}, "unknown phase fault-phase(42)"},
 		{"negative-superstep", Fault{Superstep: -1, Worker: 1, Phase: FaultVertexCompute}, "negative superstep -1"},

@@ -24,7 +24,7 @@ var (
 	}
 	scheduleFixed = map[string]bool{
 		"MaxSupersteps": true, "Seed": true, "TraceSteps": true,
-		"CheckpointEvery": true, "Faults": true, "MaxRecoveries": true,
+		"CheckpointEvery": true, "Faults": true,
 		"Deadline": true, "Observer": true, "MemoryBudget": true,
 	}
 )

@@ -191,13 +191,15 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// An error exit (recovery budget exhausted) must also stop the pool.
-	cfg := Config{NumWorkers: 8, Seed: 1, MaxRecoveries: 1, Faults: FaultPlan{
-		{Superstep: 1, Worker: 0, Phase: FaultVertexCompute},
+	// An error exit (a crash with both retained checkpoints torn) must
+	// also stop the pool.
+	cfg := Config{NumWorkers: 8, Seed: 1, CheckpointEvery: 1, Faults: FaultPlan{
+		{Superstep: 0, Worker: 0, Phase: FaultCheckpoint},
+		{Superstep: 1, Worker: 0, Phase: FaultCheckpoint},
 		{Superstep: 1, Worker: 0, Phase: FaultVertexCompute},
 	}}
 	if _, err := Run(g, newPerfRankJob(64, 3), cfg); err == nil {
-		t.Fatal("want recovery-budget error, got nil")
+		t.Fatal("want no-valid-checkpoint error, got nil")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {

@@ -209,14 +209,11 @@ type Config struct {
 	// fault plan is configured, a single superstep-0 checkpoint is still
 	// taken so rollback is always possible.
 	CheckpointEvery int
-	// Faults deterministically injects worker failures; each failure is
-	// converted into rollback to the last checkpoint and replay. A plan
-	// entry that could never fire (see Fault) fails the run before
-	// superstep 0.
+	// Faults deterministically injects worker failures, for tests; each
+	// failure is converted into rollback to the last checkpoint and
+	// replay. A plan entry that could never fire (see Fault) fails the
+	// run before superstep 0.
 	Faults FaultPlan
-	// MaxRecoveries bounds rollback-replay attempts, after which the run
-	// fails cleanly with partial Stats; 0 means 8.
-	MaxRecoveries int
 	// Deadline is a wall-clock budget for the whole run, checked at every
 	// superstep barrier (a superstep in progress is not interrupted);
 	// 0 means no deadline.
@@ -258,9 +255,6 @@ func (c Config) Workers(numNodes int) int {
 func (c Config) withDefaults() Config {
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = 1 << 20
-	}
-	if c.MaxRecoveries <= 0 {
-		c.MaxRecoveries = 8
 	}
 	return c
 }
@@ -412,9 +406,9 @@ func (f fastDiv) mod(x uint32) uint32 { return x - f.div(x)*f.d }
 type phaseKind uint8
 
 const (
-	phaseVertex      phaseKind = iota // chunked vertex compute (incl. eager outbox count)
-	phaseRoutePrefix                  // routing: offsets, inbox resize, reactivation, delivery folds
-	phaseRoutePlace                   // routing: stable placement into the CSR inbox
+	phaseVertex phaseKind = iota // chunked vertex compute (incl. eager outbox count)
+	phasePrefix                  // routing: offsets, inbox resize, reactivation, delivery folds
+	phasePlace                   // routing: stable placement into the CSR inbox
 )
 
 // poolCmd is one barrier release: the phase to run and its superstep.
@@ -652,23 +646,12 @@ type worker struct {
 	srcCounts [][]int32
 	srcMsgs   []int32
 
-	// faultAt is the local vertex index at which an armed injected fault
-	// fires this superstep; -1 when no fault is armed.
-	faultAt int
-
-	// Extended fault-injection arming (see fault.go). chunkFaultAt is the
-	// chunk index at which an armed chunk-exec fault fires (-1 when
-	// unarmed); stealFault crashes the worker when one of its chunks runs
-	// on a foreign executor; routeFaultOn/routeFault fail it inside the
-	// armed routing sub-phase. faultStep records the arming superstep for
-	// phases that raise the failure from executor goroutines; routeErr
-	// carries a routing sub-phase failure to the routing barrier.
-	chunkFaultAt int
-	stealFault   atomic.Bool
-	routeFaultOn bool
-	routeFault   FaultPhase
-	faultStep    int
-	routeErr     *InjectedFault
+	// Injected-fault arming (see fault.go). faultAt is the local vertex
+	// index at which an armed vertex-compute fault fires this superstep
+	// (-1 when unarmed); stealFault crashes the worker when one of its
+	// chunks runs on a foreign executor.
+	faultAt    int
+	stealFault atomic.Bool
 
 	// Governor spill state: when spilled, inFlat is empty and the routed
 	// inbox lives in the spill store segment at spillOff (inOff is
@@ -755,8 +738,8 @@ func mix64(z uint64) uint64 {
 
 // Run executes the job on g to completion and returns run statistics.
 // It returns an error if the job exceeds MaxSupersteps, a compute
-// function panics, the deadline expires, or the recovery budget is
-// exhausted. Even on error, Stats.Returned* reflect whatever the master
+// function panics, the deadline expires, or an injected fault finds no
+// valid checkpoint to recover from. Even on error, Stats.Returned* reflect whatever the master
 // recorded before the abort, so callers see partial results
 // consistently.
 func Run(g *graph.Directed, job Job, cfg Config) (Stats, error) {
@@ -860,7 +843,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	}
 	e.workers = make([]*worker, e.numWorkers)
 	for w := 0; w < e.numWorkers; w++ {
-		wk := &worker{e: e, index: w, faultAt: -1, chunkFaultAt: -1}
+		wk := &worker{e: e, index: w, faultAt: -1}
 		if rangeStarts != nil {
 			lo, hi := rangeStarts[w], rangeStarts[w+1]
 			wk.startID = graph.NodeID(lo)
@@ -944,8 +927,8 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 }
 
 // stop shuts the persistent executor pool down. Idempotent; called on
-// every run-exit path (normal, error, panic-converted, recovery-budget
-// exhaustion) and only ever between phases, so no executor is
+// every run-exit path (normal, error, panic-converted, failed recovery)
+// and only ever between phases, so no executor is
 // mid-command.
 func (e *engine) stop() {
 	if e.stopped {
@@ -1038,9 +1021,9 @@ func (x *executor) runCmd(cmd poolCmd) {
 	switch cmd.kind {
 	case phaseVertex:
 		x.vertexPhase(cmd.step)
-	case phaseRoutePrefix:
+	case phasePrefix:
 		x.prefixPhase()
-	case phaseRoutePlace:
+	case phasePlace:
 		x.placePhase()
 	}
 }
@@ -1049,9 +1032,9 @@ func (k phaseKind) String() string {
 	switch k {
 	case phaseVertex:
 		return "vertex"
-	case phaseRoutePrefix:
+	case phasePrefix:
 		return "route-prefix"
-	case phaseRoutePlace:
+	case phasePlace:
 		return "route-place"
 	}
 	return "unknown"
@@ -1146,13 +1129,6 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	// runs on a foreign executor.
 	if x.id != wk.index && wk.stealFault.Load() && wk.stealFault.CompareAndSwap(true, false) {
 		ck.err = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultSteal} //gm:alloc-ok fault-injection testing path; never armed in production runs
-		wk.crashed.Store(true)
-		return
-	}
-	// Injected chunk-exec fault: the worker dies entering its middle
-	// chunk, with earlier chunks fully executed.
-	if wk.chunkFaultAt >= 0 && ci == wk.chunkFaultAt {
-		ck.err = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultChunkExec} //gm:alloc-ok fault-injection testing path; never armed in production runs
 		wk.crashed.Store(true)
 		return
 	}
@@ -1353,8 +1329,8 @@ func (e *engine) run(ctx context.Context) error {
 				return err
 			}
 		}
-		// The one recovery site: every fault source — vertex phase, routing
-		// arm, routing sub-phases — ends here.
+		// The one recovery site: a fault in the vertex phase or at the
+		// routing arm ends here.
 		if fault != nil {
 			resume, err := e.recoverFrom(fault, step)
 			if err != nil {
@@ -1435,7 +1411,7 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 		return true, nil, nil
 	}
 	// Vertex phase: release the parked pool into the chunk queues.
-	e.armVertexFault(step)
+	e.armFault(step, 1<<FaultVertexCompute|1<<FaultSteal)
 	e.runVertexPhase(step)
 	if e.obsOn {
 		e.emitVertexSpans(step, stateLabel)
@@ -1503,8 +1479,8 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 			StartNS: barrierT0, DurNS: e.nowNS() - barrierT0})
 	}
 
-	if fault = e.armRoutingFault(step); fault != nil {
-		return false, fault, nil
+	if f, ok := e.armFault(step, 1<<FaultRouting); ok {
+		return false, &InjectedFault{Superstep: step, Worker: f.Worker, Phase: FaultRouting}, nil
 	}
 	var routeT0 int64
 	if e.obsOn {
@@ -1520,9 +1496,7 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 			return false, nil, x.err
 		}
 	}
-	// Faults raised inside the routing sub-phases (fail-stop: the
-	// sub-phase finished its work, the failure surfaces here).
-	return false, e.collectRoutingFault(), nil
+	return false, nil, nil
 }
 
 // emitVertexSpans emits the superstep's chunk spans (executor- and
@@ -1583,20 +1557,15 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 	for _, wk := range e.workers {
 		// A fault armed on a worker owning too few vertices (faultAt
 		// beyond its range) crashes at phase end, like the pre-chunk
-		// engine. The same fallback covers a chunk-exec fault on a
-		// chunkless worker and a steal fault when nothing was stolen
-		// (single worker).
+		// engine. The same fallback covers a steal fault when nothing was
+		// stolen (single worker).
 		if wk.faultAt >= len(wk.ids) && wk.faultAt >= 0 {
 			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultVertexCompute}
-		}
-		if wk.chunkFaultAt >= len(wk.chunks) && wk.chunkFaultAt >= 0 {
-			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultChunkExec}
 		}
 		if wk.stealFault.CompareAndSwap(true, false) {
 			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultSteal}
 		}
 		wk.faultAt = -1
-		wk.chunkFaultAt = -1
 		wk.crashed.Store(false)
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
@@ -1615,19 +1584,6 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 		}
 	}
 	return crashed, nil
-}
-
-// collectRoutingFault scans workers after the routing barrier for a
-// failure raised inside the count, prefix or place sub-phase.
-func (e *engine) collectRoutingFault() *InjectedFault {
-	var crashed *InjectedFault
-	for _, wk := range e.workers {
-		wk.routeFaultOn = false
-		if wk.routeErr != nil {
-			crashed, wk.routeErr = wk.routeErr, nil
-		}
-	}
-	return crashed
 }
 
 // recoverFrom wraps rollback with trace emission: a recovery span
@@ -1688,20 +1644,8 @@ func (e *engine) routeMessages() {
 		wk.spilled = false
 	}
 	e.foldEpoch++
-	e.runPhase(phaseRoutePrefix, 0)
-	e.runPhase(phaseRoutePlace, 0)
-}
-
-// fireRouteFault raises wk's armed routing fault if it targets phase p.
-// Fail-stop: the sub-phase goes on to complete its work, and the failure
-// is collected at the routing barrier.
-//
-//gm:noalloc
-func (wk *worker) fireRouteFault(p FaultPhase) {
-	if wk.routeFaultOn && wk.routeFault == p {
-		wk.routeFaultOn = false
-		wk.routeErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: p} //gm:alloc-ok fault-injection testing path; never armed in production runs
-	}
+	e.runPhase(phasePrefix, 0)
+	e.runPhase(phasePlace, 0)
 }
 
 // countShard counts source shard sh's messages destined for dst into
@@ -1714,9 +1658,6 @@ func (wk *worker) fireRouteFault(p FaultPhase) {
 //
 //gm:noalloc
 func (e *engine) countShard(dst *worker, sh int) {
-	if sh == 0 {
-		dst.fireRouteFault(FaultRouteCount)
-	}
 	lo, hi := e.shardStart[sh], e.shardStart[sh+1]
 	d := dst.index
 	words := 0
@@ -1790,7 +1731,6 @@ func (x *executor) prefixPhase() {
 //
 //gm:noalloc
 func (wk *worker) routePrefix() {
-	wk.fireRouteFault(FaultRoutePrefix)
 	shards := len(wk.srcMsgs)
 	total := 0
 	for s := 0; s < shards; s++ {
@@ -1845,9 +1785,6 @@ func (wk *worker) routePrefix() {
 //
 //gm:noalloc
 func (wk *worker) placeShard(s int) {
-	if s == 0 {
-		wk.fireRouteFault(FaultRoutePlace)
-	}
 	if wk.srcMsgs[s] == 0 {
 		return
 	}
