@@ -412,9 +412,11 @@ func (e *engine) decodeState(data []byte) error {
 	}
 	e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes = rec, recSteps, cks, ckb
 	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes = sp, spb, mpk
-	if n := int(r.u32()); n > (len(r.b)-r.off)/ckptStepBytes {
+	n := int(r.u32())
+	if n > (len(r.b)-r.off)/ckptStepBytes {
 		return fmt.Errorf("%d step records overrun the checkpoint", n)
-	} else if n > 0 {
+	}
+	if n > 0 {
 		e.stats.Steps = make([]StepStats, n)
 		for i := range e.stats.Steps {
 			e.stats.Steps[i] = StepStats{
@@ -466,17 +468,14 @@ func (e *engine) decodeState(data []byte) error {
 		// decrease, and end at its length.
 		wk.inMax = 0
 		for i := range wk.inOff {
-			o := r.u32()
-			if i == 0 && o != 0 || i > 0 && o < uint32(wk.inOff[i-1]) || o > uint32(wk.inTotal) {
+			o, end := r.u32(), uint32(wk.inTotal)
+			if i == 0 && o != 0 || i > 0 && o < uint32(wk.inOff[i-1]) || o > end || i == len(wk.inOff)-1 && o != end {
 				return fmt.Errorf("worker %d inbox offset %d = %d breaks the CSR over %d messages", wk.index, i, o, wk.inTotal)
 			}
 			wk.inOff[i] = int32(o)
 			if i > 0 {
 				wk.inMax = max(wk.inMax, int(wk.inOff[i]-wk.inOff[i-1]))
 			}
-		}
-		if last := int(wk.inOff[len(wk.inOff)-1]); last != wk.inTotal && !r.bad {
-			return fmt.Errorf("worker %d inbox offsets end at %d, the inbox holds %d messages", wk.index, last, wk.inTotal)
 		}
 		if err := e.decodeFolds(r, wk); err != nil {
 			return err

@@ -21,14 +21,14 @@ func reframe(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint64(b, fnv64a(payload))
 }
 
-// decodeAllocs decodes data into e and reports the error and the bytes
-// the decode allocated.
-func decodeAllocs(e *engine, data []byte) (error, uint64) {
+// decodeAllocs decodes data into e and reports the bytes the decode
+// allocated and its error.
+func decodeAllocs(e *engine, data []byte) (uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := e.decodeState(data)
 	runtime.ReadMemStats(&after)
-	return err, after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, err
 }
 
 // ckptEngine runs a job to completion (every inbox empty, so the offset
@@ -81,7 +81,7 @@ func TestCheckpointDecodeHostileCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := append([]byte(nil), payload...)
 			tc.mutate(p)
-			err, alloc := decodeAllocs(e, reframe(p))
+			alloc, err := decodeAllocs(e, reframe(p))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want it to mention %q", err, tc.want)
 			}
@@ -128,7 +128,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		// Every decode starts from the stream position the run ended at.
 		e.masterSrc.jump(draws[i])
 		data := reframe(payload)
-		err, alloc := decodeAllocs(e, data)
+		alloc, err := decodeAllocs(e, data)
 		if limit := 1<<16 + 4*uint64(len(data)); alloc > limit {
 			t.Fatalf("decode allocated %d bytes for a %d-byte frame (err %v)", alloc, len(data), err)
 		}

@@ -739,9 +739,9 @@ func mix64(z uint64) uint64 {
 // Run executes the job on g to completion and returns run statistics.
 // It returns an error if the job exceeds MaxSupersteps, a compute
 // function panics, the deadline expires, or an injected fault finds no
-// valid checkpoint to recover from. Even on error, Stats.Returned* reflect whatever the master
-// recorded before the abort, so callers see partial results
-// consistently.
+// valid checkpoint to recover from. Even on error, Stats.Returned*
+// reflect whatever the master recorded before the abort, so callers see
+// partial results consistently.
 func Run(g *graph.Directed, job Job, cfg Config) (Stats, error) {
 	return RunContext(context.Background(), g, job, cfg)
 }
@@ -928,8 +928,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 
 // stop shuts the persistent executor pool down. Idempotent; called on
 // every run-exit path (normal, error, panic-converted, failed recovery)
-// and only ever between phases, so no executor is
-// mid-command.
+// and only ever between phases, so no executor is mid-command.
 func (e *engine) stop() {
 	if e.stopped {
 		return
