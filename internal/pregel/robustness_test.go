@@ -171,15 +171,54 @@ func TestSpillStoreRoundTrip(t *testing.T) {
 
 // ---- Extended fault-phase matrix ----
 
-// Every armable crash phase — vertex compute, routing and the steal
-// hand-off — is injectable and recovers bit-identically at every point of
-// the schedule lattice (the torn checkpoint has its own tests below). The
-// oracle for a whole (worker count, partitioner) group is its fault-free
-// one-chunk reference run.
+// faultCase is one crash plan of the fault-phase matrix and the number
+// of supersteps its single rollback re-executes.
+type faultCase struct {
+	name      string
+	plan      FaultPlan
+	recovered int
+}
+
+// everyPhaseCases crosses each crash phase — vertex compute, routing and
+// the steal hand-off — with three crash supersteps under CheckpointEvery
+// 2: superstep 0 (nothing routed yet, the rollback target written at the
+// same barrier), superstep 2 (messages in flight, the target again
+// written at the same barrier) and superstep 3 (one superstep past the
+// target). The torn checkpoint at superstep 2 is paired with a
+// vertex-compute crash at 2 and at 3, the way chaos.Generate pairs it,
+// so the rollback falls back to the checkpoint at 0.
+func everyPhaseCases() []faultCase {
+	var cases []faultCase
+	for _, p := range []FaultPhase{FaultVertexCompute, FaultRouting, FaultSteal} {
+		for _, s := range []int{0, 2, 3} {
+			cases = append(cases, faultCase{
+				name:      fmt.Sprintf("%v/step=%d", p, s),
+				plan:      FaultPlan{{Superstep: s, Worker: 1, Phase: p}},
+				recovered: s%2 + 1,
+			})
+		}
+	}
+	for _, s := range []int{2, 3} {
+		cases = append(cases, faultCase{
+			name: fmt.Sprintf("%v/step=%d", FaultCheckpoint, s),
+			plan: FaultPlan{
+				{Superstep: 2, Worker: 0, Phase: FaultCheckpoint},
+				{Superstep: s, Worker: 1, Phase: FaultVertexCompute},
+			},
+			recovered: s + 1,
+		})
+	}
+	return cases
+}
+
+// Every fault phase is injectable and recovers bit-identically at every
+// point of the schedule lattice, at each crash superstep of
+// everyPhaseCases. The oracle for a whole (worker count, partitioner)
+// group is its fault-free one-chunk reference run.
 func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 	const n = 48
 	g := gen.Ring(n)
-	phases := []FaultPhase{FaultVertexCompute, FaultRouting, FaultSteal}
+	cases := everyPhaseCases()
 	runFolded := func(cfg Config) (any, Stats) {
 		j := newFoldJob(n, 8, true)
 		st, err := Run(g, j, cfg)
@@ -196,11 +235,11 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 		labels, st := runMinLabel(t, g, n, group[0])
 		foldOut, foldSt := runFolded(group[0])
 		for _, cfg := range group {
-			for _, p := range phases {
-				t.Run(scheduleName(cfg)+"/"+p.String()+"/folded", func(t *testing.T) {
-					faulty := cfg
-					faulty.CheckpointEvery = 2
-					faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
+			for _, c := range cases {
+				faulty := cfg
+				faulty.CheckpointEvery = 2
+				faulty.Faults = c.plan
+				t.Run(scheduleName(cfg)+"/"+c.name+"/folded", func(t *testing.T) {
 					out, fst := runFolded(faulty)
 					if !reflect.DeepEqual(foldOut, out) {
 						t.Errorf("outputs differ from the fault-free reference")
@@ -208,15 +247,13 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 					if a, b := statsModuloRecovery(foldSt), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
 						t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
 					}
-					if fst.Recoveries != 1 || fst.RecoveredSupersteps != 2 {
-						t.Errorf("Recoveries/RecoveredSupersteps = %d/%d, want 1/2", fst.Recoveries, fst.RecoveredSupersteps)
+					if fst.Recoveries != 1 || fst.RecoveredSupersteps != c.recovered {
+						t.Errorf("Recoveries/RecoveredSupersteps = %d/%d, want 1/%d",
+							fst.Recoveries, fst.RecoveredSupersteps, c.recovered)
 					}
 				})
 				for _, width := range []slotDecl{slotsExact, slotsNil} {
-					t.Run(scheduleName(cfg)+"/"+p.String()+"/slots="+width.String(), func(t *testing.T) {
-						faulty := cfg
-						faulty.CheckpointEvery = 2
-						faulty.Faults = FaultPlan{{Superstep: 3, Worker: 1, Phase: p}}
+					t.Run(scheduleName(cfg)+"/"+c.name+"/slots="+width.String(), func(t *testing.T) {
 						fLabels, fst := runMinLabelWidth(t, g, n, faulty, width)
 						if !reflect.DeepEqual(labels, fLabels) {
 							t.Errorf("labels differ from the fault-free reference")
@@ -224,12 +261,9 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 						if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
 							t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
 						}
-						if fst.Recoveries != 1 {
-							t.Errorf("Recoveries = %d, want 1", fst.Recoveries)
-						}
-						// Checkpoint at 2, crash at 3: supersteps 2..3 re-executed.
-						if fst.RecoveredSupersteps != 2 {
-							t.Errorf("RecoveredSupersteps = %d, want 2", fst.RecoveredSupersteps)
+						if fst.Recoveries != 1 || fst.RecoveredSupersteps != c.recovered {
+							t.Errorf("Recoveries/RecoveredSupersteps = %d/%d, want 1/%d",
+								fst.Recoveries, fst.RecoveredSupersteps, c.recovered)
 						}
 					})
 				}
