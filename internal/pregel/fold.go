@@ -126,10 +126,12 @@ func (f Fold) apply(acc, m uint64) uint64 {
 // foldInbox folds every fold-box record addressed to wk into its fold
 // slots, walking the source workers, their chunks and each box in
 // emission order — the canonical order the CSR inbox is built in, so a
-// fold's result is the same under every schedule. The first record for
-// a (vertex, type) stamps the slot with this routing's epoch and
-// reactivates the vertex; the rest fold into it. It runs in wk's prefix
-// task, so no count, placement or unpack ever sees a folded message.
+// fold's result is the same under every schedule. A record stamps its
+// slot with this routing's epoch; the first one for a (vertex, type)
+// replaces the stale value, the rest fold into it. A second pass over
+// wk's chunks then counts the present slots and reactivates their
+// vertices. It runs in wk's prefix task, so no count, placement or
+// unpack ever sees a folded message.
 //
 //gm:noalloc
 func (wk *worker) foldInbox() {
@@ -138,30 +140,86 @@ func (wk *worker) foldInbox() {
 	if nf == 0 {
 		return
 	}
-	d, epoch, total := wk.index, e.foldEpoch, 0
+	d, epoch := wk.index, e.foldEpoch
 	for _, src := range e.workers {
 		for ci := range src.chunks {
-			box := src.chunks[ci].fboxes[d]
-			for i := 0; i+foldStride <= len(box); i += foldStride {
-				li := wk.localOf(headerDst(box[i]))
-				fi := int(e.foldIdx[headerType(box[i])])
-				switch s, m := &wk.folds[li*nf+fi], box[i+1]; {
-				case s.stamp != epoch:
-					s.val, s.stamp = m, epoch
-					total++
-					if !wk.active[li] {
-						wk.active[li] = true
-						wk.chunks[li/wk.chunkSize].numActive++
-					}
-				case e.folds[fi] == (Fold{AggSum, AggKindFloat}):
-					// PageRank's fold, written out: apply is past the inliner's
-					// budget, and this is the engine's hottest loop.
-					s.val = math.Float64bits(math.Float64frombits(s.val) + math.Float64frombits(m))
-				default:
-					s.val = e.folds[fi].apply(s.val, m)
+			if box := src.chunks[ci].fboxes[d]; nf == 1 {
+				wk.foldBox(box, e.folds[0], epoch)
+			} else {
+				wk.foldBoxTyped(box, epoch)
+			}
+		}
+	}
+	total := 0
+	for ci := range wk.chunks {
+		ck := &wk.chunks[ci]
+		for li := int(ck.lo); li < int(ck.hi); li++ {
+			present := 0
+			for _, s := range wk.folds[li*nf : li*nf+nf] {
+				if s.stamp == epoch {
+					present++
 				}
+			}
+			total += present
+			if present > 0 && !wk.active[li] {
+				wk.active[li] = true
+				ck.numActive++
 			}
 		}
 	}
 	wk.foldTotal = total
+}
+
+// foldBox folds one box of a job with a single folded type, whose slot
+// index is the local index, choosing the fold once for the box; a stale
+// slot takes the payload by a select rather than a branch. PageRank's
+// and SSSP's folds are written out — apply is past the inliner's
+// budget, and this is the engine's hottest loop.
+//
+//gm:noalloc
+func (wk *worker) foldBox(box []uint64, f Fold, epoch uint32) {
+	slots := wk.folds
+	switch f {
+	case Fold{AggSum, AggKindFloat}:
+		for i := 0; i+foldStride <= len(box); i += foldStride {
+			s, m := &slots[wk.localOf(headerDst(box[i]))], box[i+1]
+			v := math.Float64bits(math.Float64frombits(s.val) + math.Float64frombits(m))
+			if s.stamp != epoch {
+				v = m
+			}
+			s.val, s.stamp = v, epoch
+		}
+	case Fold{AggMin, AggKindInt}:
+		for i := 0; i+foldStride <= len(box); i += foldStride {
+			s, m := &slots[wk.localOf(headerDst(box[i]))], box[i+1]
+			v := s.val
+			if int64(m) < int64(v) {
+				v = m
+			}
+			if s.stamp != epoch {
+				v = m
+			}
+			s.val, s.stamp = v, epoch
+		}
+	default:
+		wk.foldBoxTyped(box, epoch)
+	}
+}
+
+// foldBoxTyped is the general fold loop, for a job with several folded
+// types or one without a written-out loop: each record looks up its
+// type's fold and slot.
+//
+//gm:noalloc
+func (wk *worker) foldBoxTyped(box []uint64, epoch uint32) {
+	e, nf := wk.e, len(wk.e.folds)
+	for i := 0; i+foldStride <= len(box); i += foldStride {
+		fi := int(e.foldIdx[headerType(box[i])])
+		s, m := &wk.folds[wk.localOf(headerDst(box[i]))*nf+fi], box[i+1]
+		v := e.folds[fi].apply(s.val, m)
+		if s.stamp != epoch {
+			v = m
+		}
+		s.val, s.stamp = v, epoch
+	}
 }

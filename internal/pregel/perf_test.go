@@ -10,6 +10,7 @@ package pregel
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -60,6 +61,55 @@ func (j *perfRankJob) VertexCompute(vc *VertexContext) {
 		var m Msg
 		m.SetFloat(0, j.rank[id]/float64(d))
 		vc.SendToAllNbrs(m)
+	}
+}
+
+// perfSSSPJob is an SSSP-shaped job: an int distance relaxed along
+// weighted out-edges, its min declared as a delivery fold, every vertex
+// but the first ssspSources voting to halt, so a superstep runs only
+// the frontier. Every ssspRound supersteps the next source starts a new
+// search from a lower base distance, so relaxation never settles and a
+// warm engine keeps a frontier for as long as it runs.
+type perfSSSPJob struct {
+	dist []int64
+}
+
+const ssspRound, ssspSources = 24, 16
+
+func newPerfSSSPJob(n int) *perfSSSPJob {
+	j := &perfSSSPJob{dist: make([]int64, n)}
+	for v := range j.dist {
+		j.dist[v] = math.MaxInt64
+	}
+	return j
+}
+
+func (j *perfSSSPJob) Schema() Schema {
+	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1},
+		Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}}}
+}
+
+func (j *perfSSSPJob) MasterCompute(mc *MasterContext) {}
+
+func (j *perfSSSPJob) VertexCompute(vc *VertexContext) {
+	v, step := int(vc.ID()), vc.Superstep()
+	best := j.dist[v]
+	if r := step / ssspRound; step%ssspRound == 0 && v == r%ssspSources {
+		best = -int64(r+1) << 32
+	}
+	for _, m := range vc.Messages() {
+		best = min(best, m.Int(0))
+	}
+	if best < j.dist[v] {
+		j.dist[v] = best
+		for _, u := range vc.OutNbrs() {
+			var m Msg
+			m.SetInt(0, best+int64((v+int(u))%7+1))
+			vc.Send(u, m)
+		}
+	}
+	if v >= ssspSources {
+		vc.VoteToHalt()
 	}
 }
 
@@ -133,8 +183,9 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 
 // Satellite: a warm superstep — chunked vertex phase plus segmented
 // message routing on the persistent pool — must allocate nothing at
-// every point of the schedule lattice, for the plain PageRank-shaped job
-// and for the folded job (folded and unfolded types together). This
+// every point of the schedule lattice, for the PageRank-shaped job plain
+// and with its one sum folded, and for the folded job (two folded types
+// beside an unfolded one). This
 // also proves no per-superstep goroutine creation: a spawned goroutine
 // costs at least one allocation, and this test demands zero.
 func TestWarmRoutingZeroAlloc(t *testing.T) {
@@ -144,6 +195,11 @@ func TestWarmRoutingZeroAlloc(t *testing.T) {
 		for _, cfg := range group {
 			t.Run(scheduleName(cfg)+"/rank", func(t *testing.T) {
 				testWarmRoutingZeroAlloc(t, g, newPerfRankJob(n, 1<<20), cfg)
+			})
+			t.Run(scheduleName(cfg)+"/rank-folded", func(t *testing.T) {
+				j := newPerfRankJob(n, 1<<20)
+				j.fold = true
+				testWarmRoutingZeroAlloc(t, g, j, cfg)
 			})
 			t.Run(scheduleName(cfg)+"/folded", func(t *testing.T) {
 				testWarmRoutingZeroAlloc(t, g, newFoldJob(n, 1<<20, true), cfg)
@@ -216,25 +272,36 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 }
 
 // Tentpole: the per-worker numActive counters that replaced the O(V)
-// termination scan must track the active bitmaps exactly, including
-// after voteToHalt/reactivation churn and through crash-recovery's
-// checkpoint decode path.
+// termination scan, and the per-chunk counters they sum, must track the
+// active bitmaps exactly, including after voteToHalt/reactivation churn
+// and through crash-recovery's checkpoint decode path. foldJob halts
+// every vertex every superstep, so routing's CSR and fold reactivation
+// alone bring them back; it is stopped after each superstep in turn.
 func TestActiveCounterInvariant(t *testing.T) {
 	const n = 60
 	g := gen.TwitterLike(n, 4, 6)
-	check := func(t *testing.T, e *engine) {
+	check := func(t *testing.T, e *engine) (active int) {
 		t.Helper()
 		for _, wk := range e.workers {
 			count := 0
-			for _, a := range wk.active {
-				if a {
-					count++
+			for ci := range wk.chunks {
+				ck, in := &wk.chunks[ci], 0
+				for _, a := range wk.active[ck.lo:ck.hi] {
+					if a {
+						in++
+					}
 				}
+				if in != int(ck.numActive) {
+					t.Errorf("worker %d chunk %d: numActive = %d, bitmap has %d", wk.index, ci, ck.numActive, in)
+				}
+				count += in
 			}
 			if count != wk.numActive {
 				t.Errorf("worker %d: numActive = %d, bitmap has %d", wk.index, wk.numActive, count)
 			}
+			active += count
 		}
+		return active
 	}
 	for _, w := range workerCounts() {
 		j := &minLabelJob{label: make([]int64, n)}
@@ -244,6 +311,18 @@ func TestActiveCounterInvariant(t *testing.T) {
 		}
 		check(t, e)
 		e.stop()
+		const steps = 6
+		for stop := 1; stop <= steps; stop++ {
+			e := newEngine(g, newFoldJob(n, steps, true), Config{NumWorkers: w, Seed: 5, ChunkSize: 8}.withDefaults())
+			e.cfg.MaxSupersteps = stop // stop at the barrier after superstep stop-1
+			if err := e.loop(context.Background()); err == nil {
+				t.Fatal("want max-supersteps error, got nil")
+			}
+			if check(t, e) == 0 {
+				t.Errorf("W=%d, stopped after superstep %d: no vertex reactivated", w, stop-1)
+			}
+			e.stop()
+		}
 	}
 	// Through recovery: a mid-run crash rolls back via decodeState, which
 	// must recompute the counters from the restored bitmap.
@@ -364,5 +443,38 @@ func BenchmarkRoutingFolded(b *testing.B) {
 	}
 	msgs := float64(b.N) * float64(g.NumEdges())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+	b.ReportMetric(foldStride*recWordBytes, "B/msg")
+}
+
+// BenchmarkRoutingFoldedMin measures one warm superstep of the
+// SSSP-shaped job: halting vertices, a sparse frontier, every message an
+// int min folded into the destination's slots, and delivery the only way
+// a halted vertex wakes. It reports the cost per message sent.
+func BenchmarkRoutingFoldedMin(b *testing.B) {
+	const n = 4096
+	g := gen.TwitterLike(n, 8, 3)
+	e := newEngine(g, newPerfSSSPJob(n), Config{NumWorkers: 4, Seed: 1}.withDefaults())
+	defer e.stop()
+	sent := func() (msgs int64) {
+		for _, wk := range e.workers {
+			msgs += wk.msgs
+		}
+		return msgs
+	}
+	step := 0
+	for i := 0; i < 2*ssspRound; i++ {
+		e.runVertexPhase(step) // two searches: boxes reach their high-water mark
+		e.routeMessages()
+		step++
+	}
+	before := sent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.runVertexPhase(step)
+		e.routeMessages()
+		step++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(sent()-before, 1)), "ns/msg")
 	b.ReportMetric(foldStride*recWordBytes, "B/msg")
 }
