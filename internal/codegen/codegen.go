@@ -168,8 +168,8 @@ var (
 	// A message slot is a raw long; these convert a field to and from it.
 	slotWrite  = [...]string{"out.writeLong(f%d);", "out.writeDouble(Double.longBitsToDouble(f%d));", "out.writeBoolean(f%d != 0);", "out.writeInt((int) f%d);"}
 	slotRead   = [...]string{"f%d = in.readLong();", "f%d = Double.doubleToLongBits(in.readDouble());", "f%d = in.readBoolean() ? 1 : 0;", "f%d = in.readInt();"}
-	slotEncode = [...]string{"%s", "%s", "%s", "%s"}
-	slotDecode = [...]string{"m.f%d", "Double.longBitsToDouble(m.f%d)", "(m.f%d != 0)", "m.f%d"}
+	slotEncode = [...]string{"%s", "Double.doubleToLongBits(%s)", "(%s) ? 1 : 0", "%s"}
+	slotDecode = [...]string{"m.f%d", "Double.longBitsToDouble(m.f%d)", "(m.f%d != 0)", "(int) m.f%d"}
 )
 
 func className(name string) string {
@@ -570,7 +570,20 @@ func (g *gen) expr(e ir.Expr) string {
 func constJava(v ir.Value) string {
 	switch v.K {
 	case ir.KFloat:
-		return fmt.Sprintf("%g", v.F)
+		switch f := v.F; {
+		case math.IsInf(f, 1):
+			return "Double.POSITIVE_INFINITY"
+		case math.IsInf(f, -1):
+			return "Double.NEGATIVE_INFINITY"
+		case math.IsNaN(f):
+			return "Double.NaN"
+		}
+		// A Java literal without '.' or an exponent is an int or long.
+		s := strconv.FormatFloat(v.F, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	case ir.KBool:
 		return strconv.FormatBool(v.I != 0)
 	case ir.KNode:

@@ -1,12 +1,14 @@
 package codegen
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"gmpregel/internal/algorithms"
 	"gmpregel/internal/core"
+	"gmpregel/internal/ir"
 )
 
 func TestJavaEmissionForAllAlgorithms(t *testing.T) {
@@ -110,3 +112,23 @@ func TestGPSAndGiraphShareStructure(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+func TestFloatConstantsAreJavaDoubles(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		want string
+	}{
+		{1, "1.0"},
+		{-2, "-2.0"},
+		{0.85, "0.85"},
+		{1e-10, "1e-10"},
+		{1e20, "1e+20"},
+		{math.Inf(1), "Double.POSITIVE_INFINITY"},
+		{math.Inf(-1), "Double.NEGATIVE_INFINITY"},
+		{math.NaN(), "Double.NaN"},
+	} {
+		if got := constJava(ir.Float(tc.f)); got != tc.want {
+			t.Errorf("constJava(%v) = %q, want %q", tc.f, got, tc.want)
+		}
+	}
+}

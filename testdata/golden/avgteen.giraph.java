@@ -84,7 +84,7 @@ public class AvgTeenCntMaster extends DefaultMasterCompute {
                     _state = 7; break;
                 }
                 case 7: {
-                    avg = ((C == 0L) ? 0 : ((1 * S) / C));
+                    avg = ((C == 0L) ? 0.0 : ((1.0 * S) / C));
                     // procedure result: avg
                     haltComputation(); return;
                     haltComputation(); return;

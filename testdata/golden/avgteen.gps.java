@@ -70,7 +70,7 @@ class AvgTeenCntMaster extends Master {
                     _state = 7; break;
                 }
                 case 7: { // master block
-                    avg = ((C == 0L) ? 0 : ((1 * S) / C));
+                    avg = ((C == 0L) ? 0.0 : ((1.0 * S) / C));
                     setResult(avg);
                     haltComputation(); return;
                     haltComputation(); return;

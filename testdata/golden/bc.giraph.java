@@ -17,15 +17,15 @@ public class BcApproxComputation extends BasicComputation<IntWritable, BcApproxV
             }
             case 1: { // in_nbr_collect
                 vertex.getValue().in_nbrs = collectSenderIds(messages);
-                vertex.getValue().BC = 0;
+                vertex.getValue().BC = 0.0;
                 break;
             }
             case 6: { // state5
                 int s = ((IntWritable) getAggregatedValue("s")).get();
-                vertex.getValue().sigma = 0;
-                vertex.getValue().delta = 0;
+                vertex.getValue().sigma = 0.0;
+                vertex.getValue().delta = 0.0;
                 if ((vertex.getId().get() == s)) {
-                    vertex.getValue().sigma = 1;
+                    vertex.getValue().sigma = 1.0;
                 }
                 vertex.getValue()._lev0 = Long.MAX_VALUE;
                 break;
@@ -40,12 +40,12 @@ public class BcApproxComputation extends BasicComputation<IntWritable, BcApproxV
             case 15: { // state14
                 long _curr2 = ((LongWritable) getAggregatedValue("_curr2")).get();
                 if ((vertex.getValue()._lev0 == _curr2)) {
-                    vertex.getValue()._t13 = 0;
+                    vertex.getValue()._t13 = 0.0;
                 }
                 if ((vertex.getValue()._lev0 == (_curr2 - 1L))) {
                     for (Edge<IntWritable, NullWritable> e : vertex.getEdges()) {
                         BcApproxMessage m = new BcApproxMessage();
-                        m.f0 = vertex.getValue().sigma;
+                        m.f0 = Double.doubleToLongBits(vertex.getValue().sigma);
                         sendMessage(e.getTargetVertexId(), m);
                     }
                 }
@@ -86,13 +86,13 @@ public class BcApproxComputation extends BasicComputation<IntWritable, BcApproxV
             case 26: { // state26
                 long _curr2 = ((LongWritable) getAggregatedValue("_curr2")).get();
                 if ((vertex.getValue()._lev0 == _curr2)) {
-                    vertex.getValue()._t14 = 0;
+                    vertex.getValue()._t14 = 0.0;
                 }
                 if ((vertex.getValue()._lev0 == (_curr2 + 1L))) {
                     for (int i = 0; i < vertex.getValue().in_nbrs.length; i++) {
                         BcApproxMessage m = new BcApproxMessage();
-                        m.f0 = vertex.getValue().sigma;
-                        m.f1 = (1 + vertex.getValue().delta);
+                        m.f0 = Double.doubleToLongBits(vertex.getValue().sigma);
+                        m.f1 = Double.doubleToLongBits((1.0 + vertex.getValue().delta));
                         sendMessage(new IntWritable(vertex.getValue().in_nbrs[i]), m);
                     }
                 }

@@ -216,15 +216,15 @@ class BcApproxVertex extends Vertex<BcApproxVertexValue, Message> {
             }
             case 1: { // in_nbr_collect
                 getValue().in_nbrs = collectSenderIds(messages);
-                getValue().BC = 0;
+                getValue().BC = 0.0;
                 break;
             }
             case 6: { // state5
                 int s = ((IntOverwrite) getGlobalObjectMap().get("s")).getValue();
-                getValue().sigma = 0;
-                getValue().delta = 0;
+                getValue().sigma = 0.0;
+                getValue().delta = 0.0;
                 if ((getId() == s)) {
-                    getValue().sigma = 1;
+                    getValue().sigma = 1.0;
                 }
                 getValue()._lev0 = Long.MAX_VALUE;
                 break;
@@ -239,12 +239,12 @@ class BcApproxVertex extends Vertex<BcApproxVertexValue, Message> {
             case 15: { // state14
                 long _curr2 = ((LongOverwrite) getGlobalObjectMap().get("_curr2")).getValue();
                 if ((getValue()._lev0 == _curr2)) {
-                    getValue()._t13 = 0;
+                    getValue()._t13 = 0.0;
                 }
                 if ((getValue()._lev0 == (_curr2 - 1L))) {
                     for (int e = 0; e < getNeighborsCount(); e++) {
                         Message m = new Message();
-                        m.f0 = getValue().sigma;
+                        m.f0 = Double.doubleToLongBits(getValue().sigma);
                         sendMessage(getNeighborId(e), m);
                     }
                 }
@@ -285,13 +285,13 @@ class BcApproxVertex extends Vertex<BcApproxVertexValue, Message> {
             case 26: { // state26
                 long _curr2 = ((LongOverwrite) getGlobalObjectMap().get("_curr2")).getValue();
                 if ((getValue()._lev0 == _curr2)) {
-                    getValue()._t14 = 0;
+                    getValue()._t14 = 0.0;
                 }
                 if ((getValue()._lev0 == (_curr2 + 1L))) {
                     for (int i = 0; i < getValue().in_nbrs.length; i++) {
                         Message m = new Message();
-                        m.f0 = getValue().sigma;
-                        m.f1 = (1 + getValue().delta);
+                        m.f0 = Double.doubleToLongBits(getValue().sigma);
+                        m.f1 = Double.doubleToLongBits((1.0 + getValue().delta));
                         sendMessage(getValue().in_nbrs[i], m);
                     }
                 }

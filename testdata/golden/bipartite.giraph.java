@@ -27,7 +27,7 @@ public class BipartiteMatchingComputation extends BasicComputation<IntWritable, 
                 for (BipartiteMatchingMessage m : messages) {
                     if (m.type == 0) {
                         if ((vertex.getValue().match == -1)) {
-                            vertex.getValue().suitor = m.f0;
+                            vertex.getValue().suitor = (int) m.f0;
                         }
                     }
                 }
@@ -48,7 +48,7 @@ public class BipartiteMatchingComputation extends BasicComputation<IntWritable, 
                 int g = -1;
                 for (BipartiteMatchingMessage m : messages) {
                     if (m.type == 1) {
-                        vertex.getValue().suitor = m.f0;
+                        vertex.getValue().suitor = (int) m.f0;
                     }
                 }
                 if (((vertex.getValue().is_boy && (vertex.getValue().match == -1)) && (vertex.getValue().suitor != -1))) {
@@ -66,7 +66,7 @@ public class BipartiteMatchingComputation extends BasicComputation<IntWritable, 
             case 14: { // state12_recv
                 for (BipartiteMatchingMessage m : messages) {
                     if (m.type == 2) {
-                        vertex.getValue().match = m.f0;
+                        vertex.getValue().match = (int) m.f0;
                     }
                 }
                 break;

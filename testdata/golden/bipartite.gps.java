@@ -145,7 +145,7 @@ class BipartiteMatchingVertex extends Vertex<BipartiteMatchingVertexValue, Messa
                 for (Message m : messages) {
                     if (m.type == 0) {
                         if ((getValue().match == -1)) {
-                            getValue().suitor = m.f0;
+                            getValue().suitor = (int) m.f0;
                         }
                     }
                 }
@@ -166,7 +166,7 @@ class BipartiteMatchingVertex extends Vertex<BipartiteMatchingVertexValue, Messa
                 int g = -1;
                 for (Message m : messages) {
                     if (m.type == 1) {
-                        getValue().suitor = m.f0;
+                        getValue().suitor = (int) m.f0;
                     }
                 }
                 if (((getValue().is_boy && (getValue().match == -1)) && (getValue().suitor != -1))) {
@@ -184,7 +184,7 @@ class BipartiteMatchingVertex extends Vertex<BipartiteMatchingVertexValue, Messa
             case 14: { // state12_recv
                 for (Message m : messages) {
                     if (m.type == 2) {
-                        getValue().match = m.f0;
+                        getValue().match = (int) m.f0;
                     }
                 }
                 break;

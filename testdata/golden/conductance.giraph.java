@@ -144,9 +144,9 @@ public class ConductanceMaster extends DefaultMasterCompute {
                 }
                 case 14: {
                     Cross = _r2;
-                    m = ((Din < Dout) ? (1 * Din) : (1 * Dout));
-                    if ((m == 0)) {
-                        // procedure result: ((Cross == 0L) ? 0 : +Inf)
+                    m = ((Din < Dout) ? (1.0 * Din) : (1.0 * Dout));
+                    if ((m == 0.0)) {
+                        // procedure result: ((Cross == 0L) ? 0.0 : Double.POSITIVE_INFINITY)
                         haltComputation(); return;
                     } else {
                         // procedure result: (Cross / m)

@@ -114,9 +114,9 @@ class ConductanceMaster extends Master {
                 }
                 case 14: { // master block
                     Cross = _r2;
-                    m = ((Din < Dout) ? (1 * Din) : (1 * Dout));
-                    if ((m == 0)) {
-                        setResult(((Cross == 0L) ? 0 : +Inf));
+                    m = ((Din < Dout) ? (1.0 * Din) : (1.0 * Dout));
+                    if ((m == 0.0)) {
+                        setResult(((Cross == 0L) ? 0.0 : Double.POSITIVE_INFINITY));
                         haltComputation(); return;
                     } else {
                         setResult((Cross / m));

@@ -17,15 +17,15 @@ public class HitsComputation extends BasicComputation<IntWritable, HitsValue, Nu
             }
             case 1: { // in_nbr_collect
                 vertex.getValue().in_nbrs = collectSenderIds(messages);
-                vertex.getValue().auth = 1;
-                vertex.getValue().hub = 1;
+                vertex.getValue().auth = 1.0;
+                vertex.getValue().hub = 1.0;
                 break;
             }
             case 6: { // state6
-                vertex.getValue()._t6 = 0;
+                vertex.getValue()._t6 = 0.0;
                 for (Edge<IntWritable, NullWritable> e : vertex.getEdges()) {
                     HitsMessage m = new HitsMessage();
-                    m.f0 = vertex.getValue().hub;
+                    m.f0 = Double.doubleToLongBits(vertex.getValue().hub);
                     sendMessage(e.getTargetVertexId(), m);
                 }
                 break;
@@ -46,10 +46,10 @@ public class HitsComputation extends BasicComputation<IntWritable, HitsValue, Nu
                 break;
             }
             case 16: { // state16
-                vertex.getValue()._t7 = 0;
+                vertex.getValue()._t7 = 0.0;
                 for (int i = 0; i < vertex.getValue().in_nbrs.length; i++) {
                     HitsMessage m = new HitsMessage();
-                    m.f0 = vertex.getValue().auth;
+                    m.f0 = Double.doubleToLongBits(vertex.getValue().auth);
                     sendMessage(new IntWritable(vertex.getValue().in_nbrs[i]), m);
                 }
                 break;
@@ -135,8 +135,8 @@ public class HitsMaster extends DefaultMasterCompute {
                     _state = 10; break;
                 }
                 case 10: {
-                    na = 0;
-                    _r2 = 0;
+                    na = 0.0;
+                    _r2 = 0.0;
                     _state = 11; break;
                 }
                 case 11: {
@@ -151,7 +151,7 @@ public class HitsMaster extends DefaultMasterCompute {
                     _state = 14; break;
                 }
                 case 14: {
-                    _state = ((na > 0)) ? 15 : 16; break;
+                    _state = ((na > 0.0)) ? 15 : 16; break;
                 }
                 case 15: { // vertex state "state15"
                     setAggregatedValue("_state", new IntWritable(15));
@@ -173,8 +173,8 @@ public class HitsMaster extends DefaultMasterCompute {
                     _state = 20; break;
                 }
                 case 20: {
-                    nh = 0;
-                    _r3 = 0;
+                    nh = 0.0;
+                    _r3 = 0.0;
                     _state = 21; break;
                 }
                 case 21: {
@@ -189,7 +189,7 @@ public class HitsMaster extends DefaultMasterCompute {
                     _state = 24; break;
                 }
                 case 24: {
-                    _state = ((nh > 0)) ? 25 : 26; break;
+                    _state = ((nh > 0.0)) ? 25 : 26; break;
                 }
                 case 25: { // vertex state "state25"
                     setAggregatedValue("_state", new IntWritable(25));

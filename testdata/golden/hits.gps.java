@@ -90,8 +90,8 @@ class HitsMaster extends Master {
                     _state = 10; break;
                 }
                 case 10: { // master block
-                    na = 0;
-                    _r2 = 0;
+                    na = 0.0;
+                    _r2 = 0.0;
                     _state = 11; break;
                 }
                 case 11: { // master block
@@ -108,7 +108,7 @@ class HitsMaster extends Master {
                     _state = 14; break;
                 }
                 case 14: { // master block
-                    _state = ((na > 0)) ? 15 : 16; break;
+                    _state = ((na > 0.0)) ? 15 : 16; break;
                 }
                 case 15: { // vertex-parallel state "state15"
                     getGlobalObjectMap().put("_state", new IntOverwrite(15));
@@ -130,8 +130,8 @@ class HitsMaster extends Master {
                     _state = 20; break;
                 }
                 case 20: { // master block
-                    nh = 0;
-                    _r3 = 0;
+                    nh = 0.0;
+                    _r3 = 0.0;
                     _state = 21; break;
                 }
                 case 21: { // master block
@@ -148,7 +148,7 @@ class HitsMaster extends Master {
                     _state = 24; break;
                 }
                 case 24: { // master block
-                    _state = ((nh > 0)) ? 25 : 26; break;
+                    _state = ((nh > 0.0)) ? 25 : 26; break;
                 }
                 case 25: { // vertex-parallel state "state25"
                     getGlobalObjectMap().put("_state", new IntOverwrite(25));
@@ -184,15 +184,15 @@ class HitsVertex extends Vertex<HitsVertexValue, Message> {
             }
             case 1: { // in_nbr_collect
                 getValue().in_nbrs = collectSenderIds(messages);
-                getValue().auth = 1;
-                getValue().hub = 1;
+                getValue().auth = 1.0;
+                getValue().hub = 1.0;
                 break;
             }
             case 6: { // state6
-                getValue()._t6 = 0;
+                getValue()._t6 = 0.0;
                 for (int e = 0; e < getNeighborsCount(); e++) {
                     Message m = new Message();
-                    m.f0 = getValue().hub;
+                    m.f0 = Double.doubleToLongBits(getValue().hub);
                     sendMessage(getNeighborId(e), m);
                 }
                 break;
@@ -213,10 +213,10 @@ class HitsVertex extends Vertex<HitsVertexValue, Message> {
                 break;
             }
             case 16: { // state16
-                getValue()._t7 = 0;
+                getValue()._t7 = 0.0;
                 for (int i = 0; i < getValue().in_nbrs.length; i++) {
                     Message m = new Message();
-                    m.f0 = getValue().auth;
+                    m.f0 = Double.doubleToLongBits(getValue().auth);
                     sendMessage(getValue().in_nbrs[i], m);
                 }
                 break;

@@ -9,7 +9,7 @@ public class PagerankComputation extends BasicComputation<IntWritable, PagerankV
         switch (_state) {
             case 1: { // state0
                 double N = ((DoubleWritable) getAggregatedValue("N")).get();
-                vertex.getValue().pg_rank = (1 / N);
+                vertex.getValue().pg_rank = (1.0 / N);
                 break;
             }
             case 3: { // state2
@@ -21,14 +21,14 @@ public class PagerankComputation extends BasicComputation<IntWritable, PagerankV
                     for (PagerankMessage m : messages) {
                         vertex.getValue()._t2 += Double.longBitsToDouble(m.f0);
                     }
-                    val = (((1 - d) / N) + (d * vertex.getValue()._t2));
+                    val = (((1.0 - d) / N) + (d * vertex.getValue()._t2));
                     aggregate("diff_+=", new DoubleWritable(((val > vertex.getValue().pg_rank) ? (val - vertex.getValue().pg_rank) : (vertex.getValue().pg_rank - val))));
                     vertex.getValue().pg_rank = val;
                 }
-                vertex.getValue()._t2 = 0;
+                vertex.getValue()._t2 = 0.0;
                 for (Edge<IntWritable, NullWritable> e : vertex.getEdges()) {
                     PagerankMessage m = new PagerankMessage();
-                    m.f0 = (vertex.getValue().pg_rank / vertex.getNumEdges());
+                    m.f0 = Double.doubleToLongBits((vertex.getValue().pg_rank / vertex.getNumEdges()));
                     sendMessage(e.getTargetVertexId(), m);
                 }
                 break;
@@ -65,7 +65,7 @@ public class PagerankMaster extends DefaultMasterCompute {
         while (true) {
             switch (_state) {
                 case 0: {
-                    diff = 0;
+                    diff = 0.0;
                     cnt = 0L;
                     N = getTotalNumVertices();
                     _state = 1; break;
@@ -76,7 +76,7 @@ public class PagerankMaster extends DefaultMasterCompute {
                     _state = 13; return;
                 }
                 case 2: {
-                    diff = 0;
+                    diff = 0.0;
                     _state = 3; break;
                 }
                 case 3: { // vertex state "state2"

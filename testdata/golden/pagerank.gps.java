@@ -39,7 +39,7 @@ class PagerankMaster extends Master {
         while (true) {
             switch (_state) {
                 case 0: { // master block
-                    diff = 0;
+                    diff = 0.0;
                     cnt = 0L;
                     N = getTotalNumVertices();
                     _state = 1; break;
@@ -50,7 +50,7 @@ class PagerankMaster extends Master {
                     _state = 13; return; // run vertex.compute this superstep
                 }
                 case 2: { // master block
-                    diff = 0;
+                    diff = 0.0;
                     _state = 3; break;
                 }
                 case 3: { // vertex-parallel state "state2"
@@ -107,7 +107,7 @@ class PagerankVertex extends Vertex<PagerankVertexValue, Message> {
         switch (_state) {
             case 1: { // state0
                 double N = ((DoubleOverwrite) getGlobalObjectMap().get("N")).getValue();
-                getValue().pg_rank = (1 / N);
+                getValue().pg_rank = (1.0 / N);
                 break;
             }
             case 3: { // state2
@@ -119,14 +119,14 @@ class PagerankVertex extends Vertex<PagerankVertexValue, Message> {
                     for (Message m : messages) {
                         getValue()._t2 += Double.longBitsToDouble(m.f0);
                     }
-                    val = (((1 - d) / N) + (d * getValue()._t2));
+                    val = (((1.0 - d) / N) + (d * getValue()._t2));
                     getGlobalObjectMap().put("diff_+=", new Reduce(((val > getValue().pg_rank) ? (val - getValue().pg_rank) : (getValue().pg_rank - val))));
                     getValue().pg_rank = val;
                 }
-                getValue()._t2 = 0;
+                getValue()._t2 = 0.0;
                 for (int e = 0; e < getNeighborsCount(); e++) {
                     Message m = new Message();
-                    m.f0 = (getValue().pg_rank / getNeighborsCount());
+                    m.f0 = Double.doubleToLongBits((getValue().pg_rank / getNeighborsCount()));
                     sendMessage(getNeighborId(e), m);
                 }
                 break;
