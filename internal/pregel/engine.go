@@ -157,7 +157,7 @@ func (e *engine) emit(s obs.Span) { e.cfg.Observer.ObserveSpan(s) }
 
 // Run executes the job on g to completion and returns run statistics.
 // It returns an error if the job exceeds MaxSupersteps, a compute
-// function panics, the deadline expires, or an injected fault finds no
+// function panics, or an injected fault finds no
 // valid checkpoint to recover from. Even on error, Stats.Returned*
 // reflect whatever the master recorded before the abort, so callers see
 // partial results consistently.
@@ -165,16 +165,11 @@ func Run(g *graph.Directed, job Job, cfg Config) (Stats, error) {
 	return RunContext(context.Background(), g, job, cfg)
 }
 
-// RunContext is Run with cooperative cancellation: ctx (and
-// Config.Deadline, when set) is checked at every superstep barrier; a
-// superstep in progress is never interrupted mid-phase.
+// RunContext is Run with cooperative cancellation: ctx is checked at
+// every superstep barrier, so a wall-clock budget is a ctx with a
+// timeout; a superstep in progress is never interrupted mid-phase.
 func RunContext(ctx context.Context, g *graph.Directed, job Job, cfg Config) (Stats, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
 	e := newEngine(g, job, cfg)
 	defer e.stop()
 	err := e.loop(ctx)

@@ -25,7 +25,7 @@ var (
 	scheduleFixed = map[string]bool{
 		"MaxSupersteps": true, "Seed": true, "TraceSteps": true,
 		"CheckpointEvery": true, "Faults": true,
-		"Deadline": true, "Observer": true, "MemoryBudget": true,
+		"Observer": true, "MemoryBudget": true,
 	}
 )
 

@@ -31,7 +31,6 @@ package pregel
 import (
 	"math"
 	"runtime"
-	"time"
 
 	"gmpregel/internal/graph"
 	"gmpregel/internal/obs"
@@ -207,10 +206,6 @@ type Config struct {
 	// replay. A plan entry that could never fire (see Fault) fails the
 	// run before superstep 0.
 	Faults FaultPlan
-	// Deadline is a wall-clock budget for the whole run, checked at every
-	// superstep barrier (a superstep in progress is not interrupted);
-	// 0 means no deadline.
-	Deadline time.Duration
 	// Observer, when non-nil, receives a structured trace of the run: one
 	// span per engine phase (master, per-worker vertex compute, per-chunk
 	// execution with executor/steal attribution, barrier, routing,

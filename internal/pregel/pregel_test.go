@@ -424,7 +424,9 @@ func (sleepyJob) MasterCompute(mc *MasterContext) {}
 func (sleepyJob) VertexCompute(vc *VertexContext) { time.Sleep(time.Millisecond) }
 
 func TestDeadlineAbortsRun(t *testing.T) {
-	st, err := Run(gen.Ring(4), sleepyJob{}, Config{NumWorkers: 2, Deadline: 30 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	st, err := RunContext(ctx, gen.Ring(4), sleepyJob{}, Config{NumWorkers: 2})
 	if err == nil {
 		t.Fatal("want deadline error, got nil")
 	}

@@ -19,8 +19,9 @@ type Quota struct {
 	// MemoryBytes is the per-job engine MemoryBudget (the PR 7
 	// governor); 0 leaves the governor off.
 	MemoryBytes int64 `json:"memory_bytes,omitempty"`
-	// DeadlineMS is the per-job wall-clock budget enforced by the
-	// engine's supervision layer; 0 inherits the server default.
+	// DeadlineMS is the per-job wall-clock budget, counted from the
+	// start of the run and checked at every superstep barrier; 0
+	// inherits the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Weight is the tenant's weighted-fair share of dequeue bandwidth
 	// (default 1): a weight-4 tenant drains its backlog 4× as fast as a

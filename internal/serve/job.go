@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -75,6 +76,7 @@ type job struct {
 	bindings    machine.Bindings
 	cacheKey    string // "" when the request opted out
 	cfg         pregel.Config
+	deadline    time.Duration // wall budget from the start of the run; 0 means none
 	live        *obs.Live
 
 	mu     sync.Mutex
@@ -225,7 +227,13 @@ func (s *Server) runJob(j *job) {
 	j.setState("running")
 	s.jobsRunning.Add(1)
 	start := time.Now()
-	res, err := machine.RunContext(s.ctx, j.prog, j.snap.Graph, j.bindings, j.cfg)
+	// The budget starts here, not at submission: queue wait is not run time.
+	ctx, cancel := s.ctx, context.CancelFunc(func() {})
+	if j.deadline > 0 {
+		ctx, cancel = context.WithTimeout(s.ctx, j.deadline)
+	}
+	res, err := machine.RunContext(ctx, j.prog, j.snap.Graph, j.bindings, j.cfg)
+	cancel()
 	elapsed := time.Since(start)
 
 	j.mu.Lock()

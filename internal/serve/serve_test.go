@@ -431,6 +431,34 @@ func TestJobTraceStreamsProgress(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutFailsRun submits a PageRank that never converges (e<0,
+// so only max_iter = 2^20 stops it) with a 50 ms timeout_ms: the budget
+// is enforced at a superstep barrier, and the job ends failed with the
+// context's deadline error and the partial stats of the supersteps run.
+func TestJobTimeoutFailsRun(t *testing.T) {
+	s, hs := newTestServer(t, Options{})
+	if _, _, err := s.LoadGraph(GraphSpec{Name: "ring", Builder: "ring", Scale: 1, InputsSeed: testSeed + 7}); err != nil {
+		t.Fatal(err)
+	}
+	req := JobRequest{Tenant: "hasty", Graph: "ring", Algorithm: "pagerank",
+		Params:  map[string]any{"e": -1.0, "d": 0.85, "max_iter": 1 << 20},
+		NoCache: true, Wait: true, TimeoutMS: 50}
+	code, _, payload := postJSON(t, hs.URL+"/jobs", req)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("want 500 for a timed-out job, got %d: %s", code, payload)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(payload, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "failed" || !strings.Contains(st.Error, "deadline exceeded") {
+		t.Errorf("want failed with a deadline error, got state %q error %q", st.State, st.Error)
+	}
+	if st.Result == nil || st.Result.Stats.Supersteps == 0 {
+		t.Errorf("timed-out job lost its partial stats: %+v", st.Result)
+	}
+}
+
 // TestBadRequests covers the API's structured rejections, including
 // bodies that would otherwise hang or exhaust the server.
 func TestBadRequests(t *testing.T) {

@@ -433,12 +433,12 @@ func (s *Server) submitRequest(req *JobRequest) (*job, *JobStatus, *apiError) {
 		cacheKey:    key,
 		live:        obs.NewLive(),
 		state:       "queued",
+		deadline:    deadline,
 		done:        make(chan struct{}),
 	}
 	j.cfg = pregel.Config{
 		NumWorkers:   s.opts.Workers,
 		Seed:         s.opts.Seed,
-		Deadline:     deadline,
 		MemoryBudget: quota.MemoryBytes,
 		Observer:     j.live,
 	}
