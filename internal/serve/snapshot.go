@@ -1,10 +1,10 @@
 // Package serve is the long-lived graph-analytics job server: one
 // resident set of immutable graph snapshots, many concurrent
 // heterogeneous queries. It composes the engine's existing enforcement
-// mechanisms — RunContext under a timeout context (supervision), MemoryBudget (the
-// resource governor), and the obs metrics/trace surfaces — into a
-// multi-tenant serving layer with admission control, result caching,
-// and hot-swappable graph versions. See docs/SERVING.md.
+// mechanisms — RunContext under a timeout context (supervision),
+// MemoryBudget (the resource governor), and the obs metrics/trace
+// surfaces — into a multi-tenant serving layer with admission control,
+// result caching, and hot-swappable graph versions. See docs/SERVING.md.
 package serve
 
 import (
