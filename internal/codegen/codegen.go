@@ -29,6 +29,7 @@ type dialect struct {
 
 	target                     string // header comment
 	pub                        string // modifier on value/message classes and their fields
+	slotField, inNbrsField     string // message slot f%d; value-class in_nbrs field
 	valueClass                 string
 	masterClass, masterCompute string
 	vertexClass, vertexCompute string
@@ -49,6 +50,8 @@ type dialect struct {
 
 var gps = &dialect{
 	target:        "GPS (master.compute + vertex.compute extended Pregel API)",
+	slotField:     "long f%d; // raw 64-bit slot (long/double/boolean/vertex-id)",
+	inNbrsField:   "int[] in_nbrs; // §4.3 incoming-neighbor list (when used)",
 	valueClass:    "class %[1]sVertexValue implements Writable {",
 	masterClass:   "class %[1]sMaster extends Master {",
 	masterCompute: "public void compute(int superstepNo) {",
@@ -74,6 +77,8 @@ var giraph = &dialect{
 	giraph:        true,
 	target:        "Apache Giraph (BasicComputation + MasterCompute APIs)",
 	pub:           "public ",
+	slotField:     "public long f%d;",
+	inNbrsField:   "public int[] in_nbrs;",
 	valueClass:    "public class %[1]sValue implements Writable {",
 	masterClass:   "public class %[1]sMaster extends DefaultMasterCompute {",
 	masterCompute: "public void compute() {",
@@ -197,11 +202,7 @@ func (g *gen) messageClass() {
 		slots = max(slots, len(m.Fields))
 	}
 	for i := 0; i < slots; i++ {
-		if g.d.giraph {
-			g.printf("public long f%d;", i)
-		} else {
-			g.printf("long f%d; // raw 64-bit slot (long/double/boolean/vertex-id)", i)
-		}
+		g.printf(g.d.slotField, i)
 	}
 	g.open("public void write(DataOutput out) throws IOException {")
 	if multi {
@@ -249,11 +250,7 @@ func (g *gen) valueClass() {
 			g.printf("%s%s %s;", g.d.pub, javaTypes[pr.Kind], pr.Name)
 		}
 	}
-	if g.d.giraph {
-		g.printf("public int[] in_nbrs;")
-	} else {
-		g.printf("int[] in_nbrs; // §4.3 incoming-neighbor list (when used)")
-	}
+	g.printf("%s", g.d.inNbrsField)
 	g.open("public void write(DataOutput out) throws IOException {")
 	for _, pr := range g.p.Props {
 		if !pr.IsEdge {
