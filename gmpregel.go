@@ -59,8 +59,9 @@ type Result = machine.Result
 
 // Config controls an engine run: worker count, superstep limit, seed,
 // scheduling (ChunkSize, Partitioner), periodic checkpoints
-// (CheckpointEvery), MemoryBudget, Deadline and Observer. Config.Workers
-// reports the worker count a run resolves to.
+// (CheckpointEvery), MemoryBudget and Observer. Config.Workers reports
+// the worker count a run resolves to; a wall-clock budget is a context
+// with a timeout passed to Compiled.RunContext.
 type Config = pregel.Config
 
 // PartitionKind selects how vertices map to workers (Config.Partitioner).
