@@ -493,10 +493,7 @@ func (e *engine) decodeState(data []byte) error {
 				}
 			}
 			ck.numActive = na
-			for d := range ck.boxes {
-				ck.boxes[d] = ck.boxes[d][:0]
-				ck.fboxes[d] = ck.fboxes[d][:0]
-			}
+			ck.truncateBoxes()
 			for s := range ck.agg {
 				ck.agg[s] = aggCell{}
 			}

@@ -200,15 +200,19 @@ func (vc *VertexContext) Send(dst graph.NodeID, m Msg) {
 
 // SendToAllNbrs sends a copy of m to every out-neighbor.
 func (vc *VertexContext) SendToAllNbrs(m Msg) {
-	nbrs := vc.wk.e.g.OutNbrs(vc.id)
 	wk := vc.wk
 	if !wk.conforms(&m) {
 		vc.reject(&m)
 		return
 	}
-	// Hoist the per-message size, box set and header tag, and branch on
-	// the partitioner once.
-	boxes, slots := vc.outbox(m.Type)
+	if wk.foldIdx[m.Type] >= 0 {
+		vc.broadcast(wk.e.nbrIndex(), &m)
+		return
+	}
+	// Hoist the per-message size and header tag, and branch on the
+	// partitioner once.
+	nbrs := wk.e.g.OutNbrs(vc.id)
+	boxes, slots := vc.ck.boxes, wk.slots
 	tag := packHeader(0, m.Type)
 	ck := vc.ck
 	size := wk.msgSize[m.Type]
@@ -239,6 +243,42 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 		}
 	}
 	ck.msgs += int64(len(nbrs))
+}
+
+// broadcast sends m, of a folded type, to every out-neighbor as one
+// broadcast record (record.go) per destination worker owning any of
+// them, in the fold box of that worker, and bills every edge as Send
+// would: ix's runs give the sender's out-neighbors per owner. With one
+// worker the record goes to worker 0 and all of it is local.
+//
+//gm:noalloc
+func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
+	wk, ck := vc.wk, vc.ck
+	lo, hi := ix.start[vc.id], ix.start[vc.id+1]
+	if lo == hi {
+		return
+	}
+	hdr := packHeader(vc.id, m.Type) | bcastBit
+	size := wk.msgSize[m.Type]
+	ck.msgs += hi - lo
+	if ix.runOff == nil {
+		ck.fboxes[0] = appendRec(ck.fboxes[0], hdr, &m.V, 1)
+		ck.fbcast[0] = true
+		ck.localBytes += (hi - lo) * size
+		return
+	}
+	for _, r := range ix.runs[ix.runOff[vc.id]:ix.runOff[vc.id+1]] {
+		n, dw := r.end-lo, int(r.worker)
+		lo = r.end
+		ck.fboxes[dw] = appendRec(ck.fboxes[dw], hdr, &m.V, 1)
+		ck.fbcast[dw] = true
+		if dw != wk.index {
+			ck.netMsgs += n
+			ck.netBytes += n * size
+		} else {
+			ck.localBytes += n * size
+		}
+	}
 }
 
 // VoteToHalt deactivates this vertex; it is reactivated when a message

@@ -83,6 +83,11 @@ type engine struct {
 	folds     []Fold
 	foldTypes []uint8
 	foldEpoch uint32
+	// Broadcast sends (fold.go): nbrs is the per-destination edge index
+	// a folded SendToAllNbrs bills and the fold expands its records by,
+	// built once (nbrsOnce) by the first such send.
+	nbrs     *nbrIndex
+	nbrsOnce sync.Once
 
 	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
 	// pblocks means mod partitioning.
@@ -311,6 +316,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			ck.agg = make([]aggCell, len(e.schema.Aggregators))
 			ck.boxes = make([][]uint64, e.numWorkers)
 			ck.fboxes = make([][]uint64, e.numWorkers)
+			ck.fbcast = make([]bool, e.numWorkers)
 		}
 		wk.aggPartial = make([]aggCell, len(e.schema.Aggregators))
 

@@ -3,6 +3,9 @@ package pregel
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"gmpregel/internal/graph"
 )
 
 // Fold declares a delivery fold for one message type: all messages of
@@ -126,7 +129,12 @@ func (f Fold) apply(acc, m uint64) uint64 {
 // foldInbox folds every fold-box record addressed to wk into its fold
 // slots, walking the source workers, their chunks and each box in
 // emission order — the canonical order the CSR inbox is built in, so a
-// fold's result is the same under every schedule. A record stamps its
+// fold's result is the same under every schedule. A broadcast record is
+// expanded where it sits, over its sender's out-neighbours wk owns in
+// out-edge order: the messages, in the order, that per-edge records
+// would have folded. The loop is chosen per box: one that holds a
+// broadcast record (the chunk's fbcast flag) takes foldBoxBcast, the
+// rest the per-edge loops, which test no header bit. A record stamps its
 // slot with this routing's epoch; the first one for a (vertex, type)
 // replaces the stale value, the rest fold into it. A second pass over
 // wk's chunks then counts the present slots and reactivates their
@@ -143,10 +151,13 @@ func (wk *worker) foldInbox() {
 	d, epoch := wk.index, e.foldEpoch
 	for _, src := range e.workers {
 		for ci := range src.chunks {
-			if box := src.chunks[ci].fboxes[d]; nf == 1 {
-				wk.foldBox(box, e.folds[0], epoch)
-			} else {
-				wk.foldBoxTyped(box, epoch)
+			switch ck := &src.chunks[ci]; {
+			case ck.fbcast[d]:
+				wk.foldBoxBcast(ck.fboxes[d], epoch)
+			case nf == 1:
+				wk.foldBox(ck.fboxes[d], e.folds[0], epoch)
+			default:
+				wk.foldBoxTyped(ck.fboxes[d], epoch)
 			}
 		}
 	}
@@ -222,4 +233,170 @@ func (wk *worker) foldBoxTyped(box []uint64, epoch uint32) {
 		}
 		s.val, s.stamp = v, epoch
 	}
+}
+
+// foldBoxBcast is the fold loop of a box holding broadcast records,
+// possibly between per-edge ones a Send of a folded type wrote: each
+// record is folded, or expanded by foldRun, where it sits.
+//
+//gm:noalloc
+func (wk *worker) foldBoxBcast(box []uint64, epoch uint32) {
+	e := wk.e
+	for i := 0; i+foldStride <= len(box); i += foldStride {
+		h := box[i]
+		if h&bcastBit == 0 {
+			wk.foldBoxTyped(box[i:i+foldStride], epoch)
+			continue
+		}
+		wk.foldRun(e.nbrs.owned(headerDst(h), int32(wk.index)), int(e.foldIdx[headerType(h)]), box[i+1], epoch)
+	}
+}
+
+// foldRun folds payload m of the fi-th folded type into the slots of
+// the local vertices locals — one broadcast record's expansion —
+// choosing the fold once for the run. PageRank's fold is written out,
+// as in foldBox.
+//
+//gm:noalloc
+func (wk *worker) foldRun(locals []graph.NodeID, fi int, m uint64, epoch uint32) {
+	nf := len(wk.e.folds)
+	slots := wk.folds[fi:]
+	switch f := wk.e.folds[fi]; f {
+	case Fold{AggSum, AggKindFloat}:
+		for _, li := range locals {
+			s := &slots[int(li)*nf]
+			v := math.Float64bits(math.Float64frombits(s.val) + math.Float64frombits(m))
+			if s.stamp != epoch {
+				v = m
+			}
+			s.val, s.stamp = v, epoch
+		}
+	default:
+		for _, li := range locals {
+			s := &slots[int(li)*nf]
+			v := f.apply(s.val, m)
+			if s.stamp != epoch {
+				v = m
+			}
+			s.val, s.stamp = v, epoch
+		}
+	}
+}
+
+// nbrIndex is the per-destination edge index broadcast records expand
+// over. local lists every vertex's out-neighbours in its CSR range, as
+// local indices on their owners, stably regrouped by owner in worker
+// order; the runs of vertex v, runs[runOff[v]:runOff[v+1]], name each
+// worker owning any of them and the end of its group (start is the
+// graph's OutStart). A vertex has at most min(deg, W) runs, so the
+// index is O(V+E) words at any W. With one worker every id is its own
+// local index, so the index is the CSR itself: local aliases OutDst
+// (hence its NodeID type), runOff is nil, and it costs nothing.
+type nbrIndex struct {
+	start  []int64
+	local  []graph.NodeID
+	runOff []int64
+	runs   []nbrRun
+}
+
+type nbrRun struct {
+	end    int64
+	worker int32
+}
+
+// nbrIndex returns the run's broadcast index, building it on the first
+// folded broadcast: a run that never sends one never pays for it. The
+// build is a pure function of the graph and the partition, so a
+// rollback keeps it.
+func (e *engine) nbrIndex() *nbrIndex {
+	e.nbrsOnce.Do(e.buildNbrIndex)
+	return e.nbrs
+}
+
+// buildNbrIndex sets e.nbrs: the CSR at one worker, otherwise one pass
+// over each vertex's out-neighbours that counts them per owner and a
+// second that places them stably.
+func (e *engine) buildNbrIndex() {
+	g := e.g
+	ix := &nbrIndex{start: g.OutStart, local: g.OutDst}
+	e.nbrs = ix
+	if e.numWorkers == 1 {
+		return
+	}
+	n, wk := g.NumNodes(), e.workers[0]
+	ix.local = make([]graph.NodeID, len(g.OutDst))
+	ix.runOff = make([]int64, n+1)
+	ix.runs = make([]nbrRun, 0, n)
+	// at counts the current vertex's out-neighbours per owner, then
+	// serves as each owner's placement cursor; it is zero between
+	// vertices. owner caches each out-neighbour's owner, seen the
+	// distinct ones.
+	at := make([]int64, e.numWorkers)
+	var owner, seen []int32
+	for v := range n {
+		lo, hi := g.OutStart[v], g.OutStart[v+1]
+		owner, seen = owner[:0], seen[:0]
+		for _, u := range g.OutDst[lo:hi] {
+			w := int32(wk.ownerOf(u))
+			if at[w] == 0 {
+				seen = append(seen, w)
+			}
+			at[w]++
+			owner = append(owner, w)
+		}
+		slices.Sort(seen)
+		for _, w := range seen {
+			at[w], lo = lo, lo+at[w]
+			ix.runs = append(ix.runs, nbrRun{end: lo, worker: w})
+		}
+		for k, u := range g.OutDst[g.OutStart[v]:hi] {
+			w := owner[k]
+			ix.local[at[w]] = graph.NodeID(e.workers[w].localOf(u))
+			at[w]++
+		}
+		for _, w := range seen {
+			at[w] = 0
+		}
+		ix.runOff[v+1] = int64(len(ix.runs))
+	}
+}
+
+// owned returns the local indices, on worker w, of the out-neighbours
+// of broadcast sender s that w owns, in out-edge order. w owns at least
+// one: a broadcast record only goes to such a worker.
+//
+//gm:noalloc
+func (ix *nbrIndex) owned(s graph.NodeID, w int32) []graph.NodeID {
+	lo := ix.start[s]
+	if ix.runOff == nil {
+		return ix.local[lo:ix.start[s+1]]
+	}
+	runs := ix.runs[ix.runOff[s]:ix.runOff[s+1]]
+	i, j := 0, len(runs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if runs[h].worker < w {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i > 0 {
+		lo = runs[i-1].end
+	}
+	return ix.local[lo:runs[i].end]
+}
+
+// nbrRunBytes is the size of one run, padding included.
+const nbrRunBytes = 16
+
+// bytes is the index's footprint as the governor accounts it: zero when
+// it aliases the CSR.
+//
+//gm:noalloc
+func (ix *nbrIndex) bytes() int64 {
+	if ix == nil || ix.runOff == nil {
+		return 0
+	}
+	return int64(len(ix.local))*4 + int64(len(ix.runOff))*8 + int64(len(ix.runs))*nbrRunBytes
 }

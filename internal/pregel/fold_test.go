@@ -16,17 +16,21 @@ import (
 // foldJob is the delivery-fold subject: a float sum (type 0) and an int
 // min (type 1), both foldable, next to an unfolded two-slot type (2), so
 // records are 24 bytes and folded messages land in scratch that a wider
-// message dirtied. Every vertex votes to halt each superstep, so only
-// delivered messages — folded ones included — bring it back. folds is
-// the schema's Folds; with it nil the same handlers see every message
-// one by one.
+// message dirtied. Both foldable types are broadcast to the
+// out-neighbours and also sent point to point, some of the sums on
+// either side of the broadcast. Every vertex votes to halt each
+// superstep, so only delivered messages — folded ones included — bring
+// it back. folds is the schema's Folds; with it nil the same handlers
+// see every message one by one. perEdge replaces every SendToAllNbrs
+// with a loop of Send over the out-neighbours.
 type foldJob struct {
-	folds []*Fold
-	steps int
-	rank  []float64
-	label []int64
-	isum  []int64
-	bad   []bool // Messages() broke the folded-first order or carried a stray slot
+	folds   []*Fold
+	perEdge bool
+	steps   int
+	rank    []float64
+	label   []int64
+	isum    []int64
+	bad     []bool // Messages() broke the folded-first order or carried a stray slot
 }
 
 var (
@@ -85,16 +89,27 @@ func (j *foldJob) VertexCompute(vc *VertexContext) {
 			j.isum[v] += int64(m.Node(0)) * m.Int(1)
 		}
 	}
-	j.rank[v] = 0.15/float64(n) + 0.85*sum
+	// The rank keeps its past (a halted vertex's sums are not lost when
+	// it next wakes without one), so every sum ever folded reaches the
+	// output.
+	j.rank[v] = 0.15/float64(n) + 0.85*(sum+j.rank[v])
 	if d := vc.OutDegree(); step%2 == 0 && d > 0 {
 		var m Msg
-		m.SetFloat(0, j.rank[v]/float64(d))
-		vc.SendToAllNbrs(m)
+		// The 1/(v+1) term varies the mantissas, so that a sum folded
+		// out of order would round differently.
+		m.SetFloat(0, j.rank[v]/float64(d)+1/float64(v+1))
+		if v%4 == 1 {
+			vc.Send(graph.NodeID((int(v)*3+2)%n), m)
+		}
+		j.sendToAllNbrs(vc, m)
+		if v%3 == 1 {
+			vc.Send(vc.OutNbrs()[d-1], m)
+		}
 	}
 	if changed {
 		m := Msg{Type: 1}
 		m.SetInt(0, j.label[v])
-		vc.SendToAllNbrs(m)
+		j.sendToAllNbrs(vc, m)
 		vc.Send(graph.NodeID((int(v)*5+1)%n), m)
 	}
 	if v%3 == 0 {
@@ -104,6 +119,18 @@ func (j *foldJob) VertexCompute(vc *VertexContext) {
 		vc.Send(graph.NodeID((int(v)*7+3)%n), m)
 	}
 	vc.VoteToHalt()
+}
+
+// sendToAllNbrs sends m to every out-neighbour: by SendToAllNbrs, or
+// under perEdge by its per-edge twin.
+func (j *foldJob) sendToAllNbrs(vc *VertexContext, m Msg) {
+	if !j.perEdge {
+		vc.SendToAllNbrs(m)
+		return
+	}
+	for _, u := range vc.OutNbrs() {
+		vc.Send(u, m)
+	}
 }
 
 func (j *foldJob) SnapshotState() []byte {
@@ -129,9 +156,10 @@ func (j *foldJob) RestoreState(b []byte) {
 // with the outputs and Stats (per-step trace included) of the same job
 // whose handlers see every message, bit for bit — its float sum starts
 // at zero and its min is exact — and every vertex saw its folded
-// messages first, in type order, with no stray slots. Folding the sum
-// alone or the min alone takes the engine's one-fold loops; folding
-// both takes the general one.
+// messages first, in type order, with no stray slots. The folded job
+// runs broadcasting, which takes the broadcast loop, and per edge, where
+// folding the sum alone or the min alone takes the engine's one-fold
+// loops and folding both takes the general one.
 func TestFoldDeliveryMatchesHandlerAcrossLattice(t *testing.T) {
 	const n = 53
 	g := gen.TwitterLike(n, 5, 13)
@@ -145,30 +173,137 @@ func TestFoldDeliveryMatchesHandlerAcrossLattice(t *testing.T) {
 	}
 	for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
 		for _, cfg := range group {
-			run := func(folds []*Fold) (*foldJob, Stats) {
+			run := func(folds []*Fold, perEdge bool) (*foldJob, Stats) {
 				j := newFoldJob(n, 8, false)
-				j.folds = folds
+				j.folds, j.perEdge = folds, perEdge
 				st, err := Run(g, j, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return j, st
 			}
-			plain, pst := run(nil)
+			plain, pst := run(nil, false)
 			for _, vr := range variants {
-				folded, fst := run(vr.folds)
-				name := scheduleName(cfg) + "/" + vr.name
-				if !reflect.DeepEqual(folded.outputs(), plain.outputs()) {
-					t.Errorf("%s: folded outputs differ from the handler's", name)
-				}
-				if !reflect.DeepEqual(fst, pst) {
-					t.Errorf("%s: folded Stats differ:\nfolded: %+v\nplain:  %+v", name, fst, pst)
-				}
-				for v, bad := range folded.bad {
-					if bad {
-						t.Fatalf("%s: vertex %d saw Messages() out of the folded-first order", name, v)
+				for _, perEdge := range []bool{false, true} {
+					folded, fst := run(vr.folds, perEdge)
+					name := fmt.Sprintf("%s/%s/perEdge=%v", scheduleName(cfg), vr.name, perEdge)
+					if !reflect.DeepEqual(folded.outputs(), plain.outputs()) {
+						t.Errorf("%s: folded outputs differ from the handler's", name)
+					}
+					if !reflect.DeepEqual(fst, pst) {
+						t.Errorf("%s: folded Stats differ:\nfolded: %+v\nplain:  %+v", name, fst, pst)
+					}
+					for v, bad := range folded.bad {
+						if bad {
+							t.Fatalf("%s: vertex %d saw Messages() out of the folded-first order", name, v)
+						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// edgeCaseGraph has a vertex whose out-neighbours all live on the other
+// worker at W=2 under either partitioner (0 under mod, 15 under
+// degree), self-loops (one doubled), parallel edges, a hub, and
+// isolated vertices (9, 10) beside a sink that only receives (11).
+func edgeCaseGraph() *graph.Directed {
+	var edges []graph.Edge
+	add := func(src graph.NodeID, dsts ...graph.NodeID) {
+		for _, d := range dsts {
+			edges = append(edges, graph.Edge{Src: src, Dst: d})
+		}
+	}
+	add(0, 1, 3, 5, 7)
+	add(15, 0, 1, 2)
+	add(2, 2)
+	add(4, 4, 4, 5)
+	add(6, 8, 8, 8)
+	add(8, 6)
+	add(12, 11, 13)
+	add(14, 0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 15)
+	return graph.FromEdges(16, edges)
+}
+
+// runFoldTwin runs foldJob with folds, broadcasting or per edge, and
+// reports whether the engine built its broadcast index.
+func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge bool, cfg Config) (*foldJob, Stats, bool) {
+	t.Helper()
+	j := newFoldJob(g.NumNodes(), 8, false)
+	j.folds, j.perEdge = folds, perEdge
+	e := newEngine(g, j, cfg.withDefaults())
+	defer e.stop()
+	if err := e.loop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return j, e.stats, e.nbrs != nil
+}
+
+// A folded SendToAllNbrs writes one broadcast record per destination
+// worker where its per-edge twin writes one record per edge, and nothing
+// observable may tell them apart: at every point of the schedule
+// lattice, under both partitioners, on a random graph, on one built of
+// edge cases and on the empty graph, the broadcasting job ends with the
+// outputs and the Stats (per-step trace included) of the twin that
+// loops Send over OutNbrs, bit for bit — folding the float sum alone,
+// the int min alone, or both. The job interleaves point-to-point sends
+// of the summed type with its broadcasts, so a broadcast expanded out of
+// its place in the fold order would change the sums' bits. Crash runs
+// roll back across the superstep that built the index: from a crash in
+// superstep 0 itself, which built it, and from one in superstep 3.
+func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Directed
+	}{
+		{"twitter", gen.TwitterLike(53, 5, 13)},
+		{"edge-cases", edgeCaseGraph()},
+		{"empty", graph.FromEdges(0, nil)},
+	}
+	variants := []struct {
+		name  string
+		folds []*Fold
+	}{
+		{"both", bothFolds},
+		{"sum", []*Fold{sumFold, nil, nil}},
+		{"min", []*Fold{nil, minFold, nil}},
+	}
+	check := func(name string, g *graph.Directed, folds []*Fold, cfg Config) {
+		perEdge, pst, built := runFoldTwin(t, g, folds, true, cfg)
+		if pst.Recoveries != len(cfg.Faults) {
+			t.Errorf("%s: %d recoveries, want %d", name, pst.Recoveries, len(cfg.Faults))
+		}
+		if built {
+			t.Errorf("%s: the per-edge twin built a broadcast index", name)
+		}
+		bcast, bst, built := runFoldTwin(t, g, folds, false, cfg)
+		if !built && g.NumEdges() > 0 {
+			t.Errorf("%s: the broadcasting job never built its index", name)
+		}
+		if !reflect.DeepEqual(bcast.outputs(), perEdge.outputs()) {
+			t.Errorf("%s: broadcast outputs differ from the per-edge twin's", name)
+		}
+		if !reflect.DeepEqual(bst, pst) {
+			t.Errorf("%s: broadcast Stats differ:\nbroadcast: %+v\nper-edge:  %+v", name, bst, pst)
+		}
+	}
+	for _, gr := range graphs {
+		for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
+			for _, cfg := range group {
+				for _, vr := range variants {
+					check(gr.name+"/"+scheduleName(cfg)+"/"+vr.name, gr.g, vr.folds, cfg)
+				}
+			}
+		}
+		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+			for _, crash := range []int{0, 3} {
+				cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 4, Seed: 21, TraceSteps: true,
+					Faults: FaultPlan{{Superstep: crash, Worker: 1}}}
+				if gr.g.NumNodes() < 2 {
+					continue
+				}
+				check(fmt.Sprintf("%s/crash@%d/%s", gr.name, crash, scheduleName(cfg)), gr.g, bothFolds, cfg)
 			}
 		}
 	}

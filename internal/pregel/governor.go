@@ -56,11 +56,12 @@ func (e *engine) ckptHeldBytes() int64 {
 }
 
 // accountedUsage sums the engine's governed memory: buffered messages
-// (inboxes and chunk boxes), inbox offset tables, the fold slots (fixed
-// for the run and never spilled), and retained checkpoints. Spilled
-// inboxes have zero resident length and drop out of the sum
-// automatically. Runs on the barrier goroutine; the fast path is pure
-// arithmetic over retained lengths.
+// (inboxes and chunk boxes), inbox offset tables, the fold slots and the
+// broadcast index once built (both fixed for the run and never spilled;
+// the index is free at one worker, where it is the graph's CSR), and
+// retained checkpoints. Spilled inboxes have zero resident length and
+// drop out of the sum automatically. Runs on the barrier goroutine; the
+// fast path is pure arithmetic over retained lengths.
 //
 //gm:noalloc
 func (e *engine) accountedUsage() int64 {
@@ -75,7 +76,7 @@ func (e *engine) accountedUsage() int64 {
 		}
 		u += int64(words)*recWordBytes + int64(len(wk.inOff))*4 + int64(len(wk.folds))*foldSlotBytes
 	}
-	return u + e.ckptHeldBytes()
+	return u + e.nbrs.bytes() + e.ckptHeldBytes()
 }
 
 // releaseOutboxes drops every chunk box — contents and retained

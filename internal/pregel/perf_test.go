@@ -132,11 +132,7 @@ func TestFastDiv(t *testing.T) {
 // worker's chunk boxes and fold boxes, retaining their capacity.
 func resetOutbound(wk *worker) {
 	for ci := range wk.chunks {
-		ck := &wk.chunks[ci]
-		for d := range ck.boxes {
-			ck.boxes[d] = ck.boxes[d][:0]
-			ck.fboxes[d] = ck.fboxes[d][:0]
-		}
+		wk.chunks[ci].truncateBoxes()
 	}
 }
 
@@ -185,9 +181,11 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 // message routing on the persistent pool — must allocate nothing at
 // every point of the schedule lattice, for the PageRank-shaped job plain
 // and with its one sum folded, and for the folded job (two folded types
-// beside an unfolded one). This
-// also proves no per-superstep goroutine creation: a spawned goroutine
-// costs at least one allocation, and this test demands zero.
+// beside an unfolded one). Both folded jobs broadcast their folded
+// types, so at every worker count the warm-up builds the broadcast
+// index and the measured supersteps send and expand broadcast records.
+// This also proves no per-superstep goroutine creation: a spawned
+// goroutine costs at least one allocation, and this test demands zero.
 func TestWarmRoutingZeroAlloc(t *testing.T) {
 	const n = 256
 	g := gen.TwitterLike(n, 4, 3)
@@ -219,6 +217,9 @@ func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config
 	}
 	for i := 0; i < 3; i++ {
 		cycle() // reach high-water inbox/outbox capacity
+	}
+	if built := e.nbrs != nil; built != (e.folds != nil) {
+		t.Fatalf("broadcast index built = %v, want %v: the folded jobs broadcast, the plain one does not", built, e.folds != nil)
 	}
 	if a := testing.AllocsPerRun(10, cycle); a != 0 {
 		t.Fatalf("warm superstep allocates %v per run, want 0", a)
@@ -418,9 +419,11 @@ func BenchmarkRouting(b *testing.B) {
 
 // BenchmarkRoutingFolded measures one warm superstep of the
 // PageRank-shaped job with its sum declared as a delivery fold, so every
-// message takes the folded path: sent into the fold boxes, folded into
-// the destination's slots by the prefix tasks, delivered from the slots.
-// It reports the cost per message sent.
+// message takes the folded path: broadcast into the fold boxes, expanded
+// into the destination's slots by the prefix tasks, delivered from the
+// slots. It reports the cost and the fold-box bytes per message sent,
+// and fails unless broadcast records bring the bytes under the 16 of a
+// per-edge record.
 func BenchmarkRoutingFolded(b *testing.B) {
 	const n = 4096
 	g := gen.TwitterLike(n, 8, 3)
@@ -443,7 +446,21 @@ func BenchmarkRoutingFolded(b *testing.B) {
 	}
 	msgs := float64(b.N) * float64(g.NumEdges())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
-	b.ReportMetric(foldStride*recWordBytes, "B/msg")
+	// Every superstep sends one message per edge, and the last one's fold
+	// boxes are still filled.
+	words := 0
+	for _, wk := range e.workers {
+		for ci := range wk.chunks {
+			for _, box := range wk.chunks[ci].fboxes {
+				words += len(box)
+			}
+		}
+	}
+	perMsg := float64(words*recWordBytes) / float64(g.NumEdges())
+	if perMsg >= foldStride*recWordBytes {
+		b.Fatalf("fold boxes hold %.1f B/msg, want under the %d of a per-edge record", perMsg, foldStride*recWordBytes)
+	}
+	b.ReportMetric(perMsg, "B/msg")
 }
 
 // BenchmarkRoutingFoldedMin measures one warm superstep of the

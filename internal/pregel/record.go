@@ -11,8 +11,15 @@ import (
 // their read-back scratch. A record is stride = 1+slots consecutive
 // uint64 words (a chunk's fold boxes hold the same layout at one slot):
 //
-//	word 0      header: destination id in the low 32 bits, Msg.Type above
+//	word 0      header: destination id in the low 32 bits, Msg.Type in
+//	            bits 32-39, bcastBit (bit 40) set on a broadcast record
 //	word 1..    payload slots 0..slots-1, raw bits
+//
+// A broadcast record exists only in a fold box: SendToAllNbrs of a
+// folded type writes one per destination worker owning any of the
+// sender's out-neighbours, with the sender's id in the low 32 bits in
+// place of a destination, and the destination's fold expands it over
+// those neighbours (fold.go).
 //
 // slots is fixed for a run: the largest slot count any message type of
 // the job's Schema declares (Schema.MessageSlots), so a one-float
@@ -25,6 +32,9 @@ import (
 // recWordBytes is the size of one record word; a buffer's footprint,
 // in memory and in a spill segment alike, is len(words)*recWordBytes.
 const recWordBytes = 8
+
+// bcastBit marks a broadcast record's header; headerType ignores it.
+const bcastBit = 1 << 40
 
 //gm:noalloc
 func packHeader(dst graph.NodeID, typ uint8) uint64 {

@@ -83,6 +83,75 @@ func testGovernorSpill(t *testing.T, width slotDecl) {
 	}
 }
 
+// The broadcast index is fixed memory the governor accounts once it is
+// built: nothing before, nothing at one worker, where it is the graph's
+// CSR, and at W>1 exactly its permuted edge list, run offsets and runs —
+// each vertex's out-neighbours, as local indices on their owners,
+// regrouped by owner in worker order, at most min(deg, W) runs. Only a
+// folded broadcast builds it: the SSSP-shaped job folds but sends per
+// edge, the min-label job does not fold.
+func TestGovernorAccountsBroadcastIndex(t *testing.T) {
+	const n = 200
+	g := gen.TwitterLike(n, 6, 5)
+	for _, j := range []Job{newPerfSSSPJob(n), &minLabelJob{label: make([]int64, n)}} {
+		e := newEngine(g, j, Config{NumWorkers: 3, Seed: 1, MaxSupersteps: 30}.withDefaults())
+		_ = e.loop(context.Background()) // the SSSP-shaped job never halts: stopped by MaxSupersteps
+		if e.nbrs != nil {
+			t.Errorf("%T built a broadcast index without a folded broadcast", j)
+		}
+		e.stop()
+	}
+	for _, w := range []int{1, 3} {
+		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+			j := newPerfRankJob(n, 2)
+			j.fold = true
+			e := newEngine(g, j, Config{NumWorkers: w, Partitioner: part, Seed: 1}.withDefaults())
+			before := e.accountedUsage()
+			ix := e.nbrIndex()
+			grew := e.accountedUsage() - before
+			e.stop()
+			if w == 1 {
+				if grew != 0 || &ix.local[0] != &g.OutDst[0] {
+					t.Errorf("W=1: the index adds %d accounted bytes, want 0 and the CSR itself", grew)
+				}
+				continue
+			}
+			want := int64(4*len(g.OutDst) + 8*(n+1) + nbrRunBytes*len(ix.runs))
+			if grew != want {
+				t.Errorf("W=%d part=%d: the index adds %d accounted bytes, want %d", w, part, grew, want)
+			}
+			owner := e.workers[0].ownerOf
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				lo, hi := g.OutEdgeRange(v)
+				runs := ix.runs[ix.runOff[v]:ix.runOff[v+1]]
+				if len(runs) > min(int(hi-lo), w) {
+					t.Fatalf("vertex %d: %d runs for %d out-neighbours on %d workers", v, len(runs), hi-lo, w)
+				}
+				var got []graph.NodeID
+				for k, r := range runs {
+					nbrs := ix.owned(v, r.worker)
+					if k > 0 && r.worker <= runs[k-1].worker || len(nbrs) == 0 {
+						t.Fatalf("vertex %d: run %d (worker %d) out of order or empty", v, k, r.worker)
+					}
+					var wantNbrs []graph.NodeID
+					for _, u := range g.OutNbrs(v) {
+						if owner(u) == int(r.worker) {
+							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[r.worker].localOf(u)))
+						}
+					}
+					if !reflect.DeepEqual(nbrs, wantNbrs) {
+						t.Fatalf("vertex %d worker %d: owned %v, want %v in out-edge order", v, r.worker, nbrs, wantNbrs)
+					}
+					got = append(got, nbrs...)
+				}
+				if len(got) != int(hi-lo) {
+					t.Fatalf("vertex %d: runs cover %d of %d out-neighbours", v, len(got), hi-lo)
+				}
+			}
+		}
+	}
+}
+
 // A budget below the post-degradation floor aborts cleanly with a
 // wrapped ErrBudgetExceeded and barrier-consistent partial Stats —
 // never an OOM or panic.

@@ -52,9 +52,11 @@ type chunk struct {
 	lo, hi int32 // local-index range [lo, hi)
 
 	// boxes are the per-destination-worker outboxes, fboxes their
-	// counterparts for folded types (records of foldStride words).
+	// counterparts for folded types (records of foldStride words), and
+	// fbcast[d] is set while fboxes[d] holds a broadcast record.
 	boxes  [][]uint64
 	fboxes [][]uint64
+	fbcast []bool
 	agg    []aggCell
 	// numActive counts active vertices in [lo, hi), maintained
 	// incrementally by chunk execution, VoteToHalt, and routing
@@ -72,6 +74,17 @@ type chunk struct {
 	spanMsgs, spanBytes, spanCalls int64
 
 	err error
+}
+
+// truncateBoxes empties the chunk's boxes, retaining their capacity.
+//
+//gm:noalloc
+func (ck *chunk) truncateBoxes() {
+	for d := range ck.boxes {
+		ck.boxes[d] = ck.boxes[d][:0]
+		ck.fboxes[d] = ck.fboxes[d][:0]
+		ck.fbcast[d] = false
+	}
 }
 
 // worker owns a partition of the vertices: ids with id mod W == index
@@ -387,10 +400,7 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	}()
 	// Truncate the chunk's outbound state from the previous superstep
 	// (routing has long completed; capacity is retained).
-	for d := range ck.boxes {
-		ck.boxes[d] = ck.boxes[d][:0]
-		ck.fboxes[d] = ck.fboxes[d][:0]
-	}
+	ck.truncateBoxes()
 	if wk.crashed.Load() {
 		return
 	}
