@@ -39,6 +39,15 @@ type Directed struct {
 	// inEdge maps each in-edge position to its out-edge index, so edge
 	// properties (indexed by out-edge position) stay accessible.
 	inEdge []int64
+
+	// derived holds the indexes Derived built, by key.
+	derivedMu sync.Mutex
+	derived   map[any]*derivedEntry
+}
+
+type derivedEntry struct {
+	once sync.Once
+	v    any
 }
 
 // NumNodes returns the number of vertices.
@@ -103,6 +112,27 @@ func (g *Directed) ensureIn() { g.inOnce.Do(g.buildIn) }
 // pure reads that never allocate. The engine calls this at construction
 // when a pull-capable direction mode is configured.
 func (g *Directed) BuildIn() { g.ensureIn() }
+
+// Derived returns the value build makes for key, building it at most
+// once per graph and key — concurrent callers wait for the one build —
+// and sharing it with every later call. It is for read-only indexes
+// computed from the immutable CSR, which then live exactly as long as
+// the graph, like the reverse CSR. key must be comparable; callers use
+// an unexported key type so packages cannot collide.
+func (g *Directed) Derived(key any, build func() any) any {
+	g.derivedMu.Lock()
+	d := g.derived[key]
+	if d == nil {
+		if g.derived == nil {
+			g.derived = make(map[any]*derivedEntry)
+		}
+		d = &derivedEntry{}
+		g.derived[key] = d
+	}
+	g.derivedMu.Unlock()
+	d.once.Do(func() { d.v = build() })
+	return d.v
+}
 
 // InDegree returns the in-degree of v, building the reverse CSR if needed.
 func (g *Directed) InDegree(v NodeID) int {

@@ -284,6 +284,53 @@ func TestLazyReverseCSRConcurrent(t *testing.T) {
 	}
 }
 
+// Derived builds once per graph and key, however many goroutines ask
+// first, and shares the value with every later call; another key, or
+// another graph, gets its own build.
+func TestDerivedBuildsOncePerKey(t *testing.T) {
+	type key struct{ w int }
+	g, h := FromEdges(3, []Edge{{0, 1}, {1, 2}}), FromEdges(3, []Edge{{0, 1}})
+	var builds sync.Map // key → build count
+	get := func(g *Directed, k key) *int {
+		return g.Derived(k, func() any {
+			n, _ := builds.LoadOrStore(fmt.Sprint(g.NumEdges(), k), new(int))
+			*n.(*int)++
+			return new(int)
+		}).(*int)
+	}
+	const procs = 8
+	var start, done sync.WaitGroup
+	start.Add(1)
+	got := make([]*int, procs)
+	for p := range procs {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[p] = get(g, key{2})
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for p := range procs {
+		if got[p] != got[0] {
+			t.Fatalf("goroutine %d got another value than goroutine 0", p)
+		}
+	}
+	if get(g, key{2}) != got[0] {
+		t.Error("a later call rebuilt the value")
+	}
+	if get(g, key{3}) == got[0] || get(h, key{2}) == got[0] {
+		t.Error("another key or graph shared the value")
+	}
+	builds.Range(func(k, n any) bool {
+		if *n.(*int) != 1 {
+			t.Errorf("%v built %d times, want once", k, *n.(*int))
+		}
+		return true
+	})
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 3}})
 	var buf bytes.Buffer

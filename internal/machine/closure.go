@@ -65,7 +65,7 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 			return func(env *vertexEnv) { env.vc.AggInt(agg, rhs(env).AsInt()) }
 		}
 	case ir.SendToNbrs:
-		return ex.compileSendToNbrs(s)
+		return ex.compileSendToNbrs(s, vs)
 	case ir.SendTo:
 		target := ex.compileExpr(s.Target)
 		build := ex.compileMsgBuilder(s.MsgType, s.Payload)
@@ -199,7 +199,13 @@ func (ex *exec) compileSetProp(s ir.SetProp) stmtFn {
 	}
 }
 
-func (ex *exec) compileSendToNbrs(s ir.SendToNbrs) stmtFn {
+func (ex *exec) compileSendToNbrs(s ir.SendToNbrs, vs *VertexState) stmtFn {
+	if ex.edgeAdds[s.MsgType] >= 0 {
+		// The payload is X + edge.p and the engine adds edge.p as it
+		// delivers (edgeAddProps): send X, once per vertex.
+		x, _, _ := edgeAddBase(ex.p, vs, s)
+		s.Payload = []ir.Expr{x}
+	}
 	var cond exprFn
 	if s.EdgeCond != nil {
 		cond = ex.compileExpr(s.EdgeCond)

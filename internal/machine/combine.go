@@ -125,3 +125,118 @@ func foldFor(kind ir.Kind, op ast.AssignOp) *pregel.Fold {
 	}
 	return &f
 }
+
+// edgeAddProps returns, for each message type, the edge property slot
+// the engine adds to the type's broadcasts as Schema.EdgeAdd, or -1. A
+// type qualifies when it is folded over Int or Float and every
+// sendToNbrs of it matches edgeAddBase with the same property, which no
+// statement writes: the engine reads the column when it delivers, not
+// when the vertex sends. Each such send then compiles to one
+// SendToAllNbrs of X, and the engine adds edge.p on each edge as it
+// expands the broadcast — the payloads, fold order and billing of the
+// per-edge sends.
+func edgeAddProps(p *Program) []int {
+	const unset = -2
+	ops := combinableOps(p)
+	slots := make([]int, len(p.Msgs))
+	for t := range slots {
+		slots[t] = -1
+		if k := p.Msgs[t].Fields; ops[t] >= 0 && (k[0] == ir.KInt || k[0] == ir.KFloat) {
+			slots[t] = unset
+		}
+	}
+	written := make([]bool, len(p.Props))
+	var scan func(vs *VertexState, ss []ir.Stmt)
+	scan = func(vs *VertexState, ss []ir.Stmt) {
+		for _, s := range ss {
+			switch s := s.(type) {
+			case ir.SetProp:
+				written[s.Slot] = true
+			case ir.SendToNbrs:
+				if slots[s.MsgType] == -1 {
+					continue
+				}
+				if _, slot, ok := edgeAddBase(p, vs, s); !ok || slots[s.MsgType] != unset && slots[s.MsgType] != slot {
+					slots[s.MsgType] = -1
+				} else {
+					slots[s.MsgType] = slot
+				}
+			case ir.ForMsgs:
+				scan(vs, s.Body)
+			case ir.If:
+				scan(vs, s.Then)
+				scan(vs, s.Else)
+			}
+		}
+	}
+	for _, n := range p.Nodes {
+		if n.Vertex != nil {
+			scan(n.Vertex, n.Vertex.Body)
+		}
+	}
+	for t, slot := range slots {
+		if slot == unset || slot >= 0 && written[slot] {
+			slots[t] = -1
+		}
+	}
+	return slots
+}
+
+// edgeAddBase matches a sendToNbrs whose only payload is `X + edge.p`
+// or `edge.p + X`, with no edge condition, where X reads no edge
+// property and X, p and the message's field are all of one kind — so
+// that the engine adding p to X in the field's kind computes the
+// payload's bits. It returns X and p's slot.
+func edgeAddBase(p *Program, vs *VertexState, s ir.SendToNbrs) (ir.Expr, int, bool) {
+	if s.EdgeCond != nil || len(s.Payload) != 1 {
+		return nil, -1, false
+	}
+	sum, ok := s.Payload[0].(ir.Binary)
+	if !ok || sum.Op != ast.BinAdd {
+		return nil, -1, false
+	}
+	x, ep, ok := sum.L, ir.EdgePropRef{}, false
+	if ep, ok = sum.R.(ir.EdgePropRef); !ok {
+		x = sum.R
+		ep, ok = sum.L.(ir.EdgePropRef)
+	}
+	kind := p.Msgs[s.MsgType].Fields[0]
+	if xk, known := exprKind(p, vs, x); !ok || !known || xk != kind ||
+		!p.Props[ep.Slot].IsEdge || p.Props[ep.Slot].Kind != kind || exprsUseEdgeProps([]ir.Expr{x}) {
+		return nil, -1, false
+	}
+	return x, ep.Slot, true
+}
+
+// exprKind is the kind of the value e evaluates to, where the reads and
+// arithmetic in it fix one: known is false for anything else.
+func exprKind(p *Program, vs *VertexState, e ir.Expr) (k ir.Kind, known bool) {
+	switch e := e.(type) {
+	case ir.Const:
+		return e.V.K, true
+	case ir.ScalarRef:
+		return p.Scalars[e.Slot].Kind, true
+	case ir.LocalRef:
+		return vs.Locals[e.Slot], true
+	case ir.PropRef:
+		return p.Props[e.Slot].Kind, true
+	case ir.MsgField:
+		return e.K, true
+	case ir.Binary:
+		// Arithmetic is in float when either side is a float, in int
+		// otherwise (ir.Eval, compileBinary).
+		l, lok := exprKind(p, vs, e.L)
+		r, rok := exprKind(p, vs, e.R)
+		switch {
+		case !lok || !rok:
+		case e.Op == ast.BinAdd || e.Op == ast.BinSub || e.Op == ast.BinMul || e.Op == ast.BinDiv:
+			if l == ir.KFloat || r == ir.KFloat {
+				return ir.KFloat, true
+			}
+			return ir.KInt, true
+		case e.Op == ast.BinMod && l != ir.KFloat && r != ir.KFloat:
+			return ir.KInt, true
+		}
+	}
+	return 0, false
+}

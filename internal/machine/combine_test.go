@@ -7,6 +7,7 @@ import (
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/graph"
+	"gmpregel/internal/graph/gen"
 	"gmpregel/internal/ir"
 	"gmpregel/internal/pregel"
 )
@@ -217,3 +218,85 @@ func TestCombinableOpsDetection(t *testing.T) {
 
 func binAdd() ast.BinOp   { return ast.BinAdd }
 func opMin() ast.AssignOp { return ast.OpMin }
+
+// relaxSend returns relaxProgram with its send's payload (and edge
+// condition) replaced, and a second Int edge property "w" beside len.
+func relaxSend(payload, cond ir.Expr) *Program {
+	p := relaxProgram()
+	p.Props = append(p.Props, PropDecl{Name: "w", Kind: ir.KInt, IsEdge: true, IsParam: true})
+	p.Nodes[1].Vertex.Body[0] = ir.SendToNbrs{MsgType: 0, EdgeCond: cond, Payload: []ir.Expr{payload}}
+	return p
+}
+
+// The engine adds an edge property to a broadcast only when that is
+// exactly what the per-edge sends compute. relaxProgram's `dist +
+// edge.len` into an int min lowers, either way round; the lowering
+// declines an edge condition, a product, an X that reads another edge
+// property, an X of another kind, an unfolded type, and an edge
+// property some statement writes — here in an artifact decoded from
+// JSON, which no compiler check has seen. Whatever it decides, the
+// closure-compiled run and the per-edge interpreter agree on every
+// output and on Stats.
+func TestEdgeAddLowering(t *testing.T) {
+	dist, lenp, w := ir.PropRef{Slot: 0, Name: "dist"}, ir.EdgePropRef{Slot: 2, Name: "len"}, ir.EdgePropRef{Slot: 3, Name: "w"}
+	add := func(l, r ir.Expr) ir.Expr { return ir.Binary{Op: ast.BinAdd, L: l, R: r} }
+	unfolded := relaxSend(add(dist, lenp), nil)
+	recv := unfolded.Nodes[2].Vertex.Body[0].(ir.ForMsgs)
+	recv.Body = []ir.Stmt{ir.SetProp{Slot: 1, Name: "dist_nxt", Op: ast.OpSet, RHS: ir.MsgField{Idx: 0, K: ir.KInt}}}
+	unfolded.Nodes[2].Vertex.Body[0] = recv
+	writes := relaxSend(add(dist, lenp), nil)
+	init := writes.Nodes[0].Vertex
+	init.Body = append(init.Body, ir.SetProp{Slot: 2, Name: "len", Op: ast.OpAdd, RHS: ir.Const{V: ir.Int(1)}})
+	art, err := EncodeProgram(writes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if writes, err = DecodeProgram(art); err != nil {
+		t.Fatal(err)
+	}
+	g := gen.TwitterLike(80, 4, 2)
+	bind := Bindings{
+		NodePropInt: map[string][]int64{"dist": seqInts(g.NumNodes(), 50)},
+		EdgePropInt: map[string][]int64{"len": seqInts(int(g.NumEdges()), 12), "w": seqInts(int(g.NumEdges()), 5)},
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *Program
+		lower bool
+	}{
+		{"X + edge.p", relaxSend(add(dist, lenp), nil), true},
+		{"edge.p + X", relaxSend(add(lenp, dist), nil), true},
+		{"edge condition", relaxSend(add(dist, lenp), ir.Binary{Op: ast.BinGt, L: lenp, R: ir.Const{V: ir.Int(3)}}), false},
+		{"X * edge.p", relaxSend(ir.Binary{Op: ast.BinMul, L: dist, R: lenp}, nil), false},
+		{"X reads edge.w", relaxSend(add(add(dist, w), lenp), nil), false},
+		{"float X", relaxSend(add(ir.Const{V: ir.Float(2)}, lenp), nil), false},
+		{"unfolded type", unfolded, false},
+		{"decoded artifact writes p", writes, false},
+	} {
+		for _, workers := range []int{1, 3} {
+			cfg := pregel.Config{NumWorkers: workers, Seed: 1}
+			ex, err := newExec(tc.p, g, bind, cfg, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := ex.Schema()
+			if lowered := s.EdgeAdd != nil && s.EdgeAdd[0] != nil; lowered != tc.lower {
+				t.Errorf("%s: lowered = %v, want %v", tc.name, lowered, tc.lower)
+			}
+			if tc.lower && !reflect.DeepEqual(s.EdgeAdd[0], ex.cols[2].i) {
+				t.Errorf("%s: the schema's edge column is not the bound len", tc.name)
+			}
+			fast, err := ex.result(pregel.Run(g, ex, cfg))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			slow, err := RunWithOptions(tc.p, g, bind, cfg, RunOptions{Interpret: true})
+			if err != nil {
+				t.Fatalf("%s interpreted: %v", tc.name, err)
+			}
+			if !reflect.DeepEqual(fast.cols, slow.cols) || !reflect.DeepEqual(fast.Stats, slow.Stats) {
+				t.Errorf("%s W=%d: the compiled run and the interpreter disagree:\n%+v\n%+v", tc.name, workers, fast.Stats, slow.Stats)
+			}
+		}
+	}
+}

@@ -173,6 +173,7 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 		}
 	}
 	ex.cur = p.Entry
+	ex.edgeAdds = edgeAddProps(p)
 	if programUsesInNbrs(p) {
 		ex.inNbrs = make([][]graph.NodeID, g.NumNodes())
 	}
@@ -214,6 +215,9 @@ type exec struct {
 	ret     ir.Value
 	retSet  bool
 	opts    RunOptions
+	// edgeAdds is the edge property slot the engine adds to each message
+	// type's broadcasts, or -1 (edgeAddProps).
+	edgeAdds []int
 
 	// compiled holds the closure-compiled body of each vertex state
 	// (indexed by CFG node); envs holds one reusable vertex environment
@@ -224,14 +228,32 @@ type exec struct {
 	menv     masterEnv
 }
 
-// Schema implements pregel.Job.
-func (ex *exec) Schema() pregel.Schema { return ex.p.Schema() }
+// Schema implements pregel.Job: p's schema, plus the bound column of
+// every edge property the engine adds to a type's broadcasts.
+func (ex *exec) Schema() pregel.Schema {
+	s := ex.p.Schema()
+	for t, slot := range ex.edgeAdds {
+		if slot < 0 {
+			continue
+		}
+		if s.EdgeAdd == nil {
+			s.EdgeAdd = make([]any, len(ex.p.Msgs))
+		}
+		if col := ex.cols[slot]; col.f != nil {
+			s.EdgeAdd[t] = col.f
+		} else {
+			s.EdgeAdd[t] = col.i
+		}
+	}
+	return s
+}
 
 // Schema declares the communication shape the engine runs p with: the
 // compiler's per-type message layouts (wire bytes, and one payload slot
 // per field, which fixes the engine's record width), a delivery fold for
 // every type whose handlers are pure reductions (combinableOps), the
-// aggregators and the broadcast globals.
+// aggregators and the broadcast globals. The edge columns of
+// Schema.EdgeAdd are bound data, so a run's exec adds them.
 func (p *Program) Schema() pregel.Schema {
 	var s pregel.Schema
 	ops := combinableOps(p)

@@ -250,12 +250,15 @@ type SSSP struct {
 }
 
 // Schema declares the single 8-byte candidate-distance message, folded
-// at delivery into its minimum (the relax loop below keeps the least).
+// at delivery into its minimum (the relax loop below keeps the least),
+// with the edge lengths as its edge column: a broadcast of dist reaches
+// the neighbour over edge e as dist + Len[e].
 func (j *SSSP) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{8},
 		MessageSlots:        []int{1},
 		Folds:               []*pregel.Fold{{Op: pregel.AggMin, Kind: pregel.AggKindInt}},
+		EdgeAdd:             []any{j.Len},
 	}
 }
 
@@ -285,13 +288,9 @@ func (j *SSSP) VertexCompute(vc *pregel.VertexContext) {
 		}
 	}
 	if improved {
-		lo, hi := vc.OutEdgeRange()
-		nbrs := vc.OutNbrs()
-		for e := lo; e < hi; e++ {
-			var m pregel.Msg
-			m.SetInt(0, j.Dist[v]+j.Len[e])
-			vc.Send(nbrs[e-lo], m)
-		}
+		var m pregel.Msg
+		m.SetInt(0, j.Dist[v])
+		vc.SendToAllNbrs(m)
 	}
 	vc.VoteToHalt()
 }

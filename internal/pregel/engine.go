@@ -78,14 +78,18 @@ type engine struct {
 	stride    int
 	schemaErr error
 	// Delivery folds (fold.go): foldIdx maps a type to its index in
-	// folds/foldTypes (-1: none); foldEpoch stamps the slots routing fills.
+	// folds/foldTypes/foldEdges (-1: none); foldEdges holds each folded
+	// type's Schema.EdgeAdd column; foldEpoch stamps the slots routing
+	// fills.
 	foldIdx   []int8
 	folds     []Fold
 	foldTypes []uint8
+	foldEdges []edgeCol
 	foldEpoch uint32
 	// Broadcast sends (fold.go): nbrs is the per-destination edge index
 	// a folded SendToAllNbrs bills and the fold expands its records by,
-	// built once (nbrsOnce) by the first such send.
+	// fetched once (nbrsOnce) by the first such send from the graph,
+	// which shares it between runs.
 	nbrs     *nbrIndex
 	nbrsOnce sync.Once
 
@@ -218,6 +222,9 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	e.stride = 1 + e.slots
 	if e.schemaErr == nil {
 		e.foldIdx, e.folds, e.foldTypes, e.schemaErr = messageFolds(e.schema, e.typeSlots)
+	}
+	if e.schemaErr == nil {
+		e.foldEdges, e.schemaErr = foldEdgeCols(e.schema, e.foldIdx, e.folds, g.NumEdges())
 	}
 	e.foldEpoch = 1 // zeroed stamps are never present
 	e.mc = MasterContext{e: e}

@@ -237,18 +237,28 @@ func (wk *worker) foldBoxTyped(box []uint64, epoch uint32) {
 
 // foldBoxBcast is the fold loop of a box holding broadcast records,
 // possibly between per-edge ones a Send of a folded type wrote: each
-// record is folded, or expanded by foldRun, where it sits.
+// record is folded, or expanded where it sits — by foldRun, or by
+// foldRunInt or foldRunFloat when its type declares an edge column.
 //
 //gm:noalloc
 func (wk *worker) foldBoxBcast(box []uint64, epoch uint32) {
-	e := wk.e
+	e, ix := wk.e, wk.e.nbrs
 	for i := 0; i+foldStride <= len(box); i += foldStride {
 		h := box[i]
 		if h&bcastBit == 0 {
 			wk.foldBoxTyped(box[i:i+foldStride], epoch)
 			continue
 		}
-		wk.foldRun(e.nbrs.owned(headerDst(h), int32(wk.index)), int(e.foldIdx[headerType(h)]), box[i+1], epoch)
+		src, fi := headerDst(h), int(e.foldIdx[headerType(h)])
+		locals, offs := ix.owned(src, int32(wk.index))
+		switch c := &e.foldEdges[fi]; {
+		case c.i != nil:
+			wk.foldRunInt(locals, offs, c.i[ix.start[src]:], fi, box[i+1], epoch)
+		case c.f != nil:
+			wk.foldRunFloat(locals, offs, c.f[ix.start[src]:], fi, box[i+1], epoch)
+		default:
+			wk.foldRun(locals, fi, box[i+1], epoch)
+		}
 	}
 }
 
@@ -283,18 +293,132 @@ func (wk *worker) foldRun(locals []graph.NodeID, fi int, m uint64, epoch uint32)
 	}
 }
 
+// foldRunInt is foldRun for an int fold whose type declares an edge
+// column: locals[k] is folded m + col[offs[k]], col starting at the
+// sender's first out-edge — the payload, wrapped as int64 addition
+// wraps, that a per-edge Send would have carried. SSSP's min is written
+// out.
+//
+//gm:noalloc
+func (wk *worker) foldRunInt(locals []graph.NodeID, offs []uint32, col []int64, fi int, m uint64, epoch uint32) {
+	nf := len(wk.e.folds)
+	slots, offs, x := wk.folds[fi:], offs[:len(locals)], int64(m)
+	switch f := wk.e.folds[fi]; f.Op {
+	case AggMin:
+		for k, li := range locals {
+			s, y := &slots[int(li)*nf], x+col[offs[k]]
+			v := int64(s.val)
+			if y < v || s.stamp != epoch {
+				v = y
+			}
+			s.val, s.stamp = uint64(v), epoch
+		}
+	default:
+		for k, li := range locals {
+			s, y := &slots[int(li)*nf], uint64(x+col[offs[k]])
+			v := f.apply(s.val, y)
+			if s.stamp != epoch {
+				v = y
+			}
+			s.val, s.stamp = v, epoch
+		}
+	}
+}
+
+// foldRunFloat is foldRunInt for a float fold: locals[k] is folded the
+// float64 sum m + col[offs[k]]. A sum fold is written out.
+//
+//gm:noalloc
+func (wk *worker) foldRunFloat(locals []graph.NodeID, offs []uint32, col []float64, fi int, m uint64, epoch uint32) {
+	nf := len(wk.e.folds)
+	slots, offs, x := wk.folds[fi:], offs[:len(locals)], math.Float64frombits(m)
+	switch f := wk.e.folds[fi]; f.Op {
+	case AggSum:
+		for k, li := range locals {
+			s, y := &slots[int(li)*nf], x+col[offs[k]]
+			v := math.Float64bits(math.Float64frombits(s.val) + y)
+			if s.stamp != epoch {
+				v = math.Float64bits(y)
+			}
+			s.val, s.stamp = v, epoch
+		}
+	default:
+		for k, li := range locals {
+			s, y := &slots[int(li)*nf], math.Float64bits(x+col[offs[k]])
+			v := f.apply(s.val, y)
+			if s.stamp != epoch {
+				v = y
+			}
+			s.val, s.stamp = v, epoch
+		}
+	}
+}
+
+// edgeCol is a folded type's Schema.EdgeAdd column, by kind; both nil
+// when the type declares none.
+type edgeCol struct {
+	i []int64
+	f []float64
+}
+
+// foldEdgeCols resolves Schema.EdgeAdd against the folded types: cols[fi]
+// is the fi-th folded type's column. Any declaration the engine cannot
+// honour exactly is a schema error.
+func foldEdgeCols(s Schema, idx []int8, folds []Fold, numEdges int64) ([]edgeCol, error) {
+	cols := make([]edgeCol, len(folds))
+	if s.EdgeAdd != nil && len(s.EdgeAdd) != len(idx) {
+		return nil, fmt.Errorf("pregel: schema declares %d message types but %d EdgeAdd entries", len(idx), len(s.EdgeAdd))
+	}
+	for t, col := range s.EdgeAdd {
+		if col == nil {
+			continue
+		}
+		if idx[t] < 0 {
+			return nil, fmt.Errorf("pregel: schema declares an edge column for message type %d, which is not folded", t)
+		}
+		f, c := folds[idx[t]], &cols[idx[t]]
+		var n int
+		kind := AggKindInt
+		switch col := col.(type) {
+		case []int64:
+			c.i, n = col, len(col)
+		case []float64:
+			c.f, n, kind = col, len(col), AggKindFloat
+		default:
+			return nil, fmt.Errorf("pregel: schema declares a %T edge column for message type %d; want []int64 or []float64", col, t)
+		}
+		switch {
+		case f.Kind != AggKindInt && f.Kind != AggKindFloat:
+			return nil, fmt.Errorf("pregel: schema declares an edge column for message type %d, whose fold is over %v; only int and float folds take one", t, f.Kind)
+		case kind != f.Kind:
+			return nil, fmt.Errorf("pregel: schema declares a %v edge column for message type %d, whose fold is over %v", kind, t, f.Kind)
+		case int64(n) != numEdges:
+			return nil, fmt.Errorf("pregel: schema declares an edge column of %d values for message type %d; the graph has %d edges", n, t, numEdges)
+		}
+	}
+	return cols, nil
+}
+
 // nbrIndex is the per-destination edge index broadcast records expand
 // over. local lists every vertex's out-neighbours in its CSR range, as
 // local indices on their owners, stably regrouped by owner in worker
-// order; the runs of vertex v, runs[runOff[v]:runOff[v+1]], name each
-// worker owning any of them and the end of its group (start is the
-// graph's OutStart). A vertex has at most min(deg, W) runs, so the
-// index is O(V+E) words at any W. With one worker every id is its own
-// local index, so the index is the CSR itself: local aliases OutDst
-// (hence its NodeID type), runOff is nil, and it costs nothing.
+// order, and off each one's out-edge offset within that range, which
+// an edge column is read at; the runs of vertex v,
+// runs[runOff[v]:runOff[v+1]], name each worker owning any of them and
+// the end of its group (start is the graph's OutStart). A vertex has at
+// most min(deg, W) runs, so the index is O(V+E) words at any W. With
+// one worker every id is its own local index, so local is the CSR
+// itself (hence its NodeID type), runOff is nil, and off is the
+// identity up to the largest out-degree.
+//
+// The index is a pure function of the graph, the worker count and the
+// partitioner, so it is built once per graph for each pair and shared,
+// read-only, by every run that broadcasts (graph.Directed.Derived); it
+// lives as long as the graph.
 type nbrIndex struct {
 	start  []int64
 	local  []graph.NodeID
+	off    []uint32
 	runOff []int64
 	runs   []nbrRun
 }
@@ -304,27 +428,46 @@ type nbrRun struct {
 	worker int32
 }
 
-// nbrIndex returns the run's broadcast index, building it on the first
-// folded broadcast: a run that never sends one never pays for it. The
-// build is a pure function of the graph and the partition, so a
-// rollback keeps it.
+// nbrIndexKey names the broadcast index among a graph's derived values.
+type nbrIndexKey struct {
+	workers int
+	part    PartitionKind
+}
+
+// nbrIndex returns the run's broadcast index, fetching it on the first
+// folded broadcast: a run that never sends one never pays for it, and
+// the first run on a graph at this worker count and partitioner builds
+// it for the rest. A rollback keeps it.
 func (e *engine) nbrIndex() *nbrIndex {
-	e.nbrsOnce.Do(e.buildNbrIndex)
+	e.nbrsOnce.Do(func() {
+		key := nbrIndexKey{workers: e.numWorkers, part: e.cfg.Partitioner}
+		e.nbrs = e.g.Derived(key, func() any { return e.buildNbrIndex() }).(*nbrIndex)
+	})
 	return e.nbrs
 }
 
-// buildNbrIndex sets e.nbrs: the CSR at one worker, otherwise one pass
-// over each vertex's out-neighbours that counts them per owner and a
-// second that places them stably.
-func (e *engine) buildNbrIndex() {
+// buildNbrIndex builds the index for e's graph and partition: the CSR
+// and an identity at one worker, otherwise one pass over each vertex's
+// out-neighbours that counts them per owner and a second that places
+// them stably. It reads e's partition and keeps nothing of e.
+func (e *engine) buildNbrIndex() *nbrIndex {
 	g := e.g
+	n := g.NumNodes()
 	ix := &nbrIndex{start: g.OutStart, local: g.OutDst}
-	e.nbrs = ix
 	if e.numWorkers == 1 {
-		return
+		deg := int64(0)
+		for v := range n {
+			deg = max(deg, g.OutStart[v+1]-g.OutStart[v])
+		}
+		ix.off = make([]uint32, deg)
+		for k := range ix.off {
+			ix.off[k] = uint32(k)
+		}
+		return ix
 	}
-	n, wk := g.NumNodes(), e.workers[0]
+	wk := e.workers[0]
 	ix.local = make([]graph.NodeID, len(g.OutDst))
+	ix.off = make([]uint32, len(g.OutDst))
 	ix.runOff = make([]int64, n+1)
 	ix.runs = make([]nbrRun, 0, n)
 	// at counts the current vertex's out-neighbours per owner, then
@@ -352,6 +495,7 @@ func (e *engine) buildNbrIndex() {
 		for k, u := range g.OutDst[g.OutStart[v]:hi] {
 			w := owner[k]
 			ix.local[at[w]] = graph.NodeID(e.workers[w].localOf(u))
+			ix.off[at[w]] = uint32(k)
 			at[w]++
 		}
 		for _, w := range seen {
@@ -359,17 +503,20 @@ func (e *engine) buildNbrIndex() {
 		}
 		ix.runOff[v+1] = int64(len(ix.runs))
 	}
+	return ix
 }
 
 // owned returns the local indices, on worker w, of the out-neighbours
-// of broadcast sender s that w owns, in out-edge order. w owns at least
-// one: a broadcast record only goes to such a worker.
+// of broadcast sender s that w owns, in out-edge order, and their
+// out-edge offsets within s's CSR range. w owns at least one: a
+// broadcast record only goes to such a worker.
 //
 //gm:noalloc
-func (ix *nbrIndex) owned(s graph.NodeID, w int32) []graph.NodeID {
+func (ix *nbrIndex) owned(s graph.NodeID, w int32) ([]graph.NodeID, []uint32) {
 	lo := ix.start[s]
 	if ix.runOff == nil {
-		return ix.local[lo:ix.start[s+1]]
+		hi := ix.start[s+1]
+		return ix.local[lo:hi], ix.off[:hi-lo]
 	}
 	runs := ix.runs[ix.runOff[s]:ix.runOff[s+1]]
 	i, j := 0, len(runs)
@@ -384,19 +531,24 @@ func (ix *nbrIndex) owned(s graph.NodeID, w int32) []graph.NodeID {
 	if i > 0 {
 		lo = runs[i-1].end
 	}
-	return ix.local[lo:runs[i].end]
+	hi := runs[i].end
+	return ix.local[lo:hi], ix.off[lo:hi]
 }
 
 // nbrRunBytes is the size of one run, padding included.
 const nbrRunBytes = 16
 
-// bytes is the index's footprint as the governor accounts it: zero when
-// it aliases the CSR.
+// bytes is the index's footprint as the governor accounts it, the CSR
+// it aliases at one worker excluded.
 //
 //gm:noalloc
 func (ix *nbrIndex) bytes() int64 {
-	if ix == nil || ix.runOff == nil {
+	if ix == nil {
 		return 0
 	}
-	return int64(len(ix.local))*4 + int64(len(ix.runOff))*8 + int64(len(ix.runs))*nbrRunBytes
+	b := int64(len(ix.off)) * 4
+	if ix.runOff != nil {
+		b += int64(len(ix.local))*4 + int64(len(ix.runOff))*8 + int64(len(ix.runs))*nbrRunBytes
+	}
+	return b
 }

@@ -22,10 +22,15 @@ import (
 // superstep, so only delivered messages — folded ones included — bring
 // it back. folds is the schema's Folds; with it nil the same handlers
 // see every message one by one. perEdge replaces every SendToAllNbrs
-// with a loop of Send over the out-neighbours.
+// with a loop of Send over the out-neighbours. flen and ilen, when set,
+// are edge columns for types 0 and 1: a broadcast of the type declares
+// its column (Schema.EdgeAdd), and its per-edge twin sends the payload
+// plus the edge's value.
 type foldJob struct {
 	folds   []*Fold
 	perEdge bool
+	flen    []float64
+	ilen    []int64
 	steps   int
 	rank    []float64
 	label   []int64
@@ -52,7 +57,17 @@ func newFoldJob(n, steps int, fold bool) *foldJob {
 func (j *foldJob) outputs() any { return [4]any{j.rank, j.label, j.isum, j.bad} }
 
 func (j *foldJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8, 8, 12}, MessageSlots: []int{1, 1, 2}, Folds: j.folds}
+	s := Schema{MessagePayloadBytes: []int{8, 8, 12}, MessageSlots: []int{1, 1, 2}, Folds: j.folds}
+	if !j.perEdge && (j.flen != nil || j.ilen != nil) {
+		s.EdgeAdd = make([]any, 3)
+		if j.flen != nil {
+			s.EdgeAdd[0] = j.flen
+		}
+		if j.ilen != nil {
+			s.EdgeAdd[1] = j.ilen
+		}
+	}
+	return s
 }
 
 func (j *foldJob) MasterCompute(mc *MasterContext) {
@@ -122,14 +137,23 @@ func (j *foldJob) VertexCompute(vc *VertexContext) {
 }
 
 // sendToAllNbrs sends m to every out-neighbour: by SendToAllNbrs, or
-// under perEdge by its per-edge twin.
+// under perEdge by its per-edge twin, which adds the type's edge column
+// itself.
 func (j *foldJob) sendToAllNbrs(vc *VertexContext, m Msg) {
 	if !j.perEdge {
 		vc.SendToAllNbrs(m)
 		return
 	}
-	for _, u := range vc.OutNbrs() {
-		vc.Send(u, m)
+	lo, _ := vc.OutEdgeRange()
+	for k, u := range vc.OutNbrs() {
+		e, me := lo+int64(k), m
+		switch {
+		case m.Type == 0 && j.flen != nil:
+			me.SetFloat(0, m.Float(0)+j.flen[e])
+		case m.Type == 1 && j.ilen != nil:
+			me.SetInt(0, m.Int(0)+j.ilen[e])
+		}
+		vc.Send(u, me)
 	}
 }
 
@@ -227,17 +251,24 @@ func edgeCaseGraph() *graph.Directed {
 }
 
 // runFoldTwin runs foldJob with folds, broadcasting or per edge, and
-// reports whether the engine built its broadcast index.
+// reports whether the engine fetched its broadcast index.
 func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge bool, cfg Config) (*foldJob, Stats, bool) {
-	t.Helper()
 	j := newFoldJob(g.NumNodes(), 8, false)
 	j.folds, j.perEdge = folds, perEdge
+	st, built := runFoldJob(t, g, j, cfg)
+	return j, st, built
+}
+
+// runFoldJob runs j and reports whether the engine fetched its
+// broadcast index.
+func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats, bool) {
+	t.Helper()
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
 	if err := e.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return j, e.stats, e.nbrs != nil
+	return e.stats, e.nbrs != nil
 }
 
 // A folded SendToAllNbrs writes one broadcast record per destination
@@ -305,6 +336,142 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 				}
 				check(fmt.Sprintf("%s/crash@%d/%s", gr.name, crash, scheduleName(cfg)), gr.g, bothFolds, cfg)
 			}
+		}
+	}
+}
+
+// edgeCols returns float and int edge columns for g that cycle through
+// awkward lengths: negative ones, zeros, float magnitudes that swallow
+// a payload, and int64 extremes whose sums with a label wrap.
+func edgeCols(g *graph.Directed) ([]float64, []int64) {
+	fl := []float64{0.5, -1.25, 0, 1e16, -1e16, 1.0 / 3, -0.1, 7}
+	il := []int64{3, -2, 0, math.MaxInt64, 1, math.MinInt64, -7, math.MaxInt64 - 5, 11}
+	flen, ilen := make([]float64, g.NumEdges()), make([]int64, g.NumEdges())
+	for e := range flen {
+		flen[e], ilen[e] = fl[e%len(fl)], il[e%len(il)]
+	}
+	return flen, ilen
+}
+
+// A folded type that declares an edge column broadcasts payload x as
+// one record per destination worker, and the destination adds each
+// edge's value as it expands the record; nothing observable may tell
+// that from a job that loops Send(x + col[e]) over the out-edges. At
+// every point of the schedule lattice, under both partitioners, on a
+// random graph, on one built of edge cases (self-loops, parallel edges,
+// vertices without out-edges, a vertex whose out-neighbours all live on
+// the other worker) and on the empty graph, the broadcasting job ends
+// with the twin's outputs and Stats, per-step trace included, bit for
+// bit: with a column on the float sum, on the int min, or on both. The
+// lengths are negative, zero, and int64 extremes that wrap the labels,
+// and float magnitudes that make the sums' bits depend on fold order.
+// One crash rolls back across the superstep that fetched the index.
+func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Directed
+	}{
+		{"twitter", gen.TwitterLike(53, 5, 13)},
+		{"edge-cases", edgeCaseGraph()},
+		{"empty", graph.FromEdges(0, nil)},
+	}
+	variants := []struct {
+		name        string
+		float, ints bool
+	}{
+		{"both", true, true},
+		{"float-sum", true, false},
+		{"int-min", false, true},
+	}
+	check := func(name string, g *graph.Directed, float, ints bool, cfg Config) {
+		flen, ilen := edgeCols(g)
+		job := func(perEdge bool) *foldJob {
+			j := newFoldJob(g.NumNodes(), 8, true)
+			j.perEdge = perEdge
+			if float {
+				j.flen = flen
+			}
+			if ints {
+				j.ilen = ilen
+			}
+			return j
+		}
+		perEdge, bcast := job(true), job(false)
+		pst, _ := runFoldJob(t, g, perEdge, cfg)
+		bst, built := runFoldJob(t, g, bcast, cfg)
+		if !built && g.NumEdges() > 0 {
+			t.Errorf("%s: the broadcasting job never fetched its index", name)
+		}
+		if pst.Recoveries != len(cfg.Faults) {
+			t.Errorf("%s: %d recoveries, want %d", name, pst.Recoveries, len(cfg.Faults))
+		}
+		if !reflect.DeepEqual(bcast.outputs(), perEdge.outputs()) {
+			t.Errorf("%s: edge-valued broadcast outputs differ from the per-edge twin's", name)
+		}
+		if !reflect.DeepEqual(bst, pst) {
+			t.Errorf("%s: edge-valued broadcast Stats differ:\nbroadcast: %+v\nper-edge:  %+v", name, bst, pst)
+		}
+	}
+	for _, gr := range graphs {
+		for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
+			for _, cfg := range group {
+				for _, vr := range variants {
+					check(gr.name+"/"+scheduleName(cfg)+"/"+vr.name, gr.g, vr.float, vr.ints, cfg)
+				}
+			}
+		}
+		if gr.g.NumNodes() < 2 {
+			continue
+		}
+		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+			cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 4, Seed: 21, TraceSteps: true,
+				Faults: FaultPlan{{Superstep: 3, Worker: 1}}}
+			check(fmt.Sprintf("%s/crash@3/%s", gr.name, scheduleName(cfg)), gr.g, true, true, cfg)
+		}
+	}
+}
+
+// An edge column the engine cannot add exactly is refused before
+// superstep 0 with a schema diagnostic naming the message type: one on
+// an unfolded type, one whose length is not the graph's edge count, one
+// whose kind is not its fold's, one on a Node or Bool fold, one of a
+// type the engine does not read, and a list of the wrong length.
+func TestFoldEdgeAddSchemaFailsClosed(t *testing.T) {
+	g := gen.Ring(6)
+	ints, floats := make([]int64, g.NumEdges()), make([]float64, g.NumEdges())
+	one := []int{8}
+	fold := func(op AggOp, kind AggKind) []*Fold { return []*Fold{{Op: op, Kind: kind}} }
+	for _, tc := range []struct {
+		name   string
+		schema Schema
+		text   string // besides "schema declares"
+	}{
+		{"unfolded type", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1, 1},
+			Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}, nil}, EdgeAdd: []any{nil, ints}}, "type 1, which is not folded"},
+		{"short column", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
+			Folds: fold(AggMin, AggKindInt), EdgeAdd: []any{ints[1:]}}, "graph has 6 edges"},
+		{"long column", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
+			Folds: fold(AggSum, AggKindFloat), EdgeAdd: []any{append(floats, 1)}}, "graph has 6 edges"},
+		{"int column on a float fold", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
+			Folds: fold(AggSum, AggKindFloat), EdgeAdd: []any{ints}}, "int edge column for message type 0"},
+		{"float column on an int fold", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
+			Folds: fold(AggMin, AggKindInt), EdgeAdd: []any{floats}}, "float edge column for message type 0"},
+		{"node fold", Schema{MessagePayloadBytes: []int{4}, MessageSlots: []int{1},
+			Folds: fold(AggMin, AggKindNode), EdgeAdd: []any{ints}}, "over node"},
+		{"bool fold", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
+			Folds: fold(AggOr, AggKindBool), EdgeAdd: []any{ints}}, "over bool"},
+		{"unsupported column type", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
+			Folds: fold(AggMin, AggKindInt), EdgeAdd: []any{make([]int32, g.NumEdges())}}, "[]int32"},
+		{"fewer entries than types", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1, 1},
+			Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}, nil}, EdgeAdd: []any{ints}}, "EdgeAdd entries"},
+	} {
+		j := &sendJob{schema: tc.schema, build: func(graph.NodeID) Msg { return Msg{} }, toNbrs: true}
+		st, err := Run(g, j, Config{NumWorkers: 2})
+		if err == nil || !strings.Contains(err.Error(), "schema declares") || !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("%s: err = %v, want a schema diagnostic mentioning %q", tc.name, err, tc.text)
+		}
+		if st.Supersteps != 0 || st.VertexCalls != 0 {
+			t.Errorf("%s: ran %d supersteps, %d vertex calls", tc.name, st.Supersteps, st.VertexCalls)
 		}
 	}
 }

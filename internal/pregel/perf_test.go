@@ -65,28 +65,35 @@ func (j *perfRankJob) VertexCompute(vc *VertexContext) {
 }
 
 // perfSSSPJob is an SSSP-shaped job: an int distance relaxed along
-// weighted out-edges, its min declared as a delivery fold, every vertex
-// but the first ssspSources voting to halt, so a superstep runs only
-// the frontier. Every ssspRound supersteps the next source starts a new
+// weighted out-edges, its min declared as a delivery fold and the
+// weights as the type's edge column, so a relaxation is one
+// edge-valued broadcast as manual.SSSP sends it; every vertex but the
+// first ssspSources votes to halt, so a superstep runs only the
+// frontier. Every ssspRound supersteps the next source starts a new
 // search from a lower base distance, so relaxation never settles and a
 // warm engine keeps a frontier for as long as it runs.
 type perfSSSPJob struct {
 	dist []int64
+	len  []int64 // by out-edge index
 }
 
 const ssspRound, ssspSources = 24, 16
 
-func newPerfSSSPJob(n int) *perfSSSPJob {
-	j := &perfSSSPJob{dist: make([]int64, n)}
+func newPerfSSSPJob(g *graph.Directed) *perfSSSPJob {
+	j := &perfSSSPJob{dist: make([]int64, g.NumNodes()), len: make([]int64, g.NumEdges())}
 	for v := range j.dist {
 		j.dist[v] = math.MaxInt64
+		lo, hi := g.OutEdgeRange(graph.NodeID(v))
+		for e := lo; e < hi; e++ {
+			j.len[e] = int64((v+int(g.OutDst[e]))%7 + 1)
+		}
 	}
 	return j
 }
 
 func (j *perfSSSPJob) Schema() Schema {
 	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1},
-		Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}}}
+		Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}}, EdgeAdd: []any{j.len}}
 }
 
 func (j *perfSSSPJob) MasterCompute(mc *MasterContext) {}
@@ -102,11 +109,9 @@ func (j *perfSSSPJob) VertexCompute(vc *VertexContext) {
 	}
 	if best < j.dist[v] {
 		j.dist[v] = best
-		for _, u := range vc.OutNbrs() {
-			var m Msg
-			m.SetInt(0, best+int64((v+int(u))%7+1))
-			vc.Send(u, m)
-		}
+		var m Msg
+		m.SetInt(0, best)
+		vc.SendToAllNbrs(m)
 	}
 	if v >= ssspSources {
 		vc.VoteToHalt()
@@ -180,10 +185,11 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 // Satellite: a warm superstep — chunked vertex phase plus segmented
 // message routing on the persistent pool — must allocate nothing at
 // every point of the schedule lattice, for the PageRank-shaped job plain
-// and with its one sum folded, and for the folded job (two folded types
-// beside an unfolded one). Both folded jobs broadcast their folded
-// types, so at every worker count the warm-up builds the broadcast
-// index and the measured supersteps send and expand broadcast records.
+// and with its one sum folded, for the folded job (two folded types
+// beside an unfolded one), and for the SSSP-shaped job, whose broadcasts
+// carry an edge column. The folded jobs broadcast their folded types, so
+// at every worker count the warm-up builds the broadcast index and the
+// measured supersteps send and expand broadcast records.
 // This also proves no per-superstep goroutine creation: a spawned
 // goroutine costs at least one allocation, and this test demands zero.
 func TestWarmRoutingZeroAlloc(t *testing.T) {
@@ -192,21 +198,28 @@ func TestWarmRoutingZeroAlloc(t *testing.T) {
 	for _, group := range scheduleGroups(Config{Seed: 1}) {
 		for _, cfg := range group {
 			t.Run(scheduleName(cfg)+"/rank", func(t *testing.T) {
-				testWarmRoutingZeroAlloc(t, g, newPerfRankJob(n, 1<<20), cfg)
+				testWarmRoutingZeroAlloc(t, g, newPerfRankJob(n, 1<<20), cfg, 3)
 			})
 			t.Run(scheduleName(cfg)+"/rank-folded", func(t *testing.T) {
 				j := newPerfRankJob(n, 1<<20)
 				j.fold = true
-				testWarmRoutingZeroAlloc(t, g, j, cfg)
+				testWarmRoutingZeroAlloc(t, g, j, cfg, 3)
 			})
 			t.Run(scheduleName(cfg)+"/folded", func(t *testing.T) {
-				testWarmRoutingZeroAlloc(t, g, newFoldJob(n, 1<<20, true), cfg)
+				testWarmRoutingZeroAlloc(t, g, newFoldJob(n, 1<<20, true), cfg, 3)
+			})
+			t.Run(scheduleName(cfg)+"/edge-valued", func(t *testing.T) {
+				// One search from every source: the measured supersteps
+				// then repeat the first search's, whose boxes are warm.
+				testWarmRoutingZeroAlloc(t, g, newPerfSSSPJob(g), cfg, ssspSources*ssspRound)
 			})
 		}
 	}
 }
 
-func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config) {
+// testWarmRoutingZeroAlloc runs warm supersteps of j, which bring the
+// buffers to their high-water capacity, then measures.
+func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) {
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
 	step := 0
@@ -215,14 +228,18 @@ func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config
 		e.routeMessages()
 		step++
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < warm; i++ {
 		cycle() // reach high-water inbox/outbox capacity
 	}
 	if built := e.nbrs != nil; built != (e.folds != nil) {
 		t.Fatalf("broadcast index built = %v, want %v: the folded jobs broadcast, the plain one does not", built, e.folds != nil)
 	}
+	before := sentMsgs(e)
 	if a := testing.AllocsPerRun(10, cycle); a != 0 {
 		t.Fatalf("warm superstep allocates %v per run, want 0", a)
+	}
+	if sentMsgs(e) == before {
+		t.Fatal("the measured supersteps sent no messages")
 	}
 	for _, x := range e.executors {
 		if x.err != nil {
@@ -448,7 +465,21 @@ func BenchmarkRoutingFolded(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
 	// Every superstep sends one message per edge, and the last one's fold
 	// boxes are still filled.
-	words := 0
+	reportFoldBoxBytes(b, fboxWords(e), g.NumEdges())
+}
+
+// sentMsgs is the messages e's workers have sent since the last barrier
+// merge, which the warm-superstep loops here never run.
+func sentMsgs(e *engine) (msgs int64) {
+	for _, wk := range e.workers {
+		msgs += wk.msgs
+	}
+	return msgs
+}
+
+// fboxWords counts the words in every chunk's fold boxes: the records
+// the last vertex phase wrote, which routing leaves in place.
+func fboxWords(e *engine) (words int) {
 	for _, wk := range e.workers {
 		for ci := range wk.chunks {
 			for _, box := range wk.chunks[ci].fboxes {
@@ -456,28 +487,33 @@ func BenchmarkRoutingFolded(b *testing.B) {
 			}
 		}
 	}
-	perMsg := float64(words*recWordBytes) / float64(g.NumEdges())
-	if perMsg >= foldStride*recWordBytes {
-		b.Fatalf("fold boxes hold %.1f B/msg, want under the %d of a per-edge record", perMsg, foldStride*recWordBytes)
+	return words
+}
+
+// reportFoldBoxBytes reports the fold-box bytes words took per message
+// of msgs, failing unless they are under the 16 of a per-edge record.
+func reportFoldBoxBytes(b *testing.B, words int, msgs int64) {
+	perMsg := float64(words*recWordBytes) / float64(msgs)
+	if msgs == 0 || perMsg >= foldStride*recWordBytes {
+		b.Fatalf("fold boxes hold %.1f B/msg over %d messages, want under the %d of a per-edge record",
+			perMsg, msgs, foldStride*recWordBytes)
 	}
 	b.ReportMetric(perMsg, "B/msg")
 }
 
 // BenchmarkRoutingFoldedMin measures one warm superstep of the
 // SSSP-shaped job: halting vertices, a sparse frontier, every message an
-// int min folded into the destination's slots, and delivery the only way
-// a halted vertex wakes. It reports the cost per message sent.
+// int min whose edge weight the destination adds as it folds it into its
+// slots, and delivery the only way a halted vertex wakes. It reports the
+// cost per message sent, then, over one more untimed search round, the
+// fold-box bytes per message, and fails unless edge-valued broadcast
+// records bring them under the 16 of a per-edge record.
 func BenchmarkRoutingFoldedMin(b *testing.B) {
 	const n = 4096
 	g := gen.TwitterLike(n, 8, 3)
-	e := newEngine(g, newPerfSSSPJob(n), Config{NumWorkers: 4, Seed: 1}.withDefaults())
+	e := newEngine(g, newPerfSSSPJob(g), Config{NumWorkers: 4, Seed: 1}.withDefaults())
 	defer e.stop()
-	sent := func() (msgs int64) {
-		for _, wk := range e.workers {
-			msgs += wk.msgs
-		}
-		return msgs
-	}
+	sent := func() int64 { return sentMsgs(e) }
 	step := 0
 	for i := 0; i < 2*ssspRound; i++ {
 		e.runVertexPhase(step) // two searches: boxes reach their high-water mark
@@ -493,5 +529,13 @@ func BenchmarkRoutingFoldedMin(b *testing.B) {
 		step++
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(sent()-before, 1)), "ns/msg")
-	b.ReportMetric(foldStride*recWordBytes, "B/msg")
+	b.StopTimer()
+	before, words := sent(), 0
+	for i := 0; i < ssspRound; i++ {
+		e.runVertexPhase(step)
+		e.routeMessages()
+		words += fboxWords(e)
+		step++
+	}
+	reportFoldBoxBytes(b, words, sent()-before)
 }

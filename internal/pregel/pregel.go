@@ -164,6 +164,17 @@ type Schema struct {
 	// otherwise it must have one entry per type, and a folded type must
 	// declare exactly one MessageSlots slot.
 	Folds []*Fold
+	// EdgeAdd optionally declares, per message type, an out-edge column
+	// — a []int64 or []float64 of NumEdges values indexed by out-edge
+	// position, like an edge property — that SendToAllNbrs of the type
+	// adds to the payload on each edge: the neighbour over edge e is
+	// delivered payload + col[e], exactly as a Send of that sum per edge
+	// would deliver it, and billed the same. Only an Int or Float folded
+	// type may declare one, of its fold's kind; Send is unaffected. The
+	// engine reads the column when it delivers, so the job must not
+	// write it during a run. Nil means no type does; otherwise it must
+	// have one entry per type.
+	EdgeAdd []any
 }
 
 // Job is a Pregel program: the pair of compute functions plus the

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,23 +84,33 @@ func testGovernorSpill(t *testing.T, width slotDecl) {
 	}
 }
 
-// The broadcast index is fixed memory the governor accounts once it is
-// built: nothing before, nothing at one worker, where it is the graph's
-// CSR, and at W>1 exactly its permuted edge list, run offsets and runs —
-// each vertex's out-neighbours, as local indices on their owners,
-// regrouped by owner in worker order, at most min(deg, W) runs. Only a
-// folded broadcast builds it: the SSSP-shaped job folds but sends per
-// edge, the min-label job does not fold.
+// The broadcast index is fixed memory the governor accounts once a run
+// has fetched it: nothing before; at one worker, where it is the graph's
+// CSR, only the identity offsets up to the largest out-degree; and at
+// W>1 exactly its permuted edge list, its edge offsets, run offsets and
+// runs — each vertex's out-neighbours, as local indices on their owners
+// with their out-edge offsets, regrouped by owner in worker order, at
+// most min(deg, W) runs. Only a folded broadcast fetches it: the folded
+// job sending per edge and the min-label job, which does not fold, never
+// do.
 func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 	const n = 200
 	g := gen.TwitterLike(n, 6, 5)
-	for _, j := range []Job{newPerfSSSPJob(n), &minLabelJob{label: make([]int64, n)}} {
+	perEdge := newFoldJob(n, 8, true)
+	perEdge.perEdge = true
+	for _, j := range []Job{perEdge, &minLabelJob{label: make([]int64, n)}} {
 		e := newEngine(g, j, Config{NumWorkers: 3, Seed: 1, MaxSupersteps: 30}.withDefaults())
-		_ = e.loop(context.Background()) // the SSSP-shaped job never halts: stopped by MaxSupersteps
+		if err := e.loop(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		if e.nbrs != nil {
 			t.Errorf("%T built a broadcast index without a folded broadcast", j)
 		}
 		e.stop()
+	}
+	maxDeg := 0
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		maxDeg = max(maxDeg, g.OutDegree(v))
 	}
 	for _, w := range []int{1, 3} {
 		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
@@ -111,12 +122,12 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 			grew := e.accountedUsage() - before
 			e.stop()
 			if w == 1 {
-				if grew != 0 || &ix.local[0] != &g.OutDst[0] {
-					t.Errorf("W=1: the index adds %d accounted bytes, want 0 and the CSR itself", grew)
+				if grew != int64(4*maxDeg) || &ix.local[0] != &g.OutDst[0] {
+					t.Errorf("W=1: the index adds %d accounted bytes, want %d beside the CSR itself", grew, 4*maxDeg)
 				}
 				continue
 			}
-			want := int64(4*len(g.OutDst) + 8*(n+1) + nbrRunBytes*len(ix.runs))
+			want := int64(4*len(g.OutDst) + 4*len(g.OutDst) + 8*(n+1) + nbrRunBytes*len(ix.runs))
 			if grew != want {
 				t.Errorf("W=%d part=%d: the index adds %d accounted bytes, want %d", w, part, grew, want)
 			}
@@ -129,18 +140,21 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 				}
 				var got []graph.NodeID
 				for k, r := range runs {
-					nbrs := ix.owned(v, r.worker)
+					nbrs, offs := ix.owned(v, r.worker)
 					if k > 0 && r.worker <= runs[k-1].worker || len(nbrs) == 0 {
 						t.Fatalf("vertex %d: run %d (worker %d) out of order or empty", v, k, r.worker)
 					}
 					var wantNbrs []graph.NodeID
-					for _, u := range g.OutNbrs(v) {
+					var wantOffs []uint32
+					for off, u := range g.OutNbrs(v) {
 						if owner(u) == int(r.worker) {
 							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[r.worker].localOf(u)))
+							wantOffs = append(wantOffs, uint32(off))
 						}
 					}
-					if !reflect.DeepEqual(nbrs, wantNbrs) {
-						t.Fatalf("vertex %d worker %d: owned %v, want %v in out-edge order", v, r.worker, nbrs, wantNbrs)
+					if !reflect.DeepEqual(nbrs, wantNbrs) || !reflect.DeepEqual(offs, wantOffs) {
+						t.Fatalf("vertex %d worker %d: owned %v at offsets %v, want %v at %v in out-edge order",
+							v, r.worker, nbrs, offs, wantNbrs, wantOffs)
 					}
 					got = append(got, nbrs...)
 				}
@@ -148,6 +162,67 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 					t.Fatalf("vertex %d: runs cover %d of %d out-neighbours", v, len(got), hi-lo)
 				}
 			}
+		}
+	}
+}
+
+// The broadcast index is built once per (graph, worker count,
+// partitioner) and shared read-only: a second run on the graph reuses
+// the first run's index, another worker count or partitioner gets its
+// own, concurrent first runs (under -race) all get the one build, and
+// every run that fetches it still accounts it as its own fixed memory.
+func TestBroadcastIndexSharedPerGraph(t *testing.T) {
+	const n = 120
+	g := gen.TwitterLike(n, 5, 8)
+	fetch := func(cfg Config) (*nbrIndex, int64) {
+		j := newPerfRankJob(n, 2)
+		j.fold = true
+		e := newEngine(g, j, cfg.withDefaults())
+		defer e.stop()
+		before := e.accountedUsage()
+		ix := e.nbrIndex()
+		return ix, e.accountedUsage() - before
+	}
+	var start, done sync.WaitGroup
+	start.Add(1)
+	const runs = 4
+	got := make([]*nbrIndex, runs)
+	for r := range runs {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			j := newPerfRankJob(n, 3)
+			j.fold = true
+			e := newEngine(g, j, Config{NumWorkers: 3, Seed: 1}.withDefaults())
+			defer e.stop()
+			if err := e.loop(context.Background()); err != nil {
+				t.Error(err)
+			}
+			got[r] = e.nbrs
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for r := range runs {
+		if got[r] == nil || got[r] != got[0] {
+			t.Fatalf("concurrent run %d fetched index %p, run 0 %p: want one shared build", r, got[r], got[0])
+		}
+	}
+	ix, grew := fetch(Config{NumWorkers: 3})
+	if ix != got[0] {
+		t.Error("a later run at the same worker count and partitioner rebuilt the index")
+	}
+	if grew != ix.bytes() || grew == 0 {
+		t.Errorf("a run sharing the index accounts %d bytes for it, want its %d", grew, ix.bytes())
+	}
+	for _, cfg := range []Config{{NumWorkers: 2}, {NumWorkers: 3, Partitioner: PartitionDegree}, {NumWorkers: 1}} {
+		other, _ := fetch(cfg)
+		if other == ix {
+			t.Errorf("W=%d part=%d shares the W=3 mod index", cfg.NumWorkers, cfg.Partitioner)
+		}
+		if again, _ := fetch(cfg); again != other {
+			t.Errorf("W=%d part=%d rebuilt its index", cfg.NumWorkers, cfg.Partitioner)
 		}
 	}
 }
