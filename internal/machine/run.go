@@ -3,6 +3,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/graph"
@@ -178,7 +179,7 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 		ex.inNbrs = make([][]graph.NodeID, g.NumNodes())
 	}
 	// Closure-compile every vertex state once; allocate one reusable
-	// environment per worker.
+	// environment per executor.
 	ex.compiled = make([][]stmtFn, len(p.Nodes))
 	maxLocals := 0
 	for i, n := range p.Nodes {
@@ -191,7 +192,7 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 	}
 	ex.envs = make([]*vertexEnv, cfg.Workers(g.NumNodes()))
 	for w := range ex.envs {
-		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: make([]ir.Value, maxLocals)}
+		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: paddedLocals(maxLocals)}
 	}
 	return ex, nil
 }
@@ -617,13 +618,32 @@ func (e *masterEnv) BuiltinVal(op ir.BuiltinOp) ir.Value {
 	panic(fmt.Sprintf("machine: builtin %v in master context", op))
 }
 
+// vertexEnv is one executor's reusable environment for vertex compute.
+// The executor writes it and its locals for every vertex, so both sit
+// on 128-byte blocks no other allocation shares: the struct is padded at
+// both ends, and the locals by paddedLocals. Executors of the engine
+// follow the same rule (docs/ENGINE.md).
 type vertexEnv struct {
+	_       envPad
 	ex      *exec
 	vc      *pregel.VertexContext
 	vs      *VertexState
 	locals  []ir.Value
 	curMsg  *pregel.Msg
 	curEdge int64
+	_       envPad
+}
+
+// envPad is 128 bytes of padding: two 64-byte lines, which the
+// adjacent-line prefetcher moves as a pair.
+type envPad [128]byte
+
+// paddedLocals returns n zeroed locals whose backing array leaves at
+// least 128 bytes unused on either side.
+func paddedLocals(n int) []ir.Value {
+	size := int(unsafe.Sizeof(ir.Value{}))
+	g := (128 + size - 1) / size
+	return make([]ir.Value, g+n+g)[g : g+n : g+n]
 }
 
 func (e *vertexEnv) Scalar(slot int) ir.Value {

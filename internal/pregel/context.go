@@ -146,21 +146,11 @@ func (vc *VertexContext) OutEdgeRange() (lo, hi int64) { return vc.wk.e.g.OutEdg
 // read as zero.
 func (vc *VertexContext) Messages() []Msg { return vc.msgs }
 
-// outbox returns the boxes a message of type t goes into and the payload
-// slots its record carries: the fold boxes, one slot, for a folded type.
-//
-//gm:noalloc
-func (vc *VertexContext) outbox(t uint8) ([][]uint64, int) {
-	if vc.wk.foldIdx[t] >= 0 {
-		return vc.ck.fboxes, 1
-	}
-	return vc.ck.boxes, vc.wk.slots
-}
-
 // deliver records one outgoing message on the current chunk, packed
-// into a record in the box of its destination worker. The message's
-// eventual position (or fold order) depends only on its (worker, chunk,
-// emission-index) coordinates, not on the executor.
+// into a record in the box of its destination worker, or, for a folded
+// type, in the fold box of its destination's fold piece, one slot wide.
+// The message's eventual position (or fold order) depends only on its
+// (worker, chunk, emission-index) coordinates, not on the executor.
 func (vc *VertexContext) deliver(m Msg) {
 	wk := vc.wk
 	if !wk.conforms(&m) {
@@ -169,8 +159,12 @@ func (vc *VertexContext) deliver(m Msg) {
 	}
 	ck := vc.ck
 	dw := wk.ownerOf(m.Dst)
-	boxes, slots := vc.outbox(m.Type)
-	boxes[dw] = appendRec(boxes[dw], packHeader(m.Dst, m.Type), &m.V, slots)
+	if wk.foldIdx[m.Type] >= 0 {
+		p := wk.pieceOf(dw, m.Dst)
+		ck.fboxes[p] = appendRec(ck.fboxes[p], packHeader(m.Dst, m.Type), &m.V, 1)
+	} else {
+		ck.boxes[dw] = appendRec(ck.boxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
+	}
 	ck.msgs++
 	size := wk.msgSize[m.Type]
 	if dw != wk.index {
@@ -246,10 +240,11 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 }
 
 // broadcast sends m, of a folded type, to every out-neighbor as one
-// broadcast record (record.go) per destination worker owning any of
-// them, in the fold box of that worker, and bills every edge as Send
-// would: ix's runs give the sender's out-neighbors per owner. With one
-// worker the record goes to worker 0 and all of it is local.
+// broadcast record (record.go) per fold piece holding any of them, in
+// the fold box of that piece, tagged with the run's ordinal, and bills
+// every edge as Send would: ix's runs give the sender's out-neighbors
+// per piece and its owner. With one worker the record goes to its one
+// piece and all of it is local.
 //
 //gm:noalloc
 func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
@@ -267,12 +262,12 @@ func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
 		ck.localBytes += (hi - lo) * size
 		return
 	}
-	for _, r := range ix.runs[ix.runOff[vc.id]:ix.runOff[vc.id+1]] {
-		n, dw := r.end-lo, int(r.worker)
+	for k, r := range ix.runs[ix.runOff[vc.id]:ix.runOff[vc.id+1]] {
+		n, p := r.end-lo, int(r.piece)
 		lo = r.end
-		ck.fboxes[dw] = appendRec(ck.fboxes[dw], hdr, &m.V, 1)
-		ck.fbcast[dw] = true
-		if dw != wk.index {
+		ck.fboxes[p] = appendRec(ck.fboxes[p], hdr|uint64(k)<<bcastRunShift, &m.V, 1)
+		ck.fbcast[p] = true
+		if int(r.worker) != wk.index {
 			ck.netMsgs += n
 			ck.netBytes += n * size
 		} else {

@@ -92,6 +92,13 @@ type engine struct {
 	// which shares it between runs.
 	nbrs     *nbrIndex
 	nbrsOnce sync.Once
+	// Fold pieces (fold.go): every destination worker's vertices cut into
+	// chunk-aligned ranges, each with its own fold box per source chunk
+	// and its own prefix task, so the fold of an overloaded destination
+	// is shared between executors. foldPresent[p] is the present slots
+	// piece p's fold counted, summed into the workers' foldTotal.
+	pieces      *pieceLayout
+	foldPresent []int
 
 	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
 	// pblocks means mod partitioning.
@@ -310,7 +317,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		if nw > 0 {
 			numChunks = (nw + cs - 1) / cs
 		}
-		wk.chunks = make([]chunk, numChunks)
+		wk.chunks = padded[chunk](numChunks)
 		wk.chunkSize = cs
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
@@ -320,10 +327,8 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 				ck.hi = int32(nw)
 			}
 			ck.numActive = ck.hi - ck.lo
-			ck.agg = make([]aggCell, len(e.schema.Aggregators))
-			ck.boxes = make([][]uint64, e.numWorkers)
-			ck.fboxes = make([][]uint64, e.numWorkers)
-			ck.fbcast = make([]bool, e.numWorkers)
+			ck.agg = padded[aggCell](len(e.schema.Aggregators))
+			ck.boxes = padded[[]uint64](e.numWorkers)
 		}
 		wk.aggPartial = make([]aggCell, len(e.schema.Aggregators))
 
@@ -333,6 +338,19 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		}
 		wk.srcMsgs = make([]int32, e.shards)
 		e.workers[w] = wk
+	}
+
+	// Fold pieces, cut from the chunk geometry above, and each chunk's
+	// fold boxes, one per piece.
+	e.pieces = e.pieceLayout()
+	e.foldPresent = make([]int, len(e.pieces.list))
+	for _, wk := range e.workers {
+		wk.pieceStart, wk.pieceLo = e.pieces.start, e.pieces.lo
+		for ci := range wk.chunks {
+			ck := &wk.chunks[ci]
+			ck.fboxes = padded[[]uint64](len(e.pieces.list))
+			ck.fbcast = padded[bool](len(e.pieces.list))
+		}
 	}
 
 	// The persistent pool: one executor goroutine per worker for the

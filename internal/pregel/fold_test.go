@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -250,6 +251,23 @@ func edgeCaseGraph() *graph.Directed {
 	return graph.FromEdges(16, edges)
 }
 
+// inSkewedGraph is an n-vertex graph whose in-edges land mostly on one
+// worker at W=2 under either partitioner: every vertex sends four edges
+// among the low even ids [0, n/2) — worker 0's under mod placement, and
+// under degree placement too, which balances out-degrees, all equal
+// here — and one to its successor. The fold cut then splits worker 0
+// wherever it has more than one chunk.
+func inSkewedGraph(n int) *graph.Directed {
+	var edges []graph.Edge
+	for v := 0; v < n; v++ {
+		for j := 0; j < 4; j++ {
+			edges = append(edges, graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID(2 * ((3*v + 7*j) % (n / 4)))})
+		}
+		edges = append(edges, graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID((v + 1) % n)})
+	}
+	return graph.FromEdges(n, edges)
+}
+
 // runFoldTwin runs foldJob with folds, broadcasting or per edge, and
 // reports whether the engine fetched its broadcast index.
 func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge bool, cfg Config) (*foldJob, Stats, bool) {
@@ -271,14 +289,15 @@ func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats,
 	return e.stats, e.nbrs != nil
 }
 
-// A folded SendToAllNbrs writes one broadcast record per destination
-// worker where its per-edge twin writes one record per edge, and nothing
+// A folded SendToAllNbrs writes one broadcast record per fold piece
+// where its per-edge twin writes one record per edge, and nothing
 // observable may tell them apart: at every point of the schedule
 // lattice, under both partitioners, on a random graph, on one built of
-// edge cases and on the empty graph, the broadcasting job ends with the
-// outputs and the Stats (per-step trace included) of the twin that
-// loops Send over OutNbrs, bit for bit — folding the float sum alone,
-// the int min alone, or both. The job interleaves point-to-point sends
+// edge cases, on one whose in-edges land mostly on one worker, which the
+// fold cut splits into pieces, and on the empty graph, the broadcasting
+// job ends with the outputs and the Stats (per-step trace included) of
+// the twin that loops Send over OutNbrs, bit for bit — folding the float
+// sum alone, the int min alone, or both. The job interleaves point-to-point sends
 // of the summed type with its broadcasts, so a broadcast expanded out of
 // its place in the fold order would change the sums' bits. Crash runs
 // roll back across the superstep that built the index: from a crash in
@@ -290,6 +309,7 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 	}{
 		{"twitter", gen.TwitterLike(53, 5, 13)},
 		{"edge-cases", edgeCaseGraph()},
+		{"in-skewed", inSkewedGraph(96)},
 		{"empty", graph.FromEdges(0, nil)},
 	}
 	variants := []struct {
@@ -360,9 +380,11 @@ func edgeCols(g *graph.Directed) ([]float64, []int64) {
 // every point of the schedule lattice, under both partitioners, on a
 // random graph, on one built of edge cases (self-loops, parallel edges,
 // vertices without out-edges, a vertex whose out-neighbours all live on
-// the other worker) and on the empty graph, the broadcasting job ends
-// with the twin's outputs and Stats, per-step trace included, bit for
-// bit: with a column on the float sum, on the int min, or on both. The
+// the other worker), on one whose in-edges land mostly on one worker,
+// which the fold cut splits, and on the empty graph, the broadcasting
+// job ends with the twin's outputs and Stats, per-step trace included,
+// bit for bit: with a column on the float sum, on the int min, or on
+// both. The
 // lengths are negative, zero, and int64 extremes that wrap the labels,
 // and float magnitudes that make the sums' bits depend on fold order.
 // One crash rolls back across the superstep that fetched the index.
@@ -373,6 +395,7 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 	}{
 		{"twitter", gen.TwitterLike(53, 5, 13)},
 		{"edge-cases", edgeCaseGraph()},
+		{"in-skewed", inSkewedGraph(96)},
 		{"empty", graph.FromEdges(0, nil)},
 	}
 	variants := []struct {
@@ -610,5 +633,158 @@ func TestCheckpointFoldSlotsFailClosed(t *testing.T) {
 	}
 	if err := e.decodeState(data); err != nil {
 		t.Fatalf("pristine snapshot rejected after corrupt decodes: %v", err)
+	}
+}
+
+// The fold cut rule, on chunk weights: the pieces are ranges of one
+// worker's chunks each, in (worker, chunk) order, covering every chunk
+// once and weighing what their chunks weigh; one executor, or executor
+// shares already even, leave one piece per worker; and the executor cuts
+// give every executor a weight within the heaviest chunk's of an equal
+// share — on random weights with heavy chunks and chunkless workers, at
+// 2 to 7 executors.
+func TestFoldPieceCutRule(t *testing.T) {
+	check := func(name string, weights [][]int64, execs int) []piece {
+		t.Helper()
+		pieces := cutPieces(weights, execs)
+		p := 0
+		prefix, heaviest := []int64{0}, int64(0)
+		for w, ws := range weights {
+			for next := int32(0); ; p++ {
+				if p == len(pieces) || pieces[p].worker != int32(w) {
+					if next != int32(len(ws)) {
+						t.Fatalf("%s: worker %d's pieces cover %d of its %d chunks", name, w, next, len(ws))
+					}
+					break
+				}
+				pc, sum := pieces[p], int64(0)
+				for _, c := range ws[pc.ciLo:pc.ciHi] {
+					sum += c
+				}
+				if pc.ciLo != next || pc.ciHi <= pc.ciLo && len(ws) > 0 || pc.weight != sum {
+					t.Fatalf("%s: piece %d is chunks [%d, %d) of worker %d weighing %d; want it to start at chunk %d, hold one and weigh %d",
+						name, p, pc.ciLo, pc.ciHi, w, pc.weight, next, sum)
+				}
+				next = pc.ciHi
+			}
+			for _, c := range ws {
+				prefix = append(prefix, prefix[len(prefix)-1]+c)
+				heaviest = max(heaviest, c)
+			}
+		}
+		if p != len(pieces) {
+			t.Fatalf("%s: %d pieces, %d of them past the last worker", name, len(pieces), len(pieces)-p)
+		}
+		cuts := execCuts(weights, execs)
+		bounds := append(append([]int{0}, cuts...), len(prefix)-1)
+		total, x := prefix[len(prefix)-1], int64(execs)
+		for k := 0; k < execs; k++ {
+			if bounds[k+1] < bounds[k] {
+				t.Fatalf("%s: cuts %v out of order", name, cuts)
+			}
+			if miss := (prefix[bounds[k+1]]-prefix[bounds[k]])*x - total; max(miss, -miss) > heaviest*x {
+				t.Errorf("%s: executor %d weighs %d, more than the heaviest chunk (%d) from %d/%d",
+					name, k, prefix[bounds[k+1]]-prefix[bounds[k]], heaviest, total, execs)
+			}
+		}
+		return pieces
+	}
+	even := [][][]int64{
+		{{5, 5, 5, 5}, {10, 10}, {1, 2, 3, 4, 10}},
+		{{0, 0}, {0}, {}},
+		{{7}, {3, 4}},
+		{{30, 0, 0}, {10, 10, 10}},
+	}
+	for i, weights := range even {
+		if got := check(fmt.Sprintf("even%d", i), weights, len(weights)); len(got) != len(weights) {
+			t.Errorf("even%d: even shares cut into %d pieces, want one per worker", i, len(got))
+		}
+		if got := check(fmt.Sprintf("even%d/one-executor", i), weights, 1); len(got) != len(weights) {
+			t.Errorf("even%d: one executor cuts into %d pieces, want one per worker", i, len(got))
+		}
+	}
+	if got := check("skewed", [][]int64{{100, 100, 100, 100}, {10, 10}}, 2); len(got) != 3 {
+		t.Errorf("skewed: %d pieces, want the heavy worker split in two", len(got))
+	}
+	rng := rand.New(rand.NewSource(5))
+	split := 0
+	for trial := 0; trial < 300; trial++ {
+		w := 2 + rng.Intn(6)
+		weights := make([][]int64, w)
+		for i := range weights {
+			weights[i] = make([]int64, rng.Intn(10))
+			for ci := range weights[i] {
+				weights[i][ci] = rng.Int63n(50)
+				if rng.Intn(10) == 0 {
+					weights[i][ci] *= 40
+				}
+			}
+		}
+		if got := check(fmt.Sprintf("random%d", trial), weights, w); len(got) > w {
+			split++
+		}
+		if got := check(fmt.Sprintf("random%d/one-executor", trial), weights, 1); len(got) != w {
+			t.Errorf("random%d: one executor cuts into %d pieces, want one per worker", trial, len(got))
+		}
+	}
+	if split == 0 {
+		t.Error("no random weights split a worker")
+	}
+}
+
+// An engine cuts its fold pieces on chunk boundaries and routes every
+// vertex to the piece holding it: on the in-skewed graph at W=2, under
+// both partitioners, with several chunks per worker, the folded job's
+// overloaded worker is split and each piece starts at its first chunk;
+// the same job on a ring, whose in-degree shares are even, a job
+// without folds, and a run on one worker keep one piece per worker.
+func TestFoldPiecesCutOnChunks(t *testing.T) {
+	const n = 96
+	folded := newPerfRankJob(n, 1)
+	folded.fold = true
+	pieces := func(g *graph.Directed, j Job, cfg Config) *engine {
+		e := newEngine(g, j, cfg.withDefaults())
+		e.stop()
+		return e
+	}
+	for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+		for _, chunk := range []int{1, 4, 16} {
+			cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: chunk}
+			e := pieces(inSkewedGraph(n), folded, cfg)
+			l := e.pieces
+			if len(l.list) <= 2 {
+				t.Errorf("%s: the in-skewed graph is cut into %d pieces, want a worker split", scheduleName(cfg), len(l.list))
+			}
+			for p, pc := range l.list {
+				wk := e.workers[pc.worker]
+				if l.lo[p] != wk.chunks[pc.ciLo].lo || l.start[pc.worker] > int32(p) || l.start[pc.worker+1] <= int32(p) {
+					t.Fatalf("%s: piece %d (chunks [%d, %d) of worker %d) starts at local %d, want chunk %d's %d, within its worker's pieces %v",
+						scheduleName(cfg), p, pc.ciLo, pc.ciHi, pc.worker, l.lo[p], pc.ciLo, wk.chunks[pc.ciLo].lo, l.start)
+				}
+				for ci := pc.ciLo; ci < pc.ciHi; ci++ {
+					for li := wk.chunks[ci].lo; li < wk.chunks[ci].hi; li++ {
+						if got := e.workers[0].pieceOf(wk.index, wk.ids[li]); got != p {
+							t.Fatalf("%s: vertex %d in chunk %d of worker %d routes to piece %d, want %d",
+								scheduleName(cfg), wk.ids[li], ci, wk.index, got, p)
+						}
+					}
+				}
+			}
+			for _, other := range []struct {
+				name string
+				g    *graph.Directed
+				j    Job
+				cfg  Config
+			}{
+				{"ring", gen.Ring(n), folded, cfg},
+				{"unfolded", inSkewedGraph(n), newPerfRankJob(n, 1), cfg},
+				{"one-worker", inSkewedGraph(n), folded, Config{NumWorkers: 1, Partitioner: part, ChunkSize: chunk}},
+			} {
+				e := pieces(other.g, other.j, other.cfg)
+				if len(e.pieces.list) != e.numWorkers {
+					t.Errorf("%s/%s: %d pieces for %d workers, want one each", scheduleName(other.cfg), other.name, len(e.pieces.list), e.numWorkers)
+				}
+			}
+		}
 	}
 }

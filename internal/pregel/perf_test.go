@@ -215,11 +215,34 @@ func TestWarmRoutingZeroAlloc(t *testing.T) {
 			})
 		}
 	}
+	// A worker split into fold pieces: the in-skewed graph at W=2 with
+	// several chunks per worker, the folded jobs only.
+	sg := inSkewedGraph(n)
+	for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+		cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 16, Seed: 1}
+		split := func(t *testing.T, e *engine) {
+			if len(e.pieces.list) <= e.numWorkers {
+				t.Fatalf("%d pieces for %d workers: no worker is split", len(e.pieces.list), e.numWorkers)
+			}
+		}
+		t.Run(scheduleName(cfg)+"/in-skewed/rank-folded", func(t *testing.T) {
+			j := newPerfRankJob(n, 1<<20)
+			j.fold = true
+			split(t, testWarmRoutingZeroAlloc(t, sg, j, cfg, 3))
+		})
+		t.Run(scheduleName(cfg)+"/in-skewed/folded", func(t *testing.T) {
+			split(t, testWarmRoutingZeroAlloc(t, sg, newFoldJob(n, 1<<20, true), cfg, 3))
+		})
+		t.Run(scheduleName(cfg)+"/in-skewed/edge-valued", func(t *testing.T) {
+			split(t, testWarmRoutingZeroAlloc(t, sg, newPerfSSSPJob(sg), cfg, ssspSources*ssspRound))
+		})
+	}
 }
 
 // testWarmRoutingZeroAlloc runs warm supersteps of j, which bring the
-// buffers to their high-water capacity, then measures.
-func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) {
+// buffers to their high-water capacity, then measures. It returns the
+// stopped engine.
+func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) *engine {
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
 	step := 0
@@ -253,6 +276,7 @@ func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config
 			}
 		}
 	}
+	return e
 }
 
 // Tentpole: worker goroutines are spawned once per run and shut down on
@@ -437,16 +461,22 @@ func BenchmarkRouting(b *testing.B) {
 // BenchmarkRoutingFolded measures one warm superstep of the
 // PageRank-shaped job with its sum declared as a delivery fold, so every
 // message takes the folded path: broadcast into the fold boxes, expanded
-// into the destination's slots by the prefix tasks, delivered from the
-// slots. It reports the cost and the fold-box bytes per message sent,
-// and fails unless broadcast records bring the bytes under the 16 of a
-// per-edge record.
+// into the destination's slots by the piece folds, delivered from the
+// slots. It runs on the random graph at W=4 and on an RMAT web graph at
+// W=2, whose in-edges land mostly on one worker, so the fold cut splits
+// that worker into pieces. Each reports the cost, the fold-box bytes per
+// message sent, failing unless broadcast records bring them under the 16
+// of a per-edge record, and the records per broadcast: how many pieces a
+// broadcast reaches, which a cut that splits workers raises.
 func BenchmarkRoutingFolded(b *testing.B) {
-	const n = 4096
-	g := gen.TwitterLike(n, 8, 3)
-	j := newPerfRankJob(n, 1<<30)
+	b.Run("twitter/W=4", func(b *testing.B) { benchRoutingFolded(b, gen.TwitterLike(4096, 8, 3), 4) })
+	b.Run("web-skewed/W=2", func(b *testing.B) { benchRoutingFolded(b, gen.WebLike(12, 8, 3), 2) })
+}
+
+func benchRoutingFolded(b *testing.B, g *graph.Directed, w int) {
+	j := newPerfRankJob(g.NumNodes(), 1<<30)
 	j.fold = true
-	e := newEngine(g, j, Config{NumWorkers: 4, Seed: 1}.withDefaults())
+	e := newEngine(g, j, Config{NumWorkers: w, Seed: 1}.withDefaults())
 	defer e.stop()
 	step := 0
 	for i := 0; i < 3; i++ {
@@ -463,9 +493,18 @@ func BenchmarkRoutingFolded(b *testing.B) {
 	}
 	msgs := float64(b.N) * float64(g.NumEdges())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
-	// Every superstep sends one message per edge, and the last one's fold
-	// boxes are still filled.
-	reportFoldBoxBytes(b, fboxWords(e), g.NumEdges())
+	// Every superstep sends one message per edge and one broadcast per
+	// vertex with out-edges, and the last one's fold boxes are still
+	// filled.
+	words, senders := fboxWords(e), 0
+	for v := range g.NumNodes() {
+		if g.OutDegree(graph.NodeID(v)) > 0 {
+			senders++
+		}
+	}
+	reportFoldBoxBytes(b, words, g.NumEdges())
+	b.ReportMetric(float64(words/foldStride)/float64(senders), "rec/bcast")
+	b.ReportMetric(float64(len(e.pieces.list)), "pieces")
 }
 
 // sentMsgs is the messages e's workers have sent since the last barrier

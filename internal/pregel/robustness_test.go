@@ -89,10 +89,12 @@ func testGovernorSpill(t *testing.T, width slotDecl) {
 // CSR, only the identity offsets up to the largest out-degree; and at
 // W>1 exactly its permuted edge list, its edge offsets, run offsets and
 // runs — each vertex's out-neighbours, as local indices on their owners
-// with their out-edge offsets, regrouped by owner in worker order, at
-// most min(deg, W) runs. Only a folded broadcast fetches it: the folded
-// job sending per edge and the min-label job, which does not fold, never
-// do.
+// with their out-edge offsets, regrouped by fold piece in piece order,
+// at most min(deg, pieces) runs, each naming its piece's owner. The
+// in-skewed graph is cut into more pieces than workers, so a run there
+// holds part of a worker. Only a folded broadcast fetches the index: the
+// folded job sending per edge and the min-label job, which does not
+// fold, never do.
 func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 	const n = 200
 	g := gen.TwitterLike(n, 6, 5)
@@ -108,15 +110,19 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 		}
 		e.stop()
 	}
-	maxDeg := 0
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		maxDeg = max(maxDeg, g.OutDegree(v))
-	}
-	for _, w := range []int{1, 3} {
-		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+	split := false
+	for _, g := range []*graph.Directed{g, inSkewedGraph(n)} {
+		maxDeg := 0
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			maxDeg = max(maxDeg, g.OutDegree(v))
+		}
+		for _, cfg := range []Config{{NumWorkers: 1}, {NumWorkers: 3}, {NumWorkers: 2, ChunkSize: 16},
+			{NumWorkers: 3, Partitioner: PartitionDegree}, {NumWorkers: 2, Partitioner: PartitionDegree, ChunkSize: 16}} {
+			w := cfg.NumWorkers
 			j := newPerfRankJob(n, 2)
 			j.fold = true
-			e := newEngine(g, j, Config{NumWorkers: w, Partitioner: part, Seed: 1}.withDefaults())
+			cfg.Seed = 1
+			e := newEngine(g, j, cfg.withDefaults())
 			before := e.accountedUsage()
 			ix := e.nbrIndex()
 			grew := e.accountedUsage() - before
@@ -127,34 +133,36 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 				}
 				continue
 			}
+			pieces := e.pieces.list
+			split = split || len(pieces) > w
 			want := int64(4*len(g.OutDst) + 4*len(g.OutDst) + 8*(n+1) + nbrRunBytes*len(ix.runs))
 			if grew != want {
-				t.Errorf("W=%d part=%d: the index adds %d accounted bytes, want %d", w, part, grew, want)
+				t.Errorf("%s: the index adds %d accounted bytes, want %d", scheduleName(cfg), grew, want)
 			}
 			owner := e.workers[0].ownerOf
 			for v := graph.NodeID(0); int(v) < n; v++ {
 				lo, hi := g.OutEdgeRange(v)
 				runs := ix.runs[ix.runOff[v]:ix.runOff[v+1]]
-				if len(runs) > min(int(hi-lo), w) {
-					t.Fatalf("vertex %d: %d runs for %d out-neighbours on %d workers", v, len(runs), hi-lo, w)
+				if len(runs) > min(int(hi-lo), len(pieces)) {
+					t.Fatalf("vertex %d: %d runs for %d out-neighbours in %d pieces", v, len(runs), hi-lo, len(pieces))
 				}
 				var got []graph.NodeID
 				for k, r := range runs {
-					nbrs, offs := ix.owned(v, r.worker)
-					if k > 0 && r.worker <= runs[k-1].worker || len(nbrs) == 0 {
-						t.Fatalf("vertex %d: run %d (worker %d) out of order or empty", v, k, r.worker)
+					nbrs, offs := ix.owned(v, k)
+					if k > 0 && r.piece <= runs[k-1].piece || len(nbrs) == 0 || r.worker != pieces[r.piece].worker {
+						t.Fatalf("vertex %d: run %d (piece %d of worker %d) out of order, empty or misattributed", v, k, r.piece, r.worker)
 					}
 					var wantNbrs []graph.NodeID
 					var wantOffs []uint32
 					for off, u := range g.OutNbrs(v) {
-						if owner(u) == int(r.worker) {
-							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[r.worker].localOf(u)))
+						if dw := owner(u); e.workers[0].pieceOf(dw, u) == int(r.piece) {
+							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[dw].localOf(u)))
 							wantOffs = append(wantOffs, uint32(off))
 						}
 					}
 					if !reflect.DeepEqual(nbrs, wantNbrs) || !reflect.DeepEqual(offs, wantOffs) {
-						t.Fatalf("vertex %d worker %d: owned %v at offsets %v, want %v at %v in out-edge order",
-							v, r.worker, nbrs, offs, wantNbrs, wantOffs)
+						t.Fatalf("vertex %d piece %d: owned %v at offsets %v, want %v at %v in out-edge order",
+							v, r.piece, nbrs, offs, wantNbrs, wantOffs)
 					}
 					got = append(got, nbrs...)
 				}
@@ -163,6 +171,9 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !split {
+		t.Error("no configuration cut a worker into several pieces")
 	}
 }
 

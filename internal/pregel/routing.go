@@ -90,8 +90,10 @@ func (wk *worker) localOf(v graph.NodeID) int {
 // countShard, as each shard's last chunk retires), overlapped with
 // compute still running on other shards; only the prefix and place
 // dispatches remain after the barrier. Folded types bypass all of it:
-// the prefix task of each destination folds them into its fold slots
-// (fold.go).
+// the prefix phase folds them into the fold slots, one task per fold
+// piece (fold.go), beside the destinations' offset tasks. The place
+// phase then wakes each destination's inbox recipients beside the
+// placement.
 
 // routeMessages runs the prefix and place sub-phases. Boxes are
 // read-only during the phase and truncated by chunk execution at the
@@ -106,6 +108,12 @@ func (e *engine) routeMessages() {
 	e.foldEpoch++
 	e.runPhase(phasePrefix, 0)
 	e.runPhase(phasePlace, 0)
+	for _, wk := range e.workers {
+		wk.foldTotal = 0
+	}
+	for p, n := range e.foldPresent {
+		e.workers[e.pieces.list[p].worker].foldTotal += n
+	}
 }
 
 // countShard counts source shard sh's messages destined for dst into
@@ -153,7 +161,8 @@ func (wk *worker) countRecs(cnt []int32, box []uint64) {
 	}
 }
 
-// placePhase drains (destination, source-shard) placement tasks.
+// placePhase drains (destination, source-shard) placement tasks, then
+// one wake task per destination.
 //
 //gm:noalloc
 func (x *executor) placePhase() {
@@ -162,32 +171,42 @@ func (x *executor) placePhase() {
 	limit := int64(len(e.workers)) * grid
 	for {
 		t := e.taskCursor.Add(1) - 1
-		if t >= limit {
+		switch {
+		case t < limit:
+			e.workers[t/grid].placeShard(int(t % grid))
+		case t < limit+int64(len(e.workers)):
+			e.workers[t-limit].wake()
+		default:
 			return
 		}
-		e.workers[t/grid].placeShard(int(t % grid))
 	}
 }
 
-// prefixPhase drains per-destination prefix tasks.
+// prefixPhase drains one fold task per piece, heaviest first, then the
+// per-destination offset tasks. A fold writes only its piece's slots,
+// active flags and chunk counters, an offset task only its
+// destination's offsets, so no two tasks write the same state.
 //
 //gm:noalloc
 func (x *executor) prefixPhase() {
 	e := x.e
+	order := e.pieces.order
 	for {
 		t := int(e.taskCursor.Add(1)) - 1
-		if t >= len(e.workers) {
+		switch {
+		case t < len(order):
+			e.foldPiece(int(order[t]))
+		case t < len(order)+len(e.workers):
+			e.workers[t-len(order)].routePrefix()
+		default:
 			return
 		}
-		e.workers[t].routePrefix()
-		e.workers[t].foldInbox()
 	}
 }
 
 // routePrefix turns the per-shard counts into placement offsets and the
-// CSR inbox offsets, sizes the inbox, and reactivates message
-// recipients (maintaining the chunk active counters). Offsets derive
-// only from counts, so placement is execution-order independent.
+// CSR inbox offsets, and sizes the inbox. Offsets derive only from
+// counts, so placement is execution-order independent.
 //
 //gm:noalloc
 func (wk *worker) routePrefix() {
@@ -228,6 +247,18 @@ func (wk *worker) routePrefix() {
 	}
 	wk.inOff[n] = run
 	wk.inMax = int(widest)
+}
+
+// wake reactivates wk's inbox recipients, maintaining the chunk active
+// counters. It runs in the place phase, after routePrefix wrote the
+// offsets and the piece folds reactivated the fold recipients, so
+// nothing else writes the flags meanwhile.
+//
+//gm:noalloc
+func (wk *worker) wake() {
+	if wk.inTotal == 0 {
+		return
+	}
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
 		for li := ck.lo; li < ck.hi; li++ {

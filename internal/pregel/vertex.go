@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
+	"unsafe"
 
 	"gmpregel/internal/graph"
 )
@@ -13,8 +14,8 @@ type phaseKind uint8
 
 const (
 	phaseVertex phaseKind = iota // chunked vertex compute (incl. eager outbox count)
-	phasePrefix                  // routing: offsets, inbox resize, reactivation, delivery folds
-	phasePlace                   // routing: stable placement into the CSR inbox
+	phasePrefix                  // routing: delivery folds per piece, offsets, inbox resize
+	phasePlace                   // routing: stable placement into the CSR inbox, reactivation
 )
 
 // poolCmd is one barrier release: the phase to run and its superstep.
@@ -52,8 +53,10 @@ type chunk struct {
 	lo, hi int32 // local-index range [lo, hi)
 
 	// boxes are the per-destination-worker outboxes, fboxes their
-	// counterparts for folded types (records of foldStride words), and
-	// fbcast[d] is set while fboxes[d] holds a broadcast record.
+	// counterparts for folded types (records of foldStride words), one
+	// per fold piece (fold.go), and fbcast[p] is set while fboxes[p]
+	// holds a broadcast record. These and agg are written on every send,
+	// so each is allocated padded, off every other chunk's blocks.
 	boxes  [][]uint64
 	fboxes [][]uint64
 	fbcast []bool
@@ -82,8 +85,10 @@ type chunk struct {
 func (ck *chunk) truncateBoxes() {
 	for d := range ck.boxes {
 		ck.boxes[d] = ck.boxes[d][:0]
-		ck.fboxes[d] = ck.fboxes[d][:0]
-		ck.fbcast[d] = false
+	}
+	for p := range ck.fboxes {
+		ck.fboxes[p] = ck.fboxes[p][:0]
+		ck.fbcast[p] = false
 	}
 }
 
@@ -113,6 +118,11 @@ type worker struct {
 	// local*len(folds)+fold (fold.go). foldTotal is the number present.
 	folds     []foldSlot
 	foldTotal int
+	// pieceStart and pieceLo are the engine's fold pieces as pieceOf
+	// reads them: worker w's pieces are pieceStart[w]..pieceStart[w+1],
+	// and piece p's first local index is pieceLo[p].
+	pieceStart []int32
+	pieceLo    []int32
 
 	chunks    []chunk
 	chunkSize int
@@ -173,8 +183,10 @@ type worker struct {
 // workers (executor i drains worker i's chunks first) but under work
 // stealing may execute any worker's chunks; state that must be
 // per-goroutine rather than per-partition — the reused VertexContext,
-// the vertex RNG — lives here.
+// the vertex RNG — lives here. It is written for every vertex, so the
+// struct is padded at both ends, off every other allocation's blocks.
 type executor struct {
+	_    blockPad
 	e    *engine
 	id   int
 	cmds chan poolCmd
@@ -199,6 +211,33 @@ type executor struct {
 	spillRaw  []byte
 
 	err error
+	_   blockPad
+}
+
+// cacheBlock is the span, in bytes, that no two executors may both write
+// in one phase: two 64-byte lines, which the adjacent-line prefetcher
+// moves as a pair. Anything one executor writes per vertex or per send —
+// its scratch and VertexContext, a chunk's boxes, flags and counters —
+// sits on blocks of its own (TestExecutorsShareNoWrittenBlock).
+const cacheBlock = 128
+
+// blockPad is a cacheBlock of padding: a struct written per vertex puts
+// one at each end, so its fields share no block with a neighbouring
+// allocation.
+type blockPad [cacheBlock]byte
+
+// padded returns a slice of n zeroed Ts whose backing array leaves at
+// least cacheBlock bytes unused on either side, so no other allocation
+// shares a cacheBlock-byte block with its elements; nil for n = 0. The
+// heap does not move objects, so the guard holds for the slice's life.
+func padded[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	var z T
+	size := max(int(unsafe.Sizeof(z)), 1)
+	g := (cacheBlock + size - 1) / size
+	return make([]T, g+n+g)[g : g+n : g+n]
 }
 
 // vertexSource is a splitmix64 math/rand Source. It deliberately does
@@ -268,6 +307,9 @@ func (e *engine) runVertexPhase(step int) {
 // inbox alone: which executor happens to steal the chunk with the hub
 // vertex cannot move it into a warm superstep. The slots a run's records
 // do not carry stay zero from this make — delivery never writes them.
+// runChunk writes the scratch for every vertex, so it is padded: one
+// folded type needs a single 40-byte Msg, which the allocator would
+// otherwise pack beside the next executor's.
 func (e *engine) sizeUnpackScratch() {
 	need := 0
 	for _, wk := range e.workers {
@@ -276,7 +318,7 @@ func (e *engine) sizeUnpackScratch() {
 	need += len(e.folds)
 	for _, x := range e.executors {
 		if cap(x.msgs) < need {
-			x.msgs = make([]Msg, need+need/4)
+			x.msgs = padded[Msg](need + need/4)
 		}
 	}
 }
