@@ -148,9 +148,9 @@ func (vc *VertexContext) Messages() []Msg { return vc.msgs }
 
 // deliver records one outgoing message on the current chunk, packed
 // into a record in the box of its destination worker, or, for a folded
-// type, in the fold box of its destination's fold piece, one slot wide.
-// The message's eventual position (or fold order) depends only on its
-// (worker, chunk, emission-index) coordinates, not on the executor.
+// type, in that worker's fold box, one slot wide. The message's
+// eventual position (or fold order) depends only on its (worker, chunk,
+// emission-index) coordinates, not on the executor.
 func (vc *VertexContext) deliver(m Msg) {
 	wk := vc.wk
 	if !wk.conforms(&m) {
@@ -160,8 +160,7 @@ func (vc *VertexContext) deliver(m Msg) {
 	ck := vc.ck
 	dw := wk.ownerOf(m.Dst)
 	if wk.foldIdx[m.Type] >= 0 {
-		p := wk.pieceOf(dw, m.Dst)
-		ck.fboxes[p] = appendRec(ck.fboxes[p], packHeader(m.Dst, m.Type), &m.V, 1)
+		ck.fboxes[dw] = appendRec(ck.fboxes[dw], packHeader(m.Dst, m.Type), &m.V, 1)
 	} else {
 		ck.boxes[dw] = appendRec(ck.boxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
 	}
@@ -240,11 +239,11 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 }
 
 // broadcast sends m, of a folded type, to every out-neighbor as one
-// broadcast record (record.go) per fold piece holding any of them, in
-// the fold box of that piece, tagged with the run's ordinal, and bills
-// every edge as Send would: ix's runs give the sender's out-neighbors
-// per piece and its owner. With one worker the record goes to its one
-// piece and all of it is local.
+// broadcast record (record.go) per destination worker owning any of
+// them, in the fold box of that worker, tagged with the run's ordinal,
+// and bills every edge as Send would: ix's runs give the sender's
+// out-neighbors per owner. With one worker the record goes to worker 0
+// and all of it is local.
 //
 //gm:noalloc
 func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
@@ -263,11 +262,11 @@ func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
 		return
 	}
 	for k, r := range ix.runs[ix.runOff[vc.id]:ix.runOff[vc.id+1]] {
-		n, p := r.end-lo, int(r.piece)
+		n, dw := r.end-lo, int(r.worker)
 		lo = r.end
-		ck.fboxes[p] = appendRec(ck.fboxes[p], hdr|uint64(k)<<bcastRunShift, &m.V, 1)
-		ck.fbcast[p] = true
-		if int(r.worker) != wk.index {
+		ck.fboxes[dw] = appendRec(ck.fboxes[dw], hdr|uint64(k)<<bcastRunShift, &m.V, 1)
+		ck.fbcast[dw] = true
+		if dw != wk.index {
 			ck.netMsgs += n
 			ck.netBytes += n * size
 		} else {

@@ -92,6 +92,63 @@ func TestAggregatorReductionDeterminism(t *testing.T) {
 	}
 }
 
+// aggChunkJob contributes vals[v] from vertex v to one float AggSum (a
+// vertex past vals contributes nothing) and records the merged sum the
+// master sees in superstep 1, where it halts.
+type aggChunkJob struct {
+	vals []float64
+	sum  float64
+	seen bool
+}
+
+func (j *aggChunkJob) Schema() Schema {
+	return Schema{Aggregators: []AggSpec{{Name: "sum", Kind: AggKindFloat, Op: AggSum}}}
+}
+
+func (j *aggChunkJob) MasterCompute(mc *MasterContext) {
+	if mc.Superstep() == 1 {
+		j.sum, j.seen = mc.AggFloat(0), true
+		mc.Halt()
+	}
+}
+
+func (j *aggChunkJob) VertexCompute(vc *VertexContext) {
+	if v := int(vc.ID()); v < len(j.vals) {
+		vc.AggFloat(0, j.vals[v])
+	}
+}
+
+// Config.ChunkSize's claim, pinned: a float AggSum is reduced per chunk
+// and then across chunks, so its bits depend on the chunk geometry, yet
+// are deterministic per configuration. Vertices 2, 3 and 4 contribute 1,
+// 1e16 and -1e16 on one worker. One vertex per chunk, or one chunk for all of them (the
+// default), adds them in vertex order, where 1e16 swallows the 1 and the
+// sum is 0; chunks of three sum 1 and 0 apart, and then 1. Repeating a
+// configuration repeats the bits.
+func TestFloatAggSumDependsOnChunkSizeOnly(t *testing.T) {
+	g := gen.Ring(6)
+	vals := []float64{0, 0, 1, 1e16, -1e16}
+	for _, tc := range []struct {
+		chunk int
+		want  float64
+	}{{1, 0}, {3, 1}, {0, 0}} {
+		var bits []uint64
+		for range 2 {
+			j := &aggChunkJob{vals: vals}
+			if _, err := Run(g, j, Config{NumWorkers: 1, ChunkSize: tc.chunk, Seed: 1}); err != nil || !j.seen {
+				t.Fatalf("ChunkSize %d: the master never saw superstep 0's sum (err %v)", tc.chunk, err)
+			}
+			bits = append(bits, floatBits(j.sum))
+		}
+		if bits[0] != bits[1] {
+			t.Errorf("ChunkSize %d: sums %#x and %#x across identical runs", tc.chunk, bits[0], bits[1])
+		}
+		if bits[0] != floatBits(tc.want) {
+			t.Errorf("ChunkSize %d: sum has bits %#x, want %v's %#x", tc.chunk, bits[0], tc.want, floatBits(tc.want))
+		}
+	}
+}
+
 // routeMessages inbox ordering: per worker count the received payload
 // sequence is identical across runs, and across worker counts the
 // multiset of delivered messages is invariant.

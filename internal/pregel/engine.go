@@ -92,13 +92,6 @@ type engine struct {
 	// which shares it between runs.
 	nbrs     *nbrIndex
 	nbrsOnce sync.Once
-	// Fold pieces (fold.go): every destination worker's vertices cut into
-	// chunk-aligned ranges, each with its own fold box per source chunk
-	// and its own prefix task, so the fold of an overloaded destination
-	// is shared between executors. foldPresent[p] is the present slots
-	// piece p's fold counted, summed into the workers' foldTotal.
-	pieces      *pieceLayout
-	foldPresent []int
 
 	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
 	// pblocks means mod partitioning.
@@ -329,6 +322,8 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			ck.numActive = ck.hi - ck.lo
 			ck.agg = padded[aggCell](len(e.schema.Aggregators))
 			ck.boxes = padded[[]uint64](e.numWorkers)
+			ck.fboxes = padded[[]uint64](e.numWorkers)
+			ck.fbcast = padded[bool](e.numWorkers)
 		}
 		wk.aggPartial = make([]aggCell, len(e.schema.Aggregators))
 
@@ -338,19 +333,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		}
 		wk.srcMsgs = make([]int32, e.shards)
 		e.workers[w] = wk
-	}
-
-	// Fold pieces, cut from the chunk geometry above, and each chunk's
-	// fold boxes, one per piece.
-	e.pieces = e.pieceLayout()
-	e.foldPresent = make([]int, len(e.pieces.list))
-	for _, wk := range e.workers {
-		wk.pieceStart, wk.pieceLo = e.pieces.start, e.pieces.lo
-		for ci := range wk.chunks {
-			ck := &wk.chunks[ci]
-			ck.fboxes = padded[[]uint64](len(e.pieces.list))
-			ck.fbcast = padded[bool](len(e.pieces.list))
-		}
 	}
 
 	// The persistent pool: one executor goroutine per worker for the

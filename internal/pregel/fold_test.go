@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,9 +181,8 @@ func (j *foldJob) RestoreState(b []byte) {
 // whose handlers see every message, bit for bit — its float sum starts
 // at zero and its min is exact — and every vertex saw its folded
 // messages first, in type order, with no stray slots. The folded job
-// runs broadcasting, which takes the broadcast loop, and per edge, where
-// folding the sum alone or the min alone takes the engine's one-fold
-// loops and folding both takes the general one.
+// runs broadcasting, which takes the broadcast loop, and per edge, which
+// takes the per-edge one, folding the sum alone, the min alone or both.
 func TestFoldDeliveryMatchesHandlerAcrossLattice(t *testing.T) {
 	const n = 53
 	g := gen.TwitterLike(n, 5, 13)
@@ -255,8 +253,8 @@ func edgeCaseGraph() *graph.Directed {
 // worker at W=2 under either partitioner: every vertex sends four edges
 // among the low even ids [0, n/2) — worker 0's under mod placement, and
 // under degree placement too, which balances out-degrees, all equal
-// here — and one to its successor. The fold cut then splits worker 0
-// wherever it has more than one chunk.
+// here — and one to its successor, so worker 0's fold expands most of
+// the broadcast edges.
 func inSkewedGraph(n int) *graph.Directed {
 	var edges []graph.Edge
 	for v := 0; v < n; v++ {
@@ -289,12 +287,12 @@ func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats,
 	return e.stats, e.nbrs != nil
 }
 
-// A folded SendToAllNbrs writes one broadcast record per fold piece
-// where its per-edge twin writes one record per edge, and nothing
+// A folded SendToAllNbrs writes one broadcast record per destination
+// worker where its per-edge twin writes one record per edge, and nothing
 // observable may tell them apart: at every point of the schedule
 // lattice, under both partitioners, on a random graph, on one built of
-// edge cases, on one whose in-edges land mostly on one worker, which the
-// fold cut splits into pieces, and on the empty graph, the broadcasting
+// edge cases, on one whose in-edges land mostly on one worker, and on
+// the empty graph, the broadcasting
 // job ends with the outputs and the Stats (per-step trace included) of
 // the twin that loops Send over OutNbrs, bit for bit — folding the float
 // sum alone, the int min alone, or both. The job interleaves point-to-point sends
@@ -381,7 +379,7 @@ func edgeCols(g *graph.Directed) ([]float64, []int64) {
 // random graph, on one built of edge cases (self-loops, parallel edges,
 // vertices without out-edges, a vertex whose out-neighbours all live on
 // the other worker), on one whose in-edges land mostly on one worker,
-// which the fold cut splits, and on the empty graph, the broadcasting
+// and on the empty graph, the broadcasting
 // job ends with the twin's outputs and Stats, per-step trace included,
 // bit for bit: with a column on the float sum, on the int min, or on
 // both. The
@@ -636,153 +634,61 @@ func TestCheckpointFoldSlotsFailClosed(t *testing.T) {
 	}
 }
 
-// The fold cut rule, on chunk weights: the pieces are ranges of one
-// worker's chunks each, in (worker, chunk) order, covering every chunk
-// once and weighing what their chunks weigh; one executor, or executor
-// shares already even, leave one piece per worker; and the executor cuts
-// give every executor a weight within the heaviest chunk's of an equal
-// share — on random weights with heavy chunks and chunkless workers, at
-// 2 to 7 executors.
-func TestFoldPieceCutRule(t *testing.T) {
-	check := func(name string, weights [][]int64, execs int) []piece {
-		t.Helper()
-		pieces := cutPieces(weights, execs)
-		p := 0
-		prefix, heaviest := []int64{0}, int64(0)
-		for w, ws := range weights {
-			for next := int32(0); ; p++ {
-				if p == len(pieces) || pieces[p].worker != int32(w) {
-					if next != int32(len(ws)) {
-						t.Fatalf("%s: worker %d's pieces cover %d of its %d chunks", name, w, next, len(ws))
-					}
-					break
-				}
-				pc, sum := pieces[p], int64(0)
-				for _, c := range ws[pc.ciLo:pc.ciHi] {
-					sum += c
-				}
-				if pc.ciLo != next || pc.ciHi <= pc.ciLo && len(ws) > 0 || pc.weight != sum {
-					t.Fatalf("%s: piece %d is chunks [%d, %d) of worker %d weighing %d; want it to start at chunk %d, hold one and weigh %d",
-						name, p, pc.ciLo, pc.ciHi, w, pc.weight, next, sum)
-				}
-				next = pc.ciHi
-			}
-			for _, c := range ws {
-				prefix = append(prefix, prefix[len(prefix)-1]+c)
-				heaviest = max(heaviest, c)
-			}
-		}
-		if p != len(pieces) {
-			t.Fatalf("%s: %d pieces, %d of them past the last worker", name, len(pieces), len(pieces)-p)
-		}
-		cuts := execCuts(weights, execs)
-		bounds := append(append([]int{0}, cuts...), len(prefix)-1)
-		total, x := prefix[len(prefix)-1], int64(execs)
-		for k := 0; k < execs; k++ {
-			if bounds[k+1] < bounds[k] {
-				t.Fatalf("%s: cuts %v out of order", name, cuts)
-			}
-			if miss := (prefix[bounds[k+1]]-prefix[bounds[k]])*x - total; max(miss, -miss) > heaviest*x {
-				t.Errorf("%s: executor %d weighs %d, more than the heaviest chunk (%d) from %d/%d",
-					name, k, prefix[bounds[k+1]]-prefix[bounds[k]], heaviest, total, execs)
-			}
-		}
-		return pieces
-	}
-	even := [][][]int64{
-		{{5, 5, 5, 5}, {10, 10}, {1, 2, 3, 4, 10}},
-		{{0, 0}, {0}, {}},
-		{{7}, {3, 4}},
-		{{30, 0, 0}, {10, 10, 10}},
-	}
-	for i, weights := range even {
-		if got := check(fmt.Sprintf("even%d", i), weights, len(weights)); len(got) != len(weights) {
-			t.Errorf("even%d: even shares cut into %d pieces, want one per worker", i, len(got))
-		}
-		if got := check(fmt.Sprintf("even%d/one-executor", i), weights, 1); len(got) != len(weights) {
-			t.Errorf("even%d: one executor cuts into %d pieces, want one per worker", i, len(got))
-		}
-	}
-	if got := check("skewed", [][]int64{{100, 100, 100, 100}, {10, 10}}, 2); len(got) != 3 {
-		t.Errorf("skewed: %d pieces, want the heavy worker split in two", len(got))
-	}
-	rng := rand.New(rand.NewSource(5))
-	split := 0
-	for trial := 0; trial < 300; trial++ {
-		w := 2 + rng.Intn(6)
-		weights := make([][]int64, w)
-		for i := range weights {
-			weights[i] = make([]int64, rng.Intn(10))
-			for ci := range weights[i] {
-				weights[i][ci] = rng.Int63n(50)
-				if rng.Intn(10) == 0 {
-					weights[i][ci] *= 40
-				}
-			}
-		}
-		if got := check(fmt.Sprintf("random%d", trial), weights, w); len(got) > w {
-			split++
-		}
-		if got := check(fmt.Sprintf("random%d/one-executor", trial), weights, 1); len(got) != w {
-			t.Errorf("random%d: one executor cuts into %d pieces, want one per worker", trial, len(got))
-		}
-	}
-	if split == 0 {
-		t.Error("no random weights split a worker")
-	}
-}
-
-// An engine cuts its fold pieces on chunk boundaries and routes every
-// vertex to the piece holding it: on the in-skewed graph at W=2, under
-// both partitioners, with several chunks per worker, the folded job's
-// overloaded worker is split and each piece starts at its first chunk;
-// the same job on a ring, whose in-degree shares are even, a job
-// without folds, and a run on one worker keep one piece per worker.
-func TestFoldPiecesCutOnChunks(t *testing.T) {
+// A folded SendToAllNbrs writes exactly one broadcast record per
+// (sender, destination worker owning any of its out-neighbours), in that
+// worker's fold box, tagged with the worker's ordinal among the sender's
+// runs: on the in-skewed graph at W=2, whose in-edges land mostly on one
+// worker, under both partitioners and at several chunk sizes.
+func TestFoldedBroadcastOneRecordPerDestinationWorker(t *testing.T) {
 	const n = 96
-	folded := newPerfRankJob(n, 1)
-	folded.fold = true
-	pieces := func(g *graph.Directed, j Job, cfg Config) *engine {
-		e := newEngine(g, j, cfg.withDefaults())
-		e.stop()
-		return e
-	}
+	g := inSkewedGraph(n)
 	for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
 		for _, chunk := range []int{1, 4, 16} {
-			cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: chunk}
-			e := pieces(inSkewedGraph(n), folded, cfg)
-			l := e.pieces
-			if len(l.list) <= 2 {
-				t.Errorf("%s: the in-skewed graph is cut into %d pieces, want a worker split", scheduleName(cfg), len(l.list))
+			cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: chunk, Seed: 1}
+			j := newPerfRankJob(n, 1)
+			j.fold = true
+			e := newEngine(g, j, cfg.withDefaults())
+			e.runVertexPhase(0)
+			e.stop()
+			type rec struct {
+				src graph.NodeID
+				dw  int
 			}
-			for p, pc := range l.list {
-				wk := e.workers[pc.worker]
-				if l.lo[p] != wk.chunks[pc.ciLo].lo || l.start[pc.worker] > int32(p) || l.start[pc.worker+1] <= int32(p) {
-					t.Fatalf("%s: piece %d (chunks [%d, %d) of worker %d) starts at local %d, want chunk %d's %d, within its worker's pieces %v",
-						scheduleName(cfg), p, pc.ciLo, pc.ciHi, pc.worker, l.lo[p], pc.ciLo, wk.chunks[pc.ciLo].lo, l.start)
+			want := map[rec]bool{}
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				for _, u := range g.OutNbrs(v) {
+					want[rec{v, e.workers[0].ownerOf(u)}] = true
 				}
-				for ci := pc.ciLo; ci < pc.ciHi; ci++ {
-					for li := wk.chunks[ci].lo; li < wk.chunks[ci].hi; li++ {
-						if got := e.workers[0].pieceOf(wk.index, wk.ids[li]); got != p {
-							t.Fatalf("%s: vertex %d in chunk %d of worker %d routes to piece %d, want %d",
-								scheduleName(cfg), wk.ids[li], ci, wk.index, got, p)
+			}
+			got := map[rec]int{}
+			for _, wk := range e.workers {
+				for ci := range wk.chunks {
+					ck := &wk.chunks[ci]
+					if len(ck.fboxes) != e.numWorkers {
+						t.Fatalf("%s: a chunk has %d fold boxes for %d workers", scheduleName(cfg), len(ck.fboxes), e.numWorkers)
+					}
+					for dw, box := range ck.fboxes {
+						for i := 0; i < len(box); i += foldStride {
+							h := box[i]
+							if h&bcastBit == 0 {
+								t.Fatalf("%s: a per-edge record in a broadcast-only job's fold box", scheduleName(cfg))
+							}
+							if k := headerRun(h); k >= e.numWorkers {
+								t.Fatalf("%s: run ordinal %d at W=%d", scheduleName(cfg), k, e.numWorkers)
+							}
+							got[rec{headerDst(h), dw}]++
 						}
 					}
 				}
 			}
-			for _, other := range []struct {
-				name string
-				g    *graph.Directed
-				j    Job
-				cfg  Config
-			}{
-				{"ring", gen.Ring(n), folded, cfg},
-				{"unfolded", inSkewedGraph(n), newPerfRankJob(n, 1), cfg},
-				{"one-worker", inSkewedGraph(n), folded, Config{NumWorkers: 1, Partitioner: part, ChunkSize: chunk}},
-			} {
-				e := pieces(other.g, other.j, other.cfg)
-				if len(e.pieces.list) != e.numWorkers {
-					t.Errorf("%s/%s: %d pieces for %d workers, want one each", scheduleName(other.cfg), other.name, len(e.pieces.list), e.numWorkers)
+			if len(got) != len(want) {
+				t.Errorf("%s: broadcast records reach %d (sender, worker) pairs, want %d", scheduleName(cfg), len(got), len(want))
+			}
+			for r, c := range got {
+				if !want[r] {
+					t.Errorf("%s: sender %d wrote to worker %d, which owns none of its out-neighbours", scheduleName(cfg), r.src, r.dw)
+				} else if c != 1 {
+					t.Errorf("%s: sender %d wrote %d records to worker %d, want 1", scheduleName(cfg), r.src, c, r.dw)
 				}
 			}
 		}

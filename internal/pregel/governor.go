@@ -70,11 +70,8 @@ func (e *engine) accountedUsage() int64 {
 		words := len(wk.inFlat)
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			for _, box := range ck.boxes {
-				words += len(box)
-			}
-			for _, box := range ck.fboxes {
-				words += len(box)
+			for d := range ck.boxes {
+				words += len(ck.boxes[d]) + len(ck.fboxes[d])
 			}
 		}
 		u += int64(words)*recWordBytes + int64(len(wk.inOff))*4 + int64(len(wk.folds))*foldSlotBytes
@@ -93,12 +90,8 @@ func (e *engine) releaseOutboxes() int64 {
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			for d := range ck.boxes {
-				words += len(ck.boxes[d])
-				ck.boxes[d] = nil
-			}
-			for p := range ck.fboxes {
-				words += len(ck.fboxes[p])
-				ck.fboxes[p] = nil
+				words += len(ck.boxes[d]) + len(ck.fboxes[d])
+				ck.boxes[d], ck.fboxes[d] = nil, nil
 			}
 		}
 	}

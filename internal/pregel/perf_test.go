@@ -215,34 +215,28 @@ func TestWarmRoutingZeroAlloc(t *testing.T) {
 			})
 		}
 	}
-	// A worker split into fold pieces: the in-skewed graph at W=2 with
-	// several chunks per worker, the folded jobs only.
+	// The in-skewed graph at W=2 with several chunks per worker, whose
+	// in-edges land mostly on one worker, the folded jobs only.
 	sg := inSkewedGraph(n)
 	for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
 		cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 16, Seed: 1}
-		split := func(t *testing.T, e *engine) {
-			if len(e.pieces.list) <= e.numWorkers {
-				t.Fatalf("%d pieces for %d workers: no worker is split", len(e.pieces.list), e.numWorkers)
-			}
-		}
 		t.Run(scheduleName(cfg)+"/in-skewed/rank-folded", func(t *testing.T) {
 			j := newPerfRankJob(n, 1<<20)
 			j.fold = true
-			split(t, testWarmRoutingZeroAlloc(t, sg, j, cfg, 3))
+			testWarmRoutingZeroAlloc(t, sg, j, cfg, 3)
 		})
 		t.Run(scheduleName(cfg)+"/in-skewed/folded", func(t *testing.T) {
-			split(t, testWarmRoutingZeroAlloc(t, sg, newFoldJob(n, 1<<20, true), cfg, 3))
+			testWarmRoutingZeroAlloc(t, sg, newFoldJob(n, 1<<20, true), cfg, 3)
 		})
 		t.Run(scheduleName(cfg)+"/in-skewed/edge-valued", func(t *testing.T) {
-			split(t, testWarmRoutingZeroAlloc(t, sg, newPerfSSSPJob(sg), cfg, ssspSources*ssspRound))
+			testWarmRoutingZeroAlloc(t, sg, newPerfSSSPJob(sg), cfg, ssspSources*ssspRound)
 		})
 	}
 }
 
 // testWarmRoutingZeroAlloc runs warm supersteps of j, which bring the
-// buffers to their high-water capacity, then measures. It returns the
-// stopped engine.
-func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) *engine {
+// buffers to their high-water capacity, then measures.
+func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) {
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
 	step := 0
@@ -276,7 +270,6 @@ func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config
 			}
 		}
 	}
-	return e
 }
 
 // Tentpole: worker goroutines are spawned once per run and shut down on
@@ -461,13 +454,13 @@ func BenchmarkRouting(b *testing.B) {
 // BenchmarkRoutingFolded measures one warm superstep of the
 // PageRank-shaped job with its sum declared as a delivery fold, so every
 // message takes the folded path: broadcast into the fold boxes, expanded
-// into the destination's slots by the piece folds, delivered from the
-// slots. It runs on the random graph at W=4 and on an RMAT web graph at
-// W=2, whose in-edges land mostly on one worker, so the fold cut splits
-// that worker into pieces. Each reports the cost, the fold-box bytes per
-// message sent, failing unless broadcast records bring them under the 16
-// of a per-edge record, and the records per broadcast: how many pieces a
-// broadcast reaches, which a cut that splits workers raises.
+// into the destination's slots by its fold, delivered from the slots.
+// It runs on the random graph at W=4 and on an RMAT web graph at W=2,
+// whose in-edges land mostly on one worker. Each reports the cost, the
+// fold-box bytes per message sent, failing unless broadcast records
+// bring them under the 16 of a per-edge record, and the records per
+// broadcast: how many destination workers a broadcast reaches, at most
+// W.
 func BenchmarkRoutingFolded(b *testing.B) {
 	b.Run("twitter/W=4", func(b *testing.B) { benchRoutingFolded(b, gen.TwitterLike(4096, 8, 3), 4) })
 	b.Run("web-skewed/W=2", func(b *testing.B) { benchRoutingFolded(b, gen.WebLike(12, 8, 3), 2) })
@@ -504,7 +497,6 @@ func benchRoutingFolded(b *testing.B, g *graph.Directed, w int) {
 	}
 	reportFoldBoxBytes(b, words, g.NumEdges())
 	b.ReportMetric(float64(words/foldStride)/float64(senders), "rec/bcast")
-	b.ReportMetric(float64(len(e.pieces.list)), "pieces")
 }
 
 // sentMsgs is the messages e's workers have sent since the last barrier

@@ -17,11 +17,12 @@ import (
 //	word 1..    payload slots 0..slots-1, raw bits
 //
 // A broadcast record exists only in a fold box: SendToAllNbrs of a
-// folded type writes one per fold piece holding any of the sender's
-// out-neighbours, with the sender's id in the low 32 bits in place of a
-// destination and the ordinal of the piece among the sender's
-// broadcast-index runs above bcastBit, and the piece's fold expands it
-// over those neighbours (fold.go) without searching for its run.
+// folded type writes one per destination worker owning any of the
+// sender's out-neighbours, with the sender's id in the low 32 bits in
+// place of a destination and the ordinal of that worker among the
+// sender's broadcast-index runs above bcastBit, and the worker's fold
+// expands it over those neighbours (fold.go) without searching for its
+// run.
 //
 // slots is fixed for a run: the largest slot count any message type of
 // the job's Schema declares (Schema.MessageSlots), so a one-float
@@ -36,9 +37,9 @@ import (
 const recWordBytes = 8
 
 // bcastBit marks a broadcast record's header; headerType ignores it
-// and the run ordinal above it. The ordinal is below the piece count,
-// which is under 2W, so 23 bits hold it for any worker count whose
-// per-chunk fold boxes fit in memory.
+// and the run ordinal above it. The ordinal is below W, so 23 bits
+// hold it for any worker count whose per-chunk fold boxes fit in
+// memory.
 const (
 	bcastBit      = 1 << 40
 	bcastRunShift = 41

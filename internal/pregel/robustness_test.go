@@ -89,12 +89,12 @@ func testGovernorSpill(t *testing.T, width slotDecl) {
 // CSR, only the identity offsets up to the largest out-degree; and at
 // W>1 exactly its permuted edge list, its edge offsets, run offsets and
 // runs — each vertex's out-neighbours, as local indices on their owners
-// with their out-edge offsets, regrouped by fold piece in piece order,
-// at most min(deg, pieces) runs, each naming its piece's owner. The
-// in-skewed graph is cut into more pieces than workers, so a run there
-// holds part of a worker. Only a folded broadcast fetches the index: the
-// folded job sending per edge and the min-label job, which does not
-// fold, never do.
+// with their out-edge offsets, regrouped by owner in worker order, at
+// most min(deg, W) runs, ascending by worker, each naming the owner of
+// every neighbour it holds — on a random graph and on the in-skewed one,
+// whose in-edges land mostly on one worker. Only a folded broadcast
+// fetches the index: the folded job sending per edge and the min-label
+// job, which does not fold, never do.
 func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 	const n = 200
 	g := gen.TwitterLike(n, 6, 5)
@@ -110,7 +110,6 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 		}
 		e.stop()
 	}
-	split := false
 	for _, g := range []*graph.Directed{g, inSkewedGraph(n)} {
 		maxDeg := 0
 		for v := graph.NodeID(0); int(v) < n; v++ {
@@ -133,8 +132,6 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 				}
 				continue
 			}
-			pieces := e.pieces.list
-			split = split || len(pieces) > w
 			want := int64(4*len(g.OutDst) + 4*len(g.OutDst) + 8*(n+1) + nbrRunBytes*len(ix.runs))
 			if grew != want {
 				t.Errorf("%s: the index adds %d accounted bytes, want %d", scheduleName(cfg), grew, want)
@@ -143,26 +140,26 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 			for v := graph.NodeID(0); int(v) < n; v++ {
 				lo, hi := g.OutEdgeRange(v)
 				runs := ix.runs[ix.runOff[v]:ix.runOff[v+1]]
-				if len(runs) > min(int(hi-lo), len(pieces)) {
-					t.Fatalf("vertex %d: %d runs for %d out-neighbours in %d pieces", v, len(runs), hi-lo, len(pieces))
+				if len(runs) > min(int(hi-lo), w) {
+					t.Fatalf("vertex %d: %d runs for %d out-neighbours on %d workers", v, len(runs), hi-lo, w)
 				}
 				var got []graph.NodeID
 				for k, r := range runs {
 					nbrs, offs := ix.owned(v, k)
-					if k > 0 && r.piece <= runs[k-1].piece || len(nbrs) == 0 || r.worker != pieces[r.piece].worker {
-						t.Fatalf("vertex %d: run %d (piece %d of worker %d) out of order, empty or misattributed", v, k, r.piece, r.worker)
+					if k > 0 && r.worker <= runs[k-1].worker || len(nbrs) == 0 {
+						t.Fatalf("vertex %d: run %d (worker %d) out of order or empty", v, k, r.worker)
 					}
 					var wantNbrs []graph.NodeID
 					var wantOffs []uint32
 					for off, u := range g.OutNbrs(v) {
-						if dw := owner(u); e.workers[0].pieceOf(dw, u) == int(r.piece) {
-							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[dw].localOf(u)))
+						if owner(u) == int(r.worker) {
+							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[r.worker].localOf(u)))
 							wantOffs = append(wantOffs, uint32(off))
 						}
 					}
 					if !reflect.DeepEqual(nbrs, wantNbrs) || !reflect.DeepEqual(offs, wantOffs) {
-						t.Fatalf("vertex %d piece %d: owned %v at offsets %v, want %v at %v in out-edge order",
-							v, r.piece, nbrs, offs, wantNbrs, wantOffs)
+						t.Fatalf("vertex %d worker %d: owned %v at offsets %v, want %v at %v in out-edge order",
+							v, r.worker, nbrs, offs, wantNbrs, wantOffs)
 					}
 					got = append(got, nbrs...)
 				}
@@ -172,16 +169,15 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 			}
 		}
 	}
-	if !split {
-		t.Error("no configuration cut a worker into several pieces")
-	}
 }
 
 // The broadcast index is built once per (graph, worker count,
 // partitioner) and shared read-only: a second run on the graph reuses
-// the first run's index, another worker count or partitioner gets its
-// own, concurrent first runs (under -race) all get the one build, and
-// every run that fetches it still accounts it as its own fixed memory.
+// the first run's index, and so does one that differs only in
+// ChunkSize, whose geometry the index does not depend on; another worker
+// count or partitioner gets its own, concurrent first runs (under -race)
+// all get the one build, and every run that fetches it still accounts it
+// as its own fixed memory.
 func TestBroadcastIndexSharedPerGraph(t *testing.T) {
 	const n = 120
 	g := gen.TwitterLike(n, 5, 8)
@@ -226,6 +222,11 @@ func TestBroadcastIndexSharedPerGraph(t *testing.T) {
 	}
 	if grew != ix.bytes() || grew == 0 {
 		t.Errorf("a run sharing the index accounts %d bytes for it, want its %d", grew, ix.bytes())
+	}
+	for _, chunk := range []int{1, 16} {
+		if other, _ := fetch(Config{NumWorkers: 3, ChunkSize: chunk}); other != ix {
+			t.Errorf("a run at ChunkSize %d built its own index, want the one shared at the same worker count and partitioner", chunk)
+		}
 	}
 	for _, cfg := range []Config{{NumWorkers: 2}, {NumWorkers: 3, Partitioner: PartitionDegree}, {NumWorkers: 1}} {
 		other, _ := fetch(cfg)

@@ -90,9 +90,9 @@ func (wk *worker) localOf(v graph.NodeID) int {
 // countShard, as each shard's last chunk retires), overlapped with
 // compute still running on other shards; only the prefix and place
 // dispatches remain after the barrier. Folded types bypass all of it:
-// the prefix phase folds them into the fold slots, one task per fold
-// piece (fold.go), beside the destinations' offset tasks. The place
-// phase then wakes each destination's inbox recipients beside the
+// the prefix phase folds them into the fold slots, one task per
+// destination (fold.go), beside the destinations' offset tasks. The
+// place phase then wakes each destination's inbox recipients beside the
 // placement.
 
 // routeMessages runs the prefix and place sub-phases. Boxes are
@@ -108,12 +108,6 @@ func (e *engine) routeMessages() {
 	e.foldEpoch++
 	e.runPhase(phasePrefix, 0)
 	e.runPhase(phasePlace, 0)
-	for _, wk := range e.workers {
-		wk.foldTotal = 0
-	}
-	for p, n := range e.foldPresent {
-		e.workers[e.pieces.list[p].worker].foldTotal += n
-	}
 }
 
 // countShard counts source shard sh's messages destined for dst into
@@ -182,22 +176,22 @@ func (x *executor) placePhase() {
 	}
 }
 
-// prefixPhase drains one fold task per piece, heaviest first, then the
-// per-destination offset tasks. A fold writes only its piece's slots,
-// active flags and chunk counters, an offset task only its
-// destination's offsets, so no two tasks write the same state.
+// prefixPhase drains one fold task per destination, then one offset
+// task per destination. A fold writes only its destination's slots,
+// active flags, chunk counters and foldTotal, an offset task only its
+// offsets and inbox, so no two tasks write the same state.
 //
 //gm:noalloc
 func (x *executor) prefixPhase() {
 	e := x.e
-	order := e.pieces.order
+	nw := len(e.workers)
 	for {
 		t := int(e.taskCursor.Add(1)) - 1
 		switch {
-		case t < len(order):
-			e.foldPiece(int(order[t]))
-		case t < len(order)+len(e.workers):
-			e.workers[t-len(order)].routePrefix()
+		case t < nw:
+			e.workers[t].foldInbox()
+		case t < 2*nw:
+			e.workers[t-nw].routePrefix()
 		default:
 			return
 		}
@@ -251,7 +245,7 @@ func (wk *worker) routePrefix() {
 
 // wake reactivates wk's inbox recipients, maintaining the chunk active
 // counters. It runs in the place phase, after routePrefix wrote the
-// offsets and the piece folds reactivated the fold recipients, so
+// offsets and the folds reactivated the fold recipients, so
 // nothing else writes the flags meanwhile.
 //
 //gm:noalloc

@@ -14,7 +14,7 @@ type phaseKind uint8
 
 const (
 	phaseVertex phaseKind = iota // chunked vertex compute (incl. eager outbox count)
-	phasePrefix                  // routing: delivery folds per piece, offsets, inbox resize
+	phasePrefix                  // routing: delivery folds, offsets, inbox resize
 	phasePlace                   // routing: stable placement into the CSR inbox, reactivation
 )
 
@@ -53,10 +53,10 @@ type chunk struct {
 	lo, hi int32 // local-index range [lo, hi)
 
 	// boxes are the per-destination-worker outboxes, fboxes their
-	// counterparts for folded types (records of foldStride words), one
-	// per fold piece (fold.go), and fbcast[p] is set while fboxes[p]
-	// holds a broadcast record. These and agg are written on every send,
-	// so each is allocated padded, off every other chunk's blocks.
+	// counterparts for folded types (records of foldStride words), and
+	// fbcast[d] is set while fboxes[d] holds a broadcast record. These
+	// and agg are written on every send, so each is allocated padded,
+	// off every other chunk's blocks.
 	boxes  [][]uint64
 	fboxes [][]uint64
 	fbcast []bool
@@ -85,10 +85,8 @@ type chunk struct {
 func (ck *chunk) truncateBoxes() {
 	for d := range ck.boxes {
 		ck.boxes[d] = ck.boxes[d][:0]
-	}
-	for p := range ck.fboxes {
-		ck.fboxes[p] = ck.fboxes[p][:0]
-		ck.fbcast[p] = false
+		ck.fboxes[d] = ck.fboxes[d][:0]
+		ck.fbcast[d] = false
 	}
 }
 
@@ -118,11 +116,6 @@ type worker struct {
 	// local*len(folds)+fold (fold.go). foldTotal is the number present.
 	folds     []foldSlot
 	foldTotal int
-	// pieceStart and pieceLo are the engine's fold pieces as pieceOf
-	// reads them: worker w's pieces are pieceStart[w]..pieceStart[w+1],
-	// and piece p's first local index is pieceLo[p].
-	pieceStart []int32
-	pieceLo    []int32
 
 	chunks    []chunk
 	chunkSize int
