@@ -14,10 +14,7 @@
 // paper's Table 3.
 package core
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Rule identifies one translation/transformation rule of the paper
 // (§3.1, §4.1, §4.2, §4.3).
@@ -75,26 +72,16 @@ func Rules() []Rule {
 // Trace records which rules fired during a compilation, with counts.
 type Trace struct {
 	counts [numRules]int
-	notes  []string
 }
 
 // Record notes one application of r.
 func (t *Trace) Record(r Rule) { t.counts[r]++ }
-
-// RecordN notes n applications of r.
-func (t *Trace) RecordN(r Rule, n int) { t.counts[r] += n }
-
-// Note appends a free-form diagnostic line to the trace.
-func (t *Trace) Note(format string) { t.notes = append(t.notes, format) }
 
 // Applied reports whether r fired at least once.
 func (t *Trace) Applied(r Rule) bool { return t.counts[r] > 0 }
 
 // Count returns how many times r fired.
 func (t *Trace) Count(r Rule) int { return t.counts[r] }
-
-// Notes returns the diagnostic notes recorded during compilation.
-func (t *Trace) Notes() []string { return t.notes }
 
 // String renders the trace as a checklist.
 func (t *Trace) String() string {
@@ -107,11 +94,4 @@ func (t *Trace) String() string {
 		b.WriteString("[" + mark + "] " + r.String() + "\n")
 	}
 	return b.String()
-}
-
-// sortedNotes returns notes sorted for deterministic output.
-func (t *Trace) sortedNotes() []string {
-	out := append([]string(nil), t.notes...)
-	sort.Strings(out)
-	return out
 }

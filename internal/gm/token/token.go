@@ -171,13 +171,3 @@ func (t Token) String() string {
 		return t.Kind.String()
 	}
 }
-
-// IsReduceAssign reports whether the kind is a reduction assignment
-// operator (+=, -=, *=, &=, |=, min=, max=).
-func (k Kind) IsReduceAssign() bool {
-	switch k {
-	case PLUSEQ, MINUSEQ, STAREQ, ANDEQ, OREQ, MINEQ, MAXEQ:
-		return true
-	}
-	return false
-}

@@ -315,16 +315,6 @@ func checkDirectiveHygiene(p *Pass) {
 	}
 }
 
-// enclosingFile returns the *ast.File of the pass containing pos.
-func (p *Pass) enclosingFile(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // PathHasSuffix reports whether an import path ends with one of the
 // given slash-separated suffixes (e.g. "internal/pregel" matches both
 // "gmpregel/internal/pregel" and a fixture path "detbad/internal/pregel").

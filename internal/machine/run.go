@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"unsafe"
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/graph"
@@ -192,7 +191,7 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 	}
 	ex.envs = make([]*vertexEnv, cfg.Workers(g.NumNodes()))
 	for w := range ex.envs {
-		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: paddedLocals(maxLocals)}
+		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: pregel.Padded[ir.Value](maxLocals)}
 	}
 	return ex, nil
 }
@@ -620,30 +619,17 @@ func (e *masterEnv) BuiltinVal(op ir.BuiltinOp) ir.Value {
 
 // vertexEnv is one executor's reusable environment for vertex compute.
 // The executor writes it and its locals for every vertex, so both sit
-// on 128-byte blocks no other allocation shares: the struct is padded at
-// both ends, and the locals by paddedLocals. Executors of the engine
-// follow the same rule (docs/ENGINE.md).
+// on blocks no other allocation shares, by the engine's rule
+// (pregel.BlockPad, pregel.Padded; docs/ENGINE.md).
 type vertexEnv struct {
-	_       envPad
+	_       pregel.BlockPad
 	ex      *exec
 	vc      *pregel.VertexContext
 	vs      *VertexState
 	locals  []ir.Value
 	curMsg  *pregel.Msg
 	curEdge int64
-	_       envPad
-}
-
-// envPad is 128 bytes of padding: two 64-byte lines, which the
-// adjacent-line prefetcher moves as a pair.
-type envPad [128]byte
-
-// paddedLocals returns n zeroed locals whose backing array leaves at
-// least 128 bytes unused on either side.
-func paddedLocals(n int) []ir.Value {
-	size := int(unsafe.Sizeof(ir.Value{}))
-	g := (128 + size - 1) / size
-	return make([]ir.Value, g+n+g)[g : g+n : g+n]
+	_       pregel.BlockPad
 }
 
 func (e *vertexEnv) Scalar(slot int) ir.Value {

@@ -363,27 +363,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// WriteText renders a compact human-readable listing.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, f := range r.snapshotFamilies() {
-		for _, s := range f.snapshotSeries() {
-			var val string
-			switch f.typ {
-			case typeCounter:
-				val = strconv.FormatUint(s.val.Load(), 10)
-			case typeGauge:
-				val = formatFloat(math.Float64frombits(s.val.Load()))
-			case typeHistogram:
-				val = fmt.Sprintf("count=%d sum=%s", s.count.Load(), formatFloat(math.Float64frombits(s.sum.Load())))
-			}
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(s.labels), val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 type jsonBucket struct {
 	// Le is the bucket upper bound, rendered as a string so the +Inf
 	// bucket survives JSON encoding.

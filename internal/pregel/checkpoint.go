@@ -270,10 +270,10 @@ func (e *engine) encodeState() []byte {
 	w.u8(checkpointVersion)
 	w.u64(0) // payload length, patched once the payload is complete
 	w.bool(e.halted)
-	w.bool(e.retSet)
-	w.bool(e.retIsInt)
-	w.i64(e.retInt)
-	w.u64(floatBits(e.retFloat))
+	w.bool(e.stats.ReturnedIsSet)
+	w.bool(e.stats.ReturnedIsInt)
+	w.i64(e.stats.ReturnedInt)
+	w.u64(floatBits(e.stats.ReturnedFloat))
 	w.i64(e.masterSrc.draws)
 	w.u32(uint32(len(e.globals)))
 	for _, g := range e.globals {
@@ -309,9 +309,12 @@ func (e *engine) encodeState() []byte {
 		// and carry no position, so the slot is written as zero and
 		// ignored on decode.
 		w.i64(0)
+		// A halted vertex a message waits for is written active, the flag
+		// runChunk will give it: the frame holds the vertices the next
+		// superstep runs.
 		w.u32(uint32(len(wk.active)))
-		for _, a := range wk.active {
-			w.bool(a)
+		for li, a := range wk.active {
+			w.bool(a || wk.waits(li))
 		}
 		// Messages keep the v5 layout — dst, type, MaxPayloadSlots words —
 		// whatever the run's record width: the slots a record does not
@@ -333,14 +336,18 @@ func (e *engine) encodeState() []byte {
 			w.u32(uint32(o))
 		}
 		if nf := len(e.folds); nf > 0 {
-			w.u32(uint32(wk.foldTotal))
-			for at, s := range wk.folds {
+			// The present-slot count, patched once the slots are written.
+			at, present := len(w.b), 0
+			w.u32(0)
+			for i, s := range wk.folds {
 				if s.stamp == e.foldEpoch {
-					w.u32(uint32(at / nf))
-					w.u8(e.foldTypes[at%nf])
+					w.u32(uint32(i / nf))
+					w.u8(e.foldTypes[i%nf])
 					w.u64(s.val)
+					present++
 				}
 			}
+			binary.LittleEndian.PutUint32(w.b[at:], uint32(present))
 		}
 	}
 	plen := len(w.b) - frameHeaderBytes
@@ -349,12 +356,26 @@ func (e *engine) encodeState() []byte {
 	return w.b
 }
 
+// waits reports whether a message, routed or folded, waits for wk's
+// local vertex li.
+func (wk *worker) waits(li int) bool {
+	if wk.inOff[li+1] > wk.inOff[li] {
+		return true
+	}
+	nf := len(wk.e.folds)
+	for _, s := range wk.folds[li*nf : li*nf+nf] {
+		if s.stamp == wk.e.foldEpoch {
+			return true
+		}
+	}
+	return false
+}
+
 // decodeState restores the engine to the serialized barrier state,
 // clearing every transient a crashed superstep may have dirtied
 // (outboxes, fold slots, per-step counters, local aggregator cells,
-// worker errors). The monotone recovery-cost counters
-// (Recoveries, RecoveredSupersteps, Checkpoints, CheckpointBytes) are
-// preserved, not rewound.
+// worker errors). The stats are rewound to the serialized ones, the
+// monotone counters kept (rewind).
 func (e *engine) decodeState(data []byte) error {
 	if len(data) < 1 {
 		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
@@ -375,10 +396,7 @@ func (e *engine) decodeState(data []byte) error {
 	}
 	r := &stateDec{b: payload}
 	e.halted = r.bool()
-	e.retSet = r.bool()
-	e.retIsInt = r.bool()
-	e.retInt = r.i64()
-	e.retFloat = floatFromBits(r.u64())
+	st := Stats{ReturnedIsSet: r.bool(), ReturnedIsInt: r.bool(), ReturnedInt: r.i64(), ReturnedFloat: floatFromBits(r.u64())}
 	// Draws only grow between a checkpoint and its rollback, so a count
 	// beyond the live stream's is corrupt (and would replay for as long).
 	draws := r.i64()
@@ -399,27 +417,16 @@ func (e *engine) decodeState(data []byte) error {
 	for i := range e.aggValues {
 		e.aggValues[i] = aggCell{set: r.bool(), i: r.i64(), f: floatFromBits(r.u64())}
 	}
-	rec, recSteps, cks, ckb := e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes
-	sp, spb, mpk := e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes
-	e.stats = Stats{
-		Supersteps:   int(r.i64()),
-		MessagesSent: r.i64(),
-		NetworkMsgs:  r.i64(),
-		NetworkBytes: r.i64(),
-		LocalBytes:   r.i64(),
-		ControlBytes: r.i64(),
-		VertexCalls:  r.i64(),
-	}
-	e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes = rec, recSteps, cks, ckb
-	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes = sp, spb, mpk
+	st.Supersteps, st.MessagesSent, st.NetworkMsgs, st.NetworkBytes = int(r.i64()), r.i64(), r.i64(), r.i64()
+	st.LocalBytes, st.ControlBytes, st.VertexCalls = r.i64(), r.i64(), r.i64()
 	n := int(r.u32())
 	if n > (len(r.b)-r.off)/ckptStepBytes {
 		return fmt.Errorf("%d step records overrun the checkpoint", n)
 	}
 	if n > 0 {
-		e.stats.Steps = make([]StepStats, n)
-		for i := range e.stats.Steps {
-			e.stats.Steps[i] = StepStats{
+		st.Steps = make([]StepStats, n)
+		for i := range st.Steps {
+			st.Steps[i] = StepStats{
 				Messages:     r.i64(),
 				NetworkBytes: r.i64(),
 				VertexCalls:  r.i64(),
@@ -429,6 +436,7 @@ func (e *engine) decodeState(data []byte) error {
 			}
 		}
 	}
+	e.rewind(st)
 	if n := int(r.u32()); n != len(e.workers) {
 		return fmt.Errorf("worker count mismatch: %d vs %d", n, len(e.workers))
 	}
@@ -437,12 +445,8 @@ func (e *engine) decodeState(data []byte) error {
 		if n := int(r.u32()); n != len(wk.active) {
 			return fmt.Errorf("worker %d active-flag count mismatch", wk.index)
 		}
-		wk.numActive = 0
 		for i := range wk.active {
 			wk.active[i] = r.bool()
-			if wk.active[i] {
-				wk.numActive++
-			}
 		}
 		wk.inTotal = int(r.u32())
 		if wk.inTotal > (len(r.b)-r.off)/ckptMsgBytes {
@@ -482,8 +486,8 @@ func (e *engine) decodeState(data []byte) error {
 		}
 		// Transients a crashed superstep may have dirtied. Box slices keep
 		// their capacity: replay reuses them. Chunk active counters are
-		// recomputed from the restored flags so the chunk/worker invariant
-		// holds before the next vertex phase.
+		// recomputed from the restored flags so they match the flags
+		// before the next vertex phase.
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			na := int32(0)
@@ -497,10 +501,10 @@ func (e *engine) decodeState(data []byte) error {
 			for s := range ck.agg {
 				ck.agg[s] = aggCell{}
 			}
-			ck.msgs, ck.netMsgs, ck.netBytes, ck.localBytes, ck.calls = 0, 0, 0, 0, 0
+			ck.st = StepStats{}
 			ck.err = nil
 		}
-		wk.msgs, wk.netMsgs, wk.netBytes, wk.localBytes, wk.calls = 0, 0, 0, 0, 0
+		wk.st = StepStats{}
 		for s := range wk.aggPartial {
 			wk.aggPartial[s] = aggCell{}
 		}

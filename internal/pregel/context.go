@@ -32,12 +32,14 @@ func (mc *MasterContext) Halt() { mc.e.halted = true }
 // ReturnInt records the program's integer return value, readable from
 // Stats after the run.
 func (mc *MasterContext) ReturnInt(v int64) {
-	mc.e.retSet, mc.e.retIsInt, mc.e.retInt = true, true, v
+	st := &mc.e.stats
+	st.ReturnedIsSet, st.ReturnedIsInt, st.ReturnedInt = true, true, v
 }
 
 // ReturnFloat records the program's float return value.
 func (mc *MasterContext) ReturnFloat(v float64) {
-	mc.e.retSet, mc.e.retIsInt, mc.e.retFloat = true, false, v
+	st := &mc.e.stats
+	st.ReturnedIsSet, st.ReturnedIsInt, st.ReturnedFloat = true, false, v
 }
 
 // AggIsSet reports whether any vertex contributed to aggregator slot s
@@ -164,13 +166,13 @@ func (vc *VertexContext) deliver(m Msg) {
 	} else {
 		ck.boxes[dw] = appendRec(ck.boxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
 	}
-	ck.msgs++
+	ck.st.Messages++
 	size := wk.msgSize[m.Type]
 	if dw != wk.index {
-		ck.netMsgs++
-		ck.netBytes += size
+		ck.st.NetworkMsgs++
+		ck.st.NetworkBytes += size
 	} else {
-		ck.localBytes += size
+		ck.st.LocalBytes += size
 	}
 }
 
@@ -216,10 +218,10 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 			dw := int(div.mod(uint32(d)))
 			boxes[dw] = appendRec(boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
 			if dw != self {
-				ck.netMsgs++
-				ck.netBytes += size
+				ck.st.NetworkMsgs++
+				ck.st.NetworkBytes += size
 			} else {
-				ck.localBytes += size
+				ck.st.LocalBytes += size
 			}
 		}
 	} else {
@@ -228,14 +230,14 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 			dw := int(pb[uint32(d)>>sh])
 			boxes[dw] = appendRec(boxes[dw], tag|uint64(uint32(d)), &m.V, slots)
 			if dw != self {
-				ck.netMsgs++
-				ck.netBytes += size
+				ck.st.NetworkMsgs++
+				ck.st.NetworkBytes += size
 			} else {
-				ck.localBytes += size
+				ck.st.LocalBytes += size
 			}
 		}
 	}
-	ck.msgs += int64(len(nbrs))
+	ck.st.Messages += int64(len(nbrs))
 }
 
 // broadcast sends m, of a folded type, to every out-neighbor as one
@@ -254,23 +256,21 @@ func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
 	}
 	hdr := packHeader(vc.id, m.Type) | bcastBit
 	size := wk.msgSize[m.Type]
-	ck.msgs += hi - lo
+	ck.st.Messages += hi - lo
 	if ix.runOff == nil {
 		ck.fboxes[0] = appendRec(ck.fboxes[0], hdr, &m.V, 1)
-		ck.fbcast[0] = true
-		ck.localBytes += (hi - lo) * size
+		ck.st.LocalBytes += (hi - lo) * size
 		return
 	}
 	for k, r := range ix.runs[ix.runOff[vc.id]:ix.runOff[vc.id+1]] {
 		n, dw := r.end-lo, int(r.worker)
 		lo = r.end
 		ck.fboxes[dw] = appendRec(ck.fboxes[dw], hdr|uint64(k)<<bcastRunShift, &m.V, 1)
-		ck.fbcast[dw] = true
 		if dw != wk.index {
-			ck.netMsgs += n
-			ck.netBytes += n * size
+			ck.st.NetworkMsgs += n
+			ck.st.NetworkBytes += n * size
 		} else {
-			ck.localBytes += n * size
+			ck.st.LocalBytes += n * size
 		}
 	}
 }

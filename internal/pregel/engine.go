@@ -127,10 +127,6 @@ type engine struct {
 	masterRand *rand.Rand
 	mc         MasterContext // reused across supersteps (no per-step alloc)
 	halted     bool
-	retSet     bool
-	retIsInt   bool
-	retInt     int64
-	retFloat   float64
 
 	// Fault tolerance. ckptPrev retains the previous snapshot as the
 	// fallback target when the current one fails its integrity check.
@@ -139,11 +135,11 @@ type engine struct {
 	ckptPrev *checkpoint
 	faults   []faultState
 
-	// Resource governance. mark is the last completed-barrier snapshot
-	// of the semantic counters; an aborting run reports it instead of a
-	// partially merged barrier state.
+	// Resource governance. mark is the stats at the last completed
+	// barrier (or restored checkpoint, which is one); an aborting run is
+	// rewound to it, so Stats never expose a partially merged barrier.
 	gov  *governor
-	mark commitMark
+	mark Stats
 
 	// Observability. obsOn caches cfg.Observer != nil so the hot path
 	// tests a bool, not an interface; runStart anchors span timestamps.
@@ -182,12 +178,6 @@ func RunContext(ctx context.Context, g *graph.Directed, job Job, cfg Config) (St
 	e := newEngine(g, job, cfg)
 	defer e.stop()
 	err := e.loop(ctx)
-	// Partial results: report the master's recorded return value even
-	// when the run aborted.
-	e.stats.ReturnedIsSet = e.retSet
-	e.stats.ReturnedIsInt = e.retIsInt
-	e.stats.ReturnedInt = e.retInt
-	e.stats.ReturnedFloat = e.retFloat
 	if e.obsOn {
 		// Run-scoped span with the authoritative totals; emitted even on
 		// abort so observers can close out partial runs.
@@ -291,7 +281,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		for i := range wk.active {
 			wk.active[i] = true
 		}
-		wk.numActive = len(wk.ids)
 		wk.inOff = make([]int32, len(wk.ids)+1)
 		wk.folds = make([]foldSlot, len(wk.ids)*len(e.folds))
 		wk.div = e.div
@@ -310,7 +299,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		if nw > 0 {
 			numChunks = (nw + cs - 1) / cs
 		}
-		wk.chunks = padded[chunk](numChunks)
+		wk.chunks = Padded[chunk](numChunks)
 		wk.chunkSize = cs
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
@@ -320,10 +309,9 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 				ck.hi = int32(nw)
 			}
 			ck.numActive = ck.hi - ck.lo
-			ck.agg = padded[aggCell](len(e.schema.Aggregators))
-			ck.boxes = padded[[]uint64](e.numWorkers)
-			ck.fboxes = padded[[]uint64](e.numWorkers)
-			ck.fbcast = padded[bool](e.numWorkers)
+			ck.agg = Padded[aggCell](len(e.schema.Aggregators))
+			ck.boxes = Padded[[]uint64](e.numWorkers)
+			ck.fboxes = Padded[[]uint64](e.numWorkers)
 		}
 		wk.aggPartial = make([]aggCell, len(e.schema.Aggregators))
 
@@ -369,52 +357,18 @@ func (e *engine) stop() {
 	}
 }
 
-// commitMark is a snapshot of the semantic counters at a completed
-// barrier (or a restored checkpoint, which is one). An aborting run is
-// rewound to the mark, so Stats.Returned*/Supersteps/traffic counters
-// never expose a partially merged barrier state; the monotone
-// fault-tolerance counters are exempt by design.
-type commitMark struct {
-	supersteps                                                        int
-	messagesSent, networkMsgs, networkBytes, localBytes, controlBytes int64
-	vertexCalls                                                       int64
-	steps                                                             int
-	retSet, retIsInt                                                  bool
-	retInt                                                            int64
-	retFloat                                                          float64
-}
-
+// rewind sets the stats to saved, those of an earlier completed
+// barrier, but keeps the seven monotone counters — checkpoints,
+// recoveries and the governor's — which neither a rollback nor an abort
+// rewinds.
+//
 //gm:noalloc
-func (e *engine) markCommitted() {
-	e.mark.supersteps = e.stats.Supersteps
-	e.mark.messagesSent = e.stats.MessagesSent
-	e.mark.networkMsgs = e.stats.NetworkMsgs
-	e.mark.networkBytes = e.stats.NetworkBytes
-	e.mark.localBytes = e.stats.LocalBytes
-	e.mark.controlBytes = e.stats.ControlBytes
-	e.mark.vertexCalls = e.stats.VertexCalls
-	e.mark.steps = len(e.stats.Steps)
-	e.mark.retSet = e.retSet
-	e.mark.retIsInt = e.retIsInt
-	e.mark.retInt = e.retInt
-	e.mark.retFloat = e.retFloat
-}
-
-func (e *engine) restoreCommitted() {
-	e.stats.Supersteps = e.mark.supersteps
-	e.stats.MessagesSent = e.mark.messagesSent
-	e.stats.NetworkMsgs = e.mark.networkMsgs
-	e.stats.NetworkBytes = e.mark.networkBytes
-	e.stats.LocalBytes = e.mark.localBytes
-	e.stats.ControlBytes = e.mark.controlBytes
-	e.stats.VertexCalls = e.mark.vertexCalls
-	if len(e.stats.Steps) > e.mark.steps {
-		e.stats.Steps = e.stats.Steps[:e.mark.steps]
-	}
-	e.retSet = e.mark.retSet
-	e.retIsInt = e.mark.retIsInt
-	e.retInt = e.mark.retInt
-	e.retFloat = e.mark.retFloat
+func (e *engine) rewind(saved Stats) {
+	now := e.stats
+	e.stats = saved
+	e.stats.Checkpoints, e.stats.CheckpointBytes = now.Checkpoints, now.CheckpointBytes
+	e.stats.Recoveries, e.stats.RecoveredSupersteps = now.Recoveries, now.RecoveredSupersteps
+	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes = now.Spills, now.SpillBytes, now.MemoryPeakBytes
 }
 
 // loop drives the run to completion. On an aborting error the semantic
@@ -427,10 +381,10 @@ func (e *engine) loop(ctx context.Context) error {
 	if err := e.cfg.Faults.validate(); err != nil {
 		return err
 	}
-	e.markCommitted()
+	e.mark = e.stats
 	err := e.run(ctx)
 	if err != nil {
-		e.restoreCommitted()
+		e.rewind(e.mark)
 	}
 	return err
 }
@@ -440,7 +394,7 @@ func (e *engine) run(ctx context.Context) error {
 		// Everything the engine observes here is a completed-barrier
 		// state: the start of the run, the end of a fully merged-and-routed
 		// superstep, or a freshly restored checkpoint.
-		e.markCommitted()
+		e.mark = e.stats
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("pregel: run canceled at superstep %d: %w", step, err)
 		}
@@ -471,18 +425,14 @@ func (e *engine) run(ctx context.Context) error {
 			step = resume
 			continue
 		}
-		// Termination check: refresh the per-worker active counters from
-		// the chunk counters maintained by runChunk/VoteToHalt/routing —
-		// O(total chunks), no vertex scan.
+		// Termination check: the run goes on while a vertex is active or
+		// a message waits, routed or folded (runChunk activates its
+		// recipient) — O(total chunks), no vertex scan.
 		pending := false
 		for _, wk := range e.workers {
-			na := 0
+			pending = pending || wk.inTotal > 0 || wk.foldTotal > 0
 			for ci := range wk.chunks {
-				na += int(wk.chunks[ci].numActive)
-			}
-			wk.numActive = na
-			if na > 0 || wk.inTotal > 0 || wk.foldTotal > 0 {
-				pending = true
+				pending = pending || wk.chunks[ci].numActive > 0
 			}
 		}
 		if !pending {
@@ -567,44 +517,32 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 	for s := range e.aggValues {
 		e.aggValues[s] = aggCell{}
 	}
-	var stepMsgs, stepNet, stepCalls, stepNetMsgs, stepLocal int64
+	var st StepStats
 	for _, wk := range e.workers {
-		stepMsgs += wk.msgs
-		stepNet += wk.netBytes
-		stepNetMsgs += wk.netMsgs
-		stepLocal += wk.localBytes
-		stepCalls += wk.calls
-		wk.msgs, wk.netMsgs, wk.netBytes, wk.localBytes, wk.calls = 0, 0, 0, 0, 0
+		st.add(wk.st)
+		wk.st = StepStats{}
 		for s := range wk.aggPartial {
 			e.aggValues[s].merge(e.schema.Aggregators[s], wk.aggPartial[s])
 			wk.aggPartial[s] = aggCell{}
 		}
 	}
-	e.stats.MessagesSent += stepMsgs
-	e.stats.NetworkMsgs += stepNetMsgs
-	e.stats.NetworkBytes += stepNet
-	e.stats.LocalBytes += stepLocal
-	e.stats.VertexCalls += stepCalls
 	// Aggregator control traffic: one value per set aggregator per
 	// non-master worker.
-	var stepCtl int64
 	for s := range e.aggValues {
 		if e.aggValues[s].set {
-			stepCtl += int64(8 * (e.numWorkers - 1))
+			st.ControlBytes += int64(8 * (e.numWorkers - 1))
 		}
 	}
-	stepCtl += e.globalBytes
-	e.stats.ControlBytes += stepCtl
+	st.ControlBytes += e.globalBytes
 	e.globalBytes = 0
+	e.stats.MessagesSent += st.Messages
+	e.stats.NetworkMsgs += st.NetworkMsgs
+	e.stats.NetworkBytes += st.NetworkBytes
+	e.stats.LocalBytes += st.LocalBytes
+	e.stats.ControlBytes += st.ControlBytes
+	e.stats.VertexCalls += st.VertexCalls
 	if e.cfg.TraceSteps {
-		e.stats.Steps = append(e.stats.Steps, StepStats{
-			Messages:     stepMsgs,
-			NetworkBytes: stepNet,
-			VertexCalls:  stepCalls,
-			NetworkMsgs:  stepNetMsgs,
-			LocalBytes:   stepLocal,
-			ControlBytes: stepCtl,
-		})
+		e.stats.Steps = append(e.stats.Steps, st)
 	}
 	if e.obsOn {
 		e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseBarrier,
@@ -645,7 +583,7 @@ func (e *engine) emitVertexSpans(step int, stateLabel string) {
 			ck := &wk.chunks[ci]
 			e.emit(obs.Span{Superstep: step, Worker: wk.index, Phase: obs.PhaseChunk,
 				State: stateLabel, StartNS: ck.startNS, DurNS: ck.durNS,
-				Messages: ck.spanMsgs, Bytes: ck.spanBytes, VertexCalls: ck.spanCalls,
+				Messages: ck.span.Messages, Bytes: ck.span.NetworkBytes, VertexCalls: ck.span.VertexCalls,
 				Executor: int(ck.executor), Stolen: int(ck.executor) != wk.index})
 			dur += ck.durNS
 			if startNS < 0 || ck.startNS < startNS {
@@ -659,7 +597,7 @@ func (e *engine) emitVertexSpans(step int, stateLabel string) {
 		}
 		e.emit(obs.Span{Superstep: step, Worker: wk.index, Phase: obs.PhaseVertexCompute,
 			State: stateLabel, StartNS: startNS, DurNS: dur,
-			Messages: wk.msgs, Bytes: wk.netBytes, VertexCalls: wk.calls})
+			Messages: wk.st.Messages, Bytes: wk.st.NetworkBytes, VertexCalls: wk.st.VertexCalls})
 	}
 	// Eager-count spans: Worker carries the source-shard index, Executor
 	// the pool goroutine that counted it (-1 when the shard retired on

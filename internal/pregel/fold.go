@@ -129,98 +129,58 @@ func (f Fold) apply(acc, m uint64) uint64 {
 // foldInbox folds every fold-box record addressed to wk into its fold
 // slots, walking the source workers, their chunks and each box in
 // emission order — the canonical order the CSR inbox is built in, so a
-// fold's result is the same under every schedule. A broadcast record is
-// expanded where it sits, over its sender's out-neighbours wk owns, in
-// out-edge order: the messages, in the order, that per-edge records
-// would have folded. The loop is chosen per box: one that holds a
-// broadcast record (the chunk's fbcast flag) takes foldBoxBcast, the
-// rest foldBoxTyped, which tests no header bit. A record stamps its slot
-// with this routing's epoch; the first one for a (vertex, type) replaces
-// the stale value, the rest fold into it. A second pass over wk's chunks
-// then counts the present slots into foldTotal and reactivates their
-// vertices. It is wk's fold task in the prefix phase and writes only
-// wk's slots, flags and chunks, so no count, placement or unpack ever
-// sees a folded message.
+// fold's result is the same under every schedule — and sets foldTotal
+// to the number of records. It is wk's fold task in the prefix phase and
+// writes only wk's slots and foldTotal, so no count, placement or unpack
+// ever sees a folded message; runChunk activates the recipients.
 //
 //gm:noalloc
 func (wk *worker) foldInbox() {
 	e := wk.e
-	nf := len(e.folds)
-	if nf == 0 {
+	if len(e.folds) == 0 {
 		return
 	}
-	d, epoch := wk.index, e.foldEpoch
+	d, recs := wk.index, 0
 	for _, src := range e.workers {
 		for ci := range src.chunks {
-			if ck := &src.chunks[ci]; ck.fbcast[d] {
-				wk.foldBoxBcast(ck.fboxes[d], epoch)
-			} else {
-				wk.foldBoxTyped(ck.fboxes[d], epoch)
-			}
+			box := src.chunks[ci].fboxes[d]
+			recs += len(box) / foldStride
+			wk.foldBox(box, e.foldEpoch)
 		}
 	}
-	total := 0
-	for ci := range wk.chunks {
-		ck := &wk.chunks[ci]
-		for li := int(ck.lo); li < int(ck.hi); li++ {
-			present := 0
-			for _, s := range wk.folds[li*nf : li*nf+nf] {
-				if s.stamp == epoch {
-					present++
-				}
-			}
-			total += present
-			if present > 0 && !wk.active[li] {
-				wk.active[li] = true
-				ck.numActive++
-			}
-		}
-	}
-	wk.foldTotal = total
+	wk.foldTotal = recs
 }
 
-// foldBoxTyped is the fold loop of a box of per-edge records, which a
-// Send of a folded type writes: each record looks up its type's fold and
-// slot.
+// foldBox folds one box's records in emission order. A per-edge record,
+// which a Send of a folded type writes, folds into its vertex's slot; a
+// broadcast record is expanded where it sits, over its sender's
+// out-neighbours wk owns, in out-edge order — the messages, in the
+// order, that per-edge records would have folded — by foldRun, or by
+// foldRunEdge when its type declares an edge column. A record stamps its
+// slot with this routing's epoch; the first one for a (vertex, type)
+// replaces the stale value, the rest fold into it.
 //
 //gm:noalloc
-func (wk *worker) foldBoxTyped(box []uint64, epoch uint32) {
+func (wk *worker) foldBox(box []uint64, epoch uint32) {
 	e, nf := wk.e, len(wk.e.folds)
 	for i := 0; i+foldStride <= len(box); i += foldStride {
-		fi := int(e.foldIdx[headerType(box[i])])
-		s, m := &wk.folds[wk.localOf(headerDst(box[i]))*nf+fi], box[i+1]
-		v := e.folds[fi].apply(s.val, m)
-		if s.stamp != epoch {
-			v = m
-		}
-		s.val, s.stamp = v, epoch
-	}
-}
-
-// foldBoxBcast is the fold loop of a box holding broadcast records,
-// possibly between per-edge ones a Send of a folded type wrote: each
-// record is folded, or expanded where it sits, over the run its header
-// names — by foldRun, or by foldRunInt or foldRunFloat when its type
-// declares an edge column.
-//
-//gm:noalloc
-func (wk *worker) foldBoxBcast(box []uint64, epoch uint32) {
-	e, ix := wk.e, wk.e.nbrs
-	for i := 0; i+foldStride <= len(box); i += foldStride {
-		h := box[i]
+		h, m := box[i], box[i+1]
+		fi := int(e.foldIdx[headerType(h)])
 		if h&bcastBit == 0 {
-			wk.foldBoxTyped(box[i:i+foldStride], epoch)
+			s := &wk.folds[wk.localOf(headerDst(h))*nf+fi]
+			v := e.folds[fi].apply(s.val, m)
+			if s.stamp != epoch {
+				v = m
+			}
+			s.val, s.stamp = v, epoch
 			continue
 		}
-		src, fi := headerDst(h), int(e.foldIdx[headerType(h)])
-		locals, offs := ix.owned(src, headerRun(h))
-		switch c := &e.foldEdges[fi]; {
-		case c.i != nil:
-			wk.foldRunInt(locals, offs, c.i[ix.start[src]:], fi, box[i+1], epoch)
-		case c.f != nil:
-			wk.foldRunFloat(locals, offs, c.f[ix.start[src]:], fi, box[i+1], epoch)
-		default:
-			wk.foldRun(locals, fi, box[i+1], epoch)
+		src := headerDst(h)
+		locals, offs := e.nbrs.owned(src, headerRun(h))
+		if c := &e.foldEdges[fi]; c.i != nil || c.f != nil {
+			wk.foldRunEdge(locals, offs, c, e.nbrs.start[src], fi, m, epoch)
+		} else {
+			wk.foldRun(locals, fi, m, epoch)
 		}
 	}
 }
@@ -257,18 +217,19 @@ func (wk *worker) foldRun(locals []graph.NodeID, fi int, m uint64, epoch uint32)
 	}
 }
 
-// foldRunInt is foldRun for an int fold whose type declares an edge
-// column: locals[k] is folded m + col[offs[k]], col starting at the
-// sender's first out-edge — the payload, wrapped as int64 addition
-// wraps, that a per-edge Send would have carried. SSSP's min is written
-// out.
+// foldRunEdge is foldRun for a type that declares the edge column c:
+// locals[k] is folded m plus c at out-edge base+offs[k], base being the
+// sender's first out-edge — the payload, wrapped as int64 addition wraps
+// or summed in float64, that a per-edge Send would have carried. SSSP's
+// int min is written out.
 //
 //gm:noalloc
-func (wk *worker) foldRunInt(locals []graph.NodeID, offs []uint32, col []int64, fi int, m uint64, epoch uint32) {
+func (wk *worker) foldRunEdge(locals []graph.NodeID, offs []uint32, c *edgeCol, base int64, fi int, m uint64, epoch uint32) {
 	nf := len(wk.e.folds)
-	slots, offs, x := wk.folds[fi:], offs[:len(locals)], int64(m)
-	switch f := wk.e.folds[fi]; f.Op {
-	case AggMin:
+	slots, offs := wk.folds[fi:], offs[:len(locals)]
+	f := wk.e.folds[fi]
+	if f == (Fold{AggMin, AggKindInt}) {
+		col, x := c.i[base:], int64(m)
 		for k, li := range locals {
 			s, y := &slots[int(li)*nf], x+col[offs[k]]
 			v := int64(s.val)
@@ -277,28 +238,10 @@ func (wk *worker) foldRunInt(locals []graph.NodeID, offs []uint32, col []int64, 
 			}
 			s.val, s.stamp = uint64(v), epoch
 		}
-	default:
-		for k, li := range locals {
-			s, y := &slots[int(li)*nf], uint64(x+col[offs[k]])
-			v := f.apply(s.val, y)
-			if s.stamp != epoch {
-				v = y
-			}
-			s.val, s.stamp = v, epoch
-		}
+		return
 	}
-}
-
-// foldRunFloat is foldRunInt for a float fold: locals[k] is folded the
-// float64 sum m + col[offs[k]].
-//
-//gm:noalloc
-func (wk *worker) foldRunFloat(locals []graph.NodeID, offs []uint32, col []float64, fi int, m uint64, epoch uint32) {
-	nf := len(wk.e.folds)
-	slots, offs, x := wk.folds[fi:], offs[:len(locals)], math.Float64frombits(m)
-	f := wk.e.folds[fi]
 	for k, li := range locals {
-		s, y := &slots[int(li)*nf], math.Float64bits(x+col[offs[k]])
+		s, y := &slots[int(li)*nf], c.add(m, base+int64(offs[k]))
 		v := f.apply(s.val, y)
 		if s.stamp != epoch {
 			v = y
@@ -312,6 +255,17 @@ func (wk *worker) foldRunFloat(locals []graph.NodeID, offs []uint32, col []float
 type edgeCol struct {
 	i []int64
 	f []float64
+}
+
+// add returns payload m plus the column's value at out-edge e, in the
+// column's kind.
+//
+//gm:noalloc
+func (c *edgeCol) add(m uint64, e int64) uint64 {
+	if c.i != nil {
+		return uint64(int64(m) + c.i[e])
+	}
+	return math.Float64bits(math.Float64frombits(m) + c.f[e])
 }
 
 // foldEdgeCols resolves Schema.EdgeAdd against the folded types: cols[fi]

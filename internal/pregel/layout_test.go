@@ -90,7 +90,6 @@ func TestExecutorsShareNoWrittenBlock(t *testing.T) {
 						written{name + "struct", uintptr(unsafe.Pointer(ck)), unsafe.Sizeof(*ck)},
 						sliceBytes(name+"box headers", ck.boxes),
 						sliceBytes(name+"fold-box headers", ck.fboxes),
-						sliceBytes(name+"broadcast flags", ck.fbcast),
 						sliceBytes(name+"aggregator cells", ck.agg))
 				}
 			}

@@ -271,6 +271,18 @@ type StepStats struct {
 	ControlBytes int64
 }
 
+// add adds o's counters to s.
+//
+//gm:noalloc
+func (s *StepStats) add(o StepStats) {
+	s.Messages += o.Messages
+	s.NetworkBytes += o.NetworkBytes
+	s.VertexCalls += o.VertexCalls
+	s.NetworkMsgs += o.NetworkMsgs
+	s.LocalBytes += o.LocalBytes
+	s.ControlBytes += o.ControlBytes
+}
+
 // PhaseLabeler is optionally implemented by jobs that know which logical
 // state a superstep executes (the machine executor reports the compiled
 // state-machine state picked by master.compute). The engine queries it

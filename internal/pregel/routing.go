@@ -91,9 +91,8 @@ func (wk *worker) localOf(v graph.NodeID) int {
 // compute still running on other shards; only the prefix and place
 // dispatches remain after the barrier. Folded types bypass all of it:
 // the prefix phase folds them into the fold slots, one task per
-// destination (fold.go), beside the destinations' offset tasks. The
-// place phase then wakes each destination's inbox recipients beside the
-// placement.
+// destination (fold.go), beside the destinations' offset tasks. Routing
+// activates no vertex: runChunk activates a halted one a message reaches.
 
 // routeMessages runs the prefix and place sub-phases. Boxes are
 // read-only during the phase and truncated by chunk execution at the
@@ -155,8 +154,7 @@ func (wk *worker) countRecs(cnt []int32, box []uint64) {
 	}
 }
 
-// placePhase drains (destination, source-shard) placement tasks, then
-// one wake task per destination.
+// placePhase drains (destination, source-shard) placement tasks.
 //
 //gm:noalloc
 func (x *executor) placePhase() {
@@ -165,21 +163,17 @@ func (x *executor) placePhase() {
 	limit := int64(len(e.workers)) * grid
 	for {
 		t := e.taskCursor.Add(1) - 1
-		switch {
-		case t < limit:
-			e.workers[t/grid].placeShard(int(t % grid))
-		case t < limit+int64(len(e.workers)):
-			e.workers[t-limit].wake()
-		default:
+		if t >= limit {
 			return
 		}
+		e.workers[t/grid].placeShard(int(t % grid))
 	}
 }
 
 // prefixPhase drains one fold task per destination, then one offset
-// task per destination. A fold writes only its destination's slots,
-// active flags, chunk counters and foldTotal, an offset task only its
-// offsets and inbox, so no two tasks write the same state.
+// task per destination. A fold writes only its destination's slots and
+// foldTotal, an offset task only its offsets and inbox, so no two tasks
+// write the same state.
 //
 //gm:noalloc
 func (x *executor) prefixPhase() {
@@ -241,27 +235,6 @@ func (wk *worker) routePrefix() {
 	}
 	wk.inOff[n] = run
 	wk.inMax = int(widest)
-}
-
-// wake reactivates wk's inbox recipients, maintaining the chunk active
-// counters. It runs in the place phase, after routePrefix wrote the
-// offsets and the folds reactivated the fold recipients, so
-// nothing else writes the flags meanwhile.
-//
-//gm:noalloc
-func (wk *worker) wake() {
-	if wk.inTotal == 0 {
-		return
-	}
-	for ci := range wk.chunks {
-		ck := &wk.chunks[ci]
-		for li := ck.lo; li < ck.hi; li++ {
-			if wk.inOff[li+1] > wk.inOff[li] && !wk.active[li] {
-				wk.active[li] = true
-				ck.numActive++
-			}
-		}
-	}
 }
 
 // placeShard stably places source shard s's messages at the offsets

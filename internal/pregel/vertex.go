@@ -9,13 +9,13 @@ import (
 	"gmpregel/internal/graph"
 )
 
-// phaseKind selects the work the parked executor pool runs on wake-up.
+// phaseKind selects the work the parked executor pool runs when released.
 type phaseKind uint8
 
 const (
 	phaseVertex phaseKind = iota // chunked vertex compute (incl. eager outbox count)
 	phasePrefix                  // routing: delivery folds, offsets, inbox resize
-	phasePlace                   // routing: stable placement into the CSR inbox, reactivation
+	phasePlace                   // routing: stable placement into the CSR inbox
 )
 
 // poolCmd is one barrier release: the phase to run and its superstep.
@@ -53,28 +53,27 @@ type chunk struct {
 	lo, hi int32 // local-index range [lo, hi)
 
 	// boxes are the per-destination-worker outboxes, fboxes their
-	// counterparts for folded types (records of foldStride words), and
-	// fbcast[d] is set while fboxes[d] holds a broadcast record. These
+	// counterparts for folded types (records of foldStride words). These
 	// and agg are written on every send, so each is allocated padded,
 	// off every other chunk's blocks.
 	boxes  [][]uint64
 	fboxes [][]uint64
-	fbcast []bool
 	agg    []aggCell
 	// numActive counts active vertices in [lo, hi), maintained
-	// incrementally by chunk execution, VoteToHalt, and routing
-	// reactivation.
+	// incrementally by runChunk, the one place a halted vertex a message
+	// reaches is activated, and VoteToHalt.
 	numActive int32
-	// per-step counters, merged into the owning worker (and cleared) by
-	// the worker epilogue when the worker's last chunk retires
-	msgs, netMsgs, netBytes, localBytes, calls int64
+	// st is the chunk's per-step counters (its ControlBytes unused),
+	// merged into the owning worker (and cleared) by the worker epilogue
+	// when the worker's last chunk retires.
+	st StepStats
 
-	// span attribution for the last vertex phase. spanMsgs/spanBytes/
-	// spanCalls snapshot the counters at merge time so chunk spans stay
-	// attributable after the epilogue cleared them.
-	startNS, durNS                 int64
-	executor                       int32
-	spanMsgs, spanBytes, spanCalls int64
+	// span attribution for the last vertex phase. span snapshots st at
+	// merge time so chunk spans stay attributable after the epilogue
+	// cleared it.
+	startNS, durNS int64
+	executor       int32
+	span           StepStats
 
 	err error
 }
@@ -86,7 +85,6 @@ func (ck *chunk) truncateBoxes() {
 	for d := range ck.boxes {
 		ck.boxes[d] = ck.boxes[d][:0]
 		ck.fboxes[d] = ck.fboxes[d][:0]
-		ck.fbcast[d] = false
 	}
 }
 
@@ -103,17 +101,16 @@ type worker struct {
 	ids     []graph.NodeID // global IDs owned, ascending
 	startID graph.NodeID   // first owned id (range partitioning)
 
-	active []bool
-	// numActive mirrors the sum of chunk numActive counters; refreshed at
-	// the termination check and by checkpoint decode.
-	numActive int
-	inFlat    []uint64 // routed inbox: inTotal records grouped by destination vertex
-	inOff     []int32  // CSR offsets into inFlat in records, len = len(ids)+1
-	inTotal   int      // messages routed into inFlat by the last routing phase
-	inMax     int      // the most messages any one vertex received in it
+	active  []bool
+	inFlat  []uint64 // routed inbox: inTotal records grouped by destination vertex
+	inOff   []int32  // CSR offsets into inFlat in records, len = len(ids)+1
+	inTotal int      // messages routed into inFlat by the last routing phase
+	inMax   int      // the most messages any one vertex received in it
 
 	// Fold slots, one per (local vertex, folded type) at index
-	// local*len(folds)+fold (fold.go). foldTotal is the number present.
+	// local*len(folds)+fold (fold.go). foldTotal is the number of fold
+	// records the last routing phase folded into them (after a restore,
+	// the present slots): nonzero exactly while a folded message waits.
 	folds     []foldSlot
 	foldTotal int
 
@@ -140,10 +137,10 @@ type worker struct {
 	foldIdx   []int8
 	slots     int
 
-	// Per-superstep counter accumulators: the worker epilogue folds the
-	// chunk counters in (in chunk order); the barrier then merges one
+	// st accumulates the per-step counters: the worker epilogue folds
+	// the chunk counters in (in chunk order); the barrier then merges one
 	// partial per worker — O(W) instead of O(total chunks).
-	msgs, netMsgs, netBytes, localBytes, calls int64
+	st StepStats
 	// aggPartial is this worker's aggregator partial: chunk cells folded
 	// in chunk order by the epilogue, merged (and cleared) in worker
 	// order at the barrier.
@@ -179,7 +176,7 @@ type worker struct {
 // the vertex RNG — lives here. It is written for every vertex, so the
 // struct is padded at both ends, off every other allocation's blocks.
 type executor struct {
-	_    blockPad
+	_    BlockPad
 	e    *engine
 	id   int
 	cmds chan poolCmd
@@ -204,7 +201,7 @@ type executor struct {
 	spillRaw  []byte
 
 	err error
-	_   blockPad
+	_   BlockPad
 }
 
 // cacheBlock is the span, in bytes, that no two executors may both write
@@ -214,16 +211,17 @@ type executor struct {
 // sits on blocks of its own (TestExecutorsShareNoWrittenBlock).
 const cacheBlock = 128
 
-// blockPad is a cacheBlock of padding: a struct written per vertex puts
+// BlockPad is a cacheBlock of padding: a struct written per vertex puts
 // one at each end, so its fields share no block with a neighbouring
-// allocation.
-type blockPad [cacheBlock]byte
+// allocation. Job code that keeps per-executor state follows the same
+// rule with BlockPad and Padded.
+type BlockPad [cacheBlock]byte
 
-// padded returns a slice of n zeroed Ts whose backing array leaves at
+// Padded returns a slice of n zeroed Ts whose backing array leaves at
 // least cacheBlock bytes unused on either side, so no other allocation
 // shares a cacheBlock-byte block with its elements; nil for n = 0. The
 // heap does not move objects, so the guard holds for the slice's life.
-func padded[T any](n int) []T {
+func Padded[T any](n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -311,7 +309,7 @@ func (e *engine) sizeUnpackScratch() {
 	need += len(e.folds)
 	for _, x := range e.executors {
 		if cap(x.msgs) < need {
-			x.msgs = padded[Msg](need + need/4)
+			x.msgs = Padded[Msg](need + need/4)
 		}
 	}
 }
@@ -489,6 +487,8 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		if !wk.active[li] && k+n == 0 {
 			continue
 		}
+		// The one place a halted vertex is activated: a message, routed
+		// or folded, reached it.
 		if !wk.active[li] {
 			wk.active[li] = true
 			ck.numActive++
@@ -501,7 +501,7 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 			unpackRec(&vc.msgs[k], flat[at:at+stride])
 			at += stride
 		}
-		ck.calls++
+		ck.st.VertexCalls++
 		e.job.VertexCompute(vc) //gm:alloc-ok job contract: VertexCompute must be allocation-free; perf_test gates the full cycle at AllocsPerRun==0
 	}
 }
@@ -520,13 +520,8 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 func (e *engine) workerEpilogue(wk *worker, executor int) {
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
-		wk.msgs += ck.msgs
-		wk.netMsgs += ck.netMsgs
-		wk.netBytes += ck.netBytes
-		wk.localBytes += ck.localBytes
-		wk.calls += ck.calls
-		ck.spanMsgs, ck.spanBytes, ck.spanCalls = ck.msgs, ck.netBytes, ck.calls
-		ck.msgs, ck.netMsgs, ck.netBytes, ck.localBytes, ck.calls = 0, 0, 0, 0, 0
+		wk.st.add(ck.st)
+		ck.span, ck.st = ck.st, StepStats{}
 		for s := range ck.agg {
 			wk.aggPartial[s].merge(e.schema.Aggregators[s], ck.agg[s])
 			ck.agg[s] = aggCell{}
