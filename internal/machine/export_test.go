@@ -14,3 +14,13 @@ func ExecSchema(p *Program, g *graph.Directed, b Bindings) (pregel.Schema, error
 	}
 	return ex.Schema(), nil
 }
+
+// MalformedArtifacts returns the artifacts TestDecodeRejectsMalformed
+// requires DecodeProgram to reject, for the external fuzz seeds.
+func MalformedArtifacts() []string {
+	out := make([]string, len(malformedArtifacts))
+	for i, c := range malformedArtifacts {
+		out[i] = c.json
+	}
+	return out
+}

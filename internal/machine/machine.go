@@ -13,6 +13,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -159,7 +160,11 @@ func (p *Program) NumVertexStates() int {
 	return n
 }
 
-// Validate checks CFG and slot invariants, returning the first violation.
+// Validate checks CFG and slot invariants, returning the first
+// violation: terminator targets, and in every master block, terminator
+// condition and vertex state, that each statement and expression is
+// one its context runs and that every slot, type and field it names is
+// declared.
 func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Nodes) {
 		return fmt.Errorf("machine: entry %d out of range", p.Entry)
@@ -185,9 +190,15 @@ func (p *Program) Validate() error {
 				if t.Cond == nil {
 					return fmt.Errorf("machine: node %d cond terminator without condition", i)
 				}
+				if err := p.validateExpr(t.Cond, nil, -1); err != nil {
+					return fmt.Errorf("machine: node %d condition: %v", i, err)
+				}
 			case THalt:
 			default:
 				return fmt.Errorf("machine: node %d has unknown terminator %d", i, t.Kind)
+			}
+			if err := p.validateStmts(n.Master.Stmts, nil, -1); err != nil {
+				return fmt.Errorf("machine: master block %d: %v", i, err)
 			}
 		case n.Vertex != nil:
 			if !inRange(n.Vertex.Next) {
@@ -198,7 +209,7 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("machine: vertex state %d reads bad scalar %d", i, s)
 				}
 			}
-			if err := p.validateStmts(n.Vertex.Body, n.Vertex); err != nil {
+			if err := p.validateStmts(n.Vertex.Body, n.Vertex, -1); err != nil {
 				return fmt.Errorf("machine: vertex state %d: %v", i, err)
 			}
 		}
@@ -206,52 +217,145 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-func (p *Program) validateStmts(ss []ir.Stmt, vs *VertexState) error {
+// validateStmts checks ss as master code (vs nil) or as the body of
+// vertex state vs; msg is the message type of the enclosing receive
+// loop, -1 outside one.
+func (p *Program) validateStmts(ss []ir.Stmt, vs *VertexState, msg int) error {
 	for _, s := range ss {
+		var master bool
+		switch s.(type) {
+		case ir.SetScalar, ir.FoldAgg, ir.Return:
+			master = true
+		case ir.If:
+			master = vs == nil
+		}
+		if master != (vs == nil) {
+			return fmt.Errorf("statement %T out of context", s)
+		}
+		var exprs []ir.Expr
+		var err error
 		switch s := s.(type) {
+		case ir.SetScalar:
+			exprs, err = []ir.Expr{s.RHS}, slotErr("scalar", s.Slot, len(p.Scalars))
+		case ir.FoldAgg:
+			err = cmp.Or(slotErr("scalar", s.Scalar, len(p.Scalars)), slotErr("agg", s.Agg, len(p.Aggs)))
+		case ir.Return:
+			if s.Value != nil {
+				exprs = []ir.Expr{s.Value}
+			}
 		case ir.SetProp:
-			if s.Slot < 0 || s.Slot >= len(p.Props) {
-				return fmt.Errorf("bad prop slot %d", s.Slot)
-			}
+			exprs, err = []ir.Expr{s.RHS}, slotErr("prop", s.Slot, len(p.Props))
 		case ir.SetLocal:
-			if s.Slot < 0 || s.Slot >= len(vs.Locals) {
-				return fmt.Errorf("bad local slot %d", s.Slot)
-			}
+			exprs, err = []ir.Expr{s.RHS}, slotErr("local", s.Slot, len(vs.Locals))
 		case ir.ContribAgg:
-			if s.Agg < 0 || s.Agg >= len(p.Aggs) {
-				return fmt.Errorf("bad agg slot %d", s.Agg)
-			}
+			exprs, err = []ir.Expr{s.RHS}, slotErr("agg", s.Agg, len(p.Aggs))
 		case ir.SendToNbrs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
+			exprs, err = s.Payload, p.sendErr(s.MsgType, s.Payload)
+			if s.EdgeCond != nil {
+				exprs = append(exprs[:len(exprs):len(exprs)], s.EdgeCond)
 			}
 		case ir.SendTo:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
+			err = p.sendErr(s.MsgType, s.Payload)
+			exprs = append(s.Payload[:len(s.Payload):len(s.Payload)], s.Target)
 		case ir.SendToInNbrs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
+			exprs, err = s.Payload, p.sendErr(s.MsgType, s.Payload)
 		case ir.CollectInNbrs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
+			err = slotErr("message type", s.MsgType, len(p.Msgs))
 		case ir.ForMsgs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
-			if err := p.validateStmts(s.Body, vs); err != nil {
-				return err
+			if err = slotErr("message type", s.MsgType, len(p.Msgs)); err == nil {
+				err = p.validateStmts(s.Body, vs, s.MsgType)
 			}
 		case ir.If:
-			if err := p.validateStmts(s.Then, vs); err != nil {
-				return err
-			}
-			if err := p.validateStmts(s.Else, vs); err != nil {
-				return err
-			}
+			err = cmp.Or(p.validateStmts(s.Then, vs, msg), p.validateStmts(s.Else, vs, msg))
+			exprs = []ir.Expr{s.Cond}
+		default:
+			err = fmt.Errorf("unknown statement %T", s)
 		}
+		for _, e := range exprs {
+			err = cmp.Or(err, p.validateExpr(e, vs, msg))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateExpr checks e in the context validateStmts describes.
+func (p *Program) validateExpr(e ir.Expr, vs *VertexState, msg int) error {
+	vertexOnly := false
+	switch e := e.(type) {
+	case ir.LocalRef, ir.PropRef, ir.EdgePropRef, ir.CurNode, ir.MsgField:
+		vertexOnly = true
+	case ir.Builtin:
+		vertexOnly = e.Op == ir.BDegree || e.Op == ir.BNodeId
+	case ir.AggRef:
+		if vs != nil {
+			return fmt.Errorf("expression %T out of context", e)
+		}
+	}
+	if vertexOnly && vs == nil {
+		return fmt.Errorf("expression %T out of context", e)
+	}
+	switch e := e.(type) {
+	case nil:
+		return fmt.Errorf("missing expression")
+	case ir.Const, ir.CurNode:
+		return nil
+	case ir.ScalarRef:
+		return slotErr("scalar", e.Slot, len(p.Scalars))
+	case ir.AggRef:
+		return slotErr("agg", e.Slot, len(p.Aggs))
+	case ir.LocalRef:
+		return slotErr("local", e.Slot, len(vs.Locals))
+	case ir.PropRef:
+		return p.propErr(e.Slot, false)
+	case ir.EdgePropRef:
+		return p.propErr(e.Slot, true)
+	case ir.MsgField:
+		if msg < 0 {
+			return fmt.Errorf("message field %d read outside a receive loop", e.Idx)
+		}
+		return slotErr("message field", e.Idx, len(p.Msgs[msg].Fields))
+	case ir.Builtin:
+		return slotErr("builtin", int(e.Op), int(ir.BNodeId)+1)
+	case ir.Binary:
+		return cmp.Or(p.validateExpr(e.L, vs, msg), p.validateExpr(e.R, vs, msg))
+	case ir.Unary:
+		return p.validateExpr(e.X, vs, msg)
+	case ir.Ternary:
+		return cmp.Or(p.validateExpr(e.Cond, vs, msg), p.validateExpr(e.Then, vs, msg), p.validateExpr(e.Else, vs, msg))
+	}
+	return fmt.Errorf("unknown expression %T", e)
+}
+
+// slotErr reports a slot outside the n declared.
+func slotErr(what string, slot, n int) error {
+	if slot < 0 || slot >= n {
+		return fmt.Errorf("bad %s slot %d", what, slot)
+	}
+	return nil
+}
+
+// propErr checks a reference to property slot, which must be an edge
+// property exactly when edge is set.
+func (p *Program) propErr(slot int, edge bool) error {
+	if err := slotErr("prop", slot, len(p.Props)); err != nil {
+		return err
+	}
+	if p.Props[slot].IsEdge != edge {
+		return fmt.Errorf("prop %d read as the wrong kind (edge %v)", slot, edge)
+	}
+	return nil
+}
+
+// sendErr checks a send's message type and payload width.
+func (p *Program) sendErr(t int, payload []ir.Expr) error {
+	if err := slotErr("message type", t, len(p.Msgs)); err != nil {
+		return err
+	}
+	if len(payload) != len(p.Msgs[t].Fields) {
+		return fmt.Errorf("message type %d sent with %d fields, declared with %d", t, len(payload), len(p.Msgs[t].Fields))
 	}
 	return nil
 }

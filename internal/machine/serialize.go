@@ -408,35 +408,40 @@ func decodeExpr(j *jsonExpr) (ir.Expr, error) {
 	case "builtin":
 		return ir.Builtin{Op: ir.BuiltinOp(j.Op)}, nil
 	case "binary":
-		l, err := decodeExpr(j.L)
+		x, err := decodeOperands(j.Kind, j.L, j.R)
 		if err != nil {
 			return nil, err
 		}
-		r, err := decodeExpr(j.R)
-		if err != nil {
-			return nil, err
-		}
-		return ir.Binary{Op: ast.BinOp(j.Op), L: l, R: r}, nil
+		return ir.Binary{Op: ast.BinOp(j.Op), L: x[0], R: x[1]}, nil
 	case "unary":
-		x, err := decodeExpr(j.L)
+		x, err := decodeOperands(j.Kind, j.L)
 		if err != nil {
 			return nil, err
 		}
-		return ir.Unary{Op: ast.UnOp(j.Op), X: x}, nil
+		return ir.Unary{Op: ast.UnOp(j.Op), X: x[0]}, nil
 	case "ternary":
-		c, err := decodeExpr(j.C)
+		x, err := decodeOperands(j.Kind, j.C, j.L, j.R)
 		if err != nil {
 			return nil, err
 		}
-		l, err := decodeExpr(j.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := decodeExpr(j.R)
-		if err != nil {
-			return nil, err
-		}
-		return ir.Ternary{Cond: c, Then: l, Else: r}, nil
+		return ir.Ternary{Cond: x[0], Then: x[1], Else: x[2]}, nil
 	}
 	return nil, fmt.Errorf("unknown expression kind %q", j.Kind)
+}
+
+// decodeOperands decodes the operands of a kind expression, failing on
+// a missing one.
+func decodeOperands(kind string, js ...*jsonExpr) ([]ir.Expr, error) {
+	x := make([]ir.Expr, len(js))
+	for i, j := range js {
+		if j == nil {
+			return nil, fmt.Errorf("%s expression missing operand %d", kind, i)
+		}
+		e, err := decodeExpr(j)
+		if err != nil {
+			return nil, err
+		}
+		x[i] = e
+	}
+	return x, nil
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"gmpregel/internal/graph"
@@ -96,5 +97,62 @@ func TestSerializeCarriesAnalysisSummary(t *testing.T) {
 	if p2.Analysis.Warnings != 2 || p2.Analysis.Infos != 3 || p2.Analysis.WarningFree ||
 		len(p2.Analysis.Codes) != 2 || p2.Analysis.Codes[0] != "GM2002" {
 		t.Errorf("analysis summary drifted: %+v", p2.Analysis)
+	}
+}
+
+// malformedArtifacts are artifacts DecodeProgram must reject with an
+// error containing want: a missing operand, and slots, statements and
+// expressions that no context of the program can run. Each decoded
+// cleanly (or panicked) before Validate walked master code and
+// expressions, and failed only at run time.
+var malformedArtifacts = []struct {
+	name, json, want string
+}{
+	{"binary without operands", `{"name":"x","nodes":[{"master":{"term":1,"cond":{"k":"binary"},"then":0,"else":0}}],"entry":0}`,
+		"node 0: binary expression missing operand 0"},
+	{"unary without operand", `{"name":"x","nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"unary"}}]}}],"entry":0}`,
+		"node 0: unary expression missing operand 0"},
+	{"ternary without else", `{"name":"x","nodes":[{"master":{"term":1,"cond":{"k":"ternary","c":{"k":"const"},"l":{"k":"const"}},"then":0,"else":0}}],"entry":0}`,
+		"node 0: ternary expression missing operand 2"},
+	{"master sets an undeclared scalar", `{"name":"x","nodes":[{"master":{"stmts":[{"k":"setScalar","slot":99,"rhs":{"k":"const"}}],"term":2}}],"entry":0}`,
+		"master block 0: bad scalar slot 99"},
+	{"master folds an undeclared aggregator", `{"name":"x","scalars":[{"Name":"s"}],"nodes":[{"master":{"stmts":[{"k":"foldAgg","agg":3}],"term":2}}],"entry":0}`,
+		"master block 0: bad agg slot 3"},
+	{"condition reads an undeclared scalar", `{"name":"x","nodes":[{"master":{"term":1,"cond":{"k":"scalar","slot":4},"then":0,"else":0}}],"entry":0}`,
+		"node 0 condition: bad scalar slot 4"},
+	{"condition reads a property", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"master":{"term":1,"cond":{"k":"prop"},"then":0,"else":0}}],"entry":0}`,
+		"node 0 condition: expression ir.PropRef out of context"},
+	{"master returns an aggregator that is not declared", `{"name":"x","nodes":[{"master":{"stmts":[{"k":"return","rhs":{"k":"agg","slot":1}}],"term":2}}],"entry":0}`,
+		"master block 0: bad agg slot 1"},
+	{"master writes a property", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"master":{"stmts":[{"k":"setProp","rhs":{"k":"const"}}],"term":2}}],"entry":0}`,
+		"master block 0: statement ir.SetProp out of context"},
+	{"vertex sets a scalar", `{"name":"x","scalars":[{"Name":"s"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setScalar","rhs":{"k":"const"}}]}}],"entry":0}`,
+		"vertex state 0: statement ir.SetScalar out of context"},
+	{"vertex reads an undeclared local", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"local","slot":2}}]}}],"entry":0}`,
+		"vertex state 0: bad local slot 2"},
+	{"vertex reads an edge property as a node property", `{"name":"x","props":[{"Name":"p"},{"Name":"e","IsEdge":true}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"prop","slot":1}}]}}],"entry":0}`,
+		"vertex state 0: prop 1 read as the wrong kind"},
+	{"vertex reads an aggregator", `{"name":"x","props":[{"Name":"p"}],"aggs":[{"name":"a"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"agg"}}]}}],"entry":0}`,
+		"vertex state 0: expression ir.AggRef out of context"},
+	{"message field outside a receive loop", `{"name":"x","props":[{"Name":"p"}],"msgs":[{"Name":"m","Fields":[0]}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"msgField"}}]}}],"entry":0}`,
+		"vertex state 0: message field 0 read outside a receive loop"},
+	{"message field beyond its type's fields", `{"name":"x","props":[{"Name":"p"}],"msgs":[{"Name":"m","Fields":[0]}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"forMsgs","body":[{"k":"setProp","rhs":{"k":"msgField","slot":1}}]}]}}],"entry":0}`,
+		"vertex state 0: bad message field slot 1"},
+	{"send with a missing field", `{"name":"x","msgs":[{"Name":"m","Fields":[0,1]}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"sendToNbrs","payload":[{"k":"const"}]}]}}],"entry":0}`,
+		"vertex state 0: message type 0 sent with 1 fields, declared with 2"},
+	{"unknown builtin", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"builtin","op":9}}]}}],"entry":0}`,
+		"vertex state 0: bad builtin slot 9"},
+	{"master reads a vertex-only builtin", `{"name":"x","nodes":[{"master":{"term":1,"cond":{"k":"builtin","op":2},"then":0,"else":0}}],"entry":0}`,
+		"node 0 condition: expression ir.Builtin out of context"},
+}
+
+func TestDecodeRejectsMalformed(t *testing.T) {
+	for _, c := range malformedArtifacts {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := DecodeProgram([]byte(c.json))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("DecodeProgram error = %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }

@@ -23,11 +23,6 @@ const (
 	PhaseRecovery
 	PhaseChunk
 	PhaseSpill
-	// PhaseRouteEager covers one source shard's eager outbox count,
-	// overlapped with the vertex phase (emitted at the barrier like all
-	// spans): Worker carries the source-shard index, Executor the pool
-	// goroutine that ran the count.
-	PhaseRouteEager
 	PhaseRun
 )
 
@@ -40,7 +35,6 @@ var phaseNames = [...]string{
 	PhaseRecovery:      "recovery",
 	PhaseChunk:         "chunk",
 	PhaseSpill:         "spill",
-	PhaseRouteEager:    "route-eager",
 	PhaseRun:           "run",
 }
 

@@ -504,12 +504,7 @@ func (e *engine) decodeState(data []byte) error {
 			ck.st = StepStats{}
 			ck.err = nil
 		}
-		wk.st = StepStats{}
-		for s := range wk.aggPartial {
-			wk.aggPartial[s] = aggCell{}
-		}
 		wk.cursor.Store(0)
-		wk.pendingChunks.Store(0)
 		wk.crashed.Store(false)
 		wk.faultAt = -1
 		wk.stealFault.Store(false)

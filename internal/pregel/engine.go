@@ -98,16 +98,6 @@ type engine struct {
 	pblocks []int32
 	pshift  uint32
 
-	// Source-shard geometry for routing: workers are grouped into shards
-	// contiguous shard ranges (shardStart[s]..shardStart[s+1]).
-	// shardPending counts each shard's workers still computing; shardObs
-	// records eager count timings for PhaseRouteEager spans.
-	shards       int
-	shardStart   []int32
-	workerShard  []int32
-	shardPending []atomic.Int32
-	shardObs     []eagerSpan
-
 	workers   []*worker
 	executors []*executor
 	// phaseWG is the reusable barrier the master waits on after releasing
@@ -122,6 +112,7 @@ type engine struct {
 	globalBytes int64 // accumulated control bytes from SetGlobal*
 
 	aggValues []aggCell // merged values visible to master
+	aggPart   []aggCell // the barrier's per-worker partial, retained
 
 	masterSrc  *countingSource
 	masterRand *rand.Rand
@@ -218,24 +209,9 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	}
 	e.foldEpoch = 1 // zeroed stamps are never present
 	e.mc = MasterContext{e: e}
-	e.shards = e.numWorkers
-	if e.shards > maxRouteShards {
-		e.shards = maxRouteShards
-	}
-	if e.shards < 1 {
-		e.shards = 1
-	}
-	e.shardStart = shardBounds(e.numWorkers, e.shards)
-	e.workerShard = make([]int32, e.numWorkers)
-	for s := 0; s < e.shards; s++ {
-		for w := e.shardStart[s]; w < e.shardStart[s+1]; w++ {
-			e.workerShard[w] = int32(s)
-		}
-	}
-	e.shardPending = make([]atomic.Int32, e.shards)
-	e.shardObs = make([]eagerSpan, e.shards)
 	e.globals = make([]uint64, len(e.schema.Globals))
 	e.aggValues = make([]aggCell, len(e.schema.Aggregators))
+	e.aggPart = make([]aggCell, len(e.schema.Aggregators))
 	e.masterSrc = newCountingSource(cfg.Seed)
 	e.masterRand = rand.New(e.masterSrc) //gm:nondeterministic-ok wraps the seeded, draw-counted master source; replayable from checkpoints
 	e.ckptOn = cfg.CheckpointEvery > 0 || len(cfg.Faults) > 0
@@ -282,6 +258,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			wk.active[i] = true
 		}
 		wk.inOff = make([]int32, len(wk.ids)+1)
+		wk.inPos = make([]int32, len(wk.ids))
 		wk.folds = make([]foldSlot, len(wk.ids)*len(e.folds))
 		wk.div = e.div
 		wk.pblocks = e.pblocks
@@ -313,13 +290,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			ck.boxes = Padded[[]uint64](e.numWorkers)
 			ck.fboxes = Padded[[]uint64](e.numWorkers)
 		}
-		wk.aggPartial = make([]aggCell, len(e.schema.Aggregators))
-
-		wk.srcCounts = make([][]int32, e.shards)
-		for s := range wk.srcCounts {
-			wk.srcCounts[s] = make([]int32, nw)
-		}
-		wk.srcMsgs = make([]int32, e.shards)
 		e.workers[w] = wk
 	}
 
@@ -443,8 +413,7 @@ func (e *engine) run(ctx context.Context) error {
 }
 
 // superstep runs one superstep's phases in order: checkpoint → govern →
-// master → vertex phase (counter merge and outbox count ride the chunk
-// retirements) → barrier merge → route prefix (with the folds)/place. It
+// master → vertex phase → barrier merge → routing (folds and inboxes). It
 // reports whether the master halted the run. A worker failure in any
 // phase is returned as an *InjectedFault for run to recover from; any
 // other error aborts the run.
@@ -506,24 +475,27 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 		barrierT0 = e.nowNS()
 	}
 	e.stats.Supersteps++
-	// Batched barrier merge: the worker epilogues already folded each
-	// worker's chunk counters and aggregator cells into per-worker
-	// partials in canonical chunk order (overlapped with compute);
-	// the barrier folds the W partials in worker order — a two-level
-	// tree whose merge order is fixed by (worker, chunk) coordinates,
-	// so stealing cannot perturb results. Aggregators are
-	// per-superstep (Pregel semantics): the master sees only the
-	// contributions of the superstep that just ran.
-	for s := range e.aggValues {
-		e.aggValues[s] = aggCell{}
-	}
+	// Barrier merge: each worker's chunk counters and aggregator cells
+	// fold into a per-worker partial in chunk order, then the W partials
+	// in worker order — a two-level tree whose merge order is fixed by
+	// (worker, chunk) coordinates, so stealing cannot perturb results.
+	// Aggregators are per-superstep (Pregel semantics): the master sees
+	// only the contributions of the superstep that just ran.
+	clear(e.aggValues)
 	var st StepStats
 	for _, wk := range e.workers {
-		st.add(wk.st)
-		wk.st = StepStats{}
-		for s := range wk.aggPartial {
-			e.aggValues[s].merge(e.schema.Aggregators[s], wk.aggPartial[s])
-			wk.aggPartial[s] = aggCell{}
+		clear(e.aggPart)
+		for ci := range wk.chunks {
+			ck := &wk.chunks[ci]
+			st.add(ck.st)
+			ck.st = StepStats{}
+			for s := range ck.agg {
+				e.aggPart[s].merge(e.schema.Aggregators[s], ck.agg[s])
+				ck.agg[s] = aggCell{}
+			}
+		}
+		for s := range e.aggPart {
+			e.aggValues[s].merge(e.schema.Aggregators[s], e.aggPart[s])
 		}
 	}
 	// Aggregator control traffic: one value per set aggregator per
@@ -570,46 +542,33 @@ func (e *engine) superstep(step int) (halted bool, fault *InjectedFault, err err
 }
 
 // emitVertexSpans emits the superstep's chunk spans (executor- and
-// steal-attributed, from the snapshots the worker epilogue took before
-// clearing the live counters) followed by one aggregated vertex-compute
-// span per worker and the eager-count spans (one per source shard), even
+// steal-attributed, from the chunk counters the barrier has not merged
+// yet) followed by one aggregated vertex-compute span per worker, even
 // for a superstep that is about to roll back: the trace keeps failed
 // work visible while Stats rewinds.
 func (e *engine) emitVertexSpans(step int, stateLabel string) {
 	for _, wk := range e.workers {
 		var dur int64
+		var st StepStats
 		startNS := int64(-1)
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			e.emit(obs.Span{Superstep: step, Worker: wk.index, Phase: obs.PhaseChunk,
 				State: stateLabel, StartNS: ck.startNS, DurNS: ck.durNS,
-				Messages: ck.span.Messages, Bytes: ck.span.NetworkBytes, VertexCalls: ck.span.VertexCalls,
+				Messages: ck.st.Messages, Bytes: ck.st.NetworkBytes, VertexCalls: ck.st.VertexCalls,
 				Executor: int(ck.executor), Stolen: int(ck.executor) != wk.index})
 			dur += ck.durNS
+			st.add(ck.st)
 			if startNS < 0 || ck.startNS < startNS {
 				startNS = ck.startNS
 			}
 		}
-		// The epilogue already folded chunk counters into the worker
-		// partials.
 		if startNS < 0 {
 			startNS = 0
 		}
 		e.emit(obs.Span{Superstep: step, Worker: wk.index, Phase: obs.PhaseVertexCompute,
 			State: stateLabel, StartNS: startNS, DurNS: dur,
-			Messages: wk.st.Messages, Bytes: wk.st.NetworkBytes, VertexCalls: wk.st.VertexCalls})
-	}
-	// Eager-count spans: Worker carries the source-shard index, Executor
-	// the pool goroutine that counted it (-1 when the shard retired on
-	// the barrier goroutine).
-	for sh := range e.shardObs {
-		es := &e.shardObs[sh]
-		if es.durNS == 0 && es.startNS == 0 {
-			continue
-		}
-		e.emit(obs.Span{Superstep: step, Worker: sh, Phase: obs.PhaseRouteEager,
-			StartNS: es.startNS, DurNS: es.durNS, Executor: int(es.executor)})
-		*es = eagerSpan{}
+			Messages: st.Messages, Bytes: st.NetworkBytes, VertexCalls: st.VertexCalls})
 	}
 }
 

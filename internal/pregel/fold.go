@@ -130,7 +130,7 @@ func (f Fold) apply(acc, m uint64) uint64 {
 // slots, walking the source workers, their chunks and each box in
 // emission order — the canonical order the CSR inbox is built in, so a
 // fold's result is the same under every schedule — and sets foldTotal
-// to the number of records. It is wk's fold task in the prefix phase and
+// to the number of records. It is wk's fold task in the routing phase and
 // writes only wk's slots and foldTotal, so no count, placement or unpack
 // ever sees a folded message; runChunk activates the recipients.
 //

@@ -25,19 +25,6 @@ const (
 // gracefully (n ≤ 16384 gets per-vertex cuts).
 const maxPartBlocks = 1 << 14
 
-// shardBounds groups w workers into n contiguous source shards for the
-// routing staging: bounds[s]..bounds[s+1] is shard s's worker range.
-// Shards are balanced (sizes differ by at most one) and the mapping is
-// a pure function of (w, n), so shard geometry — like chunk geometry —
-// never depends on execution order.
-func shardBounds(w, n int) []int32 {
-	bounds := make([]int32, n+1)
-	for s := 0; s <= n; s++ {
-		bounds[s] = int32(s * w / n)
-	}
-	return bounds
-}
-
 // degreeRanges computes the degree-aware contiguous partition of g into
 // w ranges: starts[k] is the first vertex owned by worker k
 // (starts[w] = n), and blocks[b] is the owner of vertex block b under

@@ -410,9 +410,10 @@ func reportRecordBytes(b *testing.B, e *engine) {
 	b.ReportMetric(float64(e.stride*recWordBytes), "B/msg")
 }
 
-// BenchmarkRouting measures routing alone — the shard counts a vertex
-// phase would have overlapped with compute, then prefix and place:
-// outboxes are refilled outside the timer each iteration.
+// BenchmarkRouting measures routing alone — the whole dispatch of fold
+// and inbox tasks, each inbox task counting, prefixing and placing its
+// destination's records: outboxes are refilled outside the timer each
+// iteration.
 func BenchmarkRouting(b *testing.B) {
 	const n = 4096
 	g := gen.TwitterLike(n, 8, 3)
@@ -431,23 +432,15 @@ func BenchmarkRouting(b *testing.B) {
 			}
 		}
 	}
-	route := func() {
-		for sh := 0; sh < e.shards; sh++ {
-			for _, dst := range e.workers {
-				e.countShard(dst, sh)
-			}
-		}
-		e.routeMessages()
-	}
 	fill()
-	route()
+	e.routeMessages()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fill()
 		b.StartTimer()
-		route()
+		e.routeMessages()
 	}
 	reportRecordBytes(b, e)
 }
@@ -504,7 +497,9 @@ func benchRoutingFolded(b *testing.B, g *graph.Directed, w int) {
 // merge, which the warm-superstep loops here never run.
 func sentMsgs(e *engine) (msgs int64) {
 	for _, wk := range e.workers {
-		msgs += wk.st.Messages
+		for ci := range wk.chunks {
+			msgs += wk.chunks[ci].st.Messages
+		}
 	}
 	return msgs
 }

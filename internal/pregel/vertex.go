@@ -13,9 +13,8 @@ import (
 type phaseKind uint8
 
 const (
-	phaseVertex phaseKind = iota // chunked vertex compute (incl. eager outbox count)
-	phasePrefix                  // routing: delivery folds, offsets, inbox resize
-	phasePlace                   // routing: stable placement into the CSR inbox
+	phaseVertex phaseKind = iota // chunked vertex compute
+	phaseRoute                   // routing: delivery folds and CSR inboxes
 )
 
 // poolCmd is one barrier release: the phase to run and its superstep.
@@ -64,16 +63,12 @@ type chunk struct {
 	// reaches is activated, and VoteToHalt.
 	numActive int32
 	// st is the chunk's per-step counters (its ControlBytes unused),
-	// merged into the owning worker (and cleared) by the worker epilogue
-	// when the worker's last chunk retires.
+	// merged (and cleared) by the barrier in canonical chunk order.
 	st StepStats
 
-	// span attribution for the last vertex phase. span snapshots st at
-	// merge time so chunk spans stay attributable after the epilogue
-	// cleared it.
+	// span attribution for the last vertex phase.
 	startNS, durNS int64
 	executor       int32
-	span           StepStats
 
 	err error
 }
@@ -106,6 +101,9 @@ type worker struct {
 	inOff   []int32  // CSR offsets into inFlat in records, len = len(ids)+1
 	inTotal int      // messages routed into inFlat by the last routing phase
 	inMax   int      // the most messages any one vertex received in it
+	// inPos is routing's retained counting-sort row: per local vertex,
+	// the messages routed to it, then its next placement position.
+	inPos []int32
 
 	// Fold slots, one per (local vertex, folded type) at index
 	// local*len(folds)+fold (fold.go). foldTotal is the number of fold
@@ -118,11 +116,6 @@ type worker struct {
 	chunkSize int
 	// cursor is the next unclaimed chunk index (vertex phase).
 	cursor atomic.Int32
-	// pendingChunks counts this worker's chunks not yet retired this
-	// vertex phase; the executor that retires the last one runs the
-	// worker epilogue (counter/aggregator merge and the shard-retirement
-	// bookkeeping).
-	pendingChunks atomic.Int32
 	// crashed marks an injected fault: the worker's remaining chunks are
 	// skipped, emulating the machine death rollback will repair.
 	crashed atomic.Bool
@@ -136,24 +129,6 @@ type worker struct {
 	typeSlots []uint8
 	foldIdx   []int8
 	slots     int
-
-	// st accumulates the per-step counters: the worker epilogue folds
-	// the chunk counters in (in chunk order); the barrier then merges one
-	// partial per worker — O(W) instead of O(total chunks).
-	st StepStats
-	// aggPartial is this worker's aggregator partial: chunk cells folded
-	// in chunk order by the epilogue, merged (and cleared) in worker
-	// order at the barrier.
-	aggPartial []aggCell
-
-	// Routing staging, retained across supersteps. srcCounts[s] is the
-	// counting-sort row for source shard s: per destination vertex, the
-	// messages shard s sends here. srcMsgs[s] is that shard's total — a
-	// zero total means the row was skipped (left stale) by the count
-	// pass and must be skipped by prefix/place too. Each row is written
-	// by exactly one shard's counter, so counters never contend.
-	srcCounts [][]int32
-	srcMsgs   []int32
 
 	// Injected-fault arming (see fault.go). faultAt is the local vertex
 	// index at which an armed vertex-compute fault fires this superstep
@@ -266,26 +241,10 @@ func (e *engine) runPhase(kind phaseKind, step int) {
 	e.phaseWG.Wait()
 }
 
-// runVertexPhase runs one chunked vertex-compute phase: the superstep's
-// compute work, plus — riding the same dispatch — the per-worker
-// counter/aggregator merge and the source-shard outbox counting, each
-// triggered as the relevant chunks retire instead of waiting behind
-// extra pool barriers.
+// runVertexPhase runs one chunked vertex-compute phase.
 func (e *engine) runVertexPhase(step int) {
-	for s := range e.shardPending {
-		e.shardPending[s].Store(e.shardStart[s+1] - e.shardStart[s])
-	}
 	for _, wk := range e.workers {
 		wk.cursor.Store(0)
-		wk.pendingChunks.Store(int32(len(wk.chunks)))
-	}
-	// A chunkless worker (possible under degree partitioning when one
-	// oversized block absorbs several shares) never retires a chunk, so
-	// its epilogue runs here, before dispatch, on the barrier goroutine.
-	for _, wk := range e.workers {
-		if len(wk.chunks) == 0 {
-			e.workerEpilogue(wk, -1)
-		}
 	}
 	e.sizeUnpackScratch()
 	e.runPhase(phaseVertex, step)
@@ -336,10 +295,8 @@ func (x *executor) runCmd(cmd poolCmd) {
 	switch cmd.kind {
 	case phaseVertex:
 		x.vertexPhase(cmd.step)
-	case phasePrefix:
-		x.prefixPhase()
-	case phasePlace:
-		x.placePhase()
+	case phaseRoute:
+		x.routePhase()
 	}
 }
 
@@ -347,10 +304,8 @@ func (k phaseKind) String() string {
 	switch k {
 	case phaseVertex:
 		return "vertex"
-	case phasePrefix:
-		return "route-prefix"
-	case phasePlace:
-		return "route-place"
+	case phaseRoute:
+		return "route"
 	}
 	return "unknown"
 }
@@ -371,7 +326,6 @@ func (x *executor) vertexPhase(step int) {
 			break
 		}
 		x.runChunk(own, ci, step)
-		x.retireChunk(own)
 	}
 	for {
 		victim := -1
@@ -393,18 +347,6 @@ func (x *executor) vertexPhase(step int) {
 			continue // lost the claim race; rescan
 		}
 		x.runChunk(wk, ci, step)
-		x.retireChunk(wk)
-	}
-}
-
-// retireChunk marks one of wk's chunks done. The atomic decrement chain
-// makes every earlier chunk's writes visible to whichever executor
-// performs the final decrement; that executor runs the worker epilogue.
-//
-//gm:noalloc
-func (x *executor) retireChunk(wk *worker) {
-	if wk.pendingChunks.Add(-1) == 0 {
-		x.e.workerEpilogue(wk, x.id)
 	}
 }
 
@@ -503,45 +445,5 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		}
 		ck.st.VertexCalls++
 		e.job.VertexCompute(vc) //gm:alloc-ok job contract: VertexCompute must be allocation-free; perf_test gates the full cycle at AllocsPerRun==0
-	}
-}
-
-// workerEpilogue runs when wk's last chunk of the vertex phase retires:
-// it merges the chunk counters and aggregator cells into the worker-level
-// partials in canonical chunk order, and retires the worker from its
-// source shard, counting the whole shard's outboxes once its last worker
-// retires. Everything here reads state owned by wk (made
-// visible by the retirement decrement chain) or writes routing staging
-// no vertex-phase code touches, so it is safe to run while other
-// workers' chunks are still computing. executor is -1 when called from
-// the barrier goroutine (chunkless workers).
-//
-//gm:noalloc
-func (e *engine) workerEpilogue(wk *worker, executor int) {
-	for ci := range wk.chunks {
-		ck := &wk.chunks[ci]
-		wk.st.add(ck.st)
-		ck.span, ck.st = ck.st, StepStats{}
-		for s := range ck.agg {
-			wk.aggPartial[s].merge(e.schema.Aggregators[s], ck.agg[s])
-			ck.agg[s] = aggCell{}
-		}
-	}
-	sh := e.workerShard[wk.index]
-	if e.shardPending[sh].Add(-1) != 0 {
-		return
-	}
-	// Last worker of the shard: count the shard's outboxes into every
-	// destination's staging row, overlapping with compute still running
-	// on other shards.
-	var t0 int64
-	if e.obsOn {
-		t0 = e.nowNS()
-	}
-	for _, dst := range e.workers {
-		e.countShard(dst, int(sh))
-	}
-	if e.obsOn {
-		e.shardObs[sh] = eagerSpan{startNS: t0, durNS: e.nowNS() - t0, executor: int32(executor)}
 	}
 }
