@@ -261,3 +261,32 @@ func TestDifferentialExecutorsOnAllAlgorithms(t *testing.T) {
 		}
 	}
 }
+
+// A ternary has the promoted kind of its branches: sema types
+// (n.k > 1) ? n.k : 2.5 as Double, so the / after it divides floats
+// whichever branch runs, in both executors (and in the printed Java).
+func TestMixedKindTernaryPromotes(t *testing.T) {
+	const src = `Procedure tern(G: Graph, k: Node_Prop<Int>, out: Node_Prop<Double>) {
+    Foreach (n: G.Nodes) { n.out = ((n.k > 1) ? n.k : 2.5) / 2; }
+}`
+	c := compileOK(t, src, Options{})
+	g := graph.FromEdges(3, nil)
+	b := machine.Bindings{NodePropInt: map[string][]int64{"k": {0, 3, 5}}}
+	want := []float64{1.25, 1.5, 2.5}
+	for _, ro := range []machine.RunOptions{{}, {Interpret: true}} {
+		res, err := machine.RunWithOptions(c.Program, g, b, pregel.Config{NumWorkers: 1}, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := res.NodePropFloat("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if out[v] != want[v] {
+				t.Errorf("Interpret=%v: out = %v, want %v", ro.Interpret, out, want)
+				break
+			}
+		}
+	}
+}

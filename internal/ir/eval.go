@@ -21,6 +21,9 @@ type Env interface {
 	MsgField(idx int) Value
 	Agg(slot int) (Value, bool)
 	BuiltinVal(op BuiltinOp) Value
+	// Kind is the static kind of e: the kind its value has, whichever
+	// way its ternaries go.
+	Kind(e Expr) Kind
 }
 
 // Eval evaluates e in env. Arithmetic follows the runtime promotion
@@ -71,10 +74,13 @@ func Eval(e Expr, env Env) Value {
 		}
 		return Value{K: x.K, I: -x.I}
 	case Ternary:
+		// The branch taken converts to the promoted kind of both, so
+		// (c ? int : float) is a float either way.
+		x := e.Else
 		if Eval(e.Cond, env).AsBool() {
-			return Eval(e.Then, env)
+			x = e.Then
 		}
-		return Eval(e.Else, env)
+		return Eval(x, env).Convert(env.Kind(e))
 	}
 	panic(fmt.Sprintf("ir: cannot evaluate %T", e))
 }

@@ -117,6 +117,15 @@ func (m *mockEnv) MsgField(i int) Value       { return m.msg[i] }
 func (m *mockEnv) Agg(int) (Value, bool)      { return Value{}, false }
 func (m *mockEnv) BuiltinVal(BuiltinOp) Value { return Int(42) }
 
+// Kind reads e's kind off its value, which the mock's side-effect-free
+// reads allow; the tests' ternaries have branches of one kind.
+func (m *mockEnv) Kind(e Expr) Kind {
+	if t, ok := e.(Ternary); ok {
+		e = t.Then
+	}
+	return Eval(e, m).K
+}
+
 func TestEvalArithmeticPromotion(t *testing.T) {
 	env := &mockEnv{}
 	cases := []struct {

@@ -1,14 +1,14 @@
 // Closure compilation: vertex-state bodies are compiled once per run
-// into trees of Go closures, removing per-vertex interpretive dispatch
-// (type switches and interface assertions) from the hot path. The
-// GPS-generated Java programs the paper measures are javac-compiled;
-// this is our equivalent, keeping the generated-vs-manual comparison of
-// Figure 6 about the programming model rather than interpreter overhead.
+// into trees of Go closures, each of one result type (float64, int64 or
+// bool) fixed by its expression's static kind (exprKind): no closure
+// boxes a value or branches on its kind, and each computes, bit for bit,
+// what the reference interpreter (ir.Eval on ir.Value) does. The GPS
+// Java the paper measures is javac-compiled; this is our equivalent,
+// keeping Figure 6 about the programming model, not interpretation.
 package machine
 
 import (
 	"fmt"
-	"math"
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/graph"
@@ -16,18 +16,14 @@ import (
 	"gmpregel/internal/pregel"
 )
 
-type exprFn func(env *vertexEnv) ir.Value
-type stmtFn func(env *vertexEnv)
+type (
+	floatFn func(env *vertexEnv) float64
+	intFn   func(env *vertexEnv) int64
+	boolFn  func(env *vertexEnv) bool
+	stmtFn  func(env *vertexEnv)
+)
 
-// compileState compiles one vertex state's body.
-func (ex *exec) compileState(vs *VertexState) []stmtFn {
-	out := make([]stmtFn, 0, len(vs.Body))
-	for _, s := range vs.Body {
-		out = append(out, ex.compileStmt(s, vs))
-	}
-	return out
-}
-
+// compileStmts compiles a statement list of vertex state vs.
 func (ex *exec) compileStmts(ss []ir.Stmt, vs *VertexState) []stmtFn {
 	out := make([]stmtFn, 0, len(ss))
 	for _, s := range ss {
@@ -46,41 +42,43 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 	switch s := s.(type) {
 	case ir.SetLocal:
 		slot := s.Slot
-		kind := vs.Locals[slot]
-		rhs := ex.compileExpr(s.RHS)
-		return func(env *vertexEnv) {
-			env.locals[slot] = rhs(env).Convert(kind)
+		if k := vs.Locals[slot]; k != ir.KFloat {
+			rhs := ex.compileTo(s.RHS, vs, k)
+			return func(env *vertexEnv) { env.ints[slot] = rhs(env) }
 		}
+		rhs := ex.compileFloat(s.RHS, vs)
+		return func(env *vertexEnv) { env.floats[slot] = rhs(env) }
 	case ir.SetProp:
-		return ex.compileSetProp(s)
+		return ex.compileSetProp(s, vs)
 	case ir.ContribAgg:
 		agg := s.Agg
-		rhs := ex.compileExpr(s.RHS)
-		switch ex.p.Aggs[s.Agg].Kind {
+		switch ex.p.Aggs[agg].Kind {
 		case ir.KFloat:
-			return func(env *vertexEnv) { env.vc.AggFloat(agg, rhs(env).AsFloat()) }
+			rhs := ex.compileFloat(s.RHS, vs)
+			return func(env *vertexEnv) { env.vc.AggFloat(agg, rhs(env)) }
 		case ir.KBool:
-			return func(env *vertexEnv) { env.vc.AggBool(agg, rhs(env).AsBool()) }
-		default:
-			return func(env *vertexEnv) { env.vc.AggInt(agg, rhs(env).AsInt()) }
+			rhs := ex.compileBool(s.RHS, vs)
+			return func(env *vertexEnv) { env.vc.AggBool(agg, rhs(env)) }
 		}
+		rhs := ex.compileInt(s.RHS, vs)
+		return func(env *vertexEnv) { env.vc.AggInt(agg, rhs(env)) }
 	case ir.SendToNbrs:
 		return ex.compileSendToNbrs(s, vs)
 	case ir.SendTo:
-		target := ex.compileExpr(s.Target)
-		build := ex.compileMsgBuilder(s.MsgType, s.Payload)
+		target := ex.compileTo(s.Target, vs, ir.KNode)
+		build := ex.compileMsgBuilder(s.MsgType, s.Payload, vs)
 		return func(env *vertexEnv) {
-			tgt := target(env).AsNode()
-			if tgt == graph.NilNode {
-				return
+			if tgt := graph.NodeID(target(env)); tgt != graph.NilNode {
+				build.fill(env)
+				env.vc.Send(tgt, env.msg)
 			}
-			env.vc.Send(tgt, build(env))
 		}
 	case ir.SendToInNbrs:
-		build := ex.compileMsgBuilder(s.MsgType, s.Payload)
+		build := ex.compileMsgBuilder(s.MsgType, s.Payload, vs)
 		return func(env *vertexEnv) {
 			for _, src := range ex.inNbrs[env.vc.ID()] {
-				env.vc.Send(src, build(env))
+				build.fill(env)
+				env.vc.Send(src, env.msg)
 			}
 		}
 	case ir.CollectInNbrs:
@@ -109,11 +107,11 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 			env.curMsg = nil
 		}
 	case ir.If:
-		cond := ex.compileExpr(s.Cond)
+		cond := ex.compileBool(s.Cond, vs)
 		thenFns := ex.compileStmts(s.Then, vs)
 		elseFns := ex.compileStmts(s.Else, vs)
 		return func(env *vertexEnv) {
-			if cond(env).AsBool() {
+			if cond(env) {
 				runAll(thenFns, env)
 			} else {
 				runAll(elseFns, env)
@@ -124,79 +122,74 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 	}
 }
 
-// compileSetProp specializes property updates by storage type and
-// reduction operator — the hottest statement kind.
-func (ex *exec) compileSetProp(s ir.SetProp) stmtFn {
-	rhs := ex.compileExpr(s.RHS)
-	col := &ex.cols[s.Slot]
-	kind := ex.p.Props[s.Slot].Kind
-	if col.f != nil {
-		f := col.f
-		switch s.Op {
-		case ast.OpSet:
-			return func(env *vertexEnv) { f[env.vc.ID()] = rhs(env).AsFloat() }
-		case ast.OpAdd:
-			return func(env *vertexEnv) { f[env.vc.ID()] += rhs(env).AsFloat() }
-		case ast.OpSub:
-			return func(env *vertexEnv) { f[env.vc.ID()] -= rhs(env).AsFloat() }
-		case ast.OpMul:
-			return func(env *vertexEnv) { f[env.vc.ID()] *= rhs(env).AsFloat() }
-		case ast.OpMin:
-			return func(env *vertexEnv) {
-				if v := rhs(env).AsFloat(); v < f[env.vc.ID()] {
-					f[env.vc.ID()] = v
-				}
-			}
-		case ast.OpMax:
-			return func(env *vertexEnv) {
-				if v := rhs(env).AsFloat(); v > f[env.vc.ID()] {
-					f[env.vc.ID()] = v
-				}
-			}
+// compileSetProp specializes a property update by the kinds of column
+// and right side and by the reduction, storing what ir.Reduce stores.
+func (ex *exec) compileSetProp(s ir.SetProp, vs *VertexState) stmtFn {
+	ck, rk := ex.p.Props[s.Slot].Kind, exprKind(ex.p, vs, s.RHS)
+	f, i := ex.cols[s.Slot].f, ex.cols[s.Slot].i
+	_, bin := s.RHS.(ir.Binary) // a Bool-kinded one is 0/1, like Convert's
+	switch {
+	case f != nil && s.Op <= ast.OpMax: // =, +=, -=, *=, min=, max=
+		return reduce(s.Op, f, ex.compileFloat(s.RHS, vs))
+	case f == nil && s.Op == ast.OpSet && ck == ir.KBool && (rk != ir.KBool || bin):
+		b := ex.compileBool(s.RHS, vs)
+		return func(env *vertexEnv) { i[env.vc.ID()] = b2i(b(env)) }
+	case f == nil && s.Op == ast.OpSet:
+		return reduce(s.Op, i, ex.compileTo(s.RHS, vs, ck))
+	case f == nil && (s.Op <= ast.OpMul || s.Op <= ast.OpMax && rk != ir.KFloat && (ck != ir.KBool || rk == ir.KBool)):
+		return reduce(s.Op, i, ex.compileInt(s.RHS, vs))
+	}
+	// &=, |=, and min=/max= that convert across kinds: no workload
+	// reaches them, so they apply ir.Reduce to the unboxed operands.
+	op := s.Op
+	var rf floatFn
+	var ri intFn
+	if rk == ir.KFloat {
+		rf = ex.compileFloat(s.RHS, vs)
+	} else {
+		ri = ex.compileInt(s.RHS, vs)
+	}
+	return func(env *vertexEnv) {
+		v := ir.Value{K: rk}
+		if rf != nil {
+			v.F = rf(env)
+		} else {
+			v.I = ri(env)
 		}
-		op := s.Op
-		return func(env *vertexEnv) {
-			old := ir.Float(f[env.vc.ID()])
-			f[env.vc.ID()] = ir.Reduce(op, old, rhs(env)).F
+		if id := env.vc.ID(); f != nil {
+			f[id] = ir.Reduce(op, ir.Float(f[id]), v).F
+		} else {
+			i[id] = ir.Reduce(op, ir.Value{K: ck, I: i[id]}, v).I
 		}
 	}
-	iCol := col.i
-	switch s.Op {
+}
+
+// reduce stores rhs into this vertex's element of col under op, one of
+// =, +=, -=, *=, min= and max= (ir.Reduce on operands of col's kind).
+func reduce[T int64 | float64](op ast.AssignOp, col []T, rhs func(*vertexEnv) T) stmtFn {
+	switch op {
 	case ast.OpSet:
-		if kind == ir.KNode || kind == ir.KInt {
-			return func(env *vertexEnv) { iCol[env.vc.ID()] = rhs(env).AsInt() }
-		}
-		// Bool: normalize to 0/1.
-		return func(env *vertexEnv) {
-			if rhs(env).AsBool() {
-				iCol[env.vc.ID()] = 1
-			} else {
-				iCol[env.vc.ID()] = 0
-			}
-		}
+		return func(env *vertexEnv) { col[env.vc.ID()] = rhs(env) }
 	case ast.OpAdd:
-		return func(env *vertexEnv) { iCol[env.vc.ID()] += rhs(env).AsInt() }
+		return func(env *vertexEnv) { col[env.vc.ID()] += rhs(env) }
 	case ast.OpSub:
-		return func(env *vertexEnv) { iCol[env.vc.ID()] -= rhs(env).AsInt() }
+		return func(env *vertexEnv) { col[env.vc.ID()] -= rhs(env) }
+	case ast.OpMul:
+		return func(env *vertexEnv) { col[env.vc.ID()] *= rhs(env) }
 	case ast.OpMin:
 		return func(env *vertexEnv) {
-			if v := rhs(env).AsInt(); v < iCol[env.vc.ID()] {
-				iCol[env.vc.ID()] = v
+			if v, id := rhs(env), env.vc.ID(); v < col[id] {
+				col[id] = v
 			}
 		}
 	case ast.OpMax:
 		return func(env *vertexEnv) {
-			if v := rhs(env).AsInt(); v > iCol[env.vc.ID()] {
-				iCol[env.vc.ID()] = v
+			if v, id := rhs(env), env.vc.ID(); v > col[id] {
+				col[id] = v
 			}
 		}
 	}
-	op := s.Op
-	k := kind
-	return func(env *vertexEnv) {
-		old := ir.Value{K: k, I: iCol[env.vc.ID()]}
-		iCol[env.vc.ID()] = ir.Reduce(op, old, rhs(env)).I
-	}
+	panic(fmt.Sprintf("machine: no typed reduction %s", op))
 }
 
 func (ex *exec) compileSendToNbrs(s ir.SendToNbrs, vs *VertexState) stmtFn {
@@ -206,32 +199,21 @@ func (ex *exec) compileSendToNbrs(s ir.SendToNbrs, vs *VertexState) stmtFn {
 		x, _, _ := edgeAddBase(ex.p, vs, s)
 		s.Payload = []ir.Expr{x}
 	}
-	var cond exprFn
+	var cond boolFn
 	if s.EdgeCond != nil {
-		cond = ex.compileExpr(s.EdgeCond)
+		cond = ex.compileBool(s.EdgeCond, vs)
 	}
-	fields := ex.p.Msgs[s.MsgType].Fields
-	payload := make([]exprFn, len(s.Payload))
-	for i, p := range s.Payload {
-		payload[i] = ex.compileExpr(p)
-	}
-	mt := uint8(s.MsgType)
+	build := ex.compileMsgBuilder(s.MsgType, s.Payload, vs)
 
 	// When neither the payload nor the condition reads edge properties,
 	// the message is identical on every edge: build it once per vertex,
 	// exactly as hand-written code does.
-	perEdge := exprsUseEdgeProps(append(append([]ir.Expr(nil), s.Payload...), s.EdgeCond))
-	if !perEdge {
+	if !exprsUseEdgeProps(append(append([]ir.Expr(nil), s.Payload...), s.EdgeCond)) {
 		return func(env *vertexEnv) {
-			if cond != nil && !cond(env).AsBool() {
-				return
+			if cond == nil || cond(env) {
+				build.fill(env)
+				env.vc.SendToAllNbrs(env.msg)
 			}
-			var m pregel.Msg
-			m.Type = mt
-			for i, pf := range payload {
-				setField(&m, i, fields[i], pf(env))
-			}
-			env.vc.SendToAllNbrs(m)
 		}
 	}
 	return func(env *vertexEnv) {
@@ -239,15 +221,10 @@ func (ex *exec) compileSendToNbrs(s ir.SendToNbrs, vs *VertexState) stmtFn {
 		nbrs := env.vc.OutNbrs()
 		for e := lo; e < hi; e++ {
 			env.curEdge = e
-			if cond != nil && !cond(env).AsBool() {
-				continue
+			if cond == nil || cond(env) {
+				build.fill(env)
+				env.vc.Send(nbrs[e-lo], env.msg)
 			}
-			var m pregel.Msg
-			m.Type = mt
-			for i, pf := range payload {
-				setField(&m, i, fields[i], pf(env))
-			}
-			env.vc.Send(nbrs[e-lo], m)
 		}
 		env.curEdge = -1
 	}
@@ -267,197 +244,285 @@ func exprsUseEdgeProps(es []ir.Expr) bool {
 	return found
 }
 
-func (ex *exec) compileMsgBuilder(msgType int, payload []ir.Expr) func(env *vertexEnv) pregel.Msg {
-	fields := ex.p.Msgs[msgType].Fields
-	fns := make([]exprFn, len(payload))
-	for i, p := range payload {
-		fns[i] = ex.compileExpr(p)
-	}
-	mt := uint8(msgType)
-	return func(env *vertexEnv) pregel.Msg {
-		var m pregel.Msg
-		m.Type = mt
-		for i, pf := range fns {
-			setField(&m, i, fields[i], pf(env))
-		}
-		return m
-	}
+// msgBuilder builds one send's message in env.msg, one typed field
+// after another in payload order.
+type msgBuilder struct {
+	mt     uint8
+	fields []stmtFn
 }
 
-func setField(m *pregel.Msg, i int, k ir.Kind, v ir.Value) {
-	switch k {
-	case ir.KFloat:
-		m.SetFloat(i, v.AsFloat())
-	case ir.KBool:
-		m.SetBool(i, v.AsBool())
-	case ir.KNode:
-		m.SetNode(i, v.AsNode())
-	default:
-		m.SetInt(i, v.AsInt())
-	}
+func (b msgBuilder) fill(env *vertexEnv) {
+	env.msg = pregel.Msg{Type: b.mt}
+	runAll(b.fields, env)
 }
 
-func (ex *exec) compileExpr(e ir.Expr) exprFn {
-	switch e := e.(type) {
-	case ir.Const:
-		v := e.V
-		return func(*vertexEnv) ir.Value { return v }
-	case ir.ScalarRef:
-		slot := e.Slot
-		switch ex.p.Scalars[slot].Kind {
+func (ex *exec) compileMsgBuilder(msgType int, payload []ir.Expr, vs *VertexState) msgBuilder {
+	fields := make([]stmtFn, len(payload))
+	for i, e := range payload {
+		switch ex.p.Msgs[msgType].Fields[i] {
 		case ir.KFloat:
-			return func(env *vertexEnv) ir.Value { return ir.Float(env.vc.GlobalFloat(1 + slot)) }
+			x := ex.compileFloat(e, vs)
+			fields[i] = func(env *vertexEnv) { env.msg.SetFloat(i, x(env)) }
 		case ir.KBool:
-			return func(env *vertexEnv) ir.Value { return ir.Bool(env.vc.GlobalBool(1 + slot)) }
+			x := ex.compileBool(e, vs)
+			fields[i] = func(env *vertexEnv) { env.msg.SetBool(i, x(env)) }
 		case ir.KNode:
-			return func(env *vertexEnv) ir.Value { return ir.Node(env.vc.GlobalNode(1 + slot)) }
+			x := ex.compileTo(e, vs, ir.KNode)
+			fields[i] = func(env *vertexEnv) { env.msg.SetNode(i, graph.NodeID(x(env))) }
 		default:
-			return func(env *vertexEnv) ir.Value { return ir.Int(env.vc.GlobalInt(1 + slot)) }
+			x := ex.compileInt(e, vs)
+			fields[i] = func(env *vertexEnv) { env.msg.SetInt(i, x(env)) }
 		}
+	}
+	return msgBuilder{uint8(msgType), fields}
+}
+
+// compileTo compiles e to Value.Convert(k).I for a k held in an int64:
+// a Bool of another kind is 0/1, a Node of a float 0 (a float's I).
+func (ex *exec) compileTo(e ir.Expr, vs *VertexState, k ir.Kind) intFn {
+	switch ek := exprKind(ex.p, vs, e); {
+	case k == ir.KBool && ek != ir.KBool:
+		x := ex.compileBool(e, vs)
+		return func(env *vertexEnv) int64 { return b2i(x(env)) }
+	case k == ir.KNode && ek == ir.KFloat:
+		x := ex.compileFloat(e, vs)
+		return func(env *vertexEnv) int64 { x(env); return 0 }
+	}
+	return ex.compileInt(e, vs)
+}
+
+// compileFloat compiles e to Value.AsFloat of its value.
+func (ex *exec) compileFloat(e ir.Expr, vs *VertexState) floatFn {
+	if c, ok := e.(ir.Const); ok {
+		v := c.V.AsFloat()
+		return func(*vertexEnv) float64 { return v }
+	}
+	if exprKind(ex.p, vs, e) != ir.KFloat {
+		x := ex.compileInt(e, vs)
+		return func(env *vertexEnv) float64 { return float64(x(env)) }
+	}
+	switch e := e.(type) {
+	case ir.ScalarRef:
+		slot := 1 + e.Slot
+		return func(env *vertexEnv) float64 { return env.vc.GlobalFloat(slot) }
 	case ir.LocalRef:
 		slot := e.Slot
-		return func(env *vertexEnv) ir.Value { return env.locals[slot] }
+		return func(env *vertexEnv) float64 { return env.floats[slot] }
 	case ir.PropRef:
-		col := &ex.cols[e.Slot]
-		if col.f != nil {
-			f := col.f
-			return func(env *vertexEnv) ir.Value { return ir.Float(f[env.vc.ID()]) }
-		}
-		iCol := col.i
-		k := ex.p.Props[e.Slot].Kind
-		return func(env *vertexEnv) ir.Value { return ir.Value{K: k, I: iCol[env.vc.ID()]} }
+		f := ex.cols[e.Slot].f
+		return func(env *vertexEnv) float64 { return f[env.vc.ID()] }
 	case ir.EdgePropRef:
-		col := &ex.cols[e.Slot]
-		if col.f != nil {
-			f := col.f
-			return func(env *vertexEnv) ir.Value { return ir.Float(f[env.curEdge]) }
-		}
-		iCol := col.i
-		k := ex.p.Props[e.Slot].Kind
-		return func(env *vertexEnv) ir.Value { return ir.Value{K: k, I: iCol[env.curEdge]} }
-	case ir.CurNode:
-		return func(env *vertexEnv) ir.Value { return ir.Node(env.vc.ID()) }
+		f := ex.cols[e.Slot].f
+		return func(env *vertexEnv) float64 { return f[env.curEdge] }
 	case ir.MsgField:
 		idx := e.Idx
-		switch e.K {
+		return func(env *vertexEnv) float64 { return env.curMsg.Float(idx) }
+	case ir.Binary:
+		return arith(e.Op, ex.compileFloat(e.L, vs), ex.compileFloat(e.R, vs))
+	case ir.Unary:
+		return neg(ex.compileFloat(e.X, vs))
+	case ir.Ternary:
+		return ternary(ex.compileBool(e.Cond, vs), ex.compileFloat(e.Then, vs), ex.compileFloat(e.Else, vs))
+	}
+	panic(fmt.Sprintf("machine: cannot compile %s as a float", e))
+}
+
+// compileInt compiles e to its value's I: the int, the node's ID or the
+// bool's 0/1, or Value.AsInt of a float.
+func (ex *exec) compileInt(e ir.Expr, vs *VertexState) intFn {
+	k := exprKind(ex.p, vs, e)
+	switch e := e.(type) {
+	case ir.Const:
+		v := e.V.AsInt()
+		return func(*vertexEnv) int64 { return v }
+	case ir.ScalarRef:
+		switch slot := 1 + e.Slot; k {
 		case ir.KFloat:
-			return func(env *vertexEnv) ir.Value { return ir.Float(env.curMsg.Float(idx)) }
 		case ir.KBool:
-			return func(env *vertexEnv) ir.Value { return ir.Bool(env.curMsg.Bool(idx)) }
+			return func(env *vertexEnv) int64 { return b2i(env.vc.GlobalBool(slot)) }
 		case ir.KNode:
-			return func(env *vertexEnv) ir.Value { return ir.Node(env.curMsg.Node(idx)) }
+			return func(env *vertexEnv) int64 { return int64(env.vc.GlobalNode(slot)) }
 		default:
-			return func(env *vertexEnv) ir.Value { return ir.Int(env.curMsg.Int(idx)) }
+			return func(env *vertexEnv) int64 { return env.vc.GlobalInt(slot) }
+		}
+	case ir.LocalRef:
+		if slot := e.Slot; k != ir.KFloat {
+			return func(env *vertexEnv) int64 { return env.ints[slot] }
+		}
+	case ir.PropRef:
+		if i := ex.cols[e.Slot].i; i != nil {
+			return func(env *vertexEnv) int64 { return i[env.vc.ID()] }
+		}
+	case ir.EdgePropRef:
+		if i := ex.cols[e.Slot].i; i != nil {
+			return func(env *vertexEnv) int64 { return i[env.curEdge] }
+		}
+	case ir.CurNode:
+		return func(env *vertexEnv) int64 { return int64(env.vc.ID()) }
+	case ir.MsgField:
+		switch idx := e.Idx; k {
+		case ir.KFloat:
+		case ir.KBool:
+			return func(env *vertexEnv) int64 { return b2i(env.curMsg.Bool(idx)) }
+		case ir.KNode:
+			return func(env *vertexEnv) int64 { return int64(env.curMsg.Node(idx)) }
+		default:
+			return func(env *vertexEnv) int64 { return env.curMsg.Int(idx) }
 		}
 	case ir.Builtin:
 		switch e.Op {
 		case ir.BNumNodes:
-			return func(env *vertexEnv) ir.Value { return ir.Int(int64(env.vc.NumNodes())) }
+			return func(env *vertexEnv) int64 { return int64(env.vc.NumNodes()) }
 		case ir.BNumEdges:
 			m := ex.g.NumEdges()
-			return func(*vertexEnv) ir.Value { return ir.Int(m) }
+			return func(*vertexEnv) int64 { return m }
 		case ir.BDegree:
-			return func(env *vertexEnv) ir.Value { return ir.Int(int64(env.vc.OutDegree())) }
+			return func(env *vertexEnv) int64 { return int64(env.vc.OutDegree()) }
 		case ir.BPickRandom:
-			return func(env *vertexEnv) ir.Value {
-				return ir.Node(graph.NodeID(env.vc.Rand().Intn(env.vc.NumNodes())))
-			}
+			return func(env *vertexEnv) int64 { return int64(env.vc.Rand().Intn(env.vc.NumNodes())) }
 		case ir.BNodeId:
-			return func(env *vertexEnv) ir.Value { return ir.Int(int64(env.vc.ID())) }
+			return func(env *vertexEnv) int64 { return int64(env.vc.ID()) }
 		}
 	case ir.Binary:
-		return compileBinary(e.Op, ex.compileExpr(e.L), ex.compileExpr(e.R))
-	case ir.Unary:
-		x := ex.compileExpr(e.X)
-		if e.Op == ast.UnNot {
-			return func(env *vertexEnv) ir.Value { return ir.Bool(!x(env).AsBool()) }
+		if k != ir.KInt {
+			break
 		}
-		return func(env *vertexEnv) ir.Value {
-			v := x(env)
-			if v.K == ir.KFloat {
-				return ir.Float(-v.F)
+		l, r := ex.compileInt(e.L, vs), ex.compileInt(e.R, vs)
+		if mod := e.Op == ast.BinMod; mod || e.Op == ast.BinDiv {
+			return func(env *vertexEnv) int64 {
+				switch x, y := l(env), r(env); {
+				case y == 0:
+					return 0
+				case mod:
+					return x % y
+				default:
+					return x / y
+				}
 			}
-			return ir.Value{K: v.K, I: -v.I}
+		}
+		return arith(e.Op, l, r)
+	case ir.Unary:
+		if e.Op != ast.UnNot && k != ir.KFloat {
+			return neg(ex.compileInt(e.X, vs))
 		}
 	case ir.Ternary:
-		cond := ex.compileExpr(e.Cond)
-		th := ex.compileExpr(e.Then)
-		el := ex.compileExpr(e.Else)
-		return func(env *vertexEnv) ir.Value {
-			if cond(env).AsBool() {
-				return th(env)
-			}
-			return el(env)
+		if k != ir.KFloat {
+			return ternary(ex.compileBool(e.Cond, vs), ex.compileInt(e.Then, vs), ex.compileInt(e.Else, vs))
 		}
 	}
-	panic(fmt.Sprintf("machine: cannot compile expression %T", e))
+	// A float, or a comparison, logic or ! operator: convert.
+	switch k {
+	case ir.KFloat:
+		x := ex.compileFloat(e, vs)
+		return func(env *vertexEnv) int64 { return int64(x(env)) }
+	case ir.KBool:
+		x := ex.compileBool(e, vs)
+		return func(env *vertexEnv) int64 { return b2i(x(env)) }
+	}
+	panic(fmt.Sprintf("machine: cannot compile %s as an int", e))
 }
 
-func compileBinary(op ast.BinOp, l, r exprFn) exprFn {
+// compileBool compiles e to Value.AsBool of its value.
+func (ex *exec) compileBool(e ir.Expr, vs *VertexState) boolFn {
+	switch e := e.(type) {
+	case ir.Const:
+		v := e.V.AsBool()
+		return func(*vertexEnv) bool { return v }
+	case ir.Binary:
+		switch e.Op {
+		case ast.BinAnd:
+			l, r := ex.compileBool(e.L, vs), ex.compileBool(e.R, vs)
+			return func(env *vertexEnv) bool { return l(env) && r(env) }
+		case ast.BinOr:
+			l, r := ex.compileBool(e.L, vs), ex.compileBool(e.R, vs)
+			return func(env *vertexEnv) bool { return l(env) || r(env) }
+		case ast.BinEq, ast.BinNeq, ast.BinLt, ast.BinGt, ast.BinLe, ast.BinGe:
+			// In float when either side is a float (ir.Equal, ir.Less).
+			if exprKind(ex.p, vs, e.L) == ir.KFloat || exprKind(ex.p, vs, e.R) == ir.KFloat {
+				return compare(e.Op, ex.compileFloat(e.L, vs), ex.compileFloat(e.R, vs))
+			}
+			return compare(e.Op, ex.compileInt(e.L, vs), ex.compileInt(e.R, vs))
+		}
+	case ir.Unary:
+		if e.Op == ast.UnNot {
+			x := ex.compileBool(e.X, vs)
+			return func(env *vertexEnv) bool { return !x(env) }
+		}
+	case ir.PropRef:
+		if i := ex.cols[e.Slot].i; i != nil {
+			return func(env *vertexEnv) bool { return i[env.vc.ID()] != 0 }
+		}
+	case ir.ScalarRef:
+		if slot := 1 + e.Slot; ex.p.Scalars[e.Slot].Kind == ir.KBool {
+			return func(env *vertexEnv) bool { return env.vc.GlobalBool(slot) }
+		}
+	case ir.MsgField:
+		if idx := e.Idx; e.K == ir.KBool {
+			return func(env *vertexEnv) bool { return env.curMsg.Bool(idx) }
+		}
+	}
+	if exprKind(ex.p, vs, e) == ir.KFloat {
+		// AsBool reads I, which is 0 in a float (ir.Float).
+		x := ex.compileFloat(e, vs)
+		return func(env *vertexEnv) bool { x(env); return false }
+	}
+	x := ex.compileInt(e, vs)
+	return func(env *vertexEnv) bool { return x(env) != 0 }
+}
+
+// arith and the helpers after it build one closure per operator, so no
+// two float operations share an expression a compiler could fuse (FMA)
+// and round differently from ir.Eval.
+func arith[T int64 | float64](op ast.BinOp, l, r func(*vertexEnv) T) func(*vertexEnv) T {
 	switch op {
-	case ast.BinAnd:
-		return func(env *vertexEnv) ir.Value {
-			if !l(env).AsBool() {
-				return ir.Bool(false)
-			}
-			return ir.Bool(r(env).AsBool())
-		}
-	case ast.BinOr:
-		return func(env *vertexEnv) ir.Value {
-			if l(env).AsBool() {
-				return ir.Bool(true)
-			}
-			return ir.Bool(r(env).AsBool())
-		}
+	case ast.BinAdd:
+		return func(env *vertexEnv) T { return l(env) + r(env) }
+	case ast.BinSub:
+		return func(env *vertexEnv) T { return l(env) - r(env) }
+	case ast.BinMul:
+		return func(env *vertexEnv) T { return l(env) * r(env) }
+	case ast.BinDiv: // a float's: compileInt tests an int divisor for 0
+		return func(env *vertexEnv) T { return l(env) / r(env) }
+	}
+	panic(fmt.Sprintf("machine: no typed arithmetic %s", op))
+}
+
+// compare evaluates l, then r; <= and >= negate ir.Less as it does,
+// which differs from Go's <= and >= when an operand is NaN.
+func compare[T int64 | float64](op ast.BinOp, l, r func(*vertexEnv) T) boolFn {
+	switch op {
 	case ast.BinEq:
-		return func(env *vertexEnv) ir.Value { return ir.Bool(ir.Equal(l(env), r(env))) }
+		return func(env *vertexEnv) bool { return l(env) == r(env) }
 	case ast.BinNeq:
-		return func(env *vertexEnv) ir.Value { return ir.Bool(!ir.Equal(l(env), r(env))) }
+		return func(env *vertexEnv) bool { return l(env) != r(env) }
 	case ast.BinLt:
-		return func(env *vertexEnv) ir.Value { return ir.Bool(ir.Less(l(env), r(env))) }
+		return func(env *vertexEnv) bool { return l(env) < r(env) }
 	case ast.BinGt:
-		return func(env *vertexEnv) ir.Value { return ir.Bool(ir.Less(r(env), l(env))) }
+		return func(env *vertexEnv) bool { return l(env) > r(env) }
 	case ast.BinLe:
-		return func(env *vertexEnv) ir.Value { return ir.Bool(!ir.Less(r(env), l(env))) }
+		return func(env *vertexEnv) bool { x := l(env); return !(r(env) < x) }
 	case ast.BinGe:
-		return func(env *vertexEnv) ir.Value { return ir.Bool(!ir.Less(l(env), r(env))) }
+		return func(env *vertexEnv) bool { return !(l(env) < r(env)) }
 	}
-	return func(env *vertexEnv) ir.Value {
-		a := l(env)
-		b := r(env)
-		if a.K == ir.KFloat || b.K == ir.KFloat {
-			x, y := a.AsFloat(), b.AsFloat()
-			switch op {
-			case ast.BinAdd:
-				return ir.Float(x + y)
-			case ast.BinSub:
-				return ir.Float(x - y)
-			case ast.BinMul:
-				return ir.Float(x * y)
-			case ast.BinDiv:
-				return ir.Float(x / y)
-			}
-			return ir.Float(math.NaN())
+	panic(fmt.Sprintf("machine: no typed comparison %s", op))
+}
+
+func neg[T int64 | float64](x func(*vertexEnv) T) func(*vertexEnv) T {
+	return func(env *vertexEnv) T { return -x(env) }
+}
+
+func ternary[T int64 | float64 | bool](cond boolFn, a, b func(*vertexEnv) T) func(*vertexEnv) T {
+	return func(env *vertexEnv) T {
+		if cond(env) {
+			return a(env)
 		}
-		x, y := a.AsInt(), b.AsInt()
-		switch op {
-		case ast.BinAdd:
-			return ir.Int(x + y)
-		case ast.BinSub:
-			return ir.Int(x - y)
-		case ast.BinMul:
-			return ir.Int(x * y)
-		case ast.BinDiv:
-			if y == 0 {
-				return ir.Int(0)
-			}
-			return ir.Int(x / y)
-		case ast.BinMod:
-			if y == 0 {
-				return ir.Int(0)
-			}
-			return ir.Int(x % y)
-		}
-		return ir.Int(0)
+		return b(env)
 	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -12,8 +12,7 @@ import (
 // RunOptions control optional executor behavior.
 type RunOptions struct {
 	// Interpret executes vertex states through the reference tree-walking
-	// interpreter instead of the closure-compiled bodies. Slower; used by
-	// the differential tests that check both executors agree.
+	// interpreter (ir.Eval on ir.Value), the typed closures' oracle.
 	Interpret bool
 }
 
@@ -86,7 +85,7 @@ func handlerReduction(p *Program, f ir.ForMsgs) ast.AssignOp {
 	}
 	mf, ok := sp.RHS.(ir.MsgField)
 	kind := p.Msgs[f.MsgType].Fields[0]
-	if !ok || mf.Idx != 0 || mf.K != kind || p.Props[sp.Slot].Kind != kind || foldFor(kind, sp.Op) == nil {
+	if !ok || mf.Idx != 0 || exprKind(p, nil, mf) != kind || p.Props[sp.Slot].Kind != kind || foldFor(kind, sp.Op) == nil {
 		return opInvalid
 	}
 	return sp.Op
@@ -201,42 +200,63 @@ func edgeAddBase(p *Program, vs *VertexState, s ir.SendToNbrs) (ir.Expr, int, bo
 		ep, ok = sum.L.(ir.EdgePropRef)
 	}
 	kind := p.Msgs[s.MsgType].Fields[0]
-	if xk, known := exprKind(p, vs, x); !ok || !known || xk != kind ||
+	if !ok || exprKind(p, vs, x) != kind ||
 		!p.Props[ep.Slot].IsEdge || p.Props[ep.Slot].Kind != kind || exprsUseEdgeProps([]ir.Expr{x}) {
 		return nil, -1, false
 	}
 	return x, ep.Slot, true
 }
 
-// exprKind is the kind of the value e evaluates to, where the reads and
-// arithmetic in it fix one: known is false for anything else.
-func exprKind(p *Program, vs *VertexState, e ir.Expr) (k ir.Kind, known bool) {
+// exprKind is the kind of e's value, the one kind table: arithmetic and
+// ternaries with mixed branches promote, comparisons and logic are Bool
+// and -x has x's kind. e must have passed validateExpr; vs is nil in
+// master context.
+func exprKind(p *Program, vs *VertexState, e ir.Expr) ir.Kind {
 	switch e := e.(type) {
 	case ir.Const:
-		return e.V.K, true
+		return e.V.K
 	case ir.ScalarRef:
-		return p.Scalars[e.Slot].Kind, true
+		return p.Scalars[e.Slot].Kind
 	case ir.LocalRef:
-		return vs.Locals[e.Slot], true
+		return vs.Locals[e.Slot]
 	case ir.PropRef:
-		return p.Props[e.Slot].Kind, true
+		return p.Props[e.Slot].Kind
+	case ir.EdgePropRef:
+		return p.Props[e.Slot].Kind
 	case ir.MsgField:
-		return e.K, true
-	case ir.Binary:
-		// Arithmetic is in float when either side is a float, in int
-		// otherwise (ir.Eval, compileBinary).
-		l, lok := exprKind(p, vs, e.L)
-		r, rok := exprKind(p, vs, e.R)
-		switch {
-		case !lok || !rok:
-		case e.Op == ast.BinAdd || e.Op == ast.BinSub || e.Op == ast.BinMul || e.Op == ast.BinDiv:
-			if l == ir.KFloat || r == ir.KFloat {
-				return ir.KFloat, true
-			}
-			return ir.KInt, true
-		case e.Op == ast.BinMod && l != ir.KFloat && r != ir.KFloat:
-			return ir.KInt, true
+		return e.K
+	case ir.AggRef:
+		return p.Aggs[e.Slot].Kind
+	case ir.CurNode:
+		return ir.KNode
+	case ir.Builtin:
+		if e.Op == ir.BPickRandom {
+			return ir.KNode
 		}
+	case ir.Binary:
+		if e.Op < ast.BinAdd { // ||, &&, ==, !=, <, >, <=, >=
+			return ir.KBool
+		}
+		return promote(exprKind(p, vs, e.L), exprKind(p, vs, e.R))
+	case ir.Unary:
+		if e.Op == ast.UnNot {
+			return ir.KBool
+		}
+		return exprKind(p, vs, e.X)
+	case ir.Ternary:
+		a, b := exprKind(p, vs, e.Then), exprKind(p, vs, e.Else)
+		if a != b {
+			return promote(a, b)
+		}
+		return a
 	}
-	return 0, false
+	return ir.KInt
+}
+
+// promote is the kind arithmetic on l and r yields (ir.Eval).
+func promote(l, r ir.Kind) ir.Kind {
+	if l == ir.KFloat || r == ir.KFloat {
+		return ir.KFloat
+	}
+	return ir.KInt
 }

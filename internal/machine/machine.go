@@ -162,9 +162,9 @@ func (p *Program) NumVertexStates() int {
 
 // Validate checks CFG and slot invariants, returning the first
 // violation: terminator targets, and in every master block, terminator
-// condition and vertex state, that each statement and expression is
-// one its context runs and that every slot, type and field it names is
-// declared.
+// condition and vertex state, that each statement and expression is one
+// its context runs, names only declared slots, types, fields and
+// operators, and gives them operands of kinds they take (exprKind).
 func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Nodes) {
 		return fmt.Errorf("machine: entry %d out of range", p.Entry)
@@ -190,7 +190,7 @@ func (p *Program) Validate() error {
 				if t.Cond == nil {
 					return fmt.Errorf("machine: node %d cond terminator without condition", i)
 				}
-				if err := p.validateExpr(t.Cond, nil, -1); err != nil {
+				if err := p.condErr(t.Cond, nil, -1); err != nil {
 					return fmt.Errorf("machine: node %d condition: %v", i, err)
 				}
 			case THalt:
@@ -233,6 +233,7 @@ func (p *Program) validateStmts(ss []ir.Stmt, vs *VertexState, msg int) error {
 			return fmt.Errorf("statement %T out of context", s)
 		}
 		var exprs []ir.Expr
+		var cond ir.Expr // must be Bool
 		var err error
 		switch s := s.(type) {
 		case ir.SetScalar:
@@ -244,16 +245,15 @@ func (p *Program) validateStmts(ss []ir.Stmt, vs *VertexState, msg int) error {
 				exprs = []ir.Expr{s.Value}
 			}
 		case ir.SetProp:
-			exprs, err = []ir.Expr{s.RHS}, slotErr("prop", s.Slot, len(p.Props))
+			err = cmp.Or(slotErr("prop", s.Slot, len(p.Props)), slotErr("assignment operator", int(s.Op), int(ast.OpOr)+1))
+			exprs = []ir.Expr{s.RHS}
 		case ir.SetLocal:
 			exprs, err = []ir.Expr{s.RHS}, slotErr("local", s.Slot, len(vs.Locals))
 		case ir.ContribAgg:
 			exprs, err = []ir.Expr{s.RHS}, slotErr("agg", s.Agg, len(p.Aggs))
 		case ir.SendToNbrs:
 			exprs, err = s.Payload, p.sendErr(s.MsgType, s.Payload)
-			if s.EdgeCond != nil {
-				exprs = append(exprs[:len(exprs):len(exprs)], s.EdgeCond)
-			}
+			cond = s.EdgeCond
 		case ir.SendTo:
 			err = p.sendErr(s.MsgType, s.Payload)
 			exprs = append(s.Payload[:len(s.Payload):len(s.Payload)], s.Target)
@@ -266,13 +266,15 @@ func (p *Program) validateStmts(ss []ir.Stmt, vs *VertexState, msg int) error {
 				err = p.validateStmts(s.Body, vs, s.MsgType)
 			}
 		case ir.If:
-			err = cmp.Or(p.validateStmts(s.Then, vs, msg), p.validateStmts(s.Else, vs, msg))
-			exprs = []ir.Expr{s.Cond}
+			err, cond = cmp.Or(p.validateStmts(s.Then, vs, msg), p.validateStmts(s.Else, vs, msg)), s.Cond
 		default:
 			err = fmt.Errorf("unknown statement %T", s)
 		}
 		for _, e := range exprs {
 			err = cmp.Or(err, p.validateExpr(e, vs, msg))
+		}
+		if err == nil && cond != nil {
+			err = p.condErr(cond, vs, msg)
 		}
 		if err != nil {
 			return err
@@ -320,13 +322,36 @@ func (p *Program) validateExpr(e ir.Expr, vs *VertexState, msg int) error {
 	case ir.Builtin:
 		return slotErr("builtin", int(e.Op), int(ir.BNodeId)+1)
 	case ir.Binary:
-		return cmp.Or(p.validateExpr(e.L, vs, msg), p.validateExpr(e.R, vs, msg))
+		err := cmp.Or(slotErr("binary operator", int(e.Op), int(ast.BinMod)+1), p.validateExpr(e.L, vs, msg), p.validateExpr(e.R, vs, msg))
+		switch {
+		case err != nil:
+		case e.Op == ast.BinAnd || e.Op == ast.BinOr:
+			err = cmp.Or(p.condErr(e.L, vs, msg), p.condErr(e.R, vs, msg))
+		case e.Op == ast.BinMod && (exprKind(p, vs, e.L) == ir.KFloat || exprKind(p, vs, e.R) == ir.KFloat):
+			err = fmt.Errorf("%s has a Float operand", e)
+		}
+		return err
 	case ir.Unary:
+		if e.Op == ast.UnNot {
+			return p.condErr(e.X, vs, msg)
+		}
 		return p.validateExpr(e.X, vs, msg)
 	case ir.Ternary:
-		return cmp.Or(p.validateExpr(e.Cond, vs, msg), p.validateExpr(e.Then, vs, msg), p.validateExpr(e.Else, vs, msg))
+		return cmp.Or(p.condErr(e.Cond, vs, msg), p.validateExpr(e.Then, vs, msg), p.validateExpr(e.Else, vs, msg))
 	}
 	return fmt.Errorf("unknown expression %T", e)
+}
+
+// condErr checks e as a condition: valid, and Bool (AsBool reads I,
+// which is 0 in every float).
+func (p *Program) condErr(e ir.Expr, vs *VertexState, msg int) error {
+	if err := p.validateExpr(e, vs, msg); err != nil {
+		return err
+	}
+	if k := exprKind(p, vs, e); k != ir.KBool {
+		return fmt.Errorf("condition %s is %s, not %s", e, k, ir.KBool)
+	}
+	return nil
 }
 
 // slotErr reports a slot outside the n declared.

@@ -183,7 +183,7 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 	maxLocals := 0
 	for i, n := range p.Nodes {
 		if n.Vertex != nil {
-			ex.compiled[i] = ex.compileState(n.Vertex)
+			ex.compiled[i] = ex.compileStmts(n.Vertex.Body, n.Vertex)
 			if len(n.Vertex.Locals) > maxLocals {
 				maxLocals = len(n.Vertex.Locals)
 			}
@@ -191,7 +191,8 @@ func newExec(p *Program, g *graph.Directed, b Bindings, cfg pregel.Config, ro Ru
 	}
 	ex.envs = make([]*vertexEnv, cfg.Workers(g.NumNodes()))
 	for w := range ex.envs {
-		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: pregel.Padded[ir.Value](maxLocals)}
+		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: pregel.Padded[ir.Value](maxLocals),
+			ints: pregel.Padded[int64](maxLocals), floats: pregel.Padded[float64](maxLocals)}
 	}
 	return ex, nil
 }
@@ -448,12 +449,15 @@ func (ex *exec) VertexCompute(vc *pregel.VertexContext) {
 	env.vs = vs
 	env.curEdge = -1
 	env.curMsg = nil
-	for i, k := range vs.Locals {
-		env.locals[i] = ir.Zero(k)
-	}
 	if ex.opts.Interpret {
+		for i, k := range vs.Locals {
+			env.locals[i] = ir.Zero(k)
+		}
 		ex.execVertex(vs.Body, env)
 		return
+	}
+	for i, k := range vs.Locals {
+		env.ints[i], env.floats[i] = ir.Zero(k).I, 0
 	}
 	runAll(ex.compiled[state], env)
 }
@@ -588,6 +592,7 @@ func (e *masterEnv) Prop(int) ir.Value        { panic("machine: property read in
 func (e *masterEnv) EdgeProp(int) ir.Value    { panic("machine: edge property read in master context") }
 func (e *masterEnv) CurNode() ir.Value        { panic("machine: current node in master context") }
 func (e *masterEnv) MsgField(int) ir.Value    { panic("machine: message field in master context") }
+func (e *masterEnv) Kind(x ir.Expr) ir.Kind   { return exprKind(e.ex.p, nil, x) }
 
 func (e *masterEnv) Agg(slot int) (ir.Value, bool) {
 	if !e.mc.AggIsSet(slot) {
@@ -626,7 +631,10 @@ type vertexEnv struct {
 	ex      *exec
 	vc      *pregel.VertexContext
 	vs      *VertexState
-	locals  []ir.Value
+	locals  []ir.Value // by slot, the interpreter's
+	ints    []int64    // by slot, the closures' non-float locals
+	floats  []float64  // by slot, the closures' float locals
+	msg     pregel.Msg // the message a send builds
 	curMsg  *pregel.Msg
 	curEdge int64
 	_       pregel.BlockPad
@@ -647,6 +655,7 @@ func (e *vertexEnv) Scalar(slot int) ir.Value {
 }
 
 func (e *vertexEnv) Local(slot int) ir.Value { return e.locals[slot] }
+func (e *vertexEnv) Kind(x ir.Expr) ir.Kind  { return exprKind(e.ex.p, e.vs, x) }
 
 func (e *vertexEnv) Prop(slot int) ir.Value {
 	col := &e.ex.cols[slot]

@@ -101,10 +101,11 @@ func TestSerializeCarriesAnalysisSummary(t *testing.T) {
 }
 
 // malformedArtifacts are artifacts DecodeProgram must reject with an
-// error containing want: a missing operand, and slots, statements and
-// expressions that no context of the program can run. Each decoded
-// cleanly (or panicked) before Validate walked master code and
-// expressions, and failed only at run time.
+// error containing want: a missing operand, and slots, statements,
+// expressions, operators and operand kinds that no context of the
+// program can run. Each decoded cleanly (or panicked) before Validate
+// walked master code, expressions and kinds, and failed, or computed
+// garbage, only at run time.
 var malformedArtifacts = []struct {
 	name, json, want string
 }{
@@ -144,6 +145,28 @@ var malformedArtifacts = []struct {
 		"vertex state 0: bad builtin slot 9"},
 	{"master reads a vertex-only builtin", `{"name":"x","nodes":[{"master":{"term":1,"cond":{"k":"builtin","op":2},"then":0,"else":0}}],"entry":0}`,
 		"node 0 condition: expression ir.Builtin out of context"},
+	// Kind errors, judged by exprKind: a float operand of %, and a
+	// condition (or an operand of !, && or ||) that is not Bool.
+	{"% of a float", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"binary","op":12,"l":{"k":"prop","name":"p"},"r":{"k":"const","vk":1,"i":4611686018427387904}}}]}}],"entry":0}`,
+		"vertex state 0: (this.p % 2) has a Float operand"},
+	{"If on an int", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"if","cond":{"k":"prop","name":"p"}}]}}],"entry":0}`,
+		"vertex state 0: condition this.p is Int, not Bool"},
+	{"ternary on a float", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"ternary","c":{"k":"const","vk":1},"l":{"k":"const"},"r":{"k":"const"}}}]}}],"entry":0}`,
+		"vertex state 0: condition 0 is Float, not Bool"},
+	{"! of an int", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"unary","op":0,"l":{"k":"prop","name":"p"}}}]}}],"entry":0}`,
+		"vertex state 0: condition this.p is Int, not Bool"},
+	{"&& of a node", `{"name":"x","props":[{"Name":"p","Kind":2}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"binary","op":1,"l":{"k":"const","vk":2,"i":1},"r":{"k":"curNode"}}}]}}],"entry":0}`,
+		"vertex state 0: condition this.id is Node, not Bool"},
+	{"|| of an int", `{"name":"x","props":[{"Name":"p","Kind":2}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"binary","op":0,"l":{"k":"const","i":1},"r":{"k":"const","vk":2}}}]}}],"entry":0}`,
+		"vertex state 0: condition 1 is Int, not Bool"},
+	{"edge condition on an int", `{"name":"x","msgs":[{"Name":"m","Fields":[0]}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"sendToNbrs","cond":{"k":"const","i":1},"payload":[{"k":"const"}]}]}}],"entry":0}`,
+		"vertex state 0: condition 1 is Int, not Bool"},
+	{"terminator condition on a float", `{"name":"x","scalars":[{"Name":"s","Kind":1}],"nodes":[{"master":{"term":1,"cond":{"k":"scalar","name":"s"},"then":0,"else":0}}],"entry":0}`,
+		"node 0 condition: condition $s is Float, not Bool"},
+	{"unknown binary operator", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"binary","op":13,"l":{"k":"const"},"r":{"k":"const"}}}]}}],"entry":0}`,
+		"vertex state 0: bad binary operator slot 13"},
+	{"unknown assignment operator", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","op":-1,"rhs":{"k":"const"}}]}}],"entry":0}`,
+		"vertex state 0: bad assignment operator slot -1"},
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
