@@ -127,13 +127,9 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 func (ex *exec) compileSetProp(s ir.SetProp, vs *VertexState) stmtFn {
 	ck, rk := ex.p.Props[s.Slot].Kind, exprKind(ex.p, vs, s.RHS)
 	f, i := ex.cols[s.Slot].f, ex.cols[s.Slot].i
-	_, bin := s.RHS.(ir.Binary) // a Bool-kinded one is 0/1, like Convert's
 	switch {
 	case f != nil && s.Op <= ast.OpMax: // =, +=, -=, *=, min=, max=
 		return reduce(s.Op, f, ex.compileFloat(s.RHS, vs))
-	case f == nil && s.Op == ast.OpSet && ck == ir.KBool && (rk != ir.KBool || bin):
-		b := ex.compileBool(s.RHS, vs)
-		return func(env *vertexEnv) { i[env.vc.ID()] = b2i(b(env)) }
 	case f == nil && s.Op == ast.OpSet:
 		return reduce(s.Op, i, ex.compileTo(s.RHS, vs, ck))
 	case f == nil && (s.Op <= ast.OpMul || s.Op <= ast.OpMax && rk != ir.KFloat && (ck != ir.KBool || rk == ir.KBool)):

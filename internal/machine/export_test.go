@@ -24,3 +24,6 @@ func MalformedArtifacts() []string {
 	}
 	return out
 }
+
+// DeepLogicArtifact is deepLogicArtifact, for the external fuzz seeds.
+func DeepLogicArtifact(n int) string { return deepLogicArtifact(n) }

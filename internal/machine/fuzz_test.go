@@ -43,6 +43,7 @@ func FuzzDecodeProgram(f *testing.F) {
 	for _, s := range machine.MalformedArtifacts() {
 		f.Add([]byte(s))
 	}
+	f.Add([]byte(machine.DeepLogicArtifact(64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return // keep single iterations fast

@@ -227,3 +227,59 @@ func TestSendTargetKindsBothExecutors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A ternary with branches of two kinds has the promoted kind of both
+// (Int or Float), checked against values worked out by hand rather than
+// against exprKind, which both executors share. k is [0 3 5] and c is
+// k > 1, so vertex 0 takes the else branch and vertices 1 and 2 the
+// then branch.
+func TestMixedTernaryKindsMatchHandValues(t *testing.T) {
+	k := ir.PropRef{Slot: 0, Name: "k"}
+	c := ir.Binary{Op: ast.BinGt, L: k, R: ir.Const{V: ir.Int(1)}}
+	tern := func(then, els ir.Expr) ir.Expr { return ir.Ternary{Cond: c, Then: then, Else: els} }
+	bin := func(op ast.BinOp, l ir.Expr, r ir.Value) ir.Expr { return ir.Binary{Op: op, L: l, R: ir.Const{V: r}} }
+	cases := []struct {
+		name string
+		rhs  ir.Expr
+		want []float64 // stored into a Float property
+	}{
+		{"(c ? k : 2.5) / 2", bin(ast.BinDiv, tern(k, ir.Const{V: ir.Float(2.5)}), ir.Int(2)), []float64{1.25, 1.5, 2.5}},
+		{"(c ? 2.5 : k) / 2", bin(ast.BinDiv, tern(ir.Const{V: ir.Float(2.5)}, k), ir.Int(2)), []float64{0, 1.25, 1.25}},
+		{"(c ? id : 0.5) / 4", bin(ast.BinDiv, tern(ir.CurNode{}, ir.Const{V: ir.Float(0.5)}), ir.Int(4)), []float64{0.125, 0.25, 0.5}},
+		{"(c ? c : 0.5) / 4", bin(ast.BinDiv, tern(c, ir.Const{V: ir.Float(0.5)}), ir.Int(4)), []float64{0.125, 0.25, 0.25}},
+		{"(c ? id : k + 10) / 2", bin(ast.BinDiv, tern(ir.CurNode{}, bin(ast.BinAdd, k, ir.Int(10))), ir.Int(2)), []float64{5, 0, 1}},
+		{"(c ? true : k) - 2", bin(ast.BinSub, tern(ir.Const{V: ir.Bool(true)}, k), ir.Int(2)), []float64{-2, -1, -1}},
+		{"(c ? k : id) * 2", bin(ast.BinMul, tern(k, ir.CurNode{}), ir.Int(2)), []float64{0, 6, 10}},
+	}
+	p := &Program{Name: "tern", Props: []PropDecl{{Name: "k", Kind: ir.KInt, IsParam: true}}}
+	vs := &VertexState{Name: "store", Next: 2}
+	for _, tc := range cases {
+		p.Props = append(p.Props, PropDecl{Name: tc.name, Kind: ir.KFloat})
+		vs.Body = append(vs.Body, ir.SetProp{Slot: len(p.Props) - 1, RHS: tc.rhs})
+	}
+	p.Nodes = []CFGNode{
+		{Master: &MasterBlock{Term: Term{Kind: TGoto, Then: 1}}},
+		{Vertex: vs},
+		{Master: &MasterBlock{Term: Term{Kind: THalt}}},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.FromEdges(3, nil)
+	b := Bindings{NodePropInt: map[string][]int64{"k": {0, 3, 5}}}
+	for _, interp := range []bool{false, true} {
+		cfg := pregel.Config{NumWorkers: 1}
+		ex, err := newExec(p, g, b, cfg, RunOptions{Interpret: interp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pregel.Run(g, ex, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for i, tc := range cases {
+			if got := ex.cols[1+i].f; !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("Interpret=%v: %s = %v, want %v", interp, tc.name, got, tc.want)
+			}
+		}
+	}
+}

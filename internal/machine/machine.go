@@ -169,6 +169,22 @@ func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Nodes) {
 		return fmt.Errorf("machine: entry %d out of range", p.Entry)
 	}
+	err := kindErr("return value", p.ReturnKind)
+	for _, s := range p.Scalars {
+		err = cmp.Or(err, kindErr("scalar", s.Kind))
+	}
+	for _, d := range p.Props {
+		err = cmp.Or(err, kindErr("prop", d.Kind))
+	}
+	for _, a := range p.Aggs {
+		err = cmp.Or(err, kindErr("agg", a.Kind))
+	}
+	for _, m := range p.Msgs {
+		err = cmp.Or(err, kindErr("message field", m.Fields...))
+	}
+	if err != nil {
+		return fmt.Errorf("machine: %v", err)
+	}
 	inRange := func(t int) bool { return t >= 0 && t < len(p.Nodes) }
 	for i, n := range p.Nodes {
 		switch {
@@ -209,7 +225,7 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("machine: vertex state %d reads bad scalar %d", i, s)
 				}
 			}
-			if err := p.validateStmts(n.Vertex.Body, n.Vertex, -1); err != nil {
+			if err := cmp.Or(kindErr("local", n.Vertex.Locals...), p.validateStmts(n.Vertex.Body, n.Vertex, -1)); err != nil {
 				return fmt.Errorf("machine: vertex state %d: %v", i, err)
 			}
 		}
@@ -302,7 +318,9 @@ func (p *Program) validateExpr(e ir.Expr, vs *VertexState, msg int) error {
 	switch e := e.(type) {
 	case nil:
 		return fmt.Errorf("missing expression")
-	case ir.Const, ir.CurNode:
+	case ir.Const:
+		return kindErr("constant", e.V.K)
+	case ir.CurNode:
 		return nil
 	case ir.ScalarRef:
 		return slotErr("scalar", e.Slot, len(p.Scalars))
@@ -318,16 +336,15 @@ func (p *Program) validateExpr(e ir.Expr, vs *VertexState, msg int) error {
 		if msg < 0 {
 			return fmt.Errorf("message field %d read outside a receive loop", e.Idx)
 		}
-		return slotErr("message field", e.Idx, len(p.Msgs[msg].Fields))
+		return cmp.Or(kindErr("message field", e.K), slotErr("message field", e.Idx, len(p.Msgs[msg].Fields)))
 	case ir.Builtin:
 		return slotErr("builtin", int(e.Op), int(ir.BNodeId)+1)
 	case ir.Binary:
+		if e.Op == ast.BinAnd || e.Op == ast.BinOr { // each operand walked once
+			return cmp.Or(p.condErr(e.L, vs, msg), p.condErr(e.R, vs, msg))
+		}
 		err := cmp.Or(slotErr("binary operator", int(e.Op), int(ast.BinMod)+1), p.validateExpr(e.L, vs, msg), p.validateExpr(e.R, vs, msg))
-		switch {
-		case err != nil:
-		case e.Op == ast.BinAnd || e.Op == ast.BinOr:
-			err = cmp.Or(p.condErr(e.L, vs, msg), p.condErr(e.R, vs, msg))
-		case e.Op == ast.BinMod && (exprKind(p, vs, e.L) == ir.KFloat || exprKind(p, vs, e.R) == ir.KFloat):
+		if err == nil && e.Op == ast.BinMod && (exprKind(p, vs, e.L) == ir.KFloat || exprKind(p, vs, e.R) == ir.KFloat) {
 			err = fmt.Errorf("%s has a Float operand", e)
 		}
 		return err
@@ -350,6 +367,17 @@ func (p *Program) condErr(e ir.Expr, vs *VertexState, msg int) error {
 	}
 	if k := exprKind(p, vs, e); k != ir.KBool {
 		return fmt.Errorf("condition %s is %s, not %s", e, k, ir.KBool)
+	}
+	return nil
+}
+
+// kindErr reports the first of ks that is not Int, Float, Bool or Node,
+// the kinds Value.Convert and the typed closures read alike.
+func kindErr(what string, ks ...ir.Kind) error {
+	for _, k := range ks {
+		if k > ir.KNode {
+			return fmt.Errorf("%s of bad kind %d", what, k)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"gmpregel/internal/graph"
 	"gmpregel/internal/pregel"
@@ -165,6 +166,24 @@ var malformedArtifacts = []struct {
 		"node 0 condition: condition $s is Float, not Bool"},
 	{"unknown binary operator", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"binary","op":13,"l":{"k":"const"},"r":{"k":"const"}}}]}}],"entry":0}`,
 		"vertex state 0: bad binary operator slot 13"},
+	// Kinds outside Int, Float, Bool and Node, which Value.Convert and
+	// the typed closures would read differently.
+	{"scalar of kind 7", `{"name":"x","scalars":[{"Name":"s","Kind":7}],"nodes":[{"master":{"term":2}}],"entry":0}`,
+		"machine: scalar of bad kind 7"},
+	{"prop of kind 7", `{"name":"x","props":[{"Name":"p","Kind":7}],"nodes":[{"master":{"term":2}}],"entry":0}`,
+		"machine: prop of bad kind 7"},
+	{"aggregator of kind 7", `{"name":"x","aggs":[{"name":"a","kind":7}],"nodes":[{"master":{"term":2}}],"entry":0}`,
+		"machine: agg of bad kind 7"},
+	{"message field of kind 7", `{"name":"x","msgs":[{"Name":"m","Fields":[0,7]}],"nodes":[{"master":{"term":2}}],"entry":0}`,
+		"machine: message field of bad kind 7"},
+	{"return value of kind 7", `{"name":"x","has_return":true,"return_kind":7,"nodes":[{"master":{"term":2}}],"entry":0}`,
+		"machine: return value of bad kind 7"},
+	{"local of kind 7", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"locals":[7],"body":[{"k":"setLocal","rhs":{"k":"const"}}]}}],"entry":0}`,
+		"vertex state 0: local of bad kind 7"},
+	{"constant of kind 7", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"const","vk":7}}]}}],"entry":0}`,
+		"vertex state 0: constant of bad kind 7"},
+	{"message field read as kind 7", `{"name":"x","props":[{"Name":"p"}],"msgs":[{"Name":"m","Fields":[0]}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"forMsgs","body":[{"k":"setProp","rhs":{"k":"msgField","vk":7}}]}]}}],"entry":0}`,
+		"vertex state 0: message field of bad kind 7"},
 	{"unknown assignment operator", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","op":-1,"rhs":{"k":"const"}}]}}],"entry":0}`,
 		"vertex state 0: bad assignment operator slot -1"},
 }
@@ -177,5 +196,26 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 				t.Fatalf("DecodeProgram error = %v, want one containing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// deepLogicArtifact is a valid artifact whose terminator condition is
+// n nested &&s: true && (true && (... && true)).
+func deepLogicArtifact(n int) string {
+	return `{"name":"x","nodes":[{"master":{"term":1,"cond":` +
+		strings.Repeat(`{"k":"binary","op":1,"l":{"k":"const","vk":2,"i":1},"r":`, n) +
+		`{"k":"const","vk":2,"i":1}` + strings.Repeat("}", n) + `,"then":0,"else":0}}],"entry":0}`
+}
+
+// Validate walks each operand of && and || once: a condition of 64
+// nested &&s decodes at once, where walking both operands twice per
+// level took 2^64 steps.
+func TestDecodeDeepLogicIsLinear(t *testing.T) {
+	start := time.Now()
+	if _, err := DecodeProgram([]byte(deepLogicArtifact(64))); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("decoding 64 nested &&s took %v", d)
 	}
 }
