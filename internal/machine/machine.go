@@ -225,7 +225,10 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("machine: vertex state %d reads bad scalar %d", i, s)
 				}
 			}
-			if err := cmp.Or(kindErr("local", n.Vertex.Locals...), p.validateStmts(n.Vertex.Body, n.Vertex, -1)); err != nil {
+			if err = kindErr("local", n.Vertex.Locals...); err == nil {
+				err = p.validateStmts(n.Vertex.Body, n.Vertex, -1)
+			}
+			if err != nil {
 				return fmt.Errorf("machine: vertex state %d: %v", i, err)
 			}
 		}

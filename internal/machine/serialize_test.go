@@ -180,6 +180,8 @@ var malformedArtifacts = []struct {
 		"machine: return value of bad kind 7"},
 	{"local of kind 7", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"locals":[7],"body":[{"k":"setLocal","rhs":{"k":"const"}}]}}],"entry":0}`,
 		"vertex state 0: local of bad kind 7"},
+	{"condition on a local of kind 7", `{"name":"x","nodes":[{"vertex":{"name":"v","next":0,"locals":[7],"body":[{"k":"if","cond":{"k":"local"}}]}}],"entry":0}`,
+		"vertex state 0: local of bad kind 7"},
 	{"constant of kind 7", `{"name":"x","props":[{"Name":"p"}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"setProp","rhs":{"k":"const","vk":7}}]}}],"entry":0}`,
 		"vertex state 0: constant of bad kind 7"},
 	{"message field read as kind 7", `{"name":"x","props":[{"Name":"p"}],"msgs":[{"Name":"m","Fields":[0]}],"nodes":[{"vertex":{"name":"v","next":0,"body":[{"k":"forMsgs","body":[{"k":"setProp","rhs":{"k":"msgField","vk":7}}]}]}}],"entry":0}`,
