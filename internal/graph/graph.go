@@ -3,10 +3,11 @@
 //
 // Graphs are stored in compressed sparse row (CSR) form: all out-edges of
 // vertex v occupy the half-open range [OutStart[v], OutStart[v+1]) of the
-// OutDst slice. A reverse CSR (in-edges) is built lazily on demand; the
-// Pregel engine itself never needs it — per the paper, incoming-neighbor
-// lists are materialized by the *program* via an ID-exchange prologue —
-// but sequential oracles and generators do.
+// OutDst slice. A reverse CSR (in-edges) is built lazily on demand.
+// Programs never see it through the engine — per the paper, incoming-
+// neighbor lists are materialized by the *program* via an ID-exchange
+// prologue — but sequential oracles and generators read it, and so does
+// the Pregel engine's one-worker pull fold of dense broadcasts.
 package graph
 
 import (
@@ -108,10 +109,22 @@ func (g *Directed) buildIn() {
 func (g *Directed) ensureIn() { g.inOnce.Do(g.buildIn) }
 
 // BuildIn eagerly materializes the reverse CSR (and the in-edge→out-edge
-// index), so later InNbrs/InDegree/InEdgeIndices calls on hot paths are
-// pure reads that never allocate. The engine calls this at construction
-// when a pull-capable direction mode is configured.
+// index), so later InNbrs/InDegree/InEdgeIndices/InCSR calls on hot
+// paths are pure reads that never allocate. Otherwise the first reader
+// builds it: at one worker, the Pregel engine's first superstep in which
+// every vertex broadcast a folded type (it pulls that fold through
+// InCSR).
 func (g *Directed) BuildIn() { g.ensureIn() }
+
+// InCSR returns the whole reverse CSR, building it if needed: the
+// in-edges of v are positions [start[v], start[v+1]) of src, which holds
+// their sources, and of edge, which holds their out-edge indices, in
+// ascending (source, out-edge index) order. The slices alias the graph's
+// storage and must not be modified.
+func (g *Directed) InCSR() (start []int64, src []NodeID, edge []int64) {
+	g.ensureIn()
+	return g.inStart, g.inSrc, g.inEdge
+}
 
 // Derived returns the value build makes for key, building it at most
 // once per graph and key — concurrent callers wait for the one build —
@@ -143,7 +156,8 @@ func (g *Directed) InDegree(v NodeID) int {
 // InNbrs returns the in-neighbors of v, building the reverse CSR if
 // needed. The returned slice aliases the graph's storage. Within the
 // slice, sources appear in ascending (source, out-edge-index) order —
-// the canonical order the engine's pull phase relies on.
+// at one worker the Pregel engine's push fold order, which its pull fold
+// of dense broadcasts (InCSR) relies on to keep the bits.
 func (g *Directed) InNbrs(v NodeID) []NodeID {
 	g.ensureIn()
 	return g.inSrc[g.inStart[v]:g.inStart[v+1]]

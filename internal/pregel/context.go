@@ -161,8 +161,9 @@ func (vc *VertexContext) deliver(m Msg) {
 	}
 	ck := vc.ck
 	dw := wk.ownerOf(m.Dst)
-	if wk.foldIdx[m.Type] >= 0 {
+	if fi := wk.foldIdx[m.Type]; fi >= 0 {
 		ck.fboxes[dw] = appendRec(ck.fboxes[dw], packHeader(m.Dst, m.Type), &m.V, 1)
+		ck.fbcast[fi] = math.MinInt32
 	} else {
 		ck.boxes[dw] = appendRec(ck.boxes[dw], packHeader(m.Dst, m.Type), &m.V, wk.slots)
 	}
@@ -245,7 +246,10 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 // them, in the fold box of that worker, tagged with the run's ordinal,
 // and bills every edge as Send would: ix's runs give the sender's
 // out-neighbors per owner. With one worker the record goes to worker 0
-// and all of it is local.
+// and all of it is local. It also stores the payload in the value
+// column and counts the broadcast on the chunk, for the pull fold
+// (fold.go); a vertex's second one this superstep, which finds its
+// stamp, spoils the count.
 //
 //gm:noalloc
 func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
@@ -254,6 +258,13 @@ func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
 	if lo == hi {
 		return
 	}
+	fi := int(wk.foldIdx[m.Type])
+	j, stamp := vc.local*len(wk.e.folds)+fi, uint32(vc.superstep)+1
+	if wk.bstamp[j] == stamp {
+		ck.fbcast[fi] = math.MinInt32
+	}
+	ck.fbcast[fi]++
+	wk.bvals[j], wk.bstamp[j] = m.V[0], stamp
 	hdr := packHeader(vc.id, m.Type) | bcastBit
 	size := wk.msgSize[m.Type]
 	ck.st.Messages += hi - lo

@@ -92,6 +92,17 @@ type engine struct {
 	// which shares it between runs.
 	nbrs     *nbrIndex
 	nbrsOnce sync.Once
+	// Dense broadcasts (fold.go): the value columns and their stamps at
+	// position*len(folds)+fold, worker w's positions from vbase[w]; the
+	// in-index, fetched by the first pull; the types this routing pulls
+	// and their number; and, for tests, the run's pulled (step, type)s.
+	vbase  []int
+	bvals  []uint64
+	bstamp []uint32
+	in     *inIndex
+	pull   []bool
+	npull  int
+	pulls  int64
 
 	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
 	// pblocks means mod partitioning.
@@ -289,8 +300,12 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			ck.agg = Padded[aggCell](len(e.schema.Aggregators))
 			ck.boxes = Padded[[]uint64](e.numWorkers)
 			ck.fboxes = Padded[[]uint64](e.numWorkers)
+			ck.fbcast = Padded[int32](len(e.folds))
 		}
 		e.workers[w] = wk
+	}
+	if len(e.folds) > 0 {
+		e.initBroadcastCols()
 	}
 
 	// The persistent pool: one executor goroutine per worker for the

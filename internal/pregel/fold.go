@@ -126,11 +126,12 @@ func (f Fold) apply(acc, m uint64) uint64 {
 	return acc
 }
 
-// foldInbox folds every fold-box record addressed to wk into its fold
-// slots, walking the source workers, their chunks and each box in
-// emission order — the canonical order the CSR inbox is built in, so a
-// fold's result is the same under every schedule — and sets foldTotal
-// to the number of records. It is wk's fold task in the routing phase and
+// foldInbox pulls the folded types this routing pulls (pullFold), folds
+// every other fold-box record addressed to wk into its fold slots,
+// walking the source workers, their chunks and each box in emission
+// order — the canonical order the CSR inbox is built in, so a fold's
+// result is the same under every schedule — and sets foldTotal to the
+// number of records. It is wk's fold task in the routing phase and
 // writes only wk's slots and foldTotal, so no count, placement or unpack
 // ever sees a folded message; runChunk activates the recipients.
 //
@@ -140,12 +141,19 @@ func (wk *worker) foldInbox() {
 	if len(e.folds) == 0 {
 		return
 	}
+	for fi, p := range e.pull {
+		if p {
+			wk.pullFold(fi, e.foldEpoch)
+		}
+	}
 	d, recs := wk.index, 0
 	for _, src := range e.workers {
 		for ci := range src.chunks {
 			box := src.chunks[ci].fboxes[d]
 			recs += len(box) / foldStride
-			wk.foldBox(box, e.foldEpoch)
+			if e.npull < len(e.folds) {
+				wk.foldBox(box, e.foldEpoch)
+			}
 		}
 	}
 	wk.foldTotal = recs
@@ -156,9 +164,10 @@ func (wk *worker) foldInbox() {
 // broadcast record is expanded where it sits, over its sender's
 // out-neighbours wk owns, in out-edge order — the messages, in the
 // order, that per-edge records would have folded — by foldRun, or by
-// foldRunEdge when its type declares an edge column. A record stamps its
-// slot with this routing's epoch; the first one for a (vertex, type)
-// replaces the stale value, the rest fold into it.
+// foldRunEdge when its type declares an edge column, unless its type is
+// pulled this routing (pullFold). A record stamps its slot with this
+// routing's epoch; the first one for a (vertex, type) replaces the stale
+// value, the rest fold into it.
 //
 //gm:noalloc
 func (wk *worker) foldBox(box []uint64, epoch uint32) {
@@ -175,6 +184,9 @@ func (wk *worker) foldBox(box []uint64, epoch uint32) {
 			s.val, s.stamp = v, epoch
 			continue
 		}
+		if e.pull[fi] {
+			continue
+		}
 		src := headerDst(h)
 		locals, offs := e.nbrs.owned(src, headerRun(h))
 		if c := &e.foldEdges[fi]; c.i != nil || c.f != nil {
@@ -189,7 +201,7 @@ func (wk *worker) foldBox(box []uint64, epoch uint32) {
 // the local vertices locals — one broadcast record's expansion —
 // choosing the fold once for the run. PageRank's sum is written out,
 // as apply is past the inliner's budget and this is the loop every
-// PageRank message is folded in.
+// pushed PageRank message is folded in.
 //
 //gm:noalloc
 func (wk *worker) foldRun(locals []graph.NodeID, fi int, m uint64, epoch uint32) {
@@ -328,6 +340,9 @@ type nbrIndex struct {
 	off    []uint32
 	runOff []int64
 	runs   []nbrRun
+	// senders is the number of vertices with an out-edge: the broadcasts
+	// of one folded type a dense superstep makes.
+	senders int64
 }
 
 type nbrRun struct {
@@ -361,6 +376,9 @@ func (e *engine) buildNbrIndex() *nbrIndex {
 	g := e.g
 	n := g.NumNodes()
 	ix := &nbrIndex{start: g.OutStart, local: g.OutDst}
+	for v := range n {
+		ix.senders += min(g.OutStart[v+1]-g.OutStart[v], 1)
+	}
 	if e.numWorkers == 1 {
 		deg := int64(0)
 		for v := range n {
@@ -448,4 +466,162 @@ func (ix *nbrIndex) bytes() int64 {
 		b += int64(len(ix.local))*4 + int64(len(ix.runOff))*8 + int64(len(ix.runs))*nbrRunBytes
 	}
 	return b
+}
+
+// ---- Dense broadcasts: the pull fold ----
+//
+// A folded SendToAllNbrs also stores its payload word in its worker's
+// value column, stamped with the superstep, and counts itself on its
+// chunk (chunk.fbcast). If at routing every vertex with an out-edge
+// broadcast a folded type exactly once and nothing sent it per edge —
+// one global rule, the same at every W — each destination's fold task
+// pulls the type: it folds the senders' values over its vertices'
+// in-edges, the first seeding the slot, and leaves the type's records
+// unexpanded. The in-index lists in-edges in (source worker, source
+// local, out-edge) order, the order the push fold meets them in when
+// every vertex broadcasts once (workers, chunks, vertices, then each
+// record's out-edges), so the slots get push's bits. A Send of the type
+// or a second broadcast, which finds its own stamp, spoils the count. A
+// replay after a rollback rewrites every value it pulls; a stamp its
+// rolled-back attempt left at the same superstep can only spoil it.
+
+// posGap is the positions between two workers' stretches of the value
+// columns: a cacheBlock at least, one stamp per position and type.
+const posGap = cacheBlock / 4
+
+// initBroadcastCols lays out the value columns: worker w's vertices take
+// positions vbase[w]+local, and each worker's columns are its stretch.
+func (e *engine) initBroadcastCols() {
+	nf, npos := len(e.folds), 0
+	e.vbase = make([]int, e.numWorkers)
+	for w, wk := range e.workers {
+		e.vbase[w], npos = npos, npos+len(wk.ids)+posGap
+	}
+	e.pull = make([]bool, nf)
+	e.bvals, e.bstamp = Padded[uint64](npos*nf), Padded[uint32](npos*nf)
+	for w, wk := range e.workers {
+		lo, hi := e.vbase[w]*nf, (e.vbase[w]+len(wk.ids))*nf
+		wk.bvals, wk.bstamp = e.bvals[lo:hi:hi], e.bstamp[lo:hi:hi]
+	}
+}
+
+// planPulls decides which folded types this routing pulls, from the
+// chunks' counts, and fetches the in-index on the first pull.
+func (e *engine) planPulls() {
+	e.npull = 0
+	for fi := range e.pull {
+		n, dense := int64(0), e.nbrs != nil
+		for _, wk := range e.workers {
+			for ci := range wk.chunks {
+				c := wk.chunks[ci].fbcast[fi]
+				dense, n = dense && c >= 0, n+int64(c)
+			}
+		}
+		e.pull[fi] = dense && n > 0 && n == e.nbrs.senders
+		if e.pull[fi] {
+			e.npull++
+		}
+	}
+	if e.npull > 0 && e.in == nil {
+		key := inIndexKey{workers: e.numWorkers, part: e.cfg.Partitioner}
+		e.in = e.g.Derived(key, func() any { return e.buildInIndex() }).(*inIndex)
+	}
+	e.pulls += int64(e.npull)
+}
+
+// pullFold folds the fi-th folded type's values into wk's slots over
+// the in-index. PageRank's float sum is written out.
+//
+//gm:noalloc
+func (wk *worker) pullFold(fi int, epoch uint32) {
+	e, ix := wk.e, wk.e.in
+	nf := len(e.folds)
+	vals, slots := e.bvals[fi:], wk.folds
+	off := ix.off[e.vbase[wk.index]:][:len(wk.ids)+1]
+	f, c := e.folds[fi], &e.foldEdges[fi]
+	sum := f == (Fold{AggSum, AggKindFloat}) && c.f == nil
+	for li := range wk.ids {
+		lo, hi := off[li], off[li+1]
+		if lo == hi {
+			continue
+		}
+		if sum {
+			acc := math.Float64frombits(vals[int(ix.src[lo])*nf])
+			for _, p := range ix.src[lo+1 : hi] {
+				acc += math.Float64frombits(vals[int(p)*nf])
+			}
+			slots[li*nf+fi] = foldSlot{math.Float64bits(acc), epoch}
+			continue
+		}
+		var acc uint64
+		for k := lo; k < hi; k++ {
+			m := vals[int(ix.src[k])*nf]
+			if c.i != nil || c.f != nil {
+				m = c.add(m, ix.edge[k])
+			}
+			if acc = f.apply(acc, m); k == lo {
+				acc = m
+			}
+		}
+		slots[li*nf+fi] = foldSlot{acc, epoch}
+	}
+}
+
+// inIndex is the in-index: the in-edges of the vertex at position p
+// (initBroadcastCols) are entries [off[p], off[p+1]), each its sender's
+// position and its out-edge, in (source worker, source local, out-edge)
+// order. With one worker a position is an id and the index is the
+// graph's in-CSR. Like nbrIndex it is built once per graph, worker count
+// and partitioner and shared read-only.
+type inIndex struct {
+	off  []int64
+	src  []graph.NodeID
+	edge []int64
+}
+
+type inIndexKey nbrIndexKey
+
+// buildInIndex builds the in-index for e's graph and partition: a
+// counting sort of the edges by destination position, placed walking
+// the senders in position order.
+func (e *engine) buildInIndex() *inIndex {
+	g := e.g
+	if e.numWorkers == 1 {
+		start, src, edge := g.InCSR()
+		return &inIndex{off: start, src: src, edge: edge}
+	}
+	pos := func(v graph.NodeID) int {
+		w := e.workers[0].ownerOf(v)
+		return e.vbase[w] + e.workers[w].localOf(v)
+	}
+	npos := len(e.bvals) / len(e.folds)
+	ix := &inIndex{off: make([]int64, npos+1), src: make([]graph.NodeID, len(g.OutDst)), edge: make([]int64, len(g.OutDst))}
+	for _, u := range g.OutDst {
+		ix.off[pos(u)+1]++
+	}
+	for p := range npos {
+		ix.off[p+1] += ix.off[p]
+	}
+	next := slices.Clone(ix.off[:npos])
+	for w, wk := range e.workers {
+		for li, v := range wk.ids {
+			for k := g.OutStart[v]; k < g.OutStart[v+1]; k++ {
+				q := pos(g.OutDst[k])
+				ix.src[next[q]], ix.edge[next[q]] = graph.NodeID(e.vbase[w]+li), k
+				next[q]++
+			}
+		}
+	}
+	return ix
+}
+
+// inIndexBytes is the in-index's footprint as the governor accounts it:
+// none before the first pull, nor at one worker, where it is the graph's.
+//
+//gm:noalloc
+func (e *engine) inIndexBytes() int64 {
+	if e.in == nil || e.numWorkers == 1 {
+		return 0
+	}
+	return int64(len(e.in.off))*8 + int64(len(e.in.src))*4 + int64(len(e.in.edge))*8
 }

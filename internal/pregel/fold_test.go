@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,12 @@ import (
 // with a loop of Send over the out-neighbours. flen and ilen, when set,
 // are edge columns for types 0 and 1: a broadcast of the type declares
 // its column (Schema.EdgeAdd), and its per-edge twin sends the payload
-// plus the edge's value.
+// plus the edge's value. dense replaces the sending: every vertex with
+// an out-edge broadcasts both foldable types every superstep, nothing
+// else is sent and nothing halts, so the engine may pull the folded
+// ones, unless spoil breaks that rule at vertex spoilV (and skipV).
+// pulls is the engine's count of pulled (superstep, type) pairs after a
+// run, and a dense job's master records it at every superstep in trace.
 type foldJob struct {
 	folds   []*Fold
 	perEdge bool
@@ -36,7 +42,25 @@ type foldJob struct {
 	label   []int64
 	isum    []int64
 	bad     []bool // Messages() broke the folded-first order or carried a stray slot
+	dense   bool
+	spoil   spoilKind
+	spoilV  graph.NodeID
+	skipV   graph.NodeID
+	pulls   int64
+	trace   []int64
 }
+
+// spoilKind is how a dense foldJob breaks the pull rule at one vertex
+// with out-edges, every superstep.
+type spoilKind int
+
+const (
+	spoilNone  spoilKind = iota
+	spoilSkip            // the vertex sends nothing
+	spoilTwice           // it broadcasts each type twice
+	spoilSend            // it also sends each type to one out-neighbour
+	spoilSwap            // it broadcasts twice and skipV not at all: the count adds up
+)
 
 var (
 	sumFold   = &Fold{Op: AggSum, Kind: AggKindFloat}
@@ -71,6 +95,9 @@ func (j *foldJob) Schema() Schema {
 }
 
 func (j *foldJob) MasterCompute(mc *MasterContext) {
+	if j.dense {
+		j.trace = append(j.trace, mc.e.pulls)
+	}
 	if mc.Superstep() >= j.steps {
 		mc.Halt()
 	}
@@ -108,6 +135,10 @@ func (j *foldJob) VertexCompute(vc *VertexContext) {
 	// it next wakes without one), so every sum ever folded reaches the
 	// output.
 	j.rank[v] = 0.15/float64(n) + 0.85*(sum+j.rank[v])
+	if j.dense {
+		j.denseSends(vc)
+		return
+	}
 	if d := vc.OutDegree(); step%2 == 0 && d > 0 {
 		var m Msg
 		// The 1/(v+1) term varies the mantissas, so that a sum folded
@@ -134,6 +165,34 @@ func (j *foldJob) VertexCompute(vc *VertexContext) {
 		vc.Send(graph.NodeID((int(v)*7+3)%n), m)
 	}
 	vc.VoteToHalt()
+}
+
+// denseSends is the dense job's sending: both foldable types broadcast
+// from every vertex with an out-edge, as spoil allows.
+func (j *foldJob) denseSends(vc *VertexContext) {
+	v, d := vc.ID(), vc.OutDegree()
+	if d == 0 || v == j.spoilV && j.spoil == spoilSkip || v == j.skipV && j.spoil == spoilSwap {
+		return
+	}
+	var sum Msg
+	sum.SetFloat(0, j.rank[v]/float64(d)+1/float64(v+1))
+	label := Msg{Type: 1}
+	label.SetInt(0, j.label[v])
+	for range 1 + btoi(v == j.spoilV && (j.spoil == spoilTwice || j.spoil == spoilSwap)) {
+		j.sendToAllNbrs(vc, sum)
+		j.sendToAllNbrs(vc, label)
+	}
+	if v == j.spoilV && j.spoil == spoilSend {
+		vc.Send(vc.OutNbrs()[0], sum)
+		vc.Send(vc.OutNbrs()[0], label)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sendToAllNbrs sends m to every out-neighbour: by SendToAllNbrs, or
@@ -266,17 +325,17 @@ func inSkewedGraph(n int) *graph.Directed {
 	return graph.FromEdges(n, edges)
 }
 
-// runFoldTwin runs foldJob with folds, broadcasting or per edge, and
-// reports whether the engine fetched its broadcast index.
-func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge bool, cfg Config) (*foldJob, Stats, bool) {
+// runFoldTwin runs foldJob with folds, broadcasting or per edge, dense
+// or not, and reports whether the engine fetched its broadcast index.
+func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge, dense bool, cfg Config) (*foldJob, Stats, bool) {
 	j := newFoldJob(g.NumNodes(), 8, false)
-	j.folds, j.perEdge = folds, perEdge
+	j.folds, j.perEdge, j.dense = folds, perEdge, dense
 	st, built := runFoldJob(t, g, j, cfg)
 	return j, st, built
 }
 
-// runFoldJob runs j and reports whether the engine fetched its
-// broadcast index.
+// runFoldJob runs j, records the engine's pulls on it, and reports
+// whether the engine fetched its broadcast index.
 func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats, bool) {
 	t.Helper()
 	e := newEngine(g, j, cfg.withDefaults())
@@ -284,7 +343,23 @@ func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats,
 	if err := e.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	j.pulls = e.pulls
 	return e.stats, e.nbrs != nil
+}
+
+// foldedOf counts the foldable types (0 and 1) folds folds.
+func foldedOf(folds []*Fold) int64 {
+	return int64(btoi(folds[0] != nil) + btoi(folds[1] != nil))
+}
+
+// checkDensePulls fails unless the dense broadcasting job j, run
+// without faults (TestPullRuleDenseOnly covers replays), pulled each of
+// its folded types in each of its supersteps.
+func checkDensePulls(t *testing.T, name string, g *graph.Directed, j *foldJob, folded int64, cfg Config) {
+	t.Helper()
+	if want := int64(j.steps) * folded; len(cfg.Faults) == 0 && g.NumEdges() > 0 && j.pulls != want {
+		t.Errorf("%s: the dense job pulled %d (superstep, type) pairs, want %d", name, j.pulls, want)
+	}
 }
 
 // A folded SendToAllNbrs writes one broadcast record per destination
@@ -299,7 +374,10 @@ func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats,
 // of the summed type with its broadcasts, so a broadcast expanded out of
 // its place in the fold order would change the sums' bits. Crash runs
 // roll back across the superstep that built the index: from a crash in
-// superstep 0 itself, which built it, and from one in superstep 3.
+// superstep 0 itself, which built it, and from one in superstep 3. The
+// dense variant sends nothing but broadcasts, from every vertex with an
+// out-edge, so each superstep's folded types take the pull fold, and
+// still ends bit for bit with the twin.
 func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -318,17 +396,23 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 		{"sum", []*Fold{sumFold, nil, nil}},
 		{"min", []*Fold{nil, minFold, nil}},
 	}
-	check := func(name string, g *graph.Directed, folds []*Fold, cfg Config) {
-		perEdge, pst, built := runFoldTwin(t, g, folds, true, cfg)
+	check := func(name string, g *graph.Directed, folds []*Fold, dense bool, cfg Config) {
+		perEdge, pst, built := runFoldTwin(t, g, folds, true, dense, cfg)
 		if pst.Recoveries != len(cfg.Faults) {
 			t.Errorf("%s: %d recoveries, want %d", name, pst.Recoveries, len(cfg.Faults))
 		}
 		if built {
 			t.Errorf("%s: the per-edge twin built a broadcast index", name)
 		}
-		bcast, bst, built := runFoldTwin(t, g, folds, false, cfg)
+		bcast, bst, built := runFoldTwin(t, g, folds, false, dense, cfg)
 		if !built && g.NumEdges() > 0 {
 			t.Errorf("%s: the broadcasting job never built its index", name)
+		}
+		if perEdge.pulls != 0 {
+			t.Errorf("%s: the per-edge twin pulled", name)
+		}
+		if dense {
+			checkDensePulls(t, name, g, bcast, foldedOf(folds), cfg)
 		}
 		if !reflect.DeepEqual(bcast.outputs(), perEdge.outputs()) {
 			t.Errorf("%s: broadcast outputs differ from the per-edge twin's", name)
@@ -341,7 +425,9 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 		for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
 			for _, cfg := range group {
 				for _, vr := range variants {
-					check(gr.name+"/"+scheduleName(cfg)+"/"+vr.name, gr.g, vr.folds, cfg)
+					for _, dense := range []bool{false, true} {
+						check(fmt.Sprintf("%s/%s/%s/dense=%v", gr.name, scheduleName(cfg), vr.name, dense), gr.g, vr.folds, dense, cfg)
+					}
 				}
 			}
 		}
@@ -352,7 +438,9 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 				if gr.g.NumNodes() < 2 {
 					continue
 				}
-				check(fmt.Sprintf("%s/crash@%d/%s", gr.name, crash, scheduleName(cfg)), gr.g, bothFolds, cfg)
+				for _, dense := range []bool{false, true} {
+					check(fmt.Sprintf("%s/crash@%d/%s/dense=%v", gr.name, crash, scheduleName(cfg), dense), gr.g, bothFolds, dense, cfg)
+				}
 			}
 		}
 	}
@@ -385,7 +473,11 @@ func edgeCols(g *graph.Directed) ([]float64, []int64) {
 // both. The
 // lengths are negative, zero, and int64 extremes that wrap the labels,
 // and float magnitudes that make the sums' bits depend on fold order.
-// One crash rolls back across the superstep that fetched the index.
+// Crashes in superstep 0 and 3 roll back across the superstep that
+// fetched the index. The dense variant sends nothing but broadcasts,
+// from every vertex with an out-edge, so each superstep pulls both
+// folded types, adding each in-edge's value, and still ends bit for bit
+// with the twin.
 func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -404,11 +496,11 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 		{"float-sum", true, false},
 		{"int-min", false, true},
 	}
-	check := func(name string, g *graph.Directed, float, ints bool, cfg Config) {
+	check := func(name string, g *graph.Directed, float, ints, dense bool, cfg Config) {
 		flen, ilen := edgeCols(g)
 		job := func(perEdge bool) *foldJob {
 			j := newFoldJob(g.NumNodes(), 8, true)
-			j.perEdge = perEdge
+			j.perEdge, j.dense = perEdge, dense
 			if float {
 				j.flen = flen
 			}
@@ -422,6 +514,9 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 		bst, built := runFoldJob(t, g, bcast, cfg)
 		if !built && g.NumEdges() > 0 {
 			t.Errorf("%s: the broadcasting job never fetched its index", name)
+		}
+		if dense {
+			checkDensePulls(t, name, g, bcast, 2, cfg)
 		}
 		if pst.Recoveries != len(cfg.Faults) {
 			t.Errorf("%s: %d recoveries, want %d", name, pst.Recoveries, len(cfg.Faults))
@@ -437,7 +532,9 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 		for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
 			for _, cfg := range group {
 				for _, vr := range variants {
-					check(gr.name+"/"+scheduleName(cfg)+"/"+vr.name, gr.g, vr.float, vr.ints, cfg)
+					for _, dense := range []bool{false, true} {
+						check(fmt.Sprintf("%s/%s/%s/dense=%v", gr.name, scheduleName(cfg), vr.name, dense), gr.g, vr.float, vr.ints, dense, cfg)
+					}
 				}
 			}
 		}
@@ -445,9 +542,105 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 			continue
 		}
 		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
-			cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 4, Seed: 21, TraceSteps: true,
-				Faults: FaultPlan{{Superstep: 3, Worker: 1}}}
-			check(fmt.Sprintf("%s/crash@3/%s", gr.name, scheduleName(cfg)), gr.g, true, true, cfg)
+			for _, crash := range []int{0, 3} {
+				cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 4, Seed: 21, TraceSteps: true,
+					Faults: FaultPlan{{Superstep: crash, Worker: 1}}}
+				for _, dense := range []bool{false, true} {
+					check(fmt.Sprintf("%s/crash@%d/%s/dense=%v", gr.name, crash, scheduleName(cfg), dense), gr.g, true, true, dense, cfg)
+				}
+			}
+		}
+	}
+}
+
+// The pull rule: a dense job — every vertex with an out-edge broadcasts
+// both folded types, nothing else is sent — pulls both in every
+// superstep, at every worker count and under both partitioners. Broken
+// at one vertex with out-edges in every superstep — it skips its
+// broadcasts, broadcasts twice (also while another skips, so only its
+// stamp tells), or also sends both types point to point — it pulls
+// nothing. A crash in superstep 3 that rolls the dense job back to a
+// checkpoint at 3 replays it over the stamps its first attempt left, so
+// the replay pushes: a stale stamp spoils the rule and never stands for
+// a fresh value. Rolled back to the initial checkpoint instead, the job
+// replays 0-3 after superstep 2's stamps, and each replay, which
+// rewrites every value, pulls. Every run ends with its per-edge twin's
+// outputs and Stats, bit for bit.
+func TestPullRuleDenseOnly(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Directed
+	}{
+		{"twitter", gen.TwitterLike(53, 5, 13)},
+		{"edge-cases", edgeCaseGraph()},
+		{"in-skewed", inSkewedGraph(96)},
+	}
+	type attempt struct {
+		name   string
+		spoil  spoilKind
+		faults FaultPlan
+		every  int     // CheckpointEvery
+		want   []int64 // pulls per routing, in master-call order
+	}
+	const steps = 8
+	per := func(n int64, k int) []int64 {
+		r := make([]int64, k)
+		for i := range r {
+			r[i] = n
+		}
+		return r
+	}
+	attempts := []attempt{
+		{"dense", spoilNone, nil, 0, per(2, steps)},
+		{"skip", spoilSkip, nil, 0, per(0, steps)},
+		{"twice", spoilTwice, nil, 0, per(0, steps)},
+		{"send", spoilSend, nil, 0, per(0, steps)},
+		{"swap", spoilSwap, nil, 0, per(0, steps)},
+		{"crash@3/checkpoint@3", spoilNone, FaultPlan{{Superstep: 3, Worker: 1}}, 1,
+			slices.Concat(per(2, 3), per(0, 1), per(0, 1), per(2, steps-4))},
+		{"crash@3/checkpoint@0", spoilNone, FaultPlan{{Superstep: 3, Worker: 1}}, 0,
+			slices.Concat(per(2, 3), per(0, 1), per(2, 4), per(2, steps-4))},
+	}
+	for _, gr := range graphs {
+		spoilV, skipV := graph.NodeID(0), graph.NodeID(gr.g.NumNodes()-1)
+		for gr.g.OutDegree(spoilV) == 0 {
+			spoilV++
+		}
+		for gr.g.OutDegree(skipV) == 0 {
+			skipV--
+		}
+		for _, w := range []int{1, 2, 3} {
+			for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+				for _, at := range attempts {
+					cfg := Config{NumWorkers: w, Partitioner: part, ChunkSize: 4, Seed: 21, TraceSteps: true,
+						Faults: at.faults, CheckpointEvery: at.every}
+					name := fmt.Sprintf("%s/%s/%s", gr.name, scheduleName(cfg), at.name)
+					run := func(perEdge bool) (*foldJob, Stats) {
+						j := newFoldJob(gr.g.NumNodes(), steps, true)
+						j.perEdge, j.dense, j.spoil, j.spoilV, j.skipV = perEdge, true, at.spoil, spoilV, skipV
+						st, _ := runFoldJob(t, gr.g, j, cfg)
+						return j, st
+					}
+					twin, tst := run(true)
+					bcast, bst := run(false)
+					var got []int64
+					for k := 1; k < len(bcast.trace); k++ {
+						got = append(got, bcast.trace[k]-bcast.trace[k-1])
+					}
+					if !reflect.DeepEqual(got, at.want) {
+						t.Errorf("%s: pulls per routing %v, want %v", name, got, at.want)
+					}
+					if twin.pulls != 0 {
+						t.Errorf("%s: the per-edge twin pulled %d times", name, twin.pulls)
+					}
+					if !reflect.DeepEqual(bcast.outputs(), twin.outputs()) {
+						t.Errorf("%s: outputs differ from the per-edge twin's", name)
+					}
+					if !reflect.DeepEqual(bst, tst) {
+						t.Errorf("%s: Stats differ:\nbroadcast: %+v\nper-edge:  %+v", name, bst, tst)
+					}
+				}
+			}
 		}
 	}
 }

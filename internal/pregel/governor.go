@@ -56,9 +56,10 @@ func (e *engine) ckptHeldBytes() int64 {
 }
 
 // accountedUsage sums the engine's governed memory: buffered messages
-// (inboxes and chunk boxes), inbox offset tables, the fold slots and the
-// broadcast index once built (both fixed for the run and never spilled;
-// the index is free at one worker, where it is the graph's CSR), and
+// (inboxes and chunk boxes), inbox offset tables, the fold slots, the
+// broadcast value columns, and the broadcast index and in-index once
+// built (all fixed for the run and never spilled; the indexes are free
+// at one worker, where they are the graph's CSR and in-CSR), and
 // retained checkpoints. Spilled inboxes have zero resident length and
 // drop out of the sum automatically. Runs on the barrier goroutine; the
 // fast path is pure arithmetic over retained lengths.
@@ -76,7 +77,8 @@ func (e *engine) accountedUsage() int64 {
 		}
 		u += int64(words)*recWordBytes + int64(len(wk.inOff))*4 + int64(len(wk.folds))*foldSlotBytes
 	}
-	return u + e.nbrs.bytes() + e.ckptHeldBytes()
+	u += int64(len(e.bvals))*8 + int64(len(e.bstamp))*4
+	return u + e.nbrs.bytes() + e.inIndexBytes() + e.ckptHeldBytes()
 }
 
 // releaseOutboxes drops every chunk box — contents and retained

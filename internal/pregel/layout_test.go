@@ -65,13 +65,15 @@ func (layoutJob) VertexCompute(vc *VertexContext) {}
 
 // Executors share no written cache line: whatever one executor writes
 // per vertex or per send — its Messages() scratch, its VertexContext and
-// RNG, and the chunk it runs: the chunk's counters, its box and fold-box
-// slice headers, its broadcast flags and aggregator cells — lies on
-// 128-byte blocks no other executor writes in the same phase. Executor i
-// is grouped with worker i's chunks, which it runs unless it steals, so
-// every pair of executors and every pair of chunks owned by different
-// workers is checked, at W = 2, 3 and 7, with the scratch sized for one
-// folded type (a single 40-byte Msg) and again for a wide inbox.
+// RNG, the chunk it runs: the chunk's counters, its box and fold-box
+// slice headers, its broadcast counts and aggregator cells, and the
+// chunk's worker's stretch of the broadcast value column and its stamps
+// — lies on 128-byte blocks no other executor writes in the same phase.
+// Executor i is grouped with worker i's chunks and columns, which it
+// writes unless it steals, so every pair of executors and every pair of
+// chunks or columns owned by different workers is checked, at W = 2, 3
+// and 7, with the scratch sized for one folded type (a single 40-byte
+// Msg) and again for a wide inbox.
 func TestExecutorsShareNoWrittenBlock(t *testing.T) {
 	g := gen.TwitterLike(700, 6, 3)
 	for _, w := range []int{2, 3, 7} {
@@ -83,6 +85,7 @@ func TestExecutorsShareNoWrittenBlock(t *testing.T) {
 				to := uintptr(unsafe.Pointer(&x.err)) + unsafe.Sizeof(x.err)
 				groups[i] = append(groups[i], written{"executor state", from, to - from}, sliceBytes("Messages() scratch", x.msgs))
 				wk := e.workers[i]
+				groups[i] = append(groups[i], sliceBytes("broadcast values", wk.bvals), sliceBytes("broadcast stamps", wk.bstamp))
 				for ci := range wk.chunks {
 					ck := &wk.chunks[ci]
 					name := fmt.Sprintf("chunk %d ", ci)
@@ -90,6 +93,7 @@ func TestExecutorsShareNoWrittenBlock(t *testing.T) {
 						written{name + "struct", uintptr(unsafe.Pointer(ck)), unsafe.Sizeof(*ck)},
 						sliceBytes(name+"box headers", ck.boxes),
 						sliceBytes(name+"fold-box headers", ck.fboxes),
+						sliceBytes(name+"broadcast counts", ck.fbcast),
 						sliceBytes(name+"aggregator cells", ck.agg))
 				}
 			}

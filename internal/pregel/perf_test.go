@@ -232,11 +232,28 @@ func TestWarmRoutingZeroAlloc(t *testing.T) {
 			testWarmRoutingZeroAlloc(t, sg, newPerfSSSPJob(sg), cfg, ssspSources*ssspRound)
 		})
 	}
+	// Dense: every vertex with an out-edge broadcasts the folded sum in
+	// every superstep, so every measured routing pulls it, through the
+	// graph's in-CSR at W=1 and through the in-index at W=2; the warm-up
+	// fetches either.
+	for _, w := range []int{1, 2} {
+		for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+			cfg := Config{NumWorkers: w, Partitioner: part, ChunkSize: 16, Seed: 1}
+			t.Run(scheduleName(cfg)+"/dense", func(t *testing.T) {
+				j := newPerfRankJob(n, 1<<20)
+				j.fold = true
+				if pulled := testWarmRoutingZeroAlloc(t, sg, j, cfg, 3); pulled < 10 {
+					t.Fatalf("the measured routings pulled %d times, want one each", pulled)
+				}
+			})
+		}
+	}
 }
 
 // testWarmRoutingZeroAlloc runs warm supersteps of j, which bring the
-// buffers to their high-water capacity, then measures.
-func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) {
+// buffers to their high-water capacity, then measures, and returns the
+// pulled (superstep, type) pairs of the measured supersteps.
+func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config, warm int) int64 {
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
 	step := 0
@@ -251,7 +268,7 @@ func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config
 	if built := e.nbrs != nil; built != (e.folds != nil) {
 		t.Fatalf("broadcast index built = %v, want %v: the folded jobs broadcast, the plain one does not", built, e.folds != nil)
 	}
-	before := sentMsgs(e)
+	before, pulls := sentMsgs(e), e.pulls
 	if a := testing.AllocsPerRun(10, cycle); a != 0 {
 		t.Fatalf("warm superstep allocates %v per run, want 0", a)
 	}
@@ -270,6 +287,7 @@ func testWarmRoutingZeroAlloc(t *testing.T, g *graph.Directed, j Job, cfg Config
 			}
 		}
 	}
+	return e.pulls - pulls
 }
 
 // Tentpole: worker goroutines are spawned once per run and shut down on
@@ -449,15 +467,18 @@ func BenchmarkRouting(b *testing.B) {
 // PageRank-shaped job with its sum declared as a delivery fold, so every
 // message takes the folded path: broadcast into the fold boxes, expanded
 // into the destination's slots by its fold, delivered from the slots.
-// It runs on the random graph at W=4 and on an RMAT web graph at W=2,
-// whose in-edges land mostly on one worker. Each reports the cost, the
-// fold-box bytes per message sent, failing unless broadcast records
-// bring them under the 16 of a per-edge record, and the records per
-// broadcast: how many destination workers a broadcast reaches, at most
-// W.
+// Every vertex with an out-edge broadcasts, so every routing pulls the
+// sum instead of expanding the records. It runs on the random graph at
+// W=4 and on an RMAT web graph at W=2, whose in-edges land mostly on one
+// worker, and at W=1, which pulls over the graph's in-CSR. Each reports
+// the cost, the pulls per superstep (1), the fold-box bytes per message
+// sent, failing unless broadcast records bring them under the 16 of a
+// per-edge record, and the records per broadcast: how many destination
+// workers a broadcast reaches, at most W.
 func BenchmarkRoutingFolded(b *testing.B) {
 	b.Run("twitter/W=4", func(b *testing.B) { benchRoutingFolded(b, gen.TwitterLike(4096, 8, 3), 4) })
 	b.Run("web-skewed/W=2", func(b *testing.B) { benchRoutingFolded(b, gen.WebLike(12, 8, 3), 2) })
+	b.Run("web-skewed/W=1", func(b *testing.B) { benchRoutingFolded(b, gen.WebLike(12, 8, 3), 1) })
 }
 
 func benchRoutingFolded(b *testing.B, g *graph.Directed, w int) {
@@ -480,6 +501,7 @@ func benchRoutingFolded(b *testing.B, g *graph.Directed, w int) {
 	}
 	msgs := float64(b.N) * float64(g.NumEdges())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+	b.ReportMetric(float64(e.pulls)/float64(step), "pulls/step")
 	// Every superstep sends one message per edge and one broadcast per
 	// vertex with out-edges, and the last one's fold boxes are still
 	// filled.

@@ -171,6 +171,95 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 	}
 }
 
+// The pull fold's memory is governed like the broadcast index: a job
+// that declares folds accounts its broadcast value columns from
+// construction — a word and a stamp per folded type at every position,
+// the vertices and posGap more per worker — and one without folds has
+// none. The first pull fetches the in-index, which adds nothing at one
+// worker, where it is the graph's own in-CSR, and at W>1 exactly its
+// offsets, sender positions and out-edges: every edge once, under its
+// destination's position, listed in (source worker, source local,
+// out-edge) order — on a random graph and on the in-skewed one, under
+// both partitioners.
+func TestGovernorAccountsInIndexAndValueColumns(t *testing.T) {
+	const n = 200
+	plain := newEngine(gen.Ring(n), newPerfRankJob(n, 2), Config{NumWorkers: 2}.withDefaults())
+	if plain.bvals != nil || plain.bstamp != nil {
+		t.Error("a job without folds has broadcast value columns")
+	}
+	plain.stop()
+	for _, g := range []*graph.Directed{gen.TwitterLike(n, 6, 5), inSkewedGraph(n)} {
+		for _, cfg := range []Config{{NumWorkers: 1}, {NumWorkers: 3}, {NumWorkers: 2, Partitioner: PartitionDegree},
+			{NumWorkers: 3, Partitioner: PartitionDegree, ChunkSize: 16}} {
+			name := scheduleName(cfg)
+			j := newPerfRankJob(n, 2)
+			j.fold = true
+			cfg.Seed = 1
+			e := newEngine(g, j, cfg.withDefaults())
+			npos := n + cfg.NumWorkers*posGap
+			want := int64(npos) * (8 + 4)
+			for _, wk := range e.workers {
+				want += int64(len(wk.inOff))*4 + int64(len(wk.folds))*foldSlotBytes
+			}
+			if got := e.accountedUsage(); len(e.bvals) != npos || len(e.bstamp) != npos || got != want {
+				t.Errorf("%s: %d values, %d stamps and %d accounted bytes, want %d, %d and %d",
+					name, len(e.bvals), len(e.bstamp), got, npos, npos, want)
+			}
+			e.runVertexPhase(0)
+			e.routeMessages()
+			ix := e.in
+			if e.pulls != 1 || ix == nil {
+				t.Fatalf("%s: a dense superstep pulled %d times and fetched in-index %v", name, e.pulls, ix != nil)
+			}
+			with := e.accountedUsage()
+			e.in = nil
+			grew := with - e.accountedUsage()
+			e.in = ix
+			e.stop()
+			if cfg.NumWorkers == 1 {
+				start, src, edge := g.InCSR()
+				if grew != 0 || &ix.off[0] != &start[0] || &ix.src[0] != &src[0] || &ix.edge[0] != &edge[0] {
+					t.Errorf("%s: the in-index adds %d accounted bytes, want 0, and should be the graph's in-CSR", name, grew)
+				}
+				continue
+			}
+			if want := int64(8*(npos+1) + 12*len(g.OutDst)); grew != want {
+				t.Errorf("%s: the in-index adds %d accounted bytes, want %d", name, grew, want)
+			}
+			posOf, srcOf := make([]int, n), make([]int, len(g.OutDst))
+			for w, wk := range e.workers {
+				for li, v := range wk.ids {
+					posOf[v] = e.vbase[w] + li
+				}
+			}
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				lo, hi := g.OutEdgeRange(v)
+				for k := lo; k < hi; k++ {
+					srcOf[k] = posOf[v]
+				}
+			}
+			seen := make([]bool, len(g.OutDst))
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				p := posOf[v]
+				for k := ix.off[p]; k < ix.off[p+1]; k++ {
+					ek := ix.edge[k]
+					if g.OutDst[ek] != v || int(ix.src[k]) != srcOf[ek] || seen[ek] {
+						t.Fatalf("%s: vertex %d's in-edge %d is out-edge %d from position %d, which does not lead to it from there once",
+							name, v, k, ek, ix.src[k])
+					}
+					seen[ek] = true
+					if k > ix.off[p] && (ix.src[k] < ix.src[k-1] || ix.src[k] == ix.src[k-1] && ek < ix.edge[k-1]) {
+						t.Fatalf("%s: vertex %d's in-edges are not in (source position, out-edge) order", name, v)
+					}
+				}
+			}
+			if ix.off[len(ix.off)-1] != int64(len(g.OutDst)) {
+				t.Errorf("%s: the in-index holds %d in-edges, want %d", name, ix.off[len(ix.off)-1], len(g.OutDst))
+			}
+		}
+	}
+}
+
 // The broadcast index is built once per (graph, worker count,
 // partitioner) and shared read-only: a second run on the graph reuses
 // the first run's index, and so does one that differs only in

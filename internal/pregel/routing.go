@@ -81,6 +81,9 @@ func (e *engine) routeMessages() {
 		wk.spilled = false
 	}
 	e.foldEpoch++
+	if len(e.folds) > 0 {
+		e.planPulls()
+	}
 	e.runPhase(phaseRoute, 0)
 }
 

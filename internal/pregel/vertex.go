@@ -58,6 +58,11 @@ type chunk struct {
 	boxes  [][]uint64
 	fboxes [][]uint64
 	agg    []aggCell
+	// fbcast counts, per folded type, the chunk's broadcasts of it by
+	// vertices with an out-edge, or is negative once a Send of the type
+	// or a vertex's second broadcast of it spoils the superstep for the
+	// pull fold (fold.go).
+	fbcast []int32
 	// numActive counts active vertices in [lo, hi), maintained
 	// incrementally by runChunk, the one place a halted vertex a message
 	// reaches is activated, and VoteToHalt.
@@ -73,7 +78,8 @@ type chunk struct {
 	err error
 }
 
-// truncateBoxes empties the chunk's boxes, retaining their capacity.
+// truncateBoxes empties the chunk's boxes, retaining their capacity,
+// and zeroes its broadcast counts.
 //
 //gm:noalloc
 func (ck *chunk) truncateBoxes() {
@@ -81,6 +87,7 @@ func (ck *chunk) truncateBoxes() {
 		ck.boxes[d] = ck.boxes[d][:0]
 		ck.fboxes[d] = ck.fboxes[d][:0]
 	}
+	clear(ck.fbcast)
 }
 
 // worker owns a partition of the vertices: ids with id mod W == index
@@ -111,6 +118,10 @@ type worker struct {
 	// the present slots): nonzero exactly while a folded message waits.
 	folds     []foldSlot
 	foldTotal int
+	// bvals and bstamp are the worker's stretch of the broadcast value
+	// columns, by local*len(folds)+fold (fold.go).
+	bvals  []uint64
+	bstamp []uint32
 
 	chunks    []chunk
 	chunkSize int
