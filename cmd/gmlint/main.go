@@ -8,15 +8,6 @@
 // With package patterns (default ./...) it behaves like a multichecker:
 // loads and type-checks the packages, applies every analyzer, prints
 // one line per diagnostic, and exits 1 if anything was reported.
-//
-// It also speaks the cmd/vet unitchecker protocol, so it can be run by
-// the go tool itself:
-//
-//	go vet -vettool=$(command -v gmlint) ./...
-//
-// In that mode the go command invokes gmlint once per package with a
-// *.cfg JSON file describing the unit; diagnostics go to stderr and a
-// nonzero exit marks the package as failing vet.
 package main
 
 import (
@@ -38,38 +29,8 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	vflag := fs.String("V", "", "print version and exit (vettool protocol)")
-	flagsOut := fs.Bool("flags", false, "print flags as JSON and exit (vettool protocol)")
 	fs.Parse(args)
 
-	if *vflag != "" {
-		// The go command probes vet tools with -V=full and scans the
-		// output for a buildID= field to fingerprint the tool for
-		// caching; a devel build has none, so emit the same placeholder
-		// x/tools' unitchecker uses.
-		fmt.Printf("gmlint version devel comments-go-here buildID=gibberish\n")
-		return 0
-	}
-	if *flagsOut {
-		// The go command asks vet tools for their flags with -flags and
-		// expects a JSON array of {Name, Bool, Usage} objects describing
-		// which flags it may forward.
-		type jsonFlag struct {
-			Name  string `json:"name"`
-			Bool  bool   `json:"bool"`
-			Usage string `json:"usage"`
-		}
-		var out []jsonFlag
-		fs.VisitAll(func(f *flag.Flag) {
-			isBool := false
-			if bf, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-				isBool = bf.IsBoolFlag()
-			}
-			out = append(out, jsonFlag{f.Name, isBool, f.Usage})
-		})
-		json.NewEncoder(os.Stdout).Encode(out)
-		return 0
-	}
 	if *list {
 		for _, az := range lint.Analyzers() {
 			fmt.Printf("%-16s %s\n", az.Name, az.Doc)
@@ -97,17 +58,12 @@ func run(args []string) int {
 		analyzers = filtered
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(rest[0], analyzers)
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gmlint:", err)
 		return 2
 	}
-	pkgs, err := lint.Load(cwd, rest...)
+	pkgs, err := lint.Load(cwd, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -153,68 +109,6 @@ func emit(diags []lint.Diagnostic, asJSON bool) int {
 	}
 	if len(diags) > 0 {
 		return 1
-	}
-	return 0
-}
-
-// vetConfig is the subset of the cmd/vet unitchecker config gmlint
-// needs: the unit's sources and where its dependencies' export data
-// lives.
-type vetConfig struct {
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-func runUnit(cfgFile string, analyzers []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "gmlint: parsing vet config:", err)
-		return 2
-	}
-	// The go command also dispatches dependency units (VetxOnly) and the
-	// standard library so vet tools can accumulate facts. gmlint carries
-	// no serialized facts, so for those units just satisfy the protocol.
-	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintln(os.Stderr, "gmlint:", err)
-				return 2
-			}
-		}
-		return 0
-	}
-	pkg, err := lint.LoadUnit(cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.PackageFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmlint:", err)
-		return 2
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	// The protocol requires the facts file to exist even when empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "gmlint:", err)
-			return 2
-		}
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
 	}
 	return 0
 }

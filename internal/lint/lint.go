@@ -57,9 +57,6 @@ type Pass struct {
 	// NoallocFacts holds the FullName of every //gm:noalloc function
 	// across all packages of the run, so gmnoalloc can verify calls
 	// that cross package boundaries (the poor-linter's analysis.Fact).
-	// Under `go vet -vettool` each package is checked in isolation and
-	// this only covers the current package; the multichecker (CI) sees
-	// the whole module.
 	NoallocFacts map[string]bool
 
 	diags *[]Diagnostic

@@ -153,30 +153,6 @@ func LoadFiles(path, root string, filenames []string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadUnit type-checks one package from an explicit file list plus an
-// import-path -> export-data-file map — the shape the cmd/vet
-// unitchecker protocol hands a vet tool.
-func LoadUnit(path, dir string, goFiles []string, packageFile map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []string
-	for _, f := range goFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(dir, f)
-		}
-		files = append(files, f)
-	}
-	pkg, err := check(fset, exportImporter(fset, packageFile), path, files)
-	if err != nil {
-		return nil, err
-	}
-	if root, err := moduleRoot(dir); err == nil {
-		pkg.Root = root
-	} else {
-		pkg.Root = dir
-	}
-	return pkg, nil
-}
-
 // exportImporter builds a types.Importer that resolves import paths to
 // the export-data files recorded by `go list -export`.
 func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {

@@ -377,11 +377,8 @@ func (wk *worker) waits(li int) bool {
 // worker errors). The stats are rewound to the serialized ones, the
 // monotone counters kept (rewind).
 func (e *engine) decodeState(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
-	}
-	if v := data[0]; v != checkpointVersion {
-		return fmt.Errorf("unknown checkpoint version %d", v)
+	if len(data) > 0 && data[0] != checkpointVersion {
+		return fmt.Errorf("unknown checkpoint version %d", data[0])
 	}
 	if len(data) < frameHeaderBytes {
 		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
@@ -454,7 +451,11 @@ func (e *engine) decodeState(data []byte) error {
 		}
 		wk.inFlat = wk.inFlat[:0]
 		for i := 0; i < wk.inTotal; i++ {
-			wk.inFlat = append(wk.inFlat, packHeader(nodeFromU32(r.u32()), r.u8()))
+			dst, typ := nodeFromU32(r.u32()), r.u8()
+			if int(typ) >= len(e.foldIdx) || e.foldIdx[typ] >= 0 {
+				return fmt.Errorf("worker %d inbox message %d has type %d, not a declared unfolded type", wk.index, i, typ)
+			}
+			wk.inFlat = append(wk.inFlat, packHeader(dst, typ))
 			for s := 0; s < MaxPayloadSlots; s++ {
 				v := r.u64()
 				if s < e.slots {
@@ -469,7 +470,8 @@ func (e *engine) decodeState(data []byte) error {
 			return fmt.Errorf("worker %d inbox-offset count mismatch", wk.index)
 		}
 		// The offsets index the restored inbox: they start at 0, never
-		// decrease, and end at its length.
+		// decrease, and end at its length, and each vertex's window holds
+		// only messages addressed to it.
 		wk.inMax = 0
 		for i := range wk.inOff {
 			o, end := r.u32(), uint32(wk.inTotal)
@@ -479,6 +481,11 @@ func (e *engine) decodeState(data []byte) error {
 			wk.inOff[i] = int32(o)
 			if i > 0 {
 				wk.inMax = max(wk.inMax, int(wk.inOff[i]-wk.inOff[i-1]))
+				for k := int(wk.inOff[i-1]); k < int(o); k++ {
+					if d := headerDst(wk.inFlat[k*e.stride]); d != wk.ids[i-1] {
+						return fmt.Errorf("worker %d inbox message %d is for vertex %d, in vertex %d's window", wk.index, k, d, wk.ids[i-1])
+					}
+				}
 			}
 		}
 		if err := e.decodeFolds(r, wk); err != nil {

@@ -242,14 +242,13 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 }
 
 // broadcast sends m, of a folded type, to every out-neighbor as one
-// broadcast record (record.go) per destination worker owning any of
-// them, in the fold box of that worker, tagged with the run's ordinal,
-// and bills every edge as Send would: ix's runs give the sender's
-// out-neighbors per owner. With one worker the record goes to worker 0
-// and all of it is local. It also stores the payload in the value
-// column and counts the broadcast on the chunk, for the pull fold
-// (fold.go); a vertex's second one this superstep, which finds its
-// stamp, spoils the count.
+// broadcast record (record.go) in the fold box of each worker owning any
+// of them, and bills every edge as Send would: those in the sender's
+// own worker's group of ix's cut row are local, the rest network. With
+// one worker the record goes to worker 0 and all of it is local. It also
+// stores the payload in the value column and counts the broadcast on the
+// chunk, for the pull fold (fold.go); a vertex's second one this
+// superstep, which finds its stamp, spoils the count.
 //
 //gm:noalloc
 func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
@@ -268,20 +267,19 @@ func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
 	hdr := packHeader(vc.id, m.Type) | bcastBit
 	size := wk.msgSize[m.Type]
 	ck.st.Messages += hi - lo
-	if ix.runOff == nil {
+	if ix.cut == nil {
 		ck.fboxes[0] = appendRec(ck.fboxes[0], hdr, &m.V, 1)
 		ck.st.LocalBytes += (hi - lo) * size
 		return
 	}
-	for k, r := range ix.runs[ix.runOff[vc.id]:ix.runOff[vc.id+1]] {
-		n, dw := r.end-lo, int(r.worker)
-		lo = r.end
-		ck.fboxes[dw] = appendRec(ck.fboxes[dw], hdr|uint64(k)<<bcastRunShift, &m.V, 1)
-		if dw != wk.index {
-			ck.st.NetworkMsgs += n
-			ck.st.NetworkBytes += n * size
-		} else {
-			ck.st.LocalBytes += n * size
+	cut := ix.cut[int(vc.id)*ix.row:][:ix.row]
+	local := int64(cut[wk.index+1] - cut[wk.index])
+	ck.st.LocalBytes += local * size
+	ck.st.NetworkMsgs += hi - lo - local
+	ck.st.NetworkBytes += (hi - lo - local) * size
+	for d := range ck.fboxes {
+		if cut[d+1] > cut[d] {
+			ck.fboxes[d] = appendRec(ck.fboxes[d], hdr, &m.V, 1)
 		}
 	}
 }

@@ -161,13 +161,11 @@ func (wk *worker) foldInbox() {
 
 // foldBox folds one box's records in emission order. A per-edge record,
 // which a Send of a folded type writes, folds into its vertex's slot; a
-// broadcast record is expanded where it sits, over its sender's
-// out-neighbours wk owns, in out-edge order — the messages, in the
-// order, that per-edge records would have folded — by foldRun, or by
-// foldRunEdge when its type declares an edge column, unless its type is
-// pulled this routing (pullFold). A record stamps its slot with this
-// routing's epoch; the first one for a (vertex, type) replaces the stale
-// value, the rest fold into it.
+// broadcast record is expanded where it sits by foldRun — the messages,
+// in the order, that per-edge records would have folded — unless its
+// type is pulled this routing (pullFold). A record stamps its slot with
+// this routing's epoch; the first one for a (vertex, type) replaces the
+// stale value, the rest fold into it.
 //
 //gm:noalloc
 func (wk *worker) foldBox(box []uint64, epoch uint32) {
@@ -182,65 +180,25 @@ func (wk *worker) foldBox(box []uint64, epoch uint32) {
 				v = m
 			}
 			s.val, s.stamp = v, epoch
-			continue
-		}
-		if e.pull[fi] {
-			continue
-		}
-		src := headerDst(h)
-		locals, offs := e.nbrs.owned(src, headerRun(h))
-		if c := &e.foldEdges[fi]; c.i != nil || c.f != nil {
-			wk.foldRunEdge(locals, offs, c, e.nbrs.start[src], fi, m, epoch)
-		} else {
-			wk.foldRun(locals, fi, m, epoch)
+		} else if !e.pull[fi] {
+			wk.foldRun(headerDst(h), fi, m, epoch)
 		}
 	}
 }
 
-// foldRun folds payload m of the fi-th folded type into the slots of
-// the local vertices locals — one broadcast record's expansion —
-// choosing the fold once for the run. PageRank's sum is written out,
-// as apply is past the inliner's budget and this is the loop every
-// pushed PageRank message is folded in.
+// foldRun folds payload m of the fi-th folded type, broadcast by src,
+// into the slots of src's out-neighbours wk owns, in out-edge order,
+// adding the type's edge column at each out-edge if it declares one.
+// SSSP's int min over its column is written out: apply is past the
+// inliner's budget, and every pushed SSSP message is folded here.
 //
 //gm:noalloc
-func (wk *worker) foldRun(locals []graph.NodeID, fi int, m uint64, epoch uint32) {
-	nf := len(wk.e.folds)
-	slots := wk.folds[fi:]
-	switch f := wk.e.folds[fi]; f {
-	case Fold{AggSum, AggKindFloat}:
-		for _, li := range locals {
-			s := &slots[int(li)*nf]
-			v := math.Float64bits(math.Float64frombits(s.val) + math.Float64frombits(m))
-			if s.stamp != epoch {
-				v = m
-			}
-			s.val, s.stamp = v, epoch
-		}
-	default:
-		for _, li := range locals {
-			s := &slots[int(li)*nf]
-			v := f.apply(s.val, m)
-			if s.stamp != epoch {
-				v = m
-			}
-			s.val, s.stamp = v, epoch
-		}
-	}
-}
-
-// foldRunEdge is foldRun for a type that declares the edge column c:
-// locals[k] is folded m plus c at out-edge base+offs[k], base being the
-// sender's first out-edge — the payload, wrapped as int64 addition wraps
-// or summed in float64, that a per-edge Send would have carried. SSSP's
-// int min is written out.
-//
-//gm:noalloc
-func (wk *worker) foldRunEdge(locals []graph.NodeID, offs []uint32, c *edgeCol, base int64, fi int, m uint64, epoch uint32) {
-	nf := len(wk.e.folds)
+func (wk *worker) foldRun(src graph.NodeID, fi int, m uint64, epoch uint32) {
+	e, nf := wk.e, len(wk.e.folds)
+	locals, offs := e.nbrs.owned(src, wk.index)
 	slots, offs := wk.folds[fi:], offs[:len(locals)]
-	f := wk.e.folds[fi]
-	if f == (Fold{AggMin, AggKindInt}) {
+	f, c, base := e.folds[fi], &e.foldEdges[fi], e.nbrs.start[src]
+	if f == (Fold{AggMin, AggKindInt}) && c.i != nil {
 		col, x := c.i[base:], int64(m)
 		for k, li := range locals {
 			s, y := &slots[int(li)*nf], x+col[offs[k]]
@@ -270,14 +228,17 @@ type edgeCol struct {
 }
 
 // add returns payload m plus the column's value at out-edge e, in the
-// column's kind.
+// column's kind, or m itself when the type declares no column.
 //
 //gm:noalloc
 func (c *edgeCol) add(m uint64, e int64) uint64 {
-	if c.i != nil {
+	switch {
+	case c.i != nil:
 		return uint64(int64(m) + c.i[e])
+	case c.f != nil:
+		return math.Float64bits(math.Float64frombits(m) + c.f[e])
 	}
-	return math.Float64bits(math.Float64frombits(m) + c.f[e])
+	return m
 }
 
 // foldEdgeCols resolves Schema.EdgeAdd against the folded types: cols[fi]
@@ -322,32 +283,27 @@ func foldEdgeCols(s Schema, idx []int8, folds []Fold, numEdges int64) ([]edgeCol
 // over. local lists every vertex's out-neighbours in its CSR range, as
 // local indices on their owners, stably regrouped by owner in worker
 // order, and off each one's out-edge offset within that range, which
-// an edge column is read at; the runs of vertex v,
-// runs[runOff[v]:runOff[v+1]], name each worker owning any of them and
-// the end of its group (start is the graph's OutStart). A vertex has at
-// most min(deg, W) runs, so the index is O(V+E) words at any W. With
-// one worker every id is its own local index, so local is the CSR
-// itself (hence its NodeID type), runOff is nil, and off is the
-// identity up to the largest out-degree.
+// an edge column is read at. cut holds one row of W+1 offsets per
+// vertex v, relative to its first out-edge: worker d's group is
+// [cut[v*(W+1)+d], cut[v*(W+1)+d+1]), empty when d owns none of v's
+// out-neighbours, so the index is 8·E + 4·V·(W+1) bytes. With one
+// worker every id is its own local index, so local is the CSR itself
+// (hence its NodeID type), cut is nil, and off is the identity up to
+// the largest out-degree.
 //
 // The index is a pure function of the graph, the worker count and the
 // partitioner, so it is built once per graph for each pair and shared,
 // read-only, by every run that broadcasts (graph.Directed.Derived); it
 // lives as long as the graph.
 type nbrIndex struct {
-	start  []int64
-	local  []graph.NodeID
-	off    []uint32
-	runOff []int64
-	runs   []nbrRun
+	start []int64
+	local []graph.NodeID
+	off   []uint32
+	cut   []uint32
+	row   int // the length of a cut row, W+1
 	// senders is the number of vertices with an out-edge: the broadcasts
 	// of one folded type a dense superstep makes.
 	senders int64
-}
-
-type nbrRun struct {
-	end    int64
-	worker int32
 }
 
 // nbrIndexKey names the broadcast index among a graph's derived values.
@@ -370,88 +326,70 @@ func (e *engine) nbrIndex() *nbrIndex {
 
 // buildNbrIndex builds the index for e's graph and partition: the CSR
 // and an identity at one worker, otherwise one pass over each vertex's
-// out-neighbours that counts them per owner and a second that places
-// them stably. It reads e's partition and keeps nothing of e.
+// out-neighbours that counts them per owner into its cut row and a
+// second that places them stably. It reads e's partition and keeps
+// nothing of e.
 func (e *engine) buildNbrIndex() *nbrIndex {
 	g := e.g
 	n := g.NumNodes()
-	ix := &nbrIndex{start: g.OutStart, local: g.OutDst}
+	ix, deg := &nbrIndex{start: g.OutStart, local: g.OutDst}, int64(0)
 	for v := range n {
-		ix.senders += min(g.OutStart[v+1]-g.OutStart[v], 1)
+		d := g.OutStart[v+1] - g.OutStart[v]
+		ix.senders, deg = ix.senders+min(d, 1), max(deg, d)
 	}
 	if e.numWorkers == 1 {
-		deg := int64(0)
-		for v := range n {
-			deg = max(deg, g.OutStart[v+1]-g.OutStart[v])
-		}
 		ix.off = make([]uint32, deg)
 		for k := range ix.off {
 			ix.off[k] = uint32(k)
 		}
 		return ix
 	}
-	wk := e.workers[0]
+	wk, w := e.workers[0], e.numWorkers
+	ix.row = w + 1
 	ix.local = make([]graph.NodeID, len(g.OutDst))
 	ix.off = make([]uint32, len(g.OutDst))
-	ix.runOff = make([]int64, n+1)
-	ix.runs = make([]nbrRun, 0, n)
-	// at counts the current vertex's out-neighbours per owner, then
-	// serves as each owner's placement cursor; it is zero between
-	// vertices. owner caches each out-neighbour's owner, seen the
-	// distinct ones.
-	at := make([]int64, e.numWorkers)
-	var owner, seen []int32
+	ix.cut = make([]uint32, n*ix.row)
+	// owner caches the current vertex's out-neighbours' owners; at is
+	// each owner's placement cursor.
+	at := make([]int64, w)
+	var owner []int32
 	for v := range n {
 		lo, hi := g.OutStart[v], g.OutStart[v+1]
-		owner, seen = owner[:0], seen[:0]
+		cut := ix.cut[v*ix.row:][:ix.row]
+		owner = owner[:0]
 		for _, u := range g.OutDst[lo:hi] {
-			w := int32(wk.ownerOf(u))
-			if at[w] == 0 {
-				seen = append(seen, w)
-			}
-			at[w]++
-			owner = append(owner, w)
+			d := wk.ownerOf(u)
+			cut[d+1]++
+			owner = append(owner, int32(d))
 		}
-		slices.Sort(seen)
-		for _, w := range seen {
-			at[w], lo = lo, lo+at[w]
-			ix.runs = append(ix.runs, nbrRun{end: lo, worker: w})
+		for d := range w {
+			cut[d+1] += cut[d]
+			at[d] = lo + int64(cut[d])
 		}
-		for k, u := range g.OutDst[g.OutStart[v]:hi] {
-			w := owner[k]
-			ix.local[at[w]] = graph.NodeID(e.workers[w].localOf(u))
-			ix.off[at[w]] = uint32(k)
-			at[w]++
+		for k, u := range g.OutDst[lo:hi] {
+			d := owner[k]
+			ix.local[at[d]] = graph.NodeID(e.workers[d].localOf(u))
+			ix.off[at[d]] = uint32(k)
+			at[d]++
 		}
-		for _, w := range seen {
-			at[w] = 0
-		}
-		ix.runOff[v+1] = int64(len(ix.runs))
 	}
 	return ix
 }
 
-// owned returns the local indices, on their owner, of the out-neighbours
-// of broadcast sender s in its k-th run, in out-edge order, and their
-// out-edge offsets within s's CSR range: those the run's worker owns.
+// owned returns the local indices, on worker d, of the out-neighbours
+// of broadcast sender s that d owns, in out-edge order, and their
+// out-edge offsets within s's CSR range.
 //
 //gm:noalloc
-func (ix *nbrIndex) owned(s graph.NodeID, k int) ([]graph.NodeID, []uint32) {
-	lo := ix.start[s]
-	if ix.runOff == nil {
-		hi := ix.start[s+1]
+func (ix *nbrIndex) owned(s graph.NodeID, d int) ([]graph.NodeID, []uint32) {
+	lo, hi := ix.start[s], ix.start[s+1]
+	if ix.cut == nil {
 		return ix.local[lo:hi], ix.off[:hi-lo]
 	}
-	j := int(ix.runOff[s]) + k
-	if k > 0 {
-		lo = ix.runs[j-1].end
-	}
-	hi := ix.runs[j].end
+	cut := ix.cut[int(s)*ix.row+d:]
+	lo, hi = lo+int64(cut[0]), lo+int64(cut[1])
 	return ix.local[lo:hi], ix.off[lo:hi]
 }
-
-// nbrRunBytes is the size of one run, padding included.
-const nbrRunBytes = 16
 
 // bytes is the index's footprint as the governor accounts it, the CSR
 // it aliases at one worker excluded.
@@ -461,9 +399,9 @@ func (ix *nbrIndex) bytes() int64 {
 	if ix == nil {
 		return 0
 	}
-	b := int64(len(ix.off)) * 4
-	if ix.runOff != nil {
-		b += int64(len(ix.local))*4 + int64(len(ix.runOff))*8 + int64(len(ix.runs))*nbrRunBytes
+	b := int64(len(ix.off)+len(ix.cut)) * 4
+	if ix.cut != nil {
+		b += int64(len(ix.local)) * 4
 	}
 	return b
 }
@@ -506,7 +444,8 @@ func (e *engine) initBroadcastCols() {
 }
 
 // planPulls decides which folded types this routing pulls, from the
-// chunks' counts, and fetches the in-index on the first pull.
+// chunks' counts, and fetches the in-index on the first pull, with its
+// edge column only for a job that declares one.
 func (e *engine) planPulls() {
 	e.npull = 0
 	for fi := range e.pull {
@@ -523,8 +462,11 @@ func (e *engine) planPulls() {
 		}
 	}
 	if e.npull > 0 && e.in == nil {
-		key := inIndexKey{workers: e.numWorkers, part: e.cfg.Partitioner}
-		e.in = e.g.Derived(key, func() any { return e.buildInIndex() }).(*inIndex)
+		key := inIndexKey{nbrIndexKey{e.numWorkers, e.cfg.Partitioner}, false}
+		for _, c := range e.foldEdges {
+			key.edge = key.edge || c.i != nil || c.f != nil
+		}
+		e.in = e.g.Derived(key, func() any { return e.buildInIndex(key.edge) }).(*inIndex)
 	}
 	e.pulls += int64(e.npull)
 }
@@ -569,22 +511,28 @@ func (wk *worker) pullFold(fi int, epoch uint32) {
 
 // inIndex is the in-index: the in-edges of the vertex at position p
 // (initBroadcastCols) are entries [off[p], off[p+1]), each its sender's
-// position and its out-edge, in (source worker, source local, out-edge)
-// order. With one worker a position is an id and the index is the
-// graph's in-CSR. Like nbrIndex it is built once per graph, worker count
-// and partitioner and shared read-only.
+// position and, when the index has the edge column, its out-edge, in
+// (source worker, source local, out-edge) order. With one worker a
+// position is an id and the index is the graph's in-CSR. Like nbrIndex
+// it is built once per graph, worker count, partitioner and edge column
+// and shared read-only.
 type inIndex struct {
 	off  []int64
 	src  []graph.NodeID
 	edge []int64
 }
 
-type inIndexKey nbrIndexKey
+// inIndexKey names the in-index among a graph's derived values; edge is
+// whether it has the edge column.
+type inIndexKey struct {
+	nbrIndexKey
+	edge bool
+}
 
-// buildInIndex builds the in-index for e's graph and partition: a
-// counting sort of the edges by destination position, placed walking
-// the senders in position order.
-func (e *engine) buildInIndex() *inIndex {
+// buildInIndex builds the in-index for e's graph and partition, with
+// the edge column if edge: a counting sort of the edges by destination
+// position, placed walking the senders in position order.
+func (e *engine) buildInIndex(edge bool) *inIndex {
 	g := e.g
 	if e.numWorkers == 1 {
 		start, src, edge := g.InCSR()
@@ -595,7 +543,10 @@ func (e *engine) buildInIndex() *inIndex {
 		return e.vbase[w] + e.workers[w].localOf(v)
 	}
 	npos := len(e.bvals) / len(e.folds)
-	ix := &inIndex{off: make([]int64, npos+1), src: make([]graph.NodeID, len(g.OutDst)), edge: make([]int64, len(g.OutDst))}
+	ix := &inIndex{off: make([]int64, npos+1), src: make([]graph.NodeID, len(g.OutDst))}
+	if edge {
+		ix.edge = make([]int64, len(g.OutDst))
+	}
 	for _, u := range g.OutDst {
 		ix.off[pos(u)+1]++
 	}
@@ -607,7 +558,10 @@ func (e *engine) buildInIndex() *inIndex {
 		for li, v := range wk.ids {
 			for k := g.OutStart[v]; k < g.OutStart[v+1]; k++ {
 				q := pos(g.OutDst[k])
-				ix.src[next[q]], ix.edge[next[q]] = graph.NodeID(e.vbase[w]+li), k
+				ix.src[next[q]] = graph.NodeID(e.vbase[w] + li)
+				if edge {
+					ix.edge[next[q]] = k
+				}
 				next[q]++
 			}
 		}

@@ -30,6 +30,7 @@ import (
 // an out-edge broadcasts both foldable types every superstep, nothing
 // else is sent and nothing halts, so the engine may pull the folded
 // ones, unless spoil breaks that rule at vertex spoilV (and skipV).
+// spoilAgain also applies to the sparse sending, at every vertex.
 // pulls is the engine's count of pulled (superstep, type) pairs after a
 // run, and a dense job's master records it at every superstep in trace.
 type foldJob struct {
@@ -57,9 +58,10 @@ type spoilKind int
 const (
 	spoilNone  spoilKind = iota
 	spoilSkip            // the vertex sends nothing
-	spoilTwice           // it broadcasts each type twice
+	spoilTwice           // it broadcasts each type twice, the same payload
 	spoilSend            // it also sends each type to one out-neighbour
 	spoilSwap            // it broadcasts twice and skipV not at all: the count adds up
+	spoilAgain           // it follows each broadcast with one of another payload
 )
 
 var (
@@ -195,10 +197,20 @@ func btoi(b bool) int {
 	return 0
 }
 
-// sendToAllNbrs sends m to every out-neighbour: by SendToAllNbrs, or
-// under perEdge by its per-edge twin, which adds the type's edge column
-// itself.
+// sendToAllNbrs sends m to every out-neighbour (broadcast), and under
+// spoilAgain then sends m's type once more with another payload (again)
+// from spoilV — from every vertex when the job is not dense.
 func (j *foldJob) sendToAllNbrs(vc *VertexContext, m Msg) {
+	j.broadcast(vc, m)
+	if j.spoil == spoilAgain && (!j.dense || vc.ID() == j.spoilV) {
+		j.broadcast(vc, again(m))
+	}
+}
+
+// broadcast sends m to every out-neighbour: by SendToAllNbrs, or under
+// perEdge by its per-edge twin, which adds the type's edge column
+// itself.
+func (j *foldJob) broadcast(vc *VertexContext, m Msg) {
 	if !j.perEdge {
 		vc.SendToAllNbrs(m)
 		return
@@ -214,6 +226,17 @@ func (j *foldJob) sendToAllNbrs(vc *VertexContext, m Msg) {
 		}
 		vc.Send(u, me)
 	}
+}
+
+// again is the second payload a spoilAgain broadcast of m's type
+// carries: one that changes both the float sum's bits and the int min.
+func again(m Msg) Msg {
+	if m.Type == 0 {
+		m.SetFloat(0, m.Float(0)/3-0.7)
+	} else {
+		m.SetInt(0, m.Int(0)-3)
+	}
+	return m
 }
 
 func (j *foldJob) SnapshotState() []byte {
@@ -326,12 +349,23 @@ func inSkewedGraph(n int) *graph.Directed {
 }
 
 // runFoldTwin runs foldJob with folds, broadcasting or per edge, dense
-// or not, and reports whether the engine fetched its broadcast index.
-func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge, dense bool, cfg Config) (*foldJob, Stats, bool) {
+// or not, spoiled at g's first sender, and reports whether the engine
+// fetched its broadcast index.
+func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge, dense bool, spoil spoilKind, cfg Config) (*foldJob, Stats, bool) {
 	j := newFoldJob(g.NumNodes(), 8, false)
-	j.folds, j.perEdge, j.dense = folds, perEdge, dense
+	j.folds, j.perEdge, j.dense, j.spoil, j.spoilV = folds, perEdge, dense, spoil, firstSender(g)
 	st, built := runFoldJob(t, g, j, cfg)
 	return j, st, built
+}
+
+// firstSender is g's lowest vertex with an out-edge, or 0 if none has.
+func firstSender(g *graph.Directed) graph.NodeID {
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if g.OutDegree(v) > 0 {
+			return v
+		}
+	}
+	return 0
 }
 
 // runFoldJob runs j, records the engine's pulls on it, and reports
@@ -354,10 +388,11 @@ func foldedOf(folds []*Fold) int64 {
 
 // checkDensePulls fails unless the dense broadcasting job j, run
 // without faults (TestPullRuleDenseOnly covers replays), pulled each of
-// its folded types in each of its supersteps.
+// its folded types in each of its supersteps — or, spoiled, none.
 func checkDensePulls(t *testing.T, name string, g *graph.Directed, j *foldJob, folded int64, cfg Config) {
 	t.Helper()
-	if want := int64(j.steps) * folded; len(cfg.Faults) == 0 && g.NumEdges() > 0 && j.pulls != want {
+	want := int64(j.steps) * folded * int64(btoi(j.spoil == spoilNone))
+	if len(cfg.Faults) == 0 && g.NumEdges() > 0 && j.pulls != want {
 		t.Errorf("%s: the dense job pulled %d (superstep, type) pairs, want %d", name, j.pulls, want)
 	}
 }
@@ -377,7 +412,11 @@ func checkDensePulls(t *testing.T, name string, g *graph.Directed, j *foldJob, f
 // superstep 0 itself, which built it, and from one in superstep 3. The
 // dense variant sends nothing but broadcasts, from every vertex with an
 // out-edge, so each superstep's folded types take the pull fold, and
-// still ends bit for bit with the twin.
+// still ends bit for bit with the twin. In the again variant each
+// broadcast is followed by a second of its type with another payload —
+// from every vertex, and dense from the first sender, which spoils the
+// pull — so both payloads of a vertex's two broadcasts must reach the
+// fold, as the broadcast record, not the value column, carries them.
 func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -391,20 +430,22 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 	variants := []struct {
 		name  string
 		folds []*Fold
+		spoil spoilKind
 	}{
-		{"both", bothFolds},
-		{"sum", []*Fold{sumFold, nil, nil}},
-		{"min", []*Fold{nil, minFold, nil}},
+		{"both", bothFolds, spoilNone},
+		{"sum", []*Fold{sumFold, nil, nil}, spoilNone},
+		{"min", []*Fold{nil, minFold, nil}, spoilNone},
+		{"both/again", bothFolds, spoilAgain},
 	}
-	check := func(name string, g *graph.Directed, folds []*Fold, dense bool, cfg Config) {
-		perEdge, pst, built := runFoldTwin(t, g, folds, true, dense, cfg)
+	check := func(name string, g *graph.Directed, folds []*Fold, dense bool, spoil spoilKind, cfg Config) {
+		perEdge, pst, built := runFoldTwin(t, g, folds, true, dense, spoil, cfg)
 		if pst.Recoveries != len(cfg.Faults) {
 			t.Errorf("%s: %d recoveries, want %d", name, pst.Recoveries, len(cfg.Faults))
 		}
 		if built {
 			t.Errorf("%s: the per-edge twin built a broadcast index", name)
 		}
-		bcast, bst, built := runFoldTwin(t, g, folds, false, dense, cfg)
+		bcast, bst, built := runFoldTwin(t, g, folds, false, dense, spoil, cfg)
 		if !built && g.NumEdges() > 0 {
 			t.Errorf("%s: the broadcasting job never built its index", name)
 		}
@@ -426,7 +467,7 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 			for _, cfg := range group {
 				for _, vr := range variants {
 					for _, dense := range []bool{false, true} {
-						check(fmt.Sprintf("%s/%s/%s/dense=%v", gr.name, scheduleName(cfg), vr.name, dense), gr.g, vr.folds, dense, cfg)
+						check(fmt.Sprintf("%s/%s/%s/dense=%v", gr.name, scheduleName(cfg), vr.name, dense), gr.g, vr.folds, dense, vr.spoil, cfg)
 					}
 				}
 			}
@@ -439,7 +480,7 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 					continue
 				}
 				for _, dense := range []bool{false, true} {
-					check(fmt.Sprintf("%s/crash@%d/%s/dense=%v", gr.name, crash, scheduleName(cfg), dense), gr.g, bothFolds, dense, cfg)
+					check(fmt.Sprintf("%s/crash@%d/%s/dense=%v", gr.name, crash, scheduleName(cfg), dense), gr.g, bothFolds, dense, spoilNone, cfg)
 				}
 			}
 		}
@@ -477,7 +518,8 @@ func edgeCols(g *graph.Directed) ([]float64, []int64) {
 // fetched the index. The dense variant sends nothing but broadcasts,
 // from every vertex with an out-edge, so each superstep pulls both
 // folded types, adding each in-edge's value, and still ends bit for bit
-// with the twin.
+// with the twin; so does the again variant, whose broadcasts are each
+// followed by a second with another payload.
 func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -491,16 +533,18 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 	variants := []struct {
 		name        string
 		float, ints bool
+		spoil       spoilKind
 	}{
-		{"both", true, true},
-		{"float-sum", true, false},
-		{"int-min", false, true},
+		{"both", true, true, spoilNone},
+		{"float-sum", true, false, spoilNone},
+		{"int-min", false, true, spoilNone},
+		{"both/again", true, true, spoilAgain},
 	}
-	check := func(name string, g *graph.Directed, float, ints, dense bool, cfg Config) {
+	check := func(name string, g *graph.Directed, float, ints, dense bool, spoil spoilKind, cfg Config) {
 		flen, ilen := edgeCols(g)
 		job := func(perEdge bool) *foldJob {
 			j := newFoldJob(g.NumNodes(), 8, true)
-			j.perEdge, j.dense = perEdge, dense
+			j.perEdge, j.dense, j.spoil, j.spoilV = perEdge, dense, spoil, firstSender(g)
 			if float {
 				j.flen = flen
 			}
@@ -533,7 +577,7 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 			for _, cfg := range group {
 				for _, vr := range variants {
 					for _, dense := range []bool{false, true} {
-						check(fmt.Sprintf("%s/%s/%s/dense=%v", gr.name, scheduleName(cfg), vr.name, dense), gr.g, vr.float, vr.ints, dense, cfg)
+						check(fmt.Sprintf("%s/%s/%s/dense=%v", gr.name, scheduleName(cfg), vr.name, dense), gr.g, vr.float, vr.ints, dense, vr.spoil, cfg)
 					}
 				}
 			}
@@ -546,7 +590,7 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 				cfg := Config{NumWorkers: 2, Partitioner: part, ChunkSize: 4, Seed: 21, TraceSteps: true,
 					Faults: FaultPlan{{Superstep: crash, Worker: 1}}}
 				for _, dense := range []bool{false, true} {
-					check(fmt.Sprintf("%s/crash@%d/%s/dense=%v", gr.name, crash, scheduleName(cfg), dense), gr.g, true, true, dense, cfg)
+					check(fmt.Sprintf("%s/crash@%d/%s/dense=%v", gr.name, crash, scheduleName(cfg), dense), gr.g, true, true, dense, spoilNone, cfg)
 				}
 			}
 		}
@@ -558,8 +602,8 @@ func TestFoldEdgeAddMatchesPerEdgeAcrossLattice(t *testing.T) {
 // superstep, at every worker count and under both partitioners. Broken
 // at one vertex with out-edges in every superstep — it skips its
 // broadcasts, broadcasts twice (also while another skips, so only its
-// stamp tells), or also sends both types point to point — it pulls
-// nothing. A crash in superstep 3 that rolls the dense job back to a
+// stamp tells), broadcasts twice with different payloads, or also sends
+// both types point to point — it pulls nothing. A crash in superstep 3 that rolls the dense job back to a
 // checkpoint at 3 replays it over the stamps its first attempt left, so
 // the replay pushes: a stale stamp spoils the rule and never stands for
 // a fresh value. Rolled back to the initial checkpoint instead, the job
@@ -596,6 +640,7 @@ func TestPullRuleDenseOnly(t *testing.T) {
 		{"twice", spoilTwice, nil, 0, per(0, steps)},
 		{"send", spoilSend, nil, 0, per(0, steps)},
 		{"swap", spoilSwap, nil, 0, per(0, steps)},
+		{"again", spoilAgain, nil, 0, per(0, steps)},
 		{"crash@3/checkpoint@3", spoilNone, FaultPlan{{Superstep: 3, Worker: 1}}, 1,
 			slices.Concat(per(2, 3), per(0, 1), per(0, 1), per(2, steps-4))},
 		{"crash@3/checkpoint@0", spoilNone, FaultPlan{{Superstep: 3, Worker: 1}}, 0,
@@ -849,9 +894,9 @@ func TestCheckpointFoldSlotsFailClosed(t *testing.T) {
 
 // A folded SendToAllNbrs writes exactly one broadcast record per
 // (sender, destination worker owning any of its out-neighbours), in that
-// worker's fold box, tagged with the worker's ordinal among the sender's
-// runs: on the in-skewed graph at W=2, whose in-edges land mostly on one
-// worker, under both partitioners and at several chunk sizes.
+// worker's fold box, with no header bit above bcastBit: on the in-skewed
+// graph at W=2, whose in-edges land mostly on one worker, under both
+// partitioners and at several chunk sizes.
 func TestFoldedBroadcastOneRecordPerDestinationWorker(t *testing.T) {
 	const n = 96
 	g := inSkewedGraph(n)
@@ -886,8 +931,8 @@ func TestFoldedBroadcastOneRecordPerDestinationWorker(t *testing.T) {
 							if h&bcastBit == 0 {
 								t.Fatalf("%s: a per-edge record in a broadcast-only job's fold box", scheduleName(cfg))
 							}
-							if k := headerRun(h); k >= e.numWorkers {
-								t.Fatalf("%s: run ordinal %d at W=%d", scheduleName(cfg), k, e.numWorkers)
+							if h >= bcastBit<<1 {
+								t.Fatalf("%s: broadcast header %#x sets a bit above bcastBit", scheduleName(cfg), h)
 							}
 							got[rec{headerDst(h), dw}]++
 						}

@@ -12,17 +12,15 @@ import (
 // uint64 words (a chunk's fold boxes hold the same layout at one slot):
 //
 //	word 0      header: destination id in the low 32 bits, Msg.Type in
-//	            bits 32-39, bcastBit (bit 40) set on a broadcast record,
-//	            whose bits 41-63 hold its run's ordinal (headerRun)
+//	            bits 32-39, bcastBit (bit 40) set on a broadcast record
 //	word 1..    payload slots 0..slots-1, raw bits
 //
 // A broadcast record exists only in a fold box: SendToAllNbrs of a
 // folded type writes one per destination worker owning any of the
 // sender's out-neighbours, with the sender's id in the low 32 bits in
-// place of a destination and the ordinal of that worker among the
-// sender's broadcast-index runs above bcastBit, and the worker's fold
-// expands it over those neighbours (fold.go) without searching for its
-// run.
+// place of a destination, and the worker's fold expands it over those
+// neighbours, its group of the sender's broadcast-index cut row
+// (fold.go).
 //
 // slots is fixed for a run: the largest slot count any message type of
 // the job's Schema declares (Schema.MessageSlots), so a one-float
@@ -36,19 +34,8 @@ import (
 // in memory and in a spill segment alike, is len(words)*recWordBytes.
 const recWordBytes = 8
 
-// bcastBit marks a broadcast record's header; headerType ignores it
-// and the run ordinal above it. The ordinal is below W, so 23 bits
-// hold it for any worker count whose per-chunk fold boxes fit in
-// memory.
-const (
-	bcastBit      = 1 << 40
-	bcastRunShift = 41
-)
-
-// headerRun returns a broadcast record's run ordinal.
-//
-//gm:noalloc
-func headerRun(h uint64) int { return int(h >> bcastRunShift) }
+// bcastBit marks a broadcast record's header; headerType ignores it.
+const bcastBit = 1 << 40
 
 //gm:noalloc
 func packHeader(dst graph.NodeID, typ uint8) uint64 {

@@ -87,14 +87,14 @@ func testGovernorSpill(t *testing.T, width slotDecl) {
 // The broadcast index is fixed memory the governor accounts once a run
 // has fetched it: nothing before; at one worker, where it is the graph's
 // CSR, only the identity offsets up to the largest out-degree; and at
-// W>1 exactly its permuted edge list, its edge offsets, run offsets and
-// runs — each vertex's out-neighbours, as local indices on their owners
-// with their out-edge offsets, regrouped by owner in worker order, at
-// most min(deg, W) runs, ascending by worker, each naming the owner of
-// every neighbour it holds — on a random graph and on the in-skewed one,
-// whose in-edges land mostly on one worker. Only a folded broadcast
-// fetches the index: the folded job sending per edge and the min-label
-// job, which does not fold, never do.
+// W>1 exactly its permuted edge list, its edge offsets and a cut row of
+// W+1 offsets per vertex, 8·E + 4·V·(W+1) bytes — each vertex's
+// out-neighbours, as local indices on their owners with their out-edge
+// offsets, one group per (vertex, worker) holding exactly the
+// neighbours that worker owns, in out-edge order — on a random graph
+// and on the in-skewed one, whose in-edges land mostly on one worker.
+// Only a folded broadcast fetches the index: the folded job sending per
+// edge and the min-label job, which does not fold, never do.
 func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 	const n = 200
 	g := gen.TwitterLike(n, 6, 5)
@@ -132,39 +132,31 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 				}
 				continue
 			}
-			want := int64(4*len(g.OutDst) + 4*len(g.OutDst) + 8*(n+1) + nbrRunBytes*len(ix.runs))
-			if grew != want {
+			if want := int64(8*len(g.OutDst) + 4*n*(w+1)); grew != want {
 				t.Errorf("%s: the index adds %d accounted bytes, want %d", scheduleName(cfg), grew, want)
 			}
 			owner := e.workers[0].ownerOf
 			for v := graph.NodeID(0); int(v) < n; v++ {
 				lo, hi := g.OutEdgeRange(v)
-				runs := ix.runs[ix.runOff[v]:ix.runOff[v+1]]
-				if len(runs) > min(int(hi-lo), w) {
-					t.Fatalf("vertex %d: %d runs for %d out-neighbours on %d workers", v, len(runs), hi-lo, w)
-				}
 				var got []graph.NodeID
-				for k, r := range runs {
-					nbrs, offs := ix.owned(v, k)
-					if k > 0 && r.worker <= runs[k-1].worker || len(nbrs) == 0 {
-						t.Fatalf("vertex %d: run %d (worker %d) out of order or empty", v, k, r.worker)
-					}
+				for d := range w {
+					nbrs, offs := ix.owned(v, d)
 					var wantNbrs []graph.NodeID
 					var wantOffs []uint32
 					for off, u := range g.OutNbrs(v) {
-						if owner(u) == int(r.worker) {
-							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[r.worker].localOf(u)))
+						if owner(u) == d {
+							wantNbrs = append(wantNbrs, graph.NodeID(e.workers[d].localOf(u)))
 							wantOffs = append(wantOffs, uint32(off))
 						}
 					}
-					if !reflect.DeepEqual(nbrs, wantNbrs) || !reflect.DeepEqual(offs, wantOffs) {
+					if len(nbrs) != len(wantNbrs) || len(nbrs) > 0 && (!reflect.DeepEqual(nbrs, wantNbrs) || !reflect.DeepEqual(offs, wantOffs)) {
 						t.Fatalf("vertex %d worker %d: owned %v at offsets %v, want %v at %v in out-edge order",
-							v, r.worker, nbrs, offs, wantNbrs, wantOffs)
+							v, d, nbrs, offs, wantNbrs, wantOffs)
 					}
 					got = append(got, nbrs...)
 				}
 				if len(got) != int(hi-lo) {
-					t.Fatalf("vertex %d: runs cover %d of %d out-neighbours", v, len(got), hi-lo)
+					t.Fatalf("vertex %d: its groups cover %d of %d out-neighbours", v, len(got), hi-lo)
 				}
 			}
 		}
@@ -177,8 +169,9 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 // the vertices and posGap more per worker — and one without folds has
 // none. The first pull fetches the in-index, which adds nothing at one
 // worker, where it is the graph's own in-CSR, and at W>1 exactly its
-// offsets, sender positions and out-edges: every edge once, under its
-// destination's position, listed in (source worker, source local,
+// offsets and sender positions, plus the out-edge column only for a job
+// that declares an edge column (Schema.EdgeAdd): every edge once, under
+// its destination's position, listed in (source worker, source local,
 // out-edge) order — on a random graph and on the in-skewed one, under
 // both partitioners.
 func TestGovernorAccountsInIndexAndValueColumns(t *testing.T) {
@@ -191,11 +184,10 @@ func TestGovernorAccountsInIndexAndValueColumns(t *testing.T) {
 	for _, g := range []*graph.Directed{gen.TwitterLike(n, 6, 5), inSkewedGraph(n)} {
 		for _, cfg := range []Config{{NumWorkers: 1}, {NumWorkers: 3}, {NumWorkers: 2, Partitioner: PartitionDegree},
 			{NumWorkers: 3, Partitioner: PartitionDegree, ChunkSize: 16}} {
-			name := scheduleName(cfg)
-			j := newPerfRankJob(n, 2)
-			j.fold = true
 			cfg.Seed = 1
-			e := newEngine(g, j, cfg.withDefaults())
+			rank := newPerfRankJob(n, 2)
+			rank.fold = true
+			e := newEngine(g, rank, cfg.withDefaults())
 			npos := n + cfg.NumWorkers*posGap
 			want := int64(npos) * (8 + 4)
 			for _, wk := range e.workers {
@@ -203,60 +195,91 @@ func TestGovernorAccountsInIndexAndValueColumns(t *testing.T) {
 			}
 			if got := e.accountedUsage(); len(e.bvals) != npos || len(e.bstamp) != npos || got != want {
 				t.Errorf("%s: %d values, %d stamps and %d accounted bytes, want %d, %d and %d",
-					name, len(e.bvals), len(e.bstamp), got, npos, npos, want)
+					scheduleName(cfg), len(e.bvals), len(e.bstamp), got, npos, npos, want)
 			}
-			e.runVertexPhase(0)
-			e.routeMessages()
-			ix := e.in
-			if e.pulls != 1 || ix == nil {
-				t.Fatalf("%s: a dense superstep pulled %d times and fetched in-index %v", name, e.pulls, ix != nil)
-			}
-			with := e.accountedUsage()
-			e.in = nil
-			grew := with - e.accountedUsage()
-			e.in = ix
 			e.stop()
-			if cfg.NumWorkers == 1 {
-				start, src, edge := g.InCSR()
-				if grew != 0 || &ix.off[0] != &start[0] || &ix.src[0] != &src[0] || &ix.edge[0] != &edge[0] {
-					t.Errorf("%s: the in-index adds %d accounted bytes, want 0, and should be the graph's in-CSR", name, grew)
-				}
-				continue
-			}
-			if want := int64(8*(npos+1) + 12*len(g.OutDst)); grew != want {
-				t.Errorf("%s: the in-index adds %d accounted bytes, want %d", name, grew, want)
-			}
-			posOf, srcOf := make([]int, n), make([]int, len(g.OutDst))
-			for w, wk := range e.workers {
-				for li, v := range wk.ids {
-					posOf[v] = e.vbase[w] + li
-				}
-			}
-			for v := graph.NodeID(0); int(v) < n; v++ {
-				lo, hi := g.OutEdgeRange(v)
-				for k := lo; k < hi; k++ {
-					srcOf[k] = posOf[v]
-				}
-			}
-			seen := make([]bool, len(g.OutDst))
-			for v := graph.NodeID(0); int(v) < n; v++ {
-				p := posOf[v]
-				for k := ix.off[p]; k < ix.off[p+1]; k++ {
-					ek := ix.edge[k]
-					if g.OutDst[ek] != v || int(ix.src[k]) != srcOf[ek] || seen[ek] {
-						t.Fatalf("%s: vertex %d's in-edge %d is out-edge %d from position %d, which does not lead to it from there once",
-							name, v, k, ek, ix.src[k])
-					}
-					seen[ek] = true
-					if k > ix.off[p] && (ix.src[k] < ix.src[k-1] || ix.src[k] == ix.src[k-1] && ek < ix.edge[k-1]) {
-						t.Fatalf("%s: vertex %d's in-edges are not in (source position, out-edge) order", name, v)
-					}
-				}
-			}
-			if ix.off[len(ix.off)-1] != int64(len(g.OutDst)) {
-				t.Errorf("%s: the in-index holds %d in-edges, want %d", name, ix.off[len(ix.off)-1], len(g.OutDst))
+			// The dense fold job's int min declares an edge column.
+			edged := newFoldJob(n, 2, true)
+			edged.dense = true
+			_, edged.ilen = edgeCols(g)
+			for _, j := range []Job{rank, edged} {
+				checkInIndex(t, g, j, cfg)
 			}
 		}
+	}
+}
+
+// checkInIndex pulls j's first superstep under cfg and checks the
+// in-index it fetches and accounts.
+func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) {
+	t.Helper()
+	n := g.NumNodes()
+	edge := j.Schema().EdgeAdd != nil
+	name := fmt.Sprintf("%s/edge=%v", scheduleName(cfg), edge)
+	e := newEngine(g, j, cfg.withDefaults())
+	defer e.stop()
+	e.runVertexPhase(0)
+	e.routeMessages()
+	ix := e.in
+	if e.pulls == 0 || ix == nil {
+		t.Fatalf("%s: a dense superstep pulled %d times and fetched in-index %v", name, e.pulls, ix != nil)
+	}
+	with := e.accountedUsage()
+	e.in = nil
+	grew := with - e.accountedUsage()
+	e.in = ix
+	if cfg.NumWorkers == 1 {
+		start, src, edges := g.InCSR()
+		if grew != 0 || &ix.off[0] != &start[0] || &ix.src[0] != &src[0] || &ix.edge[0] != &edges[0] {
+			t.Errorf("%s: the in-index adds %d accounted bytes, want 0, and should be the graph's in-CSR", name, grew)
+		}
+		return
+	}
+	npos := len(ix.off) - 1
+	if want := int64(8*(npos+1) + 4*len(g.OutDst) + 8*len(g.OutDst)*btoi(edge)); grew != want || (ix.edge != nil) != edge {
+		t.Errorf("%s: the in-index adds %d accounted bytes, want %d, and has the edge column %v, want %v",
+			name, grew, want, ix.edge != nil, edge)
+	}
+	// want lists each vertex's in-edges as (source position, out-edge),
+	// the out-edge only with the column, walking the sources in
+	// position order.
+	posOf := make([]int, n)
+	for w, wk := range e.workers {
+		for li, v := range wk.ids {
+			posOf[v] = e.vbase[w] + li
+		}
+	}
+	type inEdge struct {
+		src  graph.NodeID
+		edge int64
+	}
+	want := make([][]inEdge, n)
+	for _, wk := range e.workers {
+		for _, u := range wk.ids {
+			lo, hi := g.OutEdgeRange(u)
+			for k := lo; k < hi; k++ {
+				in := inEdge{src: graph.NodeID(posOf[u])}
+				if edge {
+					in.edge = k
+				}
+				want[g.OutDst[k]] = append(want[g.OutDst[k]], in)
+			}
+		}
+	}
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		var got []inEdge
+		for k := ix.off[posOf[v]]; k < ix.off[posOf[v]+1]; k++ {
+			got = append(got, inEdge{ix.src[k], 0})
+			if edge {
+				got[len(got)-1].edge = ix.edge[k]
+			}
+		}
+		if !reflect.DeepEqual(got, want[v]) {
+			t.Fatalf("%s: vertex %d's in-edges are %v, want %v in (source position, out-edge) order", name, v, got, want[v])
+		}
+	}
+	if ix.off[npos] != int64(len(g.OutDst)) {
+		t.Errorf("%s: the in-index holds %d in-edges, want %d", name, ix.off[npos], len(g.OutDst))
 	}
 }
 
