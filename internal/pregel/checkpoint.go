@@ -377,8 +377,11 @@ func (wk *worker) waits(li int) bool {
 // worker errors). The stats are rewound to the serialized ones, the
 // monotone counters kept (rewind).
 func (e *engine) decodeState(data []byte) error {
-	if len(data) > 0 && data[0] != checkpointVersion {
-		return fmt.Errorf("unknown checkpoint version %d", data[0])
+	if len(data) < 1 {
+		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
+	}
+	if v := data[0]; v != checkpointVersion {
+		return fmt.Errorf("unknown checkpoint version %d", v)
 	}
 	if len(data) < frameHeaderBytes {
 		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))

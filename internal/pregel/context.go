@@ -277,10 +277,15 @@ func (vc *VertexContext) broadcast(ix *nbrIndex, m *Msg) {
 	ck.st.LocalBytes += local * size
 	ck.st.NetworkMsgs += hi - lo - local
 	ck.st.NetworkBytes += (hi - lo - local) * size
+	// Every box takes the record and an empty group's gives it back: an
+	// unpredictable branch per worker costs more than the stores.
 	for d := range ck.fboxes {
+		b := appendRec(ck.fboxes[d], hdr, &m.V, 1)
+		n := len(b) - foldStride
 		if cut[d+1] > cut[d] {
-			ck.fboxes[d] = appendRec(ck.fboxes[d], hdr, &m.V, 1)
+			n = len(b)
 		}
+		ck.fboxes[d] = b[:n]
 	}
 }
 

@@ -68,6 +68,18 @@ type foldSlot struct {
 
 const foldSlotBytes = 16
 
+// fold folds payload m of a type folding by f into s and stamps it with
+// this routing's epoch: the first payload for a (vertex, type) replaces
+// the value an earlier routing left, the rest fold into it.
+//
+//gm:noalloc
+func (s *foldSlot) fold(f Fold, m uint64, epoch uint32) {
+	if s.stamp == epoch {
+		m = f.apply(s.val, m)
+	}
+	s.val, s.stamp = m, epoch
+}
+
 // messageFolds resolves Schema.Folds against the per-type slot counts:
 // idx maps each type to its position among the folded types (-1 when
 // not folded), and folds/types list the folded types in type order.
@@ -163,9 +175,7 @@ func (wk *worker) foldInbox() {
 // which a Send of a folded type writes, folds into its vertex's slot; a
 // broadcast record is expanded where it sits by foldRun — the messages,
 // in the order, that per-edge records would have folded — unless its
-// type is pulled this routing (pullFold). A record stamps its slot with
-// this routing's epoch; the first one for a (vertex, type) replaces the
-// stale value, the rest fold into it.
+// type is pulled this routing (pullFold).
 //
 //gm:noalloc
 func (wk *worker) foldBox(box []uint64, epoch uint32) {
@@ -174,12 +184,7 @@ func (wk *worker) foldBox(box []uint64, epoch uint32) {
 		h, m := box[i], box[i+1]
 		fi := int(e.foldIdx[headerType(h)])
 		if h&bcastBit == 0 {
-			s := &wk.folds[wk.localOf(headerDst(h))*nf+fi]
-			v := e.folds[fi].apply(s.val, m)
-			if s.stamp != epoch {
-				v = m
-			}
-			s.val, s.stamp = v, epoch
+			wk.folds[wk.localOf(headerDst(h))*nf+fi].fold(e.folds[fi], m, epoch)
 		} else if !e.pull[fi] {
 			wk.foldRun(headerDst(h), fi, m, epoch)
 		}
@@ -211,12 +216,7 @@ func (wk *worker) foldRun(src graph.NodeID, fi int, m uint64, epoch uint32) {
 		return
 	}
 	for k, li := range locals {
-		s, y := &slots[int(li)*nf], c.add(m, base+int64(offs[k]))
-		v := f.apply(s.val, y)
-		if s.stamp != epoch {
-			v = y
-		}
-		s.val, s.stamp = v, epoch
+		slots[int(li)*nf].fold(f, c.add(m, base+int64(offs[k])), epoch)
 	}
 }
 
@@ -349,25 +349,19 @@ func (e *engine) buildNbrIndex() *nbrIndex {
 	ix.local = make([]graph.NodeID, len(g.OutDst))
 	ix.off = make([]uint32, len(g.OutDst))
 	ix.cut = make([]uint32, n*ix.row)
-	// owner caches the current vertex's out-neighbours' owners; at is
-	// each owner's placement cursor.
-	at := make([]int64, w)
-	var owner []int32
+	at := make([]int64, w) // each owner's placement cursor
 	for v := range n {
 		lo, hi := g.OutStart[v], g.OutStart[v+1]
 		cut := ix.cut[v*ix.row:][:ix.row]
-		owner = owner[:0]
 		for _, u := range g.OutDst[lo:hi] {
-			d := wk.ownerOf(u)
-			cut[d+1]++
-			owner = append(owner, int32(d))
+			cut[wk.ownerOf(u)+1]++
 		}
 		for d := range w {
 			cut[d+1] += cut[d]
 			at[d] = lo + int64(cut[d])
 		}
 		for k, u := range g.OutDst[lo:hi] {
-			d := owner[k]
+			d := wk.ownerOf(u)
 			ix.local[at[d]] = graph.NodeID(e.workers[d].localOf(u))
 			ix.off[at[d]] = uint32(k)
 			at[d]++
@@ -444,10 +438,11 @@ func (e *engine) initBroadcastCols() {
 }
 
 // planPulls decides which folded types this routing pulls, from the
-// chunks' counts, and fetches the in-index on the first pull, with its
-// edge column only for a job that declares one.
+// chunks' counts, fetches the in-index on the first pull, and its edge
+// column on the first pull of a type that declares one.
 func (e *engine) planPulls() {
 	e.npull = 0
+	key := nbrIndexKey{e.numWorkers, e.cfg.Partitioner}
 	for fi := range e.pull {
 		n, dense := int64(0), e.nbrs != nil
 		for _, wk := range e.workers {
@@ -456,17 +451,17 @@ func (e *engine) planPulls() {
 				dense, n = dense && c >= 0, n+int64(c)
 			}
 		}
-		e.pull[fi] = dense && n > 0 && n == e.nbrs.senders
-		if e.pull[fi] {
-			e.npull++
+		if e.pull[fi] = dense && n > 0 && n == e.nbrs.senders; !e.pull[fi] {
+			continue
 		}
-	}
-	if e.npull > 0 && e.in == nil {
-		key := inIndexKey{nbrIndexKey{e.numWorkers, e.cfg.Partitioner}, false}
-		for _, c := range e.foldEdges {
-			key.edge = key.edge || c.i != nil || c.f != nil
+		e.npull++
+		if e.in == nil {
+			e.in = new(inIndex)
+			*e.in = *e.g.Derived(inIndexKey{key, false}, func() any { return e.buildInIndex(false) }).(*inIndex)
 		}
-		e.in = e.g.Derived(key, func() any { return e.buildInIndex(key.edge) }).(*inIndex)
+		if c := e.foldEdges[fi]; e.in.edge == nil && (c.i != nil || c.f != nil) {
+			e.in.edge = e.g.Derived(inIndexKey{key, true}, func() any { return e.buildInIndex(true).edge }).([]int64)
+		}
 	}
 	e.pulls += int64(e.npull)
 }
@@ -495,43 +490,40 @@ func (wk *worker) pullFold(fi int, epoch uint32) {
 			slots[li*nf+fi] = foldSlot{math.Float64bits(acc), epoch}
 			continue
 		}
-		var acc uint64
+		s := &slots[li*nf+fi]
 		for k := lo; k < hi; k++ {
 			m := vals[int(ix.src[k])*nf]
 			if c.i != nil || c.f != nil {
 				m = c.add(m, ix.edge[k])
 			}
-			if acc = f.apply(acc, m); k == lo {
-				acc = m
-			}
+			s.fold(f, m, epoch)
 		}
-		slots[li*nf+fi] = foldSlot{acc, epoch}
 	}
 }
 
 // inIndex is the in-index: the in-edges of the vertex at position p
 // (initBroadcastCols) are entries [off[p], off[p+1]), each its sender's
-// position and, when the index has the edge column, its out-edge, in
+// position and, for a type with an edge column, its out-edge, in
 // (source worker, source local, out-edge) order. With one worker a
-// position is an id and the index is the graph's in-CSR. Like nbrIndex
-// it is built once per graph, worker count, partitioner and edge column
-// and shared read-only.
+// position is an id and the index is the graph's in-CSR. Like nbrIndex,
+// off and src, and apart from them the edge column, are built once per
+// graph, worker count and partitioner and shared read-only.
 type inIndex struct {
 	off  []int64
 	src  []graph.NodeID
 	edge []int64
 }
 
-// inIndexKey names the in-index among a graph's derived values; edge is
-// whether it has the edge column.
+// inIndexKey names off and src, or with edge the edge column, among a
+// graph's derived values.
 type inIndexKey struct {
 	nbrIndexKey
 	edge bool
 }
 
-// buildInIndex builds the in-index for e's graph and partition, with
-// the edge column if edge: a counting sort of the edges by destination
-// position, placed walking the senders in position order.
+// buildInIndex builds e's in-index, with the edge column if edge (of
+// which planPulls keeps only the column): a counting sort of the edges
+// by destination position, placed walking the senders in position order.
 func (e *engine) buildInIndex(edge bool) *inIndex {
 	g := e.g
 	if e.numWorkers == 1 {

@@ -202,16 +202,17 @@ func TestGovernorAccountsInIndexAndValueColumns(t *testing.T) {
 			edged := newFoldJob(n, 2, true)
 			edged.dense = true
 			_, edged.ilen = edgeCols(g)
-			for _, j := range []Job{rank, edged} {
-				checkInIndex(t, g, j, cfg)
+			// The two share the in-index's offsets and senders.
+			if a, b := checkInIndex(t, g, rank, cfg), checkInIndex(t, g, edged, cfg); &a.off[0] != &b.off[0] || &a.src[0] != &b.src[0] {
+				t.Errorf("%s: a job with an edge column and one without hold two in-indexes", scheduleName(cfg))
 			}
 		}
 	}
 }
 
-// checkInIndex pulls j's first superstep under cfg and checks the
-// in-index it fetches and accounts.
-func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) {
+// checkInIndex pulls j's first superstep under cfg, every folded type
+// once, and checks and returns the in-index it fetches and accounts.
+func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) *inIndex {
 	t.Helper()
 	n := g.NumNodes()
 	edge := j.Schema().EdgeAdd != nil
@@ -221,8 +222,8 @@ func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) {
 	e.runVertexPhase(0)
 	e.routeMessages()
 	ix := e.in
-	if e.pulls == 0 || ix == nil {
-		t.Fatalf("%s: a dense superstep pulled %d times and fetched in-index %v", name, e.pulls, ix != nil)
+	if e.pulls != int64(len(e.folds)) || ix == nil {
+		t.Fatalf("%s: a dense superstep pulled %d times, want %d, and fetched in-index %v", name, e.pulls, len(e.folds), ix != nil)
 	}
 	with := e.accountedUsage()
 	e.in = nil
@@ -233,7 +234,7 @@ func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) {
 		if grew != 0 || &ix.off[0] != &start[0] || &ix.src[0] != &src[0] || &ix.edge[0] != &edges[0] {
 			t.Errorf("%s: the in-index adds %d accounted bytes, want 0, and should be the graph's in-CSR", name, grew)
 		}
-		return
+		return ix
 	}
 	npos := len(ix.off) - 1
 	if want := int64(8*(npos+1) + 4*len(g.OutDst) + 8*len(g.OutDst)*btoi(edge)); grew != want || (ix.edge != nil) != edge {
@@ -281,6 +282,7 @@ func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) {
 	if ix.off[npos] != int64(len(g.OutDst)) {
 		t.Errorf("%s: the in-index holds %d in-edges, want %d", name, ix.off[npos], len(g.OutDst))
 	}
+	return ix
 }
 
 // The broadcast index is built once per (graph, worker count,
