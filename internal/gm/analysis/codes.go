@@ -12,12 +12,11 @@ type CodeInfo struct {
 }
 
 // CodeTable is the central registry of every stable GMxxxx diagnostic
-// code. gmlint's gmdiag analyzer statically enforces that the table,
-// the Code* constants above, and docs/ANALYSIS.md agree: every constant
-// is registered exactly once and documented, and no diagnostic is built
-// from an unregistered string literal. Adding a code means adding the
-// constant, a row here, and a docs/ANALYSIS.md entry — gmdiag fails the
-// build otherwise.
+// code. The package's tests (codes_test.go) require that the table, the
+// Code* constants in diag.go, and docs/ANALYSIS.md agree: every constant
+// is declared once, registered exactly once and documented, and no
+// diagnostic is built from an unregistered string literal. Adding a code
+// means adding the constant, a row here, and a docs/ANALYSIS.md entry.
 var CodeTable = []CodeInfo{
 	{CodeParse, SevError, "source does not parse"},
 	{CodeOther, SevError, "compile failure without a source position"},

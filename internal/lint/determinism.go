@@ -37,7 +37,6 @@ var CriticalPackages = []string{
 //     justification.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "gmdeterminism",
-	Doc:  "flag order-, clock-, and randomness-dependent constructs on the bit-identical critical path",
 	Run:  runDeterminism,
 }
 

@@ -8,12 +8,9 @@
 //   - gmnoalloc: functions annotated //gm:noalloc contain no allocating
 //     constructs, extending the runtime AllocsPerRun==0 gate to
 //     whole-call-graph compile-time coverage.
-//   - gmatomic: a struct field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere (field-granular, beyond
-//     stock go vet).
-//   - gmdiag: GMxxxx diagnostic codes are unique, registered in the
-//     central table, documented in docs/ANALYSIS.md; and every //gm:
-//     directive in the repo is well formed.
+//   - gmdirective: every //gm: directive in every package is well
+//     formed, so an escape hatch cannot be misspelled or left
+//     unjustified.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, testdata fixtures with "// want"
@@ -32,12 +29,11 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one invariant-checking pass. The shape matches
-// golang.org/x/tools/go/analysis.Analyzer so the Run functions are
-// portable to the upstream driver.
+// An Analyzer describes one invariant-checking pass. Its fields are a
+// subset of golang.org/x/tools/go/analysis.Analyzer's, so the Run
+// functions are portable to the upstream driver.
 type Analyzer struct {
 	Name string // e.g. "gmnoalloc"
-	Doc  string // one-paragraph contract statement
 	Run  func(*Pass) error
 }
 
@@ -48,11 +44,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-
-	// Root is the directory against which repo-relative resources
-	// (docs/ANALYSIS.md for gmdiag) are resolved: the module root for
-	// real runs, the fixture root under analyzer tests.
-	Root string
 
 	// NoallocFacts holds the FullName of every //gm:noalloc function
 	// across all packages of the run, so gmnoalloc can verify calls
@@ -85,7 +76,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full gmlint suite in its canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DeterminismAnalyzer, NoallocAnalyzer, AtomicAnalyzer, DiagAnalyzer}
+	return []*Analyzer{DeterminismAnalyzer, NoallocAnalyzer, DirectiveAnalyzer}
 }
 
 // Run applies each analyzer to each package and returns every
@@ -102,7 +93,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:        pkg.Files,
 				Pkg:          pkg.Types,
 				Info:         pkg.Info,
-				Root:         pkg.Root,
 				NoallocFacts: facts,
 				diags:        &diags,
 			}
@@ -169,7 +159,6 @@ func gatherNoallocFacts(pkgs []*Package) map[string]bool {
 //	//gm:noalloc
 //	//gm:nondeterministic-ok <justification>
 //	//gm:alloc-ok <justification>
-//	//gm:atomic-ok <justification>
 //
 // A directive written on a code line (trailing comment) or on the
 // comment lines immediately above it applies to that line. Directives
@@ -181,7 +170,6 @@ const (
 	DirNoalloc    = "noalloc"
 	DirNondetOK   = "nondeterministic-ok"
 	DirAllocOK    = "alloc-ok"
-	DirAtomicOK   = "atomic-ok"
 	directiveLead = "//gm:"
 )
 
@@ -189,7 +177,6 @@ var knownDirectives = map[string]bool{
 	DirNoalloc:  true,
 	DirNondetOK: true,
 	DirAllocOK:  true,
-	DirAtomicOK: true,
 }
 
 // reasonRequired reports whether a directive must justify itself.
@@ -289,10 +276,17 @@ func pick(ds []*Directive, name string) *Directive {
 	return nil
 }
 
-// checkDirectiveHygiene reports malformed //gm: directives in every
-// file of the pass: unknown names, and -ok escape hatches missing the
-// required written justification. Shared by gmdiag.
-func checkDirectiveHygiene(p *Pass) {
+// DirectiveAnalyzer checks //gm: directive hygiene in every package:
+// an unknown name, or an -ok escape hatch without the required written
+// justification, is an error. Without it a misspelled //gm:noalloc
+// would silently drop its contract, and a bare -ok would exempt a line
+// without saying why.
+var DirectiveAnalyzer = &Analyzer{
+	Name: "gmdirective",
+	Run:  runDirectives,
+}
+
+func runDirectives(p *Pass) error {
 	for _, file := range p.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -301,7 +295,7 @@ func checkDirectiveHygiene(p *Pass) {
 					continue
 				}
 				if !knownDirectives[d.Name] {
-					p.Reportf(d.Pos, "unknown directive //gm:%s (known: noalloc, nondeterministic-ok, alloc-ok, atomic-ok)", d.Name)
+					p.Reportf(d.Pos, "unknown directive //gm:%s (known: noalloc, nondeterministic-ok, alloc-ok)", d.Name)
 					continue
 				}
 				if reasonRequired(d.Name) && d.Reason == "" {
@@ -310,6 +304,7 @@ func checkDirectiveHygiene(p *Pass) {
 			}
 		}
 	}
+	return nil
 }
 
 // PathHasSuffix reports whether an import path ends with one of the

@@ -135,20 +135,8 @@ func TestNoallocAcceptsContractRespectingCode(t *testing.T) {
 	runFixture(t, lint.NoallocAnalyzer, "noallocok", "noallocok")
 }
 
-func TestAtomicFlagsMixedAccess(t *testing.T) {
-	runFixture(t, lint.AtomicAnalyzer, "atomicbad", "atomicbad")
-}
-
-func TestAtomicAcceptsDisciplinedAccess(t *testing.T) {
-	runFixture(t, lint.AtomicAnalyzer, "atomicok", "atomicok")
-}
-
-func TestDiagFlagsRegistryViolations(t *testing.T) {
-	runFixture(t, lint.DiagAnalyzer, "diagbad", "diagbad/internal/gm/analysis")
-}
-
-func TestDiagAcceptsCleanRegistry(t *testing.T) {
-	runFixture(t, lint.DiagAnalyzer, "diagok", "diagok/internal/gm/analysis")
+func TestDirectiveHygiene(t *testing.T) {
+	runFixture(t, lint.DirectiveAnalyzer, "directives", "directives")
 }
 
 // TestRepoIsLintClean is the dogfood gate: the whole module must

@@ -19,7 +19,6 @@ import (
 // A Package is one type-checked package ready for analysis.
 type Package struct {
 	Path  string // import path
-	Root  string // directory for repo-relative resources (module root)
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -52,10 +51,6 @@ type listPkg struct {
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	root, err := moduleRoot(dir)
-	if err != nil {
-		return nil, err
 	}
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,ImportMap,Error"}, patterns...)
 	out, err := runGo(dir, args...)
@@ -98,7 +93,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Root = root
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -107,8 +101,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // LoadFiles type-checks a single package given explicit source files —
 // the fixture path used by analyzer tests. Imports (standard library
 // only) are resolved the same way as Load, via one `go list -export`
-// over the imports the files actually mention.
-func LoadFiles(path, root string, filenames []string) (*Package, error) {
+// over the imports the files actually mention, run in dir.
+func LoadFiles(path, dir string, filenames []string) (*Package, error) {
 	fset := token.NewFileSet()
 	var parsed []*ast.File
 	imports := map[string]bool{}
@@ -128,7 +122,7 @@ func LoadFiles(path, root string, filenames []string) (*Package, error) {
 		for im := range imports {
 			args = append(args, im)
 		}
-		out, err := runGo(root, args...)
+		out, err := runGo(dir, args...)
 		if err != nil {
 			return nil, err
 		}
@@ -145,12 +139,7 @@ func LoadFiles(path, root string, filenames []string) (*Package, error) {
 			}
 		}
 	}
-	pkg, err := checkParsed(fset, exportImporter(fset, exports), path, parsed)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Root = root
-	return pkg, nil
+	return checkParsed(fset, exportImporter(fset, exports), path, parsed)
 }
 
 // exportImporter builds a types.Importer that resolves import paths to
@@ -193,19 +182,6 @@ func checkParsed(fset *token.FileSet, imp types.Importer, path string, files []*
 	}
 	tpkg, _ := conf.Check(path, fset, files, info) // errors collected above
 	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info, TypeErrors: terrs}, nil
-}
-
-// moduleRoot resolves the enclosing module's directory.
-func moduleRoot(dir string) (string, error) {
-	out, err := runGo(dir, "list", "-m", "-f", "{{.Dir}}")
-	if err != nil {
-		return "", err
-	}
-	root := strings.TrimSpace(string(out))
-	if root == "" {
-		return dir, nil
-	}
-	return root, nil
 }
 
 func runGo(dir string, args ...string) ([]byte, error) {

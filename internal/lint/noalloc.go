@@ -46,7 +46,6 @@ var NoallocAllowedPackages = []string{
 // such site documents why the runtime gate stays at zero.
 var NoallocAnalyzer = &Analyzer{
 	Name: "gmnoalloc",
-	Doc:  "functions annotated //gm:noalloc must be allocation-free across their whole call graph",
 	Run:  runNoalloc,
 }
 

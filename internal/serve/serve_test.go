@@ -162,13 +162,9 @@ func TestServedStatsBitIdenticalToBench(t *testing.T) {
 	}
 }
 
-// TestCompileFromSource covers the ad-hoc Green-Marl path: a valid
-// source executes; a broken one comes back 400 with structured
-// diagnostics rather than a bare string.
-func TestCompileFromSource(t *testing.T) {
-	_, hs := newTestServer(t, Options{})
-
-	src := `Procedure deg_sum(G: Graph, deg: Node_Prop<Int>) : Int
+// degSumSource is a valid ad-hoc program; brokenSource fails sema.
+const (
+	degSumSource = `Procedure deg_sum(G: Graph, deg: Node_Prop<Int>) : Int
 {
     Int total = 0;
     Foreach (n: G.Nodes) {
@@ -178,7 +174,22 @@ func TestCompileFromSource(t *testing.T) {
     Return total;
 }
 `
-	req := JobRequest{Tenant: "dev", Graph: "bench", Source: src, Wait: true}
+	brokenSource = `Procedure broken(G: Graph) : Int
+{
+    Int x = 0;
+    x = True;
+    Return x;
+}
+`
+)
+
+// TestCompileFromSource covers the ad-hoc Green-Marl path: a valid
+// source executes; a broken one comes back 400 with structured
+// diagnostics rather than a bare string.
+func TestCompileFromSource(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+
+	req := JobRequest{Tenant: "dev", Graph: "bench", Source: degSumSource, Wait: true}
 	code, _, payload := postJSON(t, hs.URL+"/jobs", req)
 	if code != http.StatusOK {
 		t.Fatalf("valid source: HTTP %d: %s", code, payload)
@@ -198,14 +209,7 @@ func TestCompileFromSource(t *testing.T) {
 	}
 
 	// A type error returns structured sema diagnostics with positions.
-	bad := `Procedure broken(G: Graph) : Int
-{
-    Int x = 0;
-    x = True;
-    Return x;
-}
-`
-	code, _, payload = postJSON(t, hs.URL+"/jobs", JobRequest{Tenant: "dev", Graph: "bench", Source: bad, Wait: true})
+	code, _, payload = postJSON(t, hs.URL+"/jobs", JobRequest{Tenant: "dev", Graph: "bench", Source: brokenSource, Wait: true})
 	if code != http.StatusBadRequest {
 		t.Fatalf("broken source: want 400, got %d: %s", code, payload)
 	}
@@ -459,36 +463,39 @@ func TestJobTimeoutFailsRun(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the API's structured rejections, including
-// bodies that would otherwise hang or exhaust the server.
+// badRequests are the API's structured rejections, including bodies
+// that would otherwise hang or exhaust the server.
+var badRequests = []struct {
+	name string
+	path string
+	body any
+	want int
+}{
+	{"no tenant", "/jobs", JobRequest{Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
+	{"no graph", "/jobs", JobRequest{Tenant: "x", Algorithm: "pagerank"}, http.StatusBadRequest},
+	{"unknown graph", "/jobs", JobRequest{Tenant: "x", Graph: "nope", Algorithm: "pagerank"}, http.StatusNotFound},
+	{"unknown algorithm", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "nope"}, http.StatusBadRequest},
+	{"both algorithm and source", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank", Source: "x"}, http.StatusBadRequest},
+	{"missing params", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
+	{"unknown param", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "sssp",
+		Params: map[string]any{"bogus": 1.0}}, http.StatusBadRequest},
+	{"non-integer int param", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "avgteen",
+		Params: map[string]any{"K": 1.5}}, http.StatusBadRequest},
+	// int64(1e300) is math.MinInt64 on amd64: the run would start
+	// with a nonsense iteration bound.
+	{"int param beyond 2^53", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank",
+		Params: map[string]any{"e": 1e-4, "d": 0.85, "max_iter": 1e300}, Wait: true}, http.StatusBadRequest},
+	// The RMAT size search never terminates at this scale.
+	{"sk2005 scale 1e15", "/graphs", GraphSpec{Name: "huge", Builder: "sk2005", Scale: 1e15}, http.StatusBadRequest},
+	// 5e9 vertices: the generator would take the server down.
+	{"twitter scale 1e6", "/graphs", GraphSpec{Name: "huge", Builder: "twitter", Scale: 1000000}, http.StatusBadRequest},
+}
+
+// TestBadRequests checks that each of badRequests is refused with its
+// status and a structured JSON error.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
-	cases := []struct {
-		name string
-		path string
-		body any
-		want int
-	}{
-		{"no tenant", "/jobs", JobRequest{Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
-		{"no graph", "/jobs", JobRequest{Tenant: "x", Algorithm: "pagerank"}, http.StatusBadRequest},
-		{"unknown graph", "/jobs", JobRequest{Tenant: "x", Graph: "nope", Algorithm: "pagerank"}, http.StatusNotFound},
-		{"unknown algorithm", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "nope"}, http.StatusBadRequest},
-		{"both algorithm and source", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank", Source: "x"}, http.StatusBadRequest},
-		{"missing params", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank"}, http.StatusBadRequest},
-		{"unknown param", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "sssp",
-			Params: map[string]any{"bogus": 1.0}}, http.StatusBadRequest},
-		{"non-integer int param", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "avgteen",
-			Params: map[string]any{"K": 1.5}}, http.StatusBadRequest},
-		// int64(1e300) is math.MinInt64 on amd64: the run would start
-		// with a nonsense iteration bound.
-		{"int param beyond 2^53", "/jobs", JobRequest{Tenant: "x", Graph: "bench", Algorithm: "pagerank",
-			Params: map[string]any{"e": 1e-4, "d": 0.85, "max_iter": 1e300}, Wait: true}, http.StatusBadRequest},
-		// The RMAT size search never terminates at this scale.
-		{"sk2005 scale 1e15", "/graphs", GraphSpec{Name: "huge", Builder: "sk2005", Scale: 1e15}, http.StatusBadRequest},
-		// 5e9 vertices: the generator would take the server down.
-		{"twitter scale 1e6", "/graphs", GraphSpec{Name: "huge", Builder: "twitter", Scale: 1000000}, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		code, _, payload := postJSON(t, hs.URL+tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: want %d, got %d: %s", tc.name, tc.want, code, payload)
