@@ -9,9 +9,12 @@ import (
 	"gmpregel"
 )
 
-// TestJavaGoldens renders both Java targets for every algorithm program
-// under testdata and compares them byte for byte with the committed
-// goldens (regenerate with TESTDATA_WRITE=1 go test -run TestJavaGoldens .).
+// TestJavaGoldens renders both Java targets and the Pregel-canonical
+// Green-Marl form for every algorithm program under testdata and compares
+// them byte for byte with the committed goldens (regenerate with
+// TESTDATA_WRITE=1 go test -run TestJavaGoldens .). The canonical golden
+// pins the output of every compiler rewrite, not only what the printers
+// make of it.
 // The printer's format strings are not constants, so go vet cannot catch
 // a verb/argument mismatch; the %! check here does.
 func TestJavaGoldens(t *testing.T) {
@@ -34,6 +37,7 @@ func TestJavaGoldens(t *testing.T) {
 		}{
 			{".gps.java", p.JavaSource()},
 			{".giraph.java", p.GiraphSource()},
+			{".canonical.gm", p.CanonicalSource()},
 		} {
 			golden := filepath.Join("testdata", "golden", base+target.ext)
 			for _, bad := range []string{"%!", "unsupported"} {
