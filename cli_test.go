@@ -122,6 +122,30 @@ func TestCLITools(t *testing.T) {
 		t.Errorf("gmbench table 2 output: %s", out)
 	}
 
+	// Size and count flags out of range exit 2 naming the bound, before
+	// any generator can panic on them.
+	for _, tc := range []struct {
+		bin   string
+		args  []string
+		bound string
+	}{
+		{gmpc, []string{"-run", "-run-nodes", "-5", "-builtin", "pagerank"}, "134217728"},
+		{gmpc, []string{"-run", "-workers", "0", "-builtin", "pagerank"}, "-workers at least 1"},
+		{graphgen, []string{"-n", "-5"}, "134217728"},
+		{graphgen, []string{"-kind", "web", "-scale", "40"}, "-scale in 0..27"},
+		{gmbench, []string{"-table", "1", "-scale", "-1"}, "-scale must be in 1.."},
+		{gmbench, []string{"-ablation", "-trials", "0"}, "-trials at least 1"},
+	} {
+		b, err := exec.Command(tc.bin, tc.args...).CombinedOutput()
+		name := filepath.Base(tc.bin)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%s %v: want exit status 2, got %v:\n%s", name, tc.args, err, b)
+		}
+		if strings.Contains(string(b), "panic:") || !strings.Contains(string(b), tc.bound) {
+			t.Errorf("%s %v: want a message naming %q and no panic:\n%s", name, tc.args, tc.bound, b)
+		}
+	}
+
 	// Several modes in one invocation (activity guarantees engine runs).
 	out = run(gmbench, "-activity", "-table", "1", "-scale", "1", "-trials", "1")
 	for _, want := range []string{"Table 1: input graphs", "§5.2 SSSP vertex activity", "final-superstep active fraction"} {

@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 
+	"gmpregel/internal/algorithms"
 	"gmpregel/internal/bench"
 )
 
@@ -46,6 +47,10 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
+	if *scale < 1 || *scale > algorithms.MaxScale || *workers < 1 || *trials < 1 {
+		fmt.Fprintf(os.Stderr, "gmbench: -scale must be in 1..%d (graphs within graph.MaxNodes), -workers and -trials at least 1\n", algorithms.MaxScale)
+		os.Exit(2)
+	}
 
 	modes := []mode{
 		{*table == 1, func(w io.Writer) error { _, err := bench.Table1(w, *scale); return err }},

@@ -26,6 +26,7 @@ import (
 
 	"gmpregel"
 	"gmpregel/internal/algorithms"
+	"gmpregel/internal/graph"
 	"gmpregel/internal/pregel"
 )
 
@@ -48,6 +49,10 @@ func main() {
 		httpAddr   = flag.String("http", "", "with -run: serve /metrics, /healthz, /run, /debug/pprof on this address during the run")
 	)
 	flag.Parse()
+	if *runNodes < 1 || *runNodes > graph.MaxNodes || *workers < 1 {
+		fmt.Fprintf(os.Stderr, "gmpc: -run-nodes must be in 1..%d (graph.MaxNodes) and -workers at least 1\n", graph.MaxNodes)
+		os.Exit(2)
+	}
 
 	var src string
 	switch {

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 
 	"gmpregel/internal/graph"
@@ -28,6 +29,11 @@ func main() {
 		out   = flag.String("out", "", "output file (default stdout)")
 	)
 	flag.Parse()
+	maxScale := bits.Len(graph.MaxNodes) - 1
+	if *n < 1 || *n > graph.MaxNodes || *scale < 0 || *scale > maxScale || *deg < 0 || *m < 0 {
+		fmt.Fprintf(os.Stderr, "graphgen: -n must be in 1..%d (graph.MaxNodes), -scale in 0..%d, -deg and -m at least 0\n", graph.MaxNodes, maxScale)
+		os.Exit(2)
+	}
 
 	var g *graph.Directed
 	switch *kind {

@@ -22,8 +22,14 @@ type GraphSpec struct {
 	BipartiteBoys func(scale int) int
 }
 
+// MaxScale is the largest scale at which every evaluation graph stays
+// within graph.MaxNodes vertices: sk2005, the largest, rounds 6000·scale
+// up to a power of two, so it has fewer than 12000·scale.
+const MaxScale = graph.MaxNodes / 12000
+
 // Graphs returns the three evaluation graphs at the given scale
-// (scale 1 ≈ 5-8k vertices; node counts grow linearly with scale).
+// (scale 1 ≈ 5-8k vertices; node counts grow linearly with scale,
+// 1..MaxScale).
 func Graphs() []GraphSpec {
 	return []GraphSpec{
 		{

@@ -35,35 +35,12 @@ func (nz *normalizer) lowerBFS() {
 	if !nz.recheck() {
 		return
 	}
-	nz.proc.Body = nz.bfsBlock(nz.proc.Body)
-}
-
-func (nz *normalizer) bfsBlock(b *ast.Block) *ast.Block {
-	var out []ast.Stmt
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.InBFS:
-			out = append(out, nz.lowerOneBFS(s)...)
-		case *ast.If:
-			s.Then = nz.bfsBlock(asBlock(s.Then))
-			if s.Else != nil {
-				s.Else = nz.bfsBlock(asBlock(s.Else))
-			}
-			out = append(out, s)
-		case *ast.While:
-			s.Body = nz.bfsBlock(asBlock(s.Body))
-			out = append(out, s)
-		case *ast.Block:
-			out = append(out, nz.bfsBlock(s))
-		default:
-			out = append(out, s)
+	nz.proc.Body = nz.rewriteSeq(nz.proc.Body, func(out []ast.Stmt, s ast.Stmt) []ast.Stmt {
+		if bfs, ok := s.(*ast.InBFS); ok {
+			return append(out, nz.lowerOneBFS(bfs)...)
 		}
-		if nz.err != nil {
-			return b
-		}
-	}
-	b.Stmts = out
-	return b
+		return append(out, s)
+	})
 }
 
 func (nz *normalizer) lowerOneBFS(bfs *ast.InBFS) []ast.Stmt {

@@ -26,73 +26,28 @@ func (nz *normalizer) canonicalize() {
 	if !nz.recheck() {
 		return
 	}
-	nz.proc.Body = nz.dissectBlock(nz.proc.Body)
-	if nz.err != nil {
-		return
-	}
-	if !nz.recheck() {
-		return
-	}
+	nz.proc.Body = nz.rewriteSeq(nz.proc.Body, func(out []ast.Stmt, s ast.Stmt) []ast.Stmt {
+		if f, ok := s.(*ast.Foreach); ok && f.Kind == ast.IterNodes {
+			return append(out, nz.dissectLoop(f)...)
+		}
+		return append(out, s)
+	})
 	nz.flipAll()
 }
 
 // ---- Dissecting Nested Loops ----
 
-func (nz *normalizer) dissectBlock(b *ast.Block) *ast.Block {
-	var out []ast.Stmt
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.Foreach:
-			if s.Kind == ast.IterNodes {
-				out = append(out, nz.dissectLoop(s)...)
-			} else {
-				out = append(out, s)
-			}
-		case *ast.If:
-			s.Then = nz.dissectBlock(asBlock(s.Then))
-			if s.Else != nil {
-				s.Else = nz.dissectBlock(asBlock(s.Else))
-			}
-			out = append(out, s)
-		case *ast.While:
-			s.Body = nz.dissectBlock(asBlock(s.Body))
-			out = append(out, s)
-		case *ast.Block:
-			out = append(out, nz.dissectBlock(s))
-		default:
-			out = append(out, s)
-		}
-		if nz.err != nil {
-			return b
-		}
-	}
-	b.Stmts = out
-	return b
-}
-
 // innerLoopsOf returns the neighbor loops that are direct children of
 // the body (possibly nested under Ifs).
 func innerLoopsOf(body *ast.Block) []*ast.Foreach {
 	var loops []*ast.Foreach
-	var visit func(ss []ast.Stmt)
-	visit = func(ss []ast.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *ast.Foreach:
-				if s.Kind != ast.IterNodes {
-					loops = append(loops, s)
-				}
-			case *ast.If:
-				visit(asBlock(s.Then).Stmts)
-				if s.Else != nil {
-					visit(asBlock(s.Else).Stmts)
-				}
-			case *ast.Block:
-				visit(s.Stmts)
-			}
+	ast.WalkStmts(body, func(s ast.Stmt) bool {
+		f, ok := s.(*ast.Foreach)
+		if ok && f.Kind != ast.IterNodes {
+			loops = append(loops, f)
 		}
-	}
-	visit(body.Stmts)
+		return !ok
+	})
 	return loops
 }
 
@@ -170,7 +125,6 @@ func (nz *normalizer) dissectLoop(f *ast.Foreach) []ast.Stmt {
 					continue
 				}
 				replaceIdentInStmt(body.Stmts[j], name, propOf(ident(f.Iter), tmp))
-				rewriteAssignTargets(body.Stmts[j], name, f.Iter, tmp)
 			}
 			nz.trace.Record(RuleDissectLoops)
 			changed = true
@@ -251,20 +205,6 @@ func (nz *normalizer) dissectLoop(f *ast.Foreach) []ast.Stmt {
 		})
 	}
 	return out
-}
-
-// rewriteAssignTargets rewrites `name op= rhs` into `iter.tmp op= rhs`
-// (assignment LHS idents are not expressions, so replaceIdentInStmt does
-// not reach them... it does, via RewriteExprs on LHS — kept for clarity).
-func rewriteAssignTargets(s ast.Stmt, name, iter, tmp string) {
-	ast.WalkStmts(s, func(st ast.Stmt) bool {
-		if a, ok := st.(*ast.Assign); ok {
-			if id, ok := a.LHS.(*ast.Ident); ok && id.Name == name {
-				a.LHS = propOf(ident(iter), tmp)
-			}
-		}
-		return true
-	})
 }
 
 func dropEmptyBlocks(ss []ast.Stmt) []ast.Stmt {

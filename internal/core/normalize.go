@@ -47,6 +47,38 @@ func (nz *normalizer) fail(format string, args ...interface{}) {
 	}
 }
 
+// rewriteSeq is the statement-list walker every lowering pass shares. It
+// hands each statement of b to leaf, which returns out extended with the
+// statement's replacement, and then rewrites the branches of an If, the
+// body of a While and a nested Block the same way — leaf sees a compound
+// statement before its children, so the names it mints come first.
+// Foreach and InBFS bodies are the leaf's to handle. The first error
+// stops the walk and leaves b as it was.
+func (nz *normalizer) rewriteSeq(b *ast.Block, leaf func(out []ast.Stmt, s ast.Stmt) []ast.Stmt) *ast.Block {
+	var out []ast.Stmt
+	for _, s := range b.Stmts {
+		out = leaf(out, s)
+		if nz.err == nil {
+			switch s := s.(type) {
+			case *ast.If:
+				s.Then = nz.rewriteSeq(asBlock(s.Then), leaf)
+				if s.Else != nil {
+					s.Else = nz.rewriteSeq(asBlock(s.Else), leaf)
+				}
+			case *ast.While:
+				s.Body = nz.rewriteSeq(asBlock(s.Body), leaf)
+			case *ast.Block:
+				nz.rewriteSeq(s, leaf)
+			}
+		}
+		if nz.err != nil {
+			return b
+		}
+	}
+	b.Stmts = out
+	return b
+}
+
 // ---- Pass: lower bulk property assignments (G.prop = expr) ----
 
 // lowerBulkAssigns rewrites graph-wide property assignments into
@@ -57,39 +89,16 @@ func (nz *normalizer) lowerBulkAssigns() {
 		return
 	}
 	g := nz.info.Graph.Name
-	nz.proc.Body = nz.bulkBlock(nz.proc.Body, g)
-}
-
-func (nz *normalizer) bulkBlock(b *ast.Block, g string) *ast.Block {
-	var out []ast.Stmt
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.Assign:
-			pa, ok := s.LHS.(*ast.PropAccess)
-			if ok {
-				if id, ok2 := pa.Target.(*ast.Ident); ok2 && id.Name == g {
-					out = append(out, nz.lowerOneBulk(s, g))
-					continue
+	nz.proc.Body = nz.rewriteSeq(nz.proc.Body, func(out []ast.Stmt, s ast.Stmt) []ast.Stmt {
+		if a, ok := s.(*ast.Assign); ok {
+			if pa, ok := a.LHS.(*ast.PropAccess); ok {
+				if id, ok := pa.Target.(*ast.Ident); ok && id.Name == g {
+					return append(out, nz.lowerOneBulk(a, g))
 				}
 			}
-			out = append(out, s)
-		case *ast.If:
-			s.Then = nz.bulkBlock(asBlock(s.Then), g)
-			if s.Else != nil {
-				s.Else = nz.bulkBlock(asBlock(s.Else), g)
-			}
-			out = append(out, s)
-		case *ast.While:
-			s.Body = nz.bulkBlock(asBlock(s.Body), g)
-			out = append(out, s)
-		case *ast.Block:
-			out = append(out, nz.bulkBlock(s, g))
-		default:
-			out = append(out, s)
 		}
-	}
-	b.Stmts = out
-	return b
+		return append(out, s)
+	})
 }
 
 func (nz *normalizer) lowerOneBulk(s *ast.Assign, g string) ast.Stmt {
@@ -156,7 +165,7 @@ func substGraphIdent(e ast.Expr, g, iter string) ast.Expr {
 	}
 }
 
-// ---- Pass: lower group reductions in sequential context ----
+// ---- Pass: lower group reductions ----
 
 // lowerSeqReduces extracts Sum/Count/… expressions appearing in
 // sequential statements into explicit accumulation loops.
@@ -164,69 +173,92 @@ func (nz *normalizer) lowerSeqReduces() {
 	if !nz.recheck() {
 		return
 	}
-	nz.proc.Body = nz.seqReduceBlock(nz.proc.Body)
+	nz.proc.Body = nz.rewriteSeq(nz.proc.Body, nz.reduceLeaf(""))
 }
 
-func (nz *normalizer) seqReduceBlock(b *ast.Block) *ast.Block {
-	var out []ast.Stmt
-	for _, s := range b.Stmts {
+// lowerParReduces extracts neighborhood reductions used inside
+// vertex-parallel loops into nested accumulation loops. The resulting
+// outer-scoped accumulators are later converted by the dissection pass.
+// It runs after lowerSeqReduces, whose accumulation loops it must see
+// typed.
+func (nz *normalizer) lowerParReduces() {
+	if !nz.recheck() {
+		return
+	}
+	ast.WalkStmts(nz.proc.Body, func(s ast.Stmt) bool {
+		if nz.err != nil {
+			return false
+		}
+		f, ok := s.(*ast.Foreach)
+		if !ok || f.Kind != ast.IterNodes {
+			return true
+		}
+		f.Body = nz.rewriteSeq(asBlock(f.Body), nz.reduceLeaf(f.Iter))
+		return false // handled this parallel subtree
+	})
+}
+
+// reduceLeaf is the rewriteSeq leaf of both reduction passes: in
+// sequential code when outer is "", else in the body of the vertex loop
+// over outer (where sema admits no While or Return).
+func (nz *normalizer) reduceLeaf(outer string) func([]ast.Stmt, ast.Stmt) []ast.Stmt {
+	return func(out []ast.Stmt, s ast.Stmt) []ast.Stmt {
 		switch s := s.(type) {
 		case *ast.Assign:
-			out = nz.extractSeqReduces(out, s, &s.RHS)
+			return nz.extractReduces(out, s, &s.RHS, outer)
 		case *ast.VarDecl:
 			if s.Init != nil {
-				out = nz.extractSeqReduces(out, s, &s.Init)
-			} else {
-				out = append(out, s)
+				return nz.extractReduces(out, s, &s.Init, outer)
 			}
 		case *ast.Return:
 			if s.Value != nil {
-				out = nz.extractSeqReduces(out, s, &s.Value)
-			} else {
-				out = append(out, s)
+				return nz.extractReduces(out, s, &s.Value, outer)
 			}
 		case *ast.If:
 			if findReduce(s.Cond) != nil {
 				// Extract from the condition before the If.
 				tmp := &ast.VarDecl{Type: typeOfKind(ast.TBool), Names: []string{nz.nm.fresh("_c")}, Init: s.Cond, P: s.P}
 				s.Cond = ident(tmp.Names[0])
-				out = nz.extractSeqReduces(out, tmp, &tmp.Init)
+				out = nz.extractReduces(out, tmp, &tmp.Init, outer)
 			}
-			s.Then = nz.seqReduceBlock(asBlock(s.Then))
-			if s.Else != nil {
-				s.Else = nz.seqReduceBlock(asBlock(s.Else))
-			}
-			out = append(out, s)
 		case *ast.While:
 			if findReduce(s.Cond) != nil {
 				nz.fail("%s: a group reduction in a While condition is not supported; assign it to a variable inside the loop", s.P)
-				return b
 			}
-			s.Body = nz.seqReduceBlock(asBlock(s.Body))
-			out = append(out, s)
-		case *ast.Block:
-			out = append(out, nz.seqReduceBlock(s))
-		default:
-			out = append(out, s)
+		case *ast.Foreach:
+			// Inside a vertex loop, reductions in an inner neighbor loop
+			// would be triply nested — reject.
+			if outer == "" {
+				break
+			}
+			if r := blockHasReduce(s); r != nil {
+				nz.fail("%s: reductions nested inside neighbor loops are not supported", r.P)
+			}
 		}
-		if nz.err != nil {
-			return b
-		}
+		return append(out, s)
 	}
-	b.Stmts = out
-	return b
 }
 
-// extractSeqReduces repeatedly pulls reductions out of *ep, appending
-// accumulation loops to out, then appends s itself.
-func (nz *normalizer) extractSeqReduces(out []ast.Stmt, s ast.Stmt, ep *ast.Expr) []ast.Stmt {
+// extractReduces repeatedly pulls reductions out of *ep, appending
+// accumulation loops to out, then appends s itself. outer is as in
+// reduceLeaf.
+func (nz *normalizer) extractReduces(out []ast.Stmt, s ast.Stmt, ep *ast.Expr, outer string) []ast.Stmt {
 	for {
 		r := findReduce(*ep)
 		if r == nil {
 			break
 		}
-		if r.Domain != ast.IterNodes {
-			nz.fail("%s: a neighborhood reduction is only allowed inside a vertex-parallel loop", r.P)
+		var bad string
+		switch {
+		case outer == "" && r.Domain != ast.IterNodes:
+			bad = "a neighborhood reduction is only allowed inside a vertex-parallel loop"
+		case outer != "" && r.Domain == ast.IterNodes:
+			bad = "a whole-graph reduction inside a vertex-parallel loop is not Pregel-compatible"
+		case outer != "" && r.Source != outer:
+			bad = fmt.Sprintf("neighborhood reduction source %q must be the enclosing loop iterator %q", r.Source, outer)
+		}
+		if bad != "" {
+			nz.fail("%s: %s", r.P, bad)
 			return append(out, s)
 		}
 		pre, repl := nz.lowerOneReduce(r, r.Source)
@@ -350,72 +382,6 @@ func cloneOrNil(e ast.Expr) ast.Expr {
 	return e.CloneExpr()
 }
 
-// ---- Pass: lower group reductions in parallel context ----
-
-// lowerParReduces extracts neighborhood reductions used inside
-// vertex-parallel loops into nested accumulation loops. The resulting
-// outer-scoped accumulators are later converted by the dissection pass.
-func (nz *normalizer) lowerParReduces() {
-	if !nz.recheck() {
-		return
-	}
-	ast.WalkStmts(nz.proc.Body, func(s ast.Stmt) bool {
-		if nz.err != nil {
-			return false
-		}
-		f, ok := s.(*ast.Foreach)
-		if !ok || f.Kind != ast.IterNodes {
-			return true
-		}
-		f.Body = nz.parReduceBlock(asBlock(f.Body), f.Iter)
-		return false // handled this parallel subtree
-	})
-}
-
-func (nz *normalizer) parReduceBlock(b *ast.Block, outerIter string) *ast.Block {
-	var out []ast.Stmt
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.Assign:
-			out = nz.extractParReduces(out, s, &s.RHS, outerIter)
-		case *ast.VarDecl:
-			if s.Init != nil {
-				out = nz.extractParReduces(out, s, &s.Init, outerIter)
-			} else {
-				out = append(out, s)
-			}
-		case *ast.If:
-			if findReduce(s.Cond) != nil {
-				tmp := &ast.VarDecl{Type: typeOfKind(ast.TBool), Names: []string{nz.nm.fresh("_c")}, Init: s.Cond, P: s.P}
-				s.Cond = ident(tmp.Names[0])
-				out = nz.extractParReduces(out, tmp, &tmp.Init, outerIter)
-			}
-			s.Then = nz.parReduceBlock(asBlock(s.Then), outerIter)
-			if s.Else != nil {
-				s.Else = nz.parReduceBlock(asBlock(s.Else), outerIter)
-			}
-			out = append(out, s)
-		case *ast.Block:
-			out = append(out, nz.parReduceBlock(s, outerIter))
-		case *ast.Foreach:
-			// Inner neighbor loop: reductions inside it would be triply
-			// nested — reject.
-			if r := blockHasReduce(s); r != nil {
-				nz.fail("%s: reductions nested inside neighbor loops are not supported", r.P)
-				return b
-			}
-			out = append(out, s)
-		default:
-			out = append(out, s)
-		}
-		if nz.err != nil {
-			return b
-		}
-	}
-	b.Stmts = out
-	return b
-}
-
 func blockHasReduce(s ast.Stmt) *ast.Reduce {
 	var found *ast.Reduce
 	ast.WalkExprs(s, func(e ast.Expr) bool {
@@ -427,32 +393,6 @@ func blockHasReduce(s ast.Stmt) *ast.Reduce {
 	return found
 }
 
-func (nz *normalizer) extractParReduces(out []ast.Stmt, s ast.Stmt, ep *ast.Expr, outerIter string) []ast.Stmt {
-	for {
-		r := findReduce(*ep)
-		if r == nil {
-			break
-		}
-		if r.Domain == ast.IterNodes {
-			nz.fail("%s: a whole-graph reduction inside a vertex-parallel loop is not Pregel-compatible", r.P)
-			return append(out, s)
-		}
-		if r.Source != outerIter {
-			nz.fail("%s: neighborhood reduction source %q must be the enclosing loop iterator %q", r.P, r.Source, outerIter)
-			return append(out, s)
-		}
-		pre, repl := nz.lowerOneReduce(r, r.Source)
-		out = append(out, pre...)
-		*ep = ast.RewriteExpr(*ep, func(x ast.Expr) ast.Expr {
-			if x == ast.Expr(r) {
-				return repl
-			}
-			return x
-		})
-	}
-	return append(out, s)
-}
-
 // ---- Pass: lower random access in sequential phase (§4.1) ----
 
 // lowerRandomAccess rewrites sequential-phase accesses to a specific
@@ -462,59 +402,31 @@ func (nz *normalizer) lowerRandomAccess() {
 	if !nz.recheck() {
 		return
 	}
-	nz.proc.Body = nz.randomAccessBlock(nz.proc.Body)
-}
-
-func (nz *normalizer) randomAccessBlock(b *ast.Block) *ast.Block {
-	var out []ast.Stmt
-	for _, s := range b.Stmts {
+	nz.proc.Body = nz.rewriteSeq(nz.proc.Body, func(out []ast.Stmt, s ast.Stmt) []ast.Stmt {
+		var read ast.Expr // must read no random property
+		where := "a condition"
 		switch s := s.(type) {
 		case *ast.Assign:
-			out = nz.lowerRandomAccessAssign(out, s)
+			return nz.lowerRandomAccessAssign(out, s)
 		case *ast.VarDecl:
 			if s.Init != nil && nz.seqNodePropAccess(s.Init) != nil {
 				// T x = s.prop ...  →  T x; Foreach(...) { x = ...; }
 				decl := &ast.VarDecl{Type: s.Type, Names: s.Names, P: s.P}
 				assign := &ast.Assign{LHS: ident(s.Names[0]), Op: ast.OpSet, RHS: s.Init, P: s.P}
-				out = append(out, decl)
-				out = nz.lowerRandomAccessAssign(out, assign)
-			} else {
-				out = append(out, s)
+				return nz.lowerRandomAccessAssign(append(out, decl), assign)
 			}
 		case *ast.If:
-			if pa := nz.seqNodePropAccess(s.Cond); pa != nil {
-				nz.fail("%s: random property read in a condition is not supported; assign it to a variable first", pa.P)
-				return b
-			}
-			s.Then = nz.randomAccessBlock(asBlock(s.Then))
-			if s.Else != nil {
-				s.Else = nz.randomAccessBlock(asBlock(s.Else))
-			}
-			out = append(out, s)
+			read = s.Cond
 		case *ast.While:
-			if pa := nz.seqNodePropAccess(s.Cond); pa != nil {
-				nz.fail("%s: random property read in a condition is not supported; assign it to a variable first", pa.P)
-				return b
-			}
-			s.Body = nz.randomAccessBlock(asBlock(s.Body))
-			out = append(out, s)
-		case *ast.Block:
-			out = append(out, nz.randomAccessBlock(s))
+			read = s.Cond
 		case *ast.Return:
-			if pa := nz.seqNodePropAccess(s.Value); pa != nil {
-				nz.fail("%s: random property read in Return is not supported; assign it to a variable first", pa.P)
-				return b
-			}
-			out = append(out, s)
-		default:
-			out = append(out, s)
+			read, where = s.Value, "Return"
 		}
-		if nz.err != nil {
-			return b
+		if pa := nz.seqNodePropAccess(read); pa != nil {
+			nz.fail("%s: random property read in %s is not supported; assign it to a variable first", pa.P, where)
 		}
-	}
-	b.Stmts = out
-	return b
+		return append(out, s)
+	})
 }
 
 // seqNodePropAccess finds a property access through a node-valued

@@ -144,7 +144,7 @@ func unionInts(a, b []int) []int {
 
 func sendTypes(ss []ir.Stmt) map[int]bool {
 	out := map[int]bool{}
-	walkIR(ss, func(s ir.Stmt) {
+	ir.WalkStmts(ss, func(s ir.Stmt) {
 		switch s := s.(type) {
 		case ir.SendToNbrs:
 			out[s.MsgType] = true
@@ -159,7 +159,7 @@ func sendTypes(ss []ir.Stmt) map[int]bool {
 
 func handlerTypes(ss []ir.Stmt) map[int]bool {
 	out := map[int]bool{}
-	walkIR(ss, func(s ir.Stmt) {
+	ir.WalkStmts(ss, func(s ir.Stmt) {
 		switch s := s.(type) {
 		case ir.ForMsgs:
 			out[s.MsgType] = true
@@ -172,25 +172,12 @@ func handlerTypes(ss []ir.Stmt) map[int]bool {
 
 func contribAggs(ss []ir.Stmt) map[int]bool {
 	out := map[int]bool{}
-	walkIR(ss, func(s ir.Stmt) {
+	ir.WalkStmts(ss, func(s ir.Stmt) {
 		if c, ok := s.(ir.ContribAgg); ok {
 			out[c.Agg] = true
 		}
 	})
 	return out
-}
-
-func walkIR(ss []ir.Stmt, f func(ir.Stmt)) {
-	for _, s := range ss {
-		f(s)
-		switch s := s.(type) {
-		case ir.ForMsgs:
-			walkIR(s.Body, f)
-		case ir.If:
-			walkIR(s.Then, f)
-			walkIR(s.Else, f)
-		}
-	}
 }
 
 // countPreds counts CFG predecessors of node idx.
@@ -264,7 +251,7 @@ func tryIntraLoopMerge(p *machine.Program, loop machine.LoopInfo) bool {
 
 	// A must be safe to run one extra (speculative) time.
 	safeA := true
-	walkIR(a.Body, func(s ir.Stmt) {
+	ir.WalkStmts(a.Body, func(s ir.Stmt) {
 		switch s := s.(type) {
 		case ir.ForMsgs, ir.CollectInNbrs, ir.ContribAgg:
 			safeA = false

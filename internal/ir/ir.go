@@ -267,8 +267,9 @@ func (c CollectInNbrs) String() string {
 }
 
 // ForMsgs iterates the received messages of MsgType; MsgField is valid
-// in the body. Vertex context, and only as a receive handler at the top
-// of a state body.
+// in the body. Vertex context. The compiler emits it only as a receive
+// handler at the top of a state body, but a decoded artifact may nest it
+// under an If or in another ForMsgs.
 type ForMsgs struct {
 	MsgType int
 	Body    []Stmt

@@ -1,5 +1,20 @@
 package ir
 
+// WalkStmts calls f on every statement of ss in pre-order, descending
+// into ForMsgs bodies and If branches.
+func WalkStmts(ss []Stmt, f func(Stmt)) {
+	for _, s := range ss {
+		f(s)
+		switch s := s.(type) {
+		case ForMsgs:
+			WalkStmts(s.Body, f)
+		case If:
+			WalkStmts(s.Then, f)
+			WalkStmts(s.Else, f)
+		}
+	}
+}
+
 // RemapLocals returns a copy of the statement list with every local slot
 // shifted by off (used when merging two vertex states' bodies, whose
 // local slot spaces are concatenated).

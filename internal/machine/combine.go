@@ -38,9 +38,11 @@ func combinableOps(p *Program) []ast.AssignOp {
 			ops[i] = opInvalid
 		}
 	}
-	var scan func(ss []ir.Stmt)
-	scan = func(ss []ir.Stmt) {
-		for _, s := range ss {
+	for _, n := range p.Nodes {
+		if n.Vertex == nil {
+			continue
+		}
+		ir.WalkStmts(n.Vertex.Body, func(s ir.Stmt) {
 			switch s := s.(type) {
 			case ir.ForMsgs:
 				op := handlerReduction(p, s)
@@ -51,16 +53,8 @@ func combinableOps(p *Program) []ast.AssignOp {
 				}
 			case ir.CollectInNbrs:
 				ops[s.MsgType] = opInvalid
-			case ir.If:
-				scan(s.Then)
-				scan(s.Else)
 			}
-		}
-	}
-	for _, n := range p.Nodes {
-		if n.Vertex != nil {
-			scan(n.Vertex.Body)
-		}
+		})
 	}
 	for i := range ops {
 		if ops[i] == opUnset {
@@ -145,33 +139,26 @@ func edgeAddProps(p *Program) []int {
 		}
 	}
 	written := make([]bool, len(p.Props))
-	var scan func(vs *VertexState, ss []ir.Stmt)
-	scan = func(vs *VertexState, ss []ir.Stmt) {
-		for _, s := range ss {
+	for _, n := range p.Nodes {
+		vs := n.Vertex
+		if vs == nil {
+			continue
+		}
+		ir.WalkStmts(vs.Body, func(s ir.Stmt) {
 			switch s := s.(type) {
 			case ir.SetProp:
 				written[s.Slot] = true
 			case ir.SendToNbrs:
 				if slots[s.MsgType] == -1 {
-					continue
+					return
 				}
 				if _, slot, ok := edgeAddBase(p, vs, s); !ok || slots[s.MsgType] != unset && slots[s.MsgType] != slot {
 					slots[s.MsgType] = -1
 				} else {
 					slots[s.MsgType] = slot
 				}
-			case ir.ForMsgs:
-				scan(vs, s.Body)
-			case ir.If:
-				scan(vs, s.Then)
-				scan(vs, s.Else)
 			}
-		}
-	}
-	for _, n := range p.Nodes {
-		if n.Vertex != nil {
-			scan(n.Vertex, n.Vertex.Body)
-		}
+		})
 	}
 	for t, slot := range slots {
 		if slot == unset || slot >= 0 && written[slot] {

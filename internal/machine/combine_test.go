@@ -140,6 +140,86 @@ func TestFoldMatchesHandler(t *testing.T) {
 	}
 }
 
+// A handler nested in another handler consumes its type too, so it is
+// classified like a top-level one. Vertices 1..6 send types 0 and 1 to
+// vertex 0, whose `for msgs(1) { acc += f0 }` alone would fold; its
+// `for msgs(0) { for msgs(1) { cnt += 1 } }` counts every pair, 36, and
+// a fold of type 1 would leave it at 6.
+func TestFoldRefusesNestedHandler(t *testing.T) {
+	b := graph.NewBuilder(7)
+	for v := graph.NodeID(1); v < 7; v++ {
+		b.AddEdge(v, 0)
+	}
+	g := b.Build()
+	val := ir.PropRef{Slot: 0, Name: "val"}
+	p := &Program{
+		Name: "nested",
+		Props: []PropDecl{
+			{Name: "val", Kind: ir.KInt, IsParam: true},
+			{Name: "acc", Kind: ir.KInt, IsParam: true},
+			{Name: "cnt", Kind: ir.KInt, IsParam: true},
+		},
+		Msgs: []MsgSchema{{Name: "a", Fields: []ir.Kind{ir.KInt}}, {Name: "b", Fields: []ir.Kind{ir.KInt}}},
+		Nodes: []CFGNode{
+			{Vertex: &VertexState{
+				Name: "send",
+				Body: []ir.Stmt{
+					ir.SendToNbrs{MsgType: 0, Payload: []ir.Expr{val}},
+					ir.SendToNbrs{MsgType: 1, Payload: []ir.Expr{val}},
+				},
+				Next: 1,
+			}},
+			{Vertex: &VertexState{
+				Name: "recv",
+				Body: []ir.Stmt{
+					ir.ForMsgs{MsgType: 1, Body: []ir.Stmt{
+						ir.SetProp{Slot: 1, Name: "acc", Op: ast.OpAdd, RHS: ir.MsgField{Idx: 0, K: ir.KInt}},
+					}},
+					ir.ForMsgs{MsgType: 0, Body: []ir.Stmt{
+						ir.ForMsgs{MsgType: 1, Body: []ir.Stmt{
+							ir.SetProp{Slot: 2, Name: "cnt", Op: ast.OpAdd, RHS: ir.Const{V: ir.Int(1)}},
+						}},
+					}},
+				},
+				Next: 2,
+			}},
+			{Master: &MasterBlock{Term: Term{Kind: THalt}}},
+		},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bind := Bindings{NodePropInt: map[string][]int64{"val": {0, 1, 2, 3, 4, 5, 6}}}
+	for _, w := range []int{1, 3} {
+		cfg := pregel.Config{NumWorkers: w, Seed: 1}
+		folded, err := Run(p, g, bind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := newExec(p, g, bind, cfg, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := ex.result(pregel.Run(g, unfolded{ex}, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prop := range []string{"acc", "cnt"} {
+			got, _ := folded.NodePropInt(prop)
+			want, _ := plain.NodePropInt(prop)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("W=%d: folded %s %v, handler %v", w, prop, got, want)
+			}
+		}
+		if cnt, _ := folded.NodePropInt("cnt"); cnt[0] != 36 {
+			t.Errorf("W=%d: cnt[0] = %d, want 36", w, cnt[0])
+		}
+		if !reflect.DeepEqual(folded.Stats, plain.Stats) {
+			t.Errorf("W=%d: folded Stats %+v, handler %+v", w, folded.Stats, plain.Stats)
+		}
+	}
+}
+
 // relaxProgram duplicates the SSSP-style relax machine used in
 // machine_test.go, with the min= receive handler.
 func relaxProgram() *Program {

@@ -708,23 +708,14 @@ func (e *vertexEnv) BuiltinVal(op ir.BuiltinOp) ir.Value {
 // along incoming-neighbor lists.
 func programUsesInNbrs(p *Program) bool {
 	used := false
-	var scan func(ss []ir.Stmt)
-	scan = func(ss []ir.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case ir.SendToInNbrs, ir.CollectInNbrs:
-				used = true
-			case ir.ForMsgs:
-				scan(s.Body)
-			case ir.If:
-				scan(s.Then)
-				scan(s.Else)
-			}
-		}
-	}
 	for _, n := range p.Nodes {
 		if n.Vertex != nil {
-			scan(n.Vertex.Body)
+			ir.WalkStmts(n.Vertex.Body, func(s ir.Stmt) {
+				switch s.(type) {
+				case ir.SendToInNbrs, ir.CollectInNbrs:
+					used = true
+				}
+			})
 		}
 	}
 	return used

@@ -489,6 +489,13 @@ var badRequests = []struct {
 	{"sk2005 scale 1e15", "/graphs", GraphSpec{Name: "huge", Builder: "sk2005", Scale: 1e15}, http.StatusBadRequest},
 	// 5e9 vertices: the generator would take the server down.
 	{"twitter scale 1e6", "/graphs", GraphSpec{Name: "huge", Builder: "twitter", Scale: 1000000}, http.StatusBadRequest},
+	// Quotas the admission ledger cannot honour: a negative bound queues
+	// jobs nothing dispatches, a negative weight jumps every queue.
+	{"negative max_concurrent", "/tenants", map[string]any{"name": "t", "quota": Quota{MaxConcurrent: -1}}, http.StatusBadRequest},
+	{"negative weight", "/tenants", map[string]any{"name": "t", "quota": Quota{Weight: -1}}, http.StatusBadRequest},
+	{"negative memory_bytes", "/tenants", map[string]any{"name": "t", "quota": Quota{MemoryBytes: -1}}, http.StatusBadRequest},
+	{"negative deadline_ms", "/tenants", map[string]any{"name": "t", "quota": Quota{DeadlineMS: -1}}, http.StatusBadRequest},
+	{"max_queued below -1", "/tenants", map[string]any{"name": "t", "quota": Quota{MaxQueued: -2}}, http.StatusBadRequest},
 }
 
 // TestBadRequests checks that each of badRequests is refused with its

@@ -362,6 +362,12 @@ func (s *Server) handleSetQuota(w http.ResponseWriter, r *http.Request) {
 		badRequest("tenant name required").write(w)
 		return
 	}
+	// A negative bound never lets a job dispatch, and a negative weight
+	// moves its tenant ahead of every other on each dispatch.
+	if q := body.Quota; q.MaxConcurrent < 0 || q.Weight < 0 || q.MemoryBytes < 0 || q.DeadlineMS < 0 || q.MaxQueued < -1 {
+		badRequest("quota fields must not be negative (max_queued may be -1, no queue)").write(w)
+		return
+	}
 	s.SetQuota(body.Name, body.Quota)
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
