@@ -14,18 +14,18 @@ import (
 	"gmpregel/internal/pregel"
 )
 
-// No job falls back to the 40-byte default record by accident. The
-// engine sizes its message record from Schema.MessageSlots, and a schema
-// that forgets to declare it still runs — just two and a half times
+// No job declares a record wider than its messages need. The engine
+// sizes its message record from the widest declared MessageType, so a
+// job that declares a field its messages never carry still runs — just
 // wider. This walks everything the benchmark runs: the nine corpus
 // programs (read-only, from benchmark/corpus) must hand the engine one
-// slot per message field, each hand-written job must declare the same
-// slot counts as the program compiled from its algorithm, and the three
-// engine workloads of BENCHMARK.json must come out at 16 bytes a
-// message in both arms. The same walk pins which message types the
-// compiler folds at delivery, and requires each hand-written job to
-// declare the same folds, so the generated/manual comparison keeps both
-// arms on one delivery path.
+// field per message field, of its kind, each hand-written job must
+// declare the same field lists as the program compiled from its
+// algorithm, and the three engine workloads of BENCHMARK.json must come
+// out at 16 bytes a message in both arms. The same walk pins which
+// message types the compiler folds at delivery, and requires each
+// hand-written job to declare the same folds, so the generated/manual
+// comparison keeps both arms on one delivery path.
 func TestNoJobFallsBackToWideRecords(t *testing.T) {
 	files, err := filepath.Glob("../../benchmark/corpus/*.gm")
 	if err != nil || len(files) != 9 {
@@ -50,14 +50,23 @@ func TestNoJobFallsBackToWideRecords(t *testing.T) {
 	// please, so those compare as a sorted multiset).
 	folds := func(s pregel.Schema, typed bool) []string {
 		var out []string
-		for t, f := range s.Folds {
+		for t, m := range s.Messages {
 			switch {
-			case f == nil:
+			case m.Fold == nil:
 			case typed:
-				out = append(out, fmt.Sprintf("t%d %v/%v", t, f.Op, f.Kind))
+				out = append(out, fmt.Sprintf("t%d %v/%v", t, *m.Fold, m.Fields[0]))
 			default:
-				out = append(out, fmt.Sprintf("%v/%v", f.Op, f.Kind))
+				out = append(out, fmt.Sprintf("%v/%v", *m.Fold, m.Fields[0]))
 			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	// fields lists a schema's field lists as a sorted multiset.
+	fields := func(s pregel.Schema) []string {
+		var out []string
+		for _, m := range s.Messages {
+			out = append(out, fmt.Sprint(m.Fields))
 		}
 		sort.Strings(out)
 		return out
@@ -77,16 +86,14 @@ func TestNoJobFallsBackToWideRecords(t *testing.T) {
 		if got := folds(schema, true); !reflect.DeepEqual(got, wantFolds[name]) {
 			t.Errorf("%s: folds %v, want %v", name, got, wantFolds[name])
 		}
-		if len(schema.MessageSlots) != len(prog.Msgs) {
-			t.Errorf("%s: %d message types, %d MessageSlots entries", name, len(prog.Msgs), len(schema.MessageSlots))
+		if len(schema.Messages) != len(prog.Msgs) {
+			t.Errorf("%s: %d message types, %d declared", name, len(prog.Msgs), len(schema.Messages))
 			continue
 		}
-		var fields []int
 		for i, m := range prog.Msgs {
-			if schema.MessageSlots[i] != len(m.Fields) {
-				t.Errorf("%s: message %q has %d fields but declares %d slots", name, m.Name, len(m.Fields), schema.MessageSlots[i])
+			if got := schema.Messages[i].Fields; len(got) != len(m.Fields) {
+				t.Errorf("%s: message %q has fields %v but declares %v", name, m.Name, m.Fields, got)
 			}
-			fields = append(fields, len(m.Fields))
 		}
 		check16 := func(arm string, s pregel.Schema) {
 			if got, err := pregel.RecordBytes(s); narrow[name] && (err != nil || got != 16) {
@@ -102,20 +109,10 @@ func TestNoJobFallsBackToWideRecords(t *testing.T) {
 		if got, want := folds(job.Schema(), false), folds(schema, false); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s (manual): declares folds %v, the compiled program folds %v", name, got, want)
 		}
-		// Hand-written jobs number their types as they please; the slot
-		// counts must match the compiler's as a multiset.
-		declared := append([]int(nil), job.Schema().MessageSlots...)
-		sort.Ints(declared)
-		sort.Ints(fields)
-		if len(declared) != len(fields) {
-			t.Errorf("%s (manual): declares slots %v, the compiled program's types have %v fields", name, declared, fields)
-			continue
-		}
-		for i := range declared {
-			if declared[i] != fields[i] {
-				t.Errorf("%s (manual): declares slots %v, the compiled program's types have %v fields", name, declared, fields)
-				break
-			}
+		// Hand-written jobs number their types as they please; the field
+		// lists must match the compiler's as a multiset.
+		if got, want := fields(job.Schema()), fields(schema); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s (manual): declares fields %v, the compiled program's types have %v", name, got, want)
 		}
 		check16("manual", job.Schema())
 	}

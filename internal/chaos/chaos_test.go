@@ -22,7 +22,7 @@ type rankJob struct {
 }
 
 func (j *rankJob) Schema() pregel.Schema {
-	return pregel.Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+	return pregel.Schema{Messages: []pregel.MessageType{{Fields: []pregel.AggKind{pregel.AggKindFloat}}}}
 }
 
 func (j *rankJob) MasterCompute(mc *pregel.MasterContext) {

@@ -95,6 +95,24 @@ func TestCompileDiagnostics(t *testing.T) {
 			wantSub: "not Pregel-compatible",
 		},
 		{
+			name: "neighborhood reduction under an If",
+			src: `Procedure f(G: Graph, x: Node_Prop<Int>) {
+				Foreach (n: G.Nodes) {
+					If (n.x > 0) { n.x = Sum(t: n.Nbrs)(t.x); }
+				}
+			}`,
+			wantSub: "3:27: a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed",
+		},
+		{
+			name: "neighborhood reduction in a nested block",
+			src: `Procedure f(G: Graph, x: Node_Prop<Int>) {
+				Foreach (n: G.Nodes) {
+					{ n.x = Sum(t: n.Nbrs)(t.x); }
+				}
+			}`,
+			wantSub: "3:14: a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed",
+		},
+		{
 			name: "filter hazard on split",
 			src: `Procedure f(G: Graph, a: Node_Prop<Int>, flag: Node_Prop<Bool>) {
 				Foreach (n: G.Nodes)(n.flag) {
@@ -114,6 +132,13 @@ func TestCompileDiagnostics(t *testing.T) {
 			}
 			if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("error %q does not contain %q", err.Error(), tc.wantSub)
+			}
+			// A diagnostic speaks of the user's program: no compiler
+			// temporary, no internal error.
+			for _, frag := range []string{`"_r`, `"_t`, "internal:"} {
+				if strings.Contains(err.Error(), frag) {
+					t.Errorf("error %q names %s", err.Error(), frag)
+				}
 			}
 		})
 	}
@@ -136,6 +161,19 @@ func TestCompileErrorsAreUserFacing(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "internal:") {
 		t.Errorf("user program error reported as internal: %q", err)
+	}
+}
+
+// A diagnostic prints its position once, before the message.
+func TestDiagnosticPositionPrintedOnce(t *testing.T) {
+	_, err := Compile(`Procedure f(G: Graph, s: Node, x: Node_Prop<Int>) {
+		Foreach (n: G.Nodes) {
+			Foreach (t: n.Nbrs) { s.x += t.x; }
+		}
+	}`, Options{})
+	want := `3:26: writing "s".x inside a neighbor loop requires message pulling, which Pregel cannot do`
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
 	}
 }
 

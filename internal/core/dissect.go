@@ -71,6 +71,31 @@ func scalarWrittenInInner(body *ast.Block, name string) bool {
 	return false
 }
 
+// usedAcrossSplit reports whether the scalar name, declared by
+// body.Stmts[i], is referenced at or after a pull loop that follows the
+// declaration: step 2 splits the loop there, which would leave the use
+// outside the declaration's loop.
+func usedAcrossSplit(body *ast.Block, i int, name, outerIter string) bool {
+	split, used := false, false
+	for _, s := range body.Stmts[i+1:] {
+		if il, ok := s.(*ast.Foreach); ok && il.Kind != ast.IterNodes && isPullLoop(il, outerIter) {
+			split = true
+		}
+		if split {
+			ast.WalkExprs(s, func(x ast.Expr) bool {
+				if id, ok := x.(*ast.Ident); ok && id.Name == name {
+					used = true
+				}
+				return !used
+			})
+		}
+		if used {
+			return true
+		}
+	}
+	return false
+}
+
 // isPullLoop reports whether the inner loop writes a property of the
 // outer iterator (message pulling).
 func isPullLoop(il *ast.Foreach, outerIter string) bool {
@@ -96,8 +121,8 @@ func (nz *normalizer) dissectLoop(f *ast.Foreach) []ast.Stmt {
 	f.Body = body
 	var hoisted []ast.Stmt
 
-	// Step 1: outer-body scalars written inside inner loops become
-	// temporary vertex properties.
+	// Step 1: outer-body scalars written inside inner loops, or used
+	// across a split step 2 makes, become temporary vertex properties.
 	changed := true
 	for changed {
 		changed = false
@@ -107,7 +132,7 @@ func (nz *normalizer) dissectLoop(f *ast.Foreach) []ast.Stmt {
 				continue
 			}
 			name := d.Names[0]
-			if len(d.Names) != 1 || !scalarWrittenInInner(body, name) {
+			if len(d.Names) != 1 || !scalarWrittenInInner(body, name) && !usedAcrossSplit(body, i, name, f.Iter) {
 				continue
 			}
 			tmp := nz.nm.fresh("_t")

@@ -193,9 +193,39 @@ func (nz *normalizer) lowerParReduces() {
 		if !ok || f.Kind != ast.IterNodes {
 			return true
 		}
+		if r := nestedReduce(asBlock(f.Body)); r != nil {
+			// Dissection splits the loop only at a statement of its body,
+			// so the accumulation loop must be one.
+			nz.fail("%s: a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed; assign it to a variable directly in the loop body", r.P)
+			return false
+		}
 		f.Body = nz.rewriteSeq(asBlock(f.Body), nz.reduceLeaf(f.Iter))
 		return false // handled this parallel subtree
 	})
+}
+
+// nestedReduce returns the first neighborhood reduction in a branch of
+// an If or in a nested block of the vertex-loop body b, or nil. A
+// reduction in an If's own condition does not count: reduceLeaf
+// extracts it before the If.
+func nestedReduce(b *ast.Block) *ast.Reduce {
+	var found *ast.Reduce
+	visit := func(x ast.Expr) bool {
+		if r, ok := x.(*ast.Reduce); ok && r.Domain != ast.IterNodes && found == nil {
+			found = r
+		}
+		return found == nil
+	}
+	for _, s := range b.Stmts {
+		switch s := s.(type) {
+		case *ast.If:
+			ast.WalkExprs(s.Then, visit)
+			ast.WalkExprs(s.Else, visit)
+		case *ast.Block:
+			ast.WalkExprs(s, visit)
+		}
+	}
+	return found
 }
 
 // reduceLeaf is the rewriteSeq leaf of both reduction passes: in

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/gm/parser"
+	"gmpregel/internal/graph"
+	"gmpregel/internal/machine"
+	"gmpregel/internal/pregel"
 )
 
 // canonicalOf runs the normalization pipeline only (no translation) and
@@ -115,6 +119,50 @@ func TestDissectionIntroducesTempProperty(t *testing.T) {
 		// init segment + tail segment; the middle is flipped so its
 		// outer iterator becomes t.
 		t.Errorf("expected 2 surviving n-loops after split+flip, got %d:\n%s", got, out)
+	}
+}
+
+// A scalar declared before a pull loop and used after it, or inside
+// it, spans the split dissection makes there, so it becomes a temporary
+// property like one the pull loop writes. Each program computes its b
+// from a over each vertex's in-neighbours at every worker count.
+func TestDissectionHoistsScalarUsedAcrossSplit(t *testing.T) {
+	g := graph.FromEdges(5, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}, {Src: 3, Dst: 1},
+		{Src: 1, Dst: 4}, {Src: 4, Dst: 0}, {Src: 4, Dst: 4}, {Src: 0, Dst: 2}, {Src: 0, Dst: 2}})
+	a := []int64{3, -5, 7, 11, 2}
+	for _, tc := range []struct {
+		name, body string
+		term       func(u, v int64) int64 // b[v] sums term(a[u], a[v]) over its in-neighbours u
+	}{
+		{"used after", `Int s = 0;
+			Int m;
+			Foreach (t: n.InNbrs) { s += t.a; }
+			m = s * 2;
+			n.b = m;`, func(u, _ int64) int64 { return 2 * u }},
+		{"read inside", `Int k = n.a + 1;
+			n.b = 0;
+			Foreach (t: n.InNbrs) { n.b += t.a * k; }`, func(u, v int64) int64 { return u * (v + 1) }},
+	} {
+		c := compileOK(t, `Procedure f(G: Graph, a: Node_Prop<Int>, b: Node_Prop<Int>) {
+			Foreach (n: G.Nodes) {
+				`+tc.body+`
+			}
+		}`, Options{})
+		want := make([]int64, g.NumNodes())
+		for v := range want {
+			for _, u := range g.InNbrs(graph.NodeID(v)) {
+				want[v] += tc.term(a[u], a[v])
+			}
+		}
+		for _, w := range []int{1, 2} {
+			res, err := machine.Run(c.Program, g, machine.Bindings{NodePropInt: map[string][]int64{"a": a}}, pregel.Config{NumWorkers: w})
+			if err != nil {
+				t.Fatalf("%s, W=%d: %v", tc.name, w, err)
+			}
+			if got, _ := res.NodePropInt("b"); !slices.Equal(got, want) {
+				t.Errorf("%s, W=%d: b = %v, want %v", tc.name, w, got, want)
+			}
+		}
 	}
 }
 

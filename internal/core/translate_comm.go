@@ -267,7 +267,7 @@ func (t *translator) recvAssign(out []ir.Stmt, a *ast.Assign, sctx *vctx, rctx *
 		}
 		tsym := t.info.Uses[tid]
 		if tsym != rctx.iterSym {
-			t.fail(a.P, "%s: writing %q.%s inside a neighbor loop requires message pulling, which Pregel cannot do", a.P, tid.Name, lhs.Prop)
+			t.fail(a.P, "writing %q.%s inside a neighbor loop requires message pulling, which Pregel cannot do", tid.Name, lhs.Prop)
 			return out
 		}
 		slot, psym := t.propSlotOf(lhs.Prop)

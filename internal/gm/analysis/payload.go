@@ -220,7 +220,7 @@ func (a *analyzer) emitPayload(pos token.Pos, sc *siteCtx, r *regionCtx) {
 	bytes := 0
 	for _, f := range sc.fields {
 		parts = append(parts, f.name+" ("+f.kind.String()+")")
-		bytes += f.kind.WireSize()
+		bytes += f.kind.AggKind().WireBytes()
 	}
 	a.add(CodePayload, SevInfo, pos,
 		"neighbor communication sends %d message field(s), ~%d payload byte(s): %s",

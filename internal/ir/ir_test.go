@@ -213,9 +213,13 @@ func TestRemapLocals(t *testing.T) {
 	}
 }
 
+// Each kind reaches the engine's wire-size table as GPS sizes its
+// message fields: long 8, double 8, boolean 1, vertex id 4.
 func TestKindWireSizes(t *testing.T) {
-	if KInt.WireSize() != 8 || KFloat.WireSize() != 8 || KBool.WireSize() != 1 || KNode.WireSize() != 4 {
-		t.Error("wire sizes wrong")
+	for k, want := range map[Kind]int{KInt: 8, KFloat: 8, KBool: 1, KNode: 4} {
+		if got := k.AggKind().WireBytes(); got != want {
+			t.Errorf("%v: %d wire bytes, want %d", k, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/graph"
+	"gmpregel/internal/pregel"
 )
 
 // Kind is the runtime kind of a value. The source kinds Int/Long collapse
@@ -46,17 +47,11 @@ func KindOfType(k ast.TypeKind) Kind {
 	}
 }
 
-// WireSize returns the serialized byte size of the kind (GPS message
-// field widths: long 8, double 8, boolean 1, vertex id 4).
-func (k Kind) WireSize() int {
-	switch k {
-	case KBool:
-		return 1
-	case KNode:
-		return 4
-	default:
-		return 8
-	}
+// AggKind maps the kind to the engine's: the kind of a message field,
+// fold, aggregator or global, whose WireBytes is its serialized size.
+func (k Kind) AggKind() pregel.AggKind {
+	return [...]pregel.AggKind{KInt: pregel.AggKindInt, KFloat: pregel.AggKindFloat,
+		KBool: pregel.AggKindBool, KNode: pregel.AggKindNode}[k]
 }
 
 // Value is a runtime value: I holds ints, bools (0/1), and node IDs;

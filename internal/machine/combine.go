@@ -85,10 +85,10 @@ func handlerReduction(p *Program, f ir.ForMsgs) ast.AssignOp {
 	return sp.Op
 }
 
-// foldFor maps a reduction over a field kind to the engine's delivery
-// fold, or nil when the engine has none for it.
-func foldFor(kind ir.Kind, op ast.AssignOp) *pregel.Fold {
-	var f pregel.Fold
+// foldFor maps a reduction over a field kind to the operator of the
+// engine's delivery fold, or nil when the engine has none for it.
+func foldFor(kind ir.Kind, op ast.AssignOp) *pregel.AggOp {
+	f := pregel.Fold{Kind: kind.AggKind()}
 	switch op {
 	case ast.OpAdd:
 		f.Op = pregel.AggSum
@@ -103,24 +103,14 @@ func foldFor(kind ir.Kind, op ast.AssignOp) *pregel.Fold {
 	default:
 		return nil
 	}
-	switch kind {
-	case ir.KFloat:
-		f.Kind = pregel.AggKindFloat
-	case ir.KBool:
-		f.Kind = pregel.AggKindBool
-	case ir.KNode:
-		f.Kind = pregel.AggKindNode
-	default:
-		f.Kind = pregel.AggKindInt
-	}
 	if !f.Valid() {
 		return nil
 	}
-	return &f
+	return &f.Op
 }
 
 // edgeAddProps returns, for each message type, the edge property slot
-// the engine adds to the type's broadcasts as Schema.EdgeAdd, or -1. A
+// the engine adds to the type's broadcasts as MessageType.EdgeAdd, or -1. A
 // type qualifies when it is folded over Int or Float and every
 // sendToNbrs of it matches edgeAddBase with the same property, which no
 // statement writes: the engine reads the column when it delivers, not

@@ -47,7 +47,9 @@ type unfolded struct{ *exec }
 
 func (u unfolded) Schema() pregel.Schema {
 	s := u.exec.Schema()
-	s.Folds = nil
+	for t := range s.Messages {
+		s.Messages[t].Fold = nil
+	}
 	return s
 }
 
@@ -96,8 +98,8 @@ func TestFoldMatchesHandler(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := reduceProgram(tc.kind, tc.op)
-		if f := p.Schema().Folds; len(f) != 1 || f[0] == nil || *f[0] != tc.fold {
-			t.Fatalf("%s: schema declares folds %v, want [%v]", tc.name, f, tc.fold)
+		if m := p.Schema().Messages; len(m) != 1 || m[0].Fold == nil || (pregel.Fold{Op: *m[0].Fold, Kind: m[0].Fields[0]}) != tc.fold {
+			t.Fatalf("%s: schema declares message types %+v, want one folding by %v", tc.name, m, tc.fold)
 		}
 		for _, w := range []int{1, 3} {
 			cfg := pregel.Config{NumWorkers: w, Seed: 1}
@@ -360,10 +362,10 @@ func TestEdgeAddLowering(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := ex.Schema()
-			if lowered := s.EdgeAdd != nil && s.EdgeAdd[0] != nil; lowered != tc.lower {
+			if lowered := s.Messages[0].EdgeAdd != nil; lowered != tc.lower {
 				t.Errorf("%s: lowered = %v, want %v", tc.name, lowered, tc.lower)
 			}
-			if tc.lower && !reflect.DeepEqual(s.EdgeAdd[0], ex.cols[2].i) {
+			if tc.lower && !reflect.DeepEqual(s.Messages[0].EdgeAdd, ex.cols[2].i) {
 				t.Errorf("%s: the schema's edge column is not the bound len", tc.name)
 			}
 			fast, err := ex.result(pregel.Run(g, ex, cfg))

@@ -46,8 +46,8 @@ func TestEdgeAddLoweringOnSSSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.EdgeAdd) != 1 || !reflect.DeepEqual(s.EdgeAdd[0], lens) {
-		t.Fatalf("the exec's schema declares edge columns %v, want len for its one message type", s.EdgeAdd)
+	if len(s.Messages) != 1 || !reflect.DeepEqual(s.Messages[0].EdgeAdd, lens) {
+		t.Fatalf("the exec's schema declares message types %+v, want len as the edge column of its one type", s.Messages)
 	}
 	traffic := func(st pregel.Stats) [4]int64 {
 		return [4]int64{st.MessagesSent, st.NetworkMsgs, st.NetworkBytes, st.LocalBytes}

@@ -51,15 +51,6 @@ type MsgSchema struct {
 	Fields []ir.Kind
 }
 
-// PayloadBytes is the wire size of the message payload.
-func (m MsgSchema) PayloadBytes() int {
-	n := 0
-	for _, f := range m.Fields {
-		n += f.WireSize()
-	}
-	return n
-}
-
 // TermKind is a master-block terminator kind.
 type TermKind int
 

@@ -237,48 +237,36 @@ func (ex *exec) Schema() pregel.Schema {
 		if slot < 0 {
 			continue
 		}
-		if s.EdgeAdd == nil {
-			s.EdgeAdd = make([]any, len(ex.p.Msgs))
-		}
 		if col := ex.cols[slot]; col.f != nil {
-			s.EdgeAdd[t] = col.f
+			s.Messages[t].EdgeAdd = col.f
 		} else {
-			s.EdgeAdd[t] = col.i
+			s.Messages[t].EdgeAdd = col.i
 		}
 	}
 	return s
 }
 
-// Schema declares the communication shape the engine runs p with: the
-// compiler's per-type message layouts (wire bytes, and one payload slot
-// per field, which fixes the engine's record width), a delivery fold for
-// every type whose handlers are pure reductions (combinableOps), the
-// aggregators and the broadcast globals. The edge columns of
-// Schema.EdgeAdd are bound data, so a run's exec adds them.
+// Schema declares the communication shape the engine runs p with: one
+// message type per compiled message, its fields in order (setField
+// writes field i to payload slot i) and, when every handler of the type
+// is a pure reduction (combinableOps), its delivery fold; the
+// aggregators; and the broadcast globals. The types' edge columns
+// (MessageType.EdgeAdd) are bound data, so a run's exec adds them.
 func (p *Program) Schema() pregel.Schema {
 	var s pregel.Schema
 	ops := combinableOps(p)
 	for i, m := range p.Msgs {
-		s.MessagePayloadBytes = append(s.MessagePayloadBytes, m.PayloadBytes())
-		// One payload slot per field: setField writes field i to slot i.
-		s.MessageSlots = append(s.MessageSlots, len(m.Fields))
-		if ops[i] >= 0 {
-			if s.Folds == nil {
-				s.Folds = make([]*pregel.Fold, len(p.Msgs))
-			}
-			s.Folds[i] = foldFor(m.Fields[0], ops[i])
+		t := pregel.MessageType{Fields: make([]pregel.AggKind, len(m.Fields))}
+		for f, k := range m.Fields {
+			t.Fields[f] = k.AggKind()
 		}
+		if ops[i] >= 0 {
+			t.Fold = foldFor(m.Fields[0], ops[i])
+		}
+		s.Messages = append(s.Messages, t)
 	}
 	for _, a := range p.Aggs {
-		spec := pregel.AggSpec{Name: a.Name}
-		switch a.Kind {
-		case ir.KFloat:
-			spec.Kind = pregel.AggKindFloat
-		case ir.KBool:
-			spec.Kind = pregel.AggKindBool
-		default:
-			spec.Kind = pregel.AggKindInt
-		}
+		spec := pregel.AggSpec{Name: a.Name, Kind: a.Kind.AggKind()}
 		switch a.Op {
 		case ast.OpAdd, ast.OpSub:
 			spec.Op = pregel.AggSum
@@ -299,7 +287,7 @@ func (p *Program) Schema() pregel.Schema {
 	// scalar i when a state reads it.
 	s.Globals = append(s.Globals, pregel.GlobalSpec{Name: "_state", Size: 4})
 	for _, sc := range p.Scalars {
-		s.Globals = append(s.Globals, pregel.GlobalSpec{Name: sc.Name, Size: sc.Kind.WireSize()})
+		s.Globals = append(s.Globals, pregel.GlobalSpec{Name: sc.Name, Size: sc.Kind.AggKind().WireBytes()})
 	}
 	return s
 }

@@ -35,8 +35,7 @@ type AvgTeen struct {
 // aggregators.
 func (j *AvgTeen) Schema() pregel.Schema {
 	return pregel.Schema{
-		MessagePayloadBytes: []int{0},
-		MessageSlots:        []int{0},
+		Messages: []pregel.MessageType{{}},
 		Aggregators: []pregel.AggSpec{
 			{Name: "S", Kind: pregel.AggKindInt, Op: pregel.AggSum},
 			{Name: "C", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -92,10 +91,9 @@ type PageRank struct {
 // delivery into its sum (the receive loop below adds it from zero), and
 // the diff aggregator.
 func (j *PageRank) Schema() pregel.Schema {
+	sum := pregel.AggSum
 	return pregel.Schema{
-		MessagePayloadBytes: []int{8},
-		MessageSlots:        []int{1},
-		Folds:               []*pregel.Fold{{Op: pregel.AggSum, Kind: pregel.AggKindFloat}},
+		Messages: []pregel.MessageType{{Fields: []pregel.AggKind{pregel.AggKindFloat}, Fold: &sum}},
 		Aggregators: []pregel.AggSpec{
 			{Name: "diff", Kind: pregel.AggKindFloat, Op: pregel.AggSum},
 		},
@@ -161,8 +159,7 @@ type Conductance struct {
 // and the three sum aggregators.
 func (j *Conductance) Schema() pregel.Schema {
 	return pregel.Schema{
-		MessagePayloadBytes: []int{4, 0},
-		MessageSlots:        []int{1, 0},
+		Messages: []pregel.MessageType{{Fields: []pregel.AggKind{pregel.AggKindNode}}, {}},
 		Aggregators: []pregel.AggSpec{
 			{Name: "Din", Kind: pregel.AggKindInt, Op: pregel.AggSum},
 			{Name: "Dout", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -254,12 +251,10 @@ type SSSP struct {
 // with the edge lengths as its edge column: a broadcast of dist reaches
 // the neighbour over edge e as dist + Len[e].
 func (j *SSSP) Schema() pregel.Schema {
-	return pregel.Schema{
-		MessagePayloadBytes: []int{8},
-		MessageSlots:        []int{1},
-		Folds:               []*pregel.Fold{{Op: pregel.AggMin, Kind: pregel.AggKindInt}},
-		EdgeAdd:             []any{j.Len},
-	}
+	relax := pregel.AggMin
+	return pregel.Schema{Messages: []pregel.MessageType{
+		{Fields: []pregel.AggKind{pregel.AggKindInt}, Fold: &relax, EdgeAdd: j.Len},
+	}}
 }
 
 // MasterCompute is empty: termination is by quiescence (all vertices
@@ -314,9 +309,9 @@ type Bipartite struct {
 // Message types: 0 propose (boy→girl), 1 accept (girl→boy),
 // 2 notify (boy→girl), each carrying the sender ID.
 func (j *Bipartite) Schema() pregel.Schema {
+	id := pregel.MessageType{Fields: []pregel.AggKind{pregel.AggKindNode}}
 	return pregel.Schema{
-		MessagePayloadBytes: []int{4, 4, 4},
-		MessageSlots:        []int{1, 1, 1},
+		Messages: []pregel.MessageType{id, id, id},
 		Aggregators: []pregel.AggSpec{
 			{Name: "progress", Kind: pregel.AggKindBool, Op: pregel.AggOr},
 			{Name: "count", Kind: pregel.AggKindInt, Op: pregel.AggSum},

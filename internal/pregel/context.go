@@ -188,7 +188,7 @@ func (vc *VertexContext) reject(m *Msg) {
 }
 
 // Send sends m to dst, delivered next superstep. m must fit the job's
-// Schema: a declared Type, and zeros beyond the type's MessageSlots.
+// Schema: a declared Type, and zeros beyond the type's fields.
 func (vc *VertexContext) Send(dst graph.NodeID, m Msg) {
 	m.Dst = dst
 	vc.deliver(m)

@@ -326,7 +326,7 @@ type orderAllJob struct {
 }
 
 func (j *orderAllJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+	return Schema{Messages: single(AggKindInt)}
 }
 func (j *orderAllJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() == 3 {

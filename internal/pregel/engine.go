@@ -68,23 +68,12 @@ type engine struct {
 
 	numWorkers int
 	div        fastDiv
-	msgSize    []int64 // full wire size per declared message type
-	// Record geometry (record.go): typeSlots is the declared slot count
-	// per message type, slots their maximum, stride = 1+slots the words
-	// per record in every message buffer. schemaErr is a malformed
-	// Schema.MessageSlots, reported by loop before any superstep runs.
-	typeSlots []uint8
-	slots     int
-	stride    int
+	// Message geometry and delivery folds (record.go, fold.go), resolved
+	// from Schema.Messages; schemaErr is a declaration the engine cannot
+	// honour, reported by loop before any superstep runs. foldEpoch
+	// stamps the fold slots routing fills.
+	layout
 	schemaErr error
-	// Delivery folds (fold.go): foldIdx maps a type to its index in
-	// folds/foldTypes/foldEdges (-1: none); foldEdges holds each folded
-	// type's Schema.EdgeAdd column; foldEpoch stamps the slots routing
-	// fills.
-	foldIdx   []int8
-	folds     []Fold
-	foldTypes []uint8
-	foldEdges []edgeCol
 	foldEpoch uint32
 	// Broadcast sends (fold.go): nbrs is the per-destination edge index
 	// a folded SendToAllNbrs bills and the fold expands its records by,
@@ -200,24 +189,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	e := &engine{g: g, job: job, cfg: cfg, schema: job.Schema()}
 	e.numWorkers = cfg.Workers(g.NumNodes())
 	e.div = newFastDiv(uint32(e.numWorkers))
-	// Wire size: 4-byte destination, a 1-byte type tag when the job
-	// declares more than one message type, then the schema payload.
-	baseSize := int64(4)
-	if len(e.schema.MessagePayloadBytes) > 1 {
-		baseSize++
-	}
-	e.msgSize = make([]int64, len(e.schema.MessagePayloadBytes))
-	for t, p := range e.schema.MessagePayloadBytes {
-		e.msgSize[t] = baseSize + int64(p)
-	}
-	e.typeSlots, e.slots, e.schemaErr = messageSlots(e.schema)
-	e.stride = 1 + e.slots
-	if e.schemaErr == nil {
-		e.foldIdx, e.folds, e.foldTypes, e.schemaErr = messageFolds(e.schema, e.typeSlots)
-	}
-	if e.schemaErr == nil {
-		e.foldEdges, e.schemaErr = foldEdgeCols(e.schema, e.foldIdx, e.folds, g.NumEdges())
-	}
+	e.layout, e.schemaErr = resolveLayout(e.schema.Messages, g.NumEdges())
 	e.foldEpoch = 1 // zeroed stamps are never present
 	e.mc = MasterContext{e: e}
 	e.globals = make([]uint64, len(e.schema.Globals))

@@ -97,7 +97,7 @@ type orderJob struct {
 }
 
 func (j *orderJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+	return Schema{Messages: single(AggKindInt)}
 }
 func (j *orderJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() == 2 {

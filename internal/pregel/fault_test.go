@@ -26,7 +26,7 @@ func runMinLabel(t *testing.T, g *graph.Directed, n int, cfg Config) ([]int64, S
 	return runMinLabelWidth(t, g, n, cfg, slotsExact)
 }
 
-// runMinLabelWidth is runMinLabel with the job's MessageSlots declared
+// runMinLabelWidth is runMinLabel with the job's message types declared
 // as width says: the same run at a different record width.
 func runMinLabelWidth(t *testing.T, g *graph.Directed, n int, cfg Config, width slotDecl) ([]int64, Stats) {
 	t.Helper()

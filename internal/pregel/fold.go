@@ -8,17 +8,19 @@ import (
 	"gmpregel/internal/graph"
 )
 
-// Fold declares a delivery fold for one message type: all messages of
-// the type sent to one vertex in a superstep reach it as one message
-// carrying the reduction of their payloads. The fold must be what the
-// receiving handler does message by message (`x op= payload`), which
-// then runs once on the folded payload. Sum, Min and Max take Int, Float
-// or Node (Node: Min and Max only, comparing ids as Msg.Node reads
-// them); Or and And take Int or Bool and fold to 0 or 1. A float Min or
-// Max never keeps a NaN over a number, as the handler's < never picks
-// one; a float Sum adds in the canonical delivery order (source worker,
-// chunk, emission), so a handler accumulating from ±0 gets the bits the
-// unfolded messages would give it. Stats bill every Send as before.
+// Fold is the delivery fold of a message type that declares one
+// (MessageType.Fold names Op; Kind is the type's one field): all
+// messages of the type sent to one vertex in a superstep reach it as one
+// message carrying the reduction of their payloads. The fold must be
+// what the receiving handler does message by message (`x op= payload`),
+// which then runs once on the folded payload. Sum, Min and Max take
+// Int, Float or Node (Node: Min and Max only, comparing ids as Msg.Node
+// reads them); Or and And take Int or Bool and fold to 0 or 1. A float
+// Min or Max never keeps a NaN over a number, as the handler's < never
+// picks one; a float Sum adds in the canonical delivery order (source
+// worker, chunk, emission), so a handler accumulating from ±0 gets the
+// bits the unfolded messages would give it. Stats bill every Send as
+// before.
 type Fold struct {
 	Op   AggOp
 	Kind AggKind
@@ -78,33 +80,6 @@ func (s *foldSlot) fold(f Fold, m uint64, epoch uint32) {
 		m = f.apply(s.val, m)
 	}
 	s.val, s.stamp = m, epoch
-}
-
-// messageFolds resolves Schema.Folds against the per-type slot counts:
-// idx maps each type to its position among the folded types (-1 when
-// not folded), and folds/types list the folded types in type order.
-func messageFolds(s Schema, typeSlots []uint8) (idx []int8, folds []Fold, types []uint8, err error) {
-	if s.Folds != nil && len(s.Folds) != len(typeSlots) {
-		return nil, nil, nil, fmt.Errorf("pregel: schema declares %d message types but %d Folds entries",
-			len(typeSlots), len(s.Folds))
-	}
-	idx = make([]int8, len(typeSlots))
-	for t := range idx {
-		idx[t] = -1
-		switch f := s.Folds; {
-		case f == nil || f[t] == nil:
-			continue
-		case typeSlots[t] != 1:
-			return nil, nil, nil, fmt.Errorf("pregel: schema declares a fold for message type %d, which has %d payload slots; a fold needs exactly 1",
-				t, typeSlots[t])
-		case !f[t].Valid():
-			return nil, nil, nil, fmt.Errorf("pregel: schema declares a %v fold over %v for message type %d, which the engine does not implement",
-				f[t].Op, f[t].Kind, t)
-		}
-		idx[t] = int8(len(folds))
-		folds, types = append(folds, *s.Folds[t]), append(types, uint8(t))
-	}
-	return idx, folds, types, nil
 }
 
 // apply folds payload word m into the accumulator acc.
@@ -220,11 +195,36 @@ func (wk *worker) foldRun(src graph.NodeID, fi int, m uint64, epoch uint32) {
 	}
 }
 
-// edgeCol is a folded type's Schema.EdgeAdd column, by kind; both nil
-// when the type declares none.
+// edgeCol is a folded type's MessageType.EdgeAdd column, by kind; both
+// nil when the type declares none.
 type edgeCol struct {
 	i []int64
 	f []float64
+}
+
+// newEdgeCol checks col, the EdgeAdd of message type t, folded over
+// kind, against a graph of numEdges edges (< 0: any length).
+func newEdgeCol(col any, kind AggKind, t int, numEdges int64) (c edgeCol, err error) {
+	n, colKind := 0, AggKindInt
+	switch col := col.(type) {
+	case nil:
+		return c, nil
+	case []int64:
+		c.i, n = col, len(col)
+	case []float64:
+		c.f, n, colKind = col, len(col), AggKindFloat
+	default:
+		return c, fmt.Errorf("pregel: schema declares a %T edge column for message type %d; want []int64 or []float64", col, t)
+	}
+	switch {
+	case kind != AggKindInt && kind != AggKindFloat:
+		return c, fmt.Errorf("pregel: schema declares an edge column for message type %d, whose fold is over %v; only int and float folds take one", t, kind)
+	case colKind != kind:
+		return c, fmt.Errorf("pregel: schema declares a %v edge column for message type %d, whose fold is over %v", colKind, t, kind)
+	case numEdges >= 0 && int64(n) != numEdges:
+		return c, fmt.Errorf("pregel: schema declares an edge column of %d values for message type %d; the graph has %d edges", n, t, numEdges)
+	}
+	return c, nil
 }
 
 // add returns payload m plus the column's value at out-edge e, in the
@@ -239,44 +239,6 @@ func (c *edgeCol) add(m uint64, e int64) uint64 {
 		return math.Float64bits(math.Float64frombits(m) + c.f[e])
 	}
 	return m
-}
-
-// foldEdgeCols resolves Schema.EdgeAdd against the folded types: cols[fi]
-// is the fi-th folded type's column. Any declaration the engine cannot
-// honour exactly is a schema error.
-func foldEdgeCols(s Schema, idx []int8, folds []Fold, numEdges int64) ([]edgeCol, error) {
-	cols := make([]edgeCol, len(folds))
-	if s.EdgeAdd != nil && len(s.EdgeAdd) != len(idx) {
-		return nil, fmt.Errorf("pregel: schema declares %d message types but %d EdgeAdd entries", len(idx), len(s.EdgeAdd))
-	}
-	for t, col := range s.EdgeAdd {
-		if col == nil {
-			continue
-		}
-		if idx[t] < 0 {
-			return nil, fmt.Errorf("pregel: schema declares an edge column for message type %d, which is not folded", t)
-		}
-		f, c := folds[idx[t]], &cols[idx[t]]
-		var n int
-		kind := AggKindInt
-		switch col := col.(type) {
-		case []int64:
-			c.i, n = col, len(col)
-		case []float64:
-			c.f, n, kind = col, len(col), AggKindFloat
-		default:
-			return nil, fmt.Errorf("pregel: schema declares a %T edge column for message type %d; want []int64 or []float64", col, t)
-		}
-		switch {
-		case f.Kind != AggKindInt && f.Kind != AggKindFloat:
-			return nil, fmt.Errorf("pregel: schema declares an edge column for message type %d, whose fold is over %v; only int and float folds take one", t, f.Kind)
-		case kind != f.Kind:
-			return nil, fmt.Errorf("pregel: schema declares a %v edge column for message type %d, whose fold is over %v", kind, t, f.Kind)
-		case int64(n) != numEdges:
-			return nil, fmt.Errorf("pregel: schema declares an edge column of %d values for message type %d; the graph has %d edges", n, t, numEdges)
-		}
-	}
-	return cols, nil
 }
 
 // nbrIndex is the per-destination edge index broadcast records expand

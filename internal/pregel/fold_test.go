@@ -21,11 +21,11 @@ import (
 // out-neighbours and also sent point to point, some of the sums on
 // either side of the broadcast. Every vertex votes to halt each
 // superstep, so only delivered messages — folded ones included — bring
-// it back. folds is the schema's Folds; with it nil the same handlers
-// see every message one by one. perEdge replaces every SendToAllNbrs
+// it back. folds is each type's MessageType.Fold; with it nil the same
+// handlers see every message one by one. perEdge replaces every SendToAllNbrs
 // with a loop of Send over the out-neighbours. flen and ilen, when set,
 // are edge columns for types 0 and 1: a broadcast of the type declares
-// its column (Schema.EdgeAdd), and its per-edge twin sends the payload
+// its column (MessageType.EdgeAdd), and its per-edge twin sends the payload
 // plus the edge's value. dense replaces the sending: every vertex with
 // an out-edge broadcasts both foldable types every superstep, nothing
 // else is sent and nothing halts, so the engine may pull the folded
@@ -34,7 +34,7 @@ import (
 // pulls is the engine's count of pulled (superstep, type) pairs after a
 // run, and a dense job's master records it at every superstep in trace.
 type foldJob struct {
-	folds   []*Fold
+	folds   []*AggOp
 	perEdge bool
 	flen    []float64
 	ilen    []int64
@@ -64,11 +64,15 @@ const (
 	spoilAgain           // it follows each broadcast with one of another payload
 )
 
+// sumFold folds foldJob's float type 0, minFold its int type 1.
 var (
-	sumFold   = &Fold{Op: AggSum, Kind: AggKindFloat}
-	minFold   = &Fold{Op: AggMin, Kind: AggKindInt}
-	bothFolds = []*Fold{sumFold, minFold, nil}
+	sumFold   = foldOp(AggSum)
+	minFold   = foldOp(AggMin)
+	bothFolds = []*AggOp{sumFold, minFold, nil}
 )
+
+// foldOp is a MessageType.Fold of op.
+func foldOp(op AggOp) *AggOp { return &op }
 
 // newFoldJob returns a foldJob that folds both foldable types, or none.
 func newFoldJob(n, steps int, fold bool) *foldJob {
@@ -83,15 +87,19 @@ func newFoldJob(n, steps int, fold bool) *foldJob {
 func (j *foldJob) outputs() any { return [4]any{j.rank, j.label, j.isum, j.bad} }
 
 func (j *foldJob) Schema() Schema {
-	s := Schema{MessagePayloadBytes: []int{8, 8, 12}, MessageSlots: []int{1, 1, 2}, Folds: j.folds}
-	if !j.perEdge && (j.flen != nil || j.ilen != nil) {
-		s.EdgeAdd = make([]any, 3)
-		if j.flen != nil {
-			s.EdgeAdd[0] = j.flen
-		}
-		if j.ilen != nil {
-			s.EdgeAdd[1] = j.ilen
-		}
+	s := Schema{Messages: []MessageType{
+		{Fields: []AggKind{AggKindFloat}},
+		{Fields: []AggKind{AggKindInt}},
+		{Fields: []AggKind{AggKindNode, AggKindInt}},
+	}}
+	for t, f := range j.folds {
+		s.Messages[t].Fold = f
+	}
+	if !j.perEdge && j.flen != nil {
+		s.Messages[0].EdgeAdd = j.flen
+	}
+	if !j.perEdge && j.ilen != nil {
+		s.Messages[1].EdgeAdd = j.ilen
 	}
 	return s
 }
@@ -270,15 +278,15 @@ func TestFoldDeliveryMatchesHandlerAcrossLattice(t *testing.T) {
 	g := gen.TwitterLike(n, 5, 13)
 	variants := []struct {
 		name  string
-		folds []*Fold
+		folds []*AggOp
 	}{
 		{"both", bothFolds},
-		{"sum", []*Fold{sumFold, nil, nil}},
-		{"min", []*Fold{nil, minFold, nil}},
+		{"sum", []*AggOp{sumFold, nil, nil}},
+		{"min", []*AggOp{nil, minFold, nil}},
 	}
 	for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true}) {
 		for _, cfg := range group {
-			run := func(folds []*Fold, perEdge bool) (*foldJob, Stats) {
+			run := func(folds []*AggOp, perEdge bool) (*foldJob, Stats) {
 				j := newFoldJob(n, 8, false)
 				j.folds, j.perEdge = folds, perEdge
 				st, err := Run(g, j, cfg)
@@ -351,7 +359,7 @@ func inSkewedGraph(n int) *graph.Directed {
 // runFoldTwin runs foldJob with folds, broadcasting or per edge, dense
 // or not, spoiled at g's first sender, and reports whether the engine
 // fetched its broadcast index.
-func runFoldTwin(t *testing.T, g *graph.Directed, folds []*Fold, perEdge, dense bool, spoil spoilKind, cfg Config) (*foldJob, Stats, bool) {
+func runFoldTwin(t *testing.T, g *graph.Directed, folds []*AggOp, perEdge, dense bool, spoil spoilKind, cfg Config) (*foldJob, Stats, bool) {
 	j := newFoldJob(g.NumNodes(), 8, false)
 	j.folds, j.perEdge, j.dense, j.spoil, j.spoilV = folds, perEdge, dense, spoil, firstSender(g)
 	st, built := runFoldJob(t, g, j, cfg)
@@ -382,7 +390,7 @@ func runFoldJob(t *testing.T, g *graph.Directed, j *foldJob, cfg Config) (Stats,
 }
 
 // foldedOf counts the foldable types (0 and 1) folds folds.
-func foldedOf(folds []*Fold) int64 {
+func foldedOf(folds []*AggOp) int64 {
 	return int64(btoi(folds[0] != nil) + btoi(folds[1] != nil))
 }
 
@@ -429,15 +437,15 @@ func TestFoldBroadcastMatchesPerEdgeAcrossLattice(t *testing.T) {
 	}
 	variants := []struct {
 		name  string
-		folds []*Fold
+		folds []*AggOp
 		spoil spoilKind
 	}{
 		{"both", bothFolds, spoilNone},
-		{"sum", []*Fold{sumFold, nil, nil}, spoilNone},
-		{"min", []*Fold{nil, minFold, nil}, spoilNone},
+		{"sum", []*AggOp{sumFold, nil, nil}, spoilNone},
+		{"min", []*AggOp{nil, minFold, nil}, spoilNone},
 		{"both/again", bothFolds, spoilAgain},
 	}
-	check := func(name string, g *graph.Directed, folds []*Fold, dense bool, spoil spoilKind, cfg Config) {
+	check := func(name string, g *graph.Directed, folds []*AggOp, dense bool, spoil spoilKind, cfg Config) {
 		perEdge, pst, built := runFoldTwin(t, g, folds, true, dense, spoil, cfg)
 		if pst.Recoveries != len(cfg.Faults) {
 			t.Errorf("%s: %d recoveries, want %d", name, pst.Recoveries, len(cfg.Faults))
@@ -693,36 +701,30 @@ func TestPullRuleDenseOnly(t *testing.T) {
 // An edge column the engine cannot add exactly is refused before
 // superstep 0 with a schema diagnostic naming the message type: one on
 // an unfolded type, one whose length is not the graph's edge count, one
-// whose kind is not its fold's, one on a Node or Bool fold, one of a
-// type the engine does not read, and a list of the wrong length.
+// whose kind is not its fold's, one on a Node or Bool fold, and one of a
+// type the engine does not read.
 func TestFoldEdgeAddSchemaFailsClosed(t *testing.T) {
 	g := gen.Ring(6)
 	ints, floats := make([]int64, g.NumEdges()), make([]float64, g.NumEdges())
-	one := []int{8}
-	fold := func(op AggOp, kind AggKind) []*Fold { return []*Fold{{Op: op, Kind: kind}} }
+	// folded declares one type of kind, folded by op, with column col.
+	folded := func(kind AggKind, op AggOp, col any) MessageType {
+		return MessageType{Fields: []AggKind{kind}, Fold: &op, EdgeAdd: col}
+	}
+	one := func(m MessageType) Schema { return Schema{Messages: []MessageType{m}} }
 	for _, tc := range []struct {
 		name   string
 		schema Schema
 		text   string // besides "schema declares"
 	}{
-		{"unfolded type", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1, 1},
-			Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}, nil}, EdgeAdd: []any{nil, ints}}, "type 1, which is not folded"},
-		{"short column", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
-			Folds: fold(AggMin, AggKindInt), EdgeAdd: []any{ints[1:]}}, "graph has 6 edges"},
-		{"long column", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
-			Folds: fold(AggSum, AggKindFloat), EdgeAdd: []any{append(floats, 1)}}, "graph has 6 edges"},
-		{"int column on a float fold", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
-			Folds: fold(AggSum, AggKindFloat), EdgeAdd: []any{ints}}, "int edge column for message type 0"},
-		{"float column on an int fold", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
-			Folds: fold(AggMin, AggKindInt), EdgeAdd: []any{floats}}, "float edge column for message type 0"},
-		{"node fold", Schema{MessagePayloadBytes: []int{4}, MessageSlots: []int{1},
-			Folds: fold(AggMin, AggKindNode), EdgeAdd: []any{ints}}, "over node"},
-		{"bool fold", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
-			Folds: fold(AggOr, AggKindBool), EdgeAdd: []any{ints}}, "over bool"},
-		{"unsupported column type", Schema{MessagePayloadBytes: one, MessageSlots: []int{1},
-			Folds: fold(AggMin, AggKindInt), EdgeAdd: []any{make([]int32, g.NumEdges())}}, "[]int32"},
-		{"fewer entries than types", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1, 1},
-			Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}, nil}, EdgeAdd: []any{ints}}, "EdgeAdd entries"},
+		{"unfolded type", Schema{Messages: []MessageType{folded(AggKindInt, AggMin, nil),
+			{Fields: []AggKind{AggKindInt}, EdgeAdd: ints}}}, "type 1, which is not folded"},
+		{"short column", one(folded(AggKindInt, AggMin, ints[1:])), "graph has 6 edges"},
+		{"long column", one(folded(AggKindFloat, AggSum, append(floats, 1))), "graph has 6 edges"},
+		{"int column on a float fold", one(folded(AggKindFloat, AggSum, ints)), "int edge column for message type 0"},
+		{"float column on an int fold", one(folded(AggKindInt, AggMin, floats)), "float edge column for message type 0"},
+		{"node fold", one(folded(AggKindNode, AggMin, ints)), "over node"},
+		{"bool fold", one(folded(AggKindBool, AggOr, ints)), "over bool"},
+		{"unsupported column type", one(folded(AggKindInt, AggMin, make([]int32, g.NumEdges()))), "[]int32"},
 	} {
 		j := &sendJob{schema: tc.schema, build: func(graph.NodeID) Msg { return Msg{} }, toNbrs: true}
 		st, err := Run(g, j, Config{NumWorkers: 2})
@@ -745,7 +747,7 @@ type foldBitsJob struct {
 }
 
 func (j *foldBitsJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}, Folds: []*Fold{&j.fold}}
+	return Schema{Messages: []MessageType{{Fields: []AggKind{j.fold.Kind}, Fold: &j.fold.Op}}}
 }
 
 func (j *foldBitsJob) MasterCompute(mc *MasterContext) {}

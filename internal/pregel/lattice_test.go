@@ -2,9 +2,11 @@ package pregel
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gmpregel/internal/graph"
@@ -90,38 +92,83 @@ func TestScheduleLatticeCoversConfig(t *testing.T) {
 
 // ---- The width axis ----
 //
-// The engine's record width comes from Schema.MessageSlots, which is a
-// declaration about the job, not a Config field: the lattice above
-// cannot enumerate it, so it is enumerated here, once. A job declares
-// its slots exactly (the narrowest record), over-declares them
-// (MaxPayloadSlots for every type) or leaves them nil (the same width by
-// default), and nothing observable may depend on which.
+// The engine's record width comes from Schema.Messages — the most fields
+// any declared type has — which is a declaration about the job, not a
+// Config field: the lattice above cannot enumerate it, so it is
+// enumerated here, once. A job declares its own message types (the
+// narrowest record) or widens them with a four-field type it never
+// sends (40-byte records), and nothing observable may depend on which,
+// except the wire's type tag: a one-type job that gains a second type
+// bills one byte more per message (tagged).
 type slotDecl int
 
 const (
 	slotsExact slotDecl = iota
-	slotsOver
-	slotsNil
+	slotsWidened
 )
 
 func (d slotDecl) String() string {
-	return [...]string{"exact", "over", "nil"}[d]
+	return [...]string{"exact", "widened"}[d]
 }
 
-// declare returns the MessageSlots a job whose types really use exact
-// slots declares under d.
-func (d slotDecl) declare(exact ...int) []int {
-	switch d {
-	case slotsOver:
-		over := make([]int, len(exact))
-		for t := range over {
-			over[t] = MaxPayloadSlots
-		}
-		return over
-	case slotsNil:
+// declare returns the message types a job with types declares under d.
+func (d slotDecl) declare(types ...MessageType) []MessageType {
+	if d == slotsWidened {
+		types = append(types, MessageType{Fields: []AggKind{AggKindInt, AggKindFloat, AggKindBool, AggKindNode}})
+	}
+	return types
+}
+
+// tagged returns the Stats of a one-type job's run once widened: the
+// second type puts a 1-byte type tag on the wire, one byte more on every
+// message, network and local, in every step.
+func tagged(st Stats) Stats {
+	st.NetworkBytes += st.NetworkMsgs
+	st.LocalBytes += st.MessagesSent - st.NetworkMsgs
+	st.Steps = slices.Clone(st.Steps)
+	for i := range st.Steps {
+		s := &st.Steps[i]
+		s.NetworkBytes += s.NetworkMsgs
+		s.LocalBytes += s.Messages - s.NetworkMsgs
+	}
+	return st
+}
+
+// taggedFrame returns checkpoint frame with its byte counters patched as
+// tagged patches Stats, and its checksum recomputed.
+func taggedFrame(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	if frame == nil {
 		return nil
 	}
-	return exact
+	b := slices.Clone(frame)
+	add := func(off int, d int64) {
+		binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+uint64(d))
+	}
+	r := &stateDec{b: b, off: frameHeaderBytes}
+	r.take(3 + 3*8)            // halted and Returned* flags, Returned*, master draws
+	r.take(8*int(r.u32()) + 8) // globals, globalBytes
+	r.take(17 * int(r.u32()))  // aggregator cells
+	r.take(8)                  // Supersteps
+	sent, net := r.i64(), r.i64()
+	add(r.off, net)          // NetworkBytes
+	add(r.off+8, sent-net)   // LocalBytes
+	r.take(4 * 8)            // NetworkBytes, LocalBytes, ControlBytes, VertexCalls
+	for range int(r.u32()) { // Steps
+		at := r.off
+		msgs := r.i64()
+		r.take(2 * 8)
+		net := r.i64()
+		add(at+8, net)       // NetworkBytes
+		add(at+32, msgs-net) // LocalBytes
+		r.take(2 * 8)
+	}
+	if r.bad {
+		t.Fatal("taggedFrame: truncated frame")
+	}
+	end := len(b) - frameTrailerBytes
+	binary.LittleEndian.PutUint64(b[end:], fnv64a(b[frameHeaderBytes:end]))
+	return b
 }
 
 // wideJob is the width axis's second subject, everything minLabelJob is
@@ -140,7 +187,9 @@ func newWideJob(n int, width slotDecl) *wideJob {
 }
 
 func (j *wideJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{12, 8}, MessageSlots: j.width.declare(2, 1)}
+	return Schema{Messages: j.width.declare(
+		MessageType{Fields: []AggKind{AggKindNode, AggKindFloat}},
+		MessageType{Fields: []AggKind{AggKindInt}})}
 }
 
 func (j *wideJob) MasterCompute(mc *MasterContext) {
@@ -190,25 +239,27 @@ func runForWidth(t *testing.T, g *graph.Directed, job Job, out any, cfg Config) 
 }
 
 // Record width is invisible: at every point of the schedule lattice a
-// job run with its slots declared exactly, over-declared and undeclared
-// produces identical Stats (per-step trace included), identical outputs
-// and byte-identical checkpoint frames. The frames are also pinned to
-// the bytes the 40-byte-Msg engine wrote for the same runs, under codec
-// v5: the slots a record does not carry are written as zeros, and v6
-// writes the v5 payload for these jobs, which declare no folds, so only
-// the version byte differs.
+// job run with its own message types and widened by an unsent
+// four-field type produces identical outputs and, but for the type tag
+// a one-type job gains (tagged), identical Stats (per-step trace
+// included) and byte-identical checkpoint frames. The frames are also
+// pinned to the bytes the 40-byte-Msg engine wrote for the same runs,
+// under codec v5: the slots a record does not carry are written as
+// zeros, and v6 writes the v5 payload for these jobs, which declare no
+// folds, so only the version byte differs.
 func TestRecordWidthInvisibleAcrossLattice(t *testing.T) {
 	const n = 53
 	g := gen.TwitterLike(n, 5, 13)
 	subjects := []struct {
-		name string
-		run  func(cfg Config, d slotDecl) widthRun
+		name    string
+		oneType bool
+		run     func(cfg Config, d slotDecl) widthRun
 	}{
-		{"minlabel", func(cfg Config, d slotDecl) widthRun {
+		{"minlabel", true, func(cfg Config, d slotDecl) widthRun {
 			j := &minLabelJob{label: make([]int64, n), width: d}
 			return runForWidth(t, g, j, j.label, cfg)
 		}},
-		{"wide", func(cfg Config, d slotDecl) widthRun {
+		{"wide", false, func(cfg Config, d slotDecl) widthRun {
 			j := newWideJob(n, d)
 			return runForWidth(t, g, j, [2]any{j.fsum, j.isum}, cfg)
 		}},
@@ -217,12 +268,14 @@ func TestRecordWidthInvisibleAcrossLattice(t *testing.T) {
 		for _, group := range scheduleGroups(Config{Seed: 21, TraceSteps: true, CheckpointEvery: 2}) {
 			for _, cfg := range group {
 				ref := sub.run(cfg, slotsExact)
-				for _, d := range []slotDecl{slotsOver, slotsNil} {
-					got := sub.run(cfg, d)
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("%s %s: slots=%v differs from slots=exact:\n%+v\n%+v",
-							sub.name, scheduleName(cfg), d, got.stats, ref.stats)
-					}
+				want := ref
+				if sub.oneType {
+					want = widthRun{stats: tagged(ref.stats), out: ref.out,
+						prev: taggedFrame(t, ref.prev), last: taggedFrame(t, ref.last)}
+				}
+				if got := sub.run(cfg, slotsWidened); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: slots=%v differs from slots=exact:\n%+v\n%+v",
+						sub.name, scheduleName(cfg), slotsWidened, got.stats, want.stats)
 				}
 				if want, ok := parentFrames[sub.name+"/"+scheduleName(group[0])]; ok {
 					asV5 := func(frame []byte) []byte { return append([]byte{5}, frame[1:]...) }

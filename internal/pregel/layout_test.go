@@ -57,7 +57,7 @@ func disjointBlocks(t *testing.T, name string, groups [][]written) {
 type layoutJob struct{}
 
 func (layoutJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}, Folds: []*Fold{sumFold},
+	return Schema{Messages: []MessageType{{Fields: []AggKind{AggKindFloat}, Fold: sumFold}},
 		Aggregators: []AggSpec{{Name: "delta", Kind: AggKindFloat, Op: AggSum}}}
 }
 func (layoutJob) MasterCompute(*MasterContext)    {}

@@ -37,11 +37,11 @@ func newPerfRankJob(n, steps int) *perfRankJob {
 }
 
 func (j *perfRankJob) Schema() Schema {
-	s := Schema{MessagePayloadBytes: []int{8}, MessageSlots: j.width.declare(1)}
+	rank := MessageType{Fields: []AggKind{AggKindFloat}}
 	if j.fold {
-		s.Folds = []*Fold{{Op: AggSum, Kind: AggKindFloat}}
+		rank.Fold = sumFold
 	}
-	return s
+	return Schema{Messages: j.width.declare(rank)}
 }
 
 func (j *perfRankJob) MasterCompute(mc *MasterContext) {
@@ -92,8 +92,7 @@ func newPerfSSSPJob(g *graph.Directed) *perfSSSPJob {
 }
 
 func (j *perfSSSPJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1},
-		Folds: []*Fold{{Op: AggMin, Kind: AggKindInt}}, EdgeAdd: []any{j.len}}
+	return Schema{Messages: []MessageType{{Fields: []AggKind{AggKindInt}, Fold: minFold, EdgeAdd: j.len}}}
 }
 
 func (j *perfSSSPJob) MasterCompute(mc *MasterContext) {}

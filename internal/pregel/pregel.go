@@ -114,18 +114,25 @@ const (
 	AggAny
 )
 
-// AggKind is the value domain of an aggregator.
+// AggKind is the value domain of an aggregator or of a message field.
 type AggKind uint8
 
-// Aggregator value kinds; node IDs aggregate as AggKindInt. AggKindNode
-// is a node id as Msg.SetNode stores it (the low 32 bits of the word):
-// only delivery folds tell it apart, an aggregator treats it as Int.
+// Value kinds; node IDs aggregate as AggKindInt. AggKindNode is a node
+// id as Msg.SetNode stores it (the low 32 bits of the word): only
+// delivery folds tell it apart, an aggregator treats it as Int.
 const (
 	AggKindInt AggKind = iota
 	AggKindFloat
 	AggKindBool
 	AggKindNode
 )
+
+// wireBytes is the serialized size of each kind, as GPS sizes message
+// fields and globals: long 8, double 8, boolean 1, vertex id 4.
+var wireBytes = [...]int{AggKindInt: 8, AggKindFloat: 8, AggKindBool: 1, AggKindNode: 4}
+
+// WireBytes returns the serialized size of a value of kind k.
+func (k AggKind) WireBytes() int { return wireBytes[k] }
 
 // AggSpec declares one aggregator slot.
 type AggSpec struct {
@@ -141,40 +148,39 @@ type GlobalSpec struct {
 	Size int
 }
 
+// MessageType declares one message type: the kinds of its fields,
+// which Msg carries in payload slots 0..len(Fields)-1, one slot per
+// field whatever its kind. The fields fix the type's wire size (a
+// 4-byte destination, a 1-byte type tag when the job declares more
+// than one type, then WireBytes of each field) and the widest type
+// fixes the engine's message record for the run, 8*(1+fields) bytes,
+// so a one-field message costs 16 bytes to move. A message with a
+// non-zero value in a slot past its type's fields aborts the run with
+// a *SchemaError.
+type MessageType struct {
+	Fields []AggKind
+	// Fold optionally folds the type at delivery with this operator
+	// over its one field (see Fold); nil folds nothing.
+	Fold *AggOp
+	// EdgeAdd optionally declares an out-edge column — a []int64 or
+	// []float64 of NumEdges values indexed by out-edge position, like an
+	// edge property — that SendToAllNbrs of the type adds to the payload
+	// on each edge: the neighbour over edge e is delivered payload +
+	// col[e], exactly as a Send of that sum per edge would deliver it,
+	// and billed the same. Only a type folded over an Int or Float field
+	// may declare one, of the field's kind; Send is unaffected. The
+	// engine reads the column when it delivers, so the job must not
+	// write it during a run.
+	EdgeAdd any
+}
+
 // Schema declares a job's communication shape.
 type Schema struct {
-	// MessagePayloadBytes gives the wire payload size of each message
-	// type, indexed by Msg.Type. A nil/empty slice means the job sends no
-	// messages.
-	MessagePayloadBytes []int
-	// MessageSlots gives, per message type, how many of a Msg's payload
-	// slots the type uses (slots 0..n-1; one slot per field, whatever the
-	// field's wire size — two Node fields are 8 payload bytes but two
-	// slots). The largest entry fixes the width of the engine's internal
-	// message record for the run, 8*(1+max) bytes, so declaring it is what
-	// makes a one-field message cost 16 bytes to move instead of 40. A
-	// message with a non-zero value in a slot its type does not declare
-	// aborts the run with a *SchemaError. Nil means every type may use all
-	// MaxPayloadSlots; otherwise it must have one entry per type.
-	MessageSlots []int
-	Aggregators  []AggSpec
-	Globals      []GlobalSpec
-	// Folds optionally declares a delivery fold per message type (see
-	// Fold; nil entries fold nothing). Nil means no type is folded;
-	// otherwise it must have one entry per type, and a folded type must
-	// declare exactly one MessageSlots slot.
-	Folds []*Fold
-	// EdgeAdd optionally declares, per message type, an out-edge column
-	// — a []int64 or []float64 of NumEdges values indexed by out-edge
-	// position, like an edge property — that SendToAllNbrs of the type
-	// adds to the payload on each edge: the neighbour over edge e is
-	// delivered payload + col[e], exactly as a Send of that sum per edge
-	// would deliver it, and billed the same. Only an Int or Float folded
-	// type may declare one, of its fold's kind; Send is unaffected. The
-	// engine reads the column when it delivers, so the job must not
-	// write it during a run. Nil means no type does; otherwise it must
-	// have one entry per type.
-	EdgeAdd []any
+	// Messages declares each message type, indexed by Msg.Type; empty
+	// means the job sends no messages.
+	Messages    []MessageType
+	Aggregators []AggSpec
+	Globals     []GlobalSpec
 }
 
 // Job is a Pregel program: the pair of compute functions plus the

@@ -18,13 +18,16 @@ import (
 // flooding with voteToHalt — a classic single-kernel Pregel program.
 type minLabelJob struct {
 	label []int64
-	width slotDecl   // how MessageSlots is declared; the zero value is exact (16-byte records)
+	width slotDecl   // how its message types are declared; the zero value is exact (16-byte records)
 	mu    sync.Mutex // labels are per-vertex partitioned; no lock needed, kept for -race confidence on test-only reads
 }
 
 func (j *minLabelJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: j.width.declare(1)}
+	return Schema{Messages: j.width.declare(MessageType{Fields: []AggKind{AggKindInt}})}
 }
+
+// single declares one unfolded message type of the given field kinds.
+func single(fields ...AggKind) []MessageType { return []MessageType{{Fields: fields}} }
 
 func (j *minLabelJob) MasterCompute(mc *MasterContext) {}
 
@@ -165,7 +168,7 @@ type delayJob struct {
 }
 
 func (j *delayJob) Schema() Schema {
-	return Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
+	return Schema{Messages: single(AggKindInt)}
 }
 func (j *delayJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() >= j.haltStep {
@@ -264,10 +267,9 @@ func TestAggregatorsAndGlobals(t *testing.T) {
 // network byte accounting is exactly computable.
 type byteJob struct{ n int }
 
-// byteJob leaves MessageSlots undeclared on purpose: its 12-byte payload
-// is not a whole number of slots, and one job should keep exercising the
-// nil default (every type may use all MaxPayloadSlots) end to end.
-func (j *byteJob) Schema() Schema { return Schema{MessagePayloadBytes: []int{12}} }
+// byteJob's 12-byte payload is two fields of different wire sizes, a
+// float and a node id.
+func (j *byteJob) Schema() Schema { return Schema{Messages: single(AggKindFloat, AggKindNode)} }
 func (j *byteJob) MasterCompute(mc *MasterContext) {
 	if mc.Superstep() == 2 {
 		mc.Halt()

@@ -22,10 +22,9 @@ import (
 // neighbours, its group of the sender's broadcast-index cut row
 // (fold.go).
 //
-// slots is fixed for a run: the largest slot count any message type of
-// the job's Schema declares (Schema.MessageSlots), so a one-float
-// PageRank message is 16 bytes wherever the engine moves it and a
-// schema that declares nothing runs the same code at stride 5. Msg is
+// slots is fixed for a run: the most fields any message type of the
+// job's Schema declares (layout), so a one-float PageRank message is 16
+// bytes wherever the engine moves it. Msg is
 // the job-facing view only: Send packs it into a record, runChunk
 // unpacks a vertex's fold slots and inbox window into executor scratch
 // for Messages().
@@ -107,47 +106,88 @@ func (wk *worker) schemaError(sender graph.NodeID, m *Msg) *SchemaError {
 	return &SchemaError{Vertex: sender, Type: m.Type, Slot: slot, Slots: declared}
 }
 
-// messageSlots resolves a schema's record geometry: the slot count of
-// each message type — the declared Schema.MessageSlots, or
-// MaxPayloadSlots for every type when the schema leaves it nil — and
-// their maximum, the payload words of the run's record.
-func messageSlots(s Schema) (perType []uint8, slots int, err error) {
-	types := len(s.MessagePayloadBytes)
-	if s.MessageSlots != nil && len(s.MessageSlots) != types {
-		return nil, 0, fmt.Errorf("pregel: schema declares %d message types but %d MessageSlots entries",
-			types, len(s.MessageSlots))
+// layout is a schema's message geometry, resolved once per run from
+// Schema.Messages: each type's full wire size and slot count, the
+// record's payload slots (their maximum) and stride = 1+slots, and the
+// folded types — foldIdx maps a type to its index in folds, foldTypes
+// and foldEdges (-1: not folded), which list them in type order with
+// each one's fold and edge column.
+type layout struct {
+	msgSize   []int64
+	typeSlots []uint8
+	slots     int
+	stride    int
+	foldIdx   []int8
+	folds     []Fold
+	foldTypes []uint8
+	foldEdges []edgeCol
+}
+
+// resolveLayout resolves msgs against a graph of numEdges edges (< 0:
+// do not check edge-column lengths). Any declaration the engine cannot
+// honour exactly is an error, reported before any superstep runs.
+func resolveLayout(msgs []MessageType, numEdges int64) (layout, error) {
+	l := layout{
+		msgSize:   make([]int64, len(msgs)),
+		typeSlots: make([]uint8, len(msgs)),
+		foldIdx:   make([]int8, len(msgs)),
 	}
-	perType = make([]uint8, types)
-	for t := range perType {
-		n := MaxPayloadSlots
-		if s.MessageSlots != nil {
-			n = s.MessageSlots[t]
-		}
-		if n < 0 || n > MaxPayloadSlots {
-			return nil, 0, fmt.Errorf("pregel: schema declares %d payload slots for message type %d, a Msg has %d",
+	base := int64(4) // destination id
+	if len(msgs) > 1 {
+		base++ // type tag
+	}
+	for t, m := range msgs {
+		n := len(m.Fields)
+		if n > MaxPayloadSlots {
+			return l, fmt.Errorf("pregel: schema declares %d fields for message type %d, a Msg has %d payload slots",
 				n, t, MaxPayloadSlots)
 		}
-		perType[t] = uint8(n)
-		slots = max(slots, n)
+		l.msgSize[t], l.typeSlots[t], l.foldIdx[t] = base, uint8(n), -1
+		l.slots = max(l.slots, n)
+		for _, k := range m.Fields {
+			if int(k) >= len(wireBytes) {
+				return l, fmt.Errorf("pregel: schema declares a field of unknown kind %v for message type %d", k, t)
+			}
+			l.msgSize[t] += int64(k.WireBytes())
+		}
+		if m.Fold == nil {
+			if m.EdgeAdd != nil {
+				return l, fmt.Errorf("pregel: schema declares an edge column for message type %d, which is not folded", t)
+			}
+			continue
+		}
+		if n != 1 {
+			return l, fmt.Errorf("pregel: schema declares a fold for message type %d, which has %d fields; a fold needs exactly 1", t, n)
+		}
+		f := Fold{Op: *m.Fold, Kind: m.Fields[0]}
+		if !f.Valid() {
+			return l, fmt.Errorf("pregel: schema declares a %v fold over %v for message type %d, which the engine does not implement",
+				f.Op, f.Kind, t)
+		}
+		col, err := newEdgeCol(m.EdgeAdd, f.Kind, t, numEdges)
+		if err != nil {
+			return l, err
+		}
+		l.foldIdx[t] = int8(len(l.folds))
+		l.folds, l.foldTypes, l.foldEdges = append(l.folds, f), append(l.foldTypes, uint8(t)), append(l.foldEdges, col)
 	}
-	return perType, slots, nil
+	l.stride = 1 + l.slots
+	return l, nil
 }
 
 // RecordBytes returns the size of the record the engine stores and moves
 // each message of a job with schema s in: 8 bytes of header plus 8 per
-// payload slot of the widest declared type. The error is the one a run
-// with s would be refused with.
+// field of the widest message type. The error is the one a run with s
+// would be refused with, bar an edge column's length, which depends on
+// the graph.
 func RecordBytes(s Schema) (int, error) {
-	perType, slots, err := messageSlots(s)
-	if err == nil {
-		_, _, _, err = messageFolds(s, perType)
-	}
-	return (1 + slots) * recWordBytes, err
+	l, err := resolveLayout(s.Messages, -1)
+	return (1 + l.slots) * recWordBytes, err
 }
 
 // SchemaError reports a message that does not fit the job's declared
 // Schema: a Type the schema has no entry for, or a non-zero value in a
-// payload slot beyond the type's declared MessageSlots. The engine
+// payload slot beyond the type's declared fields. The engine
 // aborts the run rather than bill or truncate such a message.
 type SchemaError struct {
 	Vertex graph.NodeID // the sender

@@ -109,10 +109,9 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 	typed := func(typ uint8) func(graph.NodeID) Msg {
 		return func(graph.NodeID) Msg { return Msg{Type: typ} }
 	}
-	oneType := Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
-	twoTypes := Schema{MessagePayloadBytes: []int{12, 8}, MessageSlots: []int{2, 1}}
-	folded := Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1},
-		Folds: []*Fold{{Op: AggSum, Kind: AggKindFloat}}}
+	oneType := Schema{Messages: single(AggKindInt)}
+	twoTypes := Schema{Messages: []MessageType{{Fields: []AggKind{AggKindInt, AggKindNode}}, {Fields: []AggKind{AggKindInt}}}}
+	folded := Schema{Messages: []MessageType{{Fields: []AggKind{AggKindFloat}, Fold: sumFold}}}
 	cases := []struct {
 		name   string
 		schema Schema
@@ -124,9 +123,8 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 	}{
 		{name: "conforming", schema: oneType, build: slot(0, 7)},
 		{name: "conforming wide type in a mixed schema", schema: twoTypes, build: slot(1, 7)},
-		{name: "undeclared slots accept every slot", schema: Schema{MessagePayloadBytes: []int{8}}, build: slot(3, 7)},
 		{name: "over-declared slots accept every slot",
-			schema: Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{MaxPayloadSlots}}, build: slot(3, 7)},
+			schema: Schema{Messages: single(AggKindInt, AggKindInt, AggKindInt, AggKindInt)}, build: slot(3, 7)},
 		{name: "type beyond the schema, Send", schema: oneType, build: typed(5),
 			want: &SchemaError{Type: 5, Slot: -1, Types: 1}, text: []string{"vertex 0 ", "type 5", "1 message type"}},
 		{name: "type beyond the schema, SendToAllNbrs", schema: twoTypes, build: typed(2), toNbrs: true,
@@ -141,7 +139,7 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 			build: func(graph.NodeID) Msg { return Msg{Type: 1, V: [MaxPayloadSlots]uint64{1, 2}} },
 			want:  &SchemaError{Type: 1, Slot: 1, Slots: 1}},
 		{name: "zero-slot type carrying a payload",
-			schema: Schema{MessagePayloadBytes: []int{0}, MessageSlots: []int{0}}, build: slot(0, 1),
+			schema: Schema{Messages: single()}, build: slot(0, 1),
 			want: &SchemaError{Type: 0, Slot: 0, Slots: 0}},
 		{name: "folded type", schema: folded, build: slot(0, 7), toNbrs: true, chunk: 2},
 		{name: "non-zero slot beyond a folded type", schema: folded, build: slot(1, 1), chunk: 2,
@@ -179,39 +177,31 @@ func TestSendSchemaViolationsFailClosed(t *testing.T) {
 	}
 }
 
-// A malformed MessageSlots or Folds declaration is refused before any
-// superstep, with a diagnostic that names the offending message type.
-func TestMalformedMessageSlotsRefused(t *testing.T) {
+// A message type the engine cannot honour — more fields than a Msg has
+// slots, a field of no kind, or a fold it does not implement — is
+// refused before any superstep, with a diagnostic that names the type.
+func TestMalformedMessageTypesRefused(t *testing.T) {
 	g := gen.Ring(4)
-	one := []int{1}
-	fold := func(op AggOp, kind AggKind) []*Fold { return []*Fold{{Op: op, Kind: kind}} }
+	fold := func(op AggOp, fields ...AggKind) []MessageType {
+		return []MessageType{{Fields: fields, Fold: &op}}
+	}
 	for _, tc := range []struct {
 		name   string
 		schema Schema
 		text   string // besides "schema declares"
 	}{
-		{"fewer entries than types", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: one}, ""},
-		{"entries without types", Schema{MessageSlots: one}, ""},
-		{"more slots than a Msg", Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{MaxPayloadSlots + 1}}, "type 0"},
-		{"negative slots", Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{-1}}, "type 0"},
-		{"fold on a two-slot type", Schema{MessagePayloadBytes: []int{8, 12}, MessageSlots: []int{1, 2},
-			Folds: []*Fold{nil, {Op: AggMin, Kind: AggKindInt}}}, "type 1"},
-		{"fold on an undeclared-width type", Schema{MessagePayloadBytes: []int{8},
-			Folds: fold(AggSum, AggKindInt)}, "type 0"},
-		{"fold on a zero-slot type", Schema{MessagePayloadBytes: []int{0}, MessageSlots: []int{0},
-			Folds: fold(AggSum, AggKindInt)}, "type 0"},
-		{"AggAny fold", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggAny, AggKindInt)}, "type 0"},
-		{"sum over bool", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggSum, AggKindBool)}, "type 0"},
-		{"min over bool", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggMin, AggKindBool)}, "type 0"},
-		{"max over bool", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggMax, AggKindBool)}, "type 0"},
-		{"or over float", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggOr, AggKindFloat)}, "type 0"},
-		{"and over float", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggAnd, AggKindFloat)}, "type 0"},
-		{"sum over node", Schema{MessagePayloadBytes: []int{4}, MessageSlots: one, Folds: fold(AggSum, AggKindNode)}, "type 0"},
-		{"unknown kind", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one, Folds: fold(AggMin, AggKindNode+1)}, "type 0"},
-		{"fewer fold entries than types", Schema{MessagePayloadBytes: []int{8, 8}, MessageSlots: []int{1, 1},
-			Folds: fold(AggSum, AggKindInt)}, "Folds entries"},
-		{"more fold entries than types", Schema{MessagePayloadBytes: []int{8}, MessageSlots: one,
-			Folds: []*Fold{nil, nil}}, "Folds entries"},
+		{"more fields than a Msg has slots", Schema{Messages: single(make([]AggKind, MaxPayloadSlots+1)...)}, "type 0"},
+		{"unknown field kind", Schema{Messages: []MessageType{{}, {Fields: []AggKind{AggKindNode + 1}}}}, "type 1"},
+		{"fold on a two-slot type", Schema{Messages: append(single(AggKindInt), fold(AggMin, AggKindInt, AggKindNode)...)}, "type 1"},
+		{"fold on a zero-slot type", Schema{Messages: fold(AggSum)}, "type 0"},
+		{"AggAny fold", Schema{Messages: fold(AggAny, AggKindInt)}, "type 0"},
+		{"sum over bool", Schema{Messages: fold(AggSum, AggKindBool)}, "type 0"},
+		{"min over bool", Schema{Messages: fold(AggMin, AggKindBool)}, "type 0"},
+		{"max over bool", Schema{Messages: fold(AggMax, AggKindBool)}, "type 0"},
+		{"or over float", Schema{Messages: fold(AggOr, AggKindFloat)}, "type 0"},
+		{"and over float", Schema{Messages: fold(AggAnd, AggKindFloat)}, "type 0"},
+		{"sum over node", Schema{Messages: fold(AggSum, AggKindNode)}, "type 0"},
+		{"unknown kind", Schema{Messages: fold(AggMin, AggKindNode+1)}, "type 0"},
 	} {
 		st, err := Run(g, &sendJob{schema: tc.schema, build: func(graph.NodeID) Msg { return Msg{} }}, Config{NumWorkers: 2})
 		if err == nil || !strings.Contains(err.Error(), "schema declares") || !strings.Contains(err.Error(), tc.text) {
@@ -226,21 +216,29 @@ func TestMalformedMessageSlotsRefused(t *testing.T) {
 	}
 }
 
+// The record is 8 bytes of header plus 8 per field of the widest type,
+// and a type's wire size is 4 bytes of destination, a tag byte when the
+// job has more than one type, and WireBytes of each field.
 func TestRecordBytes(t *testing.T) {
 	for _, tc := range []struct {
-		schema Schema
-		want   int
+		msgs    []MessageType
+		rec     int
+		msgSize []int64
 	}{
-		{Schema{}, 8},
-		{Schema{MessagePayloadBytes: []int{0}, MessageSlots: []int{0}}, 8},
-		{Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}, 16},
-		{Schema{MessagePayloadBytes: []int{4, 0}, MessageSlots: []int{1, 0}}, 16},
-		{Schema{MessagePayloadBytes: []int{12, 8}, MessageSlots: []int{2, 1}}, 24},
-		{Schema{MessagePayloadBytes: []int{8}}, 40},
-		{Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{MaxPayloadSlots}}, 40},
+		{nil, 8, []int64{}},
+		{single(), 8, []int64{4}},
+		{single(AggKindInt), 16, []int64{12}},
+		{single(AggKindBool), 16, []int64{5}},
+		{[]MessageType{{Fields: []AggKind{AggKindNode}}, {}}, 16, []int64{9, 5}},
+		{[]MessageType{{Fields: []AggKind{AggKindNode, AggKindFloat}}, {Fields: []AggKind{AggKindInt}}}, 24, []int64{17, 13}},
+		{single(AggKindInt, AggKindFloat, AggKindBool, AggKindNode), 40, []int64{25}},
 	} {
-		if got, err := RecordBytes(tc.schema); err != nil || got != tc.want {
-			t.Errorf("RecordBytes(%+v) = %d, %v; want %d", tc.schema, got, err, tc.want)
+		s := Schema{Messages: tc.msgs}
+		if got, err := RecordBytes(s); err != nil || got != tc.rec {
+			t.Errorf("RecordBytes(%+v) = %d, %v; want %d", s, got, err, tc.rec)
+		}
+		if l, err := resolveLayout(tc.msgs, 0); err != nil || !reflect.DeepEqual(l.msgSize, tc.msgSize) {
+			t.Errorf("%+v: wire sizes %v (%v), want %v", s, l.msgSize, err, tc.msgSize)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,10 +27,10 @@ import (
 // segment store instead of aborting (acceptance criterion: graceful
 // degradation before ErrBudgetExceeded).
 func TestGovernorSpillCompletesBitIdentical(t *testing.T) {
-	// Once at stride 2 (slots declared) and once at stride 5 (undeclared):
-	// the budgets are fractions of each width's own accounted peak, and
-	// the spilled windows come back through the same unpack either way.
-	for _, width := range []slotDecl{slotsExact, slotsNil} {
+	// Once at stride 2 (exact) and once at stride 5 (widened): the
+	// budgets are fractions of each width's own accounted peak, and the
+	// spilled windows come back through the same unpack either way.
+	for _, width := range []slotDecl{slotsExact, slotsWidened} {
 		t.Run("slots="+width.String(), func(t *testing.T) { testGovernorSpill(t, width) })
 	}
 }
@@ -170,7 +171,7 @@ func TestGovernorAccountsBroadcastIndex(t *testing.T) {
 // none. The first pull fetches the in-index, which adds nothing at one
 // worker, where it is the graph's own in-CSR, and at W>1 exactly its
 // offsets and sender positions, plus the out-edge column only for a job
-// that declares an edge column (Schema.EdgeAdd): every edge once, under
+// that declares an edge column (MessageType.EdgeAdd): every edge once, under
 // its destination's position, listed in (source worker, source local,
 // out-edge) order — on a random graph and on the in-skewed one, under
 // both partitioners.
@@ -215,10 +216,10 @@ func TestGovernorAccountsInIndexAndValueColumns(t *testing.T) {
 func checkInIndex(t *testing.T, g *graph.Directed, j Job, cfg Config) *inIndex {
 	t.Helper()
 	n := g.NumNodes()
-	edge := j.Schema().EdgeAdd != nil
-	name := fmt.Sprintf("%s/edge=%v", scheduleName(cfg), edge)
 	e := newEngine(g, j, cfg.withDefaults())
 	defer e.stop()
+	edge := slices.ContainsFunc(e.foldEdges, func(c edgeCol) bool { return c.i != nil || c.f != nil })
+	name := fmt.Sprintf("%s/edge=%v", scheduleName(cfg), edge)
 	e.runVertexPhase(0)
 	e.routeMessages()
 	ix := e.in
@@ -497,10 +498,10 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 		}
 		return j.outputs(), st
 	}
-	// The whole matrix runs at stride 2 (slots declared) and at stride 5
-	// (undeclared); the reference is the narrow fault-free run, so the
-	// wide faulty runs are also checked against the other width. The
-	// folded job runs it once more.
+	// The whole matrix runs at stride 2 (exact) and at stride 5
+	// (widened); the reference is the narrow fault-free run, so the wide
+	// faulty runs are also checked against the other width, bar the type
+	// tag widening adds (tagged). The folded job runs it once more.
 	for _, group := range scheduleGroups(Config{Seed: 3}) {
 		labels, st := runMinLabel(t, g, n, group[0])
 		foldOut, foldSt := runFolded(group[0])
@@ -522,13 +523,17 @@ func TestFaultEveryPhaseRecoveryBitIdentical(t *testing.T) {
 							fst.Recoveries, fst.RecoveredSupersteps, c.recovered)
 					}
 				})
-				for _, width := range []slotDecl{slotsExact, slotsNil} {
+				for _, width := range []slotDecl{slotsExact, slotsWidened} {
 					t.Run(scheduleName(cfg)+"/"+c.name+"/slots="+width.String(), func(t *testing.T) {
 						fLabels, fst := runMinLabelWidth(t, g, n, faulty, width)
 						if !reflect.DeepEqual(labels, fLabels) {
 							t.Errorf("labels differ from the fault-free reference")
 						}
-						if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+						want := st
+						if width == slotsWidened {
+							want = tagged(st)
+						}
+						if a, b := statsModuloRecovery(want), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
 							t.Errorf("stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
 						}
 						if fst.Recoveries != 1 || fst.RecoveredSupersteps != c.recovered {

@@ -65,6 +65,50 @@ func FuzzSubmitJob(f *testing.F) {
 	})
 }
 
+// FuzzSetQuota sends arbitrary bytes as the body of POST /tenants,
+// through Server.Handler. The handler must not panic, must accept a
+// quota only with {"ok":true}, and must reject any other body with a 4xx
+// carrying a JSON "error". The seeds are the tenant rows of badRequests
+// and one valid quota. Run with
+// `go test -run='^$' -fuzz=FuzzSetQuota ./internal/serve`; in normal
+// test runs the seed corpus executes.
+func FuzzSetQuota(f *testing.F) {
+	for _, tc := range badRequests {
+		if tc.path == "/tenants" {
+			f.Add(mustMarshal(f, tc.body))
+		}
+	}
+	f.Add(mustMarshal(f, map[string]any{"name": "t", "quota": Quota{MaxConcurrent: 2, Weight: 3, MaxQueued: -1}}))
+
+	s := New(Options{Workers: 1, Seed: testSeed})
+	f.Cleanup(s.Close)
+	h := s.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tenants", bytes.NewReader(body)))
+		payload := rec.Body.Bytes()
+		switch code := rec.Code; {
+		case code == http.StatusOK:
+			var ok struct {
+				OK bool `json:"ok"`
+			}
+			if err := json.Unmarshal(payload, &ok); err != nil || !ok.OK {
+				t.Fatalf("HTTP 200 without {\"ok\":true}: %s", payload)
+			}
+		case code >= 400 && code < 500:
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(payload, &e); err != nil || e.Error == "" {
+				t.Fatalf("HTTP %d without a JSON error: %s", code, payload)
+			}
+		default:
+			t.Fatalf("unexpected HTTP %d: %s", code, payload)
+		}
+	})
+}
+
 func mustMarshal(f *testing.F, v any) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {
