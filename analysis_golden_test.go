@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gmpregel"
+	"gmpregel/internal/gm/analysis"
 )
 
 // diagGoldenPath maps a .gm fixture to its committed golden rendering.
@@ -43,13 +44,29 @@ func diagFixtures(t *testing.T) []string {
 // TestAnalysisGoldens runs the full diagnostics pass over every fixture
 // and compares the text rendering against the committed golden file
 // (regenerate with TESTDATA_WRITE=1 go test -run TestAnalysisGoldens .).
+// Each diagnostic must carry the severity its code is registered with,
+// and the errors must be exactly Compile's verdict.
 func TestAnalysisGoldens(t *testing.T) {
 	for _, gmPath := range diagFixtures(t) {
 		src, err := os.ReadFile(gmPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := gmpregel.Diagnose(string(src)).Text()
+		diags := gmpregel.Diagnose(string(src))
+		var verdict []string
+		for _, d := range diags {
+			if ci, ok := analysis.LookupCode(d.Code); !ok || d.Severity != ci.Severity {
+				t.Errorf("%s: %s is reported as %s, registered as %s", gmPath, d.Code, d.Severity, ci.Severity)
+			}
+			if d.Severity == analysis.SevError {
+				verdict = append(verdict, d.Error())
+			}
+		}
+		_, cerr := gmpregel.Compile(string(src), gmpregel.Options{})
+		if (cerr == nil) != (verdict == nil) || cerr != nil && strings.Join(verdict, "\n") != cerr.Error() {
+			t.Errorf("%s: Compile fails with %v, but Diagnose reports errors %q", gmPath, cerr, verdict)
+		}
+		got := diags.Text()
 		golden := diagGoldenPath(gmPath)
 		if os.Getenv("TESTDATA_WRITE") == "1" {
 			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -85,6 +102,12 @@ func TestAnalysisFixtureCodes(t *testing.T) {
 		{"noncanon.gm", []string{"GM5006"}, nil},
 		{"noncanon_ok.gm", []string{"GM4001"}, []string{"GM5006"}},
 		{"multierr.gm", []string{"GM1001"}, nil},
+		{"reject_cond_reduce.gm", []string{"GM5007"}, nil},
+		{"reject_indegree.gm", []string{"GM5011"}, nil},
+		{"reject_while_sum.gm", []string{"GM5011"}, nil},
+		{"reject_nested_reduce.gm", []string{"GM5009"}, nil},
+		{"reject_random_write.gm", []string{"GM5011"}, []string{"GM5003"}},
+		{"reject_inedge_push.gm", []string{"GM5008"}, nil},
 	}
 	for _, tc := range cases {
 		src, err := os.ReadFile(filepath.Join("testdata", "diag", tc.file))

@@ -10,9 +10,11 @@
 // -trace (applied transformations). With -run, the program is executed
 // on a generated graph and its statistics printed.
 //
-// Static analysis: -analyze runs the diagnostics pass only and prints
-// the findings (-diag-format=text|json selects the rendering), exiting
-// nonzero if any errors — or, with -Werror, any warnings — were found.
+// Static analysis: -analyze prints the diagnostics instead of the
+// compile output — the analyses' findings and the compiler's verdict
+// (-diag-format=text|json selects the rendering) — exiting nonzero if
+// any errors — or, with -Werror, any warnings — were found. Without
+// -Werror it exits nonzero exactly when a plain compile fails.
 // Without -analyze, -Werror makes a normal compile fail when the
 // analyzer reported warnings.
 package main
@@ -40,7 +42,7 @@ func main() {
 		trace      = flag.Bool("trace", true, "print the applied-transformation checklist")
 		noOpt      = flag.Bool("no-opt", false, "disable state merging and intra-loop merging")
 		emit       = flag.String("emit", "", "write the compiled program as a JSON artifact to this file")
-		analyze    = flag.Bool("analyze", false, "run static analysis only and print diagnostics (no compile output)")
+		analyze    = flag.Bool("analyze", false, "print the diagnostics, the compile verdict included, instead of the compile output")
 		diagFormat = flag.String("diag-format", "text", "diagnostic rendering for -analyze: text or json")
 		werror     = flag.Bool("Werror", false, "treat analysis warnings as errors (nonzero exit)")
 		run        = flag.Bool("run", false, "run the program on a generated twitter-like graph")
@@ -132,7 +134,7 @@ func main() {
 	}
 }
 
-// analyzeOnly runs the diagnostics pass and exits: 0 when clean, 1 when
+// analyzeOnly prints the diagnostics and exits: 0 when clean, 1 when
 // the findings include errors (or warnings under -Werror).
 func analyzeOnly(src, format string, werror bool) {
 	diags := gmpregel.Diagnose(src)

@@ -24,10 +24,16 @@
 // executable program listing), and TransformationTable (which rules
 // fired).
 //
-// The engine runs every superstep on one path — push messaging, chunked
-// work-stealing vertex compute, routing counted as chunks retire — so
+// The engine runs every superstep on one path — chunked work-stealing
+// vertex compute, then routing after the barrier as one fold task and
+// one inbox task per destination worker, where a folded type that every
+// vertex broadcast is pulled over in-edges rather than pushed — so
 // Config carries resources, limits, checkpoints and the chunk size and
 // partitioner, but no execution-mode switches.
+//
+// Compile either returns a program or rejects the source with one
+// verdict; Diagnose reports that verdict next to the static analyses'
+// warnings and infos (see docs/ANALYSIS.md).
 package gmpregel
 
 import (
@@ -166,8 +172,9 @@ type SkewReport = obs.SkewReport
 // phase) from a span trace.
 func TraceSkew(spans []Span) *SkewReport { return obs.Skew(spans) }
 
-// Diagnostic is one static-analysis finding (code, severity, position,
-// message, optional fix hint).
+// Diagnostic is one finding (code, severity, position, message,
+// optional fix hint). When Compile rejects a program, its error is a
+// *Diagnostic.
 type Diagnostic = analysis.Diagnostic
 
 // Diagnostics is an ordered list of analysis findings.
@@ -208,10 +215,12 @@ func CompileFile(path string, opts Options) (*Compiled, error) {
 	return Compile(string(src), opts)
 }
 
-// Diagnose runs the parser, the semantic checker, and all static
-// analyses over src without compiling it, returning every finding. It
-// never returns an error: failures become diagnostics.
-func Diagnose(src string) Diagnostics { return analysis.Diagnose(src) }
+// Diagnose compiles src and returns every finding instead of an error:
+// the parser's or the semantic checker's errors, else the static
+// analyses' warnings and infos together with the compiler's verdict. It
+// holds an error exactly when Compile(src, Options{}) fails, and the
+// errors' Error texts, joined by newlines, are the compile error's.
+func Diagnose(src string) Diagnostics { return core.Diagnose(src) }
 
 // DecodeDiagnostics parses the JSON produced by Diagnostics.JSON (and
 // by gmpc -analyze -diag-format=json).

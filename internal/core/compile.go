@@ -38,7 +38,9 @@ type Compiled struct {
 }
 
 // Compile parses and compiles a single Green-Marl procedure into a
-// Pregel program.
+// Pregel program. A program outside the Pregel-canonical fragment fails
+// with a *analysis.Diagnostic error: the compiler's verdict, with a
+// registered code and the position of the construct it rejects.
 func Compile(src string, opts Options) (*Compiled, error) {
 	proc, err := parser.ParseProcedure(src)
 	if err != nil {
@@ -52,22 +54,59 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	return c, nil
 }
 
+// Diagnose reports every finding on src without failing: the front
+// end's errors (GM0001, GM1001) when it does not parse or check, else
+// the analyses' warnings and infos together with the compiler's
+// verdict — the error Compile returns, if it fails.
+func Diagnose(src string) analysis.List {
+	proc, err := parser.ParseProcedure(src)
+	if err != nil {
+		return analysis.FromError(err)
+	}
+	info, err := sema.Check(proc)
+	if err != nil {
+		return analysis.FromError(err)
+	}
+	diags := analysis.AnalyzeProcedure(proc, info)
+	if _, err := lower(proc, Options{}); err != nil {
+		diags = append(diags, analysis.FromError(err)...)
+		diags.Sort()
+	}
+	return diags
+}
+
 // CompileProcedure compiles an already-parsed procedure. The input tree
 // is not modified.
 func CompileProcedure(proc *ast.Procedure, opts Options) (*Compiled, error) {
-	info0, err := sema.Check(proc)
+	info, err := sema.Check(proc)
+	if err != nil {
+		return nil, err
+	}
+	c, err := lower(proc, opts)
 	if err != nil {
 		return nil, err
 	}
 	// The analyses run on the original tree, so diagnostics point at
 	// source the user wrote rather than at lowered forms.
-	diags := analysis.AnalyzeProcedure(proc, info0)
-	original := proc
+	c.Diagnostics = analysis.AnalyzeProcedure(proc, info)
+	errs, warns, infos := c.Diagnostics.Counts()
+	c.Program.Analysis = &machine.AnalysisSummary{
+		Errors:      errs,
+		Warnings:    warns,
+		Infos:       infos,
+		Codes:       c.Diagnostics.Codes(),
+		WarningFree: errs == 0 && warns == 0,
+	}
+	return c, nil
+}
+
+// lower runs the paper's Fig. 1 pipeline on a sema-checked procedure:
+// the §4.1 transformations to the Pregel-canonical form, translation to
+// a state machine, and the §4.2 optimizations.
+func lower(proc *ast.Procedure, opts Options) (*Compiled, error) {
 	work := proc.Clone()
 	trace := &Trace{}
 	nz := &normalizer{proc: work, nm: newNamer(work), trace: trace}
-
-	// The paper's Fig. 1 pipeline.
 	nz.lowerBFS()
 	nz.lowerBulkAssigns()
 	nz.lowerSeqReduces()
@@ -95,21 +134,12 @@ func CompileProcedure(proc *ast.Procedure, opts Options) (*Compiled, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, errf("internal: optimized program invalid: %v", err)
 	}
-	errs, warns, infos := diags.Counts()
-	prog.Analysis = &machine.AnalysisSummary{
-		Errors:      errs,
-		Warnings:    warns,
-		Infos:       infos,
-		Codes:       diags.Codes(),
-		WarningFree: errs == 0 && warns == 0,
-	}
 	return &Compiled{
-		Original:    original,
-		Canonical:   work,
-		Info:        info,
-		Program:     prog,
-		Trace:       trace,
-		Diagnostics: diags,
+		Original:  proc,
+		Canonical: work,
+		Info:      info,
+		Program:   prog,
+		Trace:     trace,
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"gmpregel/internal/gm/analysis"
 )
 
 // TestCompileDiagnostics pins the error messages for programs the
@@ -11,6 +13,7 @@ import (
 func TestCompileDiagnostics(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
+		code, pos          string
 	}{
 		{
 			name: "sequential For loop",
@@ -18,6 +21,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				For (n: G.Nodes) { n.x = 1; }
 			}`,
 			wantSub: "not Pregel-compatible",
+			code:    analysis.CodeSema,
+			pos:     "2:5",
 		},
 		{
 			name: "reduce in while condition",
@@ -27,6 +32,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "While condition",
+			code:    analysis.CodeUnsupported,
+			pos:     "2:5",
 		},
 		{
 			name: "pull loop under a condition",
@@ -38,6 +45,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "cannot be transformed",
+			code:    analysis.CodeCondPull,
+			pos:     "4:7",
 		},
 		{
 			name: "edge property in a pull",
@@ -50,6 +59,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "message-pulling",
+			code:    analysis.CodeEdgePull,
+			pos:     "3:6",
 		},
 		{
 			name: "nested whole-graph loops",
@@ -58,7 +69,9 @@ func TestCompileDiagnostics(t *testing.T) {
 					Foreach (m: G.Nodes) { m.x += 1; }
 				}
 			}`,
-			wantSub: "",
+			wantSub: "nested whole-graph loops",
+			code:    analysis.CodeParallelNest,
+			pos:     "3:6",
 		},
 		{
 			name: "random read in vertex context",
@@ -68,6 +81,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "message pulling",
+			code:    analysis.CodeUnsupported,
+			pos:     "3:15",
 		},
 		{
 			name: "random read in sequential condition",
@@ -77,6 +92,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "assign it to a variable",
+			code:    analysis.CodeUnsupported,
+			pos:     "2:13",
 		},
 		{
 			name: "InDegree builtin",
@@ -84,6 +101,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				Foreach (n: G.Nodes) { n.x = n.InDegree(); }
 			}`,
 			wantSub: "incoming-neighbor",
+			code:    analysis.CodeUnsupported,
+			pos:     "2:44",
 		},
 		{
 			name: "whole-graph reduce in parallel",
@@ -93,6 +112,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "not Pregel-compatible",
+			code:    analysis.CodeParallelNest,
+			pos:     "3:12",
 		},
 		{
 			name: "neighborhood reduction under an If",
@@ -102,6 +123,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "3:27: a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed",
+			code:    analysis.CodeCondPull,
+			pos:     "3:27",
 		},
 		{
 			name: "neighborhood reduction in a nested block",
@@ -111,6 +134,43 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "3:14: a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed",
+			code:    analysis.CodeCondPull,
+			pos:     "3:14",
+		},
+		{
+			name: "neighbor loop in a neighbor loop",
+			src: `Procedure f(G: Graph, v: Node_Prop<Int>) {
+				Foreach (n: G.Nodes) {
+					Foreach (t: n.Nbrs) {
+						Foreach (u: t.Nbrs) { u.v += 1; }
+					}
+				}
+			}`,
+			wantSub: "nested deeper than one level",
+			code:    analysis.CodeDeepNest,
+			pos:     "4:7",
+		},
+		{
+			name: "whole-graph loop in a neighbor loop",
+			src: `Procedure f(G: Graph, v: Node_Prop<Int>) {
+				Foreach (n: G.Nodes) {
+					Foreach (t: n.Nbrs) {
+						Foreach (u: G.Nodes) { u.v += 1; }
+					}
+				}
+			}`,
+			wantSub: "nested whole-graph loops",
+			code:    analysis.CodeParallelNest,
+			pos:     "4:7",
+		},
+		{
+			name: "reduction in a loop filter",
+			src: `Procedure f(G: Graph, x: Node_Prop<Int>) {
+				Foreach (n: G.Nodes)(Sum(t: n.Nbrs)(t.x) > 0) { n.x = 1; }
+			}`,
+			wantSub: "a reduction in a loop filter",
+			code:    analysis.CodeUnsupported,
+			pos:     "2:26",
 		},
 		{
 			name: "filter hazard on split",
@@ -122,6 +182,8 @@ func TestCompileDiagnostics(t *testing.T) {
 				}
 			}`,
 			wantSub: "loop filter",
+			code:    analysis.CodeUnsupported,
+			pos:     "2:5",
 		},
 	}
 	for _, tc := range cases {
@@ -130,12 +192,15 @@ func TestCompileDiagnostics(t *testing.T) {
 			if err == nil {
 				t.Fatalf("expected a compile error containing %q", tc.wantSub)
 			}
-			if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
+			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("error %q does not contain %q", err.Error(), tc.wantSub)
 			}
+			if d := analysis.FromError(err)[0]; d.Code != tc.code || d.Pos.String() != tc.pos {
+				t.Errorf("error %q is %s at %s, want %s at %s", err.Error(), d.Code, d.Pos, tc.code, tc.pos)
+			}
 			// A diagnostic speaks of the user's program: no compiler
-			// temporary, no internal error.
-			for _, frag := range []string{`"_r`, `"_t`, "internal:"} {
+			// temporary, no Go type, no internal error.
+			for _, frag := range []string{`"_r`, `"_t`, "*ast.", "internal:"} {
 				if strings.Contains(err.Error(), frag) {
 					t.Errorf("error %q names %s", err.Error(), frag)
 				}
@@ -212,5 +277,60 @@ func TestPayloadSlotLimit(t *testing.T) {
 	// The payload analysis ships each distinct variable, so this uses 4.
 	if _, err := Compile(ok, Options{}); err != nil {
 		t.Fatalf("4-field payload should compile: %v", err)
+	}
+}
+
+// TestDiagnoseReportsVerdict: the rejections the analyzer used to
+// predict (GM4003, GM5006, GM5009) reach Diagnose as the compiler's
+// own error, with Compile's text, and only when Compile fails.
+func TestDiagnoseReportsVerdict(t *testing.T) {
+	cases := []struct {
+		name, src, code string // code "" when the program compiles
+	}{
+		{"payload over the slot budget", `Procedure f(G: Graph, k: Node_Prop<Double>, a: Node_Prop<Double>, b: Node_Prop<Double>, c: Node_Prop<Double>, d2: Node_Prop<Double>, f2: Node_Prop<Double>, s: Node_Prop<Double>) {
+			Foreach (n: G.Nodes) {
+				n.s = Sum(w: n.Nbrs)(n.k*w.a + n.k*w.b + n.k*w.c + n.k*w.d2 + n.k*w.f2);
+			}
+		}`, analysis.CodePayloadOverflow},
+		{"payload at the slot budget", `Procedure f(G: Graph, k: Node_Prop<Double>, a: Node_Prop<Double>, b: Node_Prop<Double>, c: Node_Prop<Double>, d2: Node_Prop<Double>, s: Node_Prop<Double>) {
+			Foreach (n: G.Nodes) {
+				n.s = Sum(w: n.Nbrs)(n.k*w.a + n.k*w.b + n.k*w.c + n.k*w.d2);
+			}
+		}`, ""},
+		{"whole-graph loop in a vertex loop", `Procedure f(G: Graph, v: Node_Prop<Int>) {
+			Foreach (n: G.Nodes) {
+				Foreach (m: G.Nodes) { m.v += n.v; }
+			}
+		}`, analysis.CodeParallelNest},
+		{"neighbor loop in a neighbor loop", `Procedure f(G: Graph, v: Node_Prop<Int>) {
+			Foreach (n: G.Nodes) {
+				Foreach (t: n.Nbrs) {
+					Foreach (u: t.Nbrs) { u.v += 1; }
+				}
+			}
+		}`, analysis.CodeDeepNest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Compile(tc.src, Options{})
+			var errs []analysis.Diagnostic
+			for _, d := range Diagnose(tc.src) {
+				if d.Severity == analysis.SevError {
+					errs = append(errs, d)
+				}
+			}
+			if tc.code == "" {
+				if err != nil || len(errs) > 0 {
+					t.Fatalf("want a clean compile, got %v and %v", err, errs)
+				}
+				return
+			}
+			if err == nil || len(errs) != 1 {
+				t.Fatalf("want one %s error, got %v and %v", tc.code, err, errs)
+			}
+			if errs[0].Code != tc.code || errs[0].Error() != err.Error() {
+				t.Errorf("Diagnose reports %s %q, Compile fails with %q", errs[0].Code, errs[0].Error(), err)
+			}
+		})
 	}
 }

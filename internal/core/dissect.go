@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/gm/ast"
 )
 
@@ -176,7 +177,7 @@ func (nz *normalizer) dissectLoop(f *ast.Foreach) []ast.Stmt {
 				}
 			}
 			if !direct {
-				nz.fail("%s: a message-pulling neighbor loop under a condition cannot be transformed; restructure the program", il.P)
+				nz.fail(analysis.CodeCondPull, il.P, "a message-pulling neighbor loop under a condition cannot be transformed; restructure the program")
 				return []ast.Stmt{f}
 			}
 		}
@@ -194,7 +195,7 @@ func (nz *normalizer) dissectLoop(f *ast.Foreach) []ast.Stmt {
 			// when a statement writes several filter-read properties.
 			for _, p := range sortedKeys(propsWrittenBy(s)) {
 				if filterProps[p] {
-					nz.fail("%s: cannot split loop: its body modifies property %q used by the loop filter", f.P, p)
+					nz.fail(analysis.CodeUnsupported, f.P, "cannot split loop: its body modifies property %q used by the loop filter", p)
 					return []ast.Stmt{f}
 				}
 			}
@@ -302,7 +303,7 @@ func (nz *normalizer) maybeFlip(f *ast.Foreach) {
 		return
 	}
 	if il.Source != f.Iter {
-		nz.fail("%s: inner loop source %q must be the outer iterator %q", il.P, il.Source, f.Iter)
+		nz.fail(analysis.CodeParallelNest, il.P, "inner loop source %q must be the outer iterator %q", il.Source, f.Iter)
 		return
 	}
 	// Edge variables bound to the inner iterator do not survive a flip.
@@ -314,7 +315,7 @@ func (nz *normalizer) maybeFlip(f *ast.Foreach) {
 		return !edgeUse
 	})
 	if edgeUse {
-		nz.fail("%s: edge properties cannot be used in a message-pulling loop", il.P)
+		nz.fail(analysis.CodeEdgePull, il.P, "edge properties cannot be used in a message-pulling loop")
 		return
 	}
 
@@ -325,7 +326,7 @@ func (nz *normalizer) maybeFlip(f *ast.Foreach) {
 	case ast.IterOutNbrs:
 		flipped = ast.IterInNbrs
 	default:
-		nz.fail("%s: cannot flip %s iteration", il.P, il.Kind)
+		nz.fail(analysis.CodeUnsupported, il.P, "cannot flip %s iteration", il.Kind)
 		return
 	}
 

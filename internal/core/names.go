@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gmpregel/internal/gm/ast"
 )
@@ -104,17 +103,6 @@ func conjoin(parts []ast.Expr) ast.Expr {
 	return out
 }
 
-// replaceIdent substitutes every use of name in e with repl (cloned per
-// use), returning the rewritten expression.
-func replaceIdent(e ast.Expr, name string, repl ast.Expr) ast.Expr {
-	return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-		if id, ok := x.(*ast.Ident); ok && id.Name == name {
-			return repl.CloneExpr()
-		}
-		return x
-	})
-}
-
 // replaceIdentInStmt substitutes name throughout a statement subtree.
 func replaceIdentInStmt(s ast.Stmt, name string, repl ast.Expr) {
 	ast.RewriteExprs(s, func(x ast.Expr) ast.Expr {
@@ -143,8 +131,3 @@ func typeOfKind(k ast.TypeKind) *ast.Type { return &ast.Type{Kind: k} }
 func nodePropType(k ast.TypeKind) *ast.Type {
 	return &ast.Type{Kind: ast.TNodeProp, Elem: typeOfKind(k)}
 }
-
-// newDetRand returns a deterministic RNG for robustness tests.
-//
-//gm:nondeterministic-ok fixed caller-supplied seed; stream is reproducible by construction
-func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -3,19 +3,23 @@ package core
 import (
 	"fmt"
 
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/gm/sema"
+	"gmpregel/internal/gm/token"
 )
 
-// compileError is a compilation failure with a rule-oriented message.
-type compileError struct {
-	msg string
+// reject is the compiler's verdict on the construct at p: a diagnostic
+// with a registered code, returned as the compile error. Its Error text
+// is "line:col: message".
+func reject(code string, p token.Pos, format string, args ...interface{}) error {
+	return &analysis.Diagnostic{Code: code, Severity: analysis.SevError, Pos: p, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (e *compileError) Error() string { return e.msg }
-
+// errf reports an internal failure without a position (GM0002), a
+// state that no source program should reach.
 func errf(format string, args ...interface{}) error {
-	return &compileError{msg: fmt.Sprintf(format, args...)}
+	return reject(analysis.CodeOther, token.Pos{}, format, args...)
 }
 
 // normalizer runs the AST→AST lowering passes. Sema is re-run between
@@ -41,9 +45,9 @@ func (nz *normalizer) recheck() bool {
 	return true
 }
 
-func (nz *normalizer) fail(format string, args ...interface{}) {
+func (nz *normalizer) fail(code string, p token.Pos, format string, args ...interface{}) {
 	if nz.err == nil {
-		nz.err = errf(format, args...)
+		nz.err = reject(code, p, format, args...)
 	}
 }
 
@@ -196,7 +200,7 @@ func (nz *normalizer) lowerParReduces() {
 		if r := nestedReduce(asBlock(f.Body)); r != nil {
 			// Dissection splits the loop only at a statement of its body,
 			// so the accumulation loop must be one.
-			nz.fail("%s: a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed; assign it to a variable directly in the loop body", r.P)
+			nz.fail(analysis.CodeCondPull, r.P, "a neighborhood reduction in an If or a nested block of a vertex loop cannot be transformed; assign it to a variable directly in the loop body")
 			return false
 		}
 		f.Body = nz.rewriteSeq(asBlock(f.Body), nz.reduceLeaf(f.Iter))
@@ -253,7 +257,7 @@ func (nz *normalizer) reduceLeaf(outer string) func([]ast.Stmt, ast.Stmt) []ast.
 			}
 		case *ast.While:
 			if findReduce(s.Cond) != nil {
-				nz.fail("%s: a group reduction in a While condition is not supported; assign it to a variable inside the loop", s.P)
+				nz.fail(analysis.CodeUnsupported, s.P, "a group reduction in a While condition is not supported; assign it to a variable inside the loop")
 			}
 		case *ast.Foreach:
 			// Inside a vertex loop, reductions in an inner neighbor loop
@@ -262,7 +266,7 @@ func (nz *normalizer) reduceLeaf(outer string) func([]ast.Stmt, ast.Stmt) []ast.
 				break
 			}
 			if r := blockHasReduce(s); r != nil {
-				nz.fail("%s: reductions nested inside neighbor loops are not supported", r.P)
+				nz.fail(analysis.CodeDeepNest, r.P, "reductions nested inside neighbor loops are not supported")
 			}
 		}
 		return append(out, s)
@@ -288,7 +292,7 @@ func (nz *normalizer) extractReduces(out []ast.Stmt, s ast.Stmt, ep *ast.Expr, o
 			bad = fmt.Sprintf("neighborhood reduction source %q must be the enclosing loop iterator %q", r.Source, outer)
 		}
 		if bad != "" {
-			nz.fail("%s: %s", r.P, bad)
+			nz.fail(analysis.CodeParallelNest, r.P, "%s", bad)
 			return append(out, s)
 		}
 		pre, repl := nz.lowerOneReduce(r, r.Source)
@@ -372,7 +376,7 @@ func (nz *normalizer) lowerOneReduce(r *ast.Reduce, source string) ([]ast.Stmt, 
 			body = &ast.BoolLit{Value: true}
 		}
 	default:
-		nz.fail("%s: unsupported reduction %s", r.P, r.Kind)
+		nz.fail(analysis.CodeUnsupported, r.P, "unsupported reduction %s", r.Kind)
 		return nil, intLit(0)
 	}
 	decl := &ast.VarDecl{Type: typeOfKind(kind), Names: []string{acc}, Init: init, P: r.P}
@@ -453,7 +457,7 @@ func (nz *normalizer) lowerRandomAccess() {
 			read, where = s.Value, "Return"
 		}
 		if pa := nz.seqNodePropAccess(read); pa != nil {
-			nz.fail("%s: random property read in %s is not supported; assign it to a variable first", pa.P, where)
+			nz.fail(analysis.CodeUnsupported, pa.P, "random property read in %s is not supported; assign it to a variable first", where)
 		}
 		return append(out, s)
 	})
@@ -491,14 +495,14 @@ func (nz *normalizer) lowerRandomAccessAssign(out []ast.Stmt, s *ast.Assign) []a
 	if lhsIsRandom {
 		id, ok := lhsPA.Target.(*ast.Ident)
 		if !ok {
-			nz.fail("%s: unsupported property target", lhsPA.P)
+			nz.fail(analysis.CodeUnsupported, lhsPA.P, "unsupported property target")
 			return out
 		}
 		sym := nz.info.Uses[id]
 		if sym == nil || sym.Kind != sema.SymScalar || sym.Type.Kind != ast.TNode {
 			// Bulk assigns were already lowered; anything else here is a
 			// stray property write in sequential context.
-			nz.fail("%s: property write through %q in sequential context is not supported", lhsPA.P, id.Name)
+			nz.fail(analysis.CodeUnsupported, lhsPA.P, "property write through %q in sequential context is not supported", id.Name)
 			return out
 		}
 		lhsVar = id.Name
@@ -524,7 +528,7 @@ func (nz *normalizer) lowerRandomAccessAssign(out []ast.Stmt, s *ast.Assign) []a
 	}
 	newRHS := replaceNodeVarProps(s.RHS, filterVar, iter)
 	if pa := nz.seqNodePropAccessAfter(newRHS, filterVar); pa != nil {
-		nz.fail("%s: random reads through more than one node variable in a single statement are not supported", pa.P)
+		nz.fail(analysis.CodeUnsupported, pa.P, "random reads through more than one node variable in a single statement are not supported")
 		return out
 	}
 	body := &ast.Assign{LHS: newLHS, Op: s.Op, RHS: newRHS, P: s.P}

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/gm/sema"
+	"gmpregel/internal/gm/token"
 	"gmpregel/internal/ir"
 	"gmpregel/internal/machine"
 )
@@ -35,9 +36,9 @@ type aggKey struct {
 	op     ast.AssignOp
 }
 
-func (t *translator) fail(p fmt.Stringer, format string, args ...interface{}) {
+func (t *translator) fail(code string, p token.Pos, format string, args ...interface{}) {
 	if t.err == nil {
-		t.err = errf("%s: %s", p, fmt.Sprintf(format, args...))
+		t.err = reject(code, p, format, args...)
 	}
 }
 
@@ -206,12 +207,12 @@ func (t *translator) stmts(ss []ast.Stmt) {
 			t.seqWhile(s)
 		case *ast.Foreach:
 			if s.Kind != ast.IterNodes {
-				t.fail(s.P, "neighbor iteration outside a vertex-parallel loop")
+				t.fail(analysis.CodeParallelNest, s.P, "neighbor iteration outside a vertex-parallel loop")
 				return
 			}
 			t.compileVertexLoop(s)
 		default:
-			t.fail(s.Pos(), "unsupported statement %T after canonicalization", s)
+			t.fail(analysis.CodeOther, s.Pos(), "internal: unsupported statement %T after canonicalization", s)
 		}
 	}
 }
@@ -223,7 +224,7 @@ func (t *translator) seqDecl(d *ast.VarDecl) {
 			continue // slot pre-allocated
 		}
 		if sym.Kind != sema.SymScalar {
-			t.fail(d.P, "unexpected %s declaration in sequential context", sym.Kind)
+			t.fail(analysis.CodeUnsupported, d.P, "unexpected %s declaration in sequential context", sym.Kind)
 			return
 		}
 	}
@@ -236,12 +237,12 @@ func (t *translator) seqDecl(d *ast.VarDecl) {
 func (t *translator) seqAssign(a *ast.Assign) {
 	id, ok := a.LHS.(*ast.Ident)
 	if !ok {
-		t.fail(a.P, "property assignment in sequential context (should have been lowered)")
+		t.fail(analysis.CodeUnsupported, a.P, "property assignment in sequential context (should have been lowered)")
 		return
 	}
 	sym := t.info.Uses[id]
 	if sym == nil || sym.Kind != sema.SymScalar {
-		t.fail(a.P, "cannot assign to %q in sequential context", id.Name)
+		t.fail(analysis.CodeUnsupported, a.P, "cannot assign to %q in sequential context", id.Name)
 		return
 	}
 	t.cur = append(t.cur, ir.SetScalar{Slot: t.scalarSlot[sym], Name: sym.Name, Op: a.Op, RHS: t.masterExpr(a.RHS)})
@@ -317,7 +318,7 @@ func (t *translator) masterStmtList(ss []ast.Stmt) []ir.Stmt {
 			}
 			t.cur = append(t.cur, ir.If{Cond: t.masterExpr(s.Cond), Then: thenStmts, Else: elseStmts})
 		default:
-			t.fail(s.Pos(), "unsupported statement %T in sequential branch", s)
+			t.fail(analysis.CodeOther, s.Pos(), "internal: unsupported statement %T in sequential branch", s)
 		}
 	}
 	out := t.cur
@@ -357,18 +358,18 @@ func (t *translator) masterExpr(e ast.Expr) ir.Expr {
 	case *ast.Ident:
 		sym := t.info.Uses[e]
 		if sym == nil {
-			t.fail(e.P, "unresolved identifier %q", e.Name)
+			t.fail(analysis.CodeUnsupported, e.P, "unresolved identifier %q", e.Name)
 			return ir.Const{V: ir.Int(0)}
 		}
 		if sym.Kind == sema.SymScalar && !sym.InParallel {
 			return ir.ScalarRef{Slot: t.scalarSlot[sym], Name: sym.Name}
 		}
-		t.fail(e.P, "%s %q is not usable in sequential context", sym.Kind, e.Name)
+		t.fail(analysis.CodeUnsupported, e.P, "%s %q is not usable in sequential context", sym.Kind, e.Name)
 		return ir.Const{V: ir.Int(0)}
 	case *ast.Call:
 		return t.callExpr(e, nil)
 	case *ast.PropAccess:
-		t.fail(e.P, "property access in sequential context (should have been lowered)")
+		t.fail(analysis.CodeUnsupported, e.P, "property access in sequential context (should have been lowered)")
 		return ir.Const{V: ir.Int(0)}
 	case *ast.Binary:
 		return ir.Binary{Op: e.Op, L: t.masterExpr(e.L), R: t.masterExpr(e.R)}
@@ -407,8 +408,13 @@ func (t *translator) literal(e ast.Expr) ir.Expr {
 			}
 		}
 		return ir.Const{V: v}
+	case *ast.Reduce:
+		// The lowering passes extract every reduction but one in a
+		// loop filter.
+		t.fail(analysis.CodeUnsupported, e.P, "a reduction in a loop filter is not supported; assign it to a variable before the loop")
+		return ir.Const{V: ir.Int(0)}
 	default:
-		t.fail(e.Pos(), "unsupported expression %T", e)
+		t.fail(analysis.CodeOther, e.Pos(), "internal: unsupported expression %T", e)
 		return ir.Const{V: ir.Int(0)}
 	}
 }
@@ -425,28 +431,28 @@ func (t *translator) callExpr(e *ast.Call, vc *vctx) ir.Expr {
 		return ir.Builtin{Op: ir.BPickRandom}
 	case "Degree", "OutDegree", "NumNbrs":
 		if vc == nil {
-			t.fail(e.P, "%s() requires vertex context", e.Name)
+			t.fail(analysis.CodeUnsupported, e.P, "%s() requires vertex context", e.Name)
 			return ir.Const{V: ir.Int(0)}
 		}
 		if targetSym != vc.iterSym {
-			t.fail(e.P, "%s() may only be called on the current iterator %q", e.Name, vc.iter)
+			t.fail(analysis.CodeUnsupported, e.P, "%s() may only be called on the current iterator %q", e.Name, vc.iter)
 			return ir.Const{V: ir.Int(0)}
 		}
 		return ir.Builtin{Op: ir.BDegree}
 	case "Id":
 		if vc == nil {
-			t.fail(e.P, "Id() requires vertex context")
+			t.fail(analysis.CodeUnsupported, e.P, "Id() requires vertex context")
 			return ir.Const{V: ir.Int(0)}
 		}
 		if targetSym != vc.iterSym {
-			t.fail(e.P, "Id() may only be called on the current iterator %q", vc.iter)
+			t.fail(analysis.CodeUnsupported, e.P, "Id() may only be called on the current iterator %q", vc.iter)
 			return ir.Const{V: ir.Int(0)}
 		}
 		return ir.Builtin{Op: ir.BNodeId}
 	case "InDegree":
-		t.fail(e.P, "InDegree() is not supported by the Pregel backend (build incoming-neighbor lists instead)")
+		t.fail(analysis.CodeUnsupported, e.P, "InDegree() is not supported by the Pregel backend (build incoming-neighbor lists instead)")
 		return ir.Const{V: ir.Int(0)}
 	}
-	t.fail(e.P, "unknown builtin %q", e.Name)
+	t.fail(analysis.CodeUnsupported, e.P, "unknown builtin %q", e.Name)
 	return ir.Const{V: ir.Int(0)}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/gm/sema"
 	"gmpregel/internal/ir"
@@ -20,7 +21,7 @@ func (t *translator) compileInnerLoop(il *ast.Foreach, sctx *vctx, recv *recvBui
 	t.trace.Record(RuleNeighborhoodComm)
 	innerSym := t.info.IterOf[il]
 	if innerSym == nil {
-		t.fail(il.P, "internal: unresolved inner iterator")
+		t.fail(analysis.CodeOther, il.P, "internal: unresolved inner iterator")
 		return nil
 	}
 	if il.Kind == ast.IterInNbrs {
@@ -40,11 +41,11 @@ func (t *translator) compileInnerLoop(il *ast.Foreach, sctx *vctx, recv *recvBui
 		for _, sym := range t.info.DeclOf[d] {
 			if sym.Kind == sema.SymEdgeVar {
 				if !edgeOK {
-					t.fail(d.P, "edge properties are only accessible when pushing along out-edges")
+					t.fail(analysis.CodeEdgePull, d.P, "edge properties are only accessible when pushing along out-edges")
 					return false
 				}
 				if sym.EdgeOf != innerSym {
-					t.fail(d.P, "edge variable %q must come from this loop's iterator %q", sym.Name, il.Iter)
+					t.fail(analysis.CodeUnsupported, d.P, "edge variable %q must come from this loop's iterator %q", sym.Name, il.Iter)
 					return false
 				}
 				sctx.edgeVars[sym] = sym.EdgeOf
@@ -73,11 +74,7 @@ func (t *translator) compileInnerLoop(il *ast.Foreach, sctx *vctx, recv *recvBui
 		case s && usesEdgeProp(t, c):
 			edgeConds = append(edgeConds, c)
 		case s:
-			if usesEdgeProp(t, c) {
-				edgeConds = append(edgeConds, c)
-			} else {
-				guardConds = append(guardConds, c)
-			}
+			guardConds = append(guardConds, c)
 		default:
 			// References neither iterator (globals/constants): cheapest
 			// on the sender.
@@ -99,7 +96,7 @@ func (t *translator) compileInnerLoop(il *ast.Foreach, sctx *vctx, recv *recvBui
 	}
 	recv.handlers = append(recv.handlers, ir.ForMsgs{MsgType: msgType, Body: handlerBody})
 	if len(pb.fields) > pregel.MaxPayloadSlots {
-		t.fail(il.P, "this communication needs %d message fields, more than the %d the runtime supports; split the loop or precompute into a property",
+		t.fail(analysis.CodePayloadOverflow, il.P, "this communication needs %d message fields, more than the %d the runtime supports; split the loop or precompute into a property",
 			len(pb.fields), pregel.MaxPayloadSlots)
 		return nil
 	}
@@ -123,12 +120,12 @@ func (t *translator) compileInnerLoop(il *ast.Foreach, sctx *vctx, recv *recvBui
 		sender = ir.SendToNbrs{MsgType: msgType, EdgeCond: edgeCond, Payload: pb.exprs}
 	case ast.IterInNbrs:
 		if len(edgeConds) > 0 {
-			t.fail(il.P, "edge properties are not available when pushing along in-edges")
+			t.fail(analysis.CodeEdgePull, il.P, "edge properties are not available when pushing along in-edges")
 			return nil
 		}
 		sender = ir.SendToInNbrs{MsgType: msgType, Payload: pb.exprs}
 	default:
-		t.fail(il.P, "iteration domain %s survived canonicalization", il.Kind)
+		t.fail(analysis.CodeUnsupported, il.P, "iteration domain %s survived canonicalization", il.Kind)
 		return nil
 	}
 	if len(guardConds) > 0 {
@@ -212,7 +209,7 @@ func (t *translator) recvExpr(e ast.Expr, sctx *vctx, rctx *vctx, pb *payloadBui
 			Else: t.recvExpr(e.Else, sctx, rctx, pb),
 		}
 	default:
-		t.fail(e.Pos(), "expression mixes sender and receiver values in an untranslatable way")
+		t.fail(analysis.CodeUnsupported, e.Pos(), "expression mixes sender and receiver values in an untranslatable way")
 		return ir.Const{V: ir.Int(0)}
 	}
 }
@@ -231,7 +228,7 @@ func (t *translator) recvStmts(ss []ast.Stmt, sctx *vctx, rctx *vctx, pb *payloa
 			// Edge variables were registered during the sender pass.
 			for _, sym := range t.info.DeclOf[s] {
 				if sym.Kind != sema.SymEdgeVar {
-					t.fail(s.P, "local declarations inside neighbor loops are not supported (except Edge)")
+					t.fail(analysis.CodeUnsupported, s.P, "local declarations inside neighbor loops are not supported (except Edge)")
 				}
 			}
 		case *ast.Assign:
@@ -244,8 +241,14 @@ func (t *translator) recvStmts(ss []ast.Stmt, sctx *vctx, rctx *vctx, pb *payloa
 				elseStmts = t.recvStmts(asBlock(s.Else).Stmts, sctx, rctx, pb, recv)
 			}
 			out = append(out, ir.If{Cond: cond, Then: thenStmts, Else: elseStmts})
+		case *ast.Foreach:
+			if s.Kind == ast.IterNodes {
+				t.fail(analysis.CodeParallelNest, s.P, "nested whole-graph loops are not Pregel-canonical")
+			} else {
+				t.fail(analysis.CodeDeepNest, s.P, "neighbor iteration nested deeper than one level cannot be expressed as vertex-centric message passing")
+			}
 		default:
-			t.fail(s.Pos(), "unsupported statement %T inside a neighbor loop", s)
+			t.fail(analysis.CodeOther, s.Pos(), "internal: unsupported statement %T inside a neighbor loop", s)
 		}
 	}
 	return out
@@ -258,26 +261,26 @@ func (t *translator) recvAssign(out []ir.Stmt, a *ast.Assign, sctx *vctx, rctx *
 		if sym != nil && sym.Kind == sema.SymScalar && !sym.InParallel {
 			return append(out, t.globalWrite(sym, a.Op, t.recvExpr(a.RHS, sctx, rctx, pb), &recv.foldsB))
 		}
-		t.fail(a.P, "cannot assign to %q inside a neighbor loop", lhs.Name)
+		t.fail(analysis.CodeUnsupported, a.P, "cannot assign to %q inside a neighbor loop", lhs.Name)
 	case *ast.PropAccess:
 		tid, ok := lhs.Target.(*ast.Ident)
 		if !ok {
-			t.fail(a.P, "unsupported property target")
+			t.fail(analysis.CodeUnsupported, a.P, "unsupported property target")
 			return out
 		}
 		tsym := t.info.Uses[tid]
 		if tsym != rctx.iterSym {
-			t.fail(a.P, "writing %q.%s inside a neighbor loop requires message pulling, which Pregel cannot do", tid.Name, lhs.Prop)
+			t.fail(analysis.CodeUnsupported, a.P, "writing %q.%s inside a neighbor loop requires message pulling, which Pregel cannot do", tid.Name, lhs.Prop)
 			return out
 		}
 		slot, psym := t.propSlotOf(lhs.Prop)
 		if psym == nil {
-			t.fail(a.P, "unknown property %q", lhs.Prop)
+			t.fail(analysis.CodeUnsupported, a.P, "unknown property %q", lhs.Prop)
 			return out
 		}
 		return append(out, ir.SetProp{Slot: slot, Name: lhs.Prop, Op: a.Op, RHS: t.recvExpr(a.RHS, sctx, rctx, pb)})
 	default:
-		t.fail(a.P, "invalid assignment target")
+		t.fail(analysis.CodeUnsupported, a.P, "invalid assignment target")
 	}
 	return out
 }

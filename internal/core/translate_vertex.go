@@ -1,6 +1,7 @@
 package core
 
 import (
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/gm/sema"
 	"gmpregel/internal/ir"
@@ -172,7 +173,7 @@ func (t *translator) vertexStmts(ss []ast.Stmt, sctx *vctx, out *[]ir.Stmt, recv
 			*out = append(*out, ir.If{Cond: t.vertexExpr(s.Cond, sctx), Then: thenStmts, Else: elseStmts})
 		case *ast.Foreach:
 			if s.Kind == ast.IterNodes {
-				t.fail(s.P, "nested whole-graph loops are not Pregel-canonical")
+				t.fail(analysis.CodeParallelNest, s.P, "nested whole-graph loops are not Pregel-canonical")
 				return
 			}
 			sender := t.compileInnerLoop(s, sctx, recv)
@@ -180,7 +181,7 @@ func (t *translator) vertexStmts(ss []ast.Stmt, sctx *vctx, out *[]ir.Stmt, recv
 				*out = append(*out, sender)
 			}
 		default:
-			t.fail(s.Pos(), "unsupported statement %T in a vertex-parallel loop", s)
+			t.fail(analysis.CodeOther, s.Pos(), "internal: unsupported statement %T in a vertex-parallel loop", s)
 		}
 	}
 	if recv.msgCount > 1 {
@@ -200,7 +201,7 @@ func (t *translator) vertexDecl(d *ast.VarDecl, sctx *vctx, out *[]ir.Stmt) {
 				*out = append(*out, ir.SetLocal{Slot: slot, Name: sym.Name, RHS: t.vertexExpr(d.Init, sctx)})
 			}
 		default:
-			t.fail(d.P, "%s declaration inside a vertex-parallel loop", sym.Kind)
+			t.fail(analysis.CodeUnsupported, d.P, "%s declaration inside a vertex-parallel loop", sym.Kind)
 		}
 	}
 }
@@ -213,7 +214,7 @@ func (t *translator) vertexAssign(a *ast.Assign, sctx *vctx, out *[]ir.Stmt, rec
 		sym := t.info.Uses[lhs]
 		switch {
 		case sym == nil:
-			t.fail(a.P, "unresolved %q", lhs.Name)
+			t.fail(analysis.CodeUnsupported, a.P, "unresolved %q", lhs.Name)
 		case sctx.locals[sym] != 0 || hasLocal(sctx, sym):
 			slot := sctx.locals[sym]
 			rhs := t.vertexExpr(a.RHS, sctx)
@@ -225,12 +226,12 @@ func (t *translator) vertexAssign(a *ast.Assign, sctx *vctx, out *[]ir.Stmt, rec
 			// Global write → aggregator contribution (§3.1 Global Object).
 			*out = append(*out, t.globalWrite(sym, a.Op, t.vertexExpr(a.RHS, sctx), &recv.foldsA))
 		default:
-			t.fail(a.P, "cannot assign to %q here", lhs.Name)
+			t.fail(analysis.CodeUnsupported, a.P, "cannot assign to %q here", lhs.Name)
 		}
 	case *ast.PropAccess:
 		tid, ok := lhs.Target.(*ast.Ident)
 		if !ok {
-			t.fail(a.P, "unsupported property target")
+			t.fail(analysis.CodeUnsupported, a.P, "unsupported property target")
 			return
 		}
 		tsym := t.info.Uses[tid]
@@ -239,7 +240,7 @@ func (t *translator) vertexAssign(a *ast.Assign, sctx *vctx, out *[]ir.Stmt, rec
 			// Own property.
 			slot, psym := t.propSlotOf(lhs.Prop)
 			if psym == nil {
-				t.fail(a.P, "unknown property %q", lhs.Prop)
+				t.fail(analysis.CodeUnsupported, a.P, "unknown property %q", lhs.Prop)
 				return
 			}
 			*out = append(*out, ir.SetProp{Slot: slot, Name: lhs.Prop, Op: a.Op, RHS: t.vertexExpr(a.RHS, sctx)})
@@ -248,7 +249,7 @@ func (t *translator) vertexAssign(a *ast.Assign, sctx *vctx, out *[]ir.Stmt, rec
 			t.trace.Record(RuleRandomWrite)
 			slot, psym := t.propSlotOf(lhs.Prop)
 			if psym == nil {
-				t.fail(a.P, "unknown property %q", lhs.Prop)
+				t.fail(analysis.CodeUnsupported, a.P, "unknown property %q", lhs.Prop)
 				return
 			}
 			kind := t.prog.Props[slot].Kind
@@ -271,10 +272,10 @@ func (t *translator) vertexAssign(a *ast.Assign, sctx *vctx, out *[]ir.Stmt, rec
 				}},
 			})
 		default:
-			t.fail(a.P, "random property read/write through %q is not allowed here", tid.Name)
+			t.fail(analysis.CodeUnsupported, a.P, "random property read/write through %q is not allowed here", tid.Name)
 		}
 	default:
-		t.fail(a.P, "invalid assignment target")
+		t.fail(analysis.CodeUnsupported, a.P, "invalid assignment target")
 	}
 }
 
@@ -354,7 +355,7 @@ func (t *translator) vertexExpr(e ast.Expr, ctx *vctx) ir.Expr {
 		sym := t.info.Uses[e]
 		switch {
 		case sym == nil:
-			t.fail(e.P, "unresolved identifier %q", e.Name)
+			t.fail(analysis.CodeUnsupported, e.P, "unresolved identifier %q", e.Name)
 		case sym == ctx.iterSym:
 			return ir.CurNode{}
 		case hasLocal(ctx, sym):
@@ -363,13 +364,13 @@ func (t *translator) vertexExpr(e ast.Expr, ctx *vctx) ir.Expr {
 			t.trace.Record(RuleGlobalObject)
 			return ir.ScalarRef{Slot: t.scalarSlot[sym], Name: sym.Name}
 		default:
-			t.fail(e.P, "%q (%s) is not accessible in this vertex context", e.Name, sym.Kind)
+			t.fail(analysis.CodeUnsupported, e.P, "%q (%s) is not accessible in this vertex context", e.Name, sym.Kind)
 		}
 		return ir.Const{V: ir.Int(0)}
 	case *ast.PropAccess:
 		tid, ok := e.Target.(*ast.Ident)
 		if !ok {
-			t.fail(e.P, "unsupported property target")
+			t.fail(analysis.CodeUnsupported, e.P, "unsupported property target")
 			return ir.Const{V: ir.Int(0)}
 		}
 		tsym := t.info.Uses[tid]
@@ -377,28 +378,28 @@ func (t *translator) vertexExpr(e ast.Expr, ctx *vctx) ir.Expr {
 		case tsym == ctx.iterSym:
 			slot, psym := t.propSlotOf(e.Prop)
 			if psym == nil {
-				t.fail(e.P, "unknown property %q", e.Prop)
+				t.fail(analysis.CodeUnsupported, e.P, "unknown property %q", e.Prop)
 				return ir.Const{V: ir.Int(0)}
 			}
 			return ir.PropRef{Slot: slot, Name: e.Prop}
 		case tsym != nil && tsym.Kind == sema.SymEdgeVar:
 			if _, ok := ctx.edgeVars[tsym]; !ok {
-				t.fail(e.P, "edge variable %q is not bound in this context", tid.Name)
+				t.fail(analysis.CodeUnsupported, e.P, "edge variable %q is not bound in this context", tid.Name)
 				return ir.Const{V: ir.Int(0)}
 			}
 			if !ctx.inSendPayload {
-				t.fail(e.P, "edge property %q may only be read while sending along the edge", e.Prop)
+				t.fail(analysis.CodeUnsupported, e.P, "edge property %q may only be read while sending along the edge", e.Prop)
 				return ir.Const{V: ir.Int(0)}
 			}
 			t.trace.Record(RuleEdgeProperty)
 			slot, psym := t.propSlotOf(e.Prop)
 			if psym == nil || !t.prog.Props[slot].IsEdge {
-				t.fail(e.P, "unknown edge property %q", e.Prop)
+				t.fail(analysis.CodeUnsupported, e.P, "unknown edge property %q", e.Prop)
 				return ir.Const{V: ir.Int(0)}
 			}
 			return ir.EdgePropRef{Slot: slot, Name: e.Prop}
 		default:
-			t.fail(e.P, "reading a property of %q here requires message pulling, which Pregel cannot do", tid.Name)
+			t.fail(analysis.CodeUnsupported, e.P, "reading a property of %q here requires message pulling, which Pregel cannot do", tid.Name)
 			return ir.Const{V: ir.Int(0)}
 		}
 	case *ast.Call:

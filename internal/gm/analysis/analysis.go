@@ -15,12 +15,15 @@
 //   - unused/dead properties and dead writes (GM3001, GM3002);
 //   - message-payload width estimation per communication, using the same
 //     maximal-sender-subexpression dataflow as the translator (GM4001,
-//     GM4002, GM4003);
+//     GM4002);
 //   - Pregel-canonicalizability explanations: which transformation rule
-//     a construct triggers or defeats, and where (GM5001..GM5009).
+//     a construct triggers, and where (GM5001..GM5005).
 //
-// The entry points are Diagnose (source text in, diagnostics out) and
-// AnalyzeProcedure (typed AST in, diagnostics out).
+// The analyses report no errors: whether a program is Pregel-canonical
+// is the compiler's verdict (internal/core), which rejects it with a
+// *Diagnostic carrying GM4003, GM5006..GM5009 or GM5011. The entry
+// points are AnalyzeProcedure (typed AST in, diagnostics out) and
+// FromError (a front-end or compile error in, diagnostics out).
 package analysis
 
 import (
@@ -32,26 +35,14 @@ import (
 	"gmpregel/internal/gm/token"
 )
 
-// Diagnose parses, checks, and analyzes a Green-Marl procedure. Parse
-// and semantic errors are folded into the diagnostic stream (GM0001,
-// GM1001) instead of being returned, so the caller always gets a List.
-func Diagnose(src string) List {
-	proc, err := parser.ParseProcedure(src)
-	if err != nil {
-		return FromError(err)
-	}
-	info, err := sema.Check(proc)
-	if err != nil {
-		return FromError(err)
-	}
-	return AnalyzeProcedure(proc, info)
-}
-
-// FromError converts a front-end error into diagnostics: parser errors
-// become GM0001, each semantic error becomes one GM1001, anything else
-// becomes a position-less GM0002.
+// FromError converts a compile error into diagnostics: parser errors
+// become GM0001, each semantic error becomes one GM1001, a compiler
+// rejection is its own *Diagnostic, and anything else becomes a
+// position-less GM0002.
 func FromError(err error) List {
 	switch e := err.(type) {
+	case *Diagnostic:
+		return List{*e}
 	case *parser.Error:
 		return List{{Code: CodeParse, Severity: SevError, Pos: e.Pos, Msg: e.Msg}}
 	case sema.ErrorList:
@@ -207,11 +198,7 @@ func (a *analyzer) seqExpr(e ast.Expr) {
 // region (the normalizer lowers it to a vertex loop + aggregator).
 func (a *analyzer) regionReduce(red *ast.Reduce) {
 	if red.Domain != ast.IterNodes {
-		// A neighborhood reduction with no enclosing vertex loop cannot
-		// be expressed as vertex-parallel code.
-		a.add(CodeParallelNest, SevError, red.P,
-			"a neighborhood reduction outside a vertex-parallel loop is not Pregel-compatible")
-		return
+		return // the compiler rejects it (GM5006)
 	}
 	r := &regionCtx{iter: a.info.IterOf[red], written: map[*sema.Symbol][]token.Pos{}}
 	if red.Filter != nil {

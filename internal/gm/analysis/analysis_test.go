@@ -3,7 +3,24 @@ package analysis
 import (
 	"strings"
 	"testing"
+
+	"gmpregel/internal/gm/parser"
+	"gmpregel/internal/gm/sema"
 )
+
+// diagnose runs the front end and the analyses over src: the findings
+// core.Diagnose reports, less the compiler's verdict.
+func diagnose(src string) List {
+	proc, err := parser.ParseProcedure(src)
+	if err != nil {
+		return FromError(err)
+	}
+	info, err := sema.Check(proc)
+	if err != nil {
+		return FromError(err)
+	}
+	return AnalyzeProcedure(proc, info)
+}
 
 // has reports whether the list contains a diagnostic with the code.
 func has(l List, code string) bool {
@@ -25,14 +42,14 @@ func find(l List, code string) *Diagnostic {
 }
 
 func TestDiagnoseParseError(t *testing.T) {
-	l := Diagnose("Procedure broken(")
+	l := diagnose("Procedure broken(")
 	if !has(l, CodeParse) || !l.HasErrors() {
 		t.Fatalf("want GM0001, got %v", l)
 	}
 }
 
 func TestDiagnoseSemaErrorsAccumulate(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph) {
+	l := diagnose(`Procedure f(G: Graph) {
 		x = 1;
 		y = 2;
 		Int z = True + 1;
@@ -49,7 +66,7 @@ func TestDiagnoseSemaErrorsAccumulate(t *testing.T) {
 }
 
 func TestWriteConflict(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
+	l := diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
 		Foreach (n: G.Nodes) {
 			Foreach (t: n.Nbrs) { t.v = 1; }
 		}
@@ -66,7 +83,7 @@ func TestWriteConflict(t *testing.T) {
 	}
 
 	// Reduction assignments merge deterministically: no conflict.
-	l = Diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
+	l = diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
 		Foreach (n: G.Nodes) {
 			Foreach (t: n.Nbrs) { t.v += 1; }
 		}
@@ -77,7 +94,7 @@ func TestWriteConflict(t *testing.T) {
 }
 
 func TestScalarAnyWinsConflict(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph) {
+	l := diagnose(`Procedure f(G: Graph) {
 		Int x = 0;
 		Foreach (n: G.Nodes) { x = 1; }
 	}`)
@@ -87,7 +104,7 @@ func TestScalarAnyWinsConflict(t *testing.T) {
 }
 
 func TestHazard(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>) {
+	l := diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>) {
 		Foreach (n: G.Nodes) {
 			n.r = Sum(w: n.Nbrs)(w.r);
 		}
@@ -97,7 +114,7 @@ func TestHazard(t *testing.T) {
 	}
 
 	// Reading a different property is no hazard.
-	l = Diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>, s: Node_Prop<Double>) {
+	l = diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>, s: Node_Prop<Double>) {
 		Foreach (n: G.Nodes) {
 			n.s = Sum(w: n.Nbrs)(w.r);
 		}
@@ -109,7 +126,7 @@ func TestHazard(t *testing.T) {
 
 func TestBFSLevelsExemptFromHazard(t *testing.T) {
 	// bc-style: UpNbrs reads are ordered by BFS levels, not racy.
-	l := Diagnose(`Procedure f(G: Graph, root: Node, sig: Node_Prop<Double>) {
+	l := diagnose(`Procedure f(G: Graph, root: Node, sig: Node_Prop<Double>) {
 		G.sig = 0.0;
 		InBFS (v: G.Nodes from root) {
 			v.sig += Sum(w: v.UpNbrs)(w.sig);
@@ -121,7 +138,7 @@ func TestBFSLevelsExemptFromHazard(t *testing.T) {
 }
 
 func TestLiveness(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, out: Node_Prop<Int>) {
+	l := diagnose(`Procedure f(G: Graph, out: Node_Prop<Int>) {
 		Node_Prop<Int> unused;
 		Node_Prop<Int> scratch;
 		Foreach (n: G.Nodes) { n.scratch = 1; n.out = 2; }
@@ -136,7 +153,7 @@ func TestLiveness(t *testing.T) {
 		}
 	}
 
-	l = Diagnose(`Procedure f(G: Graph, out: Node_Prop<Int>) {
+	l = diagnose(`Procedure f(G: Graph, out: Node_Prop<Int>) {
 		Node_Prop<Int> tmp;
 		Foreach (n: G.Nodes) { n.tmp = 1; }
 		Foreach (n: G.Nodes) { n.out = n.tmp; }
@@ -147,7 +164,7 @@ func TestLiveness(t *testing.T) {
 }
 
 func TestPayloadEstimate(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, d: Node_Prop<Int>, len: Edge_Prop<Int>) {
+	l := diagnose(`Procedure f(G: Graph, d: Node_Prop<Int>, len: Edge_Prop<Int>) {
 		Foreach (n: G.Nodes) {
 			Foreach (t: n.Nbrs) {
 				Edge e = t.ToEdge();
@@ -164,7 +181,7 @@ func TestPayloadEstimate(t *testing.T) {
 	}
 
 	// Arrival-only communication: bare message.
-	l = Diagnose(`Procedure f(G: Graph, c: Node_Prop<Int>) {
+	l = diagnose(`Procedure f(G: Graph, c: Node_Prop<Int>) {
 		Foreach (n: G.Nodes) {
 			Foreach (t: n.Nbrs) { t.c += 1; }
 		}
@@ -175,40 +192,8 @@ func TestPayloadEstimate(t *testing.T) {
 	}
 }
 
-func TestPayloadOverflow(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, k: Node_Prop<Double>, a: Node_Prop<Double>, b: Node_Prop<Double>, c: Node_Prop<Double>, d2: Node_Prop<Double>, f2: Node_Prop<Double>, s: Node_Prop<Double>) {
-		Foreach (n: G.Nodes) {
-			n.s = Sum(w: n.Nbrs)(n.k*w.a + n.k*w.b + n.k*w.c + n.k*w.d2 + n.k*w.f2);
-		}
-	}`)
-	d := find(l, CodePayloadOverflow)
-	if d == nil || d.Severity != SevError {
-		t.Fatalf("5 fields should overflow the slot budget as an error: %v", l)
-	}
-
-	// Exactly at the budget: fine.
-	l = Diagnose(`Procedure f(G: Graph, k: Node_Prop<Double>, a: Node_Prop<Double>, b: Node_Prop<Double>, c: Node_Prop<Double>, d2: Node_Prop<Double>, s: Node_Prop<Double>) {
-		Foreach (n: G.Nodes) {
-			n.s = Sum(w: n.Nbrs)(n.k*w.a + n.k*w.b + n.k*w.c + n.k*w.d2);
-		}
-	}`)
-	if has(l, CodePayloadOverflow) {
-		t.Errorf("4 fields flagged as overflow: %v", l)
-	}
-}
-
 func TestCanonicalizability(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
-		Foreach (n: G.Nodes) {
-			Foreach (m: G.Nodes) { m.v += n.v; }
-		}
-	}`)
-	d := find(l, CodeParallelNest)
-	if d == nil || d.Severity != SevError {
-		t.Fatalf("want GM5006 error, got %v", l)
-	}
-
-	l = Diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
+	l := diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
 		Int i = 0;
 		While (i < 3) {
 			Foreach (n: G.Nodes) { Foreach (t: n.Nbrs) { t.v += 1; } }
@@ -220,22 +205,8 @@ func TestCanonicalizability(t *testing.T) {
 	}
 }
 
-func TestDeepNesting(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, v: Node_Prop<Int>) {
-		Foreach (n: G.Nodes) {
-			Foreach (t: n.Nbrs) {
-				Foreach (u: t.Nbrs) { u.v += 1; }
-			}
-		}
-	}`)
-	d := find(l, CodeDeepNest)
-	if d == nil || d.Severity != SevError {
-		t.Fatalf("two nested neighbor loops should be GM5009, got %v", l)
-	}
-}
-
 func TestDiagnosticsAreSorted(t *testing.T) {
-	l := Diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>) {
+	l := diagnose(`Procedure f(G: Graph, r: Node_Prop<Double>) {
 		Node_Prop<Double> unused;
 		Foreach (n: G.Nodes) {
 			n.r = Sum(w: n.Nbrs)(w.r);

@@ -19,7 +19,7 @@ type CodeInfo struct {
 // means adding the constant, a row here, and a docs/ANALYSIS.md entry.
 var CodeTable = []CodeInfo{
 	{CodeParse, SevError, "source does not parse"},
-	{CodeOther, SevError, "compile failure without a source position"},
+	{CodeOther, SevError, "compile failure without a source position, or an internal one"},
 	{CodeSema, SevError, "semantic (name/type) error"},
 	{CodeWriteConflict, SevWarning, "parallel plain-write conflict (one write wins)"},
 	{CodeCrossStepHazard, SevWarning, "cross-superstep read-after-write hazard"},
@@ -33,10 +33,11 @@ var CodeTable = []CodeInfo{
 	{CodeRandomWrite, SevInfo, "random write lowers to a directed message"},
 	{CodeRandomAccess, SevInfo, "sequential random access lowers to a filtered loop"},
 	{CodeBFS, SevInfo, "InBFS lowers to level-synchronous supersteps"},
-	{CodeParallelNest, SevInfo, "whole-graph work nested in a parallel region"},
-	{CodeCondPull, SevInfo, "message-pulling loop under a condition"},
-	{CodeEdgePull, SevInfo, "edge property used in a message-pulling loop"},
-	{CodeDeepNest, SevInfo, "neighbor iteration nested deeper than one level"},
+	{CodeParallelNest, SevError, "whole-graph or misplaced neighborhood work"},
+	{CodeCondPull, SevError, "message pull or neighborhood reduction under a condition"},
+	{CodeEdgePull, SevError, "edge property in a message pull or an in-edge push"},
+	{CodeDeepNest, SevError, "nested neighbor iteration"},
+	{CodeUnsupported, SevError, "construct without a Pregel translation"},
 }
 
 // LookupCode returns the registry entry for a code.

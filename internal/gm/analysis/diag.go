@@ -39,10 +39,12 @@ func ParseSeverity(name string) (Severity, error) {
 }
 
 // Stable diagnostic codes. Each code identifies one class of finding and
-// never changes meaning (docs/ANALYSIS.md catalogues them).
+// never changes meaning (docs/ANALYSIS.md catalogues them). The
+// compiler (internal/core) alone emits GM4003, GM5006..GM5009 and GM5011:
+// its rejections of programs outside the Pregel-canonical fragment.
 const (
 	CodeParse = "GM0001" // source does not parse
-	CodeOther = "GM0002" // compile error without a position
+	CodeOther = "GM0002" // compile failure without a position, or an internal one
 	CodeSema  = "GM1001" // semantic (name/type) error
 
 	CodeWriteConflict   = "GM2001" // parallel plain-write conflict ("one write wins")
@@ -60,14 +62,16 @@ const (
 	CodeRandomWrite  = "GM5003" // random write lowers to a directed message
 	CodeRandomAccess = "GM5004" // sequential random access lowers to a filtered loop
 	CodeBFS          = "GM5005" // InBFS lowers to level-synchronous supersteps
-	CodeParallelNest = "GM5006" // whole-graph work nested in a parallel region
-	CodeCondPull     = "GM5007" // message-pulling loop under a condition
-	CodeEdgePull     = "GM5008" // edge property used in a message-pulling loop
-	CodeDeepNest     = "GM5009" // neighbor iteration nested deeper than one level
+	CodeParallelNest = "GM5006" // whole-graph or misplaced neighborhood work
+	CodeCondPull     = "GM5007" // message pull or neighborhood reduction under a condition
+	CodeEdgePull     = "GM5008" // edge property in a message pull or an in-edge push
+	CodeDeepNest     = "GM5009" // nested neighbor iteration
+	CodeUnsupported  = "GM5011" // construct without a Pregel translation (GM5010 is retired)
 )
 
-// Diagnostic is one analyzer finding: a stable code, a severity, the
-// source position it anchors to, a message, and an optional fix hint.
+// Diagnostic is one finding: a stable code, a severity, the source
+// position it anchors to, a message, and an optional fix hint. The
+// compiler returns its rejection of a program as a *Diagnostic error.
 type Diagnostic struct {
 	Code     string
 	Severity Severity
@@ -83,6 +87,15 @@ func (d Diagnostic) String() string {
 		pos = d.Pos.String()
 	}
 	return fmt.Sprintf("%s: %s %s: %s", pos, d.Severity, d.Code, d.Msg)
+}
+
+// Error renders the diagnostic as the compiler reports it when it
+// rejects a program: "line:col: msg", or msg alone without a position.
+func (d *Diagnostic) Error() string {
+	if !d.Pos.IsValid() {
+		return d.Msg
+	}
+	return d.Pos.String() + ": " + d.Msg
 }
 
 // jsonDiag is the wire form of a Diagnostic; severity renders as its

@@ -25,9 +25,6 @@ type parState struct {
 	// inNbrLoop is true inside an inner neighbor loop, where each
 	// statement runs once per neighbor (or per received message).
 	inNbrLoop bool
-	// underCond is true below an If inside the region body; a pulling
-	// loop there defeats the Dissecting Loops rule.
-	underCond bool
 }
 
 // regionForeach analyzes one top-level vertex-parallel loop.
@@ -85,11 +82,9 @@ func (a *analyzer) parStmt(s ast.Stmt, r *regionCtx, st parState) {
 		a.parAssign(s, r, st)
 	case *ast.If:
 		a.parExpr(s.Cond, r)
-		inner := st
-		inner.underCond = true
-		a.parStmt(s.Then, r, inner)
+		a.parStmt(s.Then, r, st)
 		if s.Else != nil {
-			a.parStmt(s.Else, r, inner)
+			a.parStmt(s.Else, r, st)
 		}
 	case *ast.Foreach:
 		a.nbrLoop(s, r, st)
@@ -141,9 +136,12 @@ func (a *analyzer) parPropWrite(s *ast.Assign, lhs *ast.PropAccess, r *regionCtx
 		}
 	case isNodeScalar(tsym):
 		// Random write: the Random Writing rule ships it as a message to
-		// a runtime-chosen vertex.
-		a.add(CodeRandomWrite, SevInfo, s.P,
-			"write to %s.%s targets a vertex chosen at runtime; the Random Writing rule delivers it as a directed message", lhs.Target.(*ast.Ident).Name, lhs.Prop)
+		// a runtime-chosen vertex. Inside a neighbor loop it would run on
+		// the receiver, and the compiler rejects it.
+		if !st.inNbrLoop {
+			a.add(CodeRandomWrite, SevInfo, s.P,
+				"write to %s.%s targets a vertex chosen at runtime; the Random Writing rule delivers it as a directed message", lhs.Target.(*ast.Ident).Name, lhs.Prop)
+		}
 		if s.Op == ast.OpSet {
 			a.addHint(CodeWriteConflict, SevWarning, s.P, hint,
 				"parallel plain write to %s.%s: multiple vertices may pick the same target and one write wins", lhs.Target.(*ast.Ident).Name, lhs.Prop)
@@ -192,14 +190,11 @@ func (a *analyzer) parPropRead(pa *ast.PropAccess, r *regionCtx) {
 	}
 }
 
-// reduceSite analyzes a reduction inside a parallel region. Whole-graph
-// reductions there are not canonicalizable; neighborhood reductions are
-// communication sites; UpNbrs/DownNbrs reductions ride on BFS levels.
+// reduceSite analyzes a reduction inside a parallel region.
+// Neighborhood reductions are communication sites; UpNbrs/DownNbrs
+// reductions ride on BFS levels.
 func (a *analyzer) reduceSite(red *ast.Reduce, r *regionCtx) {
 	switch red.Domain {
-	case ast.IterNodes:
-		a.add(CodeParallelNest, SevError, red.P,
-			"a whole-graph reduction inside a vertex-parallel loop is not Pregel-compatible (no rule covers doubly-parallel iteration)")
 	case ast.IterUpNbrs, ast.IterDownNbrs:
 		// Levelwise BFS communication: values from the previous level
 		// are final, so no hazard/payload site is recorded; still scan
@@ -220,13 +215,12 @@ func (a *analyzer) reduceSite(red *ast.Reduce, r *regionCtx) {
 }
 
 // nbrLoop analyzes an inner Foreach inside a parallel region: a
-// communication site (push or pull), plus the canonicalizability rules
-// that constrain where pulls may appear.
+// communication site (push or pull). A whole-graph loop here, or a
+// neighbor loop nested in another, is left to the compiler, which
+// rejects it (GM5006, GM5009).
 func (a *analyzer) nbrLoop(f *ast.Foreach, r *regionCtx, st parState) {
 	switch f.Kind {
 	case ast.IterNodes:
-		a.add(CodeParallelNest, SevError, f.P,
-			"a whole-graph loop nested inside a vertex-parallel loop is not Pregel-compatible")
 		return
 	case ast.IterUpNbrs, ast.IterDownNbrs:
 		// BFS-level loops communicate along finished levels; walk the
@@ -240,22 +234,10 @@ func (a *analyzer) nbrLoop(f *ast.Foreach, r *regionCtx, st parState) {
 		return
 	}
 	if st.inNbrLoop {
-		a.add(CodeDeepNest, SevError, f.P,
-			"neighbor iteration nested deeper than one level cannot be expressed as vertex-centric message passing")
 		return
 	}
 
 	pull := a.isPull(f, r)
-	if pull {
-		if st.underCond {
-			a.add(CodeCondPull, SevError, f.P,
-				"a message-pulling neighbor loop under a condition cannot be transformed (Dissecting Loops requires pulls to stand alone); restructure the program")
-		}
-		if edgeDeclIn(f.Body) {
-			a.add(CodeEdgePull, SevError, f.P,
-				"edge properties cannot be used in a message-pulling loop: the edge is not available on the sending side after Flipping Edges")
-		}
-	}
 	if f.Kind == ast.IterInNbrs {
 		a.add(CodeIncomingComm, SevInfo, f.P,
 			"communication along incoming edges: the compiler flips the edge direction or builds incoming-neighbor lists (Flipping Edges / Incoming Neighbors rules)")
@@ -297,16 +279,4 @@ func (a *analyzer) isPull(f *ast.Foreach, r *regionCtx) bool {
 		return !pull
 	})
 	return pull
-}
-
-// edgeDeclIn reports whether the loop body binds an Edge variable.
-func edgeDeclIn(s ast.Stmt) bool {
-	found := false
-	ast.WalkStmts(s, func(st ast.Stmt) bool {
-		if d, ok := st.(*ast.VarDecl); ok && d.Type.Kind == ast.TEdge {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -7,7 +7,6 @@ import (
 	"gmpregel/internal/gm/sema"
 	"gmpregel/internal/gm/token"
 	"gmpregel/internal/ir"
-	"gmpregel/internal/pregel"
 )
 
 // Analysis 4: message-payload width estimation. For every neighbor
@@ -106,15 +105,8 @@ func (a *analyzer) payloadStmts(s ast.Stmt, sc *siteCtx) {
 func (a *analyzer) assignTargetIsRecv(s *ast.Assign, sc *siteCtx) bool {
 	switch lhs := s.LHS.(type) {
 	case *ast.PropAccess:
-		tsym := a.symOf(lhs.Target)
-		if tsym == sc.recv {
-			return true
-		}
-		if isNodeScalar(tsym) {
-			// Random write: its own message type, estimated as written.
-			return false
-		}
-		return false
+		// A random write is its own message type, not this payload.
+		return a.symOf(lhs.Target) == sc.recv
 	case *ast.Ident:
 		sym := a.info.Uses[lhs]
 		if sym == nil || sym.Kind != sema.SymScalar {
@@ -208,8 +200,9 @@ func (a *analyzer) refSides(e ast.Expr, sc *siteCtx) (snd, rcv bool) {
 	return snd, rcv
 }
 
-// emitPayload reports the estimate (GM4001), a hazard-forced width
-// warning (GM4002), and a slot-budget overflow (GM4003).
+// emitPayload reports the estimate (GM4001) and a hazard-forced width
+// warning (GM4002). A payload wider than the engine's slots is the
+// compiler's rejection (GM4003).
 func (a *analyzer) emitPayload(pos token.Pos, sc *siteCtx, r *regionCtx) {
 	if len(sc.fields) == 0 {
 		a.add(CodePayload, SevInfo, pos,
@@ -225,11 +218,6 @@ func (a *analyzer) emitPayload(pos token.Pos, sc *siteCtx, r *regionCtx) {
 	a.add(CodePayload, SevInfo, pos,
 		"neighbor communication sends %d message field(s), ~%d payload byte(s): %s",
 		len(sc.fields), bytes, strings.Join(parts, ", "))
-	if len(sc.fields) > pregel.MaxPayloadSlots {
-		a.add(CodePayloadOverflow, SevError, pos,
-			"this communication needs %d message fields, but the engine's message class has only %d payload slots; split the loop or precompute a combined value",
-			len(sc.fields), pregel.MaxPayloadSlots)
-	}
 	for _, f := range sc.fields {
 		for _, prop := range a.propsReadIn(f.expr) {
 			if _, hazard := r.written[prop]; hazard {

@@ -55,12 +55,6 @@ func (mc *MasterContext) AggFloat(s int) float64 { return mc.e.aggValues[s].f }
 // AggBool returns the merged bool value of aggregator slot s.
 func (mc *MasterContext) AggBool(s int) bool { return mc.e.aggValues[s].i != 0 }
 
-// ClearAgg resets aggregator slot s. Aggregators are otherwise
-// cumulative only within a superstep: worker partials are merged at the
-// barrier and replaced the next superstep, so an explicit clear is needed
-// when the master wants "unset" semantics to persist.
-func (mc *MasterContext) ClearAgg(s int) { mc.e.aggValues[s] = aggCell{} }
-
 func (mc *MasterContext) setGlobal(s int, v uint64) {
 	mc.e.globals[s] = v
 	size := 8
@@ -350,15 +344,10 @@ func (vc *VertexContext) Rand() *rand.Rand {
 	return x.rng
 }
 
-// WorkerIndex returns the index of the worker owning this vertex (stable
-// for a run regardless of which executor runs the chunk; useful for
-// partition-scoped storage in jobs).
-func (vc *VertexContext) WorkerIndex() int { return vc.wk.index }
-
 // ExecutorIndex returns the index of the executor goroutine running this
-// vertex. Under work stealing this may differ from WorkerIndex; scratch
-// state a job mutates during compute must be indexed by executor, not
-// worker, to stay race-free. It lies in [0, Config.Workers(n)) for a
+// vertex. Under work stealing this may differ from the index of the
+// worker owning the vertex; scratch state a job mutates during compute
+// must be indexed by executor, not worker, to stay race-free. It lies in [0, Config.Workers(n)) for a
 // graph of n vertices.
 func (vc *VertexContext) ExecutorIndex() int { return vc.ex.id }
 

@@ -12,13 +12,16 @@
 // (id mod W) by default, or degree-aware contiguous ranges with
 // Config.Partitioner — and executed by W persistent executor goroutines,
 // spawned once per run and parked on a reusable barrier between phases.
-// Within a superstep each worker's vertex-compute and routing work is
-// split into fixed-size chunks pulled from shared queues; an executor
-// that drains its own worker's chunks deterministically steals remaining
-// chunks from the most-loaded worker (see docs/ENGINE.md, "Hot path and
-// scheduling"). Results and Stats are independent of which executor runs
-// a chunk: per-chunk output is merged at the barrier in canonical
-// (worker, chunk) order, delivery folds run in that same order, and
+// Within a superstep each worker's vertex-compute work is split into
+// fixed-size chunks pulled from shared queues; an executor that drains
+// its own worker's chunks deterministically steals remaining chunks from
+// the most-loaded worker (see docs/ENGINE.md, "Hot path and
+// scheduling"). Routing runs after the barrier as one fold task and one
+// inbox task per destination worker, claimed from the same kind of
+// cursor. Results and Stats are independent of which executor runs a
+// chunk or a task: per-chunk output is merged at the barrier in
+// canonical (worker, chunk) order, each destination's folds and inbox
+// are built in canonical (source worker, chunk, emission) order, and
 // vertex-level RNG streams are seeded per (vertex, superstep).
 //
 // Messages between vertices on different workers are accounted as

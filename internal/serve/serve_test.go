@@ -16,6 +16,7 @@ import (
 
 	"gmpregel/internal/algorithms"
 	"gmpregel/internal/core"
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/machine"
 	"gmpregel/internal/pregel"
 )
@@ -183,6 +184,13 @@ const (
 `
 )
 
+// inDegreeSource type-checks, but InDegree() has no Pregel translation.
+const inDegreeSource = `
+Procedure indeg(G: Graph, x: Node_Prop<Int>) {
+    Foreach (n: G.Nodes) { n.x = n.InDegree(); }
+}
+`
+
 // TestCompileFromSource covers the ad-hoc Green-Marl path: a valid
 // source executes; a broken one comes back 400 with structured
 // diagnostics rather than a bare string.
@@ -208,28 +216,30 @@ func TestCompileFromSource(t *testing.T) {
 		t.Errorf("result should carry the program hash, got %q", st.Result.ProgramHash)
 	}
 
-	// A type error returns structured sema diagnostics with positions.
-	code, _, payload = postJSON(t, hs.URL+"/jobs", JobRequest{Tenant: "dev", Graph: "bench", Source: brokenSource, Wait: true})
-	if code != http.StatusBadRequest {
-		t.Fatalf("broken source: want 400, got %d: %s", code, payload)
-	}
-	var errBody struct {
-		Error      string `json:"error"`
-		Detail     string `json:"detail"`
-		SemaErrors []struct {
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Message string `json:"message"`
-		} `json:"sema_errors"`
-	}
-	if err := json.Unmarshal(payload, &errBody); err != nil {
-		t.Fatalf("error body not JSON: %v\n%s", err, payload)
-	}
-	if errBody.Error != "compile failed" {
-		t.Errorf("unexpected error shape: %s", payload)
-	}
-	if len(errBody.SemaErrors) == 0 || errBody.SemaErrors[0].Line == 0 {
-		t.Errorf("expected positioned sema errors, got %s", payload)
+	// A type error and a construct the compiler rejects both come back
+	// as one positioned diagnostics report.
+	for _, tc := range []struct{ src, code string }{
+		{brokenSource, analysis.CodeSema},
+		{inDegreeSource, analysis.CodeUnsupported},
+	} {
+		code, _, payload = postJSON(t, hs.URL+"/jobs", JobRequest{Tenant: "dev", Graph: "bench", Source: tc.src, Wait: true})
+		if code != http.StatusBadRequest {
+			t.Fatalf("rejected source: want 400, got %d: %s", code, payload)
+		}
+		var errBody struct {
+			Error       string          `json:"error"`
+			Diagnostics analysis.Report `json:"diagnostics"`
+		}
+		if err := json.Unmarshal(payload, &errBody); err != nil {
+			t.Fatalf("error body not JSON: %v\n%s", err, payload)
+		}
+		ds := errBody.Diagnostics.Diagnostics
+		if errBody.Error != "compile failed" || errBody.Diagnostics.Errors == 0 || len(ds) == 0 {
+			t.Fatalf("unexpected error shape: %s", payload)
+		}
+		if d := ds[0]; d.Code != tc.code || d.Severity != analysis.SevError || d.Pos.Line == 0 || d.Msg == "" {
+			t.Errorf("want a positioned %s error, got %s", tc.code, payload)
+		}
 	}
 }
 

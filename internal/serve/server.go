@@ -11,7 +11,7 @@ import (
 
 	"gmpregel/internal/algorithms"
 	"gmpregel/internal/core"
-	"gmpregel/internal/gm/sema"
+	"gmpregel/internal/gm/analysis"
 	"gmpregel/internal/machine"
 	"gmpregel/internal/obs"
 	"gmpregel/internal/pregel"
@@ -29,10 +29,6 @@ type Options struct {
 	Seed int64
 	// Capacity bounds globally concurrent engine runs (0 = 8).
 	Capacity int
-	// DefaultQuota applies to tenants that never posted a quota; its
-	// zero fields inherit the library defaults (2 concurrent, 64
-	// queued, weight 1, DefaultDeadline, governor off).
-	DefaultQuota Quota
 	// CacheBytes is the result-cache byte budget (0 = 64 MiB).
 	CacheBytes int64
 	// DefaultDeadline is the per-job wall budget when neither the
@@ -97,10 +93,12 @@ func New(opts Options) *Server {
 	if opts.DefaultDeadline <= 0 {
 		opts.DefaultDeadline = 30 * time.Second
 	}
-	dq := opts.DefaultQuota.withDefaults(Quota{
+	// Tenants that never posted a quota get 2 concurrent, 64 queued,
+	// weight 1, DefaultDeadline and the governor off.
+	dq := Quota{
 		MaxConcurrent: 2, MaxQueued: 64, Weight: 1,
 		DeadlineMS: opts.DefaultDeadline.Milliseconds(),
-	})
+	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -219,18 +217,6 @@ func (s *Server) resolveProgram(req *JobRequest) (*compiledProgram, *apiError) {
 	if err != nil {
 		return nil, compileError(err)
 	}
-	if a := c.Program.Analysis; a != nil && a.Errors > 0 {
-		// The static analyzer found error-severity defects (write
-		// conflicts, cross-superstep hazards): reject with the full
-		// structured report rather than running a misbehaving program.
-		return nil, &apiError{
-			status: http.StatusBadRequest,
-			body: map[string]any{
-				"error":       "program rejected by static analysis",
-				"diagnostics": c.Diagnostics.Report(),
-			},
-		}
-	}
 	h, err := core.ProgramHash(c.Program)
 	if err != nil {
 		return nil, &apiError{status: http.StatusInternalServerError, body: map[string]any{"error": err.Error()}}
@@ -253,29 +239,16 @@ func badRequest(msg string) *apiError {
 	return &apiError{status: http.StatusBadRequest, body: map[string]any{"error": msg}}
 }
 
-// compileError shapes parse/sema failures as structured JSON: each
-// semantic error carries its position, so clients can annotate source.
+// compileError shapes every compile failure — parse, sema or the
+// compiler's rejection — as one structured diagnostics report: each
+// diagnostic carries its code, severity and position, so clients can
+// annotate source.
 func compileError(err error) *apiError {
-	body := map[string]any{"error": "compile failed", "detail": err.Error()}
-	var list sema.ErrorList
-	if ok := asErrorList(err, &list); ok {
-		items := make([]map[string]any, 0, len(list))
-		for _, e := range list {
-			items = append(items, map[string]any{
-				"line": e.Pos.Line, "col": e.Pos.Col, "message": e.Msg,
-			})
-		}
-		body["sema_errors"] = items
-	}
-	return &apiError{status: http.StatusBadRequest, body: body}
-}
-
-func asErrorList(err error, out *sema.ErrorList) bool {
-	if l, ok := err.(sema.ErrorList); ok {
-		*out = l
-		return true
-	}
-	return false
+	return &apiError{status: http.StatusBadRequest, body: map[string]any{
+		"error":       "compile failed",
+		"detail":      err.Error(),
+		"diagnostics": analysis.FromError(err).Report(),
+	}}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
